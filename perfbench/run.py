@@ -9,8 +9,9 @@ Usage, from the root of the repository:
 The release build goes to $CARGO_TARGET_DIR (default: .bench_build at the
 root). The last line of standard output is the JSON result; build output
 goes to standard error. The benchmark runs pinned to the highest-numbered
-CPU this process may use. With --trace 1 the recorded spans are written
-under <target dir>/perfbench-spans/. The exit code is the benchmark's:
+CPU this process may use; each episode runs in a child process of the
+benchmark, which inherits the pinning. With --trace 1 the spans of the first
+traced episode are written under <target dir>/perfbench-spans/. The exit code is the benchmark's:
 non-zero when the build, an operation or a correctness check failed.
 """
 
@@ -41,8 +42,7 @@ def main() -> int:
     if hasattr(os, "sched_setaffinity"):
         os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
     exe = os.path.join(target, "release", "perfbench")
-    spans = os.path.join(target, "perfbench-spans")
-    return subprocess.run([exe, *sys.argv[1:], "--spans-dir", spans], env=env).returncode
+    return subprocess.run([exe, *sys.argv[1:]], env=env).returncode
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ use treedoc_telemetry::Registry;
 
 use crate::episode::{Episode, TelemetryCounts};
 use crate::io::{IoCounters, TimedBackend};
+use crate::reference::HostScale;
 use crate::rng::Rng;
 use crate::trace::{self, in_span, Phase};
 use crate::{burst, Key};
@@ -44,6 +45,9 @@ pub struct HostingSpec {
     pub commit_every: usize,
     /// Zipf exponent of document popularity.
     pub zipf_s: f64,
+    /// Visits per segment of the timed loop: the host-speed reference is
+    /// timed between segments (see [`crate::reference`]).
+    pub segment: usize,
 }
 
 /// The `hosting` workload: 400 documents over a 32-document resident set.
@@ -57,6 +61,7 @@ pub const HOSTING: HostingSpec = HostingSpec {
     backspace_p: 0.2,
     commit_every: 8,
     zipf_s: 1.1,
+    segment: 200,
 };
 
 #[derive(Debug)]
@@ -131,6 +136,7 @@ pub fn episode(spec: &HostingSpec, seed: u64) -> Episode {
     let io = IoCounters::shared();
     let docs = spec.docs as usize;
 
+    let mut host = HostScale::start();
     trace::set_phase(Phase::Setup);
     let started = Instant::now();
     let backends: Vec<SharedBackend> = (0..spec.shards)
@@ -163,6 +169,7 @@ pub fn episode(spec: &HostingSpec, seed: u64) -> Episode {
     let committed = node.commit();
     ep.attempt("commit", committed);
     ep.setup_s = started.elapsed().as_secs_f64();
+    ep.scaled.setup_s = ep.setup_s * host.factor();
     let mut texts = initial;
 
     trace::set_phase(Phase::Loop);
@@ -171,6 +178,10 @@ pub fn episode(spec: &HostingSpec, seed: u64) -> Episode {
     let io_before = io.snapshot();
     let mut busy = Duration::ZERO;
     for (v, visit) in visits.iter().enumerate() {
+        if v > 0 && v % spec.segment == 0 {
+            ep.end_segment(busy, host.factor());
+            busy = Duration::ZERO;
+        }
         let doc = visit.doc as usize;
         let session = sessions[doc];
         let text = &mut texts[doc];
@@ -220,7 +231,8 @@ pub fn episode(spec: &HostingSpec, seed: u64) -> Episode {
             digests[doc] = d;
         }
     }
-    ep.loop_s = busy.as_secs_f64();
+    ep.end_segment(busy, host.factor());
+    trace::set_phase(Phase::Verify);
     let stats = node.stats();
     ep.counts.io = io.snapshot().minus(io_before);
     ep.counts.fault_ins = stats.fault_ins - stats_before.fault_ins;
@@ -238,6 +250,7 @@ pub fn episode(spec: &HostingSpec, seed: u64) -> Episode {
 
     trace::set_phase(Phase::Recovery);
     let io_before = io.snapshot();
+    host.probe();
     let started = Instant::now();
     let restarted = in_span("node.restart", || {
         HostingNode::restart(config(spec), backends)
@@ -257,6 +270,8 @@ pub fn episode(spec: &HostingSpec, seed: u64) -> Episode {
     }
     ep.refill_ns = refill_started.elapsed().as_nanos() as u64;
     ep.recover_s = started.elapsed().as_secs_f64();
+    ep.scaled.recover_s = ep.recover_s * host.factor();
+    ep.reference_ns = host.mean_ns();
     ep.recovery_io = io.snapshot().minus(io_before);
 
     ep.check(node.hosted_count() == docs, || {

@@ -1,6 +1,7 @@
 //! The storage timing wrapper: a [`StorageBackend`] around
-//! [`MemoryBackend`] that counts calls, bytes and time per method, and
-//! opens a `storage.<method>` span around each call when tracing is on.
+//! [`MemoryBackend`] that counts calls, bytes and time of reads, writes and
+//! appends, and opens a `storage.<method>` span around each call when
+//! tracing is on.
 //!
 //! It plugs in wherever the program takes a backend — directly under a
 //! [`DocStore`](treedoc_storage::DocStore) or inside a
@@ -21,16 +22,14 @@ use crate::trace;
 const READ: usize = 0;
 const WRITE: usize = 1;
 const APPEND: usize = 2;
-const REMOVE: usize = 3;
-const LIST: usize = 4;
 
 /// Shared counters of every [`TimedBackend`] made from them. Plain
 /// statistics, so relaxed atomics suffice.
 #[derive(Debug, Default)]
 pub struct IoCounters {
-    calls: [AtomicU64; 5],
-    bytes: [AtomicU64; 5],
-    nanos: [AtomicU64; 5],
+    calls: [AtomicU64; 3],
+    bytes: [AtomicU64; 3],
+    nanos: [AtomicU64; 3],
 }
 
 impl IoCounters {
@@ -57,8 +56,6 @@ impl IoCounters {
             read: method(READ),
             write: method(WRITE),
             append: method(APPEND),
-            remove: method(REMOVE),
-            list: method(LIST),
         }
     }
 }
@@ -93,10 +90,6 @@ pub struct IoStats {
     pub write: MethodStats,
     /// `append` calls: WAL records and group-commit segments.
     pub append: MethodStats,
-    /// `remove` calls.
-    pub remove: MethodStats,
-    /// `list` calls.
-    pub list: MethodStats,
 }
 
 impl IoStats {
@@ -106,8 +99,6 @@ impl IoStats {
             read: self.read.minus(earlier.read),
             write: self.write.minus(earlier.write),
             append: self.append.minus(earlier.append),
-            remove: self.remove.minus(earlier.remove),
-            list: self.list.minus(earlier.list),
         }
     }
 
@@ -118,8 +109,6 @@ impl IoStats {
             read: untimed(self.read),
             write: untimed(self.write),
             append: untimed(self.append),
-            remove: untimed(self.remove),
-            list: untimed(self.list),
         }
     }
 
@@ -174,17 +163,11 @@ impl StorageBackend for TimedBackend {
 
     fn remove(&mut self, name: &str) -> Result<(), StorageError> {
         let _span = trace::span("storage.remove");
-        let started = Instant::now();
-        self.inner.remove(name)?;
-        self.counters.note(REMOVE, 0, started);
-        Ok(())
+        self.inner.remove(name)
     }
 
     fn list(&self) -> Result<Vec<String>, StorageError> {
         let _span = trace::span("storage.list");
-        let started = Instant::now();
-        let out = self.inner.list()?;
-        self.counters.note(LIST, 0, started);
-        Ok(out)
+        self.inner.list()
     }
 }

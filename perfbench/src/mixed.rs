@@ -20,6 +20,7 @@ use treedoc_storage::SharedBackend;
 
 use crate::episode::Episode;
 use crate::io::{IoCounters, TimedBackend};
+use crate::reference::HostScale;
 use crate::rng::Rng;
 use crate::trace::{self, in_span, Phase};
 use crate::{burst, Doc, Key};
@@ -176,6 +177,7 @@ pub fn episode(spec: &MixedSpec, seed: u64) -> Episode {
     let io = IoCounters::shared();
     let n = spec.sites;
 
+    let mut host = HostScale::start();
     trace::set_phase(Phase::Setup);
     let started = Instant::now();
     let disks: Vec<SharedBackend> = (0..n)
@@ -190,6 +192,7 @@ pub fn episode(spec: &MixedSpec, seed: u64) -> Episode {
     }
     let net = SimNetwork::new(spec.link, rng.next_u64());
     ep.setup_s = started.elapsed().as_secs_f64();
+    ep.scaled.setup_s = ep.setup_s * host.factor();
 
     trace::set_phase(Phase::Loop);
     let mut mesh = Mesh {
@@ -248,8 +251,11 @@ pub fn episode(spec: &MixedSpec, seed: u64) -> Episode {
         }
     }
     while mesh.deliver_one(&mut ep) {}
-    ep.loop_s = started.elapsed().as_secs_f64();
+    // One segment: the reference cannot be timed inside the loop, where it
+    // would add to the latency of every edit in flight.
+    ep.end_segment(started.elapsed(), host.factor());
     ep.counts.io = io.snapshot().minus(io_before);
+    trace::set_phase(Phase::Verify);
 
     let expected_len = spec.seed_atoms as u64 + ep.counts.inserts - ep.counts.deletes;
     let digest = mesh.replicas[0].digest();
@@ -275,6 +281,13 @@ pub fn episode(spec: &MixedSpec, seed: u64) -> Episode {
     // Crash: one replica dies; its backend survives.
     let before_crash = mesh.replicas[victim].digest();
     drop(mesh);
-    crate::recover_replica(&mut ep, &disks[victim], &io, before_crash, expected_len);
+    crate::recover_replica(
+        &mut ep,
+        &mut host,
+        &disks[victim],
+        &io,
+        before_crash,
+        expected_len,
+    );
     ep
 }

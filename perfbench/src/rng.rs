@@ -48,9 +48,4 @@ impl Rng {
             (b'a' + self.below(26) as u8) as char
         }
     }
-
-    /// An independent generator derived from this one.
-    pub fn fork(&mut self) -> Rng {
-        Rng::new(self.next_u64())
-    }
 }

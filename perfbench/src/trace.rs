@@ -27,17 +27,26 @@ pub enum Phase {
     Setup,
     /// The timed edit loop.
     Loop,
+    /// The checks after the loop, before the crash.
+    Verify,
     /// Crash recovery and restart.
     Recovery,
 }
 
 impl Phase {
+    const ALL: [Phase; 4] = [Phase::Setup, Phase::Loop, Phase::Verify, Phase::Recovery];
+
     fn name(self) -> &'static str {
         match self {
             Phase::Setup => "setup",
             Phase::Loop => "loop",
+            Phase::Verify => "verify",
             Phase::Recovery => "recovery",
         }
+    }
+
+    fn from_name(name: &str) -> Option<Phase> {
+        Phase::ALL.into_iter().find(|p| p.name() == name)
     }
 }
 
@@ -53,7 +62,7 @@ pub struct SpanAgg {
 }
 
 /// Aggregates keyed by `(phase, span name)`.
-pub type Aggregates = BTreeMap<(Phase, &'static str), SpanAgg>;
+pub type Aggregates = BTreeMap<(Phase, String), SpanAgg>;
 
 /// One recorded span.
 #[derive(Debug, Clone)]
@@ -87,7 +96,7 @@ struct Tracer {
     edit: (u64, u64),
     next_id: u64,
     stack: Vec<Open>,
-    aggregates: Aggregates,
+    aggregates: BTreeMap<(Phase, &'static str), SpanAgg>,
     kept: Vec<SpanRecord>,
 }
 
@@ -200,7 +209,58 @@ impl Drop for Span {
 
 /// The aggregates so far (all phases).
 pub fn aggregates() -> Aggregates {
-    TRACER.with(|t| t.borrow().aggregates.clone())
+    TRACER.with(|t| {
+        t.borrow()
+            .aggregates
+            .iter()
+            .map(|(&(phase, name), &agg)| ((phase, name.to_string()), agg))
+            .collect()
+    })
+}
+
+/// `aggs` as text, one `span <phase> <name> <count> <total_ns> <self_ns>`
+/// line per entry: how a child process hands its aggregates to the run.
+pub fn aggregates_to_text(aggs: &Aggregates) -> String {
+    let mut out = String::new();
+    for ((phase, name), a) in aggs {
+        let _ = writeln!(
+            out,
+            "span {} {name} {} {} {}",
+            phase.name(),
+            a.count,
+            a.total_ns,
+            a.self_ns
+        );
+    }
+    out
+}
+
+/// Adds the `span` lines of `text` (see [`aggregates_to_text`]) into
+/// `aggs`; other lines are ignored. `false` when a `span` line does not
+/// parse.
+pub fn merge_aggregates_text(aggs: &mut Aggregates, text: &str) -> bool {
+    for line in text.lines() {
+        let Some(rest) = line.strip_prefix("span ") else {
+            continue;
+        };
+        let f: Vec<&str> = rest.split(' ').collect();
+        let (Some(phase), [_, name, count, total, self_ns]) = (Phase::from_name(f[0]), &f[..])
+        else {
+            return false;
+        };
+        let (Ok(count), Ok(total_ns), Ok(self_ns)) = (
+            count.parse::<u64>(),
+            total.parse::<u64>(),
+            self_ns.parse::<u64>(),
+        ) else {
+            return false;
+        };
+        let agg = aggs.entry((phase, name.to_string())).or_default();
+        agg.count += count;
+        agg.total_ns += total_ns;
+        agg.self_ns += self_ns;
+    }
+    true
 }
 
 /// The kept spans as JSON lines, one object per span.

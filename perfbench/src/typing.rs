@@ -17,6 +17,7 @@ use treedoc_storage::SharedBackend;
 
 use crate::episode::Episode;
 use crate::io::{IoCounters, TimedBackend};
+use crate::reference::HostScale;
 use crate::rng::Rng;
 use crate::trace::{self, in_span, Phase};
 use crate::{Doc, Key};
@@ -32,13 +33,18 @@ pub struct TypingSpec {
     pub backspace_p: f64,
     /// Mean characters per line.
     pub line_len: u64,
+    /// Keystrokes per segment of the timed loop: the host-speed reference
+    /// is timed between segments (see [`crate::reference`]).
+    pub segment: usize,
 }
 
-/// The `typing` workload: 3,000 keystrokes into an empty document.
+/// The `typing` workload: 5,500 keystrokes into an empty document, which
+/// ends at about 5,000 characters in about 85 lines.
 pub const TYPING: TypingSpec = TypingSpec {
-    keystrokes: 3_000,
+    keystrokes: 5_500,
     backspace_p: 0.04,
     line_len: 60,
+    segment: 500,
 };
 
 fn script(spec: &TypingSpec, rng: &mut Rng) -> Vec<Key> {
@@ -68,6 +74,7 @@ pub fn episode(spec: &TypingSpec, seed: u64) -> Episode {
     let io = IoCounters::shared();
     let (w, r) = (SiteId::from_u64(1), SiteId::from_u64(2));
 
+    let mut host = HostScale::start();
     trace::set_phase(Phase::Setup);
     let started = Instant::now();
     let writer_disk = SharedBackend::new(TimedBackend::new(io.clone()));
@@ -78,13 +85,18 @@ pub fn episode(spec: &TypingSpec, seed: u64) -> Episode {
     crate::attach_store(&mut ep, &mut remote, &remote_disk);
     let mut net: SimNetwork<Vec<u8>> = SimNetwork::new(LinkConfig::fixed(1), rng.next_u64());
     ep.setup_s = started.elapsed().as_secs_f64();
+    ep.scaled.setup_s = ep.setup_s * host.factor();
 
     trace::set_phase(Phase::Loop);
     let mut text: Vec<char> = Vec::with_capacity(spec.keystrokes);
     ep.latencies_ns.reserve(keys.len());
     let io_before = io.snapshot();
-    let started = Instant::now();
-    for key in keys {
+    let mut segment = Instant::now();
+    for (i, key) in keys.into_iter().enumerate() {
+        if i > 0 && i % spec.segment == 0 {
+            ep.end_segment(segment.elapsed(), host.factor());
+            segment = Instant::now();
+        }
         trace::set_edit(w.as_u64(), writer.ops_sent() + 1);
         let t0 = Instant::now();
         let op = match key {
@@ -132,8 +144,9 @@ pub fn episode(spec: &TypingSpec, seed: u64) -> Episode {
             }
         }
     }
-    ep.loop_s = started.elapsed().as_secs_f64();
+    ep.end_segment(segment.elapsed(), host.factor());
     ep.counts.io = io.snapshot().minus(io_before);
+    trace::set_phase(Phase::Verify);
 
     let expected_len = ep.counts.inserts - ep.counts.deletes;
     ep.check(writer.digest() == remote.digest(), || {
@@ -156,6 +169,13 @@ pub fn episode(spec: &TypingSpec, seed: u64) -> Episode {
     // Crash: the remote replica dies; its backend survives.
     let before_crash = remote.digest();
     drop(remote);
-    crate::recover_replica(&mut ep, &remote_disk, &io, before_crash, expected_len);
+    crate::recover_replica(
+        &mut ep,
+        &mut host,
+        &remote_disk,
+        &io,
+        before_crash,
+        expected_len,
+    );
     ep
 }
