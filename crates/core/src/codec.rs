@@ -36,19 +36,12 @@ use crate::run::{spine_step, spine_successor};
 use crate::site::{SiteId, SITE_ID_BYTES};
 
 /// Version tag of the binary wire format. Bumped on any incompatible layout
-/// change; decoders reject unknown versions instead of misparsing. (Version 1
-/// is the implicit serde-JSON wire the workspace used before this codec;
-/// version 3 added the run-step batch entries — see
-/// [`WirePayload::encode_run_step`]; version 4 added the state-based
-/// anti-entropy envelopes — sync digests, run transfers and snapshot
-/// bootstrap chunks.)
+/// change; decoders accept exactly this version and reject every other one
+/// instead of misparsing. (Versions 1–3 were earlier generations — a
+/// serde-JSON wire, then binary layouts without the run-step batch entries
+/// of [`WirePayload::encode_run_step`] or the state-based anti-entropy
+/// envelopes; nothing reads them any more.)
 pub const WIRE_VERSION: u8 = 4;
-
-/// Oldest binary wire version current decoders still accept. Version 2
-/// encodings are a strict subset of version 3 (they never set the run-step
-/// entry flag), and version 4 only *adds* envelope tags, so one decoder
-/// covers all three generations.
-pub const WIRE_MIN_VERSION: u8 = 2;
 
 // ---------------------------------------------------------------------------
 // Primitives

@@ -412,11 +412,11 @@ impl<A: Atom, D: Disambiguator + HasSource> Treedoc<A, D> {
 
     /// Compacts the subtree rooted at the plain bit path `bits` (see
     /// [`RunTree::flatten_region`](crate::run::RunTree::flatten_region)).
-    /// In a distributed setting this must only be
-    /// called after the commitment protocol of §4.2.1 has succeeded (see the
-    /// `treedoc-commit` crate); replaying it at every replica at the same
-    /// causal point keeps them convergent because the transformation is
-    /// deterministic.
+    /// In a distributed setting this must only be called after the
+    /// commitment protocol of §4.2.1 has succeeded (see
+    /// `treedoc_replication::flatten`); replaying it at every replica at the
+    /// same causal point keeps them convergent because the transformation
+    /// is deterministic.
     pub fn flatten(&mut self, bits: &[Side]) -> Result<FlattenOutcome> {
         self.reserved_appends.clear();
         self.store.flatten_region(bits)

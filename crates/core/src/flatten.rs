@@ -13,10 +13,10 @@
 //! * [`flatten_subtree`] replaces a subtree by the canonical tree of its live
 //!   atoms, discarding tombstones and disambiguators. Because it *renames*
 //!   identifiers it does not commute with concurrent edits and must only be
-//!   applied once a distributed commitment (see `treedoc-commit`) has
-//!   established that no replica has a concurrent edit in that subtree
-//!   (§4.2.1). Within a single replica — or a replay harness — it can be
-//!   called directly.
+//!   applied once a distributed commitment
+//!   (`treedoc_replication::flatten`) has established that no replica has a
+//!   concurrent edit in that subtree (§4.2.1). Within a single replica — or
+//!   a replay harness — it can be called directly.
 //!
 //! The cold-subtree heuristic of §5.1 is provided by
 //! [`Tree::find_cold_subtrees`](crate::tree::Tree::find_cold_subtrees) and

@@ -84,7 +84,7 @@ pub mod tree;
 
 pub use arena::PathArena;
 pub use atom::{Atom, Granularity};
-pub use codec::{WireAtom, WireDis, WirePayload, WIRE_MIN_VERSION, WIRE_VERSION};
+pub use codec::{WireAtom, WireDis, WirePayload, WIRE_VERSION};
 pub use disambiguator::{DisSource, Disambiguator, HasSource, Sdis, SdisSource, Udis, UdisSource};
 pub use doc::{Treedoc, TreedocConfig};
 pub use error::{Error, Result};

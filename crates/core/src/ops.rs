@@ -11,8 +11,8 @@
 //!
 //! Structural clean-up (`explode` / `flatten`) is *not* an ordinary
 //! operation: it does not commute with edits and is agreed upon with a
-//! distributed commitment protocol instead (§4.2.1, see the `treedoc-commit`
-//! crate).
+//! distributed commitment protocol instead (§4.2.1, see
+//! `treedoc_replication::flatten`).
 
 use serde::{Deserialize, Serialize};
 

@@ -2,15 +2,17 @@
 //!
 //! The paper's structural clean-up renames identifiers, so it only takes
 //! effect if **every** replica agrees no concurrent edit touched the subtree
-//! ("Any distributed commitment protocol from the literature will do"). The
-//! in-process coordinators of `treedoc-commit` measure the protocol shape;
-//! this module runs the same agreement as **real messages** — the
-//! [`Envelope`] variants `FlattenPropose`, `FlattenVote` and
-//! `FlattenDecision` — so proposals contend with the drops, duplicates,
-//! reordering and partitions of [`SimNetwork`](crate::network::SimNetwork).
+//! ("Any distributed commitment protocol from the literature will do"). This
+//! module runs that agreement as **real messages** — the [`Envelope`]
+//! variants `FlattenPropose`, `FlattenVote` and `FlattenDecision` — so
+//! proposals contend with the drops, duplicates, reordering and partitions
+//! of [`SimNetwork`](crate::network::SimNetwork).
 //!
 //! The pieces:
 //!
+//! * [`FlattenProposal`], [`Vote`], [`CommitProtocol`] and
+//!   [`CommitOutcome`] — what is agreed on, how each replica answers, which
+//!   protocol runs and how it ended;
 //! * [`FlattenPropose`] / [`FlattenVote`] / [`FlattenDecision`] — the wire
 //!   payloads. Their cost is **measured**: drivers encode each message with
 //!   [`crate::wire::encode_envelope`] and count the bytes, so the protocol
@@ -50,11 +52,71 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use serde::{Deserialize, Serialize};
-use treedoc_commit::{CommitOutcome, CommitProtocol, FlattenProposal, Vote};
-use treedoc_core::SiteId;
+use treedoc_core::{Side, SiteId};
 
 use crate::clock::VectorClock;
 use crate::replica::Envelope;
+
+/// A vote on a flatten proposal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Vote {
+    /// No conflicting activity observed: the flatten may proceed.
+    Yes,
+    /// A concurrent edit (or another flatten) touched the subtree: abort.
+    No,
+}
+
+/// Which commitment protocol a distributed flatten runs under ("any
+/// distributed commitment protocol from the literature will do", §4.2.1).
+/// The two classic choices trade message cost against blocking behaviour:
+/// 2PC blocks prepared participants while the coordinator is unreachable,
+/// 3PC adds a pre-commit round that lets them terminate on their own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum CommitProtocol {
+    /// Classic two-phase commit: vote, then decide.
+    TwoPhase,
+    /// Three-phase commit: vote, pre-commit, then decide (non-blocking).
+    ThreePhase,
+}
+
+impl CommitProtocol {
+    /// Short label used in reports and benchmark output.
+    pub fn label(&self) -> &'static str {
+        match self {
+            CommitProtocol::TwoPhase => "2pc",
+            CommitProtocol::ThreePhase => "3pc",
+        }
+    }
+}
+
+/// A proposed structural clean-up: flatten the subtree rooted at `subtree`
+/// provided no replica has observed an edit in it after `base_revision`.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct FlattenProposal {
+    /// Identifier of the proposing site.
+    pub proposer: SiteId,
+    /// Plain bit path of the subtree to compact (empty = whole document).
+    pub subtree: Vec<Side>,
+    /// The revision the proposer observed when selecting the subtree as
+    /// cold; a participant votes [`Vote::No`] if its replica has seen any
+    /// activity in the subtree after this revision.
+    pub base_revision: u64,
+    /// Transaction identifier (unique per proposal).
+    pub txn: u64,
+}
+
+/// Result of a commitment round.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum CommitOutcome {
+    /// Every participant voted "Yes": the flatten was applied everywhere.
+    Committed,
+    /// At least one participant voted "No" (or never answered): nothing
+    /// changed anywhere.
+    Aborted {
+        /// How many participants voted "No".
+        no_votes: usize,
+    },
+}
 
 /// Coordinator → participant: a vote request for a flatten proposal.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -118,8 +180,7 @@ pub struct FlattenDecision {
     pub kind: DecisionKind,
 }
 
-/// Message accounting of one coordinator run (the distributed counterpart of
-/// [`CommitStats`](treedoc_commit::CommitStats), measured in actual sends).
+/// Message accounting of one coordinator run, measured in actual sends.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CoordinatorStats {
     /// Protocol messages the coordinator handed to the transport

@@ -24,6 +24,9 @@
 //!   e.g. the Logoot baseline). Its at-least-once mode logs stamped messages
 //!   and retransmits them until peers acknowledge via [`Envelope::Ack`],
 //!   making convergence hold on lossy links too;
+//! * [`flatten`] — distributed flatten commitment (§4.2.1): the proposal,
+//!   vote and outcome types and the 2PC/3PC [`FlattenCoordinator`] that
+//!   runs the agreement as real messages; [`Replica`] is the participant;
 //! * [`wire`] — the binary wire codec: every [`Envelope`] and
 //!   [`WalRecord`] has a compact, versioned binary form built on
 //!   [`treedoc_core::codec`], with [`OpBatch`] entries delta-encoded
@@ -33,11 +36,11 @@
 //!   and coalesces retransmission windows into single batch envelopes;
 //! * [`persist`] — durability: with a [`DocStore`](treedoc_storage::DocStore)
 //!   attached, a replica journals every event to a checksummed WAL before
-//!   acting on it (binary v2 records by default; legacy JSON v1 logs stay
-//!   recoverable behind the record-version byte — [`WalCodec`]),
-//!   checkpoints on committed flattens (truncating the pre-epoch log) and
-//!   recovers after a crash with its document, clock, hold-back and unacked
-//!   send log intact ([`Replica::recover`]);
+//!   acting on it (binary records of [`wire`]; a record in any other
+//!   format fails recovery with a typed [`RecoverError`]), checkpoints on
+//!   committed flattens (truncating the pre-epoch log) and recovers after
+//!   a crash with its document, clock, hold-back and unacked send log
+//!   intact ([`Replica::recover`]);
 //! * [`sync`] — state-based anti-entropy: replicas compare incremental
 //!   merkle digests, walk diverging identifier ranges in `O(log n)` digest
 //!   rounds and ship only the missing runs of cells
@@ -63,11 +66,11 @@ pub use causal::{
 };
 pub use clock::{ClockOrdering, VectorClock};
 pub use flatten::{
-    CoordinatorStats, DecisionKind, FlattenCoordinator, FlattenDecision, FlattenPropose,
-    FlattenVote, VoteStage,
+    CommitOutcome, CommitProtocol, CoordinatorStats, DecisionKind, FlattenCoordinator,
+    FlattenDecision, FlattenProposal, FlattenPropose, FlattenVote, Vote, VoteStage,
 };
 pub use network::{LinkConfig, NetworkEvent, SimNetwork};
-pub use persist::{PersistentDocument, RecoverError, RecoveryReport, WalCodec, WalRecord};
+pub use persist::{PersistentDocument, RecoverError, RecoveryReport, WalRecord};
 pub use replica::{
     BatchPolicy, Envelope, FlattenDocument, OpBatch, Replica, ReplicatedDocument, SyncEffect,
 };

@@ -9,9 +9,8 @@
 //!   flatten proposal or conclusion — is serialised as a [`WalRecord`] and
 //!   appended to the store *before* the replica acts on it
 //!   (persist-before-deliver). Records are written in the compact binary
-//!   format of [`crate::wire`] (generation v2); logs written by the legacy
-//!   JSON generation (v1) are still replayed record by record, dispatched
-//!   on the leading byte ([`WalCodec`]);
+//!   format of [`crate::wire`]; a record in any other format fails recovery
+//!   with a typed [`RecoverError::Parse`];
 //! * a checkpoint ([`Replica::persist_checkpoint`](crate::Replica::persist_checkpoint),
 //!   and automatically on every committed flatten) writes a
 //!   [`Snapshot`] of the whole replica — the §5.2
@@ -35,13 +34,13 @@
 use std::fmt;
 
 use serde::{de::DeserializeOwned, Deserialize, Serialize};
-use treedoc_commit::CommitProtocol;
-use treedoc_core::{Atom, Disambiguator, HasSource, Op, Side, SiteId, Treedoc, TreedocConfig};
+use treedoc_core::{HasSource, Op, Side, SiteId, Treedoc, TreedocConfig, WireAtom, WireDis};
 use treedoc_storage::{
     content_hash64, DecodeError, DisCodec, DiskImage, Snapshot, SnapshotError, StorageError,
 };
 
 use crate::causal::CausalMessage;
+use crate::flatten::CommitProtocol;
 use crate::replica::{Envelope, ReplicatedDocument};
 
 /// Snapshot section holding the §5.2 structure stream of the tree.
@@ -162,57 +161,14 @@ pub struct RecoveryReport {
     pub torn_tail_bytes: usize,
 }
 
-/// Which format a replica **writes** new WAL records in. Recovery reads
-/// both, record by record: binary records open with
-/// [`WAL_BINARY_TAG`](crate::wire::WAL_BINARY_TAG) (`0x02`), legacy JSON
-/// records with `{` (`0x7B`), so a log written across an upgrade — a v1
-/// prefix followed by a v2 tail — replays without migration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WalCodec {
-    /// Legacy format v1: serde-JSON text records. Only useful to produce
-    /// upgrade fixtures and to keep old stores writable; new code should
-    /// stay on the default.
-    JsonV1,
-    /// Compact binary format v2 (see [`crate::wire`]). The default.
-    #[default]
-    BinaryV2,
-}
-
-impl WalCodec {
-    /// The record encoder this format variant writes with.
-    pub(crate) fn encoder<Op>(self) -> fn(&WalRecord<Op>) -> Vec<u8>
-    where
-        Op: Serialize + treedoc_core::WirePayload,
-    {
-        match self {
-            WalCodec::JsonV1 => encode_wal_record_json::<Op>,
-            WalCodec::BinaryV2 => crate::wire::encode_wal_record::<Op>,
-        }
-    }
-}
-
-/// Serialises a WAL record in the legacy v1 form (JSON over the workspace
-/// serde stack).
-pub(crate) fn encode_wal_record_json<Op: Serialize>(record: &WalRecord<Op>) -> Vec<u8> {
-    serde_json::to_string(record)
-        .expect("WAL records serialise")
-        .into_bytes()
-}
-
-/// Parses a WAL record payload of either format generation, dispatching on
-/// the leading byte (binary v2 records open with `0x02`, JSON v1 records
-/// with `{`).
-pub(crate) fn decode_wal_record<Op>(payload: &[u8]) -> Result<WalRecord<Op>, RecoverError>
-where
-    Op: DeserializeOwned + treedoc_core::WirePayload,
-{
-    if payload.first() == Some(&crate::wire::WAL_BINARY_TAG) {
-        return crate::wire::decode_wal_record(payload)
-            .map_err(|e| RecoverError::Parse(format!("WAL record: {e}")));
-    }
-    let text = std::str::from_utf8(payload)
-        .map_err(|_| RecoverError::Parse("WAL record is not UTF-8".to_string()))?;
-    serde_json::from_str(text).map_err(|e| RecoverError::Parse(format!("WAL record: {e}")))
+/// Parses a WAL record payload; anything but a well-formed binary record
+/// (leading [`WAL_BINARY_TAG`](crate::wire::WAL_BINARY_TAG)) is a typed
+/// [`RecoverError::Parse`].
+pub(crate) fn decode_wal_record<Op: treedoc_core::WirePayload>(
+    payload: &[u8],
+) -> Result<WalRecord<Op>, RecoverError> {
+    crate::wire::decode_wal_record(payload)
+        .map_err(|e| RecoverError::Parse(format!("WAL record: {e}")))
 }
 
 pub(crate) fn to_json_bytes<T: Serialize>(value: &T) -> Vec<u8> {
@@ -259,8 +215,8 @@ struct DocMeta<S> {
 
 impl<A, D> PersistentDocument for Treedoc<A, D>
 where
-    A: Atom + std::hash::Hash,
-    D: Disambiguator + HasSource + DisCodec,
+    A: WireAtom + std::hash::Hash,
+    D: WireDis + HasSource + DisCodec,
     D::Source: Serialize + DeserializeOwned,
 {
     fn encode_sections(&self, snapshot: &mut Snapshot) {
@@ -360,20 +316,13 @@ mod tests {
     }
 
     #[test]
-    fn wal_records_decode_from_both_format_generations() {
+    fn wal_records_round_trip_and_foreign_bytes_are_typed_errors() {
         let record: WalRecord<Op<String, Sdis>> = WalRecord::PeersEnabled {
             peers: vec![site(1), site(2)],
         };
-        // Legacy v1 (JSON) and current v2 (binary) bytes both parse back.
-        let v1 = WalCodec::JsonV1.encoder()(&record);
-        assert_eq!(v1.first(), Some(&b'{'));
-        let back: WalRecord<Op<String, Sdis>> = decode_wal_record(&v1).unwrap();
-        assert_eq!(back, record);
-
-        let v2 = WalCodec::BinaryV2.encoder()(&record);
-        assert_eq!(v2.first(), Some(&crate::wire::WAL_BINARY_TAG));
-        assert!(v2.len() < v1.len(), "binary {v2:?} beats JSON {v1:?}");
-        let back: WalRecord<Op<String, Sdis>> = decode_wal_record(&v2).unwrap();
+        let bytes = crate::wire::encode_wal_record(&record);
+        assert_eq!(bytes.first(), Some(&crate::wire::WAL_BINARY_TAG));
+        let back: WalRecord<Op<String, Sdis>> = decode_wal_record(&bytes).unwrap();
         assert_eq!(back, record);
 
         let garbage = decode_wal_record::<Op<String, Sdis>>(b"not json");

@@ -16,16 +16,18 @@
 use std::collections::BTreeMap;
 
 use serde::{de::DeserializeOwned, Deserialize, Serialize};
-use treedoc_commit::{CommitProtocol, FlattenProposal, Vote};
-use treedoc_core::{Atom, Disambiguator, HasSource, Op, Side, SiteId, Treedoc};
+use treedoc_core::{HasSource, Op, Side, SiteId, Treedoc, WireAtom, WireDis, WirePayload};
 use treedoc_storage::{DocStore, Snapshot, StorageError};
 use treedoc_telemetry::{Counter, Gauge, Histogram, Telemetry};
 
 use crate::causal::{CausalBuffer, CausalBufferImage, CausalMessage};
 use crate::clock::VectorClock;
-use crate::flatten::{DecisionKind, FlattenDecision, FlattenPropose, FlattenVote, VoteStage};
+use crate::flatten::{
+    CommitProtocol, DecisionKind, FlattenDecision, FlattenProposal, FlattenPropose, FlattenVote,
+    Vote, VoteStage,
+};
 use crate::persist::{
-    self, PersistentDocument, RecoverError, RecoveryReport, WalCodec, WalRecord, SECTION_REPLICA,
+    self, PersistentDocument, RecoverError, RecoveryReport, WalRecord, SECTION_REPLICA,
 };
 use crate::sync::{
     SnapshotChunk, SnapshotOffer, SyncConfig, SyncDigests, SyncDocument, SyncRoot, SyncRuns,
@@ -33,8 +35,9 @@ use crate::sync::{
 
 /// A document type that can be driven by a [`Replica`].
 pub trait ReplicatedDocument {
-    /// The operation type exchanged between replicas.
-    type Op: Clone;
+    /// The operation type exchanged between replicas, with its binary wire
+    /// form (the one format envelopes and WAL records are written in).
+    type Op: Clone + WirePayload;
 
     /// Replays one remote operation.
     fn replay(&mut self, op: &Self::Op);
@@ -46,8 +49,8 @@ pub trait ReplicatedDocument {
 
 impl<A, D> ReplicatedDocument for Treedoc<A, D>
 where
-    A: Atom + std::hash::Hash,
-    D: Disambiguator + HasSource,
+    A: WireAtom + std::hash::Hash,
+    D: WireDis + HasSource,
 {
     type Op = Op<A, D>;
 
@@ -243,9 +246,8 @@ pub trait FlattenDocument: ReplicatedDocument {
     /// Note that revisions are **local bookkeeping** (nothing in the wire
     /// path advances them), so in distributed runs this guard only rejects
     /// missing subtrees — the live concurrency veto there is the
-    /// clock-equality test on [`Replica`]. The revision check matters for
-    /// in-process use, where [`Treedoc::next_revision`] is driven by the
-    /// embedding application (see `treedoc-commit`'s participants).
+    /// clock-equality test on [`Replica`]. The revision check matters when
+    /// the embedding application drives [`Treedoc::next_revision`] itself.
     fn flatten_vote(&self, proposal: &FlattenProposal) -> Vote;
     /// Applies a committed flatten (deterministic, so every committing
     /// replica produces the same structure).
@@ -256,8 +258,8 @@ pub trait FlattenDocument: ReplicatedDocument {
 
 impl<A, D> FlattenDocument for Treedoc<A, D>
 where
-    A: Atom + std::hash::Hash,
-    D: Disambiguator + HasSource,
+    A: WireAtom + std::hash::Hash,
+    D: WireDis + HasSource,
 {
     fn flatten_vote(&self, proposal: &FlattenProposal) -> Vote {
         let tree = self.tree();
@@ -430,11 +432,10 @@ pub struct ReplicaImage<Op> {
 }
 
 /// The journaling half of an attached [`DocStore`]: the store plus the
-/// monomorphised serialisation hooks (captured where the `Serialize` bounds
-/// hold, so the journaling call sites need none).
+/// monomorphised snapshot hook (captured where the `Serialize` bounds hold,
+/// so the journaling call sites need none).
 struct Journal<Doc: ReplicatedDocument> {
     store: DocStore,
-    encode: fn(&WalRecord<Doc::Op>) -> Vec<u8>,
     make_snapshot: fn(&Replica<Doc>) -> Snapshot,
     /// `true` while `Replica::recover` replays the WAL: suppresses re-logging
     /// and re-checkpointing of events that are already durable.
@@ -570,7 +571,7 @@ impl<Doc: ReplicatedDocument> Replica<Doc> {
         }
         let record = record();
         let journal = self.journal.as_mut().expect("journaling() checked");
-        let bytes = (journal.encode)(&record);
+        let bytes = crate::wire::encode_wal_record(&record);
         journal
             .store
             .append(self.flatten.epoch, &bytes)
@@ -1776,7 +1777,7 @@ impl<Doc: ReplicatedDocument> Replica<Doc> {
 impl<Doc> Replica<Doc>
 where
     Doc: PersistentDocument + FlattenDocument,
-    Doc::Op: Serialize + DeserializeOwned + treedoc_core::WirePayload,
+    Doc::Op: Serialize + DeserializeOwned,
 {
     /// Builds the full snapshot of this replica (document sections plus the
     /// replication image).
@@ -1795,26 +1796,10 @@ where
     /// journaling every subsequent event — stamped operations, received
     /// envelopes, commitment steps — *before* the replica acts on them.
     /// Committed flattens checkpoint automatically, truncating the pre-epoch
-    /// WAL. New records are written in the compact binary format
-    /// ([`WalCodec::BinaryV2`]); recovery reads both format generations.
+    /// WAL. Records are written in the binary format of [`crate::wire`].
     pub fn attach_store(&mut self, store: DocStore) -> Result<(), StorageError> {
-        self.attach_store_with(store, WalCodec::default())
-    }
-
-    /// Like [`attach_store`](Self::attach_store) with an explicit WAL record
-    /// format — used to produce legacy (JSON v1) logs for upgrade tests and
-    /// to keep pre-upgrade tooling readable stores. The choice is transport
-    /// policy, not durable state: a plain [`recover`](Self::recover) resumes
-    /// in the default (binary) format, so a process that must *stay* on v1
-    /// across restarts recovers with [`recover_with`](Self::recover_with).
-    pub fn attach_store_with(
-        &mut self,
-        store: DocStore,
-        codec: WalCodec,
-    ) -> Result<(), StorageError> {
         let mut journal = Journal {
             store,
-            encode: codec.encoder::<Doc::Op>(),
             make_snapshot: Self::build_snapshot,
             replaying: false,
         };
@@ -1850,30 +1835,14 @@ where
     /// retransmission protocol, exactly as if the messages had been lost in
     /// flight.
     pub fn recover(store: DocStore) -> Result<(Self, RecoveryReport), RecoverError> {
-        Self::recover_with(store, WalCodec::default())
-    }
-
-    /// Like [`recover`](Self::recover), but journaling resumes writing new
-    /// records in the given format (recovery itself reads both format
-    /// generations regardless). For operators who attached with
-    /// [`WalCodec::JsonV1`] and need the log to stay v1-readable across a
-    /// restart.
-    pub fn recover_with(
-        store: DocStore,
-        codec: WalCodec,
-    ) -> Result<(Self, RecoveryReport), RecoverError> {
         let recovered = store.recover()?;
         let (_, snapshot) = recovered.snapshot.ok_or(RecoverError::NoSnapshot)?;
         let doc = Doc::decode_sections(&snapshot)?;
         let image: ReplicaImage<Doc::Op> =
             persist::from_json_bytes("replica section", snapshot.require(SECTION_REPLICA)?)?;
         let mut replica = Replica::from_image(doc, image);
-        // Journaling resumes in `codec`; records already in the log keep
-        // whatever format they were written in — recovery dispatches per
-        // record.
         replica.journal = Some(Journal {
             store,
-            encode: codec.encoder::<Doc::Op>(),
             make_snapshot: Self::build_snapshot,
             replaying: true,
         });
@@ -1949,6 +1918,59 @@ mod tests {
 
     fn replica(n: u64) -> Replica<Doc> {
         Replica::new(site(n), Doc::new(site(n)))
+    }
+
+    fn typed(text: &str) -> Doc {
+        let mut d = Doc::new(site(1));
+        for (i, c) in text.chars().enumerate() {
+            d.local_insert(i, c).unwrap();
+        }
+        d
+    }
+
+    fn whole_doc_proposal(base_revision: u64) -> FlattenProposal {
+        FlattenProposal {
+            proposer: site(1),
+            subtree: Vec::new(),
+            base_revision,
+            txn: 1,
+        }
+    }
+
+    #[test]
+    fn quiescent_document_votes_yes_and_flattens_on_commit() {
+        let mut d = typed("hello world");
+        let nodes_before = d.node_count();
+        let proposal = whole_doc_proposal(d.revision());
+        assert_eq!(d.flatten_vote(&proposal), Vote::Yes);
+        d.apply_flatten(&proposal);
+        assert!(d.node_count() <= nodes_before);
+        assert_eq!(d.to_string(), "hello world");
+    }
+
+    #[test]
+    fn document_with_an_edit_after_the_base_revision_votes_no() {
+        let mut d = typed("hello");
+        let base = d.revision();
+        // An edit after the proposal's base revision makes the subtree hot.
+        d.next_revision();
+        d.local_insert(0, '!').unwrap();
+        assert_eq!(d.flatten_vote(&whole_doc_proposal(base)), Vote::No);
+        assert_eq!(
+            d.to_string(),
+            "!hello",
+            "voting leaves the document untouched"
+        );
+    }
+
+    #[test]
+    fn missing_subtree_votes_no() {
+        let d = typed("x");
+        let proposal = FlattenProposal {
+            subtree: vec![Side::Right; 4],
+            ..whole_doc_proposal(10)
+        };
+        assert_eq!(d.flatten_vote(&proposal), Vote::No);
     }
 
     #[test]
@@ -2442,8 +2464,8 @@ mod tests {
 
     #[test]
     fn future_epoch_ops_are_held_until_the_local_flatten_commits() {
+        use crate::flatten::CommitProtocol;
         use crate::flatten::{DecisionKind, FlattenDecision};
-        use treedoc_commit::CommitProtocol;
 
         // a and b hold the same two-atom document.
         let mut a = replica(1);
@@ -2491,8 +2513,8 @@ mod tests {
 
     #[test]
     fn pre_flatten_ops_arriving_late_are_detected_and_discarded() {
+        use crate::flatten::CommitProtocol;
         use crate::flatten::{DecisionKind, FlattenDecision};
-        use treedoc_commit::CommitProtocol;
 
         let sites = [site(1), site(2)];
         let mut a = replica(1);
@@ -2533,7 +2555,7 @@ mod tests {
     #[test]
     fn participant_votes_no_on_unequal_clocks() {
         use crate::flatten::FlattenVote;
-        use treedoc_commit::{CommitProtocol, Vote};
+        use crate::flatten::{CommitProtocol, Vote};
 
         let mut a = replica(1);
         let mut b = replica(2);
@@ -2660,7 +2682,7 @@ mod tests {
 
     #[test]
     fn committed_flatten_checkpoints_and_truncates_the_wal() {
-        use treedoc_commit::CommitProtocol;
+        use crate::flatten::CommitProtocol;
 
         let mut a = replica(1);
         let mut b = replica(2);

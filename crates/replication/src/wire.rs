@@ -10,17 +10,16 @@
 //! ## Layout
 //!
 //! Envelopes open with the codec version ([`WIRE_VERSION`]) and a tag byte;
-//! WAL records open with [`WAL_BINARY_TAG`] (`0x02`) and a tag byte. The
-//! legacy JSON WAL records of format v1 start with `{` (`0x7B`), so the two
-//! generations coexist in one log and [`crate::persist`] dispatches on the
-//! first byte during recovery.
+//! WAL records open with [`WAL_BINARY_TAG`] (`0x02`) and a tag byte. Any
+//! other leading byte is a typed [`WireError::UnsupportedVersion`]: one
+//! generation is read and written.
 //!
 //! ## Batch delta encoding
 //!
 //! The entries of an [`OpBatch`] are delta-encoded against their
 //! predecessor: the sender is elided when unchanged, the vector clock ships
 //! only its changed entries, and position identifiers share their path
-//! prefix ([`treedoc_core::codec::put_pos_id`]). Since wire v3 an entry that
+//! prefix ([`treedoc_core::codec::put_pos_id`]). An entry that
 //! is the sequential **run continuation** of its predecessor (a
 //! [`treedoc_core::spine_step`] insert — the shape every cell of a coalesced
 //! run has) elides its position identifier entirely and ships as a run step:
@@ -34,23 +33,24 @@
 
 use std::fmt;
 
-use treedoc_commit::{CommitProtocol, FlattenProposal, Vote};
 use treedoc_core::codec::{
     get_bytes, get_sides, get_site, get_u8, get_varint, put_bytes, put_sides, put_site, put_u8,
     put_varint, WirePayload,
 };
-use treedoc_core::{SiteId, WIRE_MIN_VERSION, WIRE_VERSION};
+use treedoc_core::{SiteId, WIRE_VERSION};
 
 use crate::causal::CausalMessage;
 use crate::clock::VectorClock;
-use crate::flatten::{DecisionKind, FlattenDecision, FlattenPropose, FlattenVote, VoteStage};
+use crate::flatten::{
+    CommitProtocol, DecisionKind, FlattenDecision, FlattenProposal, FlattenPropose, FlattenVote,
+    Vote, VoteStage,
+};
 use crate::persist::WalRecord;
 use crate::replica::{Envelope, OpBatch};
 use crate::sync::{RangeDigest, SnapshotChunk, SnapshotOffer, SyncDigests, SyncRoot, SyncRuns};
 
-/// First byte of a binary (format v2) WAL record. Distinct from `{` (0x7B),
-/// the first byte of every legacy JSON (format v1) record, so recovery can
-/// tell the generations apart record by record.
+/// First byte of every binary WAL record; a record opening with anything
+/// else is refused as [`WireError::UnsupportedVersion`].
 pub const WAL_BINARY_TAG: u8 = 0x02;
 
 /// Why a wire decode failed.
@@ -141,8 +141,8 @@ const ENTRY_SAME_SENDER: u8 = 0b0000_0001;
 /// intervening remote deliveries, i.e. the dominant case inside a batch. The
 /// clock is elided entirely.
 const ENTRY_CLOCK_INCREMENT: u8 = 0b0000_0010;
-/// Flag bit (wire v3): this entry's payload is the sequential run
-/// continuation of the previous entry's — one cell of a coalesced edit run.
+/// Flag bit: this entry's payload is the sequential run continuation of the
+/// previous entry's — one cell of a coalesced edit run.
 /// The payload ships as a run step ([`WirePayload::encode_run_step`]: for
 /// operations, a side byte plus the atom) and the position identifier is
 /// reconstructed at the receiver, so a whole run costs one full entry plus a
@@ -340,7 +340,7 @@ const ENV_OP_BATCH: u8 = 3;
 const ENV_FLATTEN_PROPOSE: u8 = 4;
 const ENV_FLATTEN_VOTE: u8 = 5;
 const ENV_FLATTEN_DECISION: u8 = 6;
-// Wire v4: state-based anti-entropy (see `crate::sync`).
+// State-based anti-entropy (see `crate::sync`).
 const ENV_SYNC_ROOT: u8 = 7;
 const ENV_SYNC_DIGESTS: u8 = 8;
 const ENV_SYNC_RUNS: u8 = 9;
@@ -469,12 +469,7 @@ pub fn decode_envelope<Op: WirePayload>(bytes: &[u8]) -> Result<Envelope<Op>, Wi
 /// records).
 fn decode_envelope_cursor<Op: WirePayload>(input: &mut &[u8]) -> Result<Envelope<Op>, WireError> {
     let version = get_u8(input).ok_or(WireError::Malformed)?;
-    // v2 encodings are a strict subset of v3 (no run-step entries), and v3
-    // of v4 (no sync envelopes), so one decoder reads all three
-    // generations; stores and peers from before the run codec or the
-    // anti-entropy protocol stay readable. The sync tags are gated on the
-    // version byte below, so a v2/v3 producer claiming them is malformed.
-    if !(WIRE_MIN_VERSION..=WIRE_VERSION).contains(&version) {
+    if version != WIRE_VERSION {
         return Err(WireError::UnsupportedVersion(version));
     }
     let tag = get_u8(input).ok_or(WireError::Malformed)?;
@@ -544,7 +539,7 @@ fn decode_envelope_cursor<Op: WirePayload>(input: &mut &[u8]) -> Result<Envelope
                 .ok_or(WireError::Malformed)?;
             Envelope::FlattenDecision(FlattenDecision { txn, kind })
         }
-        ENV_SYNC_ROOT if version >= 4 => {
+        ENV_SYNC_ROOT => {
             let from = get_site(input).ok_or(WireError::Malformed)?;
             let digest = get_u64(input).ok_or(WireError::Malformed)?;
             let cells = get_varint(input).ok_or(WireError::Malformed)?;
@@ -558,7 +553,7 @@ fn decode_envelope_cursor<Op: WirePayload>(input: &mut &[u8]) -> Result<Envelope
                 reply,
             })
         }
-        ENV_SYNC_DIGESTS if version >= 4 => {
+        ENV_SYNC_DIGESTS => {
             let from = get_site(input).ok_or(WireError::Malformed)?;
             let n = get_varint(input).ok_or(WireError::Malformed)? as usize;
             // A range costs at least 11 bytes (two length bytes, the digest,
@@ -581,7 +576,7 @@ fn decode_envelope_cursor<Op: WirePayload>(input: &mut &[u8]) -> Result<Envelope
             }
             Envelope::SyncDigests(SyncDigests { from, ranges })
         }
-        ENV_SYNC_RUNS if version >= 4 => {
+        ENV_SYNC_RUNS => {
             let from = get_site(input).ok_or(WireError::Malformed)?;
             let lo = get_bytes(input).ok_or(WireError::Malformed)?.to_vec();
             let hi = get_bytes(input).ok_or(WireError::Malformed)?.to_vec();
@@ -597,7 +592,7 @@ fn decode_envelope_cursor<Op: WirePayload>(input: &mut &[u8]) -> Result<Envelope
                 reply,
             })
         }
-        ENV_SNAPSHOT_OFFER if version >= 4 => {
+        ENV_SNAPSHOT_OFFER => {
             let from = get_site(input).ok_or(WireError::Malformed)?;
             let digest = get_u64(input).ok_or(WireError::Malformed)?;
             let total_bytes = get_varint(input).ok_or(WireError::Malformed)?;
@@ -609,7 +604,7 @@ fn decode_envelope_cursor<Op: WirePayload>(input: &mut &[u8]) -> Result<Envelope
                 chunks,
             })
         }
-        ENV_SNAPSHOT_CHUNK if version >= 4 => {
+        ENV_SNAPSHOT_CHUNK => {
             let from = get_site(input).ok_or(WireError::Malformed)?;
             let index = get_varint(input).ok_or(WireError::Malformed)?;
             let total = get_varint(input).ok_or(WireError::Malformed)?;
@@ -627,7 +622,7 @@ fn decode_envelope_cursor<Op: WirePayload>(input: &mut &[u8]) -> Result<Envelope
 }
 
 // ---------------------------------------------------------------------------
-// WAL records (binary format v2)
+// WAL records
 // ---------------------------------------------------------------------------
 
 const WAL_STAMPED: u8 = 1;
@@ -639,8 +634,7 @@ const WAL_FINISHED: u8 = 5;
 const FINISHED_COMMITTED: u8 = 0b0000_0001;
 const FINISHED_UNILATERAL: u8 = 0b0000_0010;
 
-/// Encodes a WAL record in the binary v2 format (leading
-/// [`WAL_BINARY_TAG`]).
+/// Encodes a WAL record in its binary form (leading [`WAL_BINARY_TAG`]).
 pub fn encode_wal_record<Op: WirePayload>(record: &WalRecord<Op>) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
     put_u8(&mut out, WAL_BINARY_TAG);
@@ -685,9 +679,8 @@ pub fn encode_wal_record<Op: WirePayload>(record: &WalRecord<Op>) -> Vec<u8> {
     out
 }
 
-/// Decodes a binary v2 WAL record (the payload must start with
-/// [`WAL_BINARY_TAG`]; [`crate::persist`] dispatches JSON v1 records before
-/// calling this).
+/// Decodes a binary WAL record (the payload must start with
+/// [`WAL_BINARY_TAG`]).
 pub fn decode_wal_record<Op: WirePayload>(payload: &[u8]) -> Result<WalRecord<Op>, WireError> {
     let mut cursor = payload;
     let lead = get_u8(&mut cursor).ok_or(WireError::Malformed)?;
@@ -1049,8 +1042,8 @@ mod tests {
             decode_envelope::<TestOp>(&[WIRE_VERSION, 200]),
             Err(WireError::Malformed)
         );
-        // A JSON (v1) WAL record routed to the binary decoder is refused by
-        // its leading byte, not misparsed.
+        // A JSON-text WAL record is refused by its leading byte, not
+        // misparsed.
         assert_eq!(
             decode_wal_record::<TestOp>(b"{\"PeersEnabled\":{}}"),
             Err(WireError::UnsupportedVersion(b'{'))

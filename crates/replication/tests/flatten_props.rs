@@ -9,10 +9,11 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use treedoc_commit::{CommitOutcome, CommitProtocol, Vote};
 use treedoc_core::{Op, Sdis, SiteId, Treedoc};
 use treedoc_replication::testkit::faulty_schedule;
-use treedoc_replication::{CausalMessage, Envelope, FlattenCoordinator, Replica};
+use treedoc_replication::{
+    CausalMessage, CommitOutcome, CommitProtocol, Envelope, FlattenCoordinator, Replica, Vote,
+};
 
 type Doc = Treedoc<char, Sdis>;
 type Msg = CausalMessage<Op<char, Sdis>>;

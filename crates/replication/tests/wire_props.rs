@@ -3,11 +3,11 @@
 //! panics a decoder.
 
 use proptest::prelude::*;
-use treedoc_commit::{CommitProtocol, FlattenProposal, Vote};
 use treedoc_core::{Op, PathElem, PosId, Sdis, Side, SiteId};
 use treedoc_replication::wire;
 use treedoc_replication::{
-    decode_envelope, encode_envelope, CausalMessage, Envelope, OpBatch, VectorClock, WalRecord,
+    decode_envelope, encode_envelope, CausalMessage, CommitProtocol, Envelope, FlattenProposal,
+    OpBatch, VectorClock, Vote, WalRecord,
 };
 
 type TestOp = Op<String, Sdis>;

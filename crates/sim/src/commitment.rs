@@ -15,10 +15,10 @@
 
 use serde::{Deserialize, Serialize};
 
-use treedoc_commit::{CommitOutcome, CommitProtocol};
 use treedoc_core::{Op, Sdis, SiteId, Treedoc};
 use treedoc_replication::{
-    encode_envelope, Envelope, FlattenCoordinator, LinkConfig, Replica, SimNetwork,
+    encode_envelope, CommitOutcome, CommitProtocol, Envelope, FlattenCoordinator, LinkConfig,
+    Replica, SimNetwork,
 };
 
 use crate::scenario::PRE_COMMIT_TIMEOUT_TICKS;

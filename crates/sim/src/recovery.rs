@@ -291,7 +291,7 @@ mod tests {
 
     #[test]
     fn crashed_run_converges_to_the_crash_free_digest() {
-        // The acceptance criterion: same script, with and without the crash,
+        // The acceptance check: same script, with and without the crash,
         // same final document.
         let with_crash = crash_recovery_demo(2026, true);
         let without = crash_recovery_demo(2026, false);

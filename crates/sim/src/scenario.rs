@@ -8,11 +8,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use treedoc_commit::{CommitOutcome, CommitProtocol};
 use treedoc_core::{Op, Sdis, SiteId, Treedoc, TreedocConfig};
 use treedoc_replication::{
-    decode_envelope, encode_envelope, BatchPolicy, Envelope, FlattenCoordinator, LinkConfig,
-    NetworkEvent, Replica, SimNetwork, SyncConfig,
+    decode_envelope, encode_envelope, BatchPolicy, CommitOutcome, CommitProtocol, Envelope,
+    FlattenCoordinator, LinkConfig, NetworkEvent, Replica, SimNetwork, SyncConfig,
 };
 use treedoc_storage::DocStore;
 use treedoc_telemetry::{Counter, Telemetry};

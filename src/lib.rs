@@ -9,8 +9,8 @@
 //!
 //! * [`core`] (`treedoc-core`) — the Treedoc CRDT itself,
 //! * [`replication`] (`treedoc-replication`) — vector clocks, causal
-//!   delivery, the simulated network,
-//! * [`commit`] (`treedoc-commit`) — 2PC/3PC agreement for `flatten`,
+//!   delivery, the simulated network, the binary wire/WAL codec and the
+//!   2PC/3PC agreement for `flatten`,
 //! * [`storage`] (`treedoc-storage`) — the on-disk heap-array format,
 //! * [`trace`] (`treedoc-trace`) — diffs, synthetic corpora and the replay
 //!   harness behind the paper's evaluation,
@@ -28,7 +28,6 @@
 #![warn(missing_docs)]
 
 pub use logoot;
-pub use treedoc_commit as commit;
 pub use treedoc_core as core;
 pub use treedoc_node as node;
 pub use treedoc_replication as replication;
@@ -39,17 +38,16 @@ pub use treedoc_trace as trace;
 
 /// Convenience prelude with the types most programs need.
 pub mod prelude {
-    pub use treedoc_commit::{CommitOutcome, CommitProtocol, FlattenProposal, Vote};
     pub use treedoc_core::{
         codec, Op, PosId, Sdis, SiteId, Treedoc, TreedocConfig, Udis, WireAtom, WireDis,
         WirePayload,
     };
     pub use treedoc_node::{DocId, HostingNode, NodeConfig, NodeError, SessionId};
     pub use treedoc_replication::{
-        decode_envelope, encode_envelope, BatchPolicy, CausalBuffer, CausalMessage, Envelope,
-        FlattenCoordinator, LinkConfig, OpBatch, PersistentDocument, RecoverError, RecoveryReport,
-        Replica, SimNetwork, SyncConfig, SyncDocument, SyncEffect, VectorClock, WalCodec,
-        WireError,
+        decode_envelope, encode_envelope, BatchPolicy, CausalBuffer, CausalMessage, CommitOutcome,
+        CommitProtocol, Envelope, FlattenCoordinator, FlattenProposal, LinkConfig, OpBatch,
+        PersistentDocument, RecoverError, RecoveryReport, Replica, SimNetwork, SyncConfig,
+        SyncDocument, SyncEffect, VectorClock, Vote, WireError,
     };
     pub use treedoc_sim::{
         crash_recovery_demo, partitioned_commit_demo, CrashRecoveryReport, CrashSchedule,

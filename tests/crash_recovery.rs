@@ -1,5 +1,5 @@
 //! Integration tests for the durability subsystem: crash/restart in the
-//! simulator, the digest-equality acceptance criterion, flatten-commit WAL
+//! simulator, the digest-equality acceptance check, flatten-commit WAL
 //! compaction, and recovery through the real file backend.
 
 use treedoc_repro::prelude::*;
@@ -124,48 +124,30 @@ fn flatten_commit_truncates_the_wal_to_post_epoch_records() {
 }
 
 #[test]
-fn recovery_crosses_the_wal_format_version_boundary() {
-    // A log written across the codec upgrade: a legacy JSON (v1) record
-    // prefix followed by binary (v2) records. Recovery must replay both
-    // generations record by record and land on the digest the live replica
-    // had — no migration step, no truncation.
-    let site = SiteId::from_u64(1);
-    let edit = |r: &mut Replica<Treedoc<String, Sdis>>, text: String| {
-        let len = r.doc().len();
-        let op = r.doc_mut().local_insert(len, text).unwrap();
-        let _ = r.stamp(op);
-    };
-
-    // Pre-upgrade session: every record journaled as JSON v1.
+fn json_prefixed_wal_record_fails_recovery_with_a_typed_error() {
+    // One WAL format is read: binary records. A frame that passes its CRC
+    // but holds another format — here the JSON text an earlier encoder
+    // wrote for a PeersEnabled record — must fail recovery with a typed
+    // error, not a panic and not a silently skipped record.
+    let foreign: &[u8] = br#"{"PeersEnabled":{"peers":[[0,0,0,0,0,1],[0,0,0,0,0,2]]}}"#;
+    let site = SiteId::from_u64(9);
     let mut replica = Replica::new(site, Treedoc::<String, Sdis>::new(site));
-    replica
-        .attach_store_with(DocStore::in_memory(), WalCodec::JsonV1)
-        .unwrap();
-    for k in 0..6 {
-        edit(&mut replica, format!("pre-upgrade {k}"));
+    replica.attach_store(DocStore::in_memory()).unwrap();
+    let mut store = replica.detach_store().unwrap();
+    store.append(0, foreign).unwrap();
+    let wal = store.wal_entries().unwrap();
+    assert_eq!(wal.entries.len(), 1, "the frame itself is intact: {wal:?}");
+    assert_eq!(wal.entries[0].payload, foreign);
+
+    let Err(err) = Replica::<Treedoc<String, Sdis>>::recover(store) else {
+        panic!("a foreign record must not recover");
+    };
+    match err {
+        RecoverError::Parse(msg) => {
+            assert!(msg.contains("unsupported wire version 123"), "{msg}")
+        }
+        other => panic!("expected RecoverError::Parse, got {other:?}"),
     }
-    let store = replica.detach_store().unwrap();
-
-    // The upgraded process recovers the v1 log and keeps journaling — in
-    // binary — into the same WAL.
-    let (mut replica, report) = Replica::<Treedoc<String, Sdis>>::recover(store).unwrap();
-    assert_eq!(report.wal_records_replayed, 6);
-    for k in 0..6 {
-        edit(&mut replica, format!("post-upgrade {k}"));
-    }
-    let live_digest = replica.digest();
-
-    // The WAL now genuinely holds both generations.
-    let wal = replica.store().unwrap().wal_entries().unwrap();
-    let leads: Vec<u8> = wal.entries.iter().map(|e| e.payload[0]).collect();
-    assert_eq!(leads.iter().filter(|&&b| b == b'{').count(), 6);
-    assert_eq!(leads.iter().filter(|&&b| b == 0x02).count(), 6);
-
-    // A second crash replays the mixed log to the identical digest.
-    let store = replica.detach_store().unwrap();
-    let (recovered, report) = Replica::<Treedoc<String, Sdis>>::recover(store).unwrap();
-    assert_eq!(report.wal_records_replayed, 12);
-    assert_eq!(recovered.digest(), live_digest);
 }
 
 #[test]

@@ -1,122 +1,185 @@
 //! Integration tests for the structural clean-up path: flatten agreed via
-//! distributed commitment (both the in-process coordinators and the real
-//! over-the-wire protocol on the faulty simulated network), aborts under
-//! concurrent edits, and storage round-trips of flattened and unflattened
-//! replicas.
+//! distributed commitment — [`Replica::propose_flatten`] and
+//! [`FlattenCoordinator`] exchanging real envelopes over [`SimNetwork`],
+//! loss-free and faulty — aborts under concurrent edits, and storage
+//! round-trips of flattened and unflattened replicas.
 
-use treedoc_repro::commit::{
-    run_three_phase, run_two_phase, CommitOutcome, CommitProtocol, FlattenProposal,
-    TreedocParticipant,
+use treedoc_repro::core::{Op, Sdis, SiteId, Treedoc};
+use treedoc_repro::replication::{
+    CommitOutcome, CommitProtocol, CoordinatorStats, Envelope, FlattenCoordinator, LinkConfig,
+    Replica, SimNetwork,
 };
-use treedoc_repro::core::{Sdis, SiteId, Treedoc};
-use treedoc_repro::replication::{Envelope, FlattenCoordinator, LinkConfig, Replica, SimNetwork};
 use treedoc_repro::sim::{partitioned_commit_demo, run, Scenario, ScenarioMatrix};
 use treedoc_repro::storage::DiskImage;
 
 type Doc = Treedoc<String, Sdis>;
+type Net = SimNetwork<Envelope<Op<String, Sdis>>>;
 
 fn site(n: u64) -> SiteId {
     SiteId::from_u64(n)
 }
 
-/// Builds `n` convergent replicas holding the same edited (tombstone-laden)
-/// document.
-fn convergent_replicas(n: u64) -> Vec<Doc> {
-    let mut author = Doc::new(site(100));
-    let mut ops = Vec::new();
-    for k in 0..60 {
-        ops.push(author.local_insert(k, format!("line {k}")).unwrap());
-    }
-    for _ in 0..20 {
-        ops.push(author.local_delete(10).unwrap());
-    }
-    (1..=n)
-        .map(|s| {
-            let mut d = Doc::new(site(s));
-            for op in &ops {
-                d.apply(op).unwrap();
+/// Delivers every queued envelope; replies (votes, acknowledgements) are
+/// sent back, votes addressed to the first site go to `coordinator`.
+fn deliver_all(
+    net: &mut Net,
+    site_ids: &[SiteId],
+    replicas: &mut [Replica<Doc>],
+    mut coordinator: Option<&mut FlattenCoordinator>,
+) {
+    while let Some(event) = net.step() {
+        if let (Envelope::FlattenVote(vote), Some(c)) = (&event.payload, coordinator.as_mut()) {
+            if event.to == site_ids[0] {
+                c.on_vote(*vote);
+                continue;
             }
-            d
-        })
-        .collect()
+        }
+        let idx = site_ids.iter().position(|&s| s == event.to).unwrap();
+        let (_, reply) = replicas[idx].receive_any(event.payload);
+        if let Some(reply) = reply {
+            net.send(event.to, event.from, reply);
+        }
+    }
+}
+
+/// Pumps `coordinator` (run by the first site) until it is done.
+fn drive(
+    net: &mut Net,
+    site_ids: &[SiteId],
+    replicas: &mut [Replica<Doc>],
+    coordinator: &mut FlattenCoordinator,
+) {
+    let mut guard = 0;
+    while !coordinator.is_done() {
+        for (to, env) in coordinator.tick() {
+            net.send(site_ids[0], to, env);
+        }
+        deliver_all(net, site_ids, replicas, Some(coordinator));
+        guard += 1;
+        assert!(guard < 500, "the flatten commitment must not hang");
+    }
+}
+
+/// Runs one whole-document flatten proposed by the (quiescent) first
+/// replica under `protocol` and concludes it there.
+fn run_flatten(
+    net: &mut Net,
+    site_ids: &[SiteId],
+    replicas: &mut [Replica<Doc>],
+    protocol: CommitProtocol,
+) -> (CommitOutcome, CoordinatorStats) {
+    let propose = replicas[0]
+        .propose_flatten(Vec::new(), protocol)
+        .expect("a quiescent proposer votes Yes");
+    let txn = propose.proposal.txn;
+    let mut coordinator = FlattenCoordinator::new(propose, site_ids[1..].to_vec());
+    drive(net, site_ids, replicas, &mut coordinator);
+    let outcome = coordinator.outcome().expect("a finished run is decided");
+    replicas[0].finish_flatten(txn, outcome == CommitOutcome::Committed);
+    (outcome, coordinator.stats())
+}
+
+/// Builds `n` quiescent wire-level replicas over a loss-free network: the
+/// first site authors a tombstone-laden document (60 inserts, 20 deletes)
+/// and every envelope is delivered, so all delivered clocks are equal.
+fn tombstoned_replicas(n: u64) -> (Net, Vec<SiteId>, Vec<Replica<Doc>>) {
+    let mut net = SimNetwork::new(LinkConfig::fixed(3), 7);
+    let site_ids: Vec<SiteId> = (1..=n).map(site).collect();
+    let mut replicas: Vec<Replica<Doc>> = site_ids
+        .iter()
+        .map(|&s| Replica::new(s, Doc::new(s)))
+        .collect();
+    let author = &mut replicas[0];
+    for k in 0..80 {
+        let op = if k < 60 {
+            author.doc_mut().local_insert(k, format!("line {k}"))
+        } else {
+            author.doc_mut().local_delete(10)
+        };
+        let env = author.stamp_envelope(op.unwrap());
+        net.broadcast(site_ids[0], &site_ids, env);
+    }
+    deliver_all(&mut net, &site_ids, &mut replicas, None);
+    (net, site_ids, replicas)
+}
+
+/// Asserts every replica holds the same content, digest and epoch.
+fn assert_converged(replicas: &[Replica<Doc>]) {
+    for r in replicas {
+        assert_eq!(r.doc().to_vec(), replicas[0].doc().to_vec());
+        assert_eq!(r.digest(), replicas[0].digest());
+        assert_eq!(r.flatten_epoch(), replicas[0].flatten_epoch());
+        assert!(!r.is_flatten_prepared());
+    }
 }
 
 #[test]
 fn committed_flatten_keeps_replicas_convergent_and_removes_tombstones() {
-    let mut docs = convergent_replicas(4);
-    let proposal = FlattenProposal {
-        proposer: site(1),
-        subtree: Vec::new(),
-        base_revision: docs[0].revision(),
-        txn: 1,
-    };
-    let before: Vec<String> = docs[0].to_vec();
-    {
-        let mut participants: Vec<_> = docs.iter_mut().map(TreedocParticipant::new).collect();
-        let (outcome, stats) = run_two_phase(&proposal, &mut participants);
-        assert_eq!(outcome, CommitOutcome::Committed);
-        assert_eq!(stats.phases, 2);
-    }
-    let reference = docs[0].to_vec();
-    assert_eq!(reference, before, "flatten must not change the content");
-    for d in &docs {
-        assert_eq!(d.to_vec(), reference);
-        assert_eq!(d.stats().tombstones, 0);
-        assert_eq!(d.node_count(), d.len());
-        d.check_invariants().unwrap();
+    let (mut net, site_ids, mut replicas) = tombstoned_replicas(4);
+    let before = replicas[0].doc().to_vec();
+    assert!(replicas[0].doc().stats().tombstones > 0);
+    let (outcome, stats) =
+        run_flatten(&mut net, &site_ids, &mut replicas, CommitProtocol::TwoPhase);
+    assert_eq!(outcome, CommitOutcome::Committed);
+    // Two rounds (propose, commit) to each of the three participants.
+    assert_eq!(stats.messages_sent, 2 * 3);
+    assert_eq!(
+        replicas[0].doc().to_vec(),
+        before,
+        "flatten must not change the content"
+    );
+    assert_converged(&replicas);
+    for r in &replicas {
+        assert_eq!(r.flatten_epoch(), 1);
+        assert_eq!(r.doc().stats().tombstones, 0);
+        assert_eq!(r.doc().node_count(), r.doc().len());
+        r.doc().check_invariants().unwrap();
     }
 }
 
 #[test]
 fn flatten_aborts_when_any_replica_keeps_editing() {
-    let mut docs = convergent_replicas(3);
-    let base = docs[0].revision();
-    // Replica 2 edits after the proposal was taken.
-    docs[2].next_revision();
-    docs[2].local_insert(0, "late edit".to_string()).unwrap();
-    let proposal = FlattenProposal {
-        proposer: site(1),
-        subtree: Vec::new(),
-        base_revision: base,
-        txn: 2,
-    };
-    let nodes_before: Vec<usize> = docs.iter().map(|d| d.node_count()).collect();
-    {
-        let mut participants: Vec<_> = docs.iter_mut().map(TreedocParticipant::new).collect();
-        let (outcome, _) = run_two_phase(&proposal, &mut participants);
-        assert!(matches!(outcome, CommitOutcome::Aborted { no_votes: 1 }));
-    }
-    for (d, before) in docs.iter().zip(nodes_before) {
+    let (mut net, site_ids, mut replicas) = tombstoned_replicas(3);
+    // Replica 3 edits after the others' state was taken and has not sent
+    // the edit yet: its delivered clock no longer matches the proposal's.
+    let op = replicas[2]
+        .doc_mut()
+        .local_insert(0, "late edit".to_string())
+        .unwrap();
+    let late = replicas[2].stamp_envelope(op);
+    let nodes_before: Vec<usize> = replicas.iter().map(|r| r.doc().node_count()).collect();
+    let (outcome, _) = run_flatten(&mut net, &site_ids, &mut replicas, CommitProtocol::TwoPhase);
+    assert_eq!(outcome, CommitOutcome::Aborted { no_votes: 1 });
+    for (r, before) in replicas.iter().zip(nodes_before) {
         assert_eq!(
-            d.node_count(),
+            r.doc().node_count(),
             before,
             "an aborted flatten leaves no side effects"
         );
+        assert_eq!(r.flatten_epoch(), 0);
+        assert!(!r.is_flatten_prepared(), "the abort released every lock");
     }
-    // Once the editor is done, a fresh proposal (with an up-to-date base
-    // revision) commits — including under 3PC.
-    let base = docs.iter().map(|d| d.revision()).max().unwrap();
-    for d in docs.iter_mut() {
-        while d.revision() < base {
-            d.next_revision();
-        }
-    }
-    let proposal = FlattenProposal {
-        proposer: site(1),
-        subtree: Vec::new(),
-        base_revision: base,
-        txn: 3,
-    };
-    let mut participants: Vec<_> = docs.iter_mut().map(TreedocParticipant::new).collect();
-    let (outcome, stats) = run_three_phase(&proposal, &mut participants);
+    // Once the editor's operation has reached everyone, a fresh proposal
+    // commits — including under 3PC.
+    net.broadcast(site_ids[2], &site_ids, late);
+    deliver_all(&mut net, &site_ids, &mut replicas, None);
+    let (outcome, stats) = run_flatten(
+        &mut net,
+        &site_ids,
+        &mut replicas,
+        CommitProtocol::ThreePhase,
+    );
     assert_eq!(outcome, CommitOutcome::Committed);
-    assert_eq!(stats.phases, 3);
+    // Three rounds (propose, pre-commit, commit) to each of two participants.
+    assert_eq!(stats.messages_sent, 3 * 2);
+    assert_converged(&replicas);
+    assert_eq!(replicas[0].flatten_epoch(), 1);
 }
 
 #[test]
 fn flattened_and_unflattened_replicas_persist_and_reload() {
-    let docs = convergent_replicas(2);
-    for doc in &docs {
+    let (_, _, replicas) = tombstoned_replicas(2);
+    for doc in replicas.iter().map(Replica::doc) {
         let image = DiskImage::encode(&doc.tree());
         let reloaded = match image.decode::<Sdis>() {
             Ok(tree) => tree,
@@ -133,7 +196,8 @@ fn flattened_and_unflattened_replicas_persist_and_reload() {
         );
     }
     // Flattening shrinks the on-disk structure.
-    let mut doc = convergent_replicas(1).remove(0);
+    let (_, _, mut replicas) = tombstoned_replicas(1);
+    let doc = replicas[0].doc_mut();
     let before = DiskImage::encode(&doc.tree()).structure_bytes();
     doc.flatten_all().unwrap();
     let after = DiskImage::encode(&doc.tree()).structure_bytes();
@@ -143,42 +207,13 @@ fn flattened_and_unflattened_replicas_persist_and_reload() {
     );
 }
 
-/// Builds `n` quiescent wire-level replicas with fully exchanged edits.
-fn wire_replicas(
-    n: u64,
-    net: &mut SimNetwork<Envelope<treedoc_repro::core::Op<String, Sdis>>>,
-) -> (Vec<SiteId>, Vec<Replica<Doc>>) {
-    let site_ids: Vec<SiteId> = (1..=n).map(site).collect();
-    let mut replicas: Vec<Replica<Doc>> = site_ids
-        .iter()
-        .map(|&s| Replica::new(s, Doc::new(s)))
-        .collect();
-    for i in 0..replicas.len() {
-        for k in 0..8 {
-            let len = replicas[i].doc().len();
-            let op = replicas[i]
-                .doc_mut()
-                .local_insert(len.min(k), format!("site{} line{k}", i + 1))
-                .unwrap();
-            let env = replicas[i].stamp_envelope(op);
-            net.broadcast(site_ids[i], &site_ids, env);
-        }
-    }
-    while let Some(event) = net.step() {
-        let idx = site_ids.iter().position(|&s| s == event.to).unwrap();
-        let _ = replicas[idx].receive_any(event.payload);
-    }
-    (site_ids, replicas)
-}
-
 #[test]
 fn dropped_votes_abort_two_phase_cleanly_instead_of_hanging() {
     // Site 3's link to the coordinator drops everything: its vote can never
     // arrive. The coordinator must retransmit, time out, and distribute an
     // abort that releases every prepared participant — no replica may be
     // left flattened or locked.
-    let mut net = SimNetwork::new(LinkConfig::fixed(3), 97);
-    let (site_ids, mut replicas) = wire_replicas(3, &mut net);
+    let (mut net, site_ids, mut replicas) = tombstoned_replicas(3);
     net.set_link(site(3), site(1), LinkConfig::fixed(3).with_drop_prob(1.0));
 
     let propose = replicas[0]
@@ -189,27 +224,7 @@ fn dropped_votes_abort_two_phase_cleanly_instead_of_hanging() {
         FlattenCoordinator::new(propose, site_ids[1..].to_vec()).with_vote_timeout(10);
 
     let nodes_before: Vec<usize> = replicas.iter().map(|r| r.doc().node_count()).collect();
-    let mut guard = 0;
-    while !coordinator.is_done() {
-        for (to, env) in coordinator.tick() {
-            net.send(site_ids[0], to, env);
-        }
-        while let Some(event) = net.step() {
-            if let Envelope::FlattenVote(vote) = &event.payload {
-                if event.to == site_ids[0] {
-                    coordinator.on_vote(*vote);
-                    continue;
-                }
-            }
-            let idx = site_ids.iter().position(|&s| s == event.to).unwrap();
-            let (_, reply) = replicas[idx].receive_any(event.payload);
-            if let Some(reply) = reply {
-                net.send(event.to, event.from, reply);
-            }
-        }
-        guard += 1;
-        assert!(guard < 500, "2PC with a silent voter must not hang");
-    }
+    drive(&mut net, &site_ids, &mut replicas, &mut coordinator);
     assert!(
         matches!(coordinator.outcome(), Some(CommitOutcome::Aborted { .. })),
         "a vote that never arrives aborts the proposal: {:?}",
@@ -285,26 +300,23 @@ fn flatten_commitment_matrix_reports_per_protocol_costs() {
 
 #[test]
 fn flatten_then_continue_editing_and_reconverge() {
-    let mut docs = convergent_replicas(2);
-    let proposal = FlattenProposal {
-        proposer: site(1),
-        subtree: Vec::new(),
-        base_revision: docs[0].revision(),
-        txn: 9,
-    };
+    let (mut net, site_ids, mut replicas) = tombstoned_replicas(2);
+    let (outcome, _) = run_flatten(&mut net, &site_ids, &mut replicas, CommitProtocol::TwoPhase);
+    assert_eq!(outcome, CommitOutcome::Committed);
+    // Editing continues on the renamed (plain) identifiers, concurrently at
+    // both replicas, and still converges.
+    for (i, (pos, text)) in [(5, "post-flatten A"), (20, "post-flatten B")]
+        .into_iter()
+        .enumerate()
     {
-        let mut participants: Vec<_> = docs.iter_mut().map(TreedocParticipant::new).collect();
-        let (outcome, _) = run_two_phase(&proposal, &mut participants);
-        assert_eq!(outcome, CommitOutcome::Committed);
+        let op = replicas[i]
+            .doc_mut()
+            .local_insert(pos, text.to_string())
+            .unwrap();
+        let env = replicas[i].stamp_envelope(op);
+        net.broadcast(site_ids[i], &site_ids, env);
     }
-    // Editing continues on the renamed (plain) identifiers and still
-    // converges.
-    let (left, right) = docs.split_at_mut(1);
-    let a = &mut left[0];
-    let b = &mut right[0];
-    let op_a = a.local_insert(5, "post-flatten A".to_string()).unwrap();
-    let op_b = b.local_insert(20, "post-flatten B".to_string()).unwrap();
-    a.apply(&op_b).unwrap();
-    b.apply(&op_a).unwrap();
-    assert_eq!(a.to_vec(), b.to_vec());
+    deliver_all(&mut net, &site_ids, &mut replicas, None);
+    assert_converged(&replicas);
+    assert_eq!(replicas[0].doc().len(), 42);
 }

@@ -6,13 +6,12 @@
 //! — reordered fields, a different tag, a varint width change — fails this
 //! test loudly instead of silently breaking interop between replicas (or
 //! recovery of stores written before the change). If you change the format
-//! **deliberately**, bump [`codec::WIRE_VERSION`], keep a decoder for the
-//! old version, and regenerate these vectors.
+//! **deliberately**, bump [`codec::WIRE_VERSION`] and regenerate these
+//! vectors.
 //!
-//! Three prior generations stay decodable and are pinned here too: the v3
-//! binary vectors (v4 minus the sync/snapshot envelopes — a strict encoding
-//! subset, so decode-only checks cover them), the v2 vectors (v3 minus the
-//! run-step batch entries) and the v1 JSON WAL records.
+//! Exactly one generation is decoded. The vectors pinned while the version
+//! was 2 and 3 stay here as refusals: their bytes must come back as a typed
+//! [`WireError::UnsupportedVersion`], never misparsed as the current layout.
 
 use treedoc_repro::core::codec::{put_site, put_u8, put_varint};
 use treedoc_repro::core::node::Content;
@@ -77,12 +76,13 @@ fn check_envelope(golden_hex: &str, fixture: Envelope<TestOp>) {
     assert_eq!(decoded, fixture);
 }
 
-/// Asserts the decode direction only: `golden_hex` is a **previous-generation**
-/// encoding (wire v2 or v3) the current decoder must keep reading.
-fn check_envelope_decodes(golden_hex: &str, fixture: Envelope<TestOp>) {
-    let decoded: Envelope<TestOp> =
-        decode_envelope(&unhex(golden_hex)).expect("legacy golden decodes");
-    assert_eq!(decoded, fixture);
+/// Asserts that `golden_hex`, an envelope pinned under an earlier wire
+/// version, is refused by its version byte.
+fn check_unsupported(golden_hex: &str, version: u8) {
+    assert_eq!(
+        decode_envelope::<TestOp>(&unhex(golden_hex)),
+        Err(WireError::UnsupportedVersion(version))
+    );
 }
 
 /// Asserts both directions of one WAL-record golden vector.
@@ -209,41 +209,16 @@ fn flatten_envelope_golden_vectors() {
 }
 
 #[test]
-fn wire_v2_vectors_stay_decodable() {
-    // The exact vectors this file pinned while WIRE_VERSION was 2. v2 never
-    // sets the run-step entry flag, so its encodings are a strict subset of
-    // v3 and the current decoder must keep reading them — a store or peer
-    // from before the run codec is still understood.
-    check_envelope_decodes(
+fn wire_v2_vectors_are_unsupported() {
+    // The exact op, ack and vote vectors this file pinned while
+    // WIRE_VERSION was 2.
+    for golden in [
         "0201010000000000010200000000000103000000000002050000020102000000000001026869",
-        Envelope::Op {
-            epoch: 1,
-            msg: msg(
-                1,
-                &[(1, 3), (2, 5)],
-                Op::Insert {
-                    id: pos(&[(1, None), (0, Some(1))]),
-                    atom: "hi".into(),
-                },
-            ),
-        },
-    );
-    check_envelope_decodes(
         "0202000000000002020000000000010300000000000207",
-        Envelope::Ack {
-            from: SiteId::from_u64(2),
-            clock: clock(&[(1, 3), (2, 7)]),
-        },
-    );
-    check_envelope_decodes(
         "0205070000000000030100",
-        Envelope::FlattenVote(FlattenVote {
-            txn: 7,
-            from: SiteId::from_u64(3),
-            vote: Vote::Yes,
-            stage: VoteStage::Vote,
-        }),
-    );
+    ] {
+        check_unsupported(golden, 2);
+    }
 }
 
 /// The entries a run of sequential typing stamps: each identifier is the
@@ -263,12 +238,13 @@ fn run_sourced_entries() -> Vec<(u64, CausalMessage<TestOp>)> {
         .collect()
 }
 
-/// The same entries in the per-atom layout wire v2 used: every entry carries
-/// its full delta-encoded position identifier. Built from the public codec
-/// primitives so the bytes are the real v2 contract, not a re-encode.
-fn per_atom_v2_batch(entries: &[(u64, CausalMessage<TestOp>)]) -> Vec<u8> {
+/// The same entries in the per-atom layout: every entry carries its full
+/// delta-encoded position identifier and none is a run step. Built from the
+/// public codec primitives, so the bytes are an independent encoding rather
+/// than a re-encode.
+fn per_atom_batch(entries: &[(u64, CausalMessage<TestOp>)]) -> Vec<u8> {
     let mut out = Vec::new();
-    put_u8(&mut out, 2); // version (v2)
+    put_u8(&mut out, codec::WIRE_VERSION);
     put_u8(&mut out, 3); // ENV_OP_BATCH
     put_varint(&mut out, entries.len() as u64);
     for (i, (epoch, m)) in entries.iter().enumerate() {
@@ -304,21 +280,22 @@ fn run_sourced_batch_golden_vector() {
         batch,
     );
 
-    // The identical operations in the per-atom v2 layout must decode to the
+    // The identical operations in the per-atom layout must decode to the
     // same entries — a run-coalesced document and a per-atom replica see
     // exactly the same operation stream.
-    let v2 = per_atom_v2_batch(&entries);
-    check_envelope_decodes(&hex(&v2), Envelope::OpBatch(OpBatch { entries }));
+    let per_atom = per_atom_batch(&entries);
+    let decoded: Envelope<TestOp> = decode_envelope(&per_atom).expect("per-atom batch decodes");
+    assert_eq!(decoded, Envelope::OpBatch(OpBatch { entries }));
 
     // And the run-step form is strictly smaller: each continuation entry
     // drops its delta-encoded identifier (a 6-byte SDIS plus the path
     // header) for a single side byte.
-    let v4 = unhex("040304000000000000010100000000000101000001000100000000000101720007010175000701016e0007010173");
+    let runs = unhex("040304000000000000010100000000000101000001000100000000000101720007010175000701016e0007010173");
     assert!(
-        v4.len() + 8 * 3 <= v2.len(),
+        runs.len() + 8 * 3 <= per_atom.len(),
         "run batch {}B vs per-atom {}B",
-        v4.len(),
-        v2.len()
+        runs.len(),
+        per_atom.len()
     );
 }
 
@@ -394,47 +371,17 @@ fn sync_envelope_golden_vectors() {
 }
 
 #[test]
-fn wire_v3_vectors_stay_decodable() {
-    // The exact vectors this file pinned while WIRE_VERSION was 3. v4 only
-    // added the sync/snapshot envelope tags, so v3 encodings are a strict
-    // subset and the current decoder must keep reading them — a WAL or peer
-    // from before state-based sync is still understood.
-    check_envelope_decodes(
+fn wire_v3_vectors_are_unsupported() {
+    // The exact op, ack, vote and run-step batch vectors this file pinned
+    // while WIRE_VERSION was 3.
+    for golden in [
         "0301010000000000010200000000000103000000000002050000020102000000000001026869",
-        Envelope::Op {
-            epoch: 1,
-            msg: msg(
-                1,
-                &[(1, 3), (2, 5)],
-                Op::Insert {
-                    id: pos(&[(1, None), (0, Some(1))]),
-                    atom: "hi".into(),
-                },
-            ),
-        },
-    );
-    check_envelope_decodes(
         "0302000000000002020000000000010300000000000207",
-        Envelope::Ack {
-            from: SiteId::from_u64(2),
-            clock: clock(&[(1, 3), (2, 7)]),
-        },
-    );
-    check_envelope_decodes(
         "0305070000000000030100",
-        Envelope::FlattenVote(FlattenVote {
-            txn: 7,
-            from: SiteId::from_u64(3),
-            vote: Vote::Yes,
-            stage: VoteStage::Vote,
-        }),
-    );
-    check_envelope_decodes(
         "030304000000000000010100000000000101000001000100000000000101720007010175000701016e0007010173",
-        Envelope::OpBatch(OpBatch {
-            entries: run_sourced_entries(),
-        }),
-    );
+    ] {
+        check_unsupported(golden, 3);
+    }
 }
 
 #[test]
@@ -465,27 +412,5 @@ fn wal_record_golden_vectors() {
             committed: true,
             unilateral: false,
         },
-    );
-}
-
-#[test]
-fn legacy_json_wal_records_stay_recoverable() {
-    // The v1 JSON generation is part of the on-disk contract too: a store
-    // written before the binary codec must keep recovering. This is the
-    // exact text the v1 encoder produced for a PeersEnabled record,
-    // injected into a real store and replayed through `Replica::recover`.
-    let golden: &[u8] = br#"{"PeersEnabled":{"peers":[[0,0,0,0,0,1],[0,0,0,0,0,2]]}}"#;
-
-    let site = SiteId::from_u64(9);
-    let mut replica = Replica::new(site, Treedoc::<String, Sdis>::new(site));
-    replica.attach_store(DocStore::in_memory()).unwrap();
-    let mut store = replica.detach_store().unwrap();
-    store.append(0, golden).unwrap();
-
-    let (recovered, report) = Replica::<Treedoc<String, Sdis>>::recover(store).unwrap();
-    assert_eq!(report.wal_records_replayed, 1);
-    assert!(
-        recovered.at_least_once_enabled(),
-        "the checked-in v1 record must replay with effect, not just parse"
     );
 }
