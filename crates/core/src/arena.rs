@@ -109,6 +109,7 @@ impl<D: Clone + Eq + Hash> PathArena<D> {
                     depth: arc.depth,
                     dis_count: arc.dis_count,
                     shape: arc.shape,
+                    chunks: arc.chunks,
                 })
             };
             self.table.insert(key, Arc::downgrade(&node));

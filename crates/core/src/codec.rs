@@ -132,39 +132,75 @@ pub fn get_site(input: &mut &[u8]) -> Option<SiteId> {
     Some(SiteId::from_bytes(bytes))
 }
 
-/// Packs `n` bits (produced by `bits`) LSB-first into `n.div_ceil(8)` bytes.
-fn put_packed_bits(out: &mut Vec<u8>, n: usize, mut bits: impl Iterator<Item = bool>) {
-    for _ in 0..n.div_ceil(8) {
-        let mut byte = 0u8;
-        for slot in 0..8 {
-            if let Some(true) = bits.next() {
-                byte |= 1 << slot;
+/// Packs bits LSB-first, a run at a time: `n` bits fill `n.div_ceil(8)`
+/// bytes, the unused high bits of the last byte zero.
+struct PackedBits<'a> {
+    out: &'a mut Vec<u8>,
+    /// Bits used in the last byte of `out`; 8 when a new byte is due.
+    used: u32,
+}
+
+impl<'a> PackedBits<'a> {
+    fn new(out: &'a mut Vec<u8>) -> Self {
+        PackedBits { out, used: 8 }
+    }
+
+    /// Appends `count` copies of `bit`.
+    fn push_run(&mut self, bit: bool, mut count: usize) {
+        // Top up the partly filled last byte.
+        if self.used < 8 && count > 0 {
+            let take = count.min((8 - self.used) as usize) as u32;
+            if bit {
+                let last = self.out.last_mut().expect("a partly filled byte");
+                *last |= (((1u16 << take) - 1) << self.used) as u8;
             }
+            self.used += take;
+            count -= take as usize;
         }
-        out.push(byte);
+        // Whole bytes, then the start of a new partial one.
+        let fill = if bit { 0xFF } else { 0x00 };
+        self.out.resize(self.out.len() + count / 8, fill);
+        let rest = (count % 8) as u32;
+        if rest > 0 {
+            self.out
+                .push(if bit { ((1u16 << rest) - 1) as u8 } else { 0 });
+            self.used = rest;
+        }
     }
 }
 
-/// Reads `n` LSB-first packed bits.
-fn get_packed_bits(input: &mut &[u8], n: usize) -> Option<Vec<bool>> {
-    let raw = get_exact(input, n.div_ceil(8))?;
-    Some((0..n).map(|i| raw[i / 8] & (1 << (i % 8)) != 0).collect())
+/// Bit `i` of LSB-first packed `raw`.
+fn bit_at(raw: &[u8], i: usize) -> bool {
+    raw[i / 8] & (1 << (i % 8)) != 0
+}
+
+/// Up to 64 bits of LSB-first packed `raw` starting at bit `i` (missing
+/// bits past the end read as zero).
+fn bits64_at(raw: &[u8], i: usize) -> u64 {
+    let tail = raw.get(i / 8..).unwrap_or_default();
+    let take = tail.len().min(9);
+    let mut word = [0u8; 16];
+    word[..take].copy_from_slice(&tail[..take]);
+    (u128::from_le_bytes(word) >> (i % 8)) as u64
 }
 
 /// Appends a plain bit path (varint length + packed side bits), the encoding
 /// used for flatten subtree selectors.
 pub fn put_sides(out: &mut Vec<u8>, sides: &[Side]) {
     put_varint(out, sides.len() as u64);
-    put_packed_bits(out, sides.len(), sides.iter().map(|s| s.bit() == 1));
+    let mut bits = PackedBits::new(out);
+    for side in sides {
+        bits.push_run(*side == Side::Right, 1);
+    }
 }
 
 /// Reads a plain bit path.
 pub fn get_sides(input: &mut &[u8]) -> Option<Vec<Side>> {
     let n = get_varint(input)? as usize;
-    let bits = get_packed_bits(input, n)?;
+    let raw = get_exact(input, n.div_ceil(8))?;
     Some(
-        bits.into_iter()
-            .map(|b| Side::from_bit(u8::from(b)))
+        (0..n)
+            .map(|i| Side::from_bit(u8::from(bit_at(raw, i))))
             .collect(),
     )
 }
@@ -293,46 +329,69 @@ impl WireAtom for u64 {
 /// The shared-prefix length comes from the chunked representation's
 /// divergence walk ([`PosId::common_prefix_len`]): consecutive identifiers
 /// in a batch share their spine chunks, so the scan skips them by pointer
-/// identity instead of comparing byte-wise from the root.
+/// identity instead of comparing byte-wise from the root. The suffix is
+/// written a chunk at a time, so a long plain stretch costs its packed
+/// bytes, not a step per element.
 pub fn put_pos_id<D: WireDis>(out: &mut Vec<u8>, id: &PosId<D>, prev: &PosId<D>) {
     let shared = id.common_prefix_len(prev);
-    let suffix_len = id.depth() - shared;
     put_varint(out, shared as u64);
-    put_varint(out, suffix_len as u64);
-    let mut sides = Vec::with_capacity(suffix_len);
-    let mut flags = Vec::with_capacity(suffix_len);
-    id.visit_elems_from(shared, |s, d| {
-        sides.push(s.bit() == 1);
-        flags.push(d.is_some());
-    });
-    put_packed_bits(out, suffix_len, sides.into_iter());
-    put_packed_bits(out, suffix_len, flags.into_iter());
-    id.visit_elems_from(shared, |_, d| {
-        if let Some(dis) = d {
+    put_varint(out, (id.depth() - shared) as u64);
+    let runs = id.runs_from(shared);
+    let mut sides = PackedBits::new(out);
+    for &(side, _, count) in &runs {
+        sides.push_run(side == Side::Right, count);
+    }
+    let mut flags = PackedBits::new(out);
+    for &(_, dis, count) in &runs {
+        flags.push_run(dis.is_some(), count);
+    }
+    for (_, dis, _) in runs {
+        if let Some(dis) = dis {
             dis.encode_dis(out);
         }
-    });
+    }
 }
 
 /// Reads an identifier delta-encoded against `prev`. The decoded identifier
 /// shares `prev`'s chunk chain up to the shared-prefix boundary, so delta
 /// decoding re-establishes structural sharing on the receiving replica.
+/// Each same-side plain stretch of the suffix becomes one chunk in one
+/// step, so decoding costs O(chunks), not O(depth).
 pub fn get_pos_id<D: WireDis>(input: &mut &[u8], prev: &PosId<D>) -> Option<PosId<D>> {
     let shared = get_varint(input)? as usize;
     if shared > prev.depth() {
         return None;
     }
     let suffix_len = get_varint(input)? as usize;
-    let sides = get_packed_bits(input, suffix_len)?;
-    let has_dis = get_packed_bits(input, suffix_len)?;
+    let sides = get_exact(input, suffix_len.div_ceil(8))?;
+    let flags = get_exact(input, suffix_len.div_ceil(8))?;
     let mut id = prev.prefix(shared);
-    for (side_bit, with_dis) in sides.into_iter().zip(has_dis) {
-        let side = Side::from_bit(u8::from(side_bit));
-        id = if with_dis {
-            id.child_mini(side, D::decode_dis(input)?)
-        } else {
-            id.extend_plains(side, 1)
-        };
+    let mut i = 0;
+    while i < suffix_len {
+        let right = bit_at(sides, i);
+        let side = Side::from_bit(u8::from(right));
+        if bit_at(flags, i) {
+            id = id.child_mini(side, D::decode_dis(input)?);
+            i += 1;
+            continue;
+        }
+        // The plain stretch ends at the first element that changes side or
+        // carries a disambiguator; find it 64 bits at a time.
+        let mut end = i;
+        loop {
+            let mut stop =
+                bits64_at(flags, end) | (bits64_at(sides, end) ^ if right { !0 } else { 0 });
+            stop |= 1u64
+                .checked_shl((suffix_len - end).min(64) as u32)
+                .unwrap_or(0);
+            if stop != 0 {
+                end += stop.trailing_zeros() as usize;
+                break;
+            }
+            end += 64;
+        }
+        id = id.extend_plains(side, end - i);
+        i = end;
     }
     Some(id)
 }
@@ -694,5 +753,88 @@ mod tests {
         // Unknown op tag.
         let mut cursor = [9u8].as_slice();
         assert_eq!(get_op::<String, Sdis>(&mut cursor, &PosId::root()), None);
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The element-at-a-time layout of [`put_pos_id`], written out
+        /// naively: the run-wise encoder must produce exactly these bytes.
+        fn reference_encoding(id: &PosId<Sdis>, prev: &PosId<Sdis>) -> Vec<u8> {
+            let elems = id.elems();
+            let shared = elems
+                .iter()
+                .zip(prev.elems())
+                .take_while(|(a, b)| **a == *b)
+                .count();
+            let suffix = &elems[shared..];
+            let pack = |bit: &dyn Fn(&PathElem<Sdis>) -> bool| -> Vec<u8> {
+                let mut bytes = vec![0u8; suffix.len().div_ceil(8)];
+                for (i, e) in suffix.iter().enumerate() {
+                    if bit(e) {
+                        bytes[i / 8] |= 1 << (i % 8);
+                    }
+                }
+                bytes
+            };
+            let mut out = Vec::new();
+            put_varint(&mut out, shared as u64);
+            put_varint(&mut out, suffix.len() as u64);
+            out.extend(pack(&|e| e.side == Side::Right));
+            out.extend(pack(&|e| e.dis.is_some()));
+            for e in suffix {
+                if let Some(d) = &e.dis {
+                    d.encode_dis(&mut out);
+                }
+            }
+            out
+        }
+
+        /// Identifiers with plain stretches long enough to cross byte and
+        /// 64-bit word boundaries.
+        fn arb_id() -> impl Strategy<Value = PosId<Sdis>> {
+            proptest::collection::vec((0u8..2, 1usize..80, 0u64..4), 0..12).prop_map(|chunks| {
+                chunks
+                    .into_iter()
+                    .fold(PosId::root(), |id, (bit, plains, d)| {
+                        let side = Side::from_bit(bit);
+                        if d == 0 {
+                            id.child_mini(side, sid(plains as u64))
+                        } else {
+                            id.extend_plains(side, plains)
+                        }
+                    })
+            })
+        }
+
+        proptest! {
+            /// Encoding a chunk at a time writes the per-element bytes, and
+            /// decoding them a stretch at a time gives the identifier back,
+            /// against a previous identifier that shares a prefix cut
+            /// anywhere (inside a plain stretch included).
+            #[test]
+            fn run_wise_codec_matches_the_per_element_layout(
+                base in arb_id(),
+                tail in arb_id(),
+                prev_tail in arb_id(),
+                cut in 0usize..1001,
+            ) {
+                let id = PosId::from_elems([base.elems(), tail.elems()].concat());
+                let mut prev = base.prefix(base.depth() * cut / 1000);
+                for e in prev_tail.elems() {
+                    prev = prev.child(e);
+                }
+                let root = PosId::root();
+                for prev in [&prev, &root] {
+                    let mut buf = Vec::new();
+                    put_pos_id(&mut buf, &id, prev);
+                    prop_assert_eq!(&buf, &reference_encoding(&id, prev));
+                    let mut cursor = buf.as_slice();
+                    prop_assert_eq!(get_pos_id::<Sdis>(&mut cursor, prev), Some(id.clone()));
+                    prop_assert!(cursor.is_empty());
+                }
+            }
+        }
     }
 }

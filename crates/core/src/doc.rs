@@ -67,6 +67,9 @@ pub struct Treedoc<A, D: HasSource> {
     /// Plain positions reserved by the last grown append subtree (§4.1);
     /// consumed by subsequent appends while they remain free.
     reserved_appends: Vec<PosId<D>>,
+    /// The identifier [`apply`](Self::apply) last stored, which the next
+    /// replayed identifier is re-linked onto (see [`PosId::relink_onto`]).
+    last_applied: PosId<D>,
 }
 
 impl<A: Atom, D: Disambiguator + HasSource> Treedoc<A, D> {
@@ -83,6 +86,7 @@ impl<A: Atom, D: Disambiguator + HasSource> Treedoc<A, D> {
             config,
             revision: 0,
             reserved_appends: Vec::new(),
+            last_applied: PosId::root(),
         }
     }
 
@@ -121,6 +125,7 @@ impl<A: Atom, D: Disambiguator + HasSource> Treedoc<A, D> {
             config,
             revision,
             reserved_appends: Vec::new(),
+            last_applied: PosId::root(),
         }
     }
 
@@ -384,14 +389,25 @@ impl<A: Atom, D: Disambiguator + HasSource> Treedoc<A, D> {
     /// delivered in an order compatible with happened-before (the
     /// `treedoc-replication` crate provides such a delivery layer); under
     /// that condition replay never fails and all replicas converge.
+    ///
+    /// An identifier decoded from bytes shares no chunk with the stored
+    /// ones. When the identifier applied last has a long chain and the new
+    /// one hangs off its path (a backspace, or a run of them) or is a child
+    /// of its major node (the next keystroke of a typing run, or the first
+    /// after a backspace), the new one is re-linked onto that chain first
+    /// ([`PosId::relink_onto`]), so the store's comparisons against it skip
+    /// the shared prefix.
     pub fn apply(&mut self, op: &Op<A, D>) -> Result<()> {
-        match op {
-            Op::Insert { id, atom } => self.store.insert(id, atom.clone(), self.revision),
-            Op::Delete { id } => {
-                self.store.delete(id, self.revision)?;
-                Ok(())
-            }
-        }
+        let id = op.id();
+        let id = id
+            .relink_onto(&self.last_applied)
+            .unwrap_or_else(|| id.clone());
+        let result = match op {
+            Op::Insert { atom, .. } => self.store.insert(&id, atom.clone(), self.revision),
+            Op::Delete { .. } => self.store.delete(&id, self.revision).map(drop),
+        };
+        self.last_applied = id;
+        result
     }
 
     /// Replays a batch of operations.

@@ -23,16 +23,27 @@
 //! * cloning an identifier is one reference-count bump (O(1));
 //! * a child identifier shares its entire prefix with the parent it was
 //!   derived from (prefix sharing by construction);
-//! * the deep spine produced by sequential typing — thousands of plain
-//!   elements followed by one mini — is **three chunks** regardless of
-//!   depth, so extending, comparing or hashing spine identifiers no longer
-//!   walks the whole document path.
+//! * an identifier costs **one chunk per direction change or
+//!   disambiguator**, however long the plain stretches between them. An
+//!   unbroken sequential-typing spine — thousands of plain elements and one
+//!   mini — is two or three chunks. Each backspace adds a direction change,
+//!   so a typing session's tip identifier carries one chunk per backspace
+//!   (407 chunks for 5,274 elements after 5,500 keystrokes with 4%
+//!   backspaces).
 //!
-//! Every chunk caches the total element count (`depth`), the disambiguator
-//! count and a polynomial *shape hash* of the `(side, has-disambiguator)`
-//! sequence, so equality checks reject mismatches in O(1) and comparisons
-//! walk only the chunks past the shared prefix (pointer-equal chunks are
-//! skipped wholesale).
+//! Every chunk caches the total element count (`depth`), its index in the
+//! chain (`chunks`), the disambiguator count and a polynomial *shape hash*
+//! of the `(side, has-disambiguator)` sequence. Equality checks reject
+//! mismatches in O(1). Comparisons walk both chains **tip-first**: the
+//! cached indices align the two chains, which then step together until
+//! they meet at a pointer-shared chunk, and only the chunks past it are
+//! compared, root-first. A comparison thus costs O(chunks past the deepest
+//! shared chunk) on each side, not O(depth) — cheap between identifiers
+//! derived from one another, a full walk between chains that share
+//! nothing. Identifiers decoded from bytes share nothing with the ones a
+//! replica stores; [`PosId::relink_onto`] (used by `Treedoc::apply`)
+//! rebuilds the common typing case on the stored chain so the comparisons
+//! that follow take the cheap path.
 //!
 //! The chunk decomposition is kept *canonical* — plain elements are always
 //! merged into a maximal same-side `Plains` chunk — so two identifiers with
@@ -56,6 +67,7 @@
 //! *region* of the shared major node each identifier falls in:
 //! `left subtree < plain atom slot < mini-nodes < right subtree`.
 
+use std::cell::OnceCell;
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -189,11 +201,16 @@ pub(crate) struct PathNode<D> {
     pub(crate) depth: u32,
     /// Total disambiguator count of the path ending at this chunk.
     pub(crate) dis_count: u32,
-    /// Polynomial hash of the `(side, has-dis)` sequence of the whole path.
+    /// Polynomial hash of the `(side, has-dis)` sequence of the whole path,
+    /// kept to its low 32 bits so the node stays 32 bytes with `chunks`.
     /// Purely structural (independent of disambiguator *values*) so that it
     /// can be maintained without trait bounds on `D`; used only as a
     /// fast-reject in equality checks, never as a proof of equality.
-    pub(crate) shape: u64,
+    pub(crate) shape: u32,
+    /// Number of chunks of the path ending at this chunk (this chunk's
+    /// 1-based index in its chain), so chains of different lengths align in
+    /// O(1) for the tip-first divergence walk.
+    pub(crate) chunks: u32,
 }
 
 impl<D> PathNode<D> {
@@ -249,10 +266,77 @@ fn shape_geom(k: u64) -> u64 {
     }
 }
 
-fn parent_stats<D>(parent: &Option<Arc<PathNode<D>>>) -> (u32, u32, u64) {
+/// `(depth, dis_count, shape, chunks)` of the path ending at `parent`.
+fn parent_stats<D>(parent: &Option<Arc<PathNode<D>>>) -> (u32, u32, u64, u32) {
     match parent {
-        None => (0, 0, 0),
-        Some(p) => (p.depth, p.dis_count, p.shape),
+        None => (0, 0, 0, 0),
+        Some(p) => (p.depth, p.dis_count, u64::from(p.shape), p.chunks),
+    }
+}
+
+/// Chunk count of the chain ending at `node`.
+fn chunks_of<D>(node: Option<&PathNode<D>>) -> u32 {
+    node.map_or(0, |n| n.chunks)
+}
+
+/// Element-wise equality of two chunk chains. The chunk decomposition is
+/// canonical, so this is chunk-wise equality, walked tip-first: pointer-equal
+/// chunks end the walk at once, and the cached aggregates reject unequal
+/// paths in O(1) — they never *confirm* equality, the walk does.
+fn chains_eq<D: PartialEq>(
+    mut a: &Option<Arc<PathNode<D>>>,
+    mut b: &Option<Arc<PathNode<D>>>,
+) -> bool {
+    loop {
+        match (a, b) {
+            (None, None) => return true,
+            (Some(x), Some(y)) => {
+                if Arc::ptr_eq(x, y) {
+                    return true;
+                }
+                if x.depth != y.depth
+                    || x.dis_count != y.dis_count
+                    || x.shape != y.shape
+                    || x.seg != y.seg
+                {
+                    return false;
+                }
+                a = &x.parent;
+                b = &y.parent;
+            }
+            _ => return false,
+        }
+    }
+}
+
+/// Whether chain `a` is an element-wise prefix of chain `b`, without
+/// building the prefix: walks `b` tip-first down to `a`'s depth, then one
+/// [`chains_eq`].
+fn chain_is_prefix<D: PartialEq>(
+    a: &Option<Arc<PathNode<D>>>,
+    mut b: &Option<Arc<PathNode<D>>>,
+) -> bool {
+    let len = a.as_deref().map_or(0, |n| n.depth);
+    loop {
+        let Some(n) = b.as_deref() else {
+            return len == 0;
+        };
+        if n.depth <= len {
+            return n.depth == len && chains_eq(a, b);
+        }
+        let start = n.depth - n.seg_len();
+        if start >= len {
+            b = &n.parent;
+            continue;
+        }
+        // The prefix ends inside this chunk, so it is a plain stretch, and
+        // `a` must end in the same stretch cut short.
+        return match (&n.seg, a.as_deref()) {
+            (Seg::Plains(side, _), Some(x)) => {
+                x.seg == Seg::Plains(*side, len - start) && chains_eq(&x.parent, &n.parent)
+            }
+            _ => false,
+        };
     }
 }
 
@@ -280,65 +364,92 @@ impl<D> Default for PosId<D> {
     }
 }
 
-/// Chunk chains at or below this length are compared without touching the
-/// heap; the overwhelming majority of identifiers fit (sequential typing
-/// stays at a handful of chunks regardless of depth).
+/// The root-most this many chunks of a divergent suffix are kept inline.
+/// Comparisons usually settle within the first few chunks past the shared
+/// prefix, so they touch the heap only when two long chains stay equal in
+/// value past this many unshared chunks.
 const INLINE_CHUNKS: usize = 16;
 
-/// A root-first view of a chunk chain with inline storage for shallow chains,
-/// so building one on a comparison path costs no allocation in the common
-/// case.
+/// The chunks of one identifier past the deepest chunk it shares (by
+/// pointer) with another, collected tip-first and read root-first.
+///
+/// Only the root-most [`INLINE_CHUNKS`] are kept, in a ring buffer. A read
+/// past them collects the whole suffix into a vector, once, by walking down
+/// from the tip again.
 struct ChunkList<'a, D> {
-    inline: [Option<&'a PathNode<D>>; INLINE_CHUNKS],
+    tip: Option<&'a PathNode<D>>,
+    /// The last `INLINE_CHUNKS` chunks pushed, push `p` in slot
+    /// `p % INLINE_CHUNKS`.
+    ring: [Option<&'a PathNode<D>>; INLINE_CHUNKS],
     len: usize,
-    spill: Vec<&'a PathNode<D>>,
+    /// The whole suffix, tip-first, once a read needed it.
+    spill: OnceCell<Vec<&'a PathNode<D>>>,
 }
 
 impl<'a, D> ChunkList<'a, D> {
-    fn of(id: &'a PosId<D>) -> Self {
-        let count = id.chunk_count();
-        if count > INLINE_CHUNKS {
-            let mut spill = Vec::with_capacity(count);
-            let mut cur = id.node.as_deref();
-            while let Some(n) = cur {
-                spill.push(n);
-                cur = n.parent.as_deref();
-            }
-            spill.reverse();
-            ChunkList {
-                inline: [None; INLINE_CHUNKS],
-                len: count,
-                spill,
-            }
-        } else {
-            let mut inline = [None; INLINE_CHUNKS];
-            let mut i = count;
-            let mut cur = id.node.as_deref();
-            while let Some(n) = cur {
-                i -= 1;
-                inline[i] = Some(n);
-                cur = n.parent.as_deref();
-            }
-            ChunkList {
-                inline,
-                len: count,
-                spill: Vec::new(),
-            }
+    fn new() -> Self {
+        ChunkList {
+            tip: None,
+            ring: [None; INLINE_CHUNKS],
+            len: 0,
+            spill: OnceCell::new(),
         }
     }
 
-    fn len(&self) -> usize {
-        self.len
+    /// Appends the next chunk towards the root.
+    fn push(&mut self, node: &'a PathNode<D>) {
+        self.tip.get_or_insert(node);
+        self.ring[self.len % INLINE_CHUNKS] = Some(node);
+        self.len += 1;
     }
 
+    /// The `i`-th chunk counting from the root-most one.
     fn get(&self, i: usize) -> Option<&'a PathNode<D>> {
         if i >= self.len {
             return None;
         }
-        if self.spill.is_empty() {
-            self.inline[i]
-        } else {
-            Some(self.spill[i])
+        let pushed = self.len - 1 - i;
+        if i < INLINE_CHUNKS {
+            return self.ring[pushed % INLINE_CHUNKS];
+        }
+        let spill = self.spill.get_or_init(|| {
+            let mut all = Vec::with_capacity(self.len);
+            let mut cur = self.tip;
+            while let Some(n) = cur.filter(|_| all.len() < self.len) {
+                all.push(n);
+                cur = n.parent.as_deref();
+            }
+            all
+        });
+        Some(spill[pushed])
+    }
+}
+
+/// Splits two identifiers at the deepest chunk their chains share by
+/// pointer: returns the element count up to and including that chunk, and
+/// each side's chunks past it.
+///
+/// The walk goes tip-first. The cached chunk indices align the longer chain
+/// with the shorter in O(1) per step, and then both chains step together
+/// until they meet. The cost is O(chunks past the shared chunk) on each
+/// side, however deep the shared part is.
+fn diverge<'a, D>(a: &'a PosId<D>, b: &'a PosId<D>) -> (usize, ChunkList<'a, D>, ChunkList<'a, D>) {
+    let (mut x, mut y) = (a.node.as_deref(), b.node.as_deref());
+    let (mut xs, mut ys) = (ChunkList::new(), ChunkList::new());
+    loop {
+        let (p, q) = match (x, y) {
+            (None, None) => return (0, xs, ys),
+            (Some(p), Some(q)) if std::ptr::eq(p, q) => return (p.depth as usize, xs, ys),
+            pair => pair,
+        };
+        let (cx, cy) = (chunks_of(p), chunks_of(q));
+        if let Some(p) = p.filter(|_| cx >= cy) {
+            xs.push(p);
+            x = p.parent.as_deref();
+        }
+        if let Some(q) = q.filter(|_| cy >= cx) {
+            ys.push(q);
+            y = q.parent.as_deref();
         }
     }
 }
@@ -358,10 +469,10 @@ impl<D> Clone for Cursor<'_, D> {
 impl<D> Copy for Cursor<'_, D> {}
 
 impl<'a, D> Cursor<'a, D> {
-    fn start(chunks: &'a ChunkList<'a, D>, chunk: usize) -> Self {
+    fn start(chunks: &'a ChunkList<'a, D>) -> Self {
         Cursor {
             chunks,
-            chunk,
+            chunk: 0,
             off: 0,
         }
     }
@@ -446,15 +557,19 @@ impl<D> PosId<D> {
     where
         D: Clone,
     {
+        // Tip-first into one exactly sized vector, then reversed.
         let mut out = Vec::with_capacity(self.depth());
-        for n in self.chunks() {
+        let mut cur = self.node.as_deref();
+        while let Some(n) = cur {
             match &n.seg {
                 Seg::Mini(side, d) => out.push(PathElem::mini(*side, d.clone())),
                 Seg::Plains(side, k) => {
                     out.extend(std::iter::repeat_n(PathElem::plain(*side), *k as usize))
                 }
             }
+            cur = n.parent.as_deref();
         }
+        out.reverse();
         out
     }
 
@@ -502,13 +617,9 @@ impl<D> PosId<D> {
 
     /// The sequence of branch bits, ignoring disambiguators.
     pub fn bits(&self) -> impl Iterator<Item = Side> + '_ {
-        self.chunks().into_iter().flat_map(|n| {
-            let (side, len) = match n.seg {
-                Seg::Mini(side, _) => (side, 1),
-                Seg::Plains(side, k) => (side, k as usize),
-            };
-            std::iter::repeat_n(side, len)
-        })
+        self.runs_from(0)
+            .into_iter()
+            .flat_map(|(side, _, count)| std::iter::repeat_n(side, count))
     }
 
     /// The branch bits as a vector of 0/1 values.
@@ -541,7 +652,7 @@ impl<D> PosId<D> {
                 node: node.parent.clone(),
             },
             Seg::Plains(side, n) => {
-                let (pd, pdc, pshape) = parent_stats(&node.parent);
+                let (pd, pdc, pshape, _) = parent_stats(&node.parent);
                 let k = u64::from(n - 1);
                 let code = elem_code(*side, false);
                 PosId {
@@ -552,7 +663,9 @@ impl<D> PosId<D> {
                         dis_count: pdc,
                         shape: pshape
                             .wrapping_mul(shape_pow(k))
-                            .wrapping_add(code.wrapping_mul(shape_geom(k))),
+                            .wrapping_add(code.wrapping_mul(shape_geom(k)))
+                            as u32,
+                        chunks: node.chunks,
                     })),
                 }
             }
@@ -571,7 +684,7 @@ impl<D> PosId<D> {
     /// Extends with one disambiguated element (`child` without the
     /// `PathElem` wrapper). O(1).
     pub fn child_mini(&self, side: Side, dis: D) -> PosId<D> {
-        let (depth, dc, shape) = parent_stats(&self.node);
+        let (depth, dc, shape, chunks) = parent_stats(&self.node);
         PosId {
             node: Some(Arc::new(PathNode {
                 parent: self.node.clone(),
@@ -580,7 +693,8 @@ impl<D> PosId<D> {
                 dis_count: dc + 1,
                 shape: shape
                     .wrapping_mul(DIGEST_BASE)
-                    .wrapping_add(elem_code(side, true)),
+                    .wrapping_add(elem_code(side, true)) as u32,
+                chunks: chunks + 1,
             })),
         }
     }
@@ -603,53 +717,40 @@ impl<D> PosId<D> {
                 depth,
                 dis_count,
                 shape,
+                chunks,
             }) if *s == side => PosId {
                 node: Some(Arc::new(PathNode {
                     parent: parent.clone(),
                     seg: Seg::Plains(side, n + count),
                     depth: depth + count,
                     dis_count: *dis_count,
-                    shape: shape.wrapping_mul(shape_pow(k)).wrapping_add(added),
+                    shape: u64::from(*shape)
+                        .wrapping_mul(shape_pow(k))
+                        .wrapping_add(added) as u32,
+                    chunks: *chunks,
                 })),
             },
             _ => {
-                let (depth, dc, shape) = parent_stats(&self.node);
+                let (depth, dc, shape, chunks) = parent_stats(&self.node);
                 PosId {
                     node: Some(Arc::new(PathNode {
                         parent: self.node.clone(),
                         seg: Seg::Plains(side, count),
                         depth: depth + count,
                         dis_count: dc,
-                        shape: shape.wrapping_mul(shape_pow(k)).wrapping_add(added),
+                        shape: shape.wrapping_mul(shape_pow(k)).wrapping_add(added) as u32,
+                        chunks: chunks + 1,
                     })),
                 }
             }
         }
     }
 
-    /// The chunk chain, root-most chunk first.
-    pub(crate) fn chunks(&self) -> Vec<&PathNode<D>> {
-        let mut out = Vec::new();
-        let mut cur = self.node.as_deref();
-        while let Some(n) = cur {
-            out.push(n);
-            cur = n.parent.as_deref();
-        }
-        out.reverse();
-        out
-    }
-
     /// Number of chunk nodes backing this identifier (a proxy for its heap
-    /// footprint: deep sequential-typing identifiers stay at a handful of
-    /// chunks regardless of depth).
+    /// footprint: one chunk per direction change or disambiguator, however
+    /// long the same-side plain stretches between them). O(1), cached.
     pub fn chunk_count(&self) -> usize {
-        let mut n = 0;
-        let mut cur = self.node.as_deref();
-        while let Some(node) = cur {
-            n += 1;
-            cur = node.parent.as_deref();
-        }
-        n
+        chunks_of(self.node.as_deref()) as usize
     }
 
     /// Approximate heap footprint: one `PathNode` per chunk. Shared chunks
@@ -659,28 +760,38 @@ impl<D> PosId<D> {
     }
 
     /// Visits the logical elements from index `start` on, as
-    /// `(side, disambiguator)` pairs, without materialising them. This is the
-    /// allocation-free alternative to [`PosId::elems`] for serialisation and
+    /// `(side, disambiguator)` pairs, without materialising them: the walk
+    /// collects one entry per chunk past `start`, not one per element. This
+    /// is the cheap alternative to [`PosId::elems`] for serialisation and
     /// hashing paths.
     pub fn visit_elems_from<F: FnMut(Side, Option<&D>)>(&self, start: usize, mut f: F) {
-        let chunks = self.chunks();
-        let mut idx = 0usize;
-        for n in &chunks {
-            let len = n.seg_len() as usize;
-            if idx + len <= start {
-                idx += len;
-                continue;
+        for (side, dis, count) in self.runs_from(start) {
+            for _ in 0..count {
+                f(side, dis);
             }
-            match &n.seg {
-                Seg::Mini(side, d) => f(*side, Some(d)),
-                Seg::Plains(side, _) => {
-                    for _ in idx.max(start)..idx + len {
-                        f(*side, None);
-                    }
-                }
-            }
-            idx += len;
         }
+    }
+
+    /// The elements from index `start` on as runs, root-first: one
+    /// `(side, disambiguator, count)` per chunk, the first cut at `start`.
+    /// Walks only the chunks past `start`, tip-first.
+    pub(crate) fn runs_from(&self, start: usize) -> Vec<(Side, Option<&D>, usize)> {
+        // Sized exactly for the whole path; a suffix grows as it needs.
+        let mut out = Vec::with_capacity(if start == 0 { self.chunk_count() } else { 0 });
+        let mut cur = self.node.as_deref();
+        while let Some(n) = cur {
+            let end = n.depth as usize;
+            if end <= start {
+                break;
+            }
+            out.push(match &n.seg {
+                Seg::Mini(side, d) => (*side, Some(d), 1),
+                Seg::Plains(side, k) => (*side, None, (*k as usize).min(end - start)),
+            });
+            cur = n.parent.as_deref();
+        }
+        out.reverse();
+        out
     }
 
     /// The element at index `idx`, as `(side, disambiguator)`.
@@ -731,7 +842,7 @@ impl<D> PosId<D> {
                 Seg::Mini(..) => unreachable!("mini chunks have length 1"),
             };
             let keep = len - start;
-            let (pd, pdc, pshape) = parent_stats(&node.parent);
+            let (pd, pdc, pshape, _) = parent_stats(&node.parent);
             let k = u64::from(keep);
             let code = elem_code(side, false);
             return PosId {
@@ -742,34 +853,24 @@ impl<D> PosId<D> {
                     dis_count: pdc,
                     shape: pshape
                         .wrapping_mul(shape_pow(k))
-                        .wrapping_add(code.wrapping_mul(shape_geom(k))),
+                        .wrapping_add(code.wrapping_mul(shape_geom(k)))
+                        as u32,
+                    chunks: node.chunks,
                 })),
             };
         }
     }
 
     /// Length of the longest common element-wise prefix of two identifiers,
-    /// in O(divergent chunks): pointer-equal shared chunks are skipped.
+    /// in O(chunks past the deepest pointer-shared chunk): see the module
+    /// documentation.
     pub fn common_prefix_len(&self, other: &PosId<D>) -> usize
     where
         D: PartialEq,
     {
-        let ac = ChunkList::of(self);
-        let bc = ChunkList::of(other);
-        let mut skip = 0;
-        let mut shared = 0usize;
-        while skip < ac.len() && skip < bc.len() {
-            let (Some(x), Some(y)) = (ac.get(skip), bc.get(skip)) else {
-                break;
-            };
-            if !std::ptr::eq(x, y) {
-                break;
-            }
-            shared = x.depth as usize;
-            skip += 1;
-        }
-        let mut a = Cursor::start(&ac, skip);
-        let mut b = Cursor::start(&bc, skip);
+        let (mut shared, ac, bc) = diverge(self, other);
+        let mut a = Cursor::start(&ac);
+        let mut b = Cursor::start(&bc);
         loop {
             // Same-side plain stretches match wholesale: skip them chunk-wise
             // so the scan is O(divergent chunks), not O(divergent elements).
@@ -838,7 +939,7 @@ impl<D> PosId<D> {
     where
         D: PartialEq,
     {
-        self.depth() < other.depth() && other.prefix(self.depth()) == *self
+        self.depth() < other.depth() && self.common_prefix_len(other) == self.depth()
     }
 
     /// The *compatible-ancestor* relation used by the allocation algorithm
@@ -864,7 +965,7 @@ impl<D> PosId<D> {
         // All but the last element must match exactly (same branch and same
         // mini-node selection), because interior disambiguators denote a
         // genuinely different subtree.
-        if self.prefix(n - 1) != other.prefix(n - 1) {
+        if self.common_prefix_len(other) < n - 1 {
             return false;
         }
         // The element of `other` landing on `self`'s position must use the
@@ -920,6 +1021,71 @@ impl<D> PosId<D> {
         }
     }
 
+    /// `self` rebuilt on `hint`'s chunk chain, when `self` ends in a
+    /// mini-node and either hangs off `hint`'s path (its parent is a prefix
+    /// of `hint`: `hint` itself — a backspace — or one of the ancestors a
+    /// run of backspaces deletes) or is a child of `hint`'s major node (the
+    /// next keystroke of a typing run, or the first after a backspace);
+    /// `None` otherwise, and `None` when `hint` has at most
+    /// `INLINE_CHUNKS` (16) chunks: comparisons against so short a chain are
+    /// cheap without any sharing, so rebuilding would only cost allocations.
+    ///
+    /// Identifiers decoded from bytes share no chunk with the identifiers a
+    /// replica already stores, so every comparison against them walks both
+    /// chains in full. Re-linked, the result shares all but its last one or
+    /// two chunks with `hint`. The check opens with O(1) gates (chunk count,
+    /// depth) and allocates nothing when it does not apply; confirming a
+    /// match is one value equality over the chain.
+    pub fn relink_onto(&self, hint: &PosId<D>) -> Option<PosId<D>>
+    where
+        D: Clone + PartialEq,
+    {
+        let (tip, h) = (self.node.as_deref()?, hint.node.as_deref()?);
+        let Seg::Mini(side, dis) = &tip.seg else {
+            return None;
+        };
+        if h.chunks as usize <= INLINE_CHUNKS {
+            return None;
+        }
+        if tip.depth <= h.depth + 1 && chain_is_prefix(&tip.parent, &hint.node) {
+            return Some(if tip.depth == h.depth && tip.seg == h.seg {
+                hint.clone()
+            } else {
+                hint.prefix(tip.depth as usize - 1)
+                    .child_mini(*side, dis.clone())
+            });
+        }
+        if tip.depth != h.depth + 1 {
+            return None;
+        }
+        // `self`'s parent must be `hint`'s major path: `hint` with its final
+        // element made plain. Compare without building that path: pick the
+        // two chains that must be equal below the major path's last chunk.
+        let parent = tip.parent.as_deref()?;
+        let (mine, theirs) = match (&h.seg, &parent.seg) {
+            (Seg::Plains(..), _) => (&tip.parent, &hint.node),
+            (Seg::Mini(hs, _), Seg::Plains(ps, 1)) if hs == ps => (&parent.parent, &h.parent),
+            (Seg::Mini(hs, _), Seg::Plains(ps, k)) if hs == ps => match h.parent.as_deref() {
+                Some(hp) if hp.seg == Seg::Plains(*hs, k - 1) => (&parent.parent, &hp.parent),
+                _ => return None,
+            },
+            _ => return None,
+        };
+        if !chains_eq(mine, theirs) {
+            return None;
+        }
+        // Already on `hint`'s chain (an identifier derived from it): keep it.
+        let shared = match (mine, theirs) {
+            (Some(x), Some(y)) => Arc::ptr_eq(x, y),
+            _ => true,
+        };
+        Some(if shared {
+            self.clone()
+        } else {
+            hint.major_path().child_mini(*side, dis.clone())
+        })
+    }
+
     /// Human-readable rendering, used in error messages.
     pub fn repr(&self) -> PosIdRepr
     where
@@ -955,28 +1121,7 @@ impl<D> PosId<D> {
 
 impl<D: PartialEq> PartialEq for PosId<D> {
     fn eq(&self, other: &Self) -> bool {
-        let (mut a, mut b) = (&self.node, &other.node);
-        loop {
-            match (a, b) {
-                (None, None) => return true,
-                (Some(x), Some(y)) => {
-                    if Arc::ptr_eq(x, y) {
-                        return true;
-                    }
-                    // The cached aggregates reject unequal paths in O(1);
-                    // they never *confirm* equality — the chunk walk does.
-                    if x.depth != y.depth || x.dis_count != y.dis_count || x.shape != y.shape {
-                        return false;
-                    }
-                    if x.seg != y.seg {
-                        return false;
-                    }
-                    a = &x.parent;
-                    b = &y.parent;
-                }
-                _ => return false,
-            }
-        }
+        chains_eq(&self.node, &other.node)
     }
 }
 
@@ -984,7 +1129,7 @@ impl<D: Eq> Eq for PosId<D> {}
 
 impl<D: Hash> Hash for PosId<D> {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.node.as_deref().map_or(0, |n| n.shape));
+        state.write_u32(self.node.as_deref().map_or(0, |n| n.shape));
         state.write_usize(self.depth());
         // Feed the disambiguators (tip-most first) so that mini-siblings,
         // which share the structural shape, still hash apart.
@@ -1002,29 +1147,13 @@ impl<D: Disambiguator> PosId<D> {
     /// Compares two identifiers according to the infix-walk order of §3.1.
     ///
     /// See the module documentation for how the plain-versus-mini case is
-    /// resolved. Pointer-equal shared chunks are skipped, so comparing two
-    /// identifiers derived from a common prefix walks only the divergent
-    /// suffix.
+    /// resolved. The walk starts past the deepest pointer-shared chunk (see
+    /// [`diverge`]), so comparing two identifiers derived from a common
+    /// prefix costs O(chunks past it), not O(depth).
     fn infix_cmp(&self, other: &PosId<D>) -> Ordering {
-        match (&self.node, &other.node) {
-            (None, None) => return Ordering::Equal,
-            (Some(a), Some(b)) if Arc::ptr_eq(a, b) => return Ordering::Equal,
-            _ => {}
-        }
-        let ac = ChunkList::of(self);
-        let bc = ChunkList::of(other);
-        let mut skip = 0;
-        while skip < ac.len() && skip < bc.len() {
-            let (Some(x), Some(y)) = (ac.get(skip), bc.get(skip)) else {
-                break;
-            };
-            if !std::ptr::eq(x, y) {
-                break;
-            }
-            skip += 1;
-        }
-        let mut a = Cursor::start(&ac, skip);
-        let mut b = Cursor::start(&bc, skip);
+        let (_, ac, bc) = diverge(self, other);
+        let mut a = Cursor::start(&ac);
+        let mut b = Cursor::start(&bc);
         loop {
             // Same-side plain stretches compare equal wholesale: skip them
             // chunk-wise so the walk is O(divergent chunks) even when the
@@ -1095,11 +1224,11 @@ impl<D: Disambiguator> Ord for PosId<D> {
 impl<D: fmt::Debug> fmt::Debug for PosId<D> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[")?;
-        for n in self.chunks() {
-            match &n.seg {
-                Seg::Mini(side, d) => write!(f, "({}:{:?})", side.bit(), d)?,
-                Seg::Plains(side, k) => {
-                    for _ in 0..*k {
+        for (side, dis, count) in self.runs_from(0) {
+            match dis {
+                Some(d) => write!(f, "({}:{:?})", side.bit(), d)?,
+                None => {
+                    for _ in 0..count {
                         write!(f, "{}", side.bit())?;
                     }
                 }
@@ -1122,16 +1251,7 @@ impl<D: fmt::Debug> fmt::Display for PosId<D> {
 impl<D: Serialize> Serialize for PosId<D> {
     fn to_value(&self) -> Value {
         let mut arr = Vec::with_capacity(self.depth());
-        for n in self.chunks() {
-            match &n.seg {
-                Seg::Mini(side, d) => arr.push(elem_value(*side, Some(d))),
-                Seg::Plains(side, k) => {
-                    for _ in 0..*k {
-                        arr.push(elem_value::<D>(*side, None));
-                    }
-                }
-            }
-        }
+        self.visit_elems_from(0, |side, dis| arr.push(elem_value(side, dis)));
         Value::Map(vec![(String::from("elems"), Value::Array(arr))])
     }
 }

@@ -1116,6 +1116,21 @@ fn child_index_for<A: Atom, D: Disambiguator>(
     i
 }
 
+/// The run of a leaf whose identifier span covers `id` (`Ok`), or the gap
+/// where `id` belongs (`Err`). Runs are sorted and disjoint, so a binary
+/// search on first identifiers finds the one candidate, and only its last
+/// identifier is ever built.
+fn locate_run<A: Atom, D: Disambiguator>(
+    runs: &[Run<A, D>],
+    id: &PosId<D>,
+) -> std::result::Result<usize, usize> {
+    let gap = runs.partition_point(|run| run.first_id() <= *id);
+    match gap.checked_sub(1) {
+        Some(i) if *id <= runs[i].last_id() => Ok(i),
+        _ => Err(gap),
+    }
+}
+
 /// The run-coalesced document store: drop-in replacement for the per-atom
 /// [`Tree`] inside [`Treedoc`](crate::Treedoc), storing occupied slots as
 /// coalesced [`Run`]s in a balanced tree ordered by identifier.
@@ -1325,14 +1340,10 @@ fn place_in_leaf<A: Atom, D: Disambiguator>(
     rev: u64,
 ) -> Result<()> {
     // Locate the run containing `id`, or the gap index where it belongs.
-    let mut gap = runs.len();
-    for i in 0..runs.len() {
-        if *id < runs[i].first_id() {
-            gap = i;
-            break;
-        }
-        if *id <= runs[i].last_id() {
-            // `id` falls inside run `i`'s identifier span.
+    let gap = match locate_run(runs, id) {
+        Err(gap) => gap,
+        // `id` falls inside run `i`'s identifier span.
+        Ok(i) => {
             match runs[i].find(id) {
                 Ok(j) => match place {
                     Place::Atom(atom) => {
@@ -1368,7 +1379,7 @@ fn place_in_leaf<A: Atom, D: Disambiguator>(
                 }
             }
         }
-    }
+    };
     // Gap insertion: try coalescing with the neighbouring runs first.
     let mut content = Some(place_content(place));
     if gap > 0 {
@@ -1423,18 +1434,12 @@ fn set_rec<A: Atom, D: Disambiguator>(
             Some(old)
         }
         Node::Leaf { runs, .. } => {
-            for run in runs.iter_mut() {
-                if *id < run.first_id() {
-                    return None;
-                }
-                if *id <= run.last_id() {
-                    let j = run.find(id).ok()?;
-                    let old = run.set_cell(j, content.take().expect("unconsumed"), rev);
-                    node.recompute_agg();
-                    return Some(old);
-                }
-            }
-            None
+            let i = locate_run(runs, id).ok()?;
+            let run = &mut runs[i];
+            let j = run.find(id).ok()?;
+            let old = run.set_cell(j, content.take().expect("unconsumed"), rev);
+            node.recompute_agg();
+            Some(old)
         }
     }
 }
@@ -1472,18 +1477,9 @@ fn remove_rec<A: Atom, D: Disambiguator>(
             (old, out)
         }
         Node::Leaf { runs, .. } => {
-            let mut hit: Option<(usize, usize)> = None;
-            for (i, run) in runs.iter().enumerate() {
-                if *id < run.first_id() {
-                    break;
-                }
-                if *id <= run.last_id() {
-                    if let Ok(j) = run.find(id) {
-                        hit = Some((i, j));
-                    }
-                    break;
-                }
-            }
+            let hit = locate_run(runs, id)
+                .ok()
+                .and_then(|i| Some((i, runs[i].find(id).ok()?)));
             let Some((i, j)) = hit else {
                 return (None, None);
             };
@@ -1533,15 +1529,8 @@ impl<A: Atom, D: Disambiguator> RunTree<A, D> {
                     node = &children[child_index_for(children, id)];
                 }
                 Node::Leaf { runs, .. } => {
-                    for run in runs {
-                        if *id < run.first_id() {
-                            return None;
-                        }
-                        if *id <= run.last_id() {
-                            return run.find(id).ok().map(|j| &run.cells[j]);
-                        }
-                    }
-                    return None;
+                    let run = &runs[locate_run(runs, id).ok()?];
+                    return run.find(id).ok().map(|j| &run.cells[j]);
                 }
             }
         }
@@ -2044,7 +2033,11 @@ impl<A: Atom, D: Disambiguator> RunTree<A, D> {
 fn succ_rec<A: Atom, D: Disambiguator>(node: &Node<A, D>, id: &PosId<D>) -> Option<PosId<D>> {
     match node {
         Node::Leaf { runs, .. } => {
-            for run in runs {
+            // The last run starting at or before `id` holds its successor,
+            // unless `id` is at or past that run's end: then the next run
+            // opens with it.
+            let gap = runs.partition_point(|run| run.first_id() <= *id);
+            if let Some(run) = gap.checked_sub(1).map(|i| &runs[i]) {
                 if run.last_id() > *id {
                     let j = match run.find(id) {
                         Ok(j) => j + 1,
@@ -2054,7 +2047,7 @@ fn succ_rec<A: Atom, D: Disambiguator>(node: &Node<A, D>, id: &PosId<D>) -> Opti
                     return Some(run.cell_id(j));
                 }
             }
-            None
+            runs.get(gap).map(Run::first_id)
         }
         Node::Internal { children, .. } => {
             if children.is_empty() {
@@ -2072,17 +2065,17 @@ fn succ_rec<A: Atom, D: Disambiguator>(node: &Node<A, D>, id: &PosId<D>) -> Opti
 fn pred_rec<A: Atom, D: Disambiguator>(node: &Node<A, D>, id: &PosId<D>) -> Option<PosId<D>> {
     match node {
         Node::Leaf { runs, .. } => {
-            for run in runs.iter().rev() {
-                if run.first_id() < *id {
-                    let j = match run.find(id) {
-                        Ok(j) => j,
-                        Err(j) => j,
-                    };
-                    debug_assert!(j > 0);
-                    return Some(run.cell_id(j - 1));
-                }
-            }
-            None
+            // The last run starting strictly before `id` holds its
+            // predecessor.
+            let run = &runs[runs
+                .partition_point(|run| run.first_id() < *id)
+                .checked_sub(1)?];
+            let j = match run.find(id) {
+                Ok(j) => j,
+                Err(j) => j,
+            };
+            debug_assert!(j > 0);
+            Some(run.cell_id(j - 1))
         }
         Node::Internal { children, .. } => {
             if children.is_empty() {

@@ -110,10 +110,11 @@ pub struct FlattenProposal {
 pub enum CommitOutcome {
     /// Every participant voted "Yes": the flatten was applied everywhere.
     Committed,
-    /// At least one participant voted "No" (or never answered): nothing
-    /// changed anywhere.
+    /// At least one participant voted "No", or some participant never
+    /// answered before the vote timeout: nothing changed anywhere.
     Aborted {
-        /// How many participants voted "No".
+        /// How many participants voted "No"; 0 when the round aborted
+        /// because votes were missing at the vote timeout.
         no_votes: usize,
     },
 }
@@ -437,7 +438,7 @@ impl FlattenCoordinator {
             CommitOutcome::Committed
         } else {
             CommitOutcome::Aborted {
-                no_votes: self.no_votes().max(1),
+                no_votes: self.no_votes(),
             }
         });
     }
@@ -525,7 +526,8 @@ mod tests {
                 .count();
         }
         assert!(proposed >= 5, "silent voters are re-asked every tick");
-        assert!(matches!(c.outcome(), Some(CommitOutcome::Aborted { .. })));
+        // Nobody vetoed: the abort is the timeout's, and says so.
+        assert_eq!(c.outcome(), Some(CommitOutcome::Aborted { no_votes: 0 }));
     }
 
     #[test]
