@@ -1,9 +1,11 @@
 //! The observability layer's own cost: the sequential-typing `Replica`
 //! stamp workload timed with telemetry absent, disabled (inert handle), and
-//! enabled (live registry). The acceptance bound this bin asserts — and
+//! enabled (live registry). The acceptance bound this bin checks — and
 //! `BENCH_telemetry.json` pins for the CI `bench-regression` job — is that
 //! an enabled registry costs less than 5% on the hot path and a disabled
-//! handle is indistinguishable from no telemetry at all.
+//! handle is indistinguishable from no telemetry at all. The results are
+//! printed (and written to `--out`) first; a run over either bound then
+//! exits with status 1.
 //!
 //! Run with `cargo run -p bench --bin telemetry_overhead --release`
 //! (add `--json` for machine-readable output, `--out PATH` to refresh the
@@ -36,30 +38,8 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(OPS);
     let overhead = telemetry_overhead_cases(ops);
-
-    // Sanity-check before publishing an artifact, on both output paths.
-    let by_case = |case: &str| -> &OverheadRow {
-        overhead
-            .iter()
-            .find(|r| r.case == case)
-            .unwrap_or_else(|| panic!("variant {case} missing"))
-    };
-    let disabled = by_case("disabled");
-    let enabled = by_case("enabled");
-    assert!(
-        disabled.overhead_pct < DISABLED_BOUND_PCT,
-        "a disabled telemetry handle must be free on the stamp path: \
-         {:.2}% overhead (bound {DISABLED_BOUND_PCT}%)",
-        disabled.overhead_pct
-    );
-    assert!(
-        enabled.overhead_pct < ENABLED_BOUND_PCT,
-        "an enabled registry must stay under the acceptance bound on the \
-         stamp path: {:.2}% overhead (bound {ENABLED_BOUND_PCT}%)",
-        enabled.overhead_pct
-    );
     // The enabled variant must actually have been observed, or the numbers
-    // above measured nothing.
+    // measured nothing.
     let stamped = global_registry()
         .snapshot()
         .counter("replica.ops_stamped")
@@ -68,23 +48,54 @@ fn main() {
         stamped >= ops as u64,
         "enabled trials recorded {stamped} stamps, expected at least {ops}"
     );
+    let overhead_of = |case: &str| -> f64 {
+        overhead
+            .iter()
+            .find(|r| r.case == case)
+            .unwrap_or_else(|| panic!("variant {case} missing"))
+            .overhead_pct
+    };
+    let disabled_pct = overhead_of("disabled");
+    let enabled_pct = overhead_of("enabled");
 
+    // Publish first, then judge: a run over its bounds still leaves its
+    // numbers behind for whoever has to explain them.
     let out = Output {
         ops,
         trials: OVERHEAD_TRIALS,
         overhead,
     };
-    if args.emit(&out) {
-        return;
+    if !args.emit(&out) {
+        print_table(ops, &out.overhead);
     }
-    let Output { overhead, .. } = out;
 
+    let mut exceeded = false;
+    if disabled_pct >= DISABLED_BOUND_PCT {
+        eprintln!(
+            "a disabled telemetry handle must be free on the stamp path: \
+             {disabled_pct:.2}% overhead (bound {DISABLED_BOUND_PCT}%)"
+        );
+        exceeded = true;
+    }
+    if enabled_pct >= ENABLED_BOUND_PCT {
+        eprintln!(
+            "an enabled registry must stay under the acceptance bound on the \
+             stamp path: {enabled_pct:.2}% overhead (bound {ENABLED_BOUND_PCT}%)"
+        );
+        exceeded = true;
+    }
+    if exceeded {
+        std::process::exit(1);
+    }
+}
+
+fn print_table(ops: usize, overhead: &[OverheadRow]) {
     println!("Telemetry overhead ({ops} stamped ops, best of {OVERHEAD_TRIALS} trials):");
     println!(
         "{:>10} {:>12} {:>14} {:>10}",
         "case", "elapsed µs", "ops/sec", "overhead"
     );
-    for row in &overhead {
+    for row in overhead {
         println!(
             "{:>10} {:>12} {:>14.0} {:>9.2}%",
             row.case, row.elapsed_micros, row.ops_per_sec, row.overhead_pct
@@ -94,7 +105,7 @@ fn main() {
     println!(
         "baseline = no telemetry call at all; disabled = inert handle (one\n\
          None branch per instrument); enabled = live registry (atomic\n\
-         counter + histogram record per op). Bounds asserted: disabled\n\
-         <{DISABLED_BOUND_PCT}%, enabled <{ENABLED_BOUND_PCT}%."
+         counter + histogram record per op). Bounds checked after printing:\n\
+         disabled <{DISABLED_BOUND_PCT}%, enabled <{ENABLED_BOUND_PCT}%."
     );
 }

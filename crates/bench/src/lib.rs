@@ -614,7 +614,8 @@ pub struct WalFormatRow {
 
 /// Journals an `ops`-edit typing session into an in-memory store and
 /// reports the WAL size (frame headers included — this is what would sit
-/// on disk).
+/// on disk). Each stamp after the first is chained to the one before it,
+/// exactly as the replica writes it.
 pub fn wal_format_comparison(ops: usize) -> WalFormatRow {
     let site = treedoc_core::SiteId::from_u64(1);
     let mut replica = Replica::new(site, WireDoc::new(site));
@@ -1304,21 +1305,23 @@ mod tests {
     }
 
     #[test]
-    fn wal_row_is_the_per_op_wire_bytes_plus_one_frame_header_per_record() {
-        // A journaled stamp is the same entry the per-op envelope carries
-        // (the WAL tag pair replaces the version/tag pair), framed by a
-        // fixed record header — so the WAL row follows the wire row exactly.
+    fn wal_row_is_the_chained_entry_bytes_plus_tag_pair_and_frame_header_per_record() {
+        // Journaled stamps chain exactly as the entries of one batch do: the
+        // first is written in full, each later one against its predecessor.
+        // Each WAL record adds its tag pair and a fixed frame header; the
+        // batch envelope adds its version/tag pair and entry count once.
         let ops = 64;
         let row = wal_format_comparison(ops);
-        let per_op = wire_encoding_comparison(ops, &[])
+        let batch = wire_encoding_comparison(ops, &[ops])
             .into_iter()
-            .find(|r| r.transport == "binary-per-op")
-            .expect("per-op row");
+            .find(|r| r.transport == format!("binary-batch-{ops}"))
+            .expect("one-batch row");
+        let entry_bytes = batch.total_bytes - 2 - 1; // version, tag, 1-byte count
         assert_eq!(row.records, ops);
         assert_eq!(
             row.binary_bytes,
-            per_op.total_bytes + ops * treedoc_storage::wal::RECORD_HEADER_BYTES,
-            "{row:?} vs {per_op:?}"
+            entry_bytes + ops * (2 + treedoc_storage::wal::RECORD_HEADER_BYTES),
+            "{row:?} vs {batch:?}"
         );
     }
 

@@ -199,3 +199,76 @@ fn node_wide_crash_recovers_every_document_including_evicted() {
         "documents evicted at crash time recover like any other"
     );
 }
+
+/// Types `n` characters at the end of `doc` (every seventh keystroke a
+/// backspace) through a fresh session, and the same edits into `reference`.
+fn type_run(
+    node: &mut HostingNode,
+    reference: &mut Replica<HostedDoc>,
+    doc: DocId,
+    len: &mut usize,
+    n: usize,
+) {
+    let edits: Vec<Edit> = (0..n)
+        .map(|k| {
+            if k % 7 == 6 && *len > 0 {
+                *len -= 1;
+                Edit::Delete(*len)
+            } else {
+                *len += 1;
+                Edit::Insert(*len - 1, char::from(b'a' + (k % 26) as u8))
+            }
+        })
+        .collect();
+    let session = node.connect("typist", doc).unwrap();
+    apply_to_node(node, session, &edits);
+    node.disconnect(session).unwrap();
+    apply_to_replica(reference, &edits);
+}
+
+#[test]
+fn a_document_faulted_in_mid_chain_resumes_its_wal_chain() {
+    // One document typed across node crashes and an eviction. After a
+    // restart it faults in from its snapshot plus a journaled tail of
+    // chained records, and the records typed next chain onto that tail;
+    // an eviction checkpoints and restarts the chain. Every recovery lands
+    // on the digest of a replica that never crashed.
+    let config = NodeConfig {
+        shards: 2,
+        max_resident: 2,
+        site: SITE,
+    };
+    const DOC: DocId = 5;
+    let site = SiteId::from_u64(SITE);
+    let mut reference = Replica::new(site, HostedDoc::new(site));
+    let mut len = 0;
+    let crash = |node: HostingNode| {
+        let backends = node.backends();
+        drop(node);
+        HostingNode::restart(config, backends).unwrap()
+    };
+
+    let mut node = HostingNode::new(config);
+    type_run(&mut node, &mut reference, DOC, &mut len, 40);
+    node.commit().unwrap();
+    let mut node = crash(node);
+    assert!(!node.is_resident(DOC));
+
+    // Faulted in mid-chain: the tail's last record is the new records'
+    // predecessor.
+    type_run(&mut node, &mut reference, DOC, &mut len, 40);
+    assert_eq!(node.digest(DOC).unwrap(), reference.digest());
+    node.commit().unwrap();
+    let mut node = crash(node);
+    assert_eq!(node.digest(DOC).unwrap(), reference.digest());
+
+    // Evicted mid-chain: the checkpoint resets it, the fault-in resumes
+    // from the snapshot.
+    type_run(&mut node, &mut reference, DOC, &mut len, 10);
+    assert!(node.evict(DOC).unwrap());
+    type_run(&mut node, &mut reference, DOC, &mut len, 20);
+    node.commit().unwrap();
+    let mut node = crash(node);
+    assert_eq!(node.digest(DOC).unwrap(), reference.digest());
+    assert_eq!(node.contents(DOC).unwrap(), reference.doc().to_string());
+}

@@ -21,6 +21,9 @@ pub enum ClockOrdering {
 }
 
 /// A vector clock: one counter per site that has issued events.
+///
+/// Only non-zero counters are stored, so two clocks describing the same
+/// events are equal whether or not a site was ever mentioned at zero.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct VectorClock {
     entries: BTreeMap<SiteId, u64>,
@@ -46,6 +49,9 @@ impl VectorClock {
 
     /// Sets the counter of `site` to `max(current, value)`.
     pub fn observe(&mut self, site: SiteId, value: u64) {
+        if value == 0 {
+            return;
+        }
         let e = self.entries.entry(site).or_insert(0);
         *e = (*e).max(value);
     }
@@ -101,9 +107,13 @@ impl VectorClock {
 
     /// Sets the counter of `site` to exactly `value` (unlike
     /// [`observe`](Self::observe), which clamps to the maximum). Used by the
-    /// wire codec to reconstruct a clock entry-for-entry.
+    /// wire codec to reconstruct a clock entry-for-entry; 0 removes the site.
     pub(crate) fn set_entry(&mut self, site: SiteId, value: u64) {
-        self.entries.insert(site, value);
+        if value == 0 {
+            self.entries.remove(&site);
+        } else {
+            self.entries.insert(site, value);
+        }
     }
 
     /// Number of sites with a non-zero counter.

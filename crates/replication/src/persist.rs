@@ -11,6 +11,14 @@
 //!   (persist-before-deliver). Records are written in the compact binary
 //!   format of [`crate::wire`]; a record in any other format fails recovery
 //!   with a typed [`RecoverError::Parse`];
+//! * records that carry operations form a **chain**: each is delta-encoded
+//!   against the last operation entry journaled before it
+//!   ([`WalChain`](crate::wire::WalChain)), so a typed keystroke costs a
+//!   few bytes and O(1) to replay, not its whole identifier. Every
+//!   checkpoint attempt resets the chain — successful or not — so the first
+//!   such record after it is written absolute, and every point a recovery
+//!   can start from (the WAL segment of any snapshot it may fall back to)
+//!   opens with a record that decodes on its own;
 //! * a checkpoint ([`Replica::persist_checkpoint`](crate::Replica::persist_checkpoint),
 //!   and automatically on every committed flatten) writes a
 //!   [`Snapshot`] of the whole replica — the §5.2
@@ -23,7 +31,10 @@
 //!   newest snapshot that passes hash verification and replays the WAL tail
 //!   through the *same* handlers that processed the events live, so a
 //!   restarted replica rejoins with its document, clock, pending hold-back
-//!   and unacked send log intact.
+//!   and unacked send log intact. The tail is decoded through the
+//!   journal's own chain, which ends at the log's last operation entry, so
+//!   a recovered (or, on a hosting node, faulted-in) replica journals its
+//!   next records chained to the log it recovered from.
 //!
 //! Replay is deterministic because every handler is deterministic in its
 //! inputs; the one non-input the handlers consume — tick counts while a
@@ -159,16 +170,6 @@ pub struct RecoveryReport {
     pub bytes_recovered: usize,
     /// WAL tail bytes dropped as torn or corrupt.
     pub torn_tail_bytes: usize,
-}
-
-/// Parses a WAL record payload; anything but a well-formed binary record
-/// (leading [`WAL_BINARY_TAG`](crate::wire::WAL_BINARY_TAG)) is a typed
-/// [`RecoverError::Parse`].
-pub(crate) fn decode_wal_record<Op: treedoc_core::WirePayload>(
-    payload: &[u8],
-) -> Result<WalRecord<Op>, RecoverError> {
-    crate::wire::decode_wal_record(payload)
-        .map_err(|e| RecoverError::Parse(format!("WAL record: {e}")))
 }
 
 pub(crate) fn to_json_bytes<T: Serialize>(value: &T) -> Vec<u8> {
@@ -317,17 +318,50 @@ mod tests {
 
     #[test]
     fn wal_records_round_trip_and_foreign_bytes_are_typed_errors() {
+        use crate::wire::{self, WalChain};
+        use crate::{Envelope, Replica};
+        use treedoc_storage::DocStore;
+
         let record: WalRecord<Op<String, Sdis>> = WalRecord::PeersEnabled {
             peers: vec![site(1), site(2)],
         };
-        let bytes = crate::wire::encode_wal_record(&record);
-        assert_eq!(bytes.first(), Some(&crate::wire::WAL_BINARY_TAG));
-        let back: WalRecord<Op<String, Sdis>> = decode_wal_record(&bytes).unwrap();
-        assert_eq!(back, record);
+        let bytes = WalChain::new().encode(&record);
+        assert_eq!(bytes.first(), Some(&wire::WAL_BINARY_TAG));
+        assert_eq!(WalChain::new().decode(&bytes), Ok(record));
 
-        let garbage = decode_wal_record::<Op<String, Sdis>>(b"not json");
-        assert!(matches!(garbage, Err(RecoverError::Parse(_))));
-        let garbage = decode_wal_record::<Op<String, Sdis>>(&[0x02, 200, 1]);
-        assert!(matches!(garbage, Err(RecoverError::Parse(_))));
+        // The second of two received ops is chained to the first.
+        let mut doc: Treedoc<String, Sdis> = Treedoc::new(site(1));
+        let mut chain = WalChain::new();
+        let mut chained = Vec::new();
+        for k in 0..2 {
+            let mut clock = crate::VectorClock::new();
+            clock.observe(site(1), k as u64 + 1);
+            let record = WalRecord::Received {
+                envelope: Envelope::Op {
+                    epoch: 0,
+                    msg: CausalMessage {
+                        sender: site(1),
+                        clock,
+                        payload: doc.local_insert(k, format!("line {k}")).unwrap(),
+                    },
+                },
+            };
+            chained = chain.encode(&record);
+            chain.advance(record);
+        }
+
+        // Recovery reports foreign, garbled and unchained records as parse
+        // errors, never a panic.
+        for payload in [&b"not json"[..], &[0x02, 200, 1], &chained] {
+            let mut replica = Replica::new(site(2), Treedoc::<String, Sdis>::new(site(2)));
+            replica.attach_store(DocStore::in_memory()).unwrap();
+            let mut store = replica.detach_store().unwrap();
+            store.append(0, payload).unwrap();
+            let result = Replica::<Treedoc<String, Sdis>>::recover(store);
+            assert!(
+                matches!(result, Err(RecoverError::Parse(_))),
+                "{payload:?}: {result:?}"
+            );
+        }
     }
 }

@@ -32,6 +32,7 @@ use crate::persist::{
 use crate::sync::{
     SnapshotChunk, SnapshotOffer, SyncConfig, SyncDigests, SyncDocument, SyncRoot, SyncRuns,
 };
+use crate::wire::WalChain;
 
 /// A document type that can be driven by a [`Replica`].
 pub trait ReplicatedDocument {
@@ -440,6 +441,19 @@ struct Journal<Doc: ReplicatedDocument> {
     /// `true` while `Replica::recover` replays the WAL: suppresses re-logging
     /// and re-checkpointing of events that are already durable.
     replaying: bool,
+    /// The op entry the next record chains to; reset on every checkpoint
+    /// attempt, rebuilt by `Replica::recover`.
+    chain: WalChain<Doc::Op>,
+}
+
+impl<Doc: ReplicatedDocument> Journal<Doc> {
+    /// Checkpoints `snapshot` and resets the chain, whether or not the
+    /// checkpoint succeeded: the next record is written absolute, so it
+    /// decodes from whichever snapshot a recovery starts at.
+    fn checkpoint(&mut self, epoch: u64, snapshot: &Snapshot) -> Result<(), StorageError> {
+        self.chain.reset();
+        self.store.checkpoint(epoch, snapshot)
+    }
 }
 
 impl<Doc: ReplicatedDocument> std::fmt::Debug for Journal<Doc> {
@@ -571,11 +585,12 @@ impl<Doc: ReplicatedDocument> Replica<Doc> {
         }
         let record = record();
         let journal = self.journal.as_mut().expect("journaling() checked");
-        let bytes = crate::wire::encode_wal_record(&record);
+        let bytes = journal.chain.encode(&record);
         journal
             .store
             .append(self.flatten.epoch, &bytes)
             .expect("WAL append failed; durability cannot be guaranteed");
+        journal.chain.advance(record);
     }
 
     /// Checkpoints through the attached journal (no-op without one, or while
@@ -588,7 +603,6 @@ impl<Doc: ReplicatedDocument> Replica<Doc> {
         if !journal.replaying {
             let snapshot = (journal.make_snapshot)(self);
             journal
-                .store
                 .checkpoint(self.flatten.epoch, &snapshot)
                 .expect("checkpoint failed; durability cannot be guaranteed");
         }
@@ -1802,10 +1816,11 @@ where
             store,
             make_snapshot: Self::build_snapshot,
             replaying: false,
+            chain: WalChain::new(),
         };
         journal.store.set_telemetry(&self.metrics.telemetry);
         let snapshot = Self::build_snapshot(self);
-        journal.store.checkpoint(self.flatten.epoch, &snapshot)?;
+        journal.checkpoint(self.flatten.epoch, &snapshot)?;
         self.journal = Some(journal);
         Ok(())
     }
@@ -1818,7 +1833,7 @@ where
             return Ok(());
         };
         let snapshot = (journal.make_snapshot)(self);
-        let result = journal.store.checkpoint(self.flatten.epoch, &snapshot);
+        let result = journal.checkpoint(self.flatten.epoch, &snapshot);
         self.journal = Some(journal);
         result
     }
@@ -1845,10 +1860,17 @@ where
             store,
             make_snapshot: Self::build_snapshot,
             replaying: true,
+            chain: WalChain::new(),
         });
+        // Decoded through the journal's own chain, which ends at the log's
+        // last op entry: the records journaled next continue it.
         let mut replayed = 0usize;
         for entry in &recovered.wal {
-            let record: WalRecord<Doc::Op> = persist::decode_wal_record(&entry.payload)?;
+            let journal = replica.journal.as_mut().expect("attached above");
+            let record = journal
+                .chain
+                .decode(&entry.payload)
+                .map_err(|e| RecoverError::Parse(format!("WAL record: {e}")))?;
             replica.replay_record(record);
             replayed += 1;
         }

@@ -28,6 +28,38 @@
 //! plus a few bytes per atom; one coalesced run travels as one batch and is
 //! journaled as one WAL record.
 //!
+//! The vector clock of a delta-encoded entry ships as its difference from
+//! the predecessor's: changed and new sites with their value, dropped sites
+//! as 0 (clocks hold no zero entries, so 0 reads back as "remove"). The
+//! delta needs no ordering between the two clocks.
+//!
+//! ## WAL records
+//!
+//! ```text
+//! 02 │ tag │ body
+//! ```
+//!
+//! | tag | record | body |
+//! |-----|--------|------|
+//! | 1 | `Stamped` | the entry, full |
+//! | 2 | `Received` | the envelope, with its version byte |
+//! | 3 | `PeersEnabled` | count, sites |
+//! | 4 | `Proposed` | subtree sides, protocol |
+//! | 5 | `Finished` | txn, flags |
+//! | 6 | `Stamped`, chained | the entry, delta-encoded against the chain |
+//! | 7 | `Received` op, chained | the entry, delta-encoded against the chain |
+//! | 8 | `Received` batch, chained | count ≥ 1, entries; the first against the chain |
+//!
+//! A journal is replayed in order, so its op-carrying records are chained
+//! like the entries of one batch: each is delta-encoded against the last
+//! operation entry journaled before it ([`WalChain`]). A keystroke that
+//! continues the previous one is a run step: the tag pair, epoch, flags, a
+//! side byte and the atom — a few bytes however deep its identifier.
+//! The chain resets on every checkpoint attempt, and the first op-carrying
+//! record after a reset is written absolute (tags 1 and 2), so a recovery
+//! decodes from whichever snapshot it starts at. A chained record read
+//! without its predecessor is [`WireError::MissingPredecessor`].
+//!
 //! Like the core codec, every decoder is total: malformed input yields a
 //! typed [`WireError`], never a panic or an unbounded allocation.
 
@@ -37,7 +69,7 @@ use treedoc_core::codec::{
     get_bytes, get_sides, get_site, get_u8, get_varint, put_bytes, put_sides, put_site, put_u8,
     put_varint, WirePayload,
 };
-use treedoc_core::{SiteId, WIRE_VERSION};
+use treedoc_core::WIRE_VERSION;
 
 use crate::causal::CausalMessage;
 use crate::clock::VectorClock;
@@ -63,6 +95,8 @@ pub enum WireError {
     Malformed,
     /// The value decoded cleanly but bytes were left over.
     TrailingBytes,
+    /// A chained WAL record was read without the record it is chained to.
+    MissingPredecessor,
 }
 
 impl fmt::Display for WireError {
@@ -71,6 +105,9 @@ impl fmt::Display for WireError {
             WireError::UnsupportedVersion(v) => write!(f, "unsupported wire version {v}"),
             WireError::Malformed => write!(f, "malformed wire payload"),
             WireError::TrailingBytes => write!(f, "trailing bytes after wire payload"),
+            WireError::MissingPredecessor => {
+                write!(f, "chained WAL record without a predecessor")
+            }
         }
     }
 }
@@ -81,12 +118,13 @@ impl std::error::Error for WireError {}
 // Vector clocks
 // ---------------------------------------------------------------------------
 
-/// Appends `clock`, either in full (`prev = None`) or as the set of entries
-/// that changed since `prev`.
+/// Appends `clock`, either in full (`prev = None`) or as its difference
+/// from `prev`: every site whose value changed or appeared, with its new
+/// value, and every site of `prev` that `clock` lacks, as value 0.
 ///
-/// Delta encoding requires `clock` to dominate `prev` entry-wise (every site
-/// of `prev` present with a value ≥ `prev`'s) — true by construction for
-/// consecutive stamps of one replica, asserted in debug builds.
+/// The delta is total — `clock` need not dominate `prev` — so consecutive
+/// WAL records of a replica can chain its own stamps and the clocks of
+/// messages from other senders alike.
 fn put_clock(out: &mut Vec<u8>, clock: &VectorClock, prev: Option<&VectorClock>) {
     match prev {
         None => {
@@ -97,16 +135,18 @@ fn put_clock(out: &mut Vec<u8>, clock: &VectorClock, prev: Option<&VectorClock>)
             }
         }
         Some(prev) => {
-            debug_assert!(
-                clock.dominates(prev),
-                "batch clock delta requires monotone clocks"
-            );
-            let changed: Vec<(SiteId, u64)> = clock
-                .iter()
-                .filter(|&(site, value)| prev.get(site) != value)
-                .collect();
-            put_varint(out, changed.len() as u64);
-            for (site, value) in changed {
+            let delta = || {
+                let changed = clock
+                    .iter()
+                    .filter(|&(site, value)| prev.get(site) != value);
+                let dropped = prev
+                    .iter()
+                    .filter(|&(site, _)| clock.get(site) == 0)
+                    .map(|(site, _)| (site, 0));
+                changed.chain(dropped)
+            };
+            put_varint(out, delta().count() as u64);
+            for (site, value) in delta() {
                 put_site(out, site);
                 put_varint(out, value);
             }
@@ -114,7 +154,9 @@ fn put_clock(out: &mut Vec<u8>, clock: &VectorClock, prev: Option<&VectorClock>)
     }
 }
 
-/// Reads a clock, resolving a delta against `prev` when given.
+/// Reads a clock, resolving a delta against `prev` when given. A decoded 0
+/// removes the site ([`VectorClock`] holds no zero entries), so no stream
+/// can smuggle in an explicit zero that compares unequal to its absence.
 fn get_clock(input: &mut &[u8], prev: Option<&VectorClock>) -> Option<VectorClock> {
     let n = get_varint(input)? as usize;
     // Each entry costs at least 7 bytes; an oversized claim is truncation.
@@ -166,11 +208,21 @@ fn put_batch_entry<Op: WirePayload>(
     prev: Option<&(u64, CausalMessage<Op>)>,
 ) {
     let (epoch, msg) = entry;
-    let Some((_, prev_msg)) = prev else {
-        put_entry_full(out, *epoch, msg);
-        return;
-    };
-    put_varint(out, *epoch);
+    match prev {
+        None => put_entry_full(out, *epoch, msg),
+        Some((_, prev_msg)) => put_entry_after(out, *epoch, msg, prev_msg),
+    }
+}
+
+/// Appends an `(epoch, message)` entry delta-encoded against `prev_msg`, the
+/// entry written before it — in a batch, or in the WAL chain.
+fn put_entry_after<Op: WirePayload>(
+    out: &mut Vec<u8>,
+    epoch: u64,
+    msg: &CausalMessage<Op>,
+    prev_msg: &CausalMessage<Op>,
+) {
+    put_varint(out, epoch);
     let same_sender = prev_msg.sender == msg.sender;
     let clock_is_increment = {
         let mut expected = prev_msg.clock.clone();
@@ -207,48 +259,63 @@ fn get_batch_entry<Op: WirePayload>(
     input: &mut &[u8],
     prev: Option<&(u64, CausalMessage<Op>)>,
 ) -> Option<(u64, CausalMessage<Op>)> {
+    match prev {
+        None => get_entry_full(input),
+        Some((_, prev_msg)) => get_entry_after(input, prev_msg),
+    }
+}
+
+/// Reads an entry written by [`put_entry_full`].
+fn get_entry_full<Op: WirePayload>(input: &mut &[u8]) -> Option<(u64, CausalMessage<Op>)> {
     let epoch = get_varint(input)?;
-    let msg = match prev {
-        None => {
-            let sender = get_site(input)?;
-            let clock = get_clock(input, None)?;
-            let payload = Op::decode_payload(input, None)?;
-            CausalMessage {
-                sender,
-                clock,
-                payload,
-            }
-        }
-        Some((_, prev_msg)) => {
-            let flags = get_u8(input)?;
-            if flags & !(ENTRY_SAME_SENDER | ENTRY_CLOCK_INCREMENT | ENTRY_RUN_STEP) != 0 {
-                return None;
-            }
-            let sender = if flags & ENTRY_SAME_SENDER != 0 {
-                prev_msg.sender
-            } else {
-                get_site(input)?
-            };
-            let clock = if flags & ENTRY_CLOCK_INCREMENT != 0 {
-                let mut clock = prev_msg.clock.clone();
-                clock.increment(sender);
-                clock
-            } else {
-                get_clock(input, Some(&prev_msg.clock))?
-            };
-            let payload = if flags & ENTRY_RUN_STEP != 0 {
-                Op::decode_run_step(input, &prev_msg.payload)?
-            } else {
-                Op::decode_payload(input, Some(&prev_msg.payload))?
-            };
-            CausalMessage {
-                sender,
-                clock,
-                payload,
-            }
-        }
+    let sender = get_site(input)?;
+    let clock = get_clock(input, None)?;
+    let payload = Op::decode_payload(input, None)?;
+    Some((
+        epoch,
+        CausalMessage {
+            sender,
+            clock,
+            payload,
+        },
+    ))
+}
+
+/// Reads an entry written by [`put_entry_after`] against `prev_msg`.
+fn get_entry_after<Op: WirePayload>(
+    input: &mut &[u8],
+    prev_msg: &CausalMessage<Op>,
+) -> Option<(u64, CausalMessage<Op>)> {
+    let epoch = get_varint(input)?;
+    let flags = get_u8(input)?;
+    if flags & !(ENTRY_SAME_SENDER | ENTRY_CLOCK_INCREMENT | ENTRY_RUN_STEP) != 0 {
+        return None;
+    }
+    let sender = if flags & ENTRY_SAME_SENDER != 0 {
+        prev_msg.sender
+    } else {
+        get_site(input)?
     };
-    Some((epoch, msg))
+    let clock = if flags & ENTRY_CLOCK_INCREMENT != 0 {
+        let mut clock = prev_msg.clock.clone();
+        clock.increment(sender);
+        clock
+    } else {
+        get_clock(input, Some(&prev_msg.clock))?
+    };
+    let payload = if flags & ENTRY_RUN_STEP != 0 {
+        Op::decode_run_step(input, &prev_msg.payload)?
+    } else {
+        Op::decode_payload(input, Some(&prev_msg.payload))?
+    };
+    Some((
+        epoch,
+        CausalMessage {
+            sender,
+            clock,
+            payload,
+        },
+    ))
 }
 
 /// Encoded size of one batch entry given its predecessor — the quantity the
@@ -475,7 +542,7 @@ fn decode_envelope_cursor<Op: WirePayload>(input: &mut &[u8]) -> Result<Envelope
     let tag = get_u8(input).ok_or(WireError::Malformed)?;
     let envelope = match tag {
         ENV_OP => {
-            let (epoch, msg) = get_batch_entry(input, None).ok_or(WireError::Malformed)?;
+            let (epoch, msg) = get_entry_full(input).ok_or(WireError::Malformed)?;
             Envelope::Op { epoch, msg }
         }
         ENV_OP_BATCH => {
@@ -630,40 +697,84 @@ const WAL_RECEIVED: u8 = 2;
 const WAL_PEERS_ENABLED: u8 = 3;
 const WAL_PROPOSED: u8 = 4;
 const WAL_FINISHED: u8 = 5;
+// Chained forms of the op-carrying records: the entries are delta-encoded
+// against the predecessor the WAL chain supplies (see [`WalChain`]).
+const WAL_STAMPED_CHAINED: u8 = 6;
+const WAL_RECEIVED_OP_CHAINED: u8 = 7;
+const WAL_RECEIVED_BATCH_CHAINED: u8 = 8;
 
 const FINISHED_COMMITTED: u8 = 0b0000_0001;
 const FINISHED_UNILATERAL: u8 = 0b0000_0010;
 
 /// Encodes a WAL record in its binary form (leading [`WAL_BINARY_TAG`]).
-pub fn encode_wal_record<Op: WirePayload>(record: &WalRecord<Op>) -> Vec<u8> {
+///
+/// `prev` is the last operation entry journaled before this record since
+/// the chain's last reset ([`WalChain`] keeps it). With a predecessor, an
+/// op-carrying record is written in its chained form, delta-encoded against
+/// it; without one it is written absolute. Records without operations
+/// ignore `prev`.
+pub fn encode_wal_record<Op: WirePayload>(
+    record: &WalRecord<Op>,
+    prev: Option<&(u64, CausalMessage<Op>)>,
+) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
     put_u8(&mut out, WAL_BINARY_TAG);
-    match record {
-        WalRecord::Stamped { epoch, msg } => {
+    match (record, prev) {
+        (WalRecord::Stamped { epoch, msg }, None) => {
             put_u8(&mut out, WAL_STAMPED);
             put_entry_full(&mut out, *epoch, msg);
         }
-        WalRecord::Received { envelope } => {
+        (WalRecord::Stamped { epoch, msg }, Some((_, prev_msg))) => {
+            put_u8(&mut out, WAL_STAMPED_CHAINED);
+            put_entry_after(&mut out, *epoch, msg, prev_msg);
+        }
+        (
+            WalRecord::Received {
+                envelope: Envelope::Op { epoch, msg },
+            },
+            Some((_, prev_msg)),
+        ) => {
+            put_u8(&mut out, WAL_RECEIVED_OP_CHAINED);
+            put_entry_after(&mut out, *epoch, msg, prev_msg);
+        }
+        (
+            WalRecord::Received {
+                envelope: Envelope::OpBatch(batch),
+            },
+            Some((_, first)),
+        ) if !batch.is_empty() => {
+            put_u8(&mut out, WAL_RECEIVED_BATCH_CHAINED);
+            put_varint(&mut out, batch.len() as u64);
+            let mut prev_msg = first;
+            for (epoch, msg) in &batch.entries {
+                put_entry_after(&mut out, *epoch, msg, prev_msg);
+                prev_msg = msg;
+            }
+        }
+        (WalRecord::Received { envelope }, _) => {
             put_u8(&mut out, WAL_RECEIVED);
             encode_envelope_into(envelope, &mut out);
         }
-        WalRecord::PeersEnabled { peers } => {
+        (WalRecord::PeersEnabled { peers }, _) => {
             put_u8(&mut out, WAL_PEERS_ENABLED);
             put_varint(&mut out, peers.len() as u64);
             for &peer in peers {
                 put_site(&mut out, peer);
             }
         }
-        WalRecord::Proposed { subtree, protocol } => {
+        (WalRecord::Proposed { subtree, protocol }, _) => {
             put_u8(&mut out, WAL_PROPOSED);
             put_sides(&mut out, subtree);
             put_u8(&mut out, protocol_byte(*protocol));
         }
-        WalRecord::Finished {
-            txn,
-            committed,
-            unilateral,
-        } => {
+        (
+            WalRecord::Finished {
+                txn,
+                committed,
+                unilateral,
+            },
+            _,
+        ) => {
             put_u8(&mut out, WAL_FINISHED);
             put_varint(&mut out, *txn);
             let mut flags = 0u8;
@@ -680,22 +791,60 @@ pub fn encode_wal_record<Op: WirePayload>(record: &WalRecord<Op>) -> Vec<u8> {
 }
 
 /// Decodes a binary WAL record (the payload must start with
-/// [`WAL_BINARY_TAG`]).
-pub fn decode_wal_record<Op: WirePayload>(payload: &[u8]) -> Result<WalRecord<Op>, WireError> {
+/// [`WAL_BINARY_TAG`]). `prev` is the predecessor the record was encoded
+/// against; a chained record without one is
+/// [`WireError::MissingPredecessor`].
+pub fn decode_wal_record<Op: WirePayload>(
+    payload: &[u8],
+    prev: Option<&(u64, CausalMessage<Op>)>,
+) -> Result<WalRecord<Op>, WireError> {
     let mut cursor = payload;
     let lead = get_u8(&mut cursor).ok_or(WireError::Malformed)?;
     if lead != WAL_BINARY_TAG {
         return Err(WireError::UnsupportedVersion(lead));
     }
     let tag = get_u8(&mut cursor).ok_or(WireError::Malformed)?;
+    let chained_prev = || prev.ok_or(WireError::MissingPredecessor);
     let record = match tag {
         WAL_STAMPED => {
-            let (epoch, msg) = get_batch_entry(&mut cursor, None).ok_or(WireError::Malformed)?;
+            let (epoch, msg) = get_entry_full(&mut cursor).ok_or(WireError::Malformed)?;
+            WalRecord::Stamped { epoch, msg }
+        }
+        WAL_STAMPED_CHAINED => {
+            let (_, prev_msg) = chained_prev()?;
+            let (epoch, msg) =
+                get_entry_after(&mut cursor, prev_msg).ok_or(WireError::Malformed)?;
             WalRecord::Stamped { epoch, msg }
         }
         WAL_RECEIVED => WalRecord::Received {
             envelope: decode_envelope_cursor(&mut cursor)?,
         },
+        WAL_RECEIVED_OP_CHAINED => {
+            let (_, prev_msg) = chained_prev()?;
+            let (epoch, msg) =
+                get_entry_after(&mut cursor, prev_msg).ok_or(WireError::Malformed)?;
+            WalRecord::Received {
+                envelope: Envelope::Op { epoch, msg },
+            }
+        }
+        WAL_RECEIVED_BATCH_CHAINED => {
+            let (_, first) = chained_prev()?;
+            let n = get_varint(&mut cursor).ok_or(WireError::Malformed)? as usize;
+            // The encoder never chains an empty batch; bound the count by
+            // the 4-byte floor of a delta-encoded entry, as for envelopes.
+            if n == 0 || n > cursor.len() / 4 + 1 {
+                return Err(WireError::Malformed);
+            }
+            let mut entries: Vec<(u64, CausalMessage<Op>)> = Vec::with_capacity(n);
+            for _ in 0..n {
+                let prev_msg = entries.last().map_or(first, |(_, msg)| msg);
+                let entry = get_entry_after(&mut cursor, prev_msg).ok_or(WireError::Malformed)?;
+                entries.push(entry);
+            }
+            WalRecord::Received {
+                envelope: Envelope::OpBatch(OpBatch { entries }),
+            }
+        }
         WAL_PEERS_ENABLED => {
             let n = get_varint(&mut cursor).ok_or(WireError::Malformed)? as usize;
             if n > cursor.len() / 6 + 1 {
@@ -733,10 +882,92 @@ pub fn decode_wal_record<Op: WirePayload>(payload: &[u8]) -> Result<WalRecord<Op
     Ok(record)
 }
 
+/// The chain state of one WAL stream: the last operation entry journaled
+/// since the chain was last reset.
+///
+/// The writer encodes each record against it ([`encode`](Self::encode)) and
+/// [`advance`](Self::advance)s it once the append succeeded; the writer
+/// [`reset`](Self::reset)s it on every checkpoint attempt, so the first
+/// record of every WAL segment — every point a recovery can start from — is
+/// absolute. Recovery replays the stream through a fresh chain
+/// ([`decode`](Self::decode)), which leaves it where the writer's was, so a
+/// recovered replica resumes the chain.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WalChain<Op> {
+    last: Option<(u64, CausalMessage<Op>)>,
+}
+
+impl<Op> Default for WalChain<Op> {
+    fn default() -> Self {
+        WalChain { last: None }
+    }
+}
+
+impl<Op: WirePayload + Clone> WalChain<Op> {
+    /// An empty chain: the next record is written absolute.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The entry the next op-carrying record is chained to, if any.
+    pub fn last(&self) -> Option<&(u64, CausalMessage<Op>)> {
+        self.last.as_ref()
+    }
+
+    /// Forgets the predecessor (on a checkpoint attempt).
+    pub fn reset(&mut self) {
+        self.last = None;
+    }
+
+    /// Encodes `record` as the next record of the stream.
+    pub fn encode(&self, record: &WalRecord<Op>) -> Vec<u8> {
+        encode_wal_record(record, self.last.as_ref())
+    }
+
+    /// Advances past `record`, which was just appended: its last operation
+    /// entry, if it carries any, becomes the predecessor.
+    pub fn advance(&mut self, record: WalRecord<Op>) {
+        match record {
+            WalRecord::Stamped { epoch, msg }
+            | WalRecord::Received {
+                envelope: Envelope::Op { epoch, msg },
+            } => self.last = Some((epoch, msg)),
+            WalRecord::Received {
+                envelope: Envelope::OpBatch(mut batch),
+            } => {
+                if let Some(entry) = batch.entries.pop() {
+                    self.last = Some(entry);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// Decodes the next record of the stream and advances past it.
+    pub fn decode(&mut self, payload: &[u8]) -> Result<WalRecord<Op>, WireError> {
+        let record = decode_wal_record(payload, self.last.as_ref())?;
+        match &record {
+            WalRecord::Stamped { epoch, msg }
+            | WalRecord::Received {
+                envelope: Envelope::Op { epoch, msg },
+            } => self.last = Some((*epoch, msg.clone())),
+            WalRecord::Received {
+                envelope: Envelope::OpBatch(batch),
+            } => {
+                if let Some(entry) = batch.entries.last() {
+                    self.last = Some(entry.clone());
+                }
+            }
+            _ => {}
+        }
+        Ok(record)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use treedoc_core::{Op, PathElem, PosId, Sdis, Side};
+    use treedoc_core::{Op, PathElem, PosId, Sdis, Side, SiteId};
 
     type TestOp = Op<String, Sdis>;
 
@@ -1001,11 +1232,61 @@ mod tests {
             },
         ];
         for record in &records {
-            let bytes = encode_wal_record(record);
+            let bytes = encode_wal_record(record, None);
             assert_eq!(bytes[0], WAL_BINARY_TAG);
-            let back: WalRecord<TestOp> = decode_wal_record(&bytes).expect("decodes");
+            let back: WalRecord<TestOp> = decode_wal_record(&bytes, None).expect("decodes");
             assert_eq!(&back, record);
         }
+        // The same records as one stream: the op-carrying ones after the
+        // first are chained, and the stream decodes back through a chain.
+        let mut writer = WalChain::new();
+        let mut reader = WalChain::new();
+        for record in &records {
+            let bytes = writer.encode(record);
+            writer.advance(record.clone());
+            assert_eq!(reader.decode(&bytes).as_ref(), Ok(record));
+            assert_eq!(reader, writer);
+        }
+        assert!(writer.last().is_some());
+    }
+
+    #[test]
+    fn chained_typing_stamps_cost_a_few_bytes_and_need_their_predecessor() {
+        use treedoc_core::spine_successor;
+        let mut id = pos(&[(1, Some(1))]);
+        let mut writer = WalChain::new();
+        let mut reader = WalChain::new();
+        for k in 0..20u64 {
+            let record = WalRecord::Stamped {
+                epoch: 0,
+                msg: msg(
+                    1,
+                    &[(1, k + 1), (2, 3)],
+                    Op::Insert {
+                        id: id.clone(),
+                        atom: "x".into(),
+                    },
+                ),
+            };
+            let bytes = writer.encode(&record);
+            if k > 0 {
+                // Tag pair, epoch, flags, side byte, length-prefixed atom.
+                assert_eq!(bytes.len(), 7, "stamp {k}: {bytes:02x?}");
+                assert_eq!(
+                    decode_wal_record::<TestOp>(&bytes, None),
+                    Err(WireError::MissingPredecessor)
+                );
+            }
+            assert_eq!(reader.decode(&bytes), Ok(record.clone()));
+            writer.advance(record);
+            id = spine_successor(&id, Side::Right).expect("spine grows");
+        }
+        writer.reset();
+        let first = writer.encode(&WalRecord::Stamped {
+            epoch: 0,
+            msg: msg(1, &[(1, 21)], Op::Delete { id }),
+        });
+        assert_eq!(first[1], WAL_STAMPED, "a reset chain writes absolute");
     }
 
     #[test]
@@ -1045,7 +1326,7 @@ mod tests {
         // A JSON-text WAL record is refused by its leading byte, not
         // misparsed.
         assert_eq!(
-            decode_wal_record::<TestOp>(b"{\"PeersEnabled\":{}}"),
+            decode_wal_record::<TestOp>(b"{\"PeersEnabled\":{}}", None),
             Err(WireError::UnsupportedVersion(b'{'))
         );
     }

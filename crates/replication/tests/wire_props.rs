@@ -1,10 +1,10 @@
 //! Property tests for the binary wire codec: arbitrary envelopes, operation
-//! batches and WAL records round-trip exactly, and arbitrary byte soup never
-//! panics a decoder.
+//! batches, WAL records and chained WAL record streams round-trip exactly,
+//! and truncated, bit-flipped or arbitrary bytes never panic a decoder.
 
 use proptest::prelude::*;
 use treedoc_core::{Op, PathElem, PosId, Sdis, Side, SiteId};
-use treedoc_replication::wire;
+use treedoc_replication::wire::{self, WalChain, WireError};
 use treedoc_replication::{
     decode_envelope, encode_envelope, CausalMessage, CommitProtocol, Envelope, FlattenProposal,
     OpBatch, VectorClock, Vote, WalRecord,
@@ -205,6 +205,74 @@ fn arb_wal_record() -> impl Strategy<Value = WalRecord<TestOp>> {
     ]
 }
 
+/// One step of a replica's journal: a record appended, or a checkpoint
+/// attempt (which resets the chain and starts a new WAL segment).
+#[derive(Debug, Clone)]
+enum Step {
+    Append(WalRecord<TestOp>),
+    Checkpoint,
+}
+
+/// Journals as a mixed replica does: its own stamps and operations received
+/// from several senders, with clocks in no particular order, batches,
+/// records that carry no operation, and checkpoints.
+fn arb_journal() -> impl Strategy<Value = Vec<Step>> {
+    let stamped = || {
+        (0u64..4, arb_msg())
+            .prop_map(|(epoch, msg)| Step::Append(WalRecord::Stamped { epoch, msg }))
+    };
+    let step = prop_oneof![
+        stamped(),
+        stamped(),
+        (0u64..4, arb_msg()).prop_map(|(epoch, msg)| Step::Append(WalRecord::Received {
+            envelope: Envelope::Op { epoch, msg },
+        })),
+        arb_batch().prop_map(|batch| Step::Append(WalRecord::Received {
+            envelope: Envelope::OpBatch(batch),
+        })),
+        arb_wal_record().prop_map(Step::Append),
+        (0u8..1).prop_map(|_| Step::Checkpoint),
+    ];
+    proptest::collection::vec(step, 0..24)
+}
+
+/// A journal written through one chain: the segments a checkpoint cadence
+/// would leave on disk, each a list of `(record, payload)` pairs.
+type Segments = Vec<Vec<(WalRecord<TestOp>, Vec<u8>)>>;
+
+fn write_journal(steps: &[Step]) -> Segments {
+    let mut chain = WalChain::new();
+    let mut segments: Segments = vec![Vec::new()];
+    for step in steps {
+        match step {
+            Step::Append(record) => {
+                let bytes = chain.encode(record);
+                chain.advance(record.clone());
+                segments
+                    .last_mut()
+                    .expect("one segment")
+                    .push((record.clone(), bytes));
+            }
+            Step::Checkpoint => {
+                chain.reset();
+                segments.push(Vec::new());
+            }
+        }
+    }
+    segments
+}
+
+/// Decodes `bytes` through `chain`; a success must be a well-formed record,
+/// one that survives a re-encode against the same predecessor.
+fn decodes_cleanly(chain: &WalChain<TestOp>, bytes: &[u8]) -> Result<(), TestCaseError> {
+    let mut reader = chain.clone();
+    if let Ok(record) = reader.decode(bytes) {
+        let again = chain.encode(&record);
+        prop_assert_eq!(chain.clone().decode(&again), Ok(record));
+    }
+    Ok(())
+}
+
 proptest! {
     /// Every envelope — including batches with realistic monotone clock
     /// chains — survives the encode/decode round trip bit-exactly.
@@ -215,12 +283,105 @@ proptest! {
         prop_assert_eq!(back, env);
     }
 
-    /// Every WAL record survives the binary round trip.
+    /// Every WAL record survives the binary round trip, written absolute.
     #[test]
     fn wal_records_round_trip(record in arb_wal_record()) {
-        let bytes = wire::encode_wal_record(&record);
-        let back: WalRecord<TestOp> = wire::decode_wal_record(&bytes).expect("round trip decodes");
+        let bytes = WalChain::new().encode(&record);
+        let back = WalChain::<TestOp>::new().decode(&bytes).expect("round trip decodes");
         prop_assert_eq!(back, record);
+    }
+
+    /// The clock delta is total: any clock after any other — monotone or
+    /// not, sites appearing and disappearing — round-trips, in a batch and
+    /// in a WAL chain.
+    #[test]
+    fn any_two_clocks_round_trip_as_a_delta(
+        a in arb_clock(),
+        b in arb_clock(),
+        ops in (arb_op(), arb_op()),
+    ) {
+        let first = CausalMessage { sender: site(1), clock: a, payload: ops.0 };
+        let second = CausalMessage { sender: site(2), clock: b, payload: ops.1 };
+        let batch = Envelope::OpBatch(OpBatch {
+            entries: vec![(0, first.clone()), (0, second.clone())],
+        });
+        prop_assert_eq!(decode_envelope::<TestOp>(&encode_envelope(&batch)), Ok(batch));
+
+        let mut writer = WalChain::new();
+        let mut reader = WalChain::<TestOp>::new();
+        for msg in [first, second] {
+            let record = WalRecord::Stamped { epoch: 0, msg };
+            let bytes = writer.encode(&record);
+            writer.advance(record.clone());
+            prop_assert_eq!(reader.decode(&bytes), Ok(record));
+        }
+    }
+
+    /// A journal decodes back record for record through one chain — from
+    /// its start, and from the start of every segment (where a recovery
+    /// from that segment's snapshot begins) through a fresh chain.
+    #[test]
+    fn wal_streams_round_trip_through_the_chain(steps in arb_journal()) {
+        let segments = write_journal(&steps);
+        for from in 0..segments.len() {
+            let mut reader = WalChain::new();
+            for (record, bytes) in segments[from..].iter().flatten() {
+                prop_assert_eq!(reader.decode(bytes), Ok(record.clone()));
+            }
+        }
+    }
+
+    /// Truncating or flipping one bit of any record of a journal yields an
+    /// error or a well-formed record, never a panic.
+    #[test]
+    fn corrupted_wal_records_fail_cleanly(
+        steps in arb_journal(),
+        pick in any::<usize>(),
+        frac in 0.0f64..1.0,
+        bit in any::<usize>(),
+    ) {
+        let records: Vec<Vec<u8>> = write_journal(&steps)
+            .into_iter()
+            .flatten()
+            .map(|(_, bytes)| bytes)
+            .collect();
+        prop_assume!(!records.is_empty());
+        let target = pick % records.len();
+        let mut chain = WalChain::new();
+        for bytes in &records[..target] {
+            chain.decode(bytes).expect("intact prefix decodes");
+        }
+        let bytes = &records[target];
+        let cut = ((bytes.len() as f64) * frac) as usize;
+        decodes_cleanly(&chain, &bytes[..cut])?;
+        let mut flipped = bytes.clone();
+        let bit = bit % (flipped.len() * 8);
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        decodes_cleanly(&chain, &flipped)?;
+    }
+
+    /// A chained record — an op-carrying record after the first of its
+    /// segment — read without its predecessor is a typed error.
+    #[test]
+    fn chained_records_need_their_predecessor(steps in arb_journal()) {
+        for segment in write_journal(&steps) {
+            let mut chain = WalChain::<TestOp>::new();
+            for (record, bytes) in &segment {
+                let carries_ops = match record {
+                    WalRecord::Stamped { .. } => true,
+                    WalRecord::Received { envelope: Envelope::Op { .. } } => true,
+                    WalRecord::Received { envelope: Envelope::OpBatch(batch) } => !batch.is_empty(),
+                    _ => false,
+                };
+                if carries_ops && chain.last().is_some() {
+                    prop_assert_eq!(
+                        WalChain::<TestOp>::new().decode(bytes),
+                        Err(WireError::MissingPredecessor)
+                    );
+                }
+                prop_assert_eq!(chain.decode(bytes), Ok(record.clone()));
+            }
+        }
     }
 
     /// Truncating a valid envelope anywhere yields an error, never a panic
@@ -234,10 +395,15 @@ proptest! {
         }
     }
 
-    /// Arbitrary byte soup never panics either decoder.
+    /// Arbitrary byte soup never panics either decoder, with or without a
+    /// predecessor to chain to.
     #[test]
-    fn garbage_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
+    fn garbage_never_panics(
+        bytes in proptest::collection::vec(any::<u8>(), 0..256),
+        prev in (0u64..4, arb_msg()),
+    ) {
         let _ = decode_envelope::<TestOp>(&bytes);
-        let _ = wire::decode_wal_record::<TestOp>(&bytes);
+        let _ = wire::decode_wal_record::<TestOp>(&bytes, None);
+        let _ = wire::decode_wal_record::<TestOp>(&bytes, Some(&prev));
     }
 }

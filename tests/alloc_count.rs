@@ -8,6 +8,9 @@
 //! promise with a counting global allocator: the per-op allocation count must
 //! stay flat as the document grows, and must stay under a small constant.
 //!
+//! The same allocator also tracks the largest single allocation, which
+//! bounds what a corrupted WAL record can make a decoder reserve.
+//!
 //! The counting allocator requires `unsafe` (the `GlobalAlloc` contract);
 //! that is why this lives in the umbrella crate's integration tests — the
 //! library crates all `#![forbid(unsafe_code)]`.
@@ -16,7 +19,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use treedoc_core::{codec, PosId, Sdis, Side, SiteId, Treedoc, Udis};
-use treedoc_replication::{decode_envelope, encode_envelope, Replica};
+use treedoc_replication::wire::WalChain;
+use treedoc_replication::{
+    decode_envelope, encode_envelope, CausalMessage, Envelope, OpBatch, Replica, WalRecord,
+};
+use treedoc_storage::DocStore;
 
 struct CountingAlloc;
 
@@ -26,12 +33,14 @@ thread_local! {
     // from inside the allocator neither allocates nor registers a TLS
     // destructor.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
-fn count_one() {
+fn count_one(size: usize) {
     // `try_with` fails only while the thread is being torn down; those
     // allocations belong to no measurement window.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = LARGEST.try_with(|l| l.set(l.get().max(size)));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
@@ -39,17 +48,17 @@ fn count_one() {
 // allocates nor unwinds.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -64,6 +73,14 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// Allocations made so far by the calling thread.
 fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
+}
+
+/// The largest single allocation the calling thread made while running `f`.
+fn largest_allocation_in<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let outer = LARGEST.with(|l| l.replace(0));
+    let out = f();
+    let largest = LARGEST.with(|l| l.replace(outer.max(l.get())));
+    (out, largest)
 }
 
 /// Allocations per append in a `window`-op window starting after `prefix`
@@ -270,4 +287,130 @@ fn typing_with_backspaces_allocations_are_constant_per_op() {
         "typing allocates {local_deep:.2} (local) / {remote_deep:.2} (remote) times per \
          op (want O(1), ≤ 24)"
     );
+}
+
+type TypingOp = treedoc_core::Op<char, Sdis>;
+
+/// Types `keys` at a journaling writer whose every envelope a journaling
+/// reader receives, then recovers both from their stores. Returns the
+/// allocations per replayed record and the WAL bytes per record.
+fn typing_recovery_costs(keys: &[bool]) -> (f64, f64) {
+    let sites = [1, 2].map(SiteId::from_u64);
+    let mut replicas = sites.map(|site| {
+        let mut replica = Replica::new(site, Treedoc::<char, Sdis>::new(site));
+        replica.attach_store(DocStore::in_memory()).unwrap();
+        replica
+    });
+    for key in keys {
+        let [writer, reader] = &mut replicas;
+        let op = type_keys(writer.doc_mut(), std::slice::from_ref(key)).remove(0);
+        let envelope = writer.stamp_envelope(op);
+        reader.receive_envelope(envelope);
+    }
+    let (mut records, mut bytes, mut spent) = (0, 0, 0);
+    for replica in &mut replicas {
+        let store = replica.detach_store().unwrap();
+        bytes += store.wal_len().unwrap();
+        let start = allocs();
+        let (recovered, report) = Replica::<Treedoc<char, Sdis>>::recover(store).unwrap();
+        spent += allocs() - start;
+        records += report.wal_records_replayed;
+        assert_eq!(recovered.digest(), replica.digest());
+    }
+    assert_eq!(records, 2 * keys.len());
+    (spent as f64 / records as f64, bytes as f64 / records as f64)
+}
+
+#[test]
+fn typing_recovery_is_constant_per_record_in_allocations_and_wal_bytes() {
+    // Each journaled keystroke is chained to the one before it, so it costs
+    // the same few bytes to write and the same work to replay however deep
+    // the identifiers have grown.
+    let keys = typing_keys(8_192);
+    let (allocs_1k, bytes_1k) = typing_recovery_costs(&keys[..1_024]);
+    let (allocs_8k, bytes_8k) = typing_recovery_costs(&keys);
+    assert!(
+        allocs_8k <= allocs_1k * 1.5 + 1.0,
+        "recovery allocations per record grew with the log: {allocs_1k:.2} at 1k \
+         keystrokes vs {allocs_8k:.2} at 8k"
+    );
+    assert!(
+        bytes_1k <= 32.0 && bytes_8k <= 32.0,
+        "a journaled keystroke costs {bytes_1k:.1} B at 1k and {bytes_8k:.1} B at 8k \
+         (want ≤ 32 B, frame header included)"
+    );
+}
+
+#[test]
+fn corrupted_wal_records_never_over_allocate() {
+    // A chained journal: typing with backspaces, a received batch from
+    // another site, and records without operations. Every truncation and
+    // every single-bit flip or saturated byte of its records decodes to an
+    // error or a record without any single allocation beyond a small
+    // multiple of the input.
+    let site = SiteId::from_u64(1);
+    let mut doc = Treedoc::<char, Sdis>::new(site);
+    let stamp = |seq: u64, payload: TypingOp| CausalMessage {
+        sender: site,
+        clock: {
+            let mut clock = treedoc_replication::VectorClock::new();
+            for _ in 0..seq {
+                clock.increment(site);
+            }
+            clock
+        },
+        payload,
+    };
+    let ops = type_keys(&mut doc, &typing_keys(600));
+    let mut records: Vec<WalRecord<TypingOp>> = ops
+        .into_iter()
+        .zip(1..)
+        .map(|(op, seq)| WalRecord::Stamped {
+            epoch: 0,
+            msg: stamp(seq, op),
+        })
+        .collect();
+    let mut other = Treedoc::<char, Sdis>::new(SiteId::from_u64(2));
+    let batch: Vec<(u64, CausalMessage<TypingOp>)> = type_keys(&mut other, &typing_keys(8))
+        .into_iter()
+        .map(|op| (0, stamp(1, op)))
+        .collect();
+    records.push(WalRecord::Received {
+        envelope: Envelope::OpBatch(OpBatch { entries: batch }),
+    });
+    records.push(WalRecord::PeersEnabled {
+        peers: vec![SiteId::from_u64(2)],
+    });
+    records.push(records[records.len() - 3].clone());
+
+    let mut chain = WalChain::new();
+    let mut journal = Vec::new();
+    for record in records {
+        journal.push((chain.clone(), chain.encode(&record)));
+        chain.advance(record);
+    }
+    let checked = journal.len() - 48..journal.len();
+    for (prev, bytes) in journal[..16].iter().chain(&journal[checked]) {
+        let mut mutations: Vec<Vec<u8>> =
+            (0..bytes.len()).map(|cut| bytes[..cut].to_vec()).collect();
+        for bit in 0..bytes.len() * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            mutations.push(flipped);
+        }
+        // A saturated byte turns a count or length into a long varint.
+        for at in 0..bytes.len() {
+            let mut saturated = bytes.clone();
+            saturated[at] = 0xff;
+            mutations.push(saturated);
+        }
+        for input in mutations {
+            let mut reader = prev.clone();
+            let (_, largest) = largest_allocation_in(|| reader.decode(&input));
+            assert!(
+                largest <= 32 * input.len() + 1_024,
+                "decoding {input:02x?} reserved {largest} B at once"
+            );
+        }
+    }
 }

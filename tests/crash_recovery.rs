@@ -209,3 +209,193 @@ fn corrupt_snapshots_fall_back_and_corrupt_trees_are_diagnosed() {
         other => panic!("expected a typed decode error, got {other:?}"),
     }
 }
+
+type TypingDoc = Treedoc<char, Sdis>;
+
+/// One step of the typing session the crash-point test replays.
+#[derive(Debug, Clone, Copy)]
+enum TypingStep {
+    /// The writer types `char` at the end; the reader receives it.
+    Key(char),
+    /// The writer deletes the last character; the reader receives it.
+    Backspace,
+    /// The reader acknowledges what it has: a WAL record without an
+    /// operation on the writer's side.
+    Ack,
+    /// Both replicas checkpoint (the WAL chains reset).
+    Checkpoint,
+}
+
+/// Typing with runs of backspaces, periodic acknowledgements and one
+/// mid-session checkpoint.
+fn typing_script(len: usize) -> Vec<TypingStep> {
+    (0..len)
+        .map(|k| match k {
+            _ if k == len / 2 => TypingStep::Checkpoint,
+            _ if k % 13 == 11 || k % 13 == 12 => TypingStep::Backspace,
+            _ if k % 10 == 9 => TypingStep::Ack,
+            _ => TypingStep::Key(char::from(b'a' + (k % 26) as u8)),
+        })
+        .collect()
+}
+
+/// A writer and a remote reader, each journaling to its own disk.
+struct TypingPair {
+    writer: Replica<TypingDoc>,
+    reader: Replica<TypingDoc>,
+    disks: [SharedBackend; 2],
+}
+
+impl TypingPair {
+    fn new() -> Self {
+        let disks = [SharedBackend::in_memory(), SharedBackend::in_memory()];
+        let [writer, reader] = [1, 2].map(|n| {
+            let site = SiteId::from_u64(n);
+            Replica::new(site, TypingDoc::new(site))
+        });
+        let mut pair = TypingPair {
+            writer,
+            reader,
+            disks,
+        };
+        for (replica, disk) in [&mut pair.writer, &mut pair.reader]
+            .into_iter()
+            .zip(&pair.disks)
+        {
+            replica
+                .attach_store(DocStore::new(disk.clone()).unwrap())
+                .unwrap();
+        }
+        pair.writer.enable_at_least_once(&[pair.reader.site()]);
+        pair
+    }
+
+    fn apply(&mut self, step: TypingStep) {
+        let len = self.writer.doc().len();
+        let op = match step {
+            TypingStep::Key(c) => self.writer.doc_mut().local_insert(len, c).unwrap(),
+            TypingStep::Backspace if len > 0 => {
+                self.writer.doc_mut().local_delete(len - 1).unwrap()
+            }
+            TypingStep::Backspace => return,
+            TypingStep::Ack => {
+                let _ = self.writer.receive_any(self.reader.ack_envelope());
+                return;
+            }
+            TypingStep::Checkpoint => {
+                self.writer.persist_checkpoint().unwrap();
+                self.reader.persist_checkpoint().unwrap();
+                return;
+            }
+        };
+        let envelope = self.writer.stamp_envelope(op);
+        let _ = self.reader.receive_any(envelope);
+    }
+
+    fn digests(&self) -> [u64; 2] {
+        [self.writer.digest(), self.reader.digest()]
+    }
+
+    fn wal_appends(&self) -> [u64; 2] {
+        [&self.writer, &self.reader].map(|r| r.store().unwrap().stats().wal_appends)
+    }
+
+    fn wal_bytes(&self) -> [u64; 2] {
+        [&self.writer, &self.reader].map(|r| r.store().unwrap().stats().wal_bytes)
+    }
+
+    /// What the disks hold if both replicas crash now; with `torn`, the
+    /// last WAL record of each disk is cut short by a few bytes.
+    fn crash_images(&self, torn: bool) -> [MemoryBackend; 2] {
+        [&self.disks[0], &self.disks[1]].map(|disk| {
+            let mut image = MemoryBackend::new();
+            let names = disk.list().unwrap();
+            for name in &names {
+                image
+                    .write(name, &disk.read(name).unwrap().unwrap())
+                    .unwrap();
+            }
+            let active = names.iter().rfind(|n| n.starts_with("wal-"));
+            if let (true, Some(active)) = (torn, active) {
+                let mut log = image.read(active).unwrap().unwrap();
+                log.truncate(log.len().saturating_sub(3));
+                image.write(active, &log).unwrap();
+            }
+            image
+        })
+    }
+
+    /// Recovers both replicas from crash images, each onto a disk of its own.
+    fn recover(images: [MemoryBackend; 2]) -> Self {
+        let disks = images.map(SharedBackend::new);
+        let [writer, reader] = [&disks[0], &disks[1]].map(|disk| {
+            Replica::<TypingDoc>::recover(DocStore::new(disk.clone()).unwrap())
+                .unwrap()
+                .0
+        });
+        TypingPair {
+            writer,
+            reader,
+            disks,
+        }
+    }
+}
+
+#[test]
+fn typing_recovers_at_every_wal_append_and_resumes_the_chain() {
+    let script = typing_script(160);
+    // The crash-free run: both digests, and the WAL bytes written so far,
+    // after every step.
+    let mut clean = TypingPair::new();
+    let mut digests = vec![clean.digests()];
+    let mut wal_bytes = vec![clean.wal_bytes()];
+    for &step in &script {
+        clean.apply(step);
+        digests.push(clean.digests());
+        wal_bytes.push(clean.wal_bytes());
+    }
+
+    let mut live = TypingPair::new();
+    for (k, &step) in script.iter().enumerate() {
+        let before = live.wal_appends();
+        live.apply(step);
+        let after = live.wal_appends();
+
+        // Crash right after this step's appends: recovery lands exactly on
+        // the crash-free digests.
+        let recovered = TypingPair::recover(live.crash_images(false));
+        assert_eq!(
+            recovered.digests(),
+            digests[k + 1],
+            "crash after step {k} ({step:?})"
+        );
+
+        // A torn last record loses that record and nothing else.
+        let torn = TypingPair::recover(live.crash_images(true)).digests();
+        for side in 0..2 {
+            if after[side] > before[side] {
+                assert_eq!(
+                    torn[side], digests[k][side],
+                    "torn record of replica {side} at step {k} ({step:?})"
+                );
+            }
+        }
+
+        // Now and then, keep typing on the recovered pair, crash again and
+        // recover: the resumed WAL chains decode to the crash-free digests.
+        if k % 20 == 7 {
+            let mut resumed = recovered;
+            let end = (k + 16).min(script.len());
+            for &step in &script[k + 1..end] {
+                resumed.apply(step);
+            }
+            let again = TypingPair::recover(resumed.crash_images(false));
+            assert_eq!(again.digests(), digests[end], "resumed after step {k}");
+            // The recovered chain is the crash-free one: the records
+            // written after the recovery are byte for byte those the
+            // uninterrupted run wrote for the same steps.
+            let crash_free = [0, 1].map(|side| wal_bytes[end][side] - wal_bytes[k + 1][side]);
+            assert_eq!(resumed.wal_bytes(), crash_free, "resumed after step {k}");
+        }
+    }
+}

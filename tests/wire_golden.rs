@@ -9,6 +9,9 @@
 //! **deliberately**, bump [`codec::WIRE_VERSION`] and regenerate these
 //! vectors.
 //!
+//! WAL records that carry operations are pinned twice: absolute (the first
+//! record after a checkpoint) and chained to a predecessor.
+//!
 //! Exactly one generation is decoded. The vectors pinned while the version
 //! was 2 and 3 stay here as refusals: their bytes must come back as a typed
 //! [`WireError::UnsupportedVersion`], never misparsed as the current layout.
@@ -85,9 +88,14 @@ fn check_unsupported(golden_hex: &str, version: u8) {
     );
 }
 
-/// Asserts both directions of one WAL-record golden vector.
-fn check_wal(golden_hex: &str, fixture: WalRecord<TestOp>) {
-    let encoded = wire::encode_wal_record(&fixture);
+/// Asserts both directions of one WAL-record golden vector, written after
+/// `prev` in the WAL chain (`None`: the record is written absolute).
+fn check_wal(
+    golden_hex: &str,
+    fixture: WalRecord<TestOp>,
+    prev: Option<&(u64, CausalMessage<TestOp>)>,
+) {
+    let encoded = wire::encode_wal_record(&fixture, prev);
     assert_eq!(
         hex(&encoded),
         golden_hex,
@@ -95,8 +103,14 @@ fn check_wal(golden_hex: &str, fixture: WalRecord<TestOp>) {
          before regenerating this vector"
     );
     let decoded: WalRecord<TestOp> =
-        wire::decode_wal_record(&unhex(golden_hex)).expect("golden decodes");
+        wire::decode_wal_record(&unhex(golden_hex), prev).expect("golden decodes");
     assert_eq!(decoded, fixture);
+    if prev.is_some() {
+        assert_eq!(
+            wire::decode_wal_record::<TestOp>(&unhex(golden_hex), None),
+            Err(WireError::MissingPredecessor)
+        );
+    }
 }
 
 #[test]
@@ -398,12 +412,14 @@ fn wal_record_golden_vectors() {
                 },
             ),
         },
+        None,
     );
     check_wal(
         "020302000000000001000000000002",
         WalRecord::PeersEnabled {
             peers: vec![SiteId::from_u64(1), SiteId::from_u64(2)],
         },
+        None,
     );
     check_wal(
         "02054d01",
@@ -412,5 +428,88 @@ fn wal_record_golden_vectors() {
             committed: true,
             unilateral: false,
         },
+        None,
+    );
+}
+
+#[test]
+fn chained_wal_record_golden_vectors() {
+    // Each record is delta-encoded against the WAL chain's predecessor, the
+    // stamp of the absolute vector above: a stamp continuing it (tag 6,
+    // sender and clock elided), an op from another site whose clock drops
+    // the predecessor's site (tag 7; the clock delta writes site 2 as 0),
+    // and a two-entry batch (tag 8) whose first entry chains to it.
+    let prev = (
+        1,
+        msg(
+            2,
+            &[(2, 9)],
+            Op::Delete {
+                id: pos(&[(0, Some(2))]),
+            },
+        ),
+    );
+    check_wal(
+        "0206010300010101010000000000020161",
+        WalRecord::Stamped {
+            epoch: 1,
+            msg: msg(
+                2,
+                &[(2, 10)],
+                Op::Insert {
+                    id: pos(&[(0, Some(2)), (1, Some(2))]),
+                    atom: "a".into(),
+                },
+            ),
+        },
+        Some(&prev),
+    );
+    check_wal(
+        "0207010000000000000102000000000001030000000000020000000101010000000000010162",
+        WalRecord::Received {
+            envelope: Envelope::Op {
+                epoch: 1,
+                msg: msg(
+                    1,
+                    &[(1, 3)],
+                    Op::Insert {
+                        id: pos(&[(1, Some(1))]),
+                        atom: "b".into(),
+                    },
+                ),
+            },
+        },
+        Some(&prev),
+    );
+    check_wal(
+        "02080201030101010101000000000002010102000000000001010000000000020b0001000163",
+        WalRecord::Received {
+            envelope: Envelope::OpBatch(OpBatch {
+                entries: vec![
+                    (
+                        1,
+                        msg(
+                            2,
+                            &[(2, 10)],
+                            Op::Delete {
+                                id: pos(&[(0, Some(2)), (1, Some(2))]),
+                            },
+                        ),
+                    ),
+                    (
+                        1,
+                        msg(
+                            2,
+                            &[(1, 1), (2, 11)],
+                            Op::Insert {
+                                id: pos(&[(0, Some(2))]),
+                                atom: "c".into(),
+                            },
+                        ),
+                    ),
+                ],
+            }),
+        },
+        Some(&prev),
     );
 }
