@@ -1,6 +1,8 @@
 //! The wire and storage overhead experiment: bytes-per-op of the binary
 //! codec (per-op and batched) against a JSON encoding of the same
-//! envelopes, the WAL size of a logged typing session, and the batch-size ×
+//! envelopes, the single-op envelope bytes of keystroke typing at 1k, 10k
+//! and 100k keystrokes, the WAL size of a logged typing session, and the
+//! batch-size ×
 //! loss sweep over the simulated faulty network — the §5.2 overhead evaluation applied to the
 //! replication and durability hot paths.
 //!
@@ -10,14 +12,15 @@
 //! diffs against).
 
 use bench::{
-    wal_format_comparison, wire_cost_grid, wire_encoding_comparison, BenchArgs, WalFormatRow,
-    WireCostRow, WireEncodingRow,
+    single_op_envelope_bytes, wal_format_comparison, wire_cost_grid, wire_encoding_comparison,
+    BenchArgs, SingleOpEnvelopeRow, WalFormatRow, WireCostRow, WireEncodingRow,
 };
 use serde::Serialize;
 
 #[derive(Serialize)]
 struct Output {
     encoding: Vec<WireEncodingRow>,
+    single_op: Vec<SingleOpEnvelopeRow>,
     wal_format: WalFormatRow,
     distributed: Vec<WireCostRow>,
 }
@@ -25,6 +28,7 @@ struct Output {
 fn main() {
     let args = BenchArgs::from_env();
     let encoding = wire_encoding_comparison(512, &[8, 32, 128]);
+    let single_op = single_op_envelope_bytes(&[1_000, 10_000, 100_000]);
     let wal_format = wal_format_comparison(256);
     let distributed = wire_cost_grid(3, 60);
 
@@ -36,6 +40,7 @@ fn main() {
 
     let out = Output {
         encoding,
+        single_op,
         wal_format,
         distributed,
     };
@@ -44,6 +49,7 @@ fn main() {
     }
     let Output {
         encoding,
+        single_op,
         wal_format,
         distributed,
     } = out;
@@ -57,6 +63,23 @@ fn main() {
         println!(
             "{:>18} {:>12} {:>12.1}",
             row.transport, row.total_bytes, row.bytes_per_op
+        );
+    }
+
+    println!();
+    println!("Keystroke typing, one envelope per key (chained to the previous stamp):");
+    println!(
+        "{:>10} {:>12} {:>14} {:>10} {:>14}",
+        "keys", "total bytes", "bytes/envelope", "last", "last absolute"
+    );
+    for row in &single_op {
+        println!(
+            "{:>10} {:>12} {:>14.2} {:>10} {:>14}",
+            row.keystrokes,
+            row.total_bytes,
+            row.bytes_per_envelope,
+            row.last_envelope_bytes,
+            row.last_absolute_bytes
         );
     }
 

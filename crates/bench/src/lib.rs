@@ -603,6 +603,63 @@ pub fn wire_encoding_comparison(ops: usize, batch_sizes: &[usize]) -> Vec<WireEn
     rows
 }
 
+/// Wire bytes of a keystroke typing session shipped one envelope per
+/// keystroke, as [`Replica::stamp_envelope`] emits them: the first envelope
+/// absolute, every later one chained to the previous stamp.
+#[derive(Debug, Clone, Serialize)]
+pub struct SingleOpEnvelopeRow {
+    /// Keystrokes typed (one envelope each).
+    pub keystrokes: usize,
+    /// Envelope bytes of the whole session.
+    pub total_bytes: usize,
+    /// Mean envelope bytes per keystroke.
+    pub bytes_per_envelope: f64,
+    /// Bytes of the last keystroke's envelope.
+    pub last_envelope_bytes: usize,
+    /// Bytes the last keystroke would cost as an absolute envelope.
+    pub last_absolute_bytes: usize,
+}
+
+/// Types `n` single-character keystrokes at the end of an empty document
+/// for each `n` in `keystrokes`, and measures the envelopes on the wire.
+pub fn single_op_envelope_bytes(keystrokes: &[usize]) -> Vec<SingleOpEnvelopeRow> {
+    keystrokes
+        .iter()
+        .map(|&n| {
+            let site = treedoc_core::SiteId::from_u64(1);
+            let mut replica = Replica::new(site, WireDoc::new(site));
+            let (mut total_bytes, mut last_envelope_bytes) = (0, 0);
+            // The last op, absolute: resolved as a receiver would.
+            let mut last: Option<CausalMessage<WireOp>> = None;
+            for _ in 0..n {
+                let len = replica.doc().len();
+                let op = replica
+                    .doc_mut()
+                    .local_insert(len, "k".to_string())
+                    .expect("append in range");
+                let envelope = replica.stamp_envelope(op);
+                last_envelope_bytes = encode_envelope(&envelope).len();
+                total_bytes += last_envelope_bytes;
+                last = match envelope {
+                    Envelope::Op { msg, .. } => Some(msg),
+                    Envelope::OpChained(op) => last.and_then(|prev| op.resolve(&prev)),
+                    _ => None,
+                };
+            }
+            let last_absolute_bytes = last.map_or(0, |msg| {
+                encode_envelope(&Envelope::Op { epoch: 0, msg }).len()
+            });
+            SingleOpEnvelopeRow {
+                keystrokes: n,
+                total_bytes,
+                bytes_per_envelope: total_bytes as f64 / n.max(1) as f64,
+                last_envelope_bytes,
+                last_absolute_bytes,
+            }
+        })
+        .collect()
+}
+
 /// WAL size of a logged typing session.
 #[derive(Debug, Clone, Serialize)]
 pub struct WalFormatRow {
@@ -1323,6 +1380,20 @@ mod tests {
             entry_bytes + ops * (2 + treedoc_storage::wal::RECORD_HEADER_BYTES),
             "{row:?} vs {batch:?}"
         );
+    }
+
+    #[test]
+    fn single_op_envelopes_cost_the_same_bytes_at_any_depth() {
+        // Every keystroke after the first is a run step chained to the
+        // previous stamp: its envelope does not grow with the document,
+        // while the same keystroke shipped absolute does.
+        let rows = single_op_envelope_bytes(&[1_000, 10_000]);
+        for row in &rows {
+            assert!(row.bytes_per_envelope < 20.0, "{row:?}");
+            assert!(row.last_envelope_bytes <= 17, "{row:?}");
+        }
+        assert_eq!(rows[0].last_envelope_bytes, rows[1].last_envelope_bytes);
+        assert!(rows[1].last_absolute_bytes > 4 * rows[1].last_envelope_bytes);
     }
 
     #[test]

@@ -19,11 +19,20 @@
 //!   such record after it is written absolute, and every point a recovery
 //!   can start from (the WAL segment of any snapshot it may fall back to)
 //!   opens with a record that decodes on its own;
+//! * a chained envelope ([`crate::chain`]) is journaled as the absolute op
+//!   it resolves to, chained in the WAL like any received op; one parked
+//!   for its predecessor is journaled as the received envelope, and replay
+//!   parks it again and resolves it in the same cascade. Chain heads
+//!   adopted from a sync root are sync traffic and not journaled: like the
+//!   clock fast-forward they come with, they become durable at the next
+//!   checkpoint, and until then a recovered replica keeps the ops they
+//!   released parked for the next session to hand the heads over again;
 //! * a checkpoint ([`Replica::persist_checkpoint`](crate::Replica::persist_checkpoint),
 //!   and automatically on every committed flatten) writes a
 //!   [`Snapshot`] of the whole replica — the §5.2
 //!   disk image of the tree plus the vector clock, flatten epoch,
-//!   acknowledgement table, send log and hold-back queue — and truncates the
+//!   acknowledgement table, send log, hold-back queue and the envelope
+//!   resolver's chain heads and parked ops — and truncates the
 //!   WAL, since every logged record is folded into the snapshot. The
 //!   committed flatten epoch of §4.2.1 is thereby the natural log-compaction
 //!   point;
@@ -62,7 +71,7 @@ pub const SECTION_ATOMS: &str = "tree.atoms";
 /// configuration, disambiguator source, atom-table hash).
 pub const SECTION_DOC: &str = "doc.state";
 /// Snapshot section holding the replication-level state (clock, send log,
-/// acknowledgement table, flatten role).
+/// acknowledgement table, flatten role, envelope chain heads).
 pub const SECTION_REPLICA: &str = "replica";
 
 /// One redo-log record: an event the replica persisted before acting on it.

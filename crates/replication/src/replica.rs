@@ -21,6 +21,7 @@ use treedoc_storage::{DocStore, Snapshot, StorageError};
 use treedoc_telemetry::{Counter, Gauge, Histogram, Telemetry};
 
 use crate::causal::{CausalBuffer, CausalBufferImage, CausalMessage};
+use crate::chain::{ChainedOp, OpChains, OpChainsImage, Resolution};
 use crate::clock::VectorClock;
 use crate::flatten::{
     CommitProtocol, DecisionKind, FlattenDecision, FlattenProposal, FlattenPropose, FlattenVote,
@@ -32,7 +33,7 @@ use crate::persist::{
 use crate::sync::{
     SnapshotChunk, SnapshotOffer, SyncConfig, SyncDigests, SyncDocument, SyncRoot, SyncRuns,
 };
-use crate::wire::WalChain;
+use crate::wire::{self, WalChain};
 
 /// A document type that can be driven by a [`Replica`].
 pub trait ReplicatedDocument {
@@ -117,6 +118,11 @@ pub enum Envelope<Op> {
     /// A batch of stamped operations, each tagged with its own epoch.
     /// Receiving a batch is exactly receiving its entries in order.
     OpBatch(OpBatch<Op>),
+    /// A stamped operation delta-encoded against its sender's previous one
+    /// (see [`crate::chain`]); the receiver resolves it against the
+    /// predecessor it holds, and receiving it is then exactly receiving
+    /// the absolute [`Envelope::Op`].
+    OpChained(ChainedOp),
     /// Cumulative acknowledgement: `from` has delivered everything described
     /// by `clock` (in particular, `clock.get(receiver)` messages of the
     /// receiving replica).
@@ -430,6 +436,9 @@ pub struct ReplicaImage<Op> {
     epoch_held: Vec<(u64, CausalMessage<Op>)>,
     at_least_once: Option<AtLeastOnceImage<Op>>,
     flatten: FlattenImage,
+    /// Chain heads and parked chained ops of the envelope resolver (absent
+    /// while the replica has received no op).
+    chains: Option<OpChainsImage<Op>>,
 }
 
 /// The journaling half of an attached [`DocStore`]: the store plus the
@@ -527,6 +536,13 @@ pub struct Replica<Doc: ReplicatedDocument> {
     /// Chunks of an in-flight snapshot bootstrap (transient: a crash simply
     /// restarts the transfer).
     bootstrap: Option<BootstrapAssembly>,
+    /// The last op [`stamp_envelope`](Replica::stamp_envelope) stamped,
+    /// with its epoch: the next envelope is chained to it when it is the
+    /// immediate predecessor (transient: a recovered replica starts a new
+    /// chain with an absolute envelope).
+    last_envelope: Option<(u64, CausalMessage<Doc::Op>)>,
+    /// The receiver-side resolver of chained envelopes.
+    chains: OpChains<Doc::Op>,
     metrics: ReplicaMetrics,
 }
 
@@ -555,6 +571,8 @@ impl<Doc: ReplicatedDocument> Replica<Doc> {
             journal: None,
             batcher: None,
             bootstrap: None,
+            last_envelope: None,
+            chains: OpChains::default(),
             metrics: ReplicaMetrics::default(),
         }
     }
@@ -641,9 +659,10 @@ impl<Doc: ReplicatedDocument> Replica<Doc> {
         self.ops_applied
     }
 
-    /// Stale or duplicate messages the causal buffer discarded.
+    /// Stale or duplicate messages discarded: by the causal buffer, or as
+    /// chained envelopes already delivered or parked.
     pub fn duplicates_discarded(&self) -> u64 {
-        self.buffer.stats().duplicates_discarded
+        self.buffer.stats().duplicates_discarded + self.chains.duplicates()
     }
 
     /// Largest hold-back queue observed so far.
@@ -840,15 +859,32 @@ impl<Doc: ReplicatedDocument> Replica<Doc> {
         message
     }
 
-    /// Stamps a locally initiated operation and wraps it in an
-    /// [`Envelope::Op`] tagged with the replica's current flatten epoch —
-    /// the broadcast form the simulator sends.
+    /// Stamps a locally initiated operation and wraps it in an envelope
+    /// tagged with the replica's current flatten epoch — the broadcast form
+    /// the simulator sends.
+    ///
+    /// When the envelope this method stamped last is the op's immediate
+    /// predecessor (sequence number one lower, same epoch), the envelope is
+    /// an [`Envelope::OpChained`] delta-encoded against it; otherwise it is
+    /// the absolute [`Envelope::Op`]. Receivers resolve the chained form
+    /// against the predecessor they received, or adopted with a sync
+    /// fast-forward (see [`crate::chain`]).
     pub fn stamp_envelope(&mut self, op: Doc::Op) -> Envelope<Doc::Op> {
         let epoch = self.flatten.epoch;
-        Envelope::Op {
-            epoch,
-            msg: self.stamp(op),
-        }
+        let msg = self.stamp(op);
+        let envelope = match &self.last_envelope {
+            Some((prev_epoch, prev))
+                if *prev_epoch == epoch && prev.seq().checked_add(1) == Some(msg.seq()) =>
+            {
+                Envelope::OpChained(ChainedOp::after(epoch, &msg, prev))
+            }
+            _ => Envelope::Op {
+                epoch,
+                msg: msg.clone(),
+            },
+        };
+        self.last_envelope = Some((epoch, msg));
+        envelope
     }
 
     /// Switches the replica to batched sending: operations stamped through
@@ -883,12 +919,11 @@ impl<Doc: ReplicatedDocument> Replica<Doc> {
     /// [`stamp_envelope`](Self::stamp_envelope) (every op flushes
     /// immediately), so drivers need a single call site for both modes.
     pub fn stamp_batched(&mut self, op: Doc::Op) -> Option<Envelope<Doc::Op>> {
-        let epoch = self.flatten.epoch;
-        let msg = self.stamp(op);
-        let Some(batcher) = self.batcher.as_mut() else {
-            return Some(Envelope::Op { epoch, msg });
-        };
-        let entry = (epoch, msg);
+        if self.batcher.is_none() {
+            return Some(self.stamp_envelope(op));
+        }
+        let entry = (self.flatten.epoch, self.stamp(op));
+        let batcher = self.batcher.as_mut()?;
         batcher.pending_bytes += (batcher.entry_bytes)(&entry, batcher.pending.last());
         batcher.pending.push(entry);
         if batcher.pending.len() >= batcher.policy.max_ops
@@ -935,8 +970,9 @@ impl<Doc: ReplicatedDocument> Replica<Doc> {
     pub fn receive(&mut self, message: CausalMessage<Doc::Op>) -> usize {
         let span = self.metrics.receive_micros.start();
         self.metrics.ops_received.inc();
-        self.journal_received_op(self.flatten.epoch, &message);
-        let applied = self.receive_unjournaled(message);
+        let epoch = self.flatten.epoch;
+        self.journal_received_op(epoch, &message);
+        let applied = self.receive_resolved(epoch, message, false);
         span.stop();
         self.note_holdback_depth();
         applied
@@ -956,7 +992,7 @@ impl<Doc: ReplicatedDocument> Replica<Doc> {
     /// drift apart: journals the message unless it is a read-only-detectable
     /// duplicate (whose replay would be a no-op anyway).
     fn journal_received_op(&mut self, epoch: u64, msg: &CausalMessage<Doc::Op>) {
-        if self.journaling() && !self.op_is_known_duplicate(epoch, msg) {
+        if self.journaling() && !self.op_is_known_duplicate(epoch, msg.sender, msg.seq()) {
             let msg = msg.clone();
             self.journal_with(|| WalRecord::Received {
                 envelope: Envelope::Op { epoch, msg },
@@ -977,7 +1013,7 @@ impl<Doc: ReplicatedDocument> Replica<Doc> {
         let fresh: Vec<(u64, CausalMessage<Doc::Op>)> = batch
             .entries
             .iter()
-            .filter(|(epoch, msg)| !self.op_is_known_duplicate(*epoch, msg))
+            .filter(|(epoch, msg)| !self.op_is_known_duplicate(*epoch, msg.sender, msg.seq()))
             .cloned()
             .collect();
         if !fresh.is_empty() {
@@ -992,13 +1028,13 @@ impl<Doc: ReplicatedDocument> Replica<Doc> {
     /// Such a message is side-effect-free on replay, so the journal skips
     /// it — under retransmission-heavy schedules this trims the WAL (and
     /// the recovery bill) by roughly the duplicate rate.
-    fn op_is_known_duplicate(&self, epoch: u64, msg: &CausalMessage<Doc::Op>) -> bool {
+    fn op_is_known_duplicate(&self, epoch: u64, sender: SiteId, seq: u64) -> bool {
         if epoch > self.flatten.epoch {
             self.epoch_held
                 .iter()
-                .any(|(_, held)| held.sender == msg.sender && held.seq() == msg.seq())
+                .any(|(_, held)| held.sender == sender && held.seq() == seq)
         } else {
-            self.buffer.is_duplicate(msg.sender, msg.seq())
+            self.buffer.is_duplicate(sender, seq)
         }
     }
 
@@ -1042,7 +1078,15 @@ impl<Doc: ReplicatedDocument> Replica<Doc> {
                 let span = self.metrics.receive_micros.start();
                 self.metrics.ops_received.inc();
                 self.journal_received_op(epoch, &msg);
-                let applied = self.receive_op(epoch, msg);
+                let applied = self.receive_resolved(epoch, msg, true);
+                span.stop();
+                self.note_holdback_depth();
+                applied
+            }
+            Envelope::OpChained(op) => {
+                let span = self.metrics.receive_micros.start();
+                self.metrics.ops_received.inc();
+                let applied = self.receive_chained(op);
                 span.stop();
                 self.note_holdback_depth();
                 applied
@@ -1054,7 +1098,7 @@ impl<Doc: ReplicatedDocument> Replica<Doc> {
                 let applied = batch
                     .entries
                     .into_iter()
-                    .map(|(epoch, msg)| self.receive_op(epoch, msg))
+                    .map(|(epoch, msg)| self.receive_resolved(epoch, msg, false))
                     .sum();
                 span.stop();
                 self.note_holdback_depth();
@@ -1086,6 +1130,72 @@ impl<Doc: ReplicatedDocument> Replica<Doc> {
         }
     }
 
+    /// Resolves a chained op against its sender's chain head and receives
+    /// the absolute message — journaled as the received op, exactly like an
+    /// [`Envelope::Op`]. A chained op whose predecessor has not resolved
+    /// yet is journaled as received (so replay parks it again) and parked;
+    /// a known duplicate, or one that disagrees with its head, is dropped.
+    fn receive_chained(&mut self, op: ChainedOp) -> usize {
+        if self.op_is_known_duplicate(op.epoch, op.sender, op.seq)
+            || self.chains.is_parked(op.sender, op.seq)
+        {
+            self.chains.note_duplicate();
+            return 0;
+        }
+        match self.chains.resolve(&op) {
+            Resolution::Resolved(msg) => {
+                self.journal_received_op(op.epoch, &msg);
+                self.receive_resolved(op.epoch, msg, true)
+            }
+            Resolution::Park => {
+                if self.journaling() {
+                    let envelope = Envelope::OpChained(op.clone());
+                    self.journal_with(|| WalRecord::Received { envelope });
+                }
+                self.chains.park(op);
+                0
+            }
+            Resolution::Invalid => 0,
+        }
+    }
+
+    /// Receives an absolute (or just resolved) op: it becomes its sender's
+    /// chain head, and any chained successors parked behind it resolve in
+    /// cascade (they were journaled when they arrived).
+    ///
+    /// A single-op envelope may open its sender's chain (`opens_chain`);
+    /// a batch entry or a [`receive`](Self::receive)d message only
+    /// continues a chain this replica already follows — a sender's chain
+    /// always opens with an absolute single-op envelope, so senders that
+    /// only batch cost no head bookkeeping. Known duplicates leave the
+    /// heads alone: they are not journaled, so replay never sees them.
+    fn receive_resolved(
+        &mut self,
+        epoch: u64,
+        msg: CausalMessage<Doc::Op>,
+        opens_chain: bool,
+    ) -> usize {
+        if !(opens_chain || self.chains.follows(msg.sender))
+            || self.op_is_known_duplicate(epoch, msg.sender, msg.seq())
+        {
+            return self.receive_op(epoch, msg);
+        }
+        let mut next = self.chains.advance(epoch, &msg);
+        let mut applied = self.receive_op(epoch, msg);
+        while let Some((epoch, msg)) = next {
+            next = self.chains.advance(epoch, &msg);
+            applied += self.receive_op(epoch, msg);
+        }
+        applied
+    }
+
+    /// Chained ops dropped unresolved: they disagreed with the chain head
+    /// they name. At-least-once retransmission re-ships such an op
+    /// absolute.
+    pub fn chained_ops_dropped(&self) -> u64 {
+        self.chains.dropped()
+    }
+
     /// Epoch-aware operation receipt: future-epoch operations (stamped on a
     /// flattened tree this replica has not committed yet) are held back —
     /// duplicate copies (network duplication, retransmission) of an
@@ -1111,9 +1221,10 @@ impl<Doc: ReplicatedDocument> Replica<Doc> {
     }
 
     /// Number of messages still waiting for causal predecessors (including
-    /// operations held back for a future flatten epoch).
+    /// operations held back for a future flatten epoch, and chained ops
+    /// parked until their predecessor resolves).
     pub fn pending(&self) -> usize {
-        self.buffer.pending_len() + self.epoch_held.len()
+        self.buffer.pending_len() + self.epoch_held.len() + self.chains.parked_len()
     }
 
     /// Content digest, for convergence checks.
@@ -1278,10 +1389,15 @@ impl<Doc: SyncDocument> Replica<Doc> {
     /// The opening probe of a sync session: this replica's root digest,
     /// cell count and delivered clock.
     pub fn sync_probe(&self) -> Envelope<Doc::Op> {
-        self.sync_root_envelope(true)
+        self.sync_root_envelope(true, false, Vec::new())
     }
 
-    fn sync_root_envelope(&self, reply: bool) -> Envelope<Doc::Op> {
+    fn sync_root_envelope(
+        &self,
+        reply: bool,
+        want_heads: bool,
+        chain_heads: Vec<u8>,
+    ) -> Envelope<Doc::Op> {
         let (digest, cells) = self.doc.sync_root();
         Envelope::SyncRoot(SyncRoot {
             from: self.site,
@@ -1289,7 +1405,29 @@ impl<Doc: SyncDocument> Replica<Doc> {
             cells,
             clock: self.buffer.delivered_clock().clone(),
             reply,
+            want_heads,
+            chain_heads,
         })
+    }
+
+    /// The chain heads of the current epoch a peer whose delivered clock is
+    /// `peer` lacks: this replica's own last envelope-stamped op and its
+    /// newest resolved op per sender, where delivered here and not covered
+    /// by `peer`. Empty bytes when there are none.
+    fn chain_heads_beyond(&self, peer: &VectorClock) -> Vec<u8> {
+        let epoch = self.flatten.epoch;
+        let delivered = self.buffer.delivered_clock();
+        let heads: Vec<(u64, CausalMessage<Doc::Op>)> = self
+            .chains
+            .newest_heads(epoch)
+            .chain(self.last_envelope.iter().filter(|(e, _)| *e == epoch))
+            .filter(|(_, msg)| {
+                let (sender, seq) = (msg.sender, msg.seq());
+                peer.get(sender) < seq && seq <= delivered.get(sender)
+            })
+            .cloned()
+            .collect();
+        wire::encode_chain_heads(&heads)
     }
 
     /// Merges a peer's clock after a state comparison proved the documents
@@ -1304,7 +1442,42 @@ impl<Doc: SyncDocument> Replica<Doc> {
             self.doc.sync_replay(&m.payload);
             self.ops_applied += 1;
         }
+        self.chains.drop_covered(self.buffer.delivered_clock());
         count
+    }
+
+    /// Adopts the chain heads a peer's root carried along with the clock
+    /// this replica just fast-forwarded to: ops this replica got by state
+    /// transfer become heads, so envelopes chained to them resolve, and
+    /// parked ones resolve now. Returns the operations that applied.
+    ///
+    /// Ops resolved here are released like the ones the fast-forward
+    /// released: through the idempotent [`SyncDocument::sync_replay`], as
+    /// a digest walk may have integrated their cells already.
+    fn adopt_chain_heads(&mut self, bytes: &[u8]) -> usize {
+        let Ok(heads) = wire::decode_chain_heads::<Doc::Op>(bytes) else {
+            return 0; // malformed heads: the next session offers them again
+        };
+        let mut applied = 0;
+        for (epoch, msg) in heads {
+            if msg.sender == self.site || self.chains.holds(msg.sender, msg.seq()) {
+                continue;
+            }
+            let mut next = self.chains.advance(epoch, &msg);
+            while let Some((epoch, msg)) = next {
+                next = self.chains.advance(epoch, &msg);
+                if epoch > self.flatten.epoch {
+                    applied += self.receive_op(epoch, msg);
+                    continue;
+                }
+                for m in self.buffer.receive(msg) {
+                    self.doc.sync_replay(&m.payload);
+                    self.ops_applied += 1;
+                    applied += 1;
+                }
+            }
+        }
+        applied
     }
 
     /// Handles one sync envelope, producing the replies of the digest walk.
@@ -1349,11 +1522,28 @@ impl<Doc: SyncDocument> Replica<Doc> {
         let mut effect = SyncEffect::empty();
         if root.digest == my_digest && root.cells == my_cells {
             // Equal states: everything the peer delivered is reflected here,
-            // so its clock coverage is safe to adopt.
-            effect.ops_released = self.sync_fast_forward(&root.clock);
+            // so its clock coverage is safe to adopt, and with it the chain
+            // heads it sent.
+            let mine = self.buffer.delivered_clock();
+            let gained = root.clock.iter().any(|(site, seq)| seq > mine.get(site));
+            effect.ops_released =
+                self.sync_fast_forward(&root.clock) + self.adopt_chain_heads(&root.chain_heads);
             effect.converged = true;
             if root.reply {
-                effect.replies.push(self.sync_root_envelope(false));
+                // The echo hands over the heads the probe's clock does not
+                // cover, and asks for the prober's when the probe's clock
+                // covered ops this replica lacked.
+                let heads = self.chain_heads_beyond(&root.clock);
+                effect
+                    .replies
+                    .push(self.sync_root_envelope(false, gained, heads));
+            } else if root.want_heads {
+                let heads = self.chain_heads_beyond(&VectorClock::new());
+                if !heads.is_empty() {
+                    effect
+                        .replies
+                        .push(self.sync_root_envelope(false, false, heads));
+                }
             }
             return effect;
         }
@@ -1743,6 +1933,7 @@ impl<Doc: ReplicatedDocument> Replica<Doc> {
             epoch_held: self.epoch_held.clone(),
             at_least_once: self.at_least_once.as_ref().map(|a| a.export_image()),
             flatten: self.flatten.export_image(),
+            chains: self.chains.export_image(),
         }
     }
 
@@ -1761,6 +1952,8 @@ impl<Doc: ReplicatedDocument> Replica<Doc> {
             journal: None,
             batcher: None,
             bootstrap: None,
+            last_envelope: None,
+            chains: OpChains::from_image(image.chains),
             metrics: ReplicaMetrics::default(),
         }
     }
@@ -1849,7 +2042,7 @@ where
     /// peers sent while it was down is recovered by the at-least-once
     /// retransmission protocol, exactly as if the messages had been lost in
     /// flight.
-    pub fn recover(store: DocStore) -> Result<(Self, RecoveryReport), RecoverError> {
+    pub fn recover(mut store: DocStore) -> Result<(Self, RecoveryReport), RecoverError> {
         let recovered = store.recover()?;
         let (_, snapshot) = recovered.snapshot.ok_or(RecoverError::NoSnapshot)?;
         let doc = Doc::decode_sections(&snapshot)?;
@@ -2596,6 +2789,65 @@ mod tests {
         };
         assert_eq!(vote, Vote::No, "edits take precedence over clean-up");
         assert!(!b.is_flatten_prepared());
+    }
+
+    #[test]
+    fn typing_envelopes_chain_to_the_previous_stamp() {
+        let mut a = replica(1);
+        let mut b = replica(2);
+        let mut kinds = Vec::new();
+        for i in 0..6 {
+            let op = a.doc_mut().local_insert(i, 'x').unwrap();
+            if i == 3 {
+                // A stamp that leaves another way breaks the chain.
+                b.receive(a.stamp(op));
+                kinds.push("stamp");
+                continue;
+            }
+            let envelope = a.stamp_envelope(op);
+            kinds.push(match envelope {
+                Envelope::Op { .. } => "absolute",
+                Envelope::OpChained(_) => "chained",
+                _ => "other",
+            });
+            assert_eq!(b.receive_envelope(envelope), 1);
+        }
+        assert_eq!(
+            kinds,
+            ["absolute", "chained", "chained", "stamp", "absolute", "chained"]
+        );
+        // Without a batcher, `stamp_batched` is `stamp_envelope`.
+        let op = a.doc_mut().local_insert(6, 'x').unwrap();
+        assert!(matches!(a.stamp_batched(op), Some(Envelope::OpChained(_))));
+    }
+
+    #[test]
+    fn a_receiver_recovered_from_a_checkpoint_keeps_resolving_chained_envelopes() {
+        let mut a = replica(1);
+        let mut b = replica(2);
+        b.attach_store(DocStore::in_memory()).unwrap();
+        let type_key = |a: &mut Replica<Doc>| {
+            let len = a.doc().len();
+            let op = a.doc_mut().local_insert(len, 'k').unwrap();
+            a.stamp_envelope(op)
+        };
+        for _ in 0..10 {
+            let envelope = type_key(&mut a);
+            assert_eq!(b.receive_envelope(envelope), 1);
+        }
+        // The chain heads are part of the checkpoint: with no WAL record
+        // after it, the recovered receiver resolves the next keystroke
+        // from the snapshot alone.
+        b.persist_checkpoint().unwrap();
+        let store = b.detach_store().unwrap();
+        let (mut b, report) = Replica::<Doc>::recover(store).unwrap();
+        assert_eq!(report.wal_records_replayed, 0);
+        for _ in 0..10 {
+            let envelope = type_key(&mut a);
+            assert!(matches!(envelope, Envelope::OpChained(_)));
+            assert_eq!(b.receive_envelope(envelope), 1);
+        }
+        assert_eq!(a.digest(), b.digest());
     }
 
     #[test]

@@ -19,7 +19,10 @@
 //! 2. A receiver whose root matches fast-forwards its causal clock (the
 //!    states are equal, so everything the sender delivered is covered) and
 //!    answers the probe with its own root, letting the sender fast-forward
-//!    too. A receiver whose root differs answers with [`SyncDigests`]: its
+//!    too. The echo carries the chain heads the probe's clock does not
+//!    cover, adopted with the clock (see [`crate::chain`]); when the merge
+//!    moved the echoing replica's clock, the echo asks for the prober's
+//!    heads, which follow in one more root. A receiver whose root differs answers with [`SyncDigests`]: its
 //!    digest over each of up to [`SyncConfig::fanout`] sub-ranges tiling the
 //!    identifier space.
 //! 3. [`SyncDigests`] ranges that match locally are dropped; a mismatched
@@ -110,6 +113,17 @@ pub struct SyncRoot {
     /// `true` asks the receiver to answer with its own root (an echo sets
     /// this to `false`, ending the exchange).
     pub reply: bool,
+    /// Set on an echo whose sender merged clock entries from the probe: the
+    /// prober answers with one more root carrying its chain heads.
+    pub want_heads: bool,
+    /// The sender's chain heads: per site, the newest operation it stamped
+    /// or resolved in its current flatten epoch and delivered, encoded with
+    /// [`crate::wire::encode_chain_heads`] (empty for none). A probe
+    /// carries none, an echo those the probe's clock does not cover, and
+    /// the answer to `want_heads` all of them. A receiver that adopts
+    /// `clock` adopts these too, so envelopes chained to operations it got
+    /// by state transfer still resolve (see [`crate::chain`]).
+    pub chain_heads: Vec<u8>,
 }
 
 /// One sub-range of the digest walk: half-open identifier bounds (encoded —

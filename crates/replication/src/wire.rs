@@ -60,8 +60,52 @@
 //! decodes from whichever snapshot it starts at. A chained record read
 //! without its predecessor is [`WireError::MissingPredecessor`].
 //!
+//! ## Envelopes
+//!
+//! ```text
+//! 04 │ tag │ body
+//! ```
+//!
+//! | tag | envelope | body |
+//! |-----|----------|------|
+//! | 1 | `Op` | the entry, full |
+//! | 2 | `Ack` | site, clock |
+//! | 3 | `OpBatch` | count, entries; each after the first delta-encoded against its predecessor |
+//! | 4–6 | flatten `Propose` / `Vote` / `Decision` | see [`crate::flatten`] |
+//! | 7–9 | sync `Root` / `Digests` / `Runs` | see [`crate::sync`]; a root closes with a flags byte: bit 0 reply, bit 1 its length-prefixed chain heads follow, bit 2 want the receiver's heads |
+//! | 10, 11 | `SnapshotOffer` / `SnapshotChunk` | see [`crate::sync`] |
+//! | 12 | `OpChained` | epoch, sender, seq, length-prefixed entry delta-encoded against the sender's op `seq − 1` |
+//!
+//! ## Chained envelopes
+//!
+//! A single-op envelope is chained to the **sender's previous stamped
+//! op**: [`Replica::stamp_envelope`](crate::Replica::stamp_envelope) writes
+//! tag 12 when the envelope it stamped last carries sequence number
+//! `seq − 1` and the same flatten epoch, and the absolute tag 1 otherwise —
+//! for the first op after start or recovery, after a flatten, and after a
+//! stamp that left through another path (a batch, a bare `stamp`).
+//! The entry is the one a batch would carry for the op after its
+//! predecessor, so a keystroke continuing the previous one is a run step
+//! and the envelope costs about 16 bytes however deep its identifier. The
+//! codec stays stateless: a decoded [`ChainedOp`] holds the entry
+//! unresolved, and the receiver resolves it against the predecessor it
+//! already holds (see [`crate::chain`]). Retransmissions and batches stay
+//! absolute. A replica that got the predecessor by state transfer adopts it
+//! from the sync root it fast-forwarded to, whose chain heads are a count
+//! and entries laid out like a batch's.
+//!
 //! Like the core codec, every decoder is total: malformed input yields a
 //! typed [`WireError`], never a panic or an unbounded allocation.
+
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 
 use std::fmt;
 
@@ -72,6 +116,7 @@ use treedoc_core::codec::{
 use treedoc_core::WIRE_VERSION;
 
 use crate::causal::CausalMessage;
+use crate::chain::ChainedOp;
 use crate::clock::VectorClock;
 use crate::flatten::{
     CommitProtocol, DecisionKind, FlattenDecision, FlattenProposal, FlattenPropose, FlattenVote,
@@ -215,8 +260,9 @@ fn put_batch_entry<Op: WirePayload>(
 }
 
 /// Appends an `(epoch, message)` entry delta-encoded against `prev_msg`, the
-/// entry written before it — in a batch, or in the WAL chain.
-fn put_entry_after<Op: WirePayload>(
+/// entry written before it — in a batch, in the WAL chain, or (for a
+/// chained envelope) the sender's previous stamped op.
+pub(crate) fn put_entry_after<Op: WirePayload>(
     out: &mut Vec<u8>,
     epoch: u64,
     msg: &CausalMessage<Op>,
@@ -282,7 +328,7 @@ fn get_entry_full<Op: WirePayload>(input: &mut &[u8]) -> Option<(u64, CausalMess
 }
 
 /// Reads an entry written by [`put_entry_after`] against `prev_msg`.
-fn get_entry_after<Op: WirePayload>(
+pub(crate) fn get_entry_after<Op: WirePayload>(
     input: &mut &[u8],
     prev_msg: &CausalMessage<Op>,
 ) -> Option<(u64, CausalMessage<Op>)> {
@@ -316,6 +362,61 @@ fn get_entry_after<Op: WirePayload>(
             payload,
         },
     ))
+}
+
+/// Appends a count and `entries`, each after the first delta-encoded
+/// against its predecessor — the body of an [`OpBatch`] and of a
+/// [`SyncRoot`]'s chain heads.
+fn put_entries<Op: WirePayload>(out: &mut Vec<u8>, entries: &[(u64, CausalMessage<Op>)]) {
+    put_varint(out, entries.len() as u64);
+    let mut prev: Option<&(u64, CausalMessage<Op>)> = None;
+    for entry in entries {
+        put_batch_entry(out, entry, prev);
+        prev = Some(entry);
+    }
+}
+
+/// Reads what [`put_entries`] wrote.
+fn get_entries<Op: WirePayload>(input: &mut &[u8]) -> Option<Vec<(u64, CausalMessage<Op>)>> {
+    let n = get_varint(input)? as usize;
+    // A delta-encoded entry costs at least 4 bytes (epoch, flags, op tag,
+    // path header); bound the claimed count by that floor so a hostile
+    // length cannot amplify into an oversized reservation.
+    if n > input.len() / 4 + 1 {
+        return None;
+    }
+    let mut entries: Vec<(u64, CausalMessage<Op>)> = Vec::with_capacity(n);
+    for _ in 0..n {
+        let entry = get_batch_entry(input, entries.last())?;
+        entries.push(entry);
+    }
+    Some(entries)
+}
+
+/// Encodes chain heads for [`SyncRoot::chain_heads`]: empty for none, else
+/// a count and the `(epoch, message)` entries, chained like a batch's.
+pub fn encode_chain_heads<Op: WirePayload>(heads: &[(u64, CausalMessage<Op>)]) -> Vec<u8> {
+    let mut out = Vec::new();
+    if !heads.is_empty() {
+        put_entries(&mut out, heads);
+    }
+    out
+}
+
+/// Decodes [`SyncRoot::chain_heads`], requiring the bytes to be consumed
+/// exactly.
+pub fn decode_chain_heads<Op: WirePayload>(
+    bytes: &[u8],
+) -> Result<Vec<(u64, CausalMessage<Op>)>, WireError> {
+    if bytes.is_empty() {
+        return Ok(Vec::new());
+    }
+    let mut input = bytes;
+    let heads = get_entries(&mut input).ok_or(WireError::Malformed)?;
+    if !input.is_empty() {
+        return Err(WireError::TrailingBytes);
+    }
+    Ok(heads)
 }
 
 /// Encoded size of one batch entry given its predecessor — the quantity the
@@ -413,6 +514,14 @@ const ENV_SYNC_DIGESTS: u8 = 8;
 const ENV_SYNC_RUNS: u8 = 9;
 const ENV_SNAPSHOT_OFFER: u8 = 10;
 const ENV_SNAPSHOT_CHUNK: u8 = 11;
+const ENV_OP_CHAINED: u8 = 12;
+
+/// Sync-root flag bit: the receiver should answer with its own root.
+const ROOT_REPLY: u8 = 0b01;
+/// Sync-root flag bit: the root's length-prefixed chain heads follow.
+const ROOT_CHAIN_HEADS: u8 = 0b10;
+/// Sync-root flag bit: the receiver should answer with its chain heads.
+const ROOT_WANT_HEADS: u8 = 0b100;
 
 /// Digests are uniformly distributed 64-bit values: fixed-width
 /// little-endian beats a varint for them.
@@ -441,14 +550,16 @@ pub fn encode_envelope_into<Op: WirePayload>(envelope: &Envelope<Op>, out: &mut 
             put_u8(out, ENV_OP);
             put_entry_full(out, *epoch, msg);
         }
+        Envelope::OpChained(op) => {
+            put_u8(out, ENV_OP_CHAINED);
+            put_varint(out, op.epoch);
+            put_site(out, op.sender);
+            put_varint(out, op.seq);
+            put_bytes(out, &op.entry);
+        }
         Envelope::OpBatch(batch) => {
             put_u8(out, ENV_OP_BATCH);
-            put_varint(out, batch.entries.len() as u64);
-            let mut prev: Option<&(u64, CausalMessage<Op>)> = None;
-            for entry in &batch.entries {
-                put_batch_entry(out, entry, prev);
-                prev = Some(entry);
-            }
+            put_entries(out, &batch.entries);
         }
         Envelope::Ack { from, clock } => {
             put_u8(out, ENV_ACK);
@@ -483,7 +594,21 @@ pub fn encode_envelope_into<Op: WirePayload>(envelope: &Envelope<Op>, out: &mut 
             put_u64(out, r.digest);
             put_varint(out, r.cells);
             put_clock(out, &r.clock, None);
-            put_u8(out, r.reply as u8);
+            let heads = !r.chain_heads.is_empty();
+            let mut flags = 0u8;
+            if r.reply {
+                flags |= ROOT_REPLY;
+            }
+            if heads {
+                flags |= ROOT_CHAIN_HEADS;
+            }
+            if r.want_heads {
+                flags |= ROOT_WANT_HEADS;
+            }
+            put_u8(out, flags);
+            if heads {
+                put_bytes(out, &r.chain_heads);
+            }
         }
         Envelope::SyncDigests(d) => {
             put_u8(out, ENV_SYNC_DIGESTS);
@@ -545,19 +670,26 @@ fn decode_envelope_cursor<Op: WirePayload>(input: &mut &[u8]) -> Result<Envelope
             let (epoch, msg) = get_entry_full(input).ok_or(WireError::Malformed)?;
             Envelope::Op { epoch, msg }
         }
-        ENV_OP_BATCH => {
-            let n = get_varint(input).ok_or(WireError::Malformed)? as usize;
-            // A delta-encoded entry costs at least 4 bytes (epoch, flags,
-            // op tag, path header); bound the claimed count by that floor so
-            // a hostile length cannot amplify into an oversized reservation.
-            if n > input.len() / 4 + 1 {
+        ENV_OP_CHAINED => {
+            let epoch = get_varint(input).ok_or(WireError::Malformed)?;
+            let sender = get_site(input).ok_or(WireError::Malformed)?;
+            let seq = get_varint(input).ok_or(WireError::Malformed)?;
+            let entry = get_bytes(input).ok_or(WireError::Malformed)?;
+            // A chained op has a predecessor (sequence numbers start at 1),
+            // and its entry holds at least an epoch and a flags byte.
+            if seq < 2 || entry.len() < 2 {
                 return Err(WireError::Malformed);
             }
-            let mut entries: Vec<(u64, CausalMessage<Op>)> = Vec::with_capacity(n);
-            for _ in 0..n {
-                let entry = get_batch_entry(input, entries.last()).ok_or(WireError::Malformed)?;
-                entries.push(entry);
-            }
+            let entry = entry.to_vec();
+            Envelope::OpChained(ChainedOp {
+                epoch,
+                sender,
+                seq,
+                entry,
+            })
+        }
+        ENV_OP_BATCH => {
+            let entries = get_entries(input).ok_or(WireError::Malformed)?;
             Envelope::OpBatch(OpBatch { entries })
         }
         ENV_ACK => {
@@ -611,13 +743,29 @@ fn decode_envelope_cursor<Op: WirePayload>(input: &mut &[u8]) -> Result<Envelope
             let digest = get_u64(input).ok_or(WireError::Malformed)?;
             let cells = get_varint(input).ok_or(WireError::Malformed)?;
             let clock = get_clock(input, None).ok_or(WireError::Malformed)?;
-            let reply = get_u8(input).ok_or(WireError::Malformed)? != 0;
+            let flags = get_u8(input).ok_or(WireError::Malformed)?;
+            if flags & !(ROOT_REPLY | ROOT_CHAIN_HEADS | ROOT_WANT_HEADS) != 0 {
+                return Err(WireError::Malformed);
+            }
+            let reply = flags & ROOT_REPLY != 0;
+            let want_heads = flags & ROOT_WANT_HEADS != 0;
+            // Chain heads follow only when flagged, and are never empty.
+            let chain_heads = if flags & ROOT_CHAIN_HEADS == 0 {
+                Vec::new()
+            } else {
+                match get_bytes(input) {
+                    Some(heads) if !heads.is_empty() => heads.to_vec(),
+                    _ => return Err(WireError::Malformed),
+                }
+            };
             Envelope::SyncRoot(SyncRoot {
                 from,
                 digest,
                 cells,
                 clock,
                 reply,
+                want_heads,
+                chain_heads,
             })
         }
         ENV_SYNC_DIGESTS => {

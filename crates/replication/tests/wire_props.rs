@@ -1,13 +1,14 @@
-//! Property tests for the binary wire codec: arbitrary envelopes, operation
-//! batches, WAL records and chained WAL record streams round-trip exactly,
-//! and truncated, bit-flipped or arbitrary bytes never panic a decoder.
+//! Property tests for the binary wire codec: arbitrary envelopes (chained
+//! ones included), operation batches, WAL records and chained WAL record
+//! streams round-trip exactly, and truncated, bit-flipped or arbitrary bytes
+//! never panic a decoder or the resolver of chained envelopes.
 
 use proptest::prelude::*;
-use treedoc_core::{Op, PathElem, PosId, Sdis, Side, SiteId};
+use treedoc_core::{spine_successor, Op, PathElem, PosId, Sdis, Side, SiteId, Treedoc};
 use treedoc_replication::wire::{self, WalChain, WireError};
 use treedoc_replication::{
-    decode_envelope, encode_envelope, CausalMessage, CommitProtocol, Envelope, FlattenProposal,
-    OpBatch, VectorClock, Vote, WalRecord,
+    decode_envelope, encode_envelope, CausalMessage, ChainedOp, CommitProtocol, Envelope,
+    FlattenProposal, OpBatch, Replica, VectorClock, Vote, WalRecord,
 };
 
 type TestOp = Op<String, Sdis>;
@@ -96,9 +97,52 @@ fn arb_batch() -> impl Strategy<Value = OpBatch<TestOp>> {
         })
 }
 
+/// A stamped op and its sender's next one, as `stamp_envelope` chains
+/// them: the same sender, its own counter one higher (other sites' entries
+/// possibly advanced in between), and either an arbitrary payload or the
+/// next keystroke of a typing run.
+fn arb_chained_pair() -> impl Strategy<Value = (u64, CausalMessage<TestOp>, CausalMessage<TestOp>)>
+{
+    (
+        0u64..4,
+        arb_msg(),
+        proptest::collection::vec((0u64..8, 1u64..20), 0..3),
+        arb_op(),
+        any::<bool>(),
+    )
+        .prop_map(|(epoch, mut prev, observes, op, keystroke)| {
+            prev.clock.increment(prev.sender);
+            let mut clock = prev.clock.clone();
+            for (s, bump) in observes {
+                let current = clock.get(site(s));
+                clock.observe(site(s), current + bump);
+            }
+            clock.increment(prev.sender);
+            let payload = match (&prev.payload, keystroke) {
+                (Op::Insert { id, .. }, true) => match spine_successor(id, Side::Right) {
+                    Some(id) => Op::Insert {
+                        id,
+                        atom: "k".into(),
+                    },
+                    None => op,
+                },
+                _ => op,
+            };
+            let msg = CausalMessage {
+                sender: prev.sender,
+                clock,
+                payload,
+            };
+            (epoch, prev, msg)
+        })
+}
+
 fn arb_envelope() -> impl Strategy<Value = Env> {
     prop_oneof![
         (0u64..4, arb_msg()).prop_map(|(epoch, msg)| Envelope::Op { epoch, msg }),
+        arb_chained_pair().prop_map(|(epoch, prev, msg)| Envelope::OpChained(ChainedOp::after(
+            epoch, &msg, &prev
+        ))),
         arb_batch().prop_map(Envelope::OpBatch),
         (0u64..8, arb_clock()).prop_map(|(from, clock)| Envelope::Ack {
             from: site(from),
@@ -138,6 +182,26 @@ fn arb_envelope() -> impl Strategy<Value = Env> {
                 },
             })
         }),
+        (
+            0u64..8,
+            any::<u64>(),
+            any::<u64>(),
+            arb_clock(),
+            any::<bool>(),
+            any::<bool>(),
+            proptest::collection::vec((0u64..4, arb_msg()), 0..3),
+        )
+            .prop_map(|(from, digest, cells, clock, reply, want_heads, heads)| {
+                Envelope::SyncRoot(treedoc_replication::SyncRoot {
+                    from: site(from),
+                    digest,
+                    cells,
+                    clock,
+                    reply,
+                    want_heads,
+                    chain_heads: wire::encode_chain_heads(&heads),
+                })
+            }),
         (any::<u64>(), 0u8..3).prop_map(|(txn, kind)| {
             Envelope::FlattenDecision(treedoc_replication::FlattenDecision {
                 txn,
@@ -396,7 +460,8 @@ proptest! {
     }
 
     /// Arbitrary byte soup never panics either decoder, with or without a
-    /// predecessor to chain to.
+    /// predecessor to chain to — nor, behind a chained-envelope header,
+    /// the resolver.
     #[test]
     fn garbage_never_panics(
         bytes in proptest::collection::vec(any::<u8>(), 0..256),
@@ -405,5 +470,137 @@ proptest! {
         let _ = decode_envelope::<TestOp>(&bytes);
         let _ = wire::decode_wal_record::<TestOp>(&bytes, None);
         let _ = wire::decode_wal_record::<TestOp>(&bytes, Some(&prev));
+        let mut chained = vec![treedoc_core::WIRE_VERSION, CHAINED_TAG];
+        chained.extend_from_slice(&bytes);
+        resolves_cleanly(&chained, &prev.1)?;
     }
+
+    /// A sync root's chain heads decode to the heads encoded; truncated or
+    /// garbage heads fail cleanly.
+    #[test]
+    fn chain_heads_round_trip_and_garbage_fails_cleanly(
+        heads in proptest::collection::vec((0u64..4, arb_msg()), 0..4),
+        frac in 0.0f64..1.0,
+        garbage in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let bytes = wire::encode_chain_heads(&heads);
+        prop_assert_eq!(wire::decode_chain_heads::<TestOp>(&bytes), Ok(heads));
+        let cut = ((bytes.len() as f64) * frac) as usize;
+        if cut > 0 && cut < bytes.len() {
+            prop_assert!(wire::decode_chain_heads::<TestOp>(&bytes[..cut]).is_err());
+        }
+        if let Ok(decoded) = wire::decode_chain_heads::<TestOp>(&garbage) {
+            prop_assert_eq!(
+                wire::decode_chain_heads::<TestOp>(&wire::encode_chain_heads(&decoded)),
+                Ok(decoded)
+            );
+        }
+    }
+
+    /// A chained envelope decodes to the op it was chained from, resolved
+    /// against the sender's previous stamped op.
+    #[test]
+    fn chained_envelopes_resolve_against_their_predecessor(
+        (epoch, prev, msg) in arb_chained_pair(),
+    ) {
+        let env: Env = Envelope::OpChained(ChainedOp::after(epoch, &msg, &prev));
+        let bytes = encode_envelope(&env);
+        prop_assert_eq!(bytes[1], CHAINED_TAG);
+        let Ok(Envelope::OpChained(op)) = decode_envelope::<TestOp>(&bytes) else {
+            return Err(TestCaseError::fail("a chained envelope decodes as one"));
+        };
+        prop_assert_eq!(op.resolve(&prev), Some(msg));
+    }
+
+    /// Truncating or flipping one bit of a chained envelope yields an error
+    /// or a well-formed envelope, and resolving whatever decodes yields
+    /// nothing or a message naming the header's sender, sequence number
+    /// and epoch — never a panic.
+    #[test]
+    fn corrupted_chained_envelopes_fail_cleanly(
+        (epoch, prev, msg) in arb_chained_pair(),
+        frac in 0.0f64..1.0,
+        bit in any::<usize>(),
+    ) {
+        let bytes = encode_envelope::<TestOp>(&Envelope::OpChained(ChainedOp::after(epoch, &msg, &prev)));
+        let cut = ((bytes.len() as f64) * frac) as usize;
+        resolves_cleanly(&bytes[..cut], &prev)?;
+        let mut flipped = bytes.clone();
+        let bit = bit % (flipped.len() * 8);
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        resolves_cleanly(&flipped, &prev)?;
+    }
+}
+
+/// The tag byte of a chained envelope (after the version byte).
+const CHAINED_TAG: u8 = 12;
+
+/// Decodes `bytes` as an envelope; what decodes must be well formed (it
+/// survives a re-encode), and resolving a chained one against `prev` must
+/// yield nothing or a message that names the header's sender and
+/// sequence number.
+fn resolves_cleanly(bytes: &[u8], prev: &CausalMessage<TestOp>) -> Result<(), TestCaseError> {
+    if let Ok(env) = decode_envelope::<TestOp>(bytes) {
+        prop_assert_eq!(
+            decode_envelope::<TestOp>(&encode_envelope(&env)),
+            Ok(env.clone())
+        );
+        if let Envelope::OpChained(op) = env {
+            if let Some(msg) = op.resolve(prev) {
+                prop_assert_eq!((msg.sender, msg.seq()), (op.sender, op.seq));
+            }
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn unresolvable_chained_envelopes_park_or_are_counted_never_panic() {
+    type Doc = Treedoc<String, Sdis>;
+    let (writer_site, reader_site) = (site(1), site(2));
+    let mut writer = Replica::new(writer_site, Doc::new(writer_site));
+    let mut reader = Replica::new(reader_site, Doc::new(reader_site));
+    let mut envelopes = Vec::new();
+    for k in 0..4 {
+        let op = writer
+            .doc_mut()
+            .local_insert(k, format!("line {k}"))
+            .unwrap();
+        envelopes.push(writer.stamp_envelope(op));
+    }
+    let chained = |env: &Env| match env {
+        Envelope::OpChained(op) => op.clone(),
+        other => panic!("expected a chained envelope, got {other:?}"),
+    };
+
+    // Its predecessor never arrived: the op parks.
+    assert_eq!(reader.receive_envelope(envelopes[2].clone()), 0);
+    assert_eq!(reader.pending(), 1);
+    assert_eq!(reader.chained_ops_dropped(), 0);
+
+    // The reader holds op 1 as the head of site 1's chain, but a chained
+    // op 2 naming another epoch, or garbage, does not resolve against it.
+    assert_eq!(reader.receive_envelope(envelopes[0].clone()), 1);
+    let mut other_epoch = chained(&envelopes[1]);
+    other_epoch.epoch = 7;
+    assert_eq!(reader.receive_envelope(Envelope::OpChained(other_epoch)), 0);
+    let mut garbage = chained(&envelopes[1]);
+    garbage.entry = vec![0, 0xff, 0xff, 0xff];
+    assert_eq!(reader.receive_envelope(Envelope::OpChained(garbage)), 0);
+    assert_eq!(reader.chained_ops_dropped(), 2);
+
+    // The real op 2 resolves, and the parked op 3 in cascade.
+    assert_eq!(reader.receive_envelope(envelopes[1].clone()), 2);
+    assert_eq!(reader.pending(), 0);
+    // Not chained to anything the reader holds: parks, never panics.
+    let stray = ChainedOp {
+        epoch: 0,
+        sender: site(5),
+        seq: 9,
+        entry: vec![0, 0x07],
+    };
+    assert_eq!(reader.receive_envelope(Envelope::OpChained(stray)), 0);
+    assert_eq!(reader.pending(), 1);
+    assert_eq!(reader.receive_envelope(envelopes[3].clone()), 1);
+    assert_eq!(writer.doc().to_vec(), reader.doc().to_vec());
 }

@@ -126,6 +126,9 @@ struct GroupInner {
     rotate_bytes: u64,
     /// Flushed segments and the highest LSN each holds.
     segments: BTreeMap<u64, u64>,
+    /// The segment whose torn or corrupt tail [`GroupWal::open`] cut, with
+    /// the bytes cut: replays that read the segment still report them.
+    cut_tail: Option<(u64, usize)>,
     /// Every document seen (enqueued, registered or discovered at open).
     docs: BTreeMap<String, DocMark>,
     stats: GroupWalStats,
@@ -175,7 +178,12 @@ impl GroupWal {
     /// here — they live in the documents' snapshot names and are re-learned
     /// as each document store registers (until then pruning stays
     /// conservative).
-    pub fn open(backend: SharedBackend) -> Result<Self, StorageError> {
+    ///
+    /// A torn or corrupt tail is cut: the segments after the faulty one go
+    /// first, newest first, then the faulty one is cut to its valid prefix,
+    /// so records flushed from here on extend exactly the records a replay
+    /// reads (a crash mid-cut leaves the fault ahead of whatever remains).
+    pub fn open(mut backend: SharedBackend) -> Result<Self, StorageError> {
         let mut segments = BTreeMap::new();
         let mut docs: BTreeMap<String, DocMark> = BTreeMap::new();
         let mut max_lsn = 0u64;
@@ -185,7 +193,8 @@ impl GroupWal {
             .filter_map(|n| parse_segment_name(n))
             .collect();
         seqs.sort_unstable();
-        for &seq in &seqs {
+        let mut cut_tail = None;
+        for (at, &seq) in seqs.iter().enumerate() {
             let bytes = backend.read(&segment_name(seq))?.unwrap_or_default();
             let replay = wal::replay(&bytes);
             let mut seg_max = 0u64;
@@ -202,10 +211,15 @@ impl GroupWal {
                 // Records past a fault are untrustworthy; the LSN counter
                 // restarts above everything *valid*, which is also
                 // everything any durable cursor can reference.
+                for &later in seqs[at + 1..].iter().rev() {
+                    backend.remove(&segment_name(later))?;
+                }
+                backend.write(&segment_name(seq), &bytes[..replay.valid_bytes])?;
+                cut_tail = Some((seq, replay.dropped_bytes));
                 break;
             }
         }
-        let active_segment = seqs.last().copied().unwrap_or(0);
+        let active_segment = segments.keys().next_back().copied().unwrap_or(0);
         let active_segment_bytes = backend
             .read(&segment_name(active_segment))?
             .map_or(0, |b| b.len() as u64);
@@ -219,6 +233,7 @@ impl GroupWal {
                 active_segment_bytes,
                 rotate_bytes: DEFAULT_ROTATE_BYTES,
                 segments,
+                cut_tail,
                 docs,
                 stats: GroupWalStats::default(),
                 metrics: GroupMetrics::default(),
@@ -401,6 +416,9 @@ impl GroupWal {
                 }
             }
             out.torn_tail_bytes += replay.dropped_bytes;
+            if let Some((_, cut)) = inner.cut_tail.filter(|&(cut_seq, _)| cut_seq == seq) {
+                out.torn_tail_bytes += cut;
+            }
             if replay.fault.is_some() {
                 break;
             }
@@ -546,5 +564,31 @@ mod tests {
         assert_eq!(replay.entries.len(), 1);
         assert_eq!(replay.entries[0].payload, b"whole");
         assert!(replay.torn_tail_bytes > 0);
+    }
+
+    #[test]
+    fn records_flushed_after_a_torn_tail_survive_the_next_open() {
+        let backend = SharedBackend::in_memory();
+        let wal = GroupWal::open(backend.clone()).unwrap();
+        wal.set_rotate_bytes(1); // one segment per flush
+        for payload in [&b"whole"[..], b"torn", b"lost"] {
+            wal.enqueue("d", 0, payload);
+            wal.flush().unwrap();
+        }
+        // Tear the middle segment: the last one's record went with it.
+        let name = segment_name(1);
+        let mut bytes = backend.read(&name).unwrap().unwrap();
+        bytes.truncate(bytes.len() - 3);
+        backend.clone().write(&name, &bytes).unwrap();
+
+        let reopened = GroupWal::open(backend.clone()).unwrap();
+        assert_eq!(reopened.replay_for("d", 0).unwrap().entries.len(), 1);
+        reopened.enqueue("d", 0, b"after");
+        reopened.flush().unwrap();
+
+        let replay = GroupWal::open(backend).unwrap().replay_for("d", 0).unwrap();
+        let payloads: Vec<&[u8]> = replay.entries.iter().map(|e| &e.payload[..]).collect();
+        assert_eq!(payloads, [&b"whole"[..], b"after"]);
+        assert_eq!(replay.torn_tail_bytes, 0);
     }
 }

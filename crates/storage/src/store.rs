@@ -16,7 +16,9 @@
 //! * **recover** — load the newest snapshot that passes hash verification
 //!   (falling back to older ones, counting the corrupt), then replay the
 //!   WAL segments **at or after that snapshot's sequence**; torn tails are
-//!   dropped and reported.
+//!   dropped and reported, and cut from the log, so records appended after
+//!   the recovery extend the valid prefix instead of hiding behind the
+//!   torn frame.
 //!
 //! Keying segments by snapshot sequence is what makes a checkpoint
 //! crash-safe without cross-file atomicity: records older than the chosen
@@ -471,7 +473,12 @@ impl DocStore {
     /// counting corrupt ones) and replays the WAL segments at or after its
     /// sequence. A store with no snapshot at all yields `snapshot: None`
     /// and every segment.
-    pub fn recover(&self) -> Result<Recovered, StorageError> {
+    ///
+    /// A torn or corrupt tail is reported in the stats and cut from the
+    /// private WAL before this returns (the faulty segment keeps its valid
+    /// prefix, later segments go), so the next [`append`](Self::append)
+    /// extends exactly the records recovered here.
+    pub fn recover(&mut self) -> Result<Recovered, StorageError> {
         let span = self.metrics.recover_micros.start();
         let mut stats = RecoveryStats::default();
         let mut snapshot = None;
@@ -500,7 +507,11 @@ impl DocStore {
         let replay = match &self.sink {
             WalSink::Private => {
                 let segments = self.segments_from(from_seq)?;
-                self.replay_segments(&segments)?
+                let replay = self.replay_segments(&segments)?;
+                if replay.fault.is_some() {
+                    self.drop_torn_tail(&segments)?;
+                }
+                replay
             }
             WalSink::Group { wal, doc } => {
                 let group = wal.replay_for(doc, from_cursor)?;
@@ -527,6 +538,43 @@ impl DocStore {
             wal: replay.entries,
             stats,
         })
+    }
+}
+
+impl DocStore {
+    /// Cuts the private WAL back to the valid prefix a recovery replayed:
+    /// the first faulty segment among `segments` keeps its valid records and
+    /// every later one is removed (its records were dropped with the
+    /// fault). Left in place, the torn bytes would stop the next recovery
+    /// before every record appended after this one.
+    ///
+    /// The later segments go first, newest first, and the faulty one is cut
+    /// last: a crash at any step leaves the fault in place ahead of whatever
+    /// later records remain, so the next recovery still stops at it and
+    /// never replays across the gap.
+    fn drop_torn_tail(&mut self, segments: &[u64]) -> Result<(), StorageError> {
+        let mut faulty = None;
+        for (at, &seq) in segments.iter().enumerate() {
+            let bytes = self.backend.read(&wal_name(seq))?.unwrap_or_default();
+            let replay = wal::replay(&bytes);
+            if replay.fault.is_some() {
+                faulty = Some((at, bytes, replay.valid_bytes));
+                break;
+            }
+        }
+        let Some((at, bytes, valid_bytes)) = faulty else {
+            return Ok(());
+        };
+        for &later in segments[at + 1..].iter().rev() {
+            self.backend.remove(&wal_name(later))?;
+        }
+        self.backend
+            .write(&wal_name(segments[at]), &bytes[..valid_bytes])?;
+        self.active_segment_bytes = self
+            .backend
+            .read(&wal_name(self.active_segment))?
+            .map_or(0, |b| b.len() as u64);
+        Ok(())
     }
 }
 
@@ -570,6 +618,7 @@ fn parse_snapshot_name(name: &str) -> Option<(u64, u64, Option<u64>)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::SharedBackend;
 
     fn snapshot_with(tag: &str) -> Snapshot {
         let mut s = Snapshot::new();
@@ -635,7 +684,7 @@ mod tests {
         bad[last] ^= 0xFF;
         backend.write(&snapshot_name(1, 2), &bad).unwrap();
 
-        let store = DocStore::new(backend).unwrap();
+        let mut store = DocStore::new(backend).unwrap();
         let recovered = store.recover().unwrap();
         assert_eq!(recovered.stats.corrupt_snapshots_skipped, 1);
         let (epoch, snapshot) = recovered.snapshot.unwrap();
@@ -656,12 +705,155 @@ mod tests {
         torn.truncate(log.len() + 7);
         let mut backend = MemoryBackend::new();
         backend.write(&wal_name(0), &torn).unwrap();
-        let store = DocStore::new(backend).unwrap();
+        let mut store = DocStore::new(backend).unwrap();
 
         let recovered = store.recover().unwrap();
         assert_eq!(recovered.wal.len(), 1);
         assert_eq!(recovered.wal[0].payload, b"whole record");
         assert_eq!(recovered.stats.torn_tail_bytes, 7);
+    }
+
+    #[test]
+    fn records_appended_after_a_torn_tail_survive_the_next_recovery() {
+        let backend = SharedBackend::in_memory();
+        let mut store = DocStore::new(backend.clone()).unwrap();
+        store.append(0, b"whole record").unwrap();
+        store.append(0, b"torn record").unwrap();
+        let mut log = backend.read(&wal_name(0)).unwrap().unwrap();
+        log.truncate(log.len() - 4);
+        backend.clone().write(&wal_name(0), &log).unwrap();
+
+        let mut store = DocStore::new(backend.clone()).unwrap();
+        let recovered = store.recover().unwrap();
+        assert_eq!(recovered.wal.len(), 1);
+        assert!(recovered.stats.torn_tail_bytes > 0);
+        store.append(0, b"after the tear").unwrap();
+
+        let recovered = DocStore::new(backend).unwrap().recover().unwrap();
+        let payloads: Vec<&[u8]> = recovered.wal.iter().map(|e| &e.payload[..]).collect();
+        assert_eq!(payloads, [&b"whole record"[..], b"after the tear"]);
+        assert_eq!(recovered.stats.torn_tail_bytes, 0);
+    }
+
+    #[test]
+    fn a_fault_in_an_older_segment_drops_the_later_ones_for_good() {
+        // A fallback recovery (newest snapshot corrupt) stops at a fault in
+        // the older segment; the newer segment's records were dropped with
+        // it and must not resurface once new records follow.
+        let backend = SharedBackend::in_memory();
+        let mut store = DocStore::new(backend.clone()).unwrap();
+        store.checkpoint(0, &snapshot_with("old")).unwrap();
+        store.append(0, b"kept").unwrap();
+        store.append(0, b"torn").unwrap();
+        store.checkpoint(1, &snapshot_with("new")).unwrap();
+        store.append(1, b"dropped").unwrap();
+        let old_segment = wal_name(1);
+        let mut log = backend.read(&old_segment).unwrap().unwrap();
+        log.truncate(log.len() - 2);
+        backend.clone().write(&old_segment, &log).unwrap();
+        let newest = backend
+            .list()
+            .unwrap()
+            .into_iter()
+            .filter(|n| n.starts_with("snap-"))
+            .max()
+            .unwrap();
+        backend.clone().write(&newest, b"garbage").unwrap();
+
+        let mut store = DocStore::new(backend.clone()).unwrap();
+        let recovered = store.recover().unwrap();
+        assert_eq!(recovered.wal.len(), 1);
+        store.append(1, b"after").unwrap();
+        let recovered = DocStore::new(backend).unwrap().recover().unwrap();
+        let payloads: Vec<&[u8]> = recovered.wal.iter().map(|e| &e.payload[..]).collect();
+        assert_eq!(payloads, [&b"kept"[..], b"after"]);
+    }
+
+    /// A backend that crashes at its first blob write (`at_write`) or its
+    /// first removal: that call fails, and so does every later one.
+    #[derive(Debug)]
+    struct Crashing {
+        inner: SharedBackend,
+        at_write: bool,
+        crashed: bool,
+    }
+
+    impl StorageBackend for Crashing {
+        fn read(&self, name: &str) -> Result<Option<Vec<u8>>, StorageError> {
+            self.inner.read(name)
+        }
+        fn write(&mut self, name: &str, bytes: &[u8]) -> Result<(), StorageError> {
+            self.crashed |= self.at_write;
+            if self.crashed {
+                return Err(StorageError::new("crashed"));
+            }
+            self.inner.write(name, bytes)
+        }
+        fn append(&mut self, name: &str, bytes: &[u8]) -> Result<(), StorageError> {
+            if self.crashed {
+                return Err(StorageError::new("crashed"));
+            }
+            self.inner.append(name, bytes)
+        }
+        fn remove(&mut self, name: &str) -> Result<(), StorageError> {
+            self.crashed |= !self.at_write;
+            if self.crashed {
+                return Err(StorageError::new("crashed"));
+            }
+            self.inner.remove(name)
+        }
+        fn list(&self) -> Result<Vec<String>, StorageError> {
+            self.inner.list()
+        }
+    }
+
+    #[test]
+    fn a_crash_while_cutting_a_torn_tail_never_replays_across_the_fault() {
+        // The fault sits in an older segment (the newest snapshot is
+        // corrupt, so recovery falls back past it); cutting the tail
+        // removes the newer segment and cuts the faulty one. A crash at
+        // either step must leave a store whose next recovery still stops
+        // at the fault, never one that replays the newer segment's record
+        // after a clean cut.
+        for at_write in [false, true] {
+            let backend = SharedBackend::in_memory();
+            let mut store = DocStore::new(backend.clone()).unwrap();
+            store.checkpoint(0, &snapshot_with("old")).unwrap();
+            store.append(0, b"kept").unwrap();
+            store.append(0, b"torn").unwrap();
+            store.checkpoint(1, &snapshot_with("new")).unwrap();
+            store.append(1, b"dropped").unwrap();
+            let old_segment = wal_name(1);
+            let mut log = backend.read(&old_segment).unwrap().unwrap();
+            log.truncate(log.len() - 2);
+            backend.clone().write(&old_segment, &log).unwrap();
+            let newest = backend
+                .list()
+                .unwrap()
+                .into_iter()
+                .filter(|n| n.starts_with("snap-"))
+                .max()
+                .unwrap();
+            backend.clone().write(&newest, b"garbage").unwrap();
+
+            let crashing = Crashing {
+                inner: backend.clone(),
+                at_write,
+                crashed: false,
+            };
+            let mut store = DocStore::new(crashing).unwrap();
+            assert!(store.recover().is_err(), "the cut crashed");
+
+            let mut store = DocStore::new(backend.clone()).unwrap();
+            let recovered = store.recover().unwrap();
+            let payloads: Vec<&[u8]> = recovered.wal.iter().map(|e| &e.payload[..]).collect();
+            assert_eq!(payloads, [&b"kept"[..]], "crash at write: {at_write}");
+            assert!(recovered.stats.torn_tail_bytes > 0);
+            store.append(1, b"after").unwrap();
+            let recovered = DocStore::new(backend).unwrap().recover().unwrap();
+            let payloads: Vec<&[u8]> = recovered.wal.iter().map(|e| &e.payload[..]).collect();
+            assert_eq!(payloads, [&b"kept"[..], b"after"]);
+        }
     }
 
     #[test]
@@ -680,7 +872,7 @@ mod tests {
             .write(&snapshot_name(1, 1), &snapshot_with("epoch-1").encode())
             .unwrap();
 
-        let store = DocStore::new(backend).unwrap();
+        let mut store = DocStore::new(backend).unwrap();
         let recovered = store.recover().unwrap();
         assert_eq!(recovered.snapshot.as_ref().unwrap().0, 1);
         assert!(
@@ -717,7 +909,7 @@ mod tests {
         backend.write(&snapshot_name(2, 0), &bad).unwrap();
         backend.write(&wal_name(2), &seg2).unwrap();
 
-        let store = DocStore::new(backend).unwrap();
+        let mut store = DocStore::new(backend).unwrap();
         let recovered = store.recover().unwrap();
         assert_eq!(recovered.stats.corrupt_snapshots_skipped, 1);
         assert_eq!(
@@ -815,7 +1007,7 @@ mod tests {
 
             // Reopen the shard cold, as a node restart would.
             let wal2 = GroupWal::open(backend.clone()).unwrap();
-            let store2 = doc_store(&backend, &wal2, "d");
+            let mut store2 = doc_store(&backend, &wal2, "d");
             let rec = store2.recover().unwrap();
             assert_eq!(rec.snapshot.unwrap().0, 1);
             assert_eq!(rec.wal.len(), 1, "only the post-checkpoint tail");

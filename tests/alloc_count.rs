@@ -21,7 +21,8 @@ use std::cell::Cell;
 use treedoc_core::{codec, PosId, Sdis, Side, SiteId, Treedoc, Udis};
 use treedoc_replication::wire::WalChain;
 use treedoc_replication::{
-    decode_envelope, encode_envelope, CausalMessage, Envelope, OpBatch, Replica, WalRecord,
+    decode_envelope, encode_envelope, CausalMessage, ChainedOp, Envelope, OpBatch, Replica,
+    WalRecord,
 };
 use treedoc_storage::DocStore;
 
@@ -341,6 +342,52 @@ fn typing_recovery_is_constant_per_record_in_allocations_and_wal_bytes() {
     );
 }
 
+/// Types `keys` at a writer whose every envelope crosses the wire codec to
+/// a reader; returns the allocations per keystroke and the wire bytes per
+/// envelope of the last `window` keystrokes.
+fn typing_wire_costs(keys: &[bool], window: usize) -> (f64, f64) {
+    let sites = [1, 2].map(SiteId::from_u64);
+    let [mut writer, mut reader] =
+        sites.map(|site| Replica::new(site, Treedoc::<char, Sdis>::new(site)));
+    let (mut spent, mut bytes) = (0, 0);
+    for (i, key) in keys.iter().enumerate() {
+        let measured = i >= keys.len() - window;
+        let start = allocs();
+        let op = type_keys(writer.doc_mut(), std::slice::from_ref(key)).remove(0);
+        let wire = encode_envelope(&writer.stamp_envelope(op));
+        let envelope = decode_envelope::<TypingOp>(&wire).unwrap();
+        assert_eq!(reader.receive_envelope(envelope), 1);
+        if measured {
+            spent += allocs() - start;
+            bytes += wire.len();
+        }
+    }
+    assert_eq!(writer.digest(), reader.digest());
+    (spent as f64 / window as f64, bytes as f64 / window as f64)
+}
+
+#[test]
+fn typing_over_the_wire_is_flat_per_keystroke_in_allocations_and_bytes() {
+    // Every envelope after the first is chained to the writer's previous
+    // stamp and resolves onto the reader's own identifier chain, so a
+    // keystroke costs the same allocations and the same few wire bytes at
+    // 8k keystrokes as at 1k, however deep the identifiers have grown.
+    let keys = typing_keys(8_192);
+    let window = 512;
+    let (allocs_1k, bytes_1k) = typing_wire_costs(&keys[..1_024], window);
+    let (allocs_8k, bytes_8k) = typing_wire_costs(&keys, window);
+    assert!(
+        allocs_8k <= allocs_1k * 1.5 + 1.0,
+        "wire-path allocations per keystroke grew with the document: {allocs_1k:.2} at 1k \
+         keystrokes vs {allocs_8k:.2} at 8k"
+    );
+    assert!(
+        bytes_8k <= bytes_1k * 1.1 + 1.0 && bytes_8k <= 32.0,
+        "a keystroke's envelope costs {bytes_1k:.1} B at 1k and {bytes_8k:.1} B at 8k \
+         (want flat, ≤ 32 B)"
+    );
+}
+
 #[test]
 fn corrupted_wal_records_never_over_allocate() {
     // A chained journal: typing with backspaces, a received batch from
@@ -381,7 +428,18 @@ fn corrupted_wal_records_never_over_allocate() {
     records.push(WalRecord::PeersEnabled {
         peers: vec![SiteId::from_u64(2)],
     });
-    records.push(records[records.len() - 3].clone());
+    // Chained envelopes parked for their predecessor, journaled as
+    // received: two stamps of the typing stream.
+    for at in [500, 560] {
+        let [WalRecord::Stamped { msg: prev, .. }, WalRecord::Stamped { epoch, msg }] =
+            &records[at..at + 2]
+        else {
+            unreachable!("the typing stream is stamps");
+        };
+        let envelope = Envelope::OpChained(ChainedOp::after(*epoch, msg, prev));
+        records.push(WalRecord::Received { envelope });
+    }
+    records.push(records[records.len() - 5].clone());
 
     let mut chain = WalChain::new();
     let mut journal = Vec::new();

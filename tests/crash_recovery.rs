@@ -399,3 +399,49 @@ fn typing_recovers_at_every_wal_append_and_resumes_the_chain() {
         }
     }
 }
+
+/// Stamps `text` at the end of `replica`'s document.
+fn type_text(replica: &mut Replica<TypingDoc>, text: &str) {
+    for c in text.chars() {
+        let len = replica.doc().len();
+        let op = replica.doc_mut().local_insert(len, c).unwrap();
+        let _ = replica.stamp_envelope(op);
+    }
+}
+
+#[test]
+fn stamps_after_recovering_from_a_torn_tail_survive_the_next_recovery() {
+    let disk = SharedBackend::in_memory();
+    let site = SiteId::from_u64(1);
+    let mut writer = Replica::new(site, TypingDoc::new(site));
+    writer
+        .attach_store(DocStore::new(disk.clone()).unwrap())
+        .unwrap();
+    type_text(&mut writer, "aaaaa");
+    drop(writer);
+
+    // The crash tore the last stamp's record.
+    let active = disk
+        .list()
+        .unwrap()
+        .into_iter()
+        .filter(|n| n.starts_with("wal-"))
+        .max()
+        .unwrap();
+    let mut log = disk.read(&active).unwrap().unwrap();
+    log.truncate(log.len() - 3);
+    disk.clone().write(&active, &log).unwrap();
+
+    let (mut writer, report) =
+        Replica::<TypingDoc>::recover(DocStore::new(disk.clone()).unwrap()).unwrap();
+    assert!(report.torn_tail_bytes > 0);
+    assert_eq!(writer.doc().to_vec(), "aaaa".chars().collect::<Vec<_>>());
+    type_text(&mut writer, "bbbbb");
+    let live = writer.doc().to_vec();
+    drop(writer);
+
+    let (recovered, report) = Replica::<TypingDoc>::recover(DocStore::new(disk).unwrap()).unwrap();
+    assert_eq!(report.torn_tail_bytes, 0, "{report:?}");
+    assert_eq!(recovered.doc().to_vec(), live);
+    assert_eq!(live, "aaaabbbbb".chars().collect::<Vec<_>>());
+}

@@ -10,7 +10,9 @@
 //! vectors.
 //!
 //! WAL records that carry operations are pinned twice: absolute (the first
-//! record after a checkpoint) and chained to a predecessor.
+//! record after a checkpoint) and chained to a predecessor. Single-op
+//! envelopes are pinned both ways too: absolute (tag 1) and chained to the
+//! sender's previous stamp (tag 12).
 //!
 //! Exactly one generation is decoded. The vectors pinned while the version
 //! was 2 and 3 stay here as refusals: their bytes must come back as a typed
@@ -18,12 +20,12 @@
 
 use treedoc_repro::core::codec::{put_site, put_u8, put_varint};
 use treedoc_repro::core::node::Content;
-use treedoc_repro::core::{PathElem, PosId, Side};
+use treedoc_repro::core::{spine_successor, PathElem, PosId, Side};
 use treedoc_repro::prelude::*;
 use treedoc_repro::replication::sync::{encode_bound, encode_cells};
 use treedoc_repro::replication::{
-    wire, DecisionKind, FlattenDecision, FlattenPropose, FlattenVote, RangeDigest, SnapshotChunk,
-    SnapshotOffer, SyncDigests, SyncRoot, SyncRuns, VoteStage, WalRecord,
+    wire, ChainedOp, DecisionKind, FlattenDecision, FlattenPropose, FlattenVote, RangeDigest,
+    SnapshotChunk, SnapshotOffer, SyncDigests, SyncRoot, SyncRuns, VoteStage, WalRecord,
 };
 
 type TestOp = Op<String, Sdis>;
@@ -327,6 +329,8 @@ fn sync_envelope_golden_vectors() {
             cells: 42,
             clock: clock(&[(1, 3), (2, 5)]),
             reply: true,
+            want_heads: false,
+            chain_heads: Vec::new(),
         }),
     );
     check_envelope(
@@ -512,4 +516,109 @@ fn chained_wal_record_golden_vectors() {
         },
         Some(&prev),
     );
+}
+
+#[test]
+fn sync_root_chain_heads_golden_vector() {
+    // An echo carrying one chain head and asking for the prober's: the
+    // flags byte sets bit 2 (want heads) and bit 1 (heads follow) and
+    // clears bit 0 (no reply asked); the heads are a count and
+    // the entry in the layout of an `Op` envelope's body (see
+    // `op_envelope_golden_vector`), behind their byte length.
+    let head = msg(
+        1,
+        &[(1, 3), (2, 5)],
+        Op::Insert {
+            id: pos(&[(1, None), (0, Some(1))]),
+            atom: "hi".into(),
+        },
+    );
+    let chain_heads = wire::encode_chain_heads(&[(1, head.clone())]);
+    assert_eq!(
+        wire::decode_chain_heads::<TestOp>(&chain_heads),
+        Ok(vec![(1, head)])
+    );
+    check_envelope(
+        "040700000000000188776655443322112a020000000000010300000000000205062501\
+         010000000000010200000000000103000000000002050000020102000000000001026869",
+        Envelope::SyncRoot(SyncRoot {
+            from: SiteId::from_u64(1),
+            digest: 0x1122_3344_5566_7788,
+            cells: 42,
+            clock: clock(&[(1, 3), (2, 5)]),
+            reply: false,
+            want_heads: true,
+            chain_heads,
+        }),
+    );
+    // Flagged heads that are absent or empty, and unknown flag bits, are
+    // malformed.
+    let root = "040700000000000188776655443322112a020000000000010300000000000205";
+    for flags in ["02", "0200", "08", "0300"] {
+        let bad = unhex(&format!("{root}{flags}"));
+        assert!(decode_envelope::<TestOp>(&bad).is_err(), "flags {flags}");
+    }
+}
+
+#[test]
+fn chained_envelope_golden_vectors() {
+    // Tag 12: a single-op envelope chained to its sender's previous stamp.
+    // The header names the epoch, sender and sequence number; the
+    // length-prefixed entry is delta-encoded against the predecessor. A
+    // keystroke continuing the previous one is a run step (flags 07: same
+    // sender, clock incremented, run step; then the side byte and atom).
+    let prev = msg(
+        1,
+        &[(1, 3)],
+        Op::Insert {
+            id: pos(&[(1, Some(1))]),
+            atom: "a".into(),
+        },
+    );
+    let keystroke = msg(
+        1,
+        &[(1, 4)],
+        Op::Insert {
+            id: spine_successor(&prev.payload.id().clone(), Side::Right).expect("spine grows"),
+            atom: "b".into(),
+        },
+    );
+    check_chained("040c0000000000000104050007010162", 0, &keystroke, &prev);
+    // Not a run step: a delete after a remote delivery, so the entry
+    // carries the clock delta and the identifier against the predecessor's.
+    let delete = msg(
+        1,
+        &[(1, 4), (2, 2)],
+        Op::Delete {
+            id: pos(&[(1, Some(1))]),
+        },
+    );
+    check_chained(
+        "040c0100000000000104140101020000000000010400000000000202010100",
+        1,
+        &delete,
+        &prev,
+    );
+    // A chained envelope parked for its predecessor is journaled as a
+    // received envelope (WAL tag 2), whatever the WAL chain holds.
+    check_wal(
+        "0202040c0000000000000104050007010162",
+        WalRecord::Received {
+            envelope: Envelope::OpChained(ChainedOp::after(0, &keystroke, &prev)),
+        },
+        None,
+    );
+}
+
+/// Asserts both directions of one chained-envelope golden vector, and that
+/// it resolves against `prev` to `msg`.
+fn check_chained(
+    golden_hex: &str,
+    epoch: u64,
+    msg: &CausalMessage<TestOp>,
+    prev: &CausalMessage<TestOp>,
+) {
+    let fixture = ChainedOp::after(epoch, msg, prev);
+    check_envelope(golden_hex, Envelope::OpChained(fixture.clone()));
+    assert_eq!(fixture.resolve(prev).as_ref(), Some(msg));
 }
