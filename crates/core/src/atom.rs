@@ -8,7 +8,7 @@
 
 use std::fmt::Debug;
 
-use serde::{de::DeserializeOwned, Serialize};
+use serde::{de::DeserializeOwned, Deserialize, Serialize};
 
 use crate::hash::ContentHash;
 
@@ -68,7 +68,7 @@ impl Atom for u64 {
 /// The paper's evaluation uses [`Granularity::Line`] for LaTeX and source
 /// code and [`Granularity::Paragraph`] for Wikipedia pages (§5); characters
 /// are supported for interactive-editor style workloads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Granularity {
     /// One atom per Unicode scalar value.
     Character,
@@ -107,6 +107,73 @@ impl Granularity {
             Granularity::Character => atoms.concat(),
             Granularity::Line => atoms.join("\n"),
             Granularity::Paragraph => atoms.join("\n\n"),
+        }
+    }
+}
+
+/// The content of an atom slot.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Content<A> {
+    /// No slot exists at this position (nothing was ever inserted here, or a
+    /// UDIS node was discarded).
+    Absent,
+    /// A live atom.
+    Live(A),
+    /// A deleted atom whose node must be kept (SDIS, §3.3.2): the atom itself
+    /// has been discarded but the identifier stays occupied.
+    Tombstone,
+    /// A structural node without an atom: either a non-leaf UDIS node whose
+    /// atom was discarded but which still has descendants, or an ancestor
+    /// re-created while replaying an insert whose original ancestors were
+    /// concurrently discarded (§3.3.1).
+    Ghost,
+}
+
+impl<A> Content<A> {
+    /// `true` when the slot holds a live atom.
+    pub fn is_live(&self) -> bool {
+        matches!(self, Content::Live(_))
+    }
+
+    /// `true` when the slot exists at all (live, tombstone or ghost).
+    pub fn is_present(&self) -> bool {
+        !matches!(self, Content::Absent)
+    }
+
+    /// `true` for a tombstone.
+    pub fn is_tombstone(&self) -> bool {
+        matches!(self, Content::Tombstone)
+    }
+
+    /// Returns the live atom, if any.
+    pub fn live(&self) -> Option<&A> {
+        match self {
+            Content::Live(a) => Some(a),
+            _ => None,
+        }
+    }
+
+    /// Precedence when state transfer meets a cell stored with other
+    /// content: absent < ghost < live < tombstone (a tombstone never
+    /// resurrects, a live atom outranks a structural ghost).
+    pub fn rank(&self) -> u8 {
+        match self {
+            Content::Absent => 0,
+            Content::Ghost => 1,
+            Content::Live(_) => 2,
+            Content::Tombstone => 3,
+        }
+    }
+
+    /// Takes the live atom out, leaving the given replacement content.
+    pub fn take_live(&mut self, replacement: Content<A>) -> Option<A> {
+        if self.is_live() {
+            match std::mem::replace(self, replacement) {
+                Content::Live(a) => Some(a),
+                _ => unreachable!(),
+            }
+        } else {
+            None
         }
     }
 }

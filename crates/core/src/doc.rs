@@ -19,17 +19,15 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use crate::alloc::{balanced_append, batch_subtree_ids, new_pos_id, Neighbours};
-use crate::atom::Atom;
+use crate::atom::{Atom, Content};
 use crate::disambiguator::{DisSource, Disambiguator, HasSource};
 use crate::error::{Error, Result};
 use crate::flatten::FlattenOutcome;
-use crate::node::Content;
 use crate::ops::Op;
 use crate::path::{PosId, Side};
 use crate::run::RunTree;
 use crate::site::SiteId;
 use crate::stats::DocStats;
-use crate::tree::Tree;
 
 /// Tuning knobs for a replica.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -52,9 +50,7 @@ impl TreedocConfig {
 ///
 /// Atoms are held in a run-coalesced store ([`RunTree`]): contiguous
 /// same-site sequential insertions occupy a single run, so sequential typing
-/// costs `O(1)` amortised per character instead of one tree node each. The
-/// per-atom [`Tree`] view can still be materialised with
-/// [`tree`](Self::tree) for algorithms and formats that need it.
+/// costs `O(1)` amortised per character instead of one tree node each.
 #[derive(Debug, Clone)]
 pub struct Treedoc<A, D: HasSource> {
     store: RunTree<A, D>,
@@ -105,22 +101,23 @@ impl<A: Atom, D: Disambiguator + HasSource> Treedoc<A, D> {
         doc
     }
 
-    /// Reassembles a replica from durably stored parts: a decoded tree (e.g.
-    /// from a [`DiskImage`](../../treedoc_storage/struct.DiskImage.html)),
-    /// the disambiguator source and the revision counter as they were when
-    /// the snapshot was taken.
+    /// Reassembles a replica from durably stored parts: its cells in
+    /// strictly increasing identifier order (as
+    /// [`RunTree::collect_cells`] lists them), the disambiguator source and
+    /// the revision counter as they were when the snapshot was taken. Every
+    /// cell is stamped with revision 0.
     ///
     /// The §4.1 append-reservation cache is *not* part of the durable state:
     /// a recovered replica simply re-grows its next append subtree, which
     /// affects identifier length, never correctness.
-    pub fn from_parts(
-        tree: Tree<A, D>,
+    pub fn from_cells(
+        cells: impl IntoIterator<Item = (PosId<D>, Content<A>)>,
         source: D::Source,
         config: TreedocConfig,
         revision: u64,
     ) -> Self {
         Treedoc {
-            store: RunTree::from_tree(&tree),
+            store: RunTree::from_cells(cells.into_iter().map(|(id, c)| (id, c, 0)).collect()),
             source,
             config,
             revision,
@@ -193,14 +190,6 @@ impl<A: Atom, D: Disambiguator + HasSource> Treedoc<A, D> {
         self.source.site()
     }
 
-    /// Materialises the per-atom identifier tree equivalent to the current
-    /// run-coalesced store. This walks every cell (`O(n · depth)`), so it is
-    /// meant for snapshots, structural analysis and interop — not for the
-    /// edit path.
-    pub fn tree(&self) -> Tree<A, D> {
-        self.store.to_tree()
-    }
-
     /// Read access to the run-coalesced store.
     pub fn store(&self) -> &RunTree<A, D> {
         &self.store
@@ -256,22 +245,16 @@ impl<A: Atom, D: Disambiguator + HasSource> Treedoc<A, D> {
     /// soundness caveat). All cells are stamped with one fresh revision.
     /// Returns how many cells actually changed the store.
     ///
-    /// Incoming identifiers decoded from a peer's transfer carry chunk chains
-    /// independent of anything already stored; they are interned through a
-    /// per-call [`crate::arena::PathArena`] so cells of one transfer share
-    /// their common prefixes before entering the store.
+    /// Identifiers decoded from one cell list already share their common
+    /// prefixes: each is delta-decoded onto its predecessor's chunk chain.
     pub fn integrate_cells(
         &mut self,
         cells: impl IntoIterator<Item = (PosId<D>, Content<A>)>,
     ) -> Result<usize> {
         let rev = self.next_revision();
-        let mut arena = crate::arena::PathArena::new();
         let mut changed = 0;
         for (id, content) in cells {
-            if self
-                .store
-                .integrate_cell(&arena.intern(&id), content, rev)?
-            {
+            if self.store.integrate_cell(&id, content, rev)? {
                 changed += 1;
             }
         }
@@ -446,17 +429,10 @@ impl<A: Atom, D: Disambiguator + HasSource> Treedoc<A, D> {
     /// Applies the cold-region heuristic of §5.1: flattens every maximal
     /// subtree that has not been modified since `threshold_rev` and holds at
     /// least `min_live` atoms. Returns one outcome per flattened subtree.
+    /// The regions come from the run aggregates
+    /// ([`RunTree::cold_regions`]); no per-atom tree is built.
     pub fn flatten_cold(&mut self, threshold_rev: u64, min_live: usize) -> Vec<FlattenOutcome> {
-        // Cheap run-level gate: if even the least recently touched run is
-        // hotter than the threshold, no region can possibly be cold, and the
-        // per-atom materialisation below is skipped entirely.
-        if self.store.is_empty() || self.store.min_hot_rev() > threshold_rev {
-            return Vec::new();
-        }
-        let cold = self
-            .store
-            .to_tree()
-            .find_cold_subtrees(threshold_rev, min_live);
+        let cold = self.store.cold_regions(threshold_rev, min_live);
         let mut outcomes = Vec::with_capacity(cold.len());
         for bits in cold {
             if let Ok(outcome) = self.flatten(&bits) {

@@ -23,9 +23,14 @@
 //! * identifiers are ordered by an infix walk of the tree (§3.1 of the paper),
 //! * new identifiers can always be allocated strictly between two existing
 //!   ones (density), using Algorithm 1 of the paper ([`alloc`]),
-//! * the tree can be rebalanced and compacted with `explode` / `flatten`
-//!   (Algorithm 2, [`flatten`]), in the best case falling back to a plain
-//!   array with zero metadata overhead.
+//! * cold regions can be compacted with `flatten` (Algorithm 2,
+//!   [`flatten`]) into plain bit-string identifiers with zero metadata.
+//!
+//! The tree is never built node by node: a replica stores its cells as
+//! coalesced runs ([`RunTree`]) — a typing burst is one run, an exploded
+//! region another — and that one structure serves edits, statistics,
+//! digests, flatten and snapshots. (The per-atom tree lives on as a test
+//! oracle in the `treedoc-reference` crate.)
 //!
 //! Two disambiguator designs from §3.3 are provided:
 //!
@@ -64,7 +69,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod alloc;
-pub mod arena;
 pub mod atom;
 pub mod codec;
 pub mod disambiguator;
@@ -72,30 +76,21 @@ pub mod doc;
 pub mod error;
 pub mod flatten;
 pub mod hash;
-pub mod node;
 pub mod ops;
 pub mod path;
-pub mod refpath;
 pub mod run;
 pub mod site;
 pub mod stats;
-pub mod storage;
-pub mod tree;
 
-pub use arena::PathArena;
-pub use atom::{Atom, Granularity};
+pub use atom::{Atom, Content, Granularity};
 pub use codec::{WireAtom, WireDis, WirePayload, WIRE_VERSION};
 pub use disambiguator::{DisSource, Disambiguator, HasSource, Sdis, SdisSource, Udis, UdisSource};
 pub use doc::{Treedoc, TreedocConfig};
 pub use error::{Error, Result};
-pub use flatten::{explode, FlattenOutcome};
+pub use flatten::{explode_depth, FlattenOutcome};
 pub use hash::{combine_hashes, content_hash64, crc32, ContentHash, Hasher64, DIGEST_BASE};
-pub use node::{Content, MajorNode, MiniNode};
 pub use ops::{Op, OpKind};
 pub use path::{PathElem, PosId, Side};
-pub use refpath::RefPosId;
 pub use run::{cell_hash, spine_step, spine_successor, RunTree};
 pub use site::SiteId;
 pub use stats::{DocStats, MemoryModel, PosIdStats};
-pub use storage::{Representation, StorageKind};
-pub use tree::Tree;

@@ -1093,30 +1093,6 @@ impl<D> PosId<D> {
     {
         PosIdRepr(format!("{self:?}"))
     }
-
-    /// The chunk chain as owned `Arc`s, root-most chunk first. Used by the
-    /// interning arena, which relinks chains onto canonical nodes.
-    pub(crate) fn chunk_arcs(&self) -> Vec<Arc<PathNode<D>>> {
-        let mut out = Vec::new();
-        let mut cur = self.node.clone();
-        while let Some(arc) = cur {
-            cur = arc.parent.clone();
-            out.push(arc);
-        }
-        out.reverse();
-        out
-    }
-
-    /// The tip chunk node, for the interning arena's sharing assertions.
-    #[cfg(test)]
-    pub(crate) fn tip(&self) -> &Option<Arc<PathNode<D>>> {
-        &self.node
-    }
-
-    /// Rewraps an arena-owned chunk chain as an identifier.
-    pub(crate) fn from_node(node: Option<Arc<PathNode<D>>>) -> PosId<D> {
-        PosId { node }
-    }
 }
 
 impl<D: PartialEq> PartialEq for PosId<D> {

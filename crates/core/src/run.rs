@@ -1,12 +1,14 @@
-//! Run-coalesced document storage.
+//! Run-coalesced document storage: the one in-memory representation of a
+//! document.
 //!
-//! The per-atom [`Tree`] spends one heap node (a major
-//! node plus a mini-node) on every atom, so a sequential typing burst of `n`
-//! characters costs `n` allocations, `n` full identifiers and `O(depth)`
-//! pointer chasing per edit. But Algorithm 1 of the paper makes those bursts
-//! *structurally regular*: each locally typed character extends a spine of
-//! single-child nodes whose disambiguators count up by one (UDIS) or repeat
-//! (SDIS). A whole burst is describable by its first identifier alone.
+//! The paper's extended binary tree spends one heap node (a major node plus
+//! a mini-node) on every atom, so a sequential typing burst of `n`
+//! characters would cost `n` allocations, `n` full identifiers and
+//! `O(depth)` pointer chasing per edit. But Algorithm 1 of the paper makes
+//! those bursts *structurally regular*: each locally typed character
+//! extends a spine of single-child nodes whose disambiguators count up by
+//! one (UDIS) or repeat (SDIS). A whole burst is describable by its first
+//! identifier alone.
 //!
 //! [`RunTree`] exploits that: contiguous same-site sequential insertions are
 //! stored as one [`Run`] — a shared [`PosId`] prefix, an offset range and a
@@ -16,34 +18,32 @@
 //! (`atom_at`, `stats`, `height`) descend by cached aggregates instead of
 //! walking per-atom nodes.
 //!
-//! The store round-trips losslessly with the per-atom tree through
-//! [`RunTree::from_tree`] / [`RunTree::to_tree`], which is also how the
-//! structural algorithms that genuinely need node-level surgery (cold-region
-//! discovery) keep a single source of truth.
+//! The identifier tree itself is never materialised. Its regions — the
+//! subtree under a plain path, which `flatten` compacts and the §5.1
+//! heuristic searches for cold ones — are contiguous in document order, so
+//! they are answered from the runs that intersect them
+//! ([`RunTree::region_hot_rev`], [`RunTree::cold_regions`],
+//! [`RunTree::flatten_region`]). A store round-trips through its cells in
+//! document order ([`RunTree::collect_cells`] / [`RunTree::from_cells`]),
+//! which is also the snapshot and anti-entropy format.
 
 use std::cmp::Ordering;
 use std::mem;
 
 use crate::atom::Atom;
+use crate::atom::Content;
 use crate::disambiguator::Disambiguator;
 use crate::error::{Error, Result};
+use crate::flatten::{explode_depth, FlattenOutcome};
 use crate::hash::{digest_merge, digest_pow, Hasher64, DIGEST_BASE};
-use crate::node::Content;
 use crate::path::{PathElem, PosId, Side};
 use crate::stats::{DocStats, PosIdStats};
-use crate::tree::Tree;
 
 /// Maximum runs per leaf and children per internal node of the run tree.
 pub const ARITY: usize = 8;
 
 /// Maximum cells a [`Pattern::Packed`] run will hold before refusing to grow.
 const PACKED_MAX: usize = 64;
-
-/// Depth of the complete tree [`crate::flatten::explode`] builds for `len`
-/// atoms: `ceil(log2(len + 1))`.
-fn explode_depth(len: usize) -> usize {
-    (usize::BITS - len.leading_zeros()) as usize
-}
 
 /// Recognises one step of an Algorithm-1 append/prepend chain: returns
 /// `Some(side)` when `next` is exactly the identifier a sequential local
@@ -383,6 +383,27 @@ impl<A: Atom, D: Disambiguator> Run<A, D> {
             }
         }
         Err(lo)
+    }
+
+    /// The cells `[lo, hi)` of this run that lie in the region rooted at
+    /// the plain path `bits` (a region is contiguous in document order).
+    fn region_span(&self, bits: &[Side]) -> (usize, usize) {
+        let first_not = |pred: &dyn Fn(Ordering) -> bool| {
+            let (mut lo, mut hi) = (0, self.len());
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if pred(cmp_vs_region(&self.cell_id(mid), bits)) {
+                    lo = mid + 1;
+                } else {
+                    hi = mid;
+                }
+            }
+            lo
+        };
+        (
+            first_not(&|o| o == Ordering::Less),
+            first_not(&|o| o != Ordering::Greater),
+        )
     }
 
     /// Cell index of the `k`-th live cell (`k` counts from 0).
@@ -1131,9 +1152,9 @@ fn locate_run<A: Atom, D: Disambiguator>(
     }
 }
 
-/// The run-coalesced document store: drop-in replacement for the per-atom
-/// [`Tree`] inside [`Treedoc`](crate::Treedoc), storing occupied slots as
-/// coalesced [`Run`]s in a balanced tree ordered by identifier.
+/// The run-coalesced document store behind [`Treedoc`](crate::Treedoc):
+/// occupied slots as coalesced [`Run`]s in a balanced tree ordered by
+/// identifier.
 #[derive(Debug, Clone)]
 pub struct RunTree<A, D: Disambiguator> {
     root: Node<A, D>,
@@ -1409,17 +1430,6 @@ fn place_content<A>(place: Place<A>) -> Content<A> {
     }
 }
 
-/// Integration precedence of state-sync'd content: tombstones dominate live
-/// atoms, which dominate ghosts (see [`RunTree::integrate_cell`]).
-fn content_rank<A>(content: &Content<A>) -> u8 {
-    match content {
-        Content::Absent => 0,
-        Content::Ghost => 1,
-        Content::Live(_) => 2,
-        Content::Tombstone => 3,
-    }
-}
-
 fn set_rec<A: Atom, D: Disambiguator>(
     node: &mut Node<A, D>,
     id: &PosId<D>,
@@ -1614,18 +1624,6 @@ impl<A: Atom, D: Disambiguator> RunTree<A, D> {
         }
     }
 
-    /// Smallest `hot_rev` over all runs (0 when the store is empty): if this
-    /// exceeds a cold threshold, no region can possibly be cold.
-    pub fn min_hot_rev(&self) -> u64 {
-        let mut min = u64::MAX;
-        self.for_each_run(&mut |run| min = min.min(run.hot_rev));
-        if min == u64::MAX {
-            0
-        } else {
-            min
-        }
-    }
-
     /// Number of coalesced runs (the figure of merit for coalescing tests
     /// and the memory benchmarks).
     pub fn run_count(&self) -> usize {
@@ -1656,8 +1654,18 @@ impl<A: Atom, D: Disambiguator> RunTree<A, D> {
         walk(&self.root)
     }
 
-    fn for_each_run(&self, f: &mut impl FnMut(&Run<A, D>)) {
-        fn walk<A: Atom, D: Disambiguator>(node: &Node<A, D>, f: &mut impl FnMut(&Run<A, D>)) {
+    /// Every run in document order.
+    fn runs(&self) -> Vec<&Run<A, D>> {
+        let mut out = Vec::new();
+        self.for_each_run(&mut |run| out.push(run));
+        out
+    }
+
+    fn for_each_run<'a>(&'a self, f: &mut impl FnMut(&'a Run<A, D>)) {
+        fn walk<'a, A: Atom, D: Disambiguator>(
+            node: &'a Node<A, D>,
+            f: &mut impl FnMut(&'a Run<A, D>),
+        ) {
             match node {
                 Node::Leaf { runs, .. } => {
                     for r in runs {
@@ -1696,8 +1704,8 @@ impl<A: Atom, D: Disambiguator> RunTree<A, D> {
         out
     }
 
-    /// Every stored cell in document order, in the exchange format shared
-    /// with [`Tree::collect_cells`].
+    /// Every stored cell in document order, with its run's `hot_rev` — the
+    /// exchange format [`from_cells`](Self::from_cells) reads back.
     pub fn collect_cells(&self) -> Vec<(PosId<D>, Content<A>, u64)> {
         let mut out = Vec::with_capacity(self.node_count());
         self.for_each_run(&mut |run| {
@@ -1731,14 +1739,9 @@ impl<A: Atom, D: Disambiguator> RunTree<A, D> {
         Self::from_runs(vec![run])
     }
 
-    /// Rebuilds a store from a per-atom tree, re-coalescing every
-    /// recognisable run.
-    pub fn from_tree(tree: &Tree<A, D>) -> Self {
-        Self::from_cells(tree.collect_cells())
-    }
-
-    /// Rebuilds a store from cells in document order (the
-    /// [`Tree::collect_cells`] exchange format).
+    /// Rebuilds a store from cells in strictly increasing identifier order
+    /// (as [`collect_cells`](Self::collect_cells) lists them), re-coalescing
+    /// every recognisable run.
     pub fn from_cells(cells: Vec<(PosId<D>, Content<A>, u64)>) -> Self {
         let mut runs: Vec<Run<A, D>> = Vec::new();
         for (id, content, rev) in cells {
@@ -1752,22 +1755,6 @@ impl<A: Atom, D: Disambiguator> RunTree<A, D> {
             runs.push(Run::singleton(id, content.take().expect("set"), rev));
         }
         Self::from_runs(runs)
-    }
-
-    /// Materialises the equivalent per-atom [`Tree`], stamping each restored
-    /// path with its run's recency so the cold-subtree heuristic still sees
-    /// run-level `hot_rev`s.
-    pub fn to_tree(&self) -> Tree<A, D> {
-        let mut tree = Tree::new();
-        self.for_each_run(&mut |run| {
-            for (j, c) in run.cells.iter().enumerate() {
-                let id = run.cell_id(j);
-                tree.restore_slot(&id, c.clone());
-                tree.stamp_path(&id, run.hot_rev);
-            }
-        });
-        tree.rebuild_counts();
-        tree
     }
 
     fn from_runs(runs: Vec<Run<A, D>>) -> Self {
@@ -2008,7 +1995,7 @@ impl<A: Atom, D: Disambiguator> RunTree<A, D> {
             return Ok(false);
         }
         if let Some(existing) = self.get(id) {
-            if content_rank(existing) >= content_rank(&content) {
+            if existing.rank() >= content.rank() {
                 return Ok(false);
             }
             self.set_content(id, content, rev);
@@ -2121,8 +2108,6 @@ fn live_cell_rec<A: Atom, D: Disambiguator>(
     }
 }
 
-use crate::flatten::FlattenOutcome;
-
 /// Orders a cell identifier against the region rooted at the plain path
 /// `bits`: `Less`/`Greater` when the cell falls outside the region before /
 /// after it in document order, `Equal` when it is inside.
@@ -2158,23 +2143,57 @@ fn cmp_vs_region<D: Disambiguator>(id: &PosId<D>, bits: &[Side]) -> Ordering {
     Ordering::Equal
 }
 
-impl<A: Atom, D: Disambiguator> RunTree<A, D> {
-    /// First cell index of `run` for which `pred` is false (cells are
-    /// monotone under `pred`).
-    fn partition_point(run: &Run<A, D>, pred: impl Fn(&PosId<D>) -> bool) -> usize {
-        let mut lo = 0;
-        let mut hi = run.len();
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if pred(&run.cell_id(mid)) {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
-    }
+/// What the region rooted at a plain path holds, folded from the runs that
+/// intersect it.
+#[derive(Debug, Clone, Copy)]
+struct Region {
+    /// Cells under the region (0: the region does not exist).
+    cells: usize,
+    /// Live atoms under the region.
+    live: usize,
+    /// Largest `hot_rev` over the runs holding the region's cells
+    /// (meaningful only when `cells > 0`).
+    hot_rev: u64,
+    /// Smallest `hot_rev` over those runs.
+    oldest_rev: u64,
+}
 
+/// Folds the region rooted at the plain path `bits` from `runs` (in
+/// document order), and returns the index range of the runs that reach
+/// into it. Regions are contiguous in document order, so only the first
+/// and the last of those runs can straddle its bounds.
+fn region_of<A: Atom, D: Disambiguator>(
+    runs: &[&Run<A, D>],
+    bits: &[Side],
+) -> (std::ops::Range<usize>, Region) {
+    let lo = runs.partition_point(|r| cmp_vs_region(&r.last_id(), bits) == Ordering::Less);
+    let hi = lo
+        + runs[lo..].partition_point(|r| cmp_vs_region(&r.first_id(), bits) != Ordering::Greater);
+    let mut region = Region {
+        cells: 0,
+        live: 0,
+        hot_rev: 0,
+        oldest_rev: u64::MAX,
+    };
+    for (i, run) in runs.iter().enumerate().take(hi).skip(lo) {
+        let (jlo, jhi) = if i == lo || i + 1 == hi {
+            run.region_span(bits)
+        } else {
+            (0, run.len())
+        };
+        region.cells += jhi - jlo;
+        region.live += if jhi - jlo == run.len() {
+            run.agg.live
+        } else {
+            run.cells[jlo..jhi].iter().filter(|c| c.is_live()).count()
+        };
+        region.hot_rev = region.hot_rev.max(run.hot_rev);
+        region.oldest_rev = region.oldest_rev.min(run.hot_rev);
+    }
+    (lo..hi, region)
+}
+
+impl<A: Atom, D: Disambiguator> RunTree<A, D> {
     /// Algorithm 2 (`flatten`) applied natively to run storage: replaces the
     /// region rooted at the plain path `bits` with a single exploded run of
     /// its live atoms, dropping tombstones, ghosts and disambiguators.
@@ -2195,8 +2214,7 @@ impl<A: Atom, D: Disambiguator> RunTree<A, D> {
                 after.push(run);
                 continue;
             }
-            let lo = Self::partition_point(&run, |id| cmp_vs_region(id, bits) == Ordering::Less);
-            let hi = Self::partition_point(&run, |id| cmp_vs_region(id, bits) != Ordering::Greater);
+            let (lo, hi) = run.region_span(bits);
             if hi < run.len() {
                 after.push(run.split_off(hi));
             }
@@ -2257,6 +2275,48 @@ impl<A: Atom, D: Disambiguator> RunTree<A, D> {
             nodes_before,
             nodes_after,
         })
+    }
+
+    /// Newest revision of the region rooted at the plain path `bits` — the
+    /// largest `hot_rev` of the runs holding its cells — or `None` when no
+    /// cell lies under it. The root region (`bits` empty) always exists.
+    pub fn region_hot_rev(&self, bits: &[Side]) -> Option<u64> {
+        let (_, region) = region_of(&self.runs(), bits);
+        (bits.is_empty() || region.cells > 0).then_some(region.hot_rev)
+    }
+
+    /// The cold-region search of the §5.1 flatten heuristic: the maximal
+    /// regions (rooted at plain paths, in document order) whose newest
+    /// revision is at or before `threshold_rev` and which hold at least
+    /// `min_live` live atoms.
+    ///
+    /// The search descends from the root into the two plain child regions
+    /// of a region only while that region is too hot, and only where it
+    /// still holds enough live atoms and some run old enough to be cold.
+    pub fn cold_regions(&self, threshold_rev: u64, min_live: usize) -> Vec<Vec<Side>> {
+        let runs = self.runs();
+        let mut out = Vec::new();
+        let mut bits: Vec<Side> = Vec::new();
+        // Depth-first, left before right, with an explicit stack: a typing
+        // spine makes regions as deep as the document is long.
+        let mut stack: Vec<(usize, Option<Side>, std::ops::Range<usize>)> =
+            vec![(0, None, 0..runs.len())];
+        while let Some((depth, side, range)) = stack.pop() {
+            bits.truncate(depth);
+            bits.extend(side);
+            let (within, region) = region_of(&runs[range.clone()], &bits);
+            if region.cells == 0 || region.live < min_live || region.oldest_rev > threshold_rev {
+                continue;
+            }
+            if region.hot_rev <= threshold_rev {
+                out.push(bits.clone());
+                continue;
+            }
+            let within = range.start + within.start..range.start + within.end;
+            stack.push((bits.len(), Some(Side::Right), within.clone()));
+            stack.push((bits.len(), Some(Side::Left), within));
+        }
+        out
     }
 
     /// Asserts internal invariants; used by tests and debug assertions.
@@ -2353,78 +2413,46 @@ mod tests {
     use super::*;
     use crate::disambiguator::{Sdis, Udis};
     use crate::doc::Treedoc;
-    use crate::flatten::flatten_subtree;
     use crate::ops::Op;
     use crate::site::SiteId;
-    use crate::stats::DocStats;
 
-    /// Drives a per-atom [`Treedoc`] to allocate realistic identifiers, and
-    /// mirrors every op into a bare [`Tree`] and a [`RunTree`].
+    /// Drives a [`Treedoc`] to allocate realistic identifiers; its run
+    /// store is the store under test.
     struct Mirror<D: Disambiguator + crate::disambiguator::HasSource> {
         doc: Treedoc<char, D>,
-        tree: Tree<char, D>,
-        run: RunTree<char, D>,
-        rev: u64,
     }
 
     impl<D: Disambiguator + crate::disambiguator::HasSource> Mirror<D> {
         fn new(site: u64) -> Self {
             Mirror {
                 doc: Treedoc::new(SiteId::from_u64(site)),
-                tree: Tree::new(),
-                run: RunTree::new(),
-                rev: 0,
             }
+        }
+
+        fn run(&self) -> &RunTree<char, D> {
+            self.doc.store()
         }
 
         fn insert(&mut self, index: usize, c: char) {
-            let op = self.doc.local_insert(index, c).expect("insert");
-            self.apply(&op);
+            self.doc.local_insert(index, c).expect("insert");
         }
 
         fn delete(&mut self, index: usize) {
-            let op = self.doc.local_delete(index).expect("delete");
-            self.apply(&op);
-        }
-
-        fn apply(&mut self, op: &Op<char, D>) {
-            self.rev += 1;
-            match op {
-                Op::Insert { id, atom } => {
-                    self.tree.insert(id, *atom, self.rev).expect("tree insert");
-                    self.run.insert(id, *atom, self.rev).expect("run insert");
-                }
-                Op::Delete { id } => {
-                    let a = self.tree.delete(id, self.rev).expect("tree delete");
-                    let b = self.run.delete(id, self.rev).expect("run delete");
-                    assert_eq!(a, b, "delete return mismatch at {:?}", id.repr());
-                }
-            }
+            self.doc.local_delete(index).expect("delete");
         }
 
         fn assert_parity(&self) {
-            self.run.check_invariants().expect("run invariants");
-            let tree_cells: Vec<_> = self
-                .tree
-                .collect_cells()
-                .into_iter()
-                .map(|(id, c, _)| (id, c))
-                .collect();
-            let run_cells: Vec<_> = self
-                .run
-                .collect_cells()
-                .into_iter()
-                .map(|(id, c, _)| (id, c))
-                .collect();
-            assert_eq!(tree_cells, run_cells, "cell sets diverge");
-            let ts = DocStats::measure(&self.tree);
-            let rs = self.run.stats();
-            assert_eq!(ts, rs, "stats diverge");
-            let text: String = self.run.to_vec().into_iter().collect();
-            assert_eq!(self.doc.to_string(), text, "document text diverges");
-            for i in 0..self.run.live_len() {
-                let id = self.run.id_of_live_index(i).expect("live id");
-                assert!(self.run.get(&id).is_some_and(Content::is_live));
+            let run = self.run();
+            run.check_invariants().expect("run invariants");
+            // Incrementally maintained aggregates equal a rebuild's, however
+            // differently the rebuild fragments into runs.
+            let rebuilt = RunTree::from_cells(run.collect_cells());
+            assert_eq!(rebuilt.stats(), run.stats(), "stats diverge");
+            assert_eq!(rebuilt.digest(), run.digest(), "digests diverge");
+            assert_eq!(rebuilt.to_vec(), run.to_vec(), "document text diverges");
+            for i in 0..run.live_len() {
+                let id = run.id_of_live_index(i).expect("live id");
+                assert!(run.get(&id).is_some_and(Content::is_live));
             }
         }
     }
@@ -2445,8 +2473,8 @@ mod tests {
         m.assert_parity();
         // The first atom sits at the root mini; every subsequent append is
         // one spine step, so the whole burst coalesces into one run.
-        assert_eq!(m.run.run_count(), 1, "append burst did not coalesce");
-        assert_eq!(m.run.live_len(), 500);
+        assert_eq!(m.run().run_count(), 1, "append burst did not coalesce");
+        assert_eq!(m.run().live_len(), 500);
     }
 
     #[test]
@@ -2457,9 +2485,9 @@ mod tests {
         }
         m.assert_parity();
         assert!(
-            m.run.run_count() <= 2,
+            m.run().run_count() <= 2,
             "prepend burst fragmented into {} runs",
-            m.run.run_count()
+            m.run().run_count()
         );
     }
 
@@ -2524,10 +2552,15 @@ mod tests {
                     m.delete((lcg(&mut rng) as usize) % len);
                 }
             }
-            let a = flatten_subtree(&mut m.tree, &[]).expect("tree flatten");
-            let b = m.run.flatten_region(&[]).expect("run flatten");
-            assert_eq!(a, b, "flatten outcome diverges");
-            m.tree.rebuild_counts();
+            let before = m.run().stats();
+            let outcome = m.doc.flatten_all().expect("flatten");
+            assert_eq!(
+                outcome,
+                FlattenOutcome::Flattened {
+                    nodes_before: before.total_nodes,
+                    nodes_after: before.live_atoms,
+                }
+            );
             m.assert_parity();
         }
     }
@@ -2538,13 +2571,19 @@ mod tests {
         for i in 0..10 {
             m.insert(i, 'a');
         }
-        let before = m.run.collect_cells();
+        let before = m.run().collect_cells();
         // An all-left path far below the document has no cells.
         let bits = [Side::Left; 40];
-        let err = m.run.flatten_region(&bits).expect_err("no such subtree");
+        let err = m.doc.flatten(&bits).expect_err("no such subtree");
         assert!(matches!(err, Error::NoSuchSubtree { .. }));
-        assert_eq!(m.run.collect_cells(), before, "failed flatten must restore");
-        m.run.check_invariants().expect("invariants after restore");
+        assert_eq!(
+            m.run().collect_cells(),
+            before,
+            "failed flatten must restore"
+        );
+        m.run()
+            .check_invariants()
+            .expect("invariants after restore");
     }
 
     #[test]
@@ -2633,27 +2672,27 @@ mod tests {
     }
 
     #[test]
-    fn tree_round_trip_preserves_cells_and_recoalesces() {
+    fn cell_round_trip_preserves_cells_and_recoalesces() {
         let mut m = Mirror::<Udis>::new(4);
         for (i, c) in ('a'..='z').cycle().take(400).enumerate() {
             m.insert(i, c);
         }
         m.insert(100, 'Q');
         m.delete(7);
-        let tree = m.run.to_tree();
-        let cells_direct = m.run.collect_cells();
-        let cells_via_tree = tree.collect_cells();
+        let cells = m.run().collect_cells();
+        let back = RunTree::from_cells(cells.clone());
+        back.check_invariants().expect("round-trip invariants");
+        // Revisions coalesce to the run's newest; identifiers and contents
+        // survive exactly.
         let strip = |v: Vec<(PosId<Udis>, Content<char>, u64)>| {
             v.into_iter().map(|(id, c, _)| (id, c)).collect::<Vec<_>>()
         };
-        assert_eq!(strip(cells_direct), strip(cells_via_tree.clone()));
-        let back = RunTree::from_cells(cells_via_tree);
-        back.check_invariants().expect("round-trip invariants");
-        assert_eq!(back.to_vec(), m.run.to_vec());
+        assert_eq!(strip(back.collect_cells()), strip(cells));
+        assert_eq!(back.to_vec(), m.run().to_vec());
         assert!(
-            back.run_count() <= m.run.run_count() + 2,
+            back.run_count() <= m.run().run_count() + 2,
             "round trip lost coalescing: {} -> {}",
-            m.run.run_count(),
+            m.run().run_count(),
             back.run_count()
         );
     }
@@ -2685,10 +2724,10 @@ mod tests {
                 m.delete((lcg(&mut rng) as usize) % len);
             }
             if step % 61 == 0 {
-                assert_eq!(m.run.digest(), reference_digest(&m.run), "step {step}");
+                assert_eq!(m.run().digest(), reference_digest(m.run()), "step {step}");
             }
         }
-        assert_eq!(m.run.digest(), reference_digest(&m.run));
+        assert_eq!(m.run().digest(), reference_digest(m.run()));
     }
 
     #[test]
@@ -2702,9 +2741,9 @@ mod tests {
         m.insert(17, 'X');
         m.delete(40);
         m.insert(0, 'Y');
-        let rebuilt = RunTree::<char, Udis>::from_cells(m.run.collect_cells());
-        assert_eq!(m.run.digest(), rebuilt.digest());
-        assert_eq!(m.run.node_count(), rebuilt.node_count());
+        let rebuilt = RunTree::<char, Udis>::from_cells(m.run().collect_cells());
+        assert_eq!(m.run().digest(), rebuilt.digest());
+        assert_eq!(m.run().node_count(), rebuilt.node_count());
     }
 
     #[test]
@@ -2715,18 +2754,18 @@ mod tests {
         }
         m.delete(5);
         m.delete(100);
-        let total = m.run.node_count();
+        let total = m.run().node_count();
         // Split at arbitrary ranks and check the pieces merge to the root.
         for split in [1, 7, total / 2, total - 1] {
-            let mid = m.run.id_at_rank(split).expect("rank in range");
-            let (dl, nl) = m.run.range_digest(None, Some(&mid));
-            let (dr, nr) = m.run.range_digest(Some(&mid), None);
+            let mid = m.run().id_at_rank(split).expect("rank in range");
+            let (dl, nl) = m.run().range_digest(None, Some(&mid));
+            let (dr, nr) = m.run().range_digest(Some(&mid), None);
             assert_eq!(nl, split);
             assert_eq!(nl + nr, total);
-            assert_eq!(digest_merge(dl, dr, nr as u64), m.run.digest());
+            assert_eq!(digest_merge(dl, dr, nr as u64), m.run().digest());
         }
-        let (all, n) = m.run.range_digest(None, None);
-        assert_eq!((all, n), (m.run.digest(), total));
+        let (all, n) = m.run().range_digest(None, None);
+        assert_eq!((all, n), (m.run().digest(), total));
     }
 
     #[test]
@@ -2740,23 +2779,23 @@ mod tests {
         for i in [3usize, 40, 80] {
             m.delete(i);
         }
-        let cells = m.run.collect_cells();
+        let cells = m.run().collect_cells();
         let mut stale = RunTree::<char, Sdis>::new();
         for (id, c, rev) in cells.iter().take(cells.len() / 3) {
             stale.integrate_cell(id, c.clone(), *rev).expect("seed");
         }
-        assert_ne!(stale.digest(), m.run.digest());
+        assert_ne!(stale.digest(), m.run().digest());
         for (id, c, rev) in &cells {
             stale.integrate_cell(id, c.clone(), *rev).expect("catch up");
         }
         stale.check_invariants().expect("integrated invariants");
-        assert_eq!(stale.digest(), m.run.digest());
-        assert_eq!(stale.to_vec(), m.run.to_vec());
+        assert_eq!(stale.digest(), m.run().digest());
+        assert_eq!(stale.to_vec(), m.run().to_vec());
         // Idempotence: integrating everything again changes nothing.
         for (id, c, rev) in &cells {
             assert!(!stale.integrate_cell(id, c.clone(), *rev).expect("noop"));
         }
-        assert_eq!(stale.digest(), m.run.digest());
+        assert_eq!(stale.digest(), m.run().digest());
     }
 
     #[test]
@@ -2764,8 +2803,8 @@ mod tests {
         let mut m = Mirror::<Sdis>::new(13);
         m.insert(0, 'a');
         m.insert(1, 'b');
-        let id = m.run.id_of_live_index(1).expect("live id");
-        let mut other = RunTree::<char, Sdis>::from_cells(m.run.collect_cells());
+        let id = m.run().id_of_live_index(1).expect("live id");
+        let mut other = RunTree::<char, Sdis>::from_cells(m.run().collect_cells());
         // Tombstone wins over live…
         assert!(other
             .integrate_cell(&id, Content::Tombstone, 9)

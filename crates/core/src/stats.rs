@@ -8,21 +8,20 @@
 //!   relative to the document size (Table 1 "Nodes"),
 //! * the fraction of non-tombstone nodes (Table 1 "% non-Tomb", Table 3),
 //! * the identifier overhead per live atom (Table 4 "overhead/atom"),
-//! * the on-disk overhead (Table 1, computed by the `treedoc-storage` crate).
+//! * the on-disk overhead (Table 1, measured on the §5.2 heap-array image
+//!   of the `treedoc-reference` crate).
 //!
-//! [`DocStats::measure`] walks a [`Tree`] once and fills in everything except
-//! the on-disk numbers. The in-memory model follows the constants spelled out
-//! in §5.2: a tree node costs 26 bytes (subtree counter, two child pointers,
-//! a disambiguator and an atom pointer on a 32-bit JVM); an alternative model
-//! reflecting this Rust implementation's actual struct sizes is also
-//! provided for reference.
+//! The run store assembles a [`DocStats`] in `O(1)` from its cached
+//! aggregates ([`RunTree::stats`](crate::run::RunTree::stats)); it covers
+//! everything except the on-disk numbers. The in-memory model follows the
+//! constants spelled out in §5.2: a tree node costs 26 bytes (subtree
+//! counter, two child pointers, a disambiguator and an atom pointer on a
+//! 32-bit JVM). What this implementation's run store actually occupies is
+//! [`RunTree::index_bytes`](crate::run::RunTree::index_bytes).
 
 use serde::{Deserialize, Serialize};
 
-use crate::atom::Atom;
 use crate::disambiguator::Disambiguator;
-use crate::node::Content;
-use crate::tree::Tree;
 
 /// Per-node memory cost model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -32,8 +31,6 @@ pub enum MemoryModel {
     /// A `(atom, PosID)` couple list: each node costs its identifier size
     /// (the atom itself is not overhead).
     CoupleList,
-    /// The actual size of this implementation's node structures.
-    RustTreeNode,
 }
 
 impl MemoryModel {
@@ -43,12 +40,6 @@ impl MemoryModel {
             // §5.2: counter + two pointers + disambiguator + atom pointer.
             MemoryModel::PaperTreeNode => 26,
             MemoryModel::CoupleList => pos_id_bits.div_ceil(8),
-            MemoryModel::RustTreeNode => {
-                // Two Option<Box<_>> children (8 bytes each on 64-bit), the
-                // cached counters (2 × 8), the content discriminant plus atom
-                // pointer (16) and the disambiguator.
-                8 + 8 + 16 + 16 + D::ACCOUNTED_BYTES
-            }
         }
     }
 }
@@ -121,38 +112,6 @@ pub struct DocStats {
 }
 
 impl DocStats {
-    /// Measures a tree.
-    pub fn measure<A: Atom, D: Disambiguator>(tree: &Tree<A, D>) -> Self {
-        let mut stats = DocStats {
-            live_atoms: 0,
-            total_nodes: 0,
-            tombstones: 0,
-            ghosts: 0,
-            pos_ids: PosIdStats::default(),
-            document_bytes: 0,
-            height: tree.height(),
-        };
-        tree.for_each_slot(|slot| {
-            let bits = slot.pos_id_bits();
-            stats.total_nodes += 1;
-            stats.pos_ids.nodes += 1;
-            stats.pos_ids.total_bits += bits;
-            stats.pos_ids.max_bits = stats.pos_ids.max_bits.max(bits);
-            match slot.content {
-                Content::Live(a) => {
-                    stats.live_atoms += 1;
-                    stats.pos_ids.live += 1;
-                    stats.pos_ids.live_bits += bits;
-                    stats.document_bytes += a.content_bytes();
-                }
-                Content::Tombstone => stats.tombstones += 1,
-                Content::Ghost => stats.ghosts += 1,
-                Content::Absent => {}
-            }
-        });
-        stats
-    }
-
     /// Fraction of occupied slots that still hold a live atom
     /// (Table 1 "% non-Tomb", Table 3 reports `1 -` this value).
     pub fn non_tombstone_fraction(&self) -> f64 {
@@ -189,129 +148,5 @@ impl DocStats {
         } else {
             self.memory_bytes::<D>(model) as f64 / self.document_bytes as f64
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::disambiguator::{Sdis, Udis};
-    use crate::flatten::explode;
-    use crate::path::{PathElem, PosId, Side};
-    use crate::site::SiteId;
-    use crate::tree::Tree;
-
-    fn sd(n: u64) -> Sdis {
-        Sdis::new(SiteId::from_u64(n))
-    }
-
-    fn sid(desc: &[(u8, Option<u64>)]) -> PosId<Sdis> {
-        PosId::from_elems(
-            desc.iter()
-                .map(|&(bit, dis)| PathElem {
-                    side: Side::from_bit(bit),
-                    dis: dis.map(sd),
-                })
-                .collect(),
-        )
-    }
-
-    #[test]
-    fn flattened_document_has_zero_identifier_overhead() {
-        let atoms: Vec<String> = (0..50).map(|i| format!("line {i}")).collect();
-        let tree: Tree<String, Sdis> = explode(&atoms);
-        let stats = DocStats::measure(&tree);
-        assert_eq!(stats.live_atoms, 50);
-        assert_eq!(stats.total_nodes, 50);
-        assert_eq!(stats.tombstones, 0);
-        assert_eq!(stats.non_tombstone_fraction(), 1.0);
-        // Plain bit paths only: at most ⌈log₂ 51⌉ = 6 bits each.
-        assert!(stats.pos_ids.max_bits <= 6);
-        assert!(stats.pos_ids.avg_bits() <= 6.0);
-        assert_eq!(
-            stats.document_bytes,
-            atoms.iter().map(|a| a.len()).sum::<usize>()
-        );
-    }
-
-    #[test]
-    fn tombstones_are_counted() {
-        let mut tree: Tree<char, Sdis> = Tree::new();
-        tree.insert(&sid(&[]), 'a', 1).unwrap();
-        tree.insert(&sid(&[(1, Some(1))]), 'b', 1).unwrap();
-        tree.insert(&sid(&[(1, None), (1, Some(1))]), 'c', 1)
-            .unwrap();
-        tree.delete(&sid(&[(1, Some(1))]), 2).unwrap();
-        let stats = DocStats::measure(&tree);
-        assert_eq!(stats.live_atoms, 2);
-        assert_eq!(stats.total_nodes, 3);
-        assert_eq!(stats.tombstones, 1);
-        assert!((stats.tombstone_fraction() - 1.0 / 3.0).abs() < 1e-9);
-        assert!((stats.non_tombstone_fraction() - 2.0 / 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn pos_id_sizes_follow_disambiguator_size() {
-        // One atom with an SDIS identifier of depth 2: 2 bits + 48 bits.
-        let mut stree: Tree<char, Sdis> = Tree::new();
-        stree
-            .insert(&sid(&[(1, None), (0, Some(1))]), 'x', 1)
-            .unwrap();
-        let s = DocStats::measure(&stree);
-        assert_eq!(s.pos_ids.max_bits, 50);
-
-        // The same shape with UDIS costs 2 + 80 bits.
-        let mut utree: Tree<char, Udis> = Tree::new();
-        let uid = PosId::from_elems(vec![
-            PathElem::plain(Side::Right),
-            PathElem::mini(Side::Left, Udis::new(0, SiteId::from_u64(1))),
-        ]);
-        utree.insert(&uid, 'x', 1).unwrap();
-        let u = DocStats::measure(&utree);
-        assert_eq!(u.pos_ids.max_bits, 82);
-    }
-
-    #[test]
-    fn overhead_per_atom_counts_tombstones() {
-        let mut tree: Tree<char, Sdis> = Tree::new();
-        tree.insert(&sid(&[]), 'a', 1).unwrap();
-        tree.insert(&sid(&[(1, Some(1))]), 'b', 1).unwrap();
-        tree.delete(&sid(&[(1, Some(1))]), 2).unwrap();
-        let stats = DocStats::measure(&tree);
-        // Total identifier bits: 0 (root) + 49 (tombstone) over 1 live atom.
-        assert_eq!(stats.pos_ids.overhead_per_atom_bits(), 49.0);
-        assert_eq!(stats.pos_ids.avg_bits(), 24.5);
-        assert_eq!(stats.pos_ids.avg_live_bits(), 0.0);
-    }
-
-    #[test]
-    fn memory_models() {
-        let atoms: Vec<String> = (0..10).map(|i| format!("{i}")).collect();
-        let tree: Tree<String, Sdis> = explode(&atoms);
-        let stats = DocStats::measure(&tree);
-        assert_eq!(
-            stats.memory_bytes::<Sdis>(MemoryModel::PaperTreeNode),
-            10 * 26
-        );
-        // The couple-list model charges only identifier bytes; plain ids of a
-        // 10-atom exploded tree are at most 4 bits each.
-        assert!(stats.memory_bytes::<Sdis>(MemoryModel::CoupleList) <= 10);
-        assert!(stats.memory_bytes::<Sdis>(MemoryModel::RustTreeNode) > 10 * 26);
-        assert!(stats.memory_overhead_ratio::<Sdis>(MemoryModel::PaperTreeNode) > 0.0);
-    }
-
-    #[test]
-    fn empty_tree_stats() {
-        let tree: Tree<char, Sdis> = Tree::new();
-        let stats = DocStats::measure(&tree);
-        assert_eq!(stats.live_atoms, 0);
-        assert_eq!(stats.total_nodes, 0);
-        assert_eq!(stats.non_tombstone_fraction(), 1.0);
-        assert_eq!(stats.tombstone_fraction(), 0.0);
-        assert_eq!(stats.pos_ids.avg_bits(), 0.0);
-        assert_eq!(
-            stats.memory_overhead_ratio::<Sdis>(MemoryModel::PaperTreeNode),
-            0.0
-        );
     }
 }

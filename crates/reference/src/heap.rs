@@ -15,12 +15,11 @@
 use std::fmt;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use treedoc_core::{
-    Atom, Content, Disambiguator, MajorNode, PathArena, PathElem, PosId, Sdis, Side, SiteId, Tree,
-    Udis,
-};
+use treedoc_core::{Atom, Content, Disambiguator, PathElem, PosId, Side, WireDis};
 
+use crate::node::MajorNode;
 use crate::rle::{rle_compress, rle_decompress, MARKER};
+use crate::tree::Tree;
 
 /// Why a [`DiskImage`] failed to decode — each variant names the layer that
 /// broke, so recovery failures are diagnosable instead of a bare `None`.
@@ -35,10 +34,6 @@ pub enum DecodeError {
     BadTag,
     /// A slot references an atom index beyond the atom table.
     DanglingAtomRef,
-    /// A content hash guarding the image did not match. Emitted by verified
-    /// loaders (the snapshot manifest of the durability layer) rather than
-    /// by the raw structure decoder.
-    BadHash,
 }
 
 impl fmt::Display for DecodeError {
@@ -48,52 +43,29 @@ impl fmt::Display for DecodeError {
             DecodeError::BadRleRun => write!(f, "structure stream has a malformed RLE run"),
             DecodeError::BadTag => write!(f, "structure stream carries an invalid tag"),
             DecodeError::DanglingAtomRef => write!(f, "slot references a missing atom"),
-            DecodeError::BadHash => write!(f, "content hash mismatch"),
         }
     }
 }
 
 impl std::error::Error for DecodeError {}
 
-/// Fixed-size binary encoding of a disambiguator, mirroring the byte budgets
-/// used by the paper's evaluation (6 bytes for SDIS, 10 for UDIS).
-pub trait DisCodec: Disambiguator {
-    /// Appends exactly [`Disambiguator::ACCOUNTED_BYTES`] bytes.
-    fn encode_dis(&self, out: &mut BytesMut);
-    /// Reads the disambiguator back.
-    fn decode_dis(input: &mut Bytes) -> Option<Self>;
+/// Appends a disambiguator in its fixed-size wire form
+/// ([`Disambiguator::ACCOUNTED_BYTES`] bytes: 6 for SDIS, 10 for UDIS, the
+/// byte budgets of the paper's evaluation).
+fn put_dis<D: WireDis>(out: &mut BytesMut, dis: &D) {
+    let mut raw = Vec::with_capacity(D::ACCOUNTED_BYTES);
+    dis.encode_dis(&mut raw);
+    out.put_slice(&raw);
 }
 
-impl DisCodec for Sdis {
-    fn encode_dis(&self, out: &mut BytesMut) {
-        out.put_slice(self.site().as_bytes());
-    }
-
-    fn decode_dis(input: &mut Bytes) -> Option<Self> {
-        if input.remaining() < 6 {
-            return None;
-        }
-        let mut raw = [0u8; 6];
-        input.copy_to_slice(&mut raw);
-        Some(Sdis::new(SiteId::from_bytes(raw)))
-    }
-}
-
-impl DisCodec for Udis {
-    fn encode_dis(&self, out: &mut BytesMut) {
-        out.put_u32(self.counter());
-        out.put_slice(self.site().as_bytes());
-    }
-
-    fn decode_dis(input: &mut Bytes) -> Option<Self> {
-        if input.remaining() < 10 {
-            return None;
-        }
-        let counter = input.get_u32();
-        let mut raw = [0u8; 6];
-        input.copy_to_slice(&mut raw);
-        Some(Udis::new(counter, SiteId::from_bytes(raw)))
-    }
+/// Reads a disambiguator written by [`put_dis`].
+fn get_dis<D: WireDis>(input: &mut Bytes) -> Option<D> {
+    let mut rest = input.chunk();
+    let before = rest.len();
+    let dis = D::decode_dis(&mut rest)?;
+    let used = before - rest.len();
+    input.advance(used);
+    Some(dis)
 }
 
 /// Content states stored per slot.
@@ -120,14 +92,8 @@ pub struct DiskImage<A> {
 /// Size accounting of an encode pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EncodeStats {
-    /// Nodes written to the positional array.
-    pub heap_nodes: usize,
-    /// Marker places written (before compression).
-    pub markers: usize,
     /// Slots that had to go to the overflow section.
     pub overflow_slots: usize,
-    /// Structure stream size before RLE compression.
-    pub uncompressed_bytes: usize,
 }
 
 impl<A: Atom> DiskImage<A> {
@@ -153,7 +119,7 @@ impl<A: Atom> DiskImage<A> {
     }
 
     /// Serialises a tree.
-    pub fn encode<D: DisCodec>(tree: &Tree<A, D>) -> Self {
+    pub fn encode<D: WireDis>(tree: &Tree<A, D>) -> Self {
         let mut atoms = Vec::with_capacity(tree.live_len());
         let mut stats = EncodeStats::default();
         let mut heap = BytesMut::new();
@@ -187,10 +153,7 @@ impl<A: Atom> DiskImage<A> {
                             );
                             children.push((child, child_pos));
                         }
-                        None => {
-                            heap.put_u8(MARKER);
-                            stats.markers += 1;
-                        }
+                        None => heap.put_u8(MARKER),
                     }
                 }
             }
@@ -201,7 +164,6 @@ impl<A: Atom> DiskImage<A> {
         stream.put_u32(overflow.len() as u32);
         stream.extend_from_slice(&heap);
         stream.extend_from_slice(&overflow);
-        stats.uncompressed_bytes = stream.len();
         let structure = rle_compress(&stream);
         DiskImage {
             structure,
@@ -213,7 +175,7 @@ impl<A: Atom> DiskImage<A> {
     /// Reads a tree back from its serialised form, reporting *why* a corrupt
     /// image failed (truncation, bad RLE framing, bad tags, dangling atom
     /// references) so recovery paths can diagnose what they found on disk.
-    pub fn decode<D: DisCodec>(&self) -> Result<Tree<A, D>, DecodeError> {
+    pub fn decode<D: WireDis>(&self) -> Result<Tree<A, D>, DecodeError> {
         let raw = rle_decompress(&self.structure).ok_or(DecodeError::BadRleRun)?;
         let mut input = Bytes::from(raw);
         if input.remaining() < 4 {
@@ -253,15 +215,10 @@ impl<A: Atom> DiskImage<A> {
             parents = children;
         }
 
-        // Overflow section: explicit (identifier, content) records. Unlike
-        // the positional heap section, whose identifiers share chunks with
-        // their parents by construction, each overflow record decodes to an
-        // independent chain — intern them so equal prefixes are stored once
-        // and later comparisons short-circuit on pointer identity.
-        let mut arena: PathArena<D> = PathArena::new();
+        // Overflow section: explicit (identifier, content) records.
         while overflow.has_remaining() {
             let (id, content) = decode_overflow_record::<A, D>(&mut overflow, &self.atoms)?;
-            tree.restore_slot(&arena.intern(&id), content);
+            tree.restore_slot(&id, content, 0);
         }
 
         tree.rebuild_counts();
@@ -271,7 +228,7 @@ impl<A: Atom> DiskImage<A> {
 
 /// Writes one major-node record (plain slot + minis); subtrees hanging off
 /// mini-nodes are redirected to the overflow section.
-fn encode_major<A: Atom, D: DisCodec>(
+fn encode_major<A: Atom, D: WireDis>(
     node: &MajorNode<A, D>,
     pos: &PosId<D>,
     heap: &mut BytesMut,
@@ -279,13 +236,12 @@ fn encode_major<A: Atom, D: DisCodec>(
     atoms: &mut Vec<A>,
     stats: &mut EncodeStats,
 ) {
-    stats.heap_nodes += 1;
     heap.put_u8(NODE_TAG);
     encode_content(node.plain(), heap, atoms);
     let minis = node.minis();
     heap.put_u8(minis.len().min(u8::MAX as usize) as u8);
     for mini in minis {
-        mini.dis().encode_dis(heap);
+        put_dis(heap, mini.dis());
         encode_content(mini.content(), heap, atoms);
         // Mini-namespace children cannot be expressed positionally: store
         // their whole subtree as explicit records.
@@ -302,7 +258,7 @@ fn encode_major<A: Atom, D: DisCodec>(
 
 /// Recursively serialises every occupied slot of a subtree as overflow
 /// records (used for mini-namespace subtrees).
-fn collect_overflow<A: Atom, D: DisCodec>(
+fn collect_overflow<A: Atom, D: WireDis>(
     node: &MajorNode<A, D>,
     pos: &PosId<D>,
     overflow: &mut BytesMut,
@@ -383,7 +339,7 @@ fn decode_content<A: Atom>(input: &mut Bytes, atoms: &[A]) -> Result<Content<A>,
 }
 
 /// Reads one major-node record and installs its slots at `pos`.
-fn decode_major<A: Atom, D: DisCodec>(
+fn decode_major<A: Atom, D: WireDis>(
     input: &mut Bytes,
     atoms: &[A],
     tree: &mut Tree<A, D>,
@@ -397,17 +353,17 @@ fn decode_major<A: Atom, D: DisCodec>(
     }
     let plain = decode_content(input, atoms)?;
     if !matches!(plain, Content::Absent) {
-        tree.restore_slot(pos, plain);
+        tree.restore_slot(pos, plain, 0);
     }
     if !input.has_remaining() {
         return Err(DecodeError::TruncatedStructure);
     }
     let mini_count = input.get_u8();
     for _ in 0..mini_count {
-        let dis = D::decode_dis(input).ok_or(DecodeError::TruncatedStructure)?;
+        let dis = get_dis::<D>(input).ok_or(DecodeError::TruncatedStructure)?;
         let content = decode_content(input, atoms)?;
         let mini_id = mini_pos(pos, &dis).ok_or(DecodeError::BadTag)?;
-        tree.restore_slot(&mini_id, content);
+        tree.restore_slot(&mini_id, content, 0);
     }
     Ok(())
 }
@@ -419,7 +375,7 @@ fn mini_pos<D: Disambiguator>(pos: &PosId<D>, dis: &D) -> Option<PosId<D>> {
     Some(pos.parent()?.child_mini(side, dis.clone()))
 }
 
-fn encode_overflow_record<A: Atom, D: DisCodec>(
+fn encode_overflow_record<A: Atom, D: WireDis>(
     id: &PosId<D>,
     content: &Content<A>,
     overflow: &mut BytesMut,
@@ -436,13 +392,13 @@ fn encode_overflow_record<A: Atom, D: DisCodec>(
         }
         overflow.put_u8(flags);
         if let Some(d) = dis {
-            d.encode_dis(overflow);
+            put_dis(overflow, d);
         }
     });
     encode_content(content, overflow, atoms);
 }
 
-fn decode_overflow_record<A: Atom, D: DisCodec>(
+fn decode_overflow_record<A: Atom, D: WireDis>(
     input: &mut Bytes,
     atoms: &[A],
 ) -> Result<(PosId<D>, Content<A>), DecodeError> {
@@ -462,7 +418,7 @@ fn decode_overflow_record<A: Atom, D: DisCodec>(
             Side::Right
         };
         let dis = if flags & 0x02 != 0 {
-            Some(D::decode_dis(input).ok_or(DecodeError::TruncatedStructure)?)
+            Some(get_dis::<D>(input).ok_or(DecodeError::TruncatedStructure)?)
         } else {
             None
         };
@@ -475,7 +431,7 @@ fn decode_overflow_record<A: Atom, D: DisCodec>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use treedoc_core::{SiteId, Treedoc, TreedocConfig};
+    use treedoc_core::{Sdis, SiteId, Treedoc, TreedocConfig, Udis};
 
     fn site(n: u64) -> SiteId {
         SiteId::from_u64(n)
@@ -496,10 +452,10 @@ mod tests {
     fn round_trip_flattened_document() {
         let atoms: Vec<String> = (0..40).map(|i| format!("line {i}")).collect();
         let doc: Treedoc<String, Sdis> = Treedoc::from_atoms(site(1), &atoms);
-        let image = DiskImage::encode(&doc.tree());
+        let image = DiskImage::encode(&Tree::of_doc(&doc));
         let back: Tree<String, Sdis> = image.decode().unwrap();
         assert_eq!(back.to_vec(), atoms);
-        assert_eq!(slots(&back), slots(&doc.tree()));
+        assert_eq!(slots(&back), slots(&Tree::of_doc(&doc)));
     }
 
     #[test]
@@ -511,7 +467,7 @@ mod tests {
         for _ in 0..10 {
             doc.local_delete(5).unwrap();
         }
-        let image = DiskImage::encode(&doc.tree());
+        let image = DiskImage::encode(&Tree::of_doc(&doc));
         let back: Tree<String, Sdis> = image.decode().unwrap();
         assert_eq!(back.to_vec(), doc.to_vec());
         assert_eq!(
@@ -519,7 +475,7 @@ mod tests {
             doc.node_count(),
             "tombstones survive the round trip"
         );
-        assert_eq!(slots(&back), slots(&doc.tree()));
+        assert_eq!(slots(&back), slots(&Tree::of_doc(&doc)));
     }
 
     #[test]
@@ -529,10 +485,10 @@ mod tests {
             doc.local_insert(i, format!("u{i}")).unwrap();
         }
         doc.local_delete(3).unwrap();
-        let image = DiskImage::encode(&doc.tree());
+        let image = DiskImage::encode(&Tree::of_doc(&doc));
         let back: Tree<String, Udis> = image.decode().unwrap();
         assert_eq!(back.to_vec(), doc.to_vec());
-        assert_eq!(slots(&back), slots(&doc.tree()));
+        assert_eq!(slots(&back), slots(&Tree::of_doc(&doc)));
     }
 
     #[test]
@@ -557,7 +513,7 @@ mod tests {
         b.apply(&between).unwrap();
         assert_eq!(a.to_vec(), b.to_vec());
 
-        let image = DiskImage::encode(&a.tree());
+        let image = DiskImage::encode(&Tree::of_doc(&a));
         let back: Tree<String, Sdis> = image.decode().unwrap();
         assert_eq!(back.to_vec(), a.to_vec());
         assert_eq!(back.node_count(), a.node_count());
@@ -569,7 +525,7 @@ mod tests {
             .map(|i| format!("some document line number {i}"))
             .collect();
         let doc: Treedoc<String, Sdis> = Treedoc::from_atoms(site(1), &atoms);
-        let image = DiskImage::encode(&doc.tree());
+        let image = DiskImage::encode(&Tree::of_doc(&doc));
         // A flattened document stores no disambiguators: a few bytes per node
         // (tag + state + atom ref) plus compressed markers.
         assert!(
@@ -592,9 +548,9 @@ mod tests {
         for i in 0..100 {
             appended.local_insert(i, format!("line {i}")).unwrap();
         }
-        let unbalanced = DiskImage::encode(&appended.tree());
+        let unbalanced = DiskImage::encode(&Tree::of_doc(&appended));
         appended.flatten_all().unwrap();
-        let flattened = DiskImage::encode(&appended.tree());
+        let flattened = DiskImage::encode(&Tree::of_doc(&appended));
         assert!(
             flattened.structure_bytes() < unbalanced.structure_bytes(),
             "flattening must shrink the on-disk structure ({} vs {})",
@@ -610,7 +566,7 @@ mod tests {
         for i in 0..64 {
             doc.local_insert(i, format!("b{i}")).unwrap();
         }
-        let image = DiskImage::encode(&doc.tree());
+        let image = DiskImage::encode(&Tree::of_doc(&doc));
         let back: Tree<String, Sdis> = image.decode().unwrap();
         assert_eq!(back.to_vec(), doc.to_vec());
     }
@@ -618,7 +574,7 @@ mod tests {
     #[test]
     fn corrupt_images_are_rejected_with_a_diagnosis() {
         let doc: Treedoc<String, Sdis> = Treedoc::from_atoms(site(1), &["a".to_string()]);
-        let mut image = DiskImage::encode(&doc.tree());
+        let mut image = DiskImage::encode(&Tree::of_doc(&doc));
         image.structure.truncate(1);
         assert!(matches!(
             image.decode::<Sdis>(),
@@ -636,7 +592,7 @@ mod tests {
     fn dangling_atom_references_are_diagnosed() {
         let doc: Treedoc<String, Sdis> =
             Treedoc::from_atoms(site(1), &["a".to_string(), "b".to_string()]);
-        let mut image = DiskImage::encode(&doc.tree());
+        let mut image = DiskImage::encode(&Tree::of_doc(&doc));
         // Drop the atom table: every live slot now points past the end.
         image.atoms.clear();
         assert_eq!(
@@ -648,7 +604,7 @@ mod tests {
     #[test]
     fn unknown_state_bytes_are_diagnosed() {
         let doc: Treedoc<String, Sdis> = Treedoc::from_atoms(site(1), &["a".to_string()]);
-        let mut image = DiskImage::encode(&doc.tree());
+        let mut image = DiskImage::encode(&Tree::of_doc(&doc));
         // Decompress, corrupt the root record's tag, recompress.
         let mut raw = rle_decompress(&image.structure).unwrap();
         raw[4] = 0x7E; // the root NODE_TAG slot
@@ -659,7 +615,7 @@ mod tests {
     #[test]
     fn empty_document_round_trips() {
         let doc: Treedoc<String, Sdis> = Treedoc::new(site(1));
-        let image = DiskImage::encode(&doc.tree());
+        let image = DiskImage::encode(&Tree::of_doc(&doc));
         let back: Tree<String, Sdis> = image.decode().unwrap();
         assert!(back.is_empty());
     }

@@ -19,64 +19,7 @@
 //! logarithmic rather than linear.
 
 use serde::{Deserialize, Serialize};
-
-use crate::disambiguator::Disambiguator;
-use crate::path::Side;
-
-/// The content of an atom slot.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Content<A> {
-    /// No slot exists at this position (nothing was ever inserted here, or a
-    /// UDIS node was discarded).
-    Absent,
-    /// A live atom.
-    Live(A),
-    /// A deleted atom whose node must be kept (SDIS, §3.3.2): the atom itself
-    /// has been discarded but the identifier stays occupied.
-    Tombstone,
-    /// A structural node without an atom: either a non-leaf UDIS node whose
-    /// atom was discarded but which still has descendants, or an ancestor
-    /// re-created while replaying an insert whose original ancestors were
-    /// concurrently discarded (§3.3.1).
-    Ghost,
-}
-
-impl<A> Content<A> {
-    /// `true` when the slot holds a live atom.
-    pub fn is_live(&self) -> bool {
-        matches!(self, Content::Live(_))
-    }
-
-    /// `true` when the slot exists at all (live, tombstone or ghost).
-    pub fn is_present(&self) -> bool {
-        !matches!(self, Content::Absent)
-    }
-
-    /// `true` for a tombstone.
-    pub fn is_tombstone(&self) -> bool {
-        matches!(self, Content::Tombstone)
-    }
-
-    /// Returns the live atom, if any.
-    pub fn live(&self) -> Option<&A> {
-        match self {
-            Content::Live(a) => Some(a),
-            _ => None,
-        }
-    }
-
-    /// Takes the live atom out, leaving the given replacement content.
-    pub fn take_live(&mut self, replacement: Content<A>) -> Option<A> {
-        if self.is_live() {
-            match std::mem::replace(self, replacement) {
-                Content::Live(a) => Some(a),
-                _ => unreachable!(),
-            }
-        } else {
-            None
-        }
-    }
-}
+use treedoc_core::{Content, Disambiguator, Side};
 
 /// A mini-node: one concurrent insert at a given tree position (§3.1).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -382,8 +325,7 @@ impl<A, D: Disambiguator> MajorNode<A, D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::disambiguator::Sdis;
-    use crate::site::SiteId;
+    use treedoc_core::{Sdis, SiteId};
 
     fn d(n: u64) -> Sdis {
         Sdis::new(SiteId::from_u64(n))

@@ -12,8 +12,7 @@
 
 use std::cmp::Ordering;
 
-use crate::disambiguator::Disambiguator;
-use crate::path::{PathElem, PosId, Side};
+use treedoc_core::{Disambiguator, PathElem, PosId, Side};
 
 /// A position identifier stored as an owned element vector (the pre-arena
 /// representation), used as a comparison oracle in differential tests.
@@ -138,9 +137,8 @@ impl<D: Disambiguator> Ord for RefPosId<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::disambiguator::Sdis;
-    use crate::site::SiteId;
     use proptest::prelude::*;
+    use treedoc_core::{Sdis, SiteId};
 
     fn s(n: u64) -> Sdis {
         Sdis::new(SiteId::from_u64(n))

@@ -1,29 +1,30 @@
-//! The extended binary tree holding the document (§3).
+//! The per-atom extended binary tree of §3: one heap node per atom, no
+//! coalescing anywhere. The product stores documents as runs
+//! (`treedoc_core::RunTree`); this tree is the oracle the run store and its
+//! region queries are checked against, and the layout the §5.2 disk image
+//! ([`DiskImage`](crate::DiskImage)) serialises.
 //!
-//! [`Tree`] stores atoms in [`MajorNode`]s / [`MiniNode`]s and offers the
-//! operations the document layer needs:
+//! [`Tree`] stores atoms in [`MajorNode`]s / [`MiniNode`]s and offers:
 //!
-//! * path-addressed reads, inserts and deletes (replay of remote operations),
-//! * index-addressed lookups (finding the identifier of the *i*-th live atom
-//!   and its neighbour slots, used when a local edit allocates a fresh
-//!   identifier),
+//! * path-addressed reads, inserts and deletes,
+//! * index-addressed lookups (the identifier of the *i*-th live atom and its
+//!   neighbour slots),
 //! * infix traversal of every occupied slot (statistics, serialisation),
 //! * subtree extraction / replacement (the `explode` / `flatten` structural
 //!   clean-up of §4.2),
-//! * the cold-subtree search used by the flatten heuristic of §5.1.
+//! * the cold-subtree search of the flatten heuristic of §5.1.
 //!
 //! The deletion policy follows the disambiguator design (§3.3): with
-//! [`Udis`](crate::Udis) deleted nodes are discarded eagerly (leaves removed,
-//! non-leaves kept as ghosts until their subtree empties); with
-//! [`Sdis`](crate::Sdis) deleted nodes become tombstones.
+//! [`Udis`](treedoc_core::Udis) deleted nodes are discarded eagerly (leaves
+//! removed, non-leaves kept as ghosts until their subtree empties); with
+//! [`Sdis`](treedoc_core::Sdis) deleted nodes become tombstones.
 
 use serde::{Deserialize, Serialize};
+use treedoc_core::{
+    Atom, Content, Disambiguator, Error, HasSource, PathElem, PosId, Result, Side, Treedoc,
+};
 
-use crate::atom::Atom;
-use crate::disambiguator::Disambiguator;
-use crate::error::{Error, Result};
-use crate::node::{Content, MajorNode, MiniNode};
-use crate::path::{PathElem, PosId, Side};
+use crate::node::{MajorNode, MiniNode};
 
 /// A read-only view of one occupied slot, passed to [`Tree::for_each_slot`].
 #[derive(Debug)]
@@ -100,30 +101,6 @@ impl<A: Atom, D: Disambiguator> Tree<A, D> {
         } else {
             self.root.height()
         }
-    }
-
-    /// Estimated heap footprint of the index structure itself (node structs
-    /// and child boxes), excluding atom content bytes. This is the measured
-    /// counterpart of [`MemoryModel`](crate::MemoryModel): one boxed
-    /// [`MajorNode`] per allocation plus the mini-node vector elements.
-    pub fn index_bytes(&self) -> usize {
-        let major = std::mem::size_of::<MajorNode<A, D>>();
-        let mini = std::mem::size_of::<MiniNode<A, D>>();
-        let mut bytes = major; // the inline root
-        let mut stack: Vec<&MajorNode<A, D>> = vec![&self.root];
-        while let Some(node) = stack.pop() {
-            bytes += node.minis.len() * mini;
-            let children = node
-                .minis
-                .iter()
-                .flat_map(|m| [m.left.as_deref(), m.right.as_deref()])
-                .chain([node.left.as_deref(), node.right.as_deref()]);
-            for child in children.flatten() {
-                bytes += major;
-                stack.push(child);
-            }
-        }
-        bytes
     }
 
     // ------------------------------------------------------------------
@@ -382,22 +359,25 @@ impl<A: Atom, D: Disambiguator> Tree<A, D> {
     // ------------------------------------------------------------------
 
     /// Sets the slot identified by `id` to `content`, creating any missing
-    /// structure. Unlike [`insert`](Self::insert) this can restore tombstones
-    /// and ghost nodes, which is what a storage layer needs when loading a
-    /// persisted replica; it does **not** update the cached counters — call
-    /// [`rebuild_counts`](Self::rebuild_counts) once after the last slot has
-    /// been restored.
-    pub fn restore_slot(&mut self, id: &PosId<D>, content: Content<A>) {
+    /// structure, and stamps `rev` into the `hot_rev` of every major node
+    /// on the path (as an [`insert`](Self::insert) at `id` does). Unlike
+    /// `insert` this can restore tombstones and ghost nodes, which is what
+    /// loading a stored document needs; it does **not** update the cached
+    /// counters — call [`rebuild_counts`](Self::rebuild_counts) once after
+    /// the last slot has been restored.
+    pub fn restore_slot(&mut self, id: &PosId<D>, content: Content<A>, rev: u64) {
         enum CtxMut<'a, A, D> {
             Major(&'a mut MajorNode<A, D>),
             Mini(&'a mut MiniNode<A, D>),
         }
+        self.root.hot_rev = self.root.hot_rev.max(rev);
         let mut ctx = CtxMut::Major(&mut self.root);
         for elem in id.elems() {
             let child = match ctx {
                 CtxMut::Major(m) => m.child_or_create(elem.side),
                 CtxMut::Mini(m) => m.child_or_create(elem.side),
             };
+            child.hot_rev = child.hot_rev.max(rev);
             ctx = match &elem.dis {
                 None => CtxMut::Major(child),
                 Some(d) => CtxMut::Mini(child.find_mini_or_create(d)),
@@ -418,52 +398,31 @@ impl<A: Atom, D: Disambiguator> Tree<A, D> {
     /// Every occupied slot in infix order, with its full identifier, a clone
     /// of its content and the `hot_rev` of its enclosing major node. This is
     /// the exchange format between the per-atom tree and the run-coalesced
-    /// store ([`crate::run::RunTree`]).
+    /// store ([`RunTree`](treedoc_core::RunTree)).
     pub fn collect_cells(&self) -> Vec<(PosId<D>, Content<A>, u64)> {
         let mut out = Vec::with_capacity(self.node_count());
         collect_cells_rec(&self.root, &PosId::root(), &mut out);
         out
     }
 
-    /// Stamps `rev` into the `hot_rev` of every major node along the path to
-    /// `id` (the same stamping an [`insert`](Self::insert) at `id` performs),
-    /// without touching any slot. Used when materialising a per-atom tree
-    /// from run storage so the cold-subtree heuristic still sees run-level
-    /// recency.
-    pub(crate) fn stamp_path(&mut self, id: &PosId<D>, rev: u64) {
-        enum CtxMut<'a, A, D> {
-            Major(&'a mut MajorNode<A, D>),
-            Mini(&'a mut MiniNode<A, D>),
+    /// Materialises the per-atom tree holding `cells` (in document order,
+    /// as `RunTree::collect_cells` lists them), stamping every path with its
+    /// cell's revision so the cold-subtree heuristic sees run-level recency.
+    pub fn from_cells(cells: impl IntoIterator<Item = (PosId<D>, Content<A>, u64)>) -> Self {
+        let mut tree = Tree::new();
+        for (id, content, rev) in cells {
+            tree.restore_slot(&id, content, rev);
         }
-        let mut ctx = CtxMut::Major(&mut self.root);
-        for elem in id.elems() {
-            let child = match ctx {
-                CtxMut::Major(m) => {
-                    m.hot_rev = m.hot_rev.max(rev);
-                    match m.child_mut(elem.side) {
-                        Some(c) => c,
-                        None => return,
-                    }
-                }
-                CtxMut::Mini(m) => match m.child_mut(elem.side) {
-                    Some(c) => c,
-                    None => return,
-                },
-            };
-            ctx = match &elem.dis {
-                None => CtxMut::Major(child),
-                Some(d) => {
-                    child.hot_rev = child.hot_rev.max(rev);
-                    match child.find_mini_mut(d) {
-                        Some(m) => CtxMut::Mini(m),
-                        None => return,
-                    }
-                }
-            };
-        }
-        if let CtxMut::Major(m) = ctx {
-            m.hot_rev = m.hot_rev.max(rev);
-        }
+        tree.rebuild_counts();
+        tree
+    }
+
+    /// The per-atom tree equivalent to `doc`'s run store.
+    pub fn of_doc(doc: &Treedoc<A, D>) -> Self
+    where
+        D: HasSource,
+    {
+        Self::from_cells(doc.store().collect_cells())
     }
 
     /// Asserts internal invariants; used by tests and debug builds.
@@ -1057,15 +1016,14 @@ fn collect_cells_rec<A: Atom, D: Disambiguator>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::disambiguator::{Sdis, Udis};
-    use crate::site::SiteId;
+    use treedoc_core::{Sdis, SiteId, Udis};
 
     type STree = Tree<char, Sdis>;
     type UTree = Tree<char, Udis>;
 
-    fn sd(n: u64) -> Sdis {
+    pub(crate) fn sd(n: u64) -> Sdis {
         Sdis::new(SiteId::from_u64(n))
     }
 
@@ -1073,7 +1031,8 @@ mod tests {
         Udis::new(c, SiteId::from_u64(n))
     }
 
-    fn sid(desc: &[(u8, Option<u64>)]) -> PosId<Sdis> {
+    /// An SDIS identifier from `(branch bit, disambiguator site)` pairs.
+    pub(crate) fn sid(desc: &[(u8, Option<u64>)]) -> PosId<Sdis> {
         PosId::from_elems(
             desc.iter()
                 .map(|&(bit, dis)| PathElem {

@@ -3,8 +3,8 @@
 //! mini-node overflow sections, and corruption never panics.
 
 use proptest::prelude::*;
-use treedoc_core::{Sdis, SiteId, Tree, Treedoc, Udis};
-use treedoc_storage::{rle_decompress, DiskImage};
+use treedoc_core::{Sdis, SiteId, Treedoc, Udis};
+use treedoc_reference::{rle_compress, rle_decompress, DiskImage, Tree};
 
 fn site(n: u64) -> SiteId {
     SiteId::from_u64(n)
@@ -79,11 +79,11 @@ proptest! {
         ),
     ) {
         let doc = edited_doc(&script);
-        let image = DiskImage::encode(&doc.tree());
+        let image = DiskImage::encode(&Tree::of_doc(&doc));
         let back = image.decode::<Sdis>().expect("healthy image decodes");
         prop_assert_eq!(back.to_vec(), doc.to_vec());
         prop_assert_eq!(back.node_count(), doc.node_count());
-        prop_assert_eq!(slots(&back), slots(&doc.tree()));
+        prop_assert_eq!(slots(&back), slots(&Tree::of_doc(&doc)));
     }
 
     /// Documents forced through the mini-node overflow section round-trip.
@@ -113,7 +113,7 @@ proptest! {
         b.apply(&between).expect("merges");
         prop_assert_eq!(a.to_vec(), b.to_vec());
 
-        let image = DiskImage::encode(&a.tree());
+        let image = DiskImage::encode(&Tree::of_doc(&a));
         prop_assert!(image.stats.overflow_slots > 0, "the wedge must overflow");
         let back = image.decode::<Sdis>().expect("healthy image decodes");
         prop_assert_eq!(back.to_vec(), a.to_vec());
@@ -135,7 +135,7 @@ proptest! {
                     .expect("in range");
             }
         }
-        let image = DiskImage::encode(&doc.tree());
+        let image = DiskImage::encode(&Tree::of_doc(&doc));
         let back = image.decode::<Udis>().expect("healthy image decodes");
         prop_assert_eq!(back.to_vec(), doc.to_vec());
         prop_assert_eq!(back.node_count(), doc.node_count());
@@ -153,7 +153,7 @@ proptest! {
         cut_ppm in 0u32..1_000_000,
     ) {
         let doc = edited_doc(&script);
-        let mut image = DiskImage::encode(&doc.tree());
+        let mut image = DiskImage::encode(&Tree::of_doc(&doc));
         let cut = (image.structure.len() as u64 * cut_ppm as u64 / 1_000_000) as usize;
         image.structure.truncate(cut);
         if let Ok(tree) = image.decode::<Sdis>() {
@@ -174,14 +174,14 @@ proptest! {
         flip in 1u8..255,
     ) {
         let doc = edited_doc(&script);
-        let mut image = DiskImage::encode(&doc.tree());
+        let mut image = DiskImage::encode(&Tree::of_doc(&doc));
         let raw = rle_decompress(&image.structure).expect("fresh image decompresses");
         let mut raw = raw;
         let at = (raw.len() as u64 * at_ppm as u64 / 1_000_000) as usize % raw.len().max(1);
         if !raw.is_empty() {
             raw[at] ^= flip;
         }
-        image.structure = treedoc_storage::rle_compress(&raw);
+        image.structure = rle_compress(&raw);
         let _ = image.decode::<Sdis>(); // must not panic; outcome is free
     }
 }

@@ -20,7 +20,8 @@
 use std::cmp::Ordering;
 
 use proptest::prelude::*;
-use treedoc_core::{PathElem, PosId, RefPosId, Sdis, Side, SiteId};
+use treedoc_core::{PathElem, PosId, Sdis, Side, SiteId};
+use treedoc_reference::RefPosId;
 
 type Id = PosId<Sdis>;
 type Elems = Vec<PathElem<Sdis>>;

@@ -29,8 +29,8 @@
 //!   released parked for the next session to hand the heads over again;
 //! * a checkpoint ([`Replica::persist_checkpoint`](crate::Replica::persist_checkpoint),
 //!   and automatically on every committed flatten) writes a
-//!   [`Snapshot`] of the whole replica — the §5.2
-//!   disk image of the tree plus the vector clock, flatten epoch,
+//!   [`Snapshot`] of the whole replica — the document (see *Snapshot
+//!   sections* below) plus the vector clock, flatten epoch,
 //!   acknowledgement table, send log, hold-back queue and the envelope
 //!   resolver's chain heads and parked ops — and truncates the
 //!   WAL, since every logged record is folded into the snapshot. The
@@ -50,26 +50,52 @@
 //! flatten is prepared — is not logged, so the purely diagnostic
 //! blocked-tick counters may undercount across a crash. Nothing that feeds
 //! convergence does.
+//!
+//! ## Snapshot sections
+//!
+//! A [`Treedoc`] writes two sections:
+//!
+//! | section | content |
+//! | --- | --- |
+//! | [`SECTION_DOC`] (`doc.state`) | JSON: revision counter, configuration, disambiguator source, content hash of `doc.cells` |
+//! | [`SECTION_CELLS`] (`doc.cells`) | every stored cell (live, tombstone, ghost) in document order, as [`encode_cells`] writes it for anti-entropy |
+//!
+//! Loading checks the hash ([`SnapshotError::SectionHash`]), decodes the
+//! cells, rejects a stream whose identifiers are not strictly increasing
+//! ([`RecoverError::Parse`]) and rebuilds the run store from it at revision 0
+//! (`RunTree::from_cells`). Every failure is a typed [`RecoverError`]: the
+//! load path never panics and allocates no more than its input's size. A
+//! snapshot in the older §5.2 heap-image layout (`tree.structure` +
+//! `tree.atoms`) has no `doc.cells` and fails with
+//! [`SnapshotError::MissingSection`].
+
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 
 use std::fmt;
 
 use serde::{de::DeserializeOwned, Deserialize, Serialize};
 use treedoc_core::{HasSource, Op, Side, SiteId, Treedoc, TreedocConfig, WireAtom, WireDis};
-use treedoc_storage::{
-    content_hash64, DecodeError, DisCodec, DiskImage, Snapshot, SnapshotError, StorageError,
-};
+use treedoc_storage::{content_hash64, Snapshot, SnapshotError, StorageError};
 
 use crate::causal::CausalMessage;
 use crate::flatten::CommitProtocol;
 use crate::replica::{Envelope, ReplicatedDocument};
+use crate::sync::{decode_cells, encode_cells};
 
-/// Snapshot section holding the §5.2 structure stream of the tree.
-pub const SECTION_STRUCTURE: &str = "tree.structure";
-/// Snapshot section holding the atom table (JSON).
-pub const SECTION_ATOMS: &str = "tree.atoms";
 /// Snapshot section holding the document-level state (revision counter,
-/// configuration, disambiguator source, atom-table hash).
+/// configuration, disambiguator source, content hash of the cells).
 pub const SECTION_DOC: &str = "doc.state";
+/// Snapshot section holding every stored cell in document order, in the
+/// anti-entropy cell-list encoding.
+pub const SECTION_CELLS: &str = "doc.cells";
 /// Snapshot section holding the replication-level state (clock, send log,
 /// acknowledgement table, flatten role, envelope chain heads).
 pub const SECTION_REPLICA: &str = "replica";
@@ -121,9 +147,8 @@ pub enum RecoverError {
     Storage(StorageError),
     /// A snapshot section was missing or failed verification.
     Snapshot(SnapshotError),
-    /// The tree's disk image failed to decode.
-    Decode(DecodeError),
-    /// A serialised section or WAL record failed to parse.
+    /// A serialised section or WAL record failed to parse (including a
+    /// `doc.cells` stream whose identifiers are not strictly increasing).
     Parse(String),
     /// The store holds no snapshot at all (a store is always seeded with a
     /// baseline snapshot by `attach_store`, so this means the store never
@@ -136,7 +161,6 @@ impl fmt::Display for RecoverError {
         match self {
             RecoverError::Storage(e) => write!(f, "recovery failed: {e}"),
             RecoverError::Snapshot(e) => write!(f, "recovery failed: {e}"),
-            RecoverError::Decode(e) => write!(f, "recovery failed: tree image: {e}"),
             RecoverError::Parse(msg) => write!(f, "recovery failed: {msg}"),
             RecoverError::NoSnapshot => write!(f, "recovery failed: store holds no snapshot"),
         }
@@ -154,12 +178,6 @@ impl From<StorageError> for RecoverError {
 impl From<SnapshotError> for RecoverError {
     fn from(e: SnapshotError) -> Self {
         RecoverError::Snapshot(e)
-    }
-}
-
-impl From<DecodeError> for RecoverError {
-    fn from(e: DecodeError) -> Self {
-        RecoverError::Decode(e)
     }
 }
 
@@ -182,9 +200,11 @@ pub struct RecoveryReport {
 }
 
 pub(crate) fn to_json_bytes<T: Serialize>(value: &T) -> Vec<u8> {
+    // Serialising the section structs cannot fail: they hold no map with
+    // non-string keys and no failing `Serialize` impl.
     serde_json::to_string(value)
-        .expect("snapshot sections serialise")
-        .into_bytes()
+        .map(String::into_bytes)
+        .unwrap_or_default()
 }
 
 pub(crate) fn from_json_bytes<T: DeserializeOwned>(
@@ -202,63 +222,71 @@ pub(crate) fn from_json_bytes<T: DeserializeOwned>(
 /// the disambiguator source ahead of every identifier it issued).
 pub trait PersistentDocument: ReplicatedDocument + Sized {
     /// Writes the document into `snapshot` (sections of the implementor's
-    /// choosing; [`Treedoc`] uses the §5.2 [`DiskImage`] layout).
+    /// choosing; [`Treedoc`] writes [`SECTION_DOC`] and [`SECTION_CELLS`],
+    /// see the module docs).
     fn encode_sections(&self, snapshot: &mut Snapshot);
 
-    /// Rebuilds the document from its sections.
+    /// Rebuilds the document from its sections: a typed error for any
+    /// missing, corrupt or inconsistent section, never a panic.
     fn decode_sections(snapshot: &Snapshot) -> Result<Self, RecoverError>;
 
     /// Replays one of the document's own logged operations.
     fn replay_logged_local(&mut self, op: &Self::Op);
 }
 
-/// Document-level snapshot state stored next to the tree image.
+/// Document-level snapshot state stored next to the cells.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct DocMeta<S> {
     revision: u64,
     config: TreedocConfig,
     source: S,
-    /// Content hash of the atoms section, verified end-to-end after the
-    /// structural decode (belt to the snapshot manifest's braces).
-    atoms_hash: u64,
+    /// Content hash of the `doc.cells` section, verified end-to-end before
+    /// the cells are decoded (belt to the snapshot manifest's braces).
+    cells_hash: u64,
 }
 
 impl<A, D> PersistentDocument for Treedoc<A, D>
 where
     A: WireAtom + std::hash::Hash,
-    D: WireDis + HasSource + DisCodec,
+    D: WireDis + HasSource,
     D::Source: Serialize + DeserializeOwned,
 {
     fn encode_sections(&self, snapshot: &mut Snapshot) {
-        let image = DiskImage::encode(&self.tree());
-        let atoms = to_json_bytes(&image.atoms);
+        let cells: Vec<_> = self
+            .store()
+            .collect_cells()
+            .into_iter()
+            .map(|(id, content, _)| (id, content))
+            .collect();
+        let cells = encode_cells(&cells);
         let meta = DocMeta {
             revision: self.revision(),
             config: self.config(),
             source: self.dis_source().clone(),
-            atoms_hash: content_hash64(&atoms),
+            cells_hash: content_hash64(&cells),
         };
         snapshot.push_section(SECTION_DOC, to_json_bytes(&meta));
-        snapshot.push_section(SECTION_STRUCTURE, image.structure);
-        snapshot.push_section(SECTION_ATOMS, atoms);
+        snapshot.push_section(SECTION_CELLS, cells);
     }
 
     fn decode_sections(snapshot: &Snapshot) -> Result<Self, RecoverError> {
+        let bytes = snapshot.require(SECTION_CELLS)?;
         let meta: DocMeta<D::Source> =
             from_json_bytes("doc.state section", snapshot.require(SECTION_DOC)?)?;
-        let atoms_bytes = snapshot.require(SECTION_ATOMS)?;
-        if content_hash64(atoms_bytes) != meta.atoms_hash {
-            return Err(RecoverError::Decode(DecodeError::BadHash));
+        if content_hash64(bytes) != meta.cells_hash {
+            // The same failure as a section failing the manifest's hash.
+            return Err(SnapshotError::SectionHash(SECTION_CELLS.to_string()).into());
         }
-        let atoms: Vec<A> = from_json_bytes("tree.atoms section", atoms_bytes)?;
-        let image = DiskImage {
-            structure: snapshot.require(SECTION_STRUCTURE)?.to_vec(),
-            atoms,
-            stats: Default::default(),
-        };
-        let tree = image.decode::<D>()?;
-        Ok(Treedoc::from_parts(
-            tree,
+        let cells = decode_cells::<A, D>(bytes)
+            .ok_or_else(|| RecoverError::Parse("doc.cells section is malformed".into()))?;
+        if let Some(index) = cells.windows(2).position(|pair| pair[0].0 >= pair[1].0) {
+            let index = index + 1;
+            return Err(RecoverError::Parse(format!(
+                "doc.cells: cell {index} does not follow its predecessor"
+            )));
+        }
+        Ok(Treedoc::from_cells(
+            cells,
             meta.source,
             meta.config,
             meta.revision,
@@ -318,10 +346,12 @@ mod tests {
         doc.local_insert(0, "x".to_string()).unwrap();
         let mut snapshot = Snapshot::new();
         doc.encode_sections(&mut snapshot);
-        snapshot.push_section(SECTION_ATOMS, b"[\"evil\"]".to_vec());
+        let mut cells = snapshot.section(SECTION_CELLS).unwrap().to_vec();
+        *cells.last_mut().unwrap() ^= 1; // "x" becomes "y"
+        snapshot.push_section(SECTION_CELLS, cells);
         assert!(matches!(
             <Treedoc<String, Sdis>>::decode_sections(&snapshot),
-            Err(RecoverError::Decode(DecodeError::BadHash))
+            Err(RecoverError::Snapshot(SnapshotError::SectionHash(_)))
         ));
     }
 

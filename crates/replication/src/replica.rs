@@ -16,7 +16,7 @@
 use std::collections::BTreeMap;
 
 use serde::{de::DeserializeOwned, Deserialize, Serialize};
-use treedoc_core::{HasSource, Op, Side, SiteId, Treedoc, WireAtom, WireDis, WirePayload};
+use treedoc_core::{Error, HasSource, Op, Side, SiteId, Treedoc, WireAtom, WireDis, WirePayload};
 use treedoc_storage::{DocStore, Snapshot, StorageError};
 use treedoc_telemetry::{Counter, Gauge, Histogram, Telemetry};
 
@@ -41,8 +41,14 @@ pub trait ReplicatedDocument {
     /// form (the one format envelopes and WAL records are written in).
     type Op: Clone + WirePayload;
 
-    /// Replays one remote operation.
-    fn replay(&mut self, op: &Self::Op);
+    /// Replays one delivered operation. Returns `false` when the document
+    /// already held the operation's effect and skipped it: state transfer
+    /// can move a cell ahead of clock coverage (a sync session that
+    /// converges asymmetrically leaves one side holding synced cells its
+    /// clock does not yet cover), so an operation delivered later may find
+    /// its insert already integrated or its atom already deleted. Any other
+    /// failure means a broken delivery layer and panics.
+    fn replay(&mut self, op: &Self::Op) -> bool;
 
     /// A cheap digest of the document content, used by the test harness and
     /// the simulator to check convergence without comparing full documents.
@@ -56,12 +62,18 @@ where
 {
     type Op = Op<A, D>;
 
-    fn replay(&mut self, op: &Op<A, D>) {
-        // Replay of a CRDT operation cannot fail under causal delivery; a
-        // failure here indicates a broken delivery layer, which the
-        // simulator's tests want to hear about loudly.
-        self.apply(op)
-            .expect("causally delivered operation must replay cleanly");
+    fn replay(&mut self, op: &Op<A, D>) -> bool {
+        match self.apply(op) {
+            Ok(()) => true,
+            // A duplicate insert (the identifier holds a live atom or a
+            // tombstone) or a delete of an unknown identifier: the effect
+            // reached the store as a synced cell, whose precedence already
+            // decided it.
+            Err(Error::DuplicatePosId { .. } | Error::UnknownPosId { .. }) => false,
+            // Anything else cannot happen under causal delivery; the
+            // simulator's tests want to hear about it loudly.
+            Err(e) => panic!("causally delivered operation must replay cleanly: {e}"),
+        }
     }
 
     fn digest(&self) -> u64 {
@@ -250,9 +262,9 @@ pub trait FlattenDocument: ReplicatedDocument {
     /// subtree is missing or has activity after the proposal's base
     /// revision.
     ///
-    /// Note that revisions are **local bookkeeping** (nothing in the wire
-    /// path advances them), so in distributed runs this guard only rejects
-    /// missing subtrees — the live concurrency veto there is the
+    /// Note that revisions are **local bookkeeping** (operation delivery
+    /// never advances them, sync integration does), so in distributed runs
+    /// this guard mostly rejects missing subtrees — the concurrency veto is the
     /// clock-equality test on [`Replica`]. The revision check matters when
     /// the embedding application drives [`Treedoc::next_revision`] itself.
     fn flatten_vote(&self, proposal: &FlattenProposal) -> Vote;
@@ -269,11 +281,9 @@ where
     D: WireDis + HasSource,
 {
     fn flatten_vote(&self, proposal: &FlattenProposal) -> Vote {
-        let tree = self.tree();
-        match tree.subtree(&proposal.subtree) {
-            None => Vote::No,
-            Some(node) if node.hot_rev() > proposal.base_revision => Vote::No,
-            Some(_) => Vote::Yes,
+        match self.store().region_hot_rev(&proposal.subtree) {
+            Some(hot_rev) if hot_rev <= proposal.base_revision => Vote::Yes,
+            _ => Vote::No,
         }
     }
 
@@ -521,6 +531,9 @@ pub struct Replica<Doc: ReplicatedDocument> {
     buffer: CausalBuffer<Doc::Op>,
     ops_sent: u64,
     ops_applied: u64,
+    /// Delivered ops whose effect the document already held (see
+    /// [`ReplicatedDocument::replay`]); not persisted.
+    replays_skipped: u64,
     at_least_once: Option<AtLeastOnce<Doc::Op>>,
     flatten: FlattenRole,
     /// Operations stamped in a flatten epoch this replica has not reached
@@ -565,6 +578,7 @@ impl<Doc: ReplicatedDocument> Replica<Doc> {
             buffer: CausalBuffer::new(),
             ops_sent: 0,
             ops_applied: 0,
+            replays_skipped: 0,
             at_least_once: None,
             flatten: FlattenRole::default(),
             epoch_held: Vec::new(),
@@ -657,6 +671,22 @@ impl<Doc: ReplicatedDocument> Replica<Doc> {
     /// Number of remote operations applied.
     pub fn ops_applied(&self) -> u64 {
         self.ops_applied
+    }
+
+    /// Delivered operations the document skipped because it already held
+    /// their effect — only a sync session can put it there (see
+    /// [`ReplicatedDocument::replay`]), so without anti-entropy this stays
+    /// 0. Counted since the replica was created or recovered.
+    pub fn replays_skipped(&self) -> u64 {
+        self.replays_skipped
+    }
+
+    /// Hands a delivered operation to the document.
+    fn deliver(&mut self, op: &Doc::Op) {
+        if !self.doc.replay(op) {
+            self.replays_skipped += 1;
+        }
+        self.ops_applied += 1;
     }
 
     /// Stale or duplicate messages discarded: by the causal buffer, or as
@@ -1058,8 +1088,7 @@ impl<Doc: ReplicatedDocument> Replica<Doc> {
         let deliverable = self.buffer.receive(message);
         let count = deliverable.len();
         for m in deliverable {
-            self.doc.replay(&m.payload);
-            self.ops_applied += 1;
+            self.deliver(&m.payload);
         }
         count
     }
@@ -1432,15 +1461,14 @@ impl<Doc: SyncDocument> Replica<Doc> {
 
     /// Merges a peer's clock after a state comparison proved the documents
     /// equal, replaying anything the merge unblocks and discarding held-back
-    /// traffic the state transfer already covered. Released operations go
-    /// through the idempotent [`SyncDocument::sync_replay`]: a prior session
-    /// may have integrated their cells ahead of clock coverage.
+    /// traffic the state transfer already covered. A prior session may have
+    /// integrated a released operation's cells ahead of clock coverage; the
+    /// document then skips it (see [`ReplicatedDocument::replay`]).
     fn sync_fast_forward(&mut self, remote: &VectorClock) -> usize {
         let released = self.buffer.fast_forward(remote);
         let count = released.len();
         for m in released {
-            self.doc.sync_replay(&m.payload);
-            self.ops_applied += 1;
+            self.deliver(&m.payload);
         }
         self.chains.drop_covered(self.buffer.delivered_clock());
         count
@@ -1451,9 +1479,8 @@ impl<Doc: SyncDocument> Replica<Doc> {
     /// transfer become heads, so envelopes chained to them resolve, and
     /// parked ones resolve now. Returns the operations that applied.
     ///
-    /// Ops resolved here are released like the ones the fast-forward
-    /// released: through the idempotent [`SyncDocument::sync_replay`], as
-    /// a digest walk may have integrated their cells already.
+    /// A digest walk may have integrated a resolved op's cells already; the
+    /// document then skips it (see [`ReplicatedDocument::replay`]).
     fn adopt_chain_heads(&mut self, bytes: &[u8]) -> usize {
         let Ok(heads) = wire::decode_chain_heads::<Doc::Op>(bytes) else {
             return 0; // malformed heads: the next session offers them again
@@ -1471,8 +1498,7 @@ impl<Doc: SyncDocument> Replica<Doc> {
                     continue;
                 }
                 for m in self.buffer.receive(msg) {
-                    self.doc.sync_replay(&m.payload);
-                    self.ops_applied += 1;
+                    self.deliver(&m.payload);
                     applied += 1;
                 }
             }
@@ -1946,6 +1972,7 @@ impl<Doc: ReplicatedDocument> Replica<Doc> {
             buffer: CausalBuffer::from_image(image.buffer),
             ops_sent: image.ops_sent,
             ops_applied: image.ops_applied,
+            replays_skipped: 0,
             at_least_once: image.at_least_once.map(AtLeastOnce::from_image),
             flatten: FlattenRole::from_image(image.flatten),
             epoch_held: image.epoch_held,

@@ -228,17 +228,6 @@ const CELL_LIVE: u8 = 1;
 const CELL_TOMBSTONE: u8 = 2;
 const CELL_GHOST: u8 = 3;
 
-/// The integration precedence of a cell's content (the same ordering
-/// `RunTree::integrate_cell` applies): absent < ghost < live < tombstone.
-fn content_rank<A>(content: &Content<A>) -> u8 {
-    match content {
-        Content::Absent => 0,
-        Content::Ghost => 1,
-        Content::Live(_) => 2,
-        Content::Tombstone => 3,
-    }
-}
-
 /// Encodes an ordered cell list: a count, then per cell the identifier
 /// (delta-encoded against its predecessor, so runs share their path prefix),
 /// a content tag and — for live cells — the atom.
@@ -338,21 +327,12 @@ pub trait SyncDocument: ReplicatedDocument {
     /// keeping the local identity (site, disambiguator source). `None` when
     /// the bytes fail to decode or verify.
     fn adopt_bootstrap(&mut self, bytes: &[u8]) -> Option<()>;
-
-    /// Replays an operation released by a sync fast-forward. Unlike
-    /// [`ReplicatedDocument::replay`], this must be **idempotent**: state
-    /// transfer can move a cell ahead of clock coverage (a session that
-    /// converges asymmetrically leaves one side holding synced cells its
-    /// clock does not yet cover), so a released operation's effect may
-    /// already be present in the store and must be skipped, not treated as
-    /// a delivery-layer bug.
-    fn sync_replay(&mut self, op: &Self::Op);
 }
 
 impl<A, D> SyncDocument for Treedoc<A, D>
 where
     A: Atom + WireAtom + std::hash::Hash,
-    D: Disambiguator + WireDis + HasSource + treedoc_storage::DisCodec,
+    D: Disambiguator + WireDis + HasSource,
     D::Source: Serialize + serde::de::DeserializeOwned,
 {
     fn sync_root(&self) -> (u64, u64) {
@@ -427,7 +407,7 @@ where
         let incoming = decode_cells::<A, D>(incoming)?;
         let ranks: std::collections::BTreeMap<PosId<D>, u8> = incoming
             .into_iter()
-            .map(|(id, content)| (id, content_rank(&content)))
+            .map(|(id, content)| (id, content.rank()))
             .collect();
         let lo = decode_bound::<D>(lo)?;
         let hi = decode_bound::<D>(hi)?;
@@ -437,7 +417,7 @@ where
         // or a strictly weaker peer rank means the peer needs this cell.
         cells.retain(|(id, content)| match ranks.get(id) {
             None => true,
-            Some(&rank) => content_rank(content) > rank,
+            Some(&rank) => content.rank() > rank,
         });
         let count = cells.len() as u64;
         Some((encode_cells(&cells), count))
@@ -459,20 +439,6 @@ where
         let donor = <Treedoc<A, D>>::decode_sections(&snapshot).ok()?;
         self.adopt_state(donor);
         Some(())
-    }
-
-    fn sync_replay(&mut self, op: &Self::Op) {
-        match self.apply(op) {
-            Ok(()) => {}
-            // The op's effect already reached this store as a synced cell: a
-            // duplicate insert (the identifier holds a live atom or a
-            // tombstone) or a delete of an atom no longer live. Skipping is
-            // sound — integrate_cell's precedence already decided the cell,
-            // and the drain re-probes until digests agree.
-            Err(treedoc_core::Error::DuplicatePosId { .. })
-            | Err(treedoc_core::Error::UnknownPosId { .. }) => {}
-            Err(e) => panic!("sync-released operation must replay cleanly: {e}"),
-        }
     }
 }
 

@@ -281,6 +281,9 @@ pub struct SimReport {
     pub messages_duplicated: u64,
     /// Stale or duplicate messages the replicas' hold-back queues discarded.
     pub duplicates_discarded: u64,
+    /// Delivered ops the documents skipped as already synced
+    /// ([`Replica::replays_skipped`]); 0 in every run without sync.
+    pub replays_skipped: u64,
     /// Messages re-sent by the at-least-once recovery protocol.
     pub retransmissions: u64,
     /// Encoded bytes of those re-sends, one count per link crossed (already
@@ -1294,6 +1297,7 @@ pub fn run_with(scenario: &Scenario, telemetry: &Telemetry) -> SimReport {
         messages_dropped: net.dropped_count(),
         messages_duplicated: net.duplicated_count(),
         duplicates_discarded: replicas.iter().map(|r| r.duplicates_discarded()).sum(),
+        replays_skipped: replicas.iter().map(|r| r.replays_skipped()).sum(),
         retransmissions: replicas.iter().map(|r| r.retransmissions()).sum(),
         retransmission_bytes,
         max_pending,

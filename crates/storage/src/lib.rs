@@ -1,37 +1,8 @@
 //! # treedoc-storage
 //!
-//! The on-disk format described in §5.2 of the Treedoc paper, plus the
-//! durability layer built on top of it.
-//!
-//! > "In order to store a Treedoc on disk, we use a modified version of the
-//! > well-known technique that represents a binary heap of depth *i* as an
-//! > array of size 2^*i*. Nodes are stored from top to bottom, line by line,
-//! > and nodes on the same line are stored left to right. Each array entry
-//! > contains a disambiguator and a reference to the corresponding atom
-//! > (stored in a separate file). For every node that has only a single
-//! > descendant or no descendants, we fill the places with a special marker.
-//! > To save space, we compress sequences of markers with run-length
-//! > encoding."
-//!
-//! [`DiskImage::encode`] serialises a [`Tree`](treedoc_core::Tree) into
-//! exactly that layout: a breadth-first *structure file* (entries = optional
-//! disambiguator + atom reference, holes = run-length-encoded markers) plus a
-//! separate *atom file*. The size of the structure file is the "On-disk
-//! overhead" column of Table 1. [`DiskImage::decode`] reads the image back,
-//! diagnosing corrupt images with a typed [`DecodeError`].
-//!
-//! Mini-node children live in their own namespaces and therefore do not fit
-//! the plain positional array (the paper notes the case "does not occur in
-//! our tests" because SVN and Wikipedia serialise their edits); they are
-//! stored in an explicit overflow section so that round-tripping is always
-//! lossless.
-//!
-//! ## Durability
-//!
-//! The paper's encoding says how a document looks on disk; the modules below
-//! make a *replica* actually durable, so a crash loses neither the document
-//! nor the replication state (vector clock, unacked send log) the
-//! at-least-once and flatten-commitment machinery depends on:
+//! The durability layer of a Treedoc replica: a crash loses neither the
+//! document nor the replication state (vector clock, unacked send log) the
+//! at-least-once and flatten-commitment machinery depends on.
 //!
 //! * [`backend`] — the pluggable [`StorageBackend`] blob store (in-memory
 //!   and real-file implementations);
@@ -43,6 +14,11 @@
 //!   WAL tail) and compaction (checkpoint on flatten commit, truncating the
 //!   pre-epoch WAL — the committed epoch of §4.2.1 is the natural
 //!   log-compaction point).
+//!
+//! Sections and records are opaque here. The replication layer snapshots a
+//! document as its cell stream (the encoding anti-entropy ships), not as
+//! the paper's §5.2 heap-array image, which the `treedoc-reference` crate
+//! keeps for Table 1's "on-disk overhead" column.
 //!
 //! ## Multi-document hosting
 //!
@@ -68,8 +44,6 @@
 pub mod backend;
 pub mod checksum;
 pub mod group;
-pub mod heap;
-pub mod rle;
 pub mod snapshot;
 pub mod store;
 pub mod wal;
@@ -80,8 +54,6 @@ pub use backend::{
 };
 pub use checksum::{combine_hashes, content_hash64, crc32};
 pub use group::{GroupReplay, GroupWal, GroupWalStats};
-pub use heap::{DecodeError, DisCodec, DiskImage, EncodeStats};
-pub use rle::{rle_compress, rle_decompress};
 pub use snapshot::{Snapshot, SnapshotError};
 pub use store::{DocStore, Recovered, RecoveryStats, StoreStats};
 pub use wal::{TailFault, WalEntry, WalReplay};

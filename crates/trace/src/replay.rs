@@ -5,8 +5,8 @@
 //! diffed against its predecessor and the resulting insert/delete operations
 //! are applied (a modified atom = delete + insert). The harness records the
 //! per-revision node counts (Figure 6) and the final overhead statistics
-//! (Tables 1, 3, 4), including the on-disk size computed by
-//! `treedoc-storage`.
+//! (Tables 1, 3, 4), including the on-disk size of the §5.2 heap-array
+//! image (`treedoc-reference`).
 //!
 //! [`replay_logoot`] replays the same history on the Logoot baseline and
 //! reports its identifier sizes (Table 5).
@@ -18,8 +18,9 @@ use serde::{Deserialize, Serialize};
 use logoot::{AllocationStrategy, LogootDoc, LogootStats};
 use treedoc_core::{
     Disambiguator, DocStats, HasSource, MemoryModel, Sdis, SiteId, Treedoc, TreedocConfig, Udis,
+    WireDis,
 };
-use treedoc_storage::{DisCodec, DiskImage};
+use treedoc_reference::{DiskImage, Tree};
 
 use crate::diff::{diff_lines, DiffHunk};
 use crate::history::History;
@@ -176,10 +177,7 @@ pub fn replay_treedoc(history: &History, config: ReplayConfig) -> ReplayReport {
     }
 }
 
-fn replay_generic<D: Disambiguator + HasSource + DisCodec>(
-    history: &History,
-    config: ReplayConfig,
-) -> ReplayReport {
+fn replay_generic<D: WireDis + HasSource>(history: &History, config: ReplayConfig) -> ReplayReport {
     let start = Instant::now();
     let site = SiteId::from_u64(1);
     let doc_config = if config.balancing {
@@ -232,7 +230,7 @@ fn replay_generic<D: Disambiguator + HasSource + DisCodec>(
 
     report.final_stats = doc.stats();
     report.document_bytes = report.final_stats.document_bytes;
-    let image = DiskImage::encode(&doc.tree());
+    let image = DiskImage::encode(&Tree::of_doc(&doc));
     report.disk_overhead_bytes = image.structure_bytes();
     report.elapsed = start.elapsed();
     report

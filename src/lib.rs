@@ -11,7 +11,8 @@
 //! * [`replication`] (`treedoc-replication`) — vector clocks, causal
 //!   delivery, the simulated network, the binary wire/WAL codec and the
 //!   2PC/3PC agreement for `flatten`,
-//! * [`storage`] (`treedoc-storage`) — the on-disk heap-array format,
+//! * [`storage`] (`treedoc-storage`) — the durable store: backends, WAL,
+//!   verified snapshots and group commit,
 //! * [`trace`] (`treedoc-trace`) — diffs, synthetic corpora and the replay
 //!   harness behind the paper's evaluation,
 //! * [`sim`] (`treedoc-sim`) — multi-site cooperative-editing scenarios,
@@ -54,8 +55,8 @@ pub mod prelude {
         PartitionedCommitReport, Scenario, ScenarioMatrix, SimReport,
     };
     pub use treedoc_storage::{
-        DiskImage, DocStore, FileBackend, GroupWal, MemoryBackend, NamespacedBackend,
-        SharedBackend, Snapshot, StorageBackend,
+        DocStore, FileBackend, GroupWal, MemoryBackend, NamespacedBackend, SharedBackend, Snapshot,
+        StorageBackend,
     };
     pub use treedoc_telemetry::{
         parse_jsonl, Counter, Gauge, Histogram, Registry, RegistrySnapshot, Telemetry, TraceEvent,

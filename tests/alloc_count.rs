@@ -9,7 +9,8 @@
 //! stay flat as the document grows, and must stay under a small constant.
 //!
 //! The same allocator also tracks the largest single allocation, which
-//! bounds what a corrupted WAL record can make a decoder reserve.
+//! bounds what a corrupted WAL record or snapshot can make a decoder
+//! reserve.
 //!
 //! The counting allocator requires `unsafe` (the `GlobalAlloc` contract);
 //! that is why this lives in the umbrella crate's integration tests — the
@@ -18,13 +19,16 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use proptest::prelude::*;
 use treedoc_core::{codec, PosId, Sdis, Side, SiteId, Treedoc, Udis};
+use treedoc_replication::persist::{SECTION_CELLS, SECTION_DOC};
+use treedoc_replication::sync::{decode_cells, encode_cells};
 use treedoc_replication::wire::WalChain;
 use treedoc_replication::{
-    decode_envelope, encode_envelope, CausalMessage, ChainedOp, Envelope, OpBatch, Replica,
-    WalRecord,
+    decode_envelope, encode_envelope, CausalMessage, ChainedOp, Envelope, OpBatch, RecoverError,
+    Replica, SyncDocument, WalRecord,
 };
-use treedoc_storage::DocStore;
+use treedoc_storage::{content_hash64, DocStore, Snapshot};
 
 struct CountingAlloc;
 
@@ -469,6 +473,99 @@ fn corrupted_wal_records_never_over_allocate() {
                 largest <= 32 * input.len() + 1_024,
                 "decoding {input:02x?} reserved {largest} B at once"
             );
+        }
+    }
+}
+
+/// A checkpoint of a typing replica that also received another site's
+/// run into its middle (tombstones, spine runs, packed shrapnel).
+fn checkpoint() -> &'static Snapshot {
+    static SNAPSHOT: std::sync::OnceLock<Snapshot> = std::sync::OnceLock::new();
+    SNAPSHOT.get_or_init(|| {
+        let site = SiteId::from_u64(1);
+        let mut replica = Replica::new(site, Treedoc::<char, Sdis>::new(site));
+        replica.attach_store(DocStore::in_memory()).unwrap();
+        for op in type_keys(replica.doc_mut(), &typing_keys(160)) {
+            let _ = replica.stamp(op);
+        }
+        let other = SiteId::from_u64(2);
+        let mut peer = Replica::new(other, Treedoc::new(other));
+        peer.doc_mut().adopt_state(replica.doc().clone());
+        for k in 0..12 {
+            let op = peer.doc_mut().local_insert(40 + k, 'x').unwrap();
+            replica.receive(peer.stamp(op));
+        }
+        replica.persist_checkpoint().unwrap();
+        let mut store = replica.detach_store().unwrap();
+        store.recover().unwrap().snapshot.unwrap().1
+    })
+}
+
+/// `snapshot` with its `doc.cells` replaced by `cells`, and the hash in
+/// `doc.state` updated to match, so the cells themselves get decoded.
+fn with_cells(snapshot: &Snapshot, cells: Vec<u8>) -> Snapshot {
+    let meta = std::str::from_utf8(snapshot.section(SECTION_DOC).unwrap()).unwrap();
+    let at = meta.find("\"cells_hash\":").unwrap() + "\"cells_hash\":".len();
+    let end = at + meta[at..].find(|c: char| !c.is_ascii_digit()).unwrap();
+    let meta = format!("{}{}{}", &meta[..at], content_hash64(&cells), &meta[end..]);
+    let mut forged = snapshot.clone();
+    forged.push_section(SECTION_DOC, meta.into_bytes());
+    forged.push_section(SECTION_CELLS, cells);
+    forged
+}
+
+proptest! {
+    /// Truncated, bit-flipped and reordered `doc.cells` sections, through
+    /// both load paths (recovery from a store and a late joiner's
+    /// bootstrap), end in a typed error or a digest-valid document, and
+    /// never make the loader reserve more than a small multiple of the
+    /// snapshot at once.
+    #[test]
+    fn corrupted_cell_sections_load_totally_without_over_allocating(
+        kind in 0u8..3,
+        at in any::<usize>(),
+    ) {
+        let base = checkpoint();
+        let cells = base.section(SECTION_CELLS).unwrap();
+        let mutated = match kind {
+            0 => cells[..at % cells.len()].to_vec(),
+            1 => {
+                let mut flipped = cells.to_vec();
+                flipped[at / 8 % cells.len()] ^= 1 << (at % 8);
+                flipped
+            }
+            _ => {
+                let mut decoded = decode_cells::<char, Sdis>(cells).unwrap();
+                let i = at % (decoded.len() - 1);
+                decoded.swap(i, i + 1);
+                encode_cells(&decoded)
+            }
+        };
+        let forged = with_cells(base, mutated);
+        let bytes = forged.encode();
+        let bound = 32 * bytes.len() + 1_024;
+
+        let mut joiner = Treedoc::<char, Sdis>::new(SiteId::from_u64(9));
+        let (adopted, largest) = largest_allocation_in(|| joiner.adopt_bootstrap(&bytes));
+        prop_assert!(largest <= bound, "bootstrap reserved {} B at once", largest);
+        // A loaded store passes its invariants, which recompute every
+        // run's aggregates — its merkle digest included — from its cells.
+        if adopted.is_some() {
+            joiner.check_invariants().unwrap();
+        }
+
+        let mut store = DocStore::in_memory();
+        store.checkpoint(0, &forged).unwrap();
+        let (recovered, largest) =
+            largest_allocation_in(|| Replica::<Treedoc<char, Sdis>>::recover(store));
+        prop_assert!(largest <= bound, "recovery reserved {} B at once", largest);
+        match recovered {
+            Ok((replica, _)) => {
+                prop_assert!(kind != 2, "reordered cells were accepted");
+                replica.doc().check_invariants().unwrap();
+            }
+            Err(RecoverError::Parse(_)) if kind == 2 => {}
+            Err(e) => prop_assert!(kind != 2, "reordered cells: {}", e),
         }
     }
 }

@@ -121,6 +121,7 @@ fn causal_delivery_handles_out_of_order_messages_across_three_sites() {
     assert_eq!(replicas[0].doc().to_vec(), reference);
     assert_eq!(replicas[2].doc().to_vec(), reference);
     assert_eq!(reference, vec!["reply".to_string()]);
+    assert!(replicas.iter().all(|r| r.replays_skipped() == 0));
 }
 
 #[test]
@@ -135,6 +136,7 @@ fn simulated_sessions_converge_under_partitions_and_reordering() {
             ..Default::default()
         });
         assert!(report.converged, "seed {seed}: {report:?}");
+        assert_eq!(report.replays_skipped, 0, "seed {seed}: {report:?}");
         assert_eq!(report.ops_generated, 4 * 80);
     }
 }

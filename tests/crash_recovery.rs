@@ -2,8 +2,10 @@
 //! simulator, the digest-equality acceptance check, flatten-commit WAL
 //! compaction, and recovery through the real file backend.
 
+use treedoc_reference::{DiskImage, Tree};
 use treedoc_repro::prelude::*;
-use treedoc_repro::storage::DecodeError;
+use treedoc_repro::replication::persist::{SECTION_CELLS, SECTION_DOC};
+use treedoc_repro::storage::{content_hash64, SnapshotError};
 
 #[test]
 fn crashed_run_matches_the_crash_free_digest() {
@@ -185,7 +187,7 @@ fn recovery_works_through_the_real_file_backend() {
 #[test]
 fn corrupt_snapshots_fall_back_and_corrupt_trees_are_diagnosed() {
     // A store whose newest snapshot is corrupt falls back to the previous
-    // one; a DiskImage with a broken structure reports a typed error.
+    // one; a cell section cut short reports a typed error.
     let site = SiteId::from_u64(3);
     let mut replica = Replica::new(site, Treedoc::<String, Sdis>::new(site));
     replica.attach_store(DocStore::in_memory()).unwrap();
@@ -202,11 +204,37 @@ fn corrupt_snapshots_fall_back_and_corrupt_trees_are_diagnosed() {
     assert_eq!(report.corrupt_snapshots_skipped, 0);
 
     let doc: Treedoc<String, Sdis> = Treedoc::from_atoms(site, &["a".to_string(), "b".to_string()]);
-    let mut image = DiskImage::encode(&doc.tree());
-    image.structure.truncate(2);
-    match image.decode::<Sdis>() {
-        Err(DecodeError::BadRleRun | DecodeError::TruncatedStructure) => {}
+    let mut snapshot = Snapshot::new();
+    doc.encode_sections(&mut snapshot);
+    let cells = snapshot.section(SECTION_CELLS).unwrap().to_vec();
+    snapshot.push_section(SECTION_CELLS, cells[..cells.len() - 1].to_vec());
+    match Treedoc::<String, Sdis>::decode_sections(&snapshot) {
+        Err(RecoverError::Snapshot(SnapshotError::SectionHash(_))) => {}
         other => panic!("expected a typed decode error, got {other:?}"),
+    }
+}
+
+#[test]
+fn old_format_snapshots_fail_with_a_missing_section() {
+    // The §5.2 heap-image layout: `tree.structure` + `tree.atoms`, the
+    // atoms hash in `doc.state` — and no `doc.cells`.
+    let atoms: Vec<String> = (0..5).map(|k| format!("line {k}")).collect();
+    let doc = Treedoc::<String, Sdis>::from_atoms(SiteId::from_u64(4), &atoms);
+    let image = DiskImage::encode(&Tree::of_doc(&doc));
+    let atoms = serde_json::to_string(&image.atoms).unwrap().into_bytes();
+    let meta = r#"{"revision":0,"config":{"balancing":false},"source":{"site":4},"atoms_hash":"#;
+    let mut old = Snapshot::new();
+    old.push_section(
+        SECTION_DOC,
+        format!("{meta}{}}}", content_hash64(&atoms)).into(),
+    );
+    old.push_section("tree.structure", image.structure);
+    old.push_section("tree.atoms", atoms);
+    let mut store = DocStore::in_memory();
+    store.checkpoint(0, &old).unwrap();
+    match Replica::<Treedoc<String, Sdis>>::recover(store) {
+        Err(RecoverError::Snapshot(SnapshotError::MissingSection(SECTION_CELLS))) => {}
+        other => panic!("expected no doc.cells, got {:?}", other.map(|r| r.1)),
     }
 }
 

@@ -19,6 +19,7 @@ fn lossy_duplicating_network_converges_and_drains() {
             ..Scenario::faulty()
         });
         assert!(report.converged, "seed {seed}: {report:?}");
+        assert_eq!(report.replays_skipped, 0, "seed {seed}: {report:?}");
         assert!(report.messages_dropped > 0, "seed {seed}: {report:?}");
         assert!(report.messages_duplicated > 0, "seed {seed}: {report:?}");
         assert!(report.retransmissions > 0, "seed {seed}: {report:?}");
@@ -37,6 +38,7 @@ fn duplicates_without_loss_need_no_retransmission() {
         ..Default::default()
     });
     assert!(report.converged, "{report:?}");
+    assert_eq!(report.replays_skipped, 0, "{report:?}");
     assert_eq!(report.retransmissions, 0);
     assert!(report.duplicates_discarded >= report.messages_duplicated);
 }
@@ -54,6 +56,10 @@ fn convergence_matrix_holds_across_fault_axes() {
     assert_eq!(results.len(), 16);
     for (scenario, report) in results {
         assert!(report.converged, "cell {scenario:?} diverged: {report:?}");
+        assert_eq!(
+            report.replays_skipped, 0,
+            "cell {scenario:?} diverged: {report:?}"
+        );
         if scenario.drop_prob > 0.0 {
             assert!(scenario.retransmit, "lossy cells run at-least-once");
         }
@@ -69,6 +75,7 @@ fn faulty_runs_with_balancing_converge() {
         ..Scenario::faulty()
     });
     assert!(report.converged, "{report:?}");
+    assert_eq!(report.replays_skipped, 0, "{report:?}");
 }
 
 #[test]
@@ -83,6 +90,7 @@ fn partition_plus_loss_plus_duplication_converges() {
         ..Scenario::faulty()
     });
     assert!(report.converged, "{report:?}");
+    assert_eq!(report.replays_skipped, 0, "{report:?}");
     assert!(
         report.max_pending > 0,
         "faults must exercise the hold-back queue"

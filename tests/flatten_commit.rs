@@ -5,12 +5,13 @@
 //! round-trips of flattened and unflattened replicas.
 
 use treedoc_repro::core::{Op, Sdis, SiteId, Treedoc};
+use treedoc_repro::replication::persist::SECTION_CELLS;
 use treedoc_repro::replication::{
     CommitOutcome, CommitProtocol, CoordinatorStats, Envelope, FlattenCoordinator, LinkConfig,
-    Replica, SimNetwork,
+    PersistentDocument, RecoverError, Replica, SimNetwork,
 };
 use treedoc_repro::sim::{partitioned_commit_demo, run, Scenario, ScenarioMatrix};
-use treedoc_repro::storage::DiskImage;
+use treedoc_repro::storage::Snapshot;
 
 type Doc = Treedoc<String, Sdis>;
 type Net = SimNetwork<Envelope<Op<String, Sdis>>>;
@@ -182,30 +183,32 @@ fn flatten_aborts_when_any_replica_keeps_editing() {
 fn flattened_and_unflattened_replicas_persist_and_reload() {
     let (_, _, replicas) = tombstoned_replicas(2);
     for doc in replicas.iter().map(Replica::doc) {
-        let image = DiskImage::encode(&doc.tree());
-        let reloaded = match image.decode::<Sdis>() {
-            Ok(tree) => tree,
-            Err(err) => panic!("image must decode, got {err}"),
-        };
+        let mut snapshot = Snapshot::new();
+        doc.encode_sections(&mut snapshot);
+        let reloaded = Doc::decode_sections(&snapshot).unwrap();
         assert_eq!(reloaded.to_vec(), doc.to_vec());
         assert_eq!(reloaded.node_count(), doc.node_count());
+        assert_eq!(reloaded.merkle_digest(), doc.merkle_digest());
         // A truncated copy fails with a diagnosis instead of a bare `None`.
-        let mut torn = image.clone();
-        torn.structure.truncate(torn.structure.len() / 2);
-        assert!(
-            torn.decode::<Sdis>().is_err(),
-            "a torn image must be rejected with a typed DecodeError"
-        );
+        let cells = snapshot.section(SECTION_CELLS).unwrap().to_vec();
+        snapshot.push_section(SECTION_CELLS, cells[..cells.len() / 2].to_vec());
+        let torn = Doc::decode_sections(&snapshot);
+        assert!(matches!(torn, Err(RecoverError::Snapshot(_))), "{torn:?}");
     }
-    // Flattening shrinks the on-disk structure.
+    // Flattening shrinks the snapshot's cell section.
     let (_, _, mut replicas) = tombstoned_replicas(1);
     let doc = replicas[0].doc_mut();
-    let before = DiskImage::encode(&doc.tree()).structure_bytes();
+    let cells_bytes = |doc: &Doc| {
+        let mut snapshot = Snapshot::new();
+        doc.encode_sections(&mut snapshot);
+        snapshot.section(SECTION_CELLS).unwrap().len()
+    };
+    let before = cells_bytes(doc);
     doc.flatten_all().unwrap();
-    let after = DiskImage::encode(&doc.tree()).structure_bytes();
+    let after = cells_bytes(doc);
     assert!(
         after < before,
-        "flatten must shrink the on-disk structure ({after} vs {before})"
+        "flatten must shrink the snapshot ({after} vs {before})"
     );
 }
 

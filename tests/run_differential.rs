@@ -7,9 +7,8 @@
 //! wire optimisation; it must never be visible in behaviour.
 
 use proptest::prelude::*;
-use treedoc_repro::core::{
-    cell_hash, Op, PathArena, PosId, RefPosId, Sdis, SiteId, Tree, Treedoc, DIGEST_BASE,
-};
+use treedoc_reference::{RefPosId, Tree};
+use treedoc_repro::core::{cell_hash, Op, PosId, Sdis, SiteId, Treedoc, DIGEST_BASE};
 use treedoc_repro::replication::sync::encode_cells;
 use treedoc_repro::replication::testkit::faulty_schedule;
 use treedoc_repro::replication::{
@@ -111,8 +110,8 @@ fn apply_edits(doc: &mut SDoc, edits: &[Edit]) -> Vec<SOp> {
 
 /// Rewrites every identifier in an op stream through `f`, leaving the
 /// operations otherwise untouched. Used to rebuild the same schedule with
-/// identifiers from a different construction route (reference vector,
-/// arena interning) and pin that the route is observably invisible.
+/// identifiers from a different construction route (the reference vector)
+/// and pin that the route is observably invisible.
 fn map_ids(ops: &[SOp], mut f: impl FnMut(&PosId<Sdis>) -> PosId<Sdis>) -> Vec<SOp> {
     ops.iter()
         .map(|op| match op {
@@ -303,9 +302,8 @@ proptest! {
 
     /// The chunked, structurally shared identifiers produced by a real edit
     /// schedule order exactly as the owned `Vec<PathElem>` reference
-    /// representation orders them — pairwise across the whole document, and
-    /// unchanged by arena interning. Document order is strictly increasing
-    /// under both.
+    /// representation orders them — pairwise across the whole document.
+    /// Document order is strictly increasing under both.
     #[test]
     fn id_total_order_matches_vec_reference(edits in arb_edits(40)) {
         let mut doc = SDoc::new(site(1));
@@ -316,20 +314,12 @@ proptest! {
             .map(|(id, _)| id)
             .collect();
         let refs: Vec<RefPosId<Sdis>> = ids.iter().map(RefPosId::from_pos_id).collect();
-        let mut arena: PathArena<Sdis> = PathArena::new();
-        let interned: Vec<_> = ids.iter().map(|id| arena.intern(id)).collect();
 
         for (i, (a, ra)) in ids.iter().zip(&refs).enumerate() {
-            prop_assert_eq!(&interned[i], a, "interning changed identifier {}", i);
             for (j, (b, rb)) in ids.iter().zip(&refs).enumerate() {
-                let expect = ra.cmp(rb);
                 prop_assert_eq!(
-                    a.cmp(b), expect,
+                    a.cmp(b), ra.cmp(rb),
                     "chunked order diverged from reference at ({}, {})", i, j
-                );
-                prop_assert_eq!(
-                    interned[i].cmp(b), expect,
-                    "interned order diverged from reference at ({}, {})", i, j
                 );
             }
         }
@@ -340,9 +330,8 @@ proptest! {
 
     /// The identifier representation never reaches the wire: an op stream
     /// whose identifiers were rebuilt element-by-element from the reference
-    /// vector (fresh chains, zero structural sharing) or deduplicated through
-    /// a [`PathArena`] encodes to the exact same envelope bytes as the
-    /// original chunk-shared stream.
+    /// vector (fresh chains, zero structural sharing) encodes to the exact
+    /// same envelope bytes as the original chunk-shared stream.
     #[test]
     fn wire_bytes_identical_across_id_representations(edits in arb_edits(40)) {
         let mut doc = SDoc::new(site(1));
@@ -355,19 +344,16 @@ proptest! {
         let bytes = encode(&ops);
 
         let rebuilt = map_ids(&ops, |id| RefPosId::from_pos_id(id).to_pos_id());
-        let mut arena: PathArena<Sdis> = PathArena::new();
-        let interned = map_ids(&ops, |id| arena.intern(id));
         prop_assert_eq!(&encode(&rebuilt), &bytes, "reference-built ids changed the wire");
-        prop_assert_eq!(&encode(&interned), &bytes, "arena-interned ids changed the wire");
 
         let decoded: Envelope<SOp> = decode_envelope(&bytes).unwrap();
         prop_assert_eq!(&encode_envelope(&decoded), &bytes, "re-encode changed bytes");
     }
 
     /// Replaying the same schedule with identifiers from each construction
-    /// route — chunk-shared originals, reference-vector rebuilds, and
-    /// arena-interned copies — yields replicas with identical content,
-    /// identical `RunTree` digests and identical canonical state bytes.
+    /// route — chunk-shared originals and reference-vector rebuilds — yields
+    /// replicas with identical content, identical `RunTree` digests and
+    /// identical canonical state bytes.
     #[test]
     fn digests_identical_across_id_representations(edits in arb_edits(40)) {
         let mut doc = SDoc::new(site(1));
@@ -377,19 +363,11 @@ proptest! {
         for op in map_ids(&ops, |id| RefPosId::from_pos_id(id).to_pos_id()) {
             via_reference.apply(&op).unwrap();
         }
-        let mut arena: PathArena<Sdis> = PathArena::new();
-        let mut via_arena = SDoc::new(site(3));
-        for op in map_ids(&ops, |id| arena.intern(id)) {
-            via_arena.apply(&op).unwrap();
-        }
 
         prop_assert_eq!(via_reference.to_vec(), doc.to_vec());
-        prop_assert_eq!(via_arena.to_vec(), doc.to_vec());
         prop_assert_eq!(doc.digest(), via_reference.digest());
-        prop_assert_eq!(doc.digest(), via_arena.digest());
         prop_assert_eq!(doc.store().digest(), rehash(&via_reference));
         prop_assert_eq!(state_bytes(&via_reference), state_bytes(&doc));
-        prop_assert_eq!(state_bytes(&via_arena), state_bytes(&doc));
     }
 }
 

@@ -19,7 +19,7 @@
 //! [`WireError::UnsupportedVersion`], never misparsed as the current layout.
 
 use treedoc_repro::core::codec::{put_site, put_u8, put_varint};
-use treedoc_repro::core::node::Content;
+use treedoc_repro::core::Content;
 use treedoc_repro::core::{spine_successor, PathElem, PosId, Side};
 use treedoc_repro::prelude::*;
 use treedoc_repro::replication::sync::{encode_bound, encode_cells};
