@@ -2417,7 +2417,10 @@ mod tests {
     use crate::site::SiteId;
 
     /// Drives a [`Treedoc`] to allocate realistic identifiers; its run
-    /// store is the store under test.
+    /// store is the store under test. These tests check the store against
+    /// itself (invariants, a rebuild's aggregates); the same schedules run
+    /// op by op against the per-atom reference tree, which core cannot
+    /// depend on, in the workspace's `tests/run_differential.rs`.
     struct Mirror<D: Disambiguator + crate::disambiguator::HasSource> {
         doc: Treedoc<char, D>,
     }

@@ -199,12 +199,16 @@ pub struct RecoveryReport {
     pub torn_tail_bytes: usize,
 }
 
+/// Serialises a snapshot section. This is the write path, not the load
+/// path: a section that fails to serialise (only a failing `Serialize` impl
+/// of an atom or disambiguator source can) must stop the checkpoint loudly,
+/// before it is written and truncates the WAL, rather than store an empty
+/// section nothing can recover from.
+#[allow(clippy::expect_used)]
 pub(crate) fn to_json_bytes<T: Serialize>(value: &T) -> Vec<u8> {
-    // Serialising the section structs cannot fail: they hold no map with
-    // non-string keys and no failing `Serialize` impl.
     serde_json::to_string(value)
-        .map(String::into_bytes)
-        .unwrap_or_default()
+        .expect("snapshot sections serialise")
+        .into_bytes()
 }
 
 pub(crate) fn from_json_bytes<T: DeserializeOwned>(

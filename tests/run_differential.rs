@@ -1,14 +1,21 @@
 //! Differential tests for the run-coalesced document store: the same random
 //! operation schedules — local edits, remote replay, faulty delivery orders
-//! from the replication testkit — are pushed through a run-coalesced
-//! [`Treedoc`] and through the per-atom [`Tree`] reference, and every
-//! observable must agree: content digests, `atom_at` on every index, and the
-//! encoded wire bytes of the operation stream. Coalescing is a storage and
-//! wire optimisation; it must never be visible in behaviour.
+//! from the replication testkit, concurrent inserts into one gap, flattens —
+//! are pushed through a run-coalesced [`Treedoc`], a bare [`RunTree`] and
+//! the per-atom [`Tree`] reference built from empty, op by op, and every
+//! observable must agree: cells, `delete` results, statistics counted slot
+//! by slot ([`measure`]), flatten outcomes, content digests, `atom_at` on
+//! every index, and the encoded wire bytes of the operation stream.
+//! Coalescing is a storage and wire optimisation; it must never be visible
+//! in behaviour. Both disambiguator kinds run, so SDIS tombstones and UDIS
+//! discards (ghosts, and their pruning) are each checked against the tree.
 
 use proptest::prelude::*;
-use treedoc_reference::{RefPosId, Tree};
-use treedoc_repro::core::{cell_hash, Op, PosId, Sdis, SiteId, Treedoc, DIGEST_BASE};
+use treedoc_reference::{flatten_subtree, measure, RefPosId, Tree};
+use treedoc_repro::core::{
+    cell_hash, Content, Disambiguator, FlattenOutcome, HasSource, Op, PosId, RunTree, Sdis, SiteId,
+    Treedoc, Udis, DIGEST_BASE,
+};
 use treedoc_repro::replication::sync::encode_cells;
 use treedoc_repro::replication::testkit::faulty_schedule;
 use treedoc_repro::replication::{
@@ -25,12 +32,12 @@ fn site(n: u64) -> SiteId {
 
 /// The per-atom reference: every operation lands in a plain extended binary
 /// tree, one major/mini node per atom, no coalescing anywhere.
-struct Reference {
-    tree: Tree<char, Sdis>,
+struct Reference<D: Disambiguator> {
+    tree: Tree<char, D>,
     rev: u64,
 }
 
-impl Reference {
+impl<D: Disambiguator> Reference<D> {
     fn new() -> Self {
         Reference {
             tree: Tree::new(),
@@ -38,19 +45,25 @@ impl Reference {
         }
     }
 
-    fn apply(&mut self, op: &SOp) {
+    /// Applies `op` at the next revision; a delete returns the atom it
+    /// removed.
+    fn apply(&mut self, op: &Op<char, D>) -> Option<char> {
         self.rev += 1;
         match op {
-            Op::Insert { id, atom } => self.tree.insert(id, *atom, self.rev).unwrap(),
-            Op::Delete { id } => {
-                self.tree.delete(id, self.rev).unwrap();
+            Op::Insert { id, atom } => {
+                self.tree.insert(id, *atom, self.rev).unwrap();
+                None
             }
+            Op::Delete { id } => self.tree.delete(id, self.rev).unwrap(),
         }
     }
 }
 
 /// Every observable the two representations share must agree.
-fn assert_matches_reference(doc: &SDoc, reference: &Reference) {
+fn assert_matches_reference<D: Disambiguator + HasSource>(
+    doc: &Treedoc<char, D>,
+    reference: &Reference<D>,
+) {
     assert_eq!(doc.to_vec(), reference.tree.to_vec());
     assert_eq!(doc.len(), reference.tree.live_len());
     for index in 0..doc.len() {
@@ -68,6 +81,234 @@ fn assert_matches_reference(doc: &SDoc, reference: &Reference) {
     assert!(doc.store().atom_at(doc.len()).is_none());
     doc.check_invariants().unwrap();
     reference.tree.check_invariants().unwrap();
+}
+
+/// A document whose every op is replayed, at the same revision, into a bare
+/// run store and the reference tree.
+struct Mirror<D: Disambiguator + HasSource> {
+    doc: Treedoc<char, D>,
+    run: RunTree<char, D>,
+    reference: Reference<D>,
+}
+
+impl<D: Disambiguator + HasSource> Mirror<D> {
+    fn new(site: u64) -> Self {
+        Mirror {
+            doc: Treedoc::new(SiteId::from_u64(site)),
+            run: RunTree::new(),
+            reference: Reference::new(),
+        }
+    }
+
+    fn insert(&mut self, index: usize, c: char) -> Op<char, D> {
+        let op = self.doc.local_insert(index, c).unwrap();
+        self.apply(&op);
+        op
+    }
+
+    fn delete(&mut self, index: usize) -> Op<char, D> {
+        let op = self.doc.local_delete(index).unwrap();
+        self.apply(&op);
+        op
+    }
+
+    /// Mirrors an op the document already applied.
+    fn apply(&mut self, op: &Op<char, D>) {
+        let removed = self.reference.apply(op);
+        let rev = self.reference.rev;
+        match op {
+            Op::Insert { id, atom } => self.run.insert(id, *atom, rev).unwrap(),
+            Op::Delete { id } => {
+                let run_removed = self.run.delete(id, rev).unwrap();
+                assert_eq!(run_removed, removed, "delete result at {:?}", id.repr());
+            }
+        }
+    }
+
+    /// Flattens the whole document in all three, which must report the same
+    /// outcome.
+    fn flatten_all(&mut self) {
+        let tree = flatten_subtree(&mut self.reference.tree, &[]).unwrap();
+        self.reference.tree.rebuild_counts();
+        assert!(matches!(tree, FlattenOutcome::Flattened { .. }));
+        assert_eq!(self.run.flatten_region(&[]).unwrap(), tree);
+        assert_eq!(self.doc.flatten_all().unwrap(), tree);
+    }
+
+    fn assert_parity(&self) {
+        let strip = |cells: Vec<(PosId<D>, Content<char>, u64)>| {
+            cells
+                .into_iter()
+                .map(|(id, c, _)| (id, c))
+                .collect::<Vec<_>>()
+        };
+        let tree_cells = strip(self.reference.tree.collect_cells());
+        assert_eq!(strip(self.run.collect_cells()), tree_cells, "run cells");
+        assert_eq!(strip(self.doc.store().collect_cells()), tree_cells);
+        assert_eq!(self.run.stats(), measure(&self.reference.tree), "stats");
+        self.run.check_invariants().unwrap();
+        assert_matches_reference(&self.doc, &self.reference);
+    }
+}
+
+/// The seeded generator of the scripted schedules below.
+fn lcg(state: &mut u64) -> u64 {
+    *state = state
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
+    *state >> 33
+}
+
+fn bursts<D: Disambiguator + HasSource>() {
+    let mut append = Mirror::<D>::new(1);
+    for (i, c) in ('a'..='z').cycle().take(500).enumerate() {
+        append.insert(i, c);
+    }
+    append.assert_parity();
+    let mut prepend = Mirror::<D>::new(1);
+    for c in ('a'..='z').cycle().take(300) {
+        prepend.insert(0, c);
+    }
+    prepend.assert_parity();
+    // Interior edits split the append burst's run.
+    append.insert(250, 'X');
+    append.insert(125, 'Y');
+    append.delete(10);
+    append.delete(300);
+    append.assert_parity();
+}
+
+#[test]
+fn bursts_match_per_atom_reference() {
+    bursts::<Udis>();
+    bursts::<Sdis>();
+}
+
+/// 60% inserts and 40% deletes at random positions, checked every 97 steps
+/// and at the end.
+fn random_edits<D: Disambiguator + HasSource>(site: u64, ops: usize) {
+    let mut m = Mirror::<D>::new(site);
+    let mut rng = 0x5eed_0000 + site;
+    for step in 0..ops {
+        let len = m.doc.len();
+        let roll = lcg(&mut rng) % 100;
+        if len == 0 || roll < 60 {
+            let at = (lcg(&mut rng) as usize) % (len + 1);
+            let c = char::from(b'a' + (lcg(&mut rng) % 26) as u8);
+            m.insert(at, c);
+        } else {
+            let at = (lcg(&mut rng) as usize) % len;
+            m.delete(at);
+        }
+        if step % 97 == 0 {
+            m.assert_parity();
+        }
+    }
+    m.assert_parity();
+}
+
+#[test]
+fn random_edits_match_per_atom_reference() {
+    random_edits::<Udis>(2, 900);
+    random_edits::<Sdis>(3, 900);
+}
+
+/// 200 random edits (65% inserts), a flatten of the whole document, then
+/// 100 more edits into the exploded tree.
+fn flatten_at_root<D: Disambiguator + HasSource>() {
+    for seed in 0..4u64 {
+        let mut m = Mirror::<D>::new(seed + 10);
+        let mut rng = seed;
+        let mut edit = |m: &mut Mirror<D>| {
+            let len = m.doc.len();
+            if len == 0 || lcg(&mut rng) % 100 < 65 {
+                let at = (lcg(&mut rng) as usize) % (len + 1);
+                m.insert(at, 'x');
+            } else {
+                m.delete((lcg(&mut rng) as usize) % len);
+            }
+        };
+        for _ in 0..200 {
+            edit(&mut m);
+        }
+        m.flatten_all();
+        m.assert_parity();
+        for _ in 0..100 {
+            edit(&mut m);
+        }
+        m.assert_parity();
+    }
+}
+
+#[test]
+fn flatten_at_root_matches_per_atom_reference() {
+    flatten_at_root::<Udis>();
+    flatten_at_root::<Sdis>();
+}
+
+/// Three sites edit concurrently, each round from the same converged
+/// document: every site inserts into the same gap (growing mini-nodes),
+/// then may delete at random. Site 0 is the mirror; the other sites' ops
+/// reach it after the round, and all sites end the round converged.
+/// Returns the ghosts seen at the ends of rounds.
+fn concurrent_same_gap<D: Disambiguator + HasSource>(seed: u64, rounds: usize) -> usize {
+    let mut m = Mirror::<D>::new(1);
+    let mut peers: Vec<Treedoc<char, D>> = (2..=3).map(|s| Treedoc::new(site(s))).collect();
+    let mut rng = 0xc0c0_0000 + seed;
+    let mut ghosts = 0;
+    for round in 0..rounds {
+        let len = m.doc.len();
+        let gap = (lcg(&mut rng) as usize) % (len + 1);
+        let mut sent: Vec<Vec<Op<char, D>>> = vec![Vec::new(); 3];
+        for (sender, ops) in sent.iter_mut().enumerate() {
+            let c = char::from(b'a' + (lcg(&mut rng) % 26) as u8);
+            let delete = len > 0 && lcg(&mut rng) % 100 < 45;
+            let at = (lcg(&mut rng) as usize) % len.max(1);
+            if sender == 0 {
+                ops.push(m.insert(gap, c));
+                ops.extend(delete.then(|| m.delete(at)));
+            } else {
+                let peer = &mut peers[sender - 1];
+                ops.push(peer.local_insert(gap, c).unwrap());
+                ops.extend(delete.then(|| peer.local_delete(at).unwrap()));
+            }
+        }
+        for (sender, op) in sent
+            .iter()
+            .enumerate()
+            .flat_map(|(s, ops)| ops.iter().map(move |op| (s, op)))
+        {
+            if sender != 0 {
+                m.doc.apply(op).unwrap();
+                m.apply(op);
+            }
+            for (p, peer) in peers.iter_mut().enumerate() {
+                if p + 1 != sender {
+                    peer.apply(op).unwrap();
+                }
+            }
+        }
+        for peer in &peers {
+            assert_eq!(peer.merkle_digest(), m.doc.merkle_digest(), "round {round}");
+        }
+        ghosts += m.run.stats().ghosts;
+        if round % 23 == 0 {
+            m.assert_parity();
+        }
+    }
+    m.assert_parity();
+    ghosts
+}
+
+#[test]
+fn concurrent_same_gap_inserts_match_per_atom_reference() {
+    let ghosts: usize = (0..3)
+        .map(|seed| concurrent_same_gap::<Udis>(seed, 300))
+        .sum();
+    assert!(ghosts > 0, "the schedule never made a UDIS ghost");
+    for seed in 0..3 {
+        concurrent_same_gap::<Sdis>(seed, 300);
+    }
 }
 
 #[derive(Debug, Clone)]
