@@ -25,9 +25,17 @@
 //!   the ordinary [`Replica::recover`](treedoc_replication::Replica::recover)
 //!   path — eviction and crash recovery are the *same* mechanism, which is
 //!   what makes the eviction correctness properties testable;
+//! * a fault-in costs what the document owns, not what the shard holds: the
+//!   document's store lists its namespace once and reads its newest
+//!   snapshot, and the group WAL's per-document record index reads only
+//!   the segments holding the document's records past its cursor — none at
+//!   all for a document checkpointed at eviction. An eviction lists
+//!   nothing. `tests/fault_in_io.rs` pins these backend-call counts, equal
+//!   at 400 and 800 hosted documents;
 //! * after a node-wide crash, [`HostingNode::restart`] rediscovers every
 //!   hosted document from the shard backends
-//!   ([`treedoc_storage::list_namespaces`]) and restarts it evicted; state
+//!   ([`treedoc_storage::list_namespaces`]) and restarts it evicted (each
+//!   shard's group WAL reads its segments once to rebuild its index); state
 //!   flushed by the last `commit`/checkpoint is recovered exactly.
 
 #![forbid(unsafe_code)]

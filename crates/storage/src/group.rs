@@ -22,6 +22,10 @@
 //! * the inner payload is whatever the document's store appended (the
 //!   replication layer's serialised `WalRecord`s).
 //!
+//! `enqueue` writes that frame straight into the shared queue: no buffer
+//! per record, and no allocation at all for a document the WAL already
+//! knows (beyond the queue's and the index's amortised growth).
+//!
 //! **Per-document replay cursors.** A document checkpoint folds everything
 //! the document has logged into its snapshot; the group segments, shared
 //! with other documents, cannot be truncated for it. Instead the checkpoint
@@ -30,6 +34,27 @@
 //! [`crate::store`]), and recovery replays only this document's records with
 //! `lsn > cursor` — so recovering one document never replays another's
 //! records, and never double-applies its own folded ones.
+//!
+//! **Per-document record index.** Every document keeps, in memory, one
+//! 16-byte entry `(lsn, segment, offset)` per flushed record not yet folded
+//! into its registered cursor. `flush` fills it from the queue offsets
+//! noted at `enqueue`; [`GroupWal::open`] fills it during the one scan of
+//! the retained segments it makes anyway (each segment is read exactly
+//! once); `register` and `note_checkpoint` drop the entries they fold.
+//! [`GroupWal::replay_for`] then reads **only the segments holding the
+//! document's indexed records past the cursor** and CRC-checks only those
+//! frames: a document with nothing to replay — one checkpointed at
+//! eviction — reads no segment at all, so faulting a document in costs what
+//! the document owns, not a scan of the shard's log.
+//!
+//! **Faults are per document.** [`GroupWal::open`] cuts a torn or corrupt
+//! tail shard-wide (see there) and every later replay reports the cut. A
+//! frame that fails its check *after* `open` (bit rot under a live WAL)
+//! ends the replay of the document owning it, at that frame: none of that
+//! document's later records is returned, and nothing panics. Another
+//! document's corrupt frame no longer truncates this document's replay —
+//! a deliberately narrower rule than a shard-wide scan's "stop at the first
+//! bad frame", since records of different documents are independent.
 //!
 //! **Durability boundary.** Queued records are not durable until `flush`;
 //! the embedding node flushes at its commit boundaries (and every checkpoint
@@ -41,10 +66,22 @@
 //! *floor* is the smallest cursor among documents that still have unfolded
 //! records (documents whose last record is already folded don't constrain
 //! anything); any non-active segment whose highest LSN is at or under the
-//! floor is unreferenced by every possible recovery and is removed.
+//! floor is unreferenced by every possible recovery and is removed. Index
+//! entries are always above their document's cursor, hence above the floor,
+//! so pruning never removes a segment the index points into.
+
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use treedoc_core::codec::{get_bytes, get_varint, put_bytes, put_varint};
 use treedoc_telemetry::{Counter, Histogram, Telemetry, TraceEvent, Tracer};
@@ -79,16 +116,51 @@ pub struct GroupReplay {
     pub entries: Vec<WalEntry>,
     /// Frame bytes belonging to this document's replayed records.
     pub bytes: usize,
-    /// Tail bytes dropped as torn or corrupt (shard-wide, not per-document).
+    /// Bytes dropped as torn or corrupt: the tail [`GroupWal::open`] cut
+    /// (shard-wide, while its segment is retained), plus — when one of this
+    /// document's frames fails its check — the segment's bytes from that
+    /// frame on.
     pub torn_tail_bytes: usize,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
+/// Where one flushed record sits: 16 bytes, no heap. Offsets and segment
+/// numbers fit `u32` because [`GroupWal::flush`] never lets a segment
+/// outgrow them (and [`GroupWal::open`] refuses a shard that did).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct RecordRef {
+    lsn: u64,
+    segment: u32,
+    offset: u32,
+}
+
+#[derive(Debug, Clone, Default)]
 struct DocMark {
-    /// Highest LSN folded into this document's newest snapshot.
+    /// Highest LSN folded into this document's registered snapshot.
     folded: u64,
     /// Highest LSN ever assigned to this document.
     last: u64,
+    /// The document's flushed records with `lsn > folded`, in LSN order.
+    records: Vec<RecordRef>,
+}
+
+impl DocMark {
+    /// Advances the folded cursor to `cursor` (never backwards) and drops
+    /// the index entries it covers.
+    fn fold(&mut self, cursor: u64) {
+        self.folded = self.folded.max(cursor);
+        let folded = self.folded;
+        let covered = self.records.partition_point(|r| r.lsn <= folded);
+        self.records.drain(..covered);
+    }
+}
+
+/// A queued record: its owner's slot, its LSN and where its frame starts in
+/// the queue.
+#[derive(Debug, Clone, Copy)]
+struct Queued {
+    slot: usize,
+    lsn: u64,
+    at: usize,
 }
 
 /// Telemetry instruments of one shard's group WAL. Inert by default; bound
@@ -119,7 +191,8 @@ struct GroupInner {
     backend: SharedBackend,
     /// Framed records awaiting the next flush.
     queue: Vec<u8>,
-    queued_records: u64,
+    /// The records in `queue`, in order.
+    queued: Vec<Queued>,
     next_lsn: u64,
     active_segment: u64,
     active_segment_bytes: u64,
@@ -127,12 +200,45 @@ struct GroupInner {
     /// Flushed segments and the highest LSN each holds.
     segments: BTreeMap<u64, u64>,
     /// The segment whose torn or corrupt tail [`GroupWal::open`] cut, with
-    /// the bytes cut: replays that read the segment still report them.
+    /// the bytes cut: replays report them while the segment is retained.
     cut_tail: Option<(u64, usize)>,
-    /// Every document seen (enqueued, registered or discovered at open).
-    docs: BTreeMap<String, DocMark>,
+    docs: Docs,
     stats: GroupWalStats,
     metrics: GroupMetrics,
+}
+
+/// Every document seen (enqueued, registered or discovered at open). Each
+/// has a slot in `marks`, so a queued record names its owner without a copy
+/// of the owner's name.
+#[derive(Debug, Default)]
+struct Docs {
+    slots: BTreeMap<String, usize>,
+    marks: Vec<DocMark>,
+}
+
+impl Docs {
+    /// The slot of `doc`, creating one for a document never seen before.
+    fn slot(&mut self, doc: &str) -> usize {
+        if let Some(&slot) = self.slots.get(doc) {
+            return slot;
+        }
+        let slot = self.marks.len();
+        self.marks.push(DocMark::default());
+        self.slots.insert(doc.to_string(), slot);
+        slot
+    }
+
+    fn mark(&mut self, doc: &str) -> &mut DocMark {
+        let slot = self.slot(doc);
+        &mut self.marks[slot]
+    }
+
+    /// The index entries of `doc`, empty for a document never seen.
+    fn records(&self, doc: &str) -> &[RecordRef] {
+        self.slots
+            .get(doc)
+            .map_or(&[], |&slot| &self.marks[slot].records)
+    }
 }
 
 /// A cloneable handle to one shard's shared group-commit WAL. All methods
@@ -154,15 +260,6 @@ fn parse_segment_name(name: &str) -> Option<u64> {
         .ok()
 }
 
-/// Builds the group payload: `varint(lsn) ++ bytes(doc) ++ payload`.
-fn group_payload(lsn: u64, doc: &str, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + doc.len() + 12);
-    put_varint(&mut out, lsn);
-    put_bytes(&mut out, doc.as_bytes());
-    out.extend_from_slice(payload);
-    out
-}
-
 /// Splits a group payload back into `(lsn, doc, inner payload)`.
 fn split_payload(payload: &[u8]) -> Option<(u64, &str, &[u8])> {
     let mut input = payload;
@@ -171,13 +268,20 @@ fn split_payload(payload: &[u8]) -> Option<(u64, &str, &[u8])> {
     Some((lsn, doc, input))
 }
 
+/// `value` as an index field, or the error a shard too large to index gets.
+fn index_field(value: u64, what: &str) -> Result<u32, StorageError> {
+    u32::try_from(value)
+        .map_err(|_| StorageError::new(format!("group WAL {what} {value} exceeds the index")))
+}
+
 impl GroupWal {
     /// Opens (or re-opens) the shard's group WAL over `backend`: existing
-    /// `gwal-*.log` segments are scanned to restore the LSN counter, the
-    /// segment map and each document's highest LSN. Cursors are *not* stored
-    /// here — they live in the documents' snapshot names and are re-learned
-    /// as each document store registers (until then pruning stays
-    /// conservative).
+    /// `gwal-*.log` segments are scanned once each to restore the LSN
+    /// counter, the segment map, each document's highest LSN and the
+    /// per-document record index. Cursors are *not* stored here — they live
+    /// in the documents' snapshot names and are re-learned as each document
+    /// store registers (until then pruning stays conservative, and the
+    /// index holds every retained record of the document).
     ///
     /// A torn or corrupt tail is cut: the segments after the faulty one go
     /// first, newest first, then the faulty one is cut to its valid prefix,
@@ -185,7 +289,7 @@ impl GroupWal {
     /// reads (a crash mid-cut leaves the fault ahead of whatever remains).
     pub fn open(mut backend: SharedBackend) -> Result<Self, StorageError> {
         let mut segments = BTreeMap::new();
-        let mut docs: BTreeMap<String, DocMark> = BTreeMap::new();
+        let mut docs = Docs::default();
         let mut max_lsn = 0u64;
         let mut seqs: Vec<u64> = backend
             .list()?
@@ -194,40 +298,51 @@ impl GroupWal {
             .collect();
         seqs.sort_unstable();
         let mut cut_tail = None;
+        let mut active_segment_bytes = 0u64;
         for (at, &seq) in seqs.iter().enumerate() {
             let bytes = backend.read(&segment_name(seq))?.unwrap_or_default();
-            let replay = wal::replay(&bytes);
+            let segment = index_field(seq, "segment")?;
             let mut seg_max = 0u64;
-            for entry in &replay.entries {
-                if let Some((lsn, doc, _)) = split_payload(&entry.payload) {
+            let mut pos = 0usize;
+            let mut faulty = false;
+            while pos < bytes.len() {
+                let Ok(frame) = wal::frame_at(&bytes, pos) else {
+                    faulty = true;
+                    break;
+                };
+                if let Some((lsn, doc, _)) = split_payload(frame.payload) {
                     seg_max = seg_max.max(lsn);
                     max_lsn = max_lsn.max(lsn);
-                    let mark = docs.entry(doc.to_string()).or_default();
+                    let mark = docs.mark(doc);
                     mark.last = mark.last.max(lsn);
+                    mark.records.push(RecordRef {
+                        lsn,
+                        segment,
+                        offset: index_field(pos as u64, "offset")?,
+                    });
                 }
+                pos = frame.end;
             }
             segments.insert(seq, seg_max);
-            if replay.fault.is_some() {
+            active_segment_bytes = pos as u64;
+            if faulty {
                 // Records past a fault are untrustworthy; the LSN counter
                 // restarts above everything *valid*, which is also
                 // everything any durable cursor can reference.
                 for &later in seqs[at + 1..].iter().rev() {
                     backend.remove(&segment_name(later))?;
                 }
-                backend.write(&segment_name(seq), &bytes[..replay.valid_bytes])?;
-                cut_tail = Some((seq, replay.dropped_bytes));
+                backend.write(&segment_name(seq), &bytes[..pos])?;
+                cut_tail = Some((seq, bytes.len() - pos));
                 break;
             }
         }
         let active_segment = segments.keys().next_back().copied().unwrap_or(0);
-        let active_segment_bytes = backend
-            .read(&segment_name(active_segment))?
-            .map_or(0, |b| b.len() as u64);
         Ok(GroupWal {
             inner: Arc::new(Mutex::new(GroupInner {
                 backend,
                 queue: Vec::new(),
-                queued_records: 0,
+                queued: Vec::new(),
                 next_lsn: max_lsn + 1,
                 active_segment,
                 active_segment_bytes,
@@ -242,6 +357,9 @@ impl GroupWal {
     }
 
     /// A group WAL over a fresh in-memory backend (tests).
+    // An in-memory backend has no failing operation; a failure here is a
+    // bug worth a loud stop, not an error every test would unwrap anyway.
+    #[allow(clippy::expect_used)]
     pub fn in_memory() -> Self {
         GroupWal::open(SharedBackend::in_memory()).expect("memory backend cannot fail")
     }
@@ -258,8 +376,12 @@ impl GroupWal {
         self.lock().metrics = GroupMetrics::resolve(telemetry);
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, GroupInner> {
-        self.inner.lock().expect("group WAL lock")
+    /// The shared state. Poison-tolerant: every method leaves the state
+    /// consistent at each point a panic could unwind from (allocation
+    /// failure, a panicking backend), so a panic on another thread is no
+    /// reason to take the shard's WAL down with it.
+    fn lock(&self) -> MutexGuard<'_, GroupInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Lifetime counters.
@@ -269,7 +391,7 @@ impl GroupWal {
 
     /// Records enqueued but not yet flushed.
     pub fn pending_records(&self) -> u64 {
-        self.lock().queued_records
+        self.lock().queued.len() as u64
     }
 
     /// The highest **flushed** LSN (0 before the first flush). This is what
@@ -278,57 +400,87 @@ impl GroupWal {
     /// enqueued.
     pub fn watermark(&self) -> u64 {
         let inner = self.lock();
-        inner.next_lsn - 1 - inner.queued_records
+        inner.next_lsn - 1 - inner.queued.len() as u64
     }
 
     /// Registers a document and the cursor from its newest durable snapshot
     /// (re-learned at store-open time so pruning can make progress after a
-    /// restart).
+    /// restart). Records at or below the cursor leave the document's index:
+    /// they may be pruned from here on, and no replay of this document
+    /// returns them again.
     pub fn register(&self, doc: &str, cursor: u64) {
         let mut inner = self.lock();
-        let mark = inner.docs.entry(doc.to_string()).or_default();
-        mark.folded = mark.folded.max(cursor);
+        inner.docs.mark(doc).fold(cursor);
     }
 
     /// Appends one record for `doc` to the shared queue, returning its LSN.
     /// Durable only after the next [`flush`](Self::flush).
     pub fn enqueue(&self, doc: &str, epoch: u64, payload: &[u8]) -> u64 {
-        let mut inner = self.lock();
+        let mut guard = self.lock();
+        let inner = &mut *guard;
         let span = inner.metrics.enqueue_micros.start();
         let lsn = inner.next_lsn;
         inner.next_lsn += 1;
-        let framed = group_payload(lsn, doc, payload);
-        let before = inner.queue.len();
-        let mut queue = std::mem::take(&mut inner.queue);
-        wal::append_record(&mut queue, epoch, &framed);
-        inner.queue = queue;
-        let grew = inner.queue.len() - before;
-        inner.queued_records += 1;
+        let slot = inner.docs.slot(doc);
+        let at = inner.queue.len();
+        wal::append_record_with(&mut inner.queue, epoch, |out| {
+            put_varint(out, lsn);
+            put_bytes(out, doc.as_bytes());
+            out.extend_from_slice(payload);
+        });
+        inner.queued.push(Queued { slot, lsn, at });
         inner.stats.records += 1;
-        inner.stats.bytes += grew as u64;
-        let mark = inner.docs.entry(doc.to_string()).or_default();
-        mark.last = lsn;
+        inner.stats.bytes += (inner.queue.len() - at) as u64;
+        inner.docs.marks[slot].last = lsn;
         span.stop();
         lsn
     }
 
     /// Writes the whole queue into the active segment with **one** backend
-    /// append (the group commit), then rotates and prunes if due. Returns
-    /// the number of records made durable (0 for an empty queue, which
-    /// performs no write at all).
+    /// append (the group commit), indexes its records, then rotates and
+    /// prunes if due. Returns the number of records made durable (0 for an
+    /// empty queue, which performs no write at all). A failed append loses
+    /// the queue, exactly as a crash would.
     pub fn flush(&self) -> Result<u64, StorageError> {
-        let mut inner = self.lock();
+        let mut guard = self.lock();
+        let inner = &mut *guard;
         if inner.queue.is_empty() {
             return Ok(0);
         }
         let span = inner.metrics.flush_micros.start();
-        let queue = std::mem::take(&mut inner.queue);
-        let records = std::mem::take(&mut inner.queued_records);
+        let flushed_bytes = inner.queue.len() as u64;
+        // Index offsets are `u32`: a flush that would push the active
+        // segment past them starts a fresh segment instead.
+        if inner.active_segment_bytes > 0
+            && inner.active_segment_bytes + flushed_bytes > u64::from(u32::MAX)
+        {
+            inner.active_segment += 1;
+            inner.active_segment_bytes = 0;
+            inner.stats.rotations += 1;
+        }
+        // The queue leaves the shared state before the append, so a failed
+        // (or panicking) append loses it exactly as a crash would and never
+        // leaves records behind to be written twice; its buffers come back
+        // after a successful one.
+        let mut queue = std::mem::take(&mut inner.queue);
+        let mut queued = std::mem::take(&mut inner.queued);
         let seg = inner.active_segment;
-        let name = segment_name(seg);
-        let mut backend = inner.backend.clone();
-        backend.append(&name, &queue)?;
-        let flushed_bytes = queue.len() as u64;
+        let base = inner.active_segment_bytes;
+        let segment = index_field(seg, "segment")?;
+        index_field(base + flushed_bytes, "segment size")?;
+        inner.backend.append(&segment_name(seg), &queue)?;
+        let records = queued.len() as u64;
+        for record in queued.drain(..) {
+            inner.docs.marks[record.slot].records.push(RecordRef {
+                lsn: record.lsn,
+                segment,
+                // Fits: `base + flushed_bytes` was checked above.
+                offset: (base + record.at as u64) as u32,
+            });
+        }
+        queue.clear();
+        inner.queue = queue;
+        inner.queued = queued;
         inner.active_segment_bytes += flushed_bytes;
         inner.stats.segment_writes += 1;
         let flushed_max = inner.next_lsn - 1;
@@ -339,7 +491,7 @@ impl GroupWal {
             inner.active_segment_bytes = 0;
             inner.stats.rotations += 1;
         }
-        Self::prune(&mut inner)?;
+        Self::prune(inner)?;
         let micros = span.stop();
         inner.metrics.flush_records.add(records);
         inner.metrics.tracer.record_with(|| TraceEvent {
@@ -352,12 +504,13 @@ impl GroupWal {
     }
 
     /// Advances `doc`'s folded cursor after its checkpoint became durable,
-    /// and prunes segments nothing can recover from any more.
+    /// drops the index entries it covers, and prunes segments nothing can
+    /// recover from any more.
     pub fn note_checkpoint(&self, doc: &str, cursor: u64) -> Result<(), StorageError> {
-        let mut inner = self.lock();
-        let mark = inner.docs.entry(doc.to_string()).or_default();
-        mark.folded = mark.folded.max(cursor);
-        Self::prune(&mut inner)
+        let mut guard = self.lock();
+        let inner = &mut *guard;
+        inner.docs.mark(doc).fold(cursor);
+        Self::prune(inner)
     }
 
     /// Deletes flushed, non-active segments whose every LSN is folded (see
@@ -365,7 +518,8 @@ impl GroupWal {
     fn prune(inner: &mut GroupInner) -> Result<(), StorageError> {
         let floor = inner
             .docs
-            .values()
+            .marks
+            .iter()
             .filter(|m| m.last > m.folded)
             .map(|m| m.folded)
             .min()
@@ -392,44 +546,178 @@ impl GroupWal {
         self.lock().segments.len()
     }
 
-    /// Replays `doc`'s records with `lsn > after`, in order, from the
-    /// flushed segments. Records of other documents are decoded (the framing
-    /// is shared) but never returned — the per-document cursor isolation the
-    /// recovery path relies on. A torn or corrupt tail ends the replay
-    /// there, exactly like the private WAL.
+    /// Replays `doc`'s flushed records with `lsn > after`, in order, through
+    /// the document's record index: only the segments holding those records
+    /// are read, and only their frames are checked. Records of other
+    /// documents are never read or returned — the per-document cursor
+    /// isolation the recovery path relies on.
+    ///
+    /// Only records above the document's registered cursor are indexed (see
+    /// [`register`](Self::register)); `after` below that cursor returns the
+    /// same records as `after` at it. A frame of this document that fails
+    /// its check (bit rot since [`open`](Self::open)) ends the replay there:
+    /// no later record is returned, and the rest of that segment counts as
+    /// torn.
     pub fn replay_for(&self, doc: &str, after: u64) -> Result<GroupReplay, StorageError> {
         let inner = self.lock();
         let mut out = GroupReplay::default();
-        for &seq in inner.segments.keys() {
-            let bytes = inner.backend.read(&segment_name(seq))?.unwrap_or_default();
-            let replay = wal::replay(&bytes);
-            for entry in &replay.entries {
-                let Some((lsn, owner, inner_payload)) = split_payload(&entry.payload) else {
-                    continue; // unframed garbage that passed the CRC: skip
-                };
-                if owner == doc && lsn > after {
-                    out.bytes += wal::record_size(entry.payload.len());
-                    out.entries.push(WalEntry {
-                        epoch: entry.epoch,
-                        payload: inner_payload.to_vec(),
-                    });
-                }
-            }
-            out.torn_tail_bytes += replay.dropped_bytes;
-            if let Some((_, cut)) = inner.cut_tail.filter(|&(cut_seq, _)| cut_seq == seq) {
+        if let Some((seq, cut)) = inner.cut_tail {
+            if inner.segments.contains_key(&seq) {
                 out.torn_tail_bytes += cut;
             }
-            if replay.fault.is_some() {
+        }
+        let records = inner.docs.records(doc);
+        let from = records.partition_point(|r| r.lsn <= after);
+        let mut segment: Option<(u32, Vec<u8>)> = None;
+        for record in &records[from..] {
+            let bytes = match &mut segment {
+                Some((seq, bytes)) if *seq == record.segment => bytes,
+                stale => {
+                    let bytes = inner
+                        .backend
+                        .read(&segment_name(u64::from(record.segment)))?
+                        .unwrap_or_default();
+                    &mut stale.insert((record.segment, bytes)).1
+                }
+            };
+            let offset = record.offset as usize;
+            let owned = wal::frame_at(bytes, offset).ok().and_then(|frame| {
+                let (lsn, owner, payload) = split_payload(frame.payload)?;
+                (lsn == record.lsn && owner == doc).then_some((frame, payload))
+            });
+            let Some((frame, payload)) = owned else {
+                out.torn_tail_bytes += bytes.len().saturating_sub(offset);
                 break;
-            }
+            };
+            out.bytes += frame.end - offset;
+            out.entries.push(WalEntry {
+                epoch: frame.epoch,
+                payload: payload.to_vec(),
+            });
         }
         Ok(out)
     }
 }
 
 #[cfg(test)]
+mod differential;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::MemoryBackend;
+
+    /// Counts the reads that reach a memory backend.
+    #[derive(Debug, Default)]
+    struct CountingReads {
+        inner: MemoryBackend,
+        reads: Arc<Mutex<Vec<String>>>,
+    }
+
+    impl StorageBackend for CountingReads {
+        fn read(&self, name: &str) -> Result<Option<Vec<u8>>, StorageError> {
+            self.reads.lock().unwrap().push(name.to_string());
+            self.inner.read(name)
+        }
+        fn write(&mut self, name: &str, bytes: &[u8]) -> Result<(), StorageError> {
+            self.inner.write(name, bytes)
+        }
+        fn append(&mut self, name: &str, bytes: &[u8]) -> Result<(), StorageError> {
+            self.inner.append(name, bytes)
+        }
+        fn remove(&mut self, name: &str) -> Result<(), StorageError> {
+            self.inner.remove(name)
+        }
+        fn list(&self) -> Result<Vec<String>, StorageError> {
+            self.inner.list()
+        }
+    }
+
+    #[test]
+    fn queued_frames_are_byte_identical_to_the_buffered_group_framing() {
+        // The group framing as first written: the group payload built in a
+        // buffer of its own, then framed as a private WAL record.
+        fn buffered(lsn: u64, doc: &str, epoch: u64, payload: &[u8]) -> Vec<u8> {
+            let mut group = Vec::new();
+            put_varint(&mut group, lsn);
+            put_bytes(&mut group, doc.as_bytes());
+            group.extend_from_slice(payload);
+            let mut out = Vec::new();
+            wal::append_record(&mut out, epoch, &group);
+            out
+        }
+        let backend = SharedBackend::in_memory();
+        let wal = GroupWal::open(backend.clone()).unwrap();
+        let mut expected = Vec::new();
+        for (doc, epoch, payload) in [("a", 0, &b""[..]), ("bb", 3, b"xyz"), ("a", 9, &[7; 200])] {
+            let lsn = wal.enqueue(doc, epoch, payload);
+            expected.extend(buffered(lsn, doc, epoch, payload));
+        }
+        wal.flush().unwrap();
+        assert_eq!(backend.read(&segment_name(0)).unwrap().unwrap(), expected);
+    }
+
+    #[test]
+    fn replay_reads_only_the_segments_holding_the_documents_records() {
+        let reads = Arc::new(Mutex::new(Vec::new()));
+        let backend = SharedBackend::new(CountingReads {
+            inner: MemoryBackend::new(),
+            reads: reads.clone(),
+        });
+        let wal = GroupWal::open(backend.clone()).unwrap();
+        wal.set_rotate_bytes(1); // one segment per flush
+        wal.enqueue("a", 0, b"a0");
+        wal.flush().unwrap(); // segment 0: a
+        wal.enqueue("b", 0, b"b0");
+        wal.flush().unwrap(); // segment 1: b
+        wal.enqueue("a", 0, b"a1");
+        wal.enqueue("b", 0, b"b1");
+        wal.flush().unwrap(); // segment 2: a, b
+        let take = || std::mem::take(&mut *reads.lock().unwrap());
+        take();
+
+        assert_eq!(wal.replay_for("a", 0).unwrap().entries.len(), 2);
+        assert_eq!(take(), [segment_name(0), segment_name(2)]);
+        assert_eq!(wal.replay_for("a", 1).unwrap().entries.len(), 1);
+        assert_eq!(take(), [segment_name(2)]);
+        // Folded (as at eviction): nothing to replay, nothing read.
+        wal.note_checkpoint("a", wal.watermark()).unwrap();
+        assert!(wal
+            .replay_for("a", wal.watermark())
+            .unwrap()
+            .entries
+            .is_empty());
+        assert!(wal.replay_for("never-seen", 0).unwrap().entries.is_empty());
+        assert!(take().is_empty());
+
+        // A reopen reads each segment exactly once and rebuilds the index.
+        let wal = GroupWal::open(backend).unwrap();
+        let mut opened = take();
+        opened.sort();
+        assert_eq!(opened, [0, 1, 2].map(segment_name));
+        let b = wal.replay_for("b", 0).unwrap();
+        assert_eq!(b.entries.len(), 2);
+        assert_eq!(take(), [segment_name(1), segment_name(2)]);
+    }
+
+    #[test]
+    fn a_segment_pruned_while_a_document_is_unregistered_is_never_read() {
+        // Pruning only removes segments wholly at or under every unfolded
+        // document's cursor, and the index never points below a cursor.
+        let wal = GroupWal::in_memory();
+        wal.set_rotate_bytes(1);
+        for round in 0..3u64 {
+            wal.enqueue("a", 0, &[round as u8]);
+            wal.enqueue("b", 0, &[round as u8]);
+            wal.flush().unwrap();
+            wal.note_checkpoint("a", wal.watermark()).unwrap();
+        }
+        wal.note_checkpoint("b", 4).unwrap();
+        assert!(wal.stats().pruned_segments > 0);
+        let b = wal.replay_for("b", 4).unwrap();
+        assert_eq!(b.entries.len(), 1);
+        assert_eq!(b.entries[0].payload, [2]);
+    }
 
     #[test]
     fn many_documents_share_one_segment_write_per_flush() {

@@ -34,7 +34,8 @@
 //!   shard logs into one shared append queue, a flush writes the whole
 //!   queue with a single backend segment append, and per-document replay
 //!   cursors (durable in snapshot names) keep recovery isolated per
-//!   document. [`DocStore::with_group_wal`] opens a store in that mode;
+//!   document, and a per-document record index makes a document's replay
+//!   read only the segments holding its unfolded records. [`DocStore::with_group_wal`] opens a store in that mode;
 //!   its `append`/`checkpoint`/`recover` API is unchanged, so the
 //!   replication layer's journaling works identically over either sink.
 

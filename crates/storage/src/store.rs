@@ -26,6 +26,26 @@
 //! crash *between* the snapshot write and the rotation can never cause
 //! already-folded records to be replayed on top of the new snapshot (which
 //! would double-apply operations and corrupt the recovered vector clock).
+//!
+//! **Names are learned once.** A store is the only writer of its
+//! namespace, so it lists the backend exactly once, when it opens
+//! ([`DocStore::new`], [`DocStore::with_group_wal`]), and from then on keeps
+//! the set of its snapshot blobs (and private segments) current itself:
+//! `append`, `checkpoint`, `recover`, `wal_entries`, `wal_len` and
+//! `snapshot_epochs` never list. On a shard shared by many documents a
+//! `list` walks every document's names, so this is what keeps faulting one
+//! document in independent of how many others the shard holds. A group-mode
+//! store has no private `wal-*` segments and never looks for any.
+
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 
 use crate::backend::{MemoryBackend, StorageBackend, StorageError};
 use crate::group::GroupWal;
@@ -127,12 +147,23 @@ impl StoreMetrics {
     }
 }
 
+/// A snapshot blob's name fields: `(sequence, epoch, group cursor)`.
+type SnapshotName = (u64, u64, Option<u64>);
+
 /// A replica's durable store over a pluggable backend.
 #[derive(Debug)]
 pub struct DocStore {
     backend: Box<dyn StorageBackend>,
     /// Where WAL records go (private segments or a shared group WAL).
     sink: WalSink,
+    /// Snapshot blobs present, as `(sequence, epoch, group cursor)` sorted
+    /// ascending by sequence: listed once at open, then kept current here.
+    /// The cursor is `None` for private-mode snapshots (the plain
+    /// `snap-<seq>-e<epoch>.img` names).
+    snapshots: Vec<SnapshotName>,
+    /// Private WAL segment sequences present, ascending (empty in group
+    /// mode): listed once at open, then kept current here.
+    segments: Vec<u64>,
     /// Sequence of the active WAL segment (always the sequence of the
     /// newest snapshot written, or 0 before the first checkpoint). In group
     /// mode there are no private segments and this stays put.
@@ -152,13 +183,14 @@ impl DocStore {
     /// fresh names and appends to the newest segment).
     pub fn new(backend: impl StorageBackend + 'static) -> Result<Self, StorageError> {
         let backend: Box<dyn StorageBackend> = Box::new(backend);
-        let newest_snapshot = Self::snapshot_blobs(backend.as_ref())?
-            .last()
-            .map(|&(s, ..)| s);
-        let newest_segment = Self::wal_segments(backend.as_ref())?.last().copied();
+        let names = backend.list()?;
+        let snapshots = snapshot_names(&names);
+        let mut segments: Vec<u64> = names.iter().filter_map(|n| parse_wal_name(n)).collect();
+        segments.sort_unstable();
+        let newest_snapshot = snapshots.last().map(|&(s, ..)| s);
         let active_segment = newest_snapshot
             .unwrap_or(0)
-            .max(newest_segment.unwrap_or(0));
+            .max(segments.last().copied().unwrap_or(0));
         // A snapshot's sequence must be strictly greater than every segment
         // holding records it folds in, so the first checkpoint ever taken
         // gets sequence 1 (segment 0 is the pre-checkpoint log).
@@ -172,6 +204,8 @@ impl DocStore {
         Ok(DocStore {
             backend,
             sink: WalSink::Private,
+            snapshots,
+            segments,
             active_segment,
             active_segment_bytes,
             next_snapshot_seq,
@@ -193,7 +227,7 @@ impl DocStore {
         doc: &str,
     ) -> Result<Self, StorageError> {
         let backend: Box<dyn StorageBackend> = Box::new(backend);
-        let snapshots = Self::snapshot_blobs(backend.as_ref())?;
+        let snapshots = snapshot_names(&backend.list()?);
         let next_snapshot_seq = snapshots.last().map(|&(s, ..)| s + 1).unwrap_or(1);
         // Register the OLDEST retained snapshot's cursor: a recovery may
         // fall back past a corrupt newest snapshot and replay from the
@@ -206,6 +240,8 @@ impl DocStore {
                 wal,
                 doc: doc.to_string(),
             },
+            snapshots,
+            segments: Vec::new(),
             active_segment: 0,
             active_segment_bytes: 0,
             next_snapshot_seq,
@@ -223,6 +259,9 @@ impl DocStore {
 
     /// A store over a fresh in-memory backend (tests and the simulator's
     /// crash/restart fault).
+    // An in-memory backend has no failing operation; a failure here is a
+    // bug worth a loud stop, not an error every caller would unwrap anyway.
+    #[allow(clippy::expect_used)]
     pub fn in_memory() -> Self {
         DocStore::new(MemoryBackend::new()).expect("memory backend cannot fail")
     }
@@ -232,49 +271,16 @@ impl DocStore {
         self.stats
     }
 
-    /// Snapshot blob names present, as `(sequence, epoch, group cursor)`
-    /// sorted ascending by sequence. The cursor is `None` for private-mode
-    /// snapshots (the plain `snap-<seq>-e<epoch>.img` names).
-    fn snapshot_blobs(
-        backend: &dyn StorageBackend,
-    ) -> Result<Vec<(u64, u64, Option<u64>)>, StorageError> {
-        let mut found = Vec::new();
-        for name in backend.list()? {
-            if let Some(parsed) = parse_snapshot_name(&name) {
-                found.push(parsed);
-            }
-        }
-        found.sort_unstable();
-        Ok(found)
-    }
-
     /// Epochs of the snapshots currently kept, oldest first.
     pub fn snapshot_epochs(&self) -> Result<Vec<u64>, StorageError> {
-        Ok(Self::snapshot_blobs(self.backend.as_ref())?
-            .into_iter()
-            .map(|(_, epoch, _)| epoch)
-            .collect())
-    }
-
-    /// WAL segment sequences present, sorted ascending.
-    fn wal_segments(backend: &dyn StorageBackend) -> Result<Vec<u64>, StorageError> {
-        let mut found = Vec::new();
-        for name in backend.list()? {
-            if let Some(seq) = parse_wal_name(&name) {
-                found.push(seq);
-            }
-        }
-        found.sort_unstable();
-        Ok(found)
+        Ok(self.snapshots.iter().map(|&(_, epoch, _)| epoch).collect())
     }
 
     /// The segments a recovery starting from snapshot sequence `from_seq`
     /// must replay, in order.
-    fn segments_from(&self, from_seq: u64) -> Result<Vec<u64>, StorageError> {
-        Ok(Self::wal_segments(self.backend.as_ref())?
-            .into_iter()
-            .filter(|&seq| seq >= from_seq)
-            .collect())
+    fn segments_from(&self, from_seq: u64) -> Vec<u64> {
+        let first = self.segments.partition_point(|&seq| seq < from_seq);
+        self.segments[first..].to_vec()
     }
 
     /// Replays the given segments in order, concatenating their valid
@@ -309,20 +315,17 @@ impl DocStore {
 
     /// The newest snapshot sequence present by name (validity not checked;
     /// used to scope diagnostics the way a recovery would).
-    fn newest_snapshot_seq(&self) -> Result<u64, StorageError> {
-        Ok(Self::snapshot_blobs(self.backend.as_ref())?
-            .last()
-            .map(|&(seq, ..)| seq)
-            .unwrap_or(0))
+    fn newest_snapshot_seq(&self) -> u64 {
+        self.snapshots.last().map_or(0, |&(seq, ..)| seq)
     }
 
     /// The group-WAL replay cursor of the newest snapshot present (0 when
     /// there is none, or when running in private mode).
-    fn newest_snapshot_cursor(&self) -> Result<u64, StorageError> {
-        Ok(Self::snapshot_blobs(self.backend.as_ref())?
+    fn newest_snapshot_cursor(&self) -> u64 {
+        self.snapshots
             .last()
             .and_then(|&(_, _, cursor)| cursor)
-            .unwrap_or(0))
+            .unwrap_or(0)
     }
 
     /// Appends one WAL record carrying `payload`, tagged with the replica's
@@ -337,6 +340,9 @@ impl DocStore {
                 wal::append_record(&mut frame, epoch, payload);
                 self.backend
                     .append(&wal_name(self.active_segment), &frame)?;
+                if let Err(at) = self.segments.binary_search(&self.active_segment) {
+                    self.segments.insert(at, self.active_segment);
+                }
                 frame.len() as u64
             }
             WalSink::Group { wal, doc } => {
@@ -360,12 +366,11 @@ impl DocStore {
     pub fn wal_entries(&self) -> Result<WalReplay, StorageError> {
         match &self.sink {
             WalSink::Private => {
-                let from = self.newest_snapshot_seq()?;
-                let segments = self.segments_from(from)?;
+                let segments = self.segments_from(self.newest_snapshot_seq());
                 self.replay_segments(&segments)
             }
             WalSink::Group { wal, doc } => {
-                let replay = wal.replay_for(doc, self.newest_snapshot_cursor()?)?;
+                let replay = wal.replay_for(doc, self.newest_snapshot_cursor())?;
                 Ok(WalReplay {
                     valid_bytes: replay.bytes,
                     dropped_bytes: replay.torn_tail_bytes,
@@ -381,15 +386,14 @@ impl DocStore {
     pub fn wal_len(&self) -> Result<usize, StorageError> {
         match &self.sink {
             WalSink::Private => {
-                let from = self.newest_snapshot_seq()?;
                 let mut total = 0usize;
-                for seq in self.segments_from(from)? {
+                for seq in self.segments_from(self.newest_snapshot_seq()) {
                     total += self.backend.read(&wal_name(seq))?.map_or(0, |b| b.len());
                 }
                 Ok(total)
             }
             WalSink::Group { wal, doc } => {
-                Ok(wal.replay_for(doc, self.newest_snapshot_cursor()?)?.bytes)
+                Ok(wal.replay_for(doc, self.newest_snapshot_cursor())?.bytes)
             }
         }
     }
@@ -431,28 +435,30 @@ impl DocStore {
         if retired {
             self.stats.wal_truncations += 1;
         }
-        let existing = Self::snapshot_blobs(self.backend.as_ref())?;
-        if existing.len() > 1 + SNAPSHOT_FALLBACKS {
-            let (pruned, retained) = existing.split_at(existing.len() - 1 - SNAPSHOT_FALLBACKS);
-            let oldest_retained = retained.first().map(|&(s, ..)| s).unwrap_or(seq);
-            for &(old_seq, old_epoch, old_cursor) in pruned {
+        self.snapshots.push((seq, epoch, cursor));
+        let pruned = self.snapshots.len().saturating_sub(1 + SNAPSHOT_FALLBACKS);
+        if pruned > 0 {
+            for &(old_seq, old_epoch, old_cursor) in &self.snapshots[..pruned] {
                 self.backend
                     .remove(&snapshot_blob_name(old_seq, old_epoch, old_cursor))?;
             }
+            self.snapshots.drain(..pruned);
             // Segments older than the oldest retained snapshot can never be
             // replayed again (every recovery starts at a retained snapshot).
-            for old in Self::wal_segments(self.backend.as_ref())? {
-                if old < oldest_retained {
-                    self.backend.remove(&wal_name(old))?;
-                }
+            let oldest_retained = self.snapshots.first().map_or(seq, |&(s, ..)| s);
+            let dead = self.segments.partition_point(|&s| s < oldest_retained);
+            for &old in &self.segments[..dead] {
+                self.backend.remove(&wal_name(old))?;
             }
+            self.segments.drain(..dead);
         }
         if let (WalSink::Group { wal, doc }, Some(cursor)) = (&self.sink, cursor) {
             // Group segments are shared: they are pruned by cursor floor,
             // not by snapshot sequence. A recovery falling back past the
             // newest snapshot replays from the FALLBACK's (older) cursor,
             // so only that oldest retained cursor may advance the floor.
-            let oldest_retained_cursor = Self::snapshot_blobs(self.backend.as_ref())?
+            let oldest_retained_cursor = self
+                .snapshots
                 .first()
                 .and_then(|&(_, _, c)| c)
                 .unwrap_or(cursor);
@@ -484,10 +490,7 @@ impl DocStore {
         let mut snapshot = None;
         let mut from_seq = 0u64;
         let mut from_cursor = 0u64;
-        for (seq, epoch, cursor) in Self::snapshot_blobs(self.backend.as_ref())?
-            .into_iter()
-            .rev()
-        {
+        for &(seq, epoch, cursor) in self.snapshots.iter().rev() {
             let Some(bytes) = self.backend.read(&snapshot_blob_name(seq, epoch, cursor))? else {
                 continue;
             };
@@ -506,7 +509,7 @@ impl DocStore {
         }
         let replay = match &self.sink {
             WalSink::Private => {
-                let segments = self.segments_from(from_seq)?;
+                let segments = self.segments_from(from_seq);
                 let replay = self.replay_segments(&segments)?;
                 if replay.fault.is_some() {
                     self.drop_torn_tail(&segments)?;
@@ -567,6 +570,7 @@ impl DocStore {
         };
         for &later in segments[at + 1..].iter().rev() {
             self.backend.remove(&wal_name(later))?;
+            self.segments.retain(|&seq| seq != later);
         }
         self.backend
             .write(&wal_name(segments[at]), &bytes[..valid_bytes])?;
@@ -605,7 +609,17 @@ fn parse_wal_name(name: &str) -> Option<u64> {
         .ok()
 }
 
-fn parse_snapshot_name(name: &str) -> Option<(u64, u64, Option<u64>)> {
+/// The snapshot blobs among `names`, sorted ascending by sequence.
+fn snapshot_names(names: &[String]) -> Vec<SnapshotName> {
+    let mut found: Vec<SnapshotName> = names
+        .iter()
+        .filter_map(|n| parse_snapshot_name(n))
+        .collect();
+    found.sort_unstable();
+    found
+}
+
+fn parse_snapshot_name(name: &str) -> Option<SnapshotName> {
     let rest = name.strip_prefix("snap-")?.strip_suffix(".img")?;
     let (seq, epoch_part) = rest.split_once("-e")?;
     let (epoch, cursor) = match epoch_part.split_once("-c") {
@@ -617,6 +631,9 @@ fn parse_snapshot_name(name: &str) -> Option<(u64, u64, Option<u64>)> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
     use super::*;
     use crate::backend::SharedBackend;
 
@@ -942,6 +959,73 @@ mod tests {
         let mut store = DocStore::new(backend).unwrap();
         store.checkpoint(2, &snapshot_with("second")).unwrap();
         assert_eq!(store.snapshot_epochs().unwrap(), vec![1, 2]);
+    }
+
+    /// A memory backend that counts `list` calls.
+    #[derive(Debug)]
+    struct Listing {
+        inner: SharedBackend,
+        lists: Arc<AtomicUsize>,
+    }
+
+    impl StorageBackend for Listing {
+        fn read(&self, name: &str) -> Result<Option<Vec<u8>>, StorageError> {
+            self.inner.read(name)
+        }
+        fn write(&mut self, name: &str, bytes: &[u8]) -> Result<(), StorageError> {
+            self.inner.write(name, bytes)
+        }
+        fn append(&mut self, name: &str, bytes: &[u8]) -> Result<(), StorageError> {
+            self.inner.append(name, bytes)
+        }
+        fn remove(&mut self, name: &str) -> Result<(), StorageError> {
+            self.inner.remove(name)
+        }
+        fn list(&self) -> Result<Vec<String>, StorageError> {
+            self.lists.fetch_add(1, Ordering::Relaxed);
+            self.inner.list()
+        }
+    }
+
+    #[test]
+    fn a_store_lists_its_namespace_once_and_tracks_its_names_itself() {
+        let backend = SharedBackend::in_memory();
+        let lists = Arc::default();
+        let listing = || Listing {
+            inner: backend.clone(),
+            lists: Arc::clone(&lists),
+        };
+        let count = || lists.load(Ordering::Relaxed);
+        let mut store = DocStore::new(listing()).unwrap();
+        assert_eq!(count(), 1);
+        for epoch in 1..=4u64 {
+            store.append(epoch, b"record").unwrap();
+            store
+                .checkpoint(epoch, &snapshot_with(&format!("e{epoch}")))
+                .unwrap();
+        }
+        store.append(4, b"tail").unwrap();
+        assert_eq!(store.snapshot_epochs().unwrap(), vec![3, 4]);
+        assert_eq!(store.wal_entries().unwrap().entries.len(), 1);
+        assert!(store.wal_len().unwrap() > 0);
+        assert_eq!(store.recover().unwrap().wal.len(), 1);
+        assert_eq!(count(), 1, "only the open listed");
+        // What the store tracked is what the backend holds.
+        let mut held: Vec<String> = backend.list().unwrap();
+        held.sort();
+        assert_eq!(
+            held,
+            [
+                "snap-000000000003-e3.img",
+                "snap-000000000004-e4.img",
+                "wal-000000000003.log",
+                "wal-000000000004.log",
+            ]
+        );
+        // A reopened store learns the same names with one more list.
+        let mut reopened = DocStore::new(listing()).unwrap();
+        assert_eq!(reopened.recover().unwrap().wal.len(), 1);
+        assert_eq!(count(), 2);
     }
 
     #[test]

@@ -23,6 +23,16 @@
 //! reported, not propagated — a crash while appending record *n* must never
 //! cost records 1..n−1.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 /// Bytes of framing per record (`len` + `crc` + `epoch`).
 pub const RECORD_HEADER_BYTES: usize = 4 + 4 + 8;
 
@@ -69,17 +79,77 @@ impl WalReplay {
 
 /// Appends one framed record to `out`.
 pub fn append_record(out: &mut Vec<u8>, epoch: u64, payload: &[u8]) {
-    let mut body = Vec::with_capacity(8 + payload.len());
-    body.extend_from_slice(&epoch.to_le_bytes());
-    body.extend_from_slice(payload);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(&body).to_le_bytes());
-    out.extend_from_slice(&body);
+    append_record_with(out, epoch, |out| out.extend_from_slice(payload));
+}
+
+/// Appends one framed record whose payload `write_payload` writes straight
+/// into `out`: the header is patched in afterwards and the CRC is computed
+/// over the bytes as written, so framing a record costs no buffer of its
+/// own.
+pub(crate) fn append_record_with(
+    out: &mut Vec<u8>,
+    epoch: u64,
+    write_payload: impl FnOnce(&mut Vec<u8>),
+) {
+    let start = out.len();
+    out.extend_from_slice(&[0; 8]);
+    out.extend_from_slice(&epoch.to_le_bytes());
+    write_payload(out);
+    let len = out.len() - start - RECORD_HEADER_BYTES;
+    let crc = crc32(&out[start + 8..]);
+    out[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+    out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// The encoded size of a record with `payload_len` payload bytes.
 pub fn record_size(payload_len: usize) -> usize {
     RECORD_HEADER_BYTES + payload_len
+}
+
+/// One CRC-checked frame of a byte stream, borrowed in place.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Frame<'a> {
+    /// The appender's flatten epoch.
+    pub epoch: u64,
+    /// The record payload.
+    pub payload: &'a [u8],
+    /// Offset of the byte after this frame: where the next one starts.
+    pub end: usize,
+}
+
+/// Reads a little-endian `u32` at `at` (the caller has bounds-checked it).
+fn u32_at(bytes: &[u8], at: usize) -> u32 {
+    let mut word = [0; 4];
+    word.copy_from_slice(&bytes[at..at + 4]);
+    u32::from_le_bytes(word)
+}
+
+/// Decodes the frame starting at byte `pos` of `bytes`, checking its CRC.
+/// Errs with the reason when the frame is incomplete or corrupt; `pos` at
+/// or past the end reads as [`TailFault::Truncated`].
+pub(crate) fn frame_at(bytes: &[u8], pos: usize) -> Result<Frame<'_>, TailFault> {
+    let rest = bytes.len().saturating_sub(pos);
+    if rest < RECORD_HEADER_BYTES {
+        return Err(TailFault::Truncated);
+    }
+    let len = u32_at(bytes, pos) as usize;
+    // `len` itself may be garbage from a torn write; an oversized claim
+    // reads as truncation, not as an allocation request.
+    if rest - RECORD_HEADER_BYTES < len {
+        return Err(TailFault::Truncated);
+    }
+    let end = pos + RECORD_HEADER_BYTES + len;
+    let body = &bytes[pos + 8..end];
+    if crc32(body) != u32_at(bytes, pos + 4) {
+        return Err(TailFault::ChecksumMismatch);
+    }
+    let mut epoch = [0; 8];
+    epoch.copy_from_slice(&body[..8]);
+    Ok(Frame {
+        epoch: u64::from_le_bytes(epoch),
+        payload: &body[8..],
+        end,
+    })
 }
 
 /// Decodes a WAL byte stream, returning the valid record prefix and a
@@ -90,35 +160,24 @@ pub fn replay(bytes: &[u8]) -> WalReplay {
     let mut pos = 0usize;
     let mut fault = None;
     while pos < bytes.len() {
-        if bytes.len() - pos < RECORD_HEADER_BYTES {
-            fault = Some(TailFault::Truncated);
-            break;
+        match frame_at(bytes, pos) {
+            Ok(frame) => {
+                entries.push(WalEntry {
+                    epoch: frame.epoch,
+                    payload: frame.payload.to_vec(),
+                });
+                pos = frame.end;
+            }
+            Err(why) => {
+                fault = Some(why);
+                break;
+            }
         }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("4 bytes"));
-        let body_start = pos + 8;
-        // `len` itself may be garbage from a torn write; an oversized claim
-        // reads as truncation, not as an allocation request.
-        if bytes.len() - body_start < 8 + len {
-            fault = Some(TailFault::Truncated);
-            break;
-        }
-        let body = &bytes[body_start..body_start + 8 + len];
-        if crc32(body) != crc {
-            fault = Some(TailFault::ChecksumMismatch);
-            break;
-        }
-        let epoch = u64::from_le_bytes(body[..8].try_into().expect("8 bytes"));
-        entries.push(WalEntry {
-            epoch,
-            payload: body[8..].to_vec(),
-        });
-        pos = body_start + 8 + len;
     }
     WalReplay {
         entries,
-        valid_bytes: pos.min(bytes.len()),
-        dropped_bytes: bytes.len() - pos.min(bytes.len()),
+        valid_bytes: pos,
+        dropped_bytes: bytes.len() - pos,
         fault,
     }
 }
@@ -137,6 +196,50 @@ mod tests {
             entries.push(WalEntry { epoch, payload });
         }
         (log, entries)
+    }
+
+    /// The framing as first written: the body assembled in a buffer of its
+    /// own, then length, CRC and body copied out.
+    fn buffered_frame(epoch: u64, payload: &[u8]) -> Vec<u8> {
+        let mut body = Vec::with_capacity(8 + payload.len());
+        body.extend_from_slice(&epoch.to_le_bytes());
+        body.extend_from_slice(payload);
+        let mut out = Vec::new();
+        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(&crc32(&body).to_le_bytes());
+        out.extend_from_slice(&body);
+        out
+    }
+
+    #[test]
+    fn in_place_framing_is_byte_identical_to_the_buffered_framing() {
+        let mut log = vec![0xAB; 3]; // frames need not start at offset 0
+        let mut expected = log.clone();
+        for (epoch, payload) in [(0, &b""[..]), (7, b"x"), (u64::MAX, &[0xFF; 300][..])] {
+            append_record(&mut log, epoch, payload);
+            expected.extend(buffered_frame(epoch, payload));
+        }
+        assert_eq!(log, expected);
+    }
+
+    #[test]
+    fn frames_decode_in_place_at_their_offsets() {
+        let (log, expected) = sample_log(3);
+        let mut pos = 0;
+        for entry in &expected {
+            let frame = frame_at(&log, pos).unwrap();
+            assert_eq!(
+                (frame.epoch, frame.payload),
+                (entry.epoch, &entry.payload[..])
+            );
+            pos = frame.end;
+        }
+        assert_eq!(pos, log.len());
+        assert_eq!(frame_at(&log, pos), Err(TailFault::Truncated));
+        assert_eq!(frame_at(&log, usize::MAX), Err(TailFault::Truncated));
+        let mut bad = log.clone();
+        bad[RECORD_HEADER_BYTES] ^= 1;
+        assert_eq!(frame_at(&bad, 0), Err(TailFault::ChecksumMismatch));
     }
 
     #[test]

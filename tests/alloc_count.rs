@@ -28,7 +28,7 @@ use treedoc_replication::{
     decode_envelope, encode_envelope, CausalMessage, ChainedOp, Envelope, OpBatch, RecoverError,
     Replica, SyncDocument, WalRecord,
 };
-use treedoc_storage::{content_hash64, DocStore, Snapshot};
+use treedoc_storage::{content_hash64, DocStore, GroupWal, Snapshot};
 
 struct CountingAlloc;
 
@@ -568,4 +568,33 @@ proptest! {
             Err(e) => prop_assert!(kind != 2, "reordered cells: {}", e),
         }
     }
+}
+
+#[test]
+fn group_enqueue_frames_in_place_without_allocating_per_record() {
+    // A record for a document the group WAL already knows is framed
+    // straight into the shared queue and indexed at flush into a vector
+    // that grows geometrically: no buffer, name copy or index node per
+    // record. Flushing every 64 records, as a busy node commits, keeps the
+    // flush's own few allocations well under one per record too.
+    let wal = GroupWal::in_memory();
+    let docs = ["d0", "d1", "d2", "d3", "d4", "d5", "d6", "d7"];
+    for doc in docs {
+        wal.enqueue(doc, 0, b"warm-up");
+    }
+    wal.flush().unwrap();
+    let payload = [7u8; 40];
+    let records = 10_000u64;
+    let start = allocs();
+    for i in 0..records {
+        wal.enqueue(docs[i as usize % docs.len()], 1, &payload);
+        if i % 64 == 63 {
+            wal.flush().unwrap();
+        }
+    }
+    let per_record = (allocs() - start) as f64 / records as f64;
+    assert!(
+        per_record < 0.1,
+        "group enqueue allocates {per_record:.3} times per record (want < 0.1)"
+    );
 }
