@@ -182,15 +182,6 @@ impl HostingNode {
         }
     }
 
-    /// Overrides the segment-rotation threshold of every shard's group WAL
-    /// (bytes; see [`GroupWal::set_rotate_bytes`]). Small segments make
-    /// pruning finer-grained at the cost of more segment blobs.
-    pub fn set_segment_bytes(&self, bytes: u64) {
-        for shard in &self.shards {
-            shard.wal.set_rotate_bytes(bytes);
-        }
-    }
-
     /// Restart after a node-wide crash: same as [`open`](Self::open), named
     /// for what the caller means. Everything flushed by the last
     /// [`commit`](Self::commit) (or checkpointed by an eviction) recovers;

@@ -4,8 +4,10 @@
 //! backend calls of an eviction and of a fault-in are pinned: an eviction
 //! lists nothing; a fault-in lists its namespace at most once, reads its
 //! own newest snapshot and no group-WAL segment; after a restart, a
-//! document with records not yet folded into its snapshot reads exactly
-//! the segments holding them. The counts are the same whether the node
+//! document with records not yet folded into its snapshot reads, besides
+//! its snapshot, only the segment its commit appended those records to.
+//! Which segments a replay picks when records spread over several is the
+//! group WAL's own unit test. The counts are the same whether the node
 //! hosts 400 documents or 800 — the deterministic form of "flat when the
 //! hosted population doubles".
 
@@ -98,9 +100,6 @@ fn measure(population: u64) -> Costs {
         .collect();
     let take = || std::mem::take(&mut *calls.lock().unwrap());
     let mut node = HostingNode::open(CONFIG, backends).unwrap();
-    // One segment per flush, so records of different commits sit in
-    // different segments and a replay's reads show which it needed.
-    node.set_segment_bytes(1);
     for doc in 0..population {
         let session = node.connect("user", doc).unwrap();
         for (i, ch) in "warm text".chars().enumerate() {
@@ -142,7 +141,7 @@ fn measure(population: u64) -> Costs {
     }
 
     // A document folded at eviction, faulted back in and edited again: its
-    // new records go to exactly one segment.
+    // commit appends its new records to one segment.
     let doc = 0;
     assert!(node.evict(doc).unwrap());
     let session = node.connect("user", doc).unwrap();
@@ -152,7 +151,7 @@ fn measure(population: u64) -> Costs {
     let committed = take();
     assert_eq!(committed.appends.len(), 1, "{committed:?}");
     let segment = committed.appends[0].clone();
-    // More records of other documents, in later segments.
+    // Records of other documents, committed after it.
     for other in [4, 8] {
         let session = node.connect("user", other).unwrap();
         node.insert(session, 0, '?').unwrap();
@@ -160,7 +159,7 @@ fn measure(population: u64) -> Costs {
     }
 
     // Crash and restart: the document's unfolded records are read from
-    // the one segment holding them, and no other.
+    // the segment its commit appended to, and no other.
     let backends = node.backends();
     drop(node);
     let mut node = HostingNode::restart(CONFIG, backends).unwrap();

@@ -701,25 +701,6 @@ mod tests {
     }
 
     #[test]
-    fn a_segment_pruned_while_a_document_is_unregistered_is_never_read() {
-        // Pruning only removes segments wholly at or under every unfolded
-        // document's cursor, and the index never points below a cursor.
-        let wal = GroupWal::in_memory();
-        wal.set_rotate_bytes(1);
-        for round in 0..3u64 {
-            wal.enqueue("a", 0, &[round as u8]);
-            wal.enqueue("b", 0, &[round as u8]);
-            wal.flush().unwrap();
-            wal.note_checkpoint("a", wal.watermark()).unwrap();
-        }
-        wal.note_checkpoint("b", 4).unwrap();
-        assert!(wal.stats().pruned_segments > 0);
-        let b = wal.replay_for("b", 4).unwrap();
-        assert_eq!(b.entries.len(), 1);
-        assert_eq!(b.entries[0].payload, [2]);
-    }
-
-    #[test]
     fn many_documents_share_one_segment_write_per_flush() {
         let backend = SharedBackend::in_memory();
         let wal = GroupWal::open(backend.clone()).unwrap();

@@ -161,8 +161,10 @@ pub struct DocStore {
     /// The cursor is `None` for private-mode snapshots (the plain
     /// `snap-<seq>-e<epoch>.img` names).
     snapshots: Vec<SnapshotName>,
-    /// Private WAL segment sequences present, ascending (empty in group
-    /// mode): listed once at open, then kept current here.
+    /// Private WAL segment sequences, ascending (empty in group mode):
+    /// listed once at open, then kept current here. The active segment is
+    /// recorded from the moment it is chosen, before its first append; a
+    /// recorded segment with no blob yet reads as empty.
     segments: Vec<u64>,
     /// Sequence of the active WAL segment (always the sequence of the
     /// newest snapshot written, or 0 before the first checkpoint). In group
@@ -201,6 +203,9 @@ impl DocStore {
         let active_segment_bytes = backend
             .read(&wal_name(active_segment))?
             .map_or(0, |b| b.len() as u64);
+        if segments.last() != Some(&active_segment) {
+            segments.push(active_segment);
+        }
         Ok(DocStore {
             backend,
             sink: WalSink::Private,
@@ -340,9 +345,6 @@ impl DocStore {
                 wal::append_record(&mut frame, epoch, payload);
                 self.backend
                     .append(&wal_name(self.active_segment), &frame)?;
-                if let Err(at) = self.segments.binary_search(&self.active_segment) {
-                    self.segments.insert(at, self.active_segment);
-                }
                 frame.len() as u64
             }
             WalSink::Group { wal, doc } => {
@@ -431,6 +433,10 @@ impl DocStore {
             .write(&snapshot_blob_name(seq, epoch, cursor), &blob)?;
         self.active_segment = seq;
         self.active_segment_bytes = 0;
+        if matches!(self.sink, WalSink::Private) {
+            // `seq` is above every recorded segment: the order holds.
+            self.segments.push(seq);
+        }
         self.stats.snapshots_written += 1;
         if retired {
             self.stats.wal_truncations += 1;
@@ -570,8 +576,12 @@ impl DocStore {
         };
         for &later in segments[at + 1..].iter().rev() {
             self.backend.remove(&wal_name(later))?;
-            self.segments.retain(|&seq| seq != later);
         }
+        // The removed segments are forgotten, except the active one: it
+        // stays recorded for the appends that recreate it.
+        let (faulty_seq, active) = (segments[at], self.active_segment);
+        self.segments
+            .retain(|&seq| seq <= faulty_seq || seq == active);
         self.backend
             .write(&wal_name(segments[at]), &bytes[..valid_bytes])?;
         self.active_segment_bytes = self
@@ -781,9 +791,14 @@ mod tests {
         let recovered = store.recover().unwrap();
         assert_eq!(recovered.wal.len(), 1);
         store.append(1, b"after").unwrap();
+        let payloads = |recovered: Recovered| -> Vec<Vec<u8>> {
+            recovered.wal.into_iter().map(|e| e.payload).collect()
+        };
+        // The cut removed the active segment's blob, but the store still
+        // tracks the segment, so its own next recovery finds the append.
+        assert_eq!(payloads(store.recover().unwrap()), [&b"kept"[..], b"after"]);
         let recovered = DocStore::new(backend).unwrap().recover().unwrap();
-        let payloads: Vec<&[u8]> = recovered.wal.iter().map(|e| &e.payload[..]).collect();
-        assert_eq!(payloads, [&b"kept"[..], b"after"]);
+        assert_eq!(payloads(recovered), [&b"kept"[..], b"after"]);
     }
 
     /// A backend that crashes at its first blob write (`at_write`) or its
