@@ -6,8 +6,8 @@
 //!
 //! Run with `cargo run -p bench --bin flatten_commit --release`
 //! (add `--json` for machine-readable output, `--out PATH` to refresh the
-//! committed `BENCH_flatten.json` baseline the CI `bench-regression` job
-//! diffs against).
+//! committed `BENCH_flatten.json` baseline, which CI
+//! regenerates and requires byte-identical).
 
 use bench::BenchArgs;
 use serde::Serialize;

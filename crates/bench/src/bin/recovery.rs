@@ -1,34 +1,26 @@
-//! The crash-recovery cost experiment: WAL append throughput and cold
-//! restart latency versus operations-since-snapshot — the compaction story
-//! the paper implies (flatten as the natural clean-up point, §4.2.1) but
-//! never measures.
+//! The crash-recovery cost experiment: what a cold restart reads back and
+//! replays versus operations-since-snapshot — the compaction story the
+//! paper implies (flatten as the natural clean-up point, §4.2.1) but never
+//! measures. The restart's wall time is perfbench's
+//! `storage.recover_ns_per_record`, a WAL append's `storage.append_ns`.
 //!
 //! Run with `cargo run -p bench --bin recovery --release`
 //! (add `--json` for machine-readable output, `--out PATH` to refresh the
-//! committed `BENCH_recovery.json` baseline the CI `bench-regression` job
-//! diffs against).
+//! committed `BENCH_recovery.json` baseline CI regenerates exactly).
 
-use bench::{recovery_cost_grid, wal_append_throughput, BenchArgs, RecoveryCostRow, WalAppendRow};
+use bench::{recovery_cost_grid, BenchArgs, RecoveryCostRow};
 use serde::Serialize;
 
 #[derive(Serialize)]
 struct Output {
-    wal_append: Vec<WalAppendRow>,
     recovery: Vec<RecoveryCostRow>,
 }
 
 fn main() {
     let args = BenchArgs::from_env();
-    let wal_append: Vec<WalAppendRow> = [64usize, 256, 1024]
-        .iter()
-        .map(|&payload| wal_append_throughput(2_000, payload))
-        .collect();
-    // Record size grows with identifier length (append-only unbalanced
-    // trees deepen linearly), so the WAL grows superlinearly in ops — worth
-    // showing, but 800 is enough to see the curve without slowing CI.
     let recovery = recovery_cost_grid(&[0, 50, 200, 800]);
-    // Sanity-check the grid on BOTH output paths: the CI artifact job runs
-    // --json, and a silently wrong artifact is worse than a red job.
+    // Sanity-check the grid on BOTH output paths: a silently wrong baseline
+    // is worse than a red job.
     for row in &recovery {
         assert_eq!(
             row.wal_records_replayed, row.ops_since_snapshot,
@@ -36,47 +28,20 @@ fn main() {
         );
     }
 
-    let out = Output {
-        wal_append,
-        recovery,
-    };
+    let out = Output { recovery };
     if args.emit(&out) {
         return;
     }
-    let Output {
-        wal_append,
-        recovery,
-    } = out;
 
-    println!("WAL append throughput (in-memory backend, 2000 records):");
-    println!("{:>10} {:>14} {:>14}", "payload", "appends/s", "MB/s");
-    for row in &wal_append {
-        println!(
-            "{:>9}B {:>14.0} {:>14.2}",
-            row.payload_bytes,
-            row.appends_per_sec,
-            row.bytes_per_sec / 1.0e6
-        );
-    }
-
-    println!();
-    println!("Cold recovery latency vs. operations since the last snapshot:");
+    println!("Cold recovery cost vs. operations since the last snapshot:");
     println!(
-        "{:>6} {:>10} {:>9} {:>11} {:>12} {:>14}",
-        "ops", "wal bytes", "replayed", "read bytes", "recover µs", "edit cost µs"
+        "{:>6} {:>10} {:>9} {:>11}",
+        "ops", "wal bytes", "replayed", "read bytes"
     );
-    for row in &recovery {
-        let edit_cost = row
-            .logged_edit_micros
-            .map_or("n/a".to_string(), |c| format!("{c:.1}"));
+    for row in &out.recovery {
         println!(
-            "{:>6} {:>10} {:>9} {:>11} {:>12} {:>14}",
-            row.ops_since_snapshot,
-            row.wal_bytes,
-            row.wal_records_replayed,
-            row.recovered_bytes,
-            row.recover_micros,
-            edit_cost
+            "{:>6} {:>10} {:>9} {:>11}",
+            row.ops_since_snapshot, row.wal_bytes, row.wal_records_replayed, row.recovered_bytes,
         );
     }
 }

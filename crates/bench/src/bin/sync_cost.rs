@@ -7,8 +7,8 @@
 //!
 //! Run with `cargo run -p bench --bin sync_cost --release`
 //! (add `--json` for machine-readable output, `--out PATH` to refresh the
-//! committed `BENCH_sync.json` baseline the CI `bench-regression` job
-//! diffs against).
+//! committed `BENCH_sync.json` baseline, which CI
+//! regenerates and requires byte-identical).
 
 use bench::{sync_cost_grid, BenchArgs, SyncCostRow};
 use serde::Serialize;

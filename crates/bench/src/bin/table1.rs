@@ -3,7 +3,8 @@
 //! for flatten settings none / 1 / 2 / 8.
 //!
 //! Run with `cargo run -p bench --bin table1 --release`.
-//! Pass `--json` to emit machine-readable output.
+//! Pass `--json` to emit machine-readable output (the counts only; the
+//! replay times of the §5.2 remark are printed in the table).
 
 fn main() {
     let json = std::env::args().any(|a| a == "--json");

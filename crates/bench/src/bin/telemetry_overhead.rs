@@ -1,18 +1,16 @@
 //! The observability layer's own cost: the sequential-typing `Replica`
 //! stamp workload timed with telemetry absent, disabled (inert handle), and
-//! enabled (live registry). The acceptance bound this bin checks — and
-//! `BENCH_telemetry.json` pins for the CI `bench-regression` job — is that
-//! an enabled registry costs less than 5% on the hot path and a disabled
+//! enabled (live registry). The acceptance bound this bin checks is that an
+//! enabled registry costs less than 5% on the hot path and a disabled
 //! handle is indistinguishable from no telemetry at all. The results are
 //! printed (and written to `--out`) first; a run over either bound then
-//! exits with status 1.
+//! exits with status 1. Being a timing, it has no committed baseline; CI
+//! runs it in a non-blocking job of its own.
 //!
 //! Run with `cargo run -p bench --bin telemetry_overhead --release`
-//! (add `--json` for machine-readable output, `--out PATH` to refresh the
-//! committed baseline, `--telemetry-out PATH` to dump the instruments the
-//! enabled variant recorded).
+//! (add `--json` for machine-readable output, `--out PATH` to keep it).
 
-use bench::{global_registry, telemetry_overhead_cases, BenchArgs, OverheadRow, OVERHEAD_TRIALS};
+use bench::{telemetry_overhead_cases, BenchArgs, OverheadRow, OVERHEAD_TRIALS};
 use serde::Serialize;
 
 /// Stamped operations per trial (override: `TELEMETRY_OVERHEAD_OPS`).
@@ -38,16 +36,6 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(OPS);
     let overhead = telemetry_overhead_cases(ops);
-    // The enabled variant must actually have been observed, or the numbers
-    // measured nothing.
-    let stamped = global_registry()
-        .snapshot()
-        .counter("replica.ops_stamped")
-        .unwrap_or(0);
-    assert!(
-        stamped >= ops as u64,
-        "enabled trials recorded {stamped} stamps, expected at least {ops}"
-    );
     let overhead_of = |case: &str| -> f64 {
         overhead
             .iter()

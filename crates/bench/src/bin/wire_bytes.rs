@@ -8,8 +8,8 @@
 //!
 //! Run with `cargo run -p bench --bin wire_bytes --release`
 //! (add `--json` for machine-readable output, `--out PATH` to refresh the
-//! committed `BENCH_wire.json` baseline the CI `bench-regression` job
-//! diffs against).
+//! committed `BENCH_wire.json` baseline, which CI
+//! regenerates and requires byte-identical).
 
 use bench::{
     single_op_envelope_bytes, wal_format_comparison, wire_cost_grid, wire_encoding_comparison,

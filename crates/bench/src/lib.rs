@@ -15,7 +15,7 @@ use serde::Serialize;
 
 use treedoc_replication::CommitProtocol;
 use treedoc_sim::{
-    partitioned_commit_demo, run_hosting_with, HostingScenario, Scenario, ScenarioMatrix,
+    partitioned_commit_demo, run_hosting, HostingScenario, Scenario, ScenarioMatrix,
 };
 use treedoc_telemetry::{Registry, Telemetry};
 use treedoc_trace::{
@@ -61,7 +61,9 @@ pub struct Table1Row {
     pub disk_bytes: usize,
     /// On-disk overhead as a percentage of the document size.
     pub disk_pct: f64,
-    /// Replay wall-clock time.
+    /// Replay wall-clock time (the §5.2 remark); printed by `table1`, left
+    /// out of the JSON so the row is a pure count.
+    #[serde(skip)]
     pub elapsed: Duration,
 }
 
@@ -293,17 +295,6 @@ pub fn figure6(flatten_every: Option<usize>) -> ReplayReport {
     )
 }
 
-/// Replay of the most active document (the "Distributed Computing" twin),
-/// used for the §5.2 CPU-cost claim ("less than 1.44 seconds").
-pub fn replay_most_active() -> ReplayReport {
-    let spec = paper_corpus()
-        .into_iter()
-        .find(|s| s.name == "Distributed Computing")
-        .expect("corpus contains the most active document");
-    let history = spec.generate();
-    replay_treedoc(&history, ReplayConfig::default())
-}
-
 /// One row of the distributed-flatten cost experiment: the protocol cost of
 /// §4.2.1's commitment, which the paper could not evaluate ("We cannot yet
 /// evaluate the cost of a distributed flatten").
@@ -383,21 +374,12 @@ type RecoveryDoc = treedoc_core::Treedoc<String, treedoc_core::Sdis>;
 /// and its detached [`DocStore`](treedoc_storage::DocStore) — snapshot plus
 /// `ops` WAL records — is returned.
 pub fn crashed_store_with_ops(ops: usize) -> treedoc_storage::DocStore {
-    crashed_store_with_ops_timed(ops).0
-}
-
-/// [`crashed_store_with_ops`] plus the wall time of the **edit loop alone**
-/// (document edit + stamp + WAL append per op; the seed-document build and
-/// the attach-time baseline checkpoint are excluded so the per-edit figure
-/// is a real marginal cost).
-fn crashed_store_with_ops_timed(ops: usize) -> (treedoc_storage::DocStore, Duration) {
     let site = treedoc_core::SiteId::from_u64(1);
     let seed: Vec<String> = (0..50).map(|i| format!("seed line {i}")).collect();
     let mut replica = treedoc_replication::Replica::new(site, RecoveryDoc::from_atoms(site, &seed));
     replica
         .attach_store(treedoc_storage::DocStore::in_memory())
         .expect("in-memory attach cannot fail");
-    let edit_start = std::time::Instant::now();
     for k in 0..ops {
         let len = replica.doc().len();
         let op = replica
@@ -406,8 +388,7 @@ fn crashed_store_with_ops_timed(ops: usize) -> (treedoc_storage::DocStore, Durat
             .expect("append in range");
         let _ = replica.stamp(op);
     }
-    let edits = edit_start.elapsed();
-    (replica.detach_store().expect("store attached"), edits)
+    replica.detach_store().expect("store attached")
 }
 
 /// Cold recovery from a crashed store; returns the recovered digest and the
@@ -420,10 +401,11 @@ pub fn recover_crashed_store(
     (replica.digest(), report)
 }
 
-/// One cell of the recovery-cost experiment: cold-restart latency versus the
-/// number of operations logged since the last snapshot — the compaction
-/// trade the paper implies (§4.2.1 flatten as clean-up point) but never
-/// measures.
+/// One cell of the recovery-cost experiment: what a cold restart reads and
+/// replays versus the number of operations logged since the last snapshot —
+/// the compaction trade the paper implies (§4.2.1 flatten as clean-up point)
+/// but never measures. Its wall time is perfbench's
+/// `storage.recover_ns_per_record`.
 #[derive(Debug, Clone, Serialize)]
 pub struct RecoveryCostRow {
     /// Logged operations since the last checkpoint.
@@ -434,11 +416,6 @@ pub struct RecoveryCostRow {
     pub wal_records_replayed: usize,
     /// Bytes read back (snapshot + WAL prefix).
     pub recovered_bytes: usize,
-    /// Cold-recovery wall time, microseconds (best of three).
-    pub recover_micros: u64,
-    /// Mean marginal cost of one logged edit (document edit + stamp + WAL
-    /// append), microseconds; `None` for the zero-ops row.
-    pub logged_edit_micros: Option<f64>,
 }
 
 /// Runs the recovery-cost grid over the given ops-since-snapshot points.
@@ -446,61 +423,17 @@ pub fn recovery_cost_grid(points: &[usize]) -> Vec<RecoveryCostRow> {
     points
         .iter()
         .map(|&ops| {
-            let (probe, edits) = crashed_store_with_ops_timed(ops);
-            let wal_bytes = probe.wal_len().expect("wal readable");
-            let mut probe = Some(probe);
-            let mut best: Option<(Duration, treedoc_replication::RecoveryReport)> = None;
-            for _ in 0..3 {
-                let store = probe.take().unwrap_or_else(|| crashed_store_with_ops(ops));
-                let t = std::time::Instant::now();
-                let (_, report) = recover_crashed_store(store);
-                let elapsed = t.elapsed();
-                if best.as_ref().is_none_or(|(b, _)| elapsed < *b) {
-                    best = Some((elapsed, report));
-                }
-            }
-            let (elapsed, report) = best.expect("three attempts ran");
+            let store = crashed_store_with_ops(ops);
+            let wal_bytes = store.wal_len().expect("wal readable");
+            let (_, report) = recover_crashed_store(store);
             RecoveryCostRow {
                 ops_since_snapshot: ops,
                 wal_bytes,
                 wal_records_replayed: report.wal_records_replayed,
                 recovered_bytes: report.bytes_recovered,
-                recover_micros: elapsed.as_micros() as u64,
-                logged_edit_micros: (ops > 0).then(|| edits.as_micros() as f64 / ops as f64),
             }
         })
         .collect()
-}
-
-/// WAL raw append throughput for a given payload size.
-#[derive(Debug, Clone, Serialize)]
-pub struct WalAppendRow {
-    /// Payload bytes per record.
-    pub payload_bytes: usize,
-    /// Records appended.
-    pub records: usize,
-    /// Appends per second against the in-memory backend.
-    pub appends_per_sec: f64,
-    /// Resulting log bytes per second.
-    pub bytes_per_sec: f64,
-}
-
-/// Measures raw [`DocStore::append`](treedoc_storage::DocStore::append)
-/// throughput (framing + CRC + backend write).
-pub fn wal_append_throughput(records: usize, payload_bytes: usize) -> WalAppendRow {
-    let mut store = treedoc_storage::DocStore::in_memory();
-    let payload = vec![0xABu8; payload_bytes];
-    let t = std::time::Instant::now();
-    for _ in 0..records {
-        store.append(0, &payload).expect("append cannot fail");
-    }
-    let secs = t.elapsed().as_secs_f64().max(1e-9);
-    WalAppendRow {
-        payload_bytes,
-        records,
-        appends_per_sec: records as f64 / secs,
-        bytes_per_sec: store.wal_len().expect("wal readable") as f64 / secs,
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -787,8 +720,7 @@ pub struct SyncCostRow {
 /// Each cell runs over its own telemetry [`Registry`]; the sync and
 /// recovery byte/message figures are read back from the registry snapshot
 /// (the `sim.*` instruments mirrored at the wire boundary) rather than the
-/// report's private counters, and every cell registry is folded into
-/// [`global_registry`] for the `--telemetry-out` dump.
+/// report's private counters.
 pub fn sync_cost_grid(sites: usize, edits_per_site: usize) -> Vec<SyncCostRow> {
     let matrix = ScenarioMatrix::sync_vs_retransmission(Scenario {
         sites,
@@ -807,7 +739,6 @@ pub fn sync_cost_grid(sites: usize, edits_per_site: usize) -> Vec<SyncCostRow> {
         .zip(registries)
         .map(|((scenario, report), registry)| {
             let snapshot = registry.snapshot();
-            global_registry().merge_from(&registry);
             let counter = |name: &str| snapshot.counter(name).unwrap_or(0);
             let recovery_bytes = if scenario.anti_entropy {
                 counter("sim.sync_bytes") as usize
@@ -833,41 +764,10 @@ pub fn sync_cost_grid(sites: usize, edits_per_site: usize) -> Vec<SyncCostRow> {
 }
 
 // ---------------------------------------------------------------------------
-// Core document speed and memory-per-char (run-coalescing trajectory)
+// Core document memory-per-char (run-coalescing trajectory)
 // ---------------------------------------------------------------------------
 
-/// One timed case of the `core_speed` benchmark: a sequential-typing or
-/// replay workload over the document core, reported as throughput.
-#[derive(Debug, Clone, Serialize)]
-pub struct CoreSpeedRow {
-    /// Case label.
-    pub case: String,
-    /// Operations (or replayed revisions) executed.
-    pub ops: usize,
-    /// Wall time, microseconds (best of `CORE_SPEED_TRIALS`).
-    pub elapsed_micros: u64,
-    /// Operations per second.
-    pub ops_per_sec: f64,
-}
-
-/// One point of the identifier-scaling curve: a sequential-typing workload
-/// at a given document size, reported as *per-op* cost so a superlinear
-/// identifier representation shows up as a rising column, not a subtly bent
-/// total.
-#[derive(Debug, Clone, Serialize)]
-pub struct ScalingRow {
-    /// Case label, `<workload>_<ops>`.
-    pub case: String,
-    /// Operations executed.
-    pub ops: usize,
-    /// Wall time, microseconds (best of `CORE_SPEED_TRIALS`).
-    pub elapsed_micros: u64,
-    /// Per-operation cost in nanoseconds — flat across sizes for an O(1)
-    /// amortised hot path.
-    pub nanos_per_op: f64,
-}
-
-/// One memory-per-char case of the `core_speed` benchmark.
+/// One memory-per-char case of the `core_memory` benchmark.
 #[derive(Debug, Clone, Serialize)]
 pub struct CoreMemoryRow {
     /// Case label.
@@ -886,32 +786,15 @@ pub struct CoreMemoryRow {
     pub height: usize,
 }
 
-/// Trials per timed case; the best run is reported (same policy as
-/// [`recovery_cost_grid`]).
-pub const CORE_SPEED_TRIALS: usize = 3;
-
-/// The process-wide telemetry registry the bench runners aggregate into:
-/// every runner that drives an instrumented subsystem folds its per-run
-/// registry in with [`Registry::merge_from`], and
-/// [`BenchArgs::emit_telemetry`] dumps the combined snapshot.
-pub fn global_registry() -> &'static Registry {
-    static GLOBAL: std::sync::OnceLock<Registry> = std::sync::OnceLock::new();
-    GLOBAL.get_or_init(Registry::new)
-}
-
 /// Parses the shared bench-binary CLI surface: `--json` switches to
-/// machine-readable stdout, `--out PATH` additionally writes that JSON to
-/// `PATH` (the committed `BENCH_*.json` baselines at the repo root), and
-/// `--telemetry-out PATH` writes the aggregated [`global_registry`]
-/// snapshot as JSON.
+/// machine-readable stdout, and `--out PATH` additionally writes that JSON to
+/// `PATH` (the committed `BENCH_*.json` baselines at the repo root).
 #[derive(Debug, Default, Clone)]
 pub struct BenchArgs {
     /// Print machine-readable JSON instead of the paper-style tables.
     pub json: bool,
     /// Baseline file to (over)write with the JSON output.
     pub out: Option<String>,
-    /// File to (over)write with the aggregated telemetry snapshot.
-    pub telemetry_out: Option<String>,
 }
 
 impl BenchArgs {
@@ -923,7 +806,6 @@ impl BenchArgs {
             match arg.as_str() {
                 "--json" => args.json = true,
                 "--out" => args.out = iter.next(),
-                "--telemetry-out" => args.telemetry_out = iter.next(),
                 _ => {}
             }
         }
@@ -931,11 +813,8 @@ impl BenchArgs {
     }
 
     /// Serialises `value`, prints it when `--json` was given and writes it to
-    /// the `--out` baseline when one was named. Also flushes the telemetry
-    /// snapshot when `--telemetry-out` was named, so every bin's output flow
-    /// carries its instrument dump.
+    /// the `--out` baseline when one was named.
     pub fn emit<T: Serialize>(&self, value: &T) -> bool {
-        self.emit_telemetry();
         if !self.json && self.out.is_none() {
             return false;
         }
@@ -948,44 +827,9 @@ impl BenchArgs {
         }
         self.json
     }
-
-    /// Writes the aggregated [`global_registry`] snapshot to the
-    /// `--telemetry-out` path, when one was named.
-    pub fn emit_telemetry(&self) {
-        if let Some(path) = &self.telemetry_out {
-            let json = global_registry().snapshot().to_json();
-            std::fs::write(path, format!("{json}\n")).expect("telemetry snapshot file writable");
-        }
-    }
 }
 
 use treedoc_core::Treedoc;
-
-fn best_of<T>(run: impl FnMut() -> T) -> (T, Duration) {
-    best_of_n(CORE_SPEED_TRIALS, run)
-}
-
-fn best_of_n<T>(trials: usize, mut run: impl FnMut() -> T) -> (T, Duration) {
-    let mut best: Option<(T, Duration)> = None;
-    for _ in 0..trials.max(1) {
-        let t = std::time::Instant::now();
-        let out = run();
-        let elapsed = t.elapsed();
-        if best.as_ref().is_none_or(|(_, b)| elapsed < *b) {
-            best = Some((out, elapsed));
-        }
-    }
-    best.expect("at least one trial ran")
-}
-
-fn speed_row(case: &str, ops: usize, elapsed: Duration) -> CoreSpeedRow {
-    CoreSpeedRow {
-        case: case.to_string(),
-        ops,
-        elapsed_micros: elapsed.as_micros() as u64,
-        ops_per_sec: ops as f64 / elapsed.as_secs_f64().max(1e-9),
-    }
-}
 
 fn memory_row<D: treedoc_core::Disambiguator + treedoc_core::HasSource>(
     case: &str,
@@ -1001,103 +845,6 @@ fn memory_row<D: treedoc_core::Disambiguator + treedoc_core::HasSource>(
         index_bytes_per_char: index_bytes as f64 / stats.live_atoms.max(1) as f64,
         paper_model_bytes: stats.total_nodes * 26,
         height: stats.height,
-    }
-}
-
-/// Runs the sequential-typing speed cases: local appends (the `crdt_ops`
-/// `append_unbalanced` shape at scale), remote replay of a one-site typing
-/// session (the `replay_512_inserts` shape at scale), and the full
-/// most-active-document trace replay (the `replay_speed` reference point).
-pub fn core_speed_cases(typing_ops: usize) -> Vec<CoreSpeedRow> {
-    let mut rows = Vec::new();
-
-    let site = treedoc_core::SiteId::from_u64(1);
-    let (_, elapsed) = best_of(|| {
-        let mut doc: Treedoc<String, treedoc_core::Sdis> = Treedoc::new(site);
-        for k in 0..typing_ops {
-            doc.local_insert(k, format!("a{k}")).expect("append");
-        }
-        doc
-    });
-    rows.push(speed_row("local_append_sdis", typing_ops, elapsed));
-
-    let (_, elapsed) = best_of(|| {
-        let mut doc: Treedoc<String, treedoc_core::Udis> = Treedoc::new(site);
-        for k in 0..typing_ops {
-            doc.local_insert(k, format!("a{k}")).expect("append");
-        }
-        doc
-    });
-    rows.push(speed_row("local_append_udis", typing_ops, elapsed));
-
-    let mut source: Treedoc<String, treedoc_core::Udis> = Treedoc::new(site);
-    let ops: Vec<_> = (0..typing_ops)
-        .map(|k| source.local_insert(k, format!("a{k}")).expect("append"))
-        .collect();
-    let (_, elapsed) = best_of(|| {
-        let mut doc: Treedoc<String, treedoc_core::Udis> =
-            Treedoc::new(treedoc_core::SiteId::from_u64(2));
-        for op in &ops {
-            doc.apply(op).expect("replay");
-        }
-        doc
-    });
-    rows.push(speed_row("remote_replay_udis", typing_ops, elapsed));
-
-    let (report, _) = best_of(replay_most_active);
-    rows.push(speed_row(
-        "replay_most_active",
-        report.inserts + report.deletes,
-        report.elapsed,
-    ));
-
-    rows
-}
-
-/// Document sizes of the identifier-scaling curve ([`core_scaling_curve`]).
-pub const SCALING_SIZES: [usize; 3] = [2_000, 20_000, 100_000];
-
-/// Runs the identifier-scaling curve: sequential typing (SDIS local appends)
-/// and remote replay (UDIS) at each of [`SCALING_SIZES`], reporting per-op
-/// nanoseconds. With owned-`Vec` identifiers every derived id cloned the
-/// whole path, so per-op cost grew linearly with document depth; the chunked
-/// shared representation must keep these columns flat.
-pub fn core_scaling_curve() -> Vec<ScalingRow> {
-    let site = treedoc_core::SiteId::from_u64(1);
-    let mut rows = Vec::new();
-    for &n in &SCALING_SIZES {
-        let (_, elapsed) = best_of(|| {
-            let mut doc: Treedoc<String, treedoc_core::Sdis> = Treedoc::new(site);
-            for k in 0..n {
-                doc.local_insert(k, format!("a{k}")).expect("append");
-            }
-            doc
-        });
-        rows.push(scaling_row("local_append_sdis", n, elapsed));
-
-        let mut source: Treedoc<String, treedoc_core::Udis> = Treedoc::new(site);
-        let ops: Vec<_> = (0..n)
-            .map(|k| source.local_insert(k, format!("a{k}")).expect("append"))
-            .collect();
-        let (_, elapsed) = best_of(|| {
-            let mut doc: Treedoc<String, treedoc_core::Udis> =
-                Treedoc::new(treedoc_core::SiteId::from_u64(2));
-            for op in &ops {
-                doc.apply(op).expect("replay");
-            }
-            doc
-        });
-        rows.push(scaling_row("remote_replay_udis", n, elapsed));
-    }
-    rows
-}
-
-fn scaling_row(workload: &str, ops: usize, elapsed: Duration) -> ScalingRow {
-    ScalingRow {
-        case: format!("{workload}_{ops}"),
-        ops,
-        elapsed_micros: elapsed.as_micros() as u64,
-        nanos_per_op: elapsed.as_nanos() as f64 / ops.max(1) as f64,
     }
 }
 
@@ -1186,7 +933,16 @@ pub fn telemetry_overhead_cases(ops: usize) -> Vec<OverheadRow> {
         }
     }
     let [baseline, disabled, enabled] = best;
-    global_registry().merge_from(&registry);
+    // The enabled variant must actually have been observed, or the numbers
+    // measured nothing.
+    let stamped = registry
+        .snapshot()
+        .counter("replica.ops_stamped")
+        .unwrap_or(0);
+    assert!(
+        stamped >= ops as u64,
+        "enabled trials recorded {stamped} stamps, expected at least {ops}"
+    );
 
     let row = |case: &str, elapsed: Duration| OverheadRow {
         case: case.to_string(),
@@ -1218,10 +974,6 @@ pub struct HostingRow {
     pub hosted_docs: usize,
     /// Operations served.
     pub ops: u64,
-    /// Median op service latency, µs.
-    pub op_p50_micros: u64,
-    /// 99th-percentile op service latency, µs (cold fault-ins live here).
-    pub op_p99_micros: u64,
     /// In-memory index bytes of the resident set at the end of the run.
     pub resident_bytes: u64,
     /// Cold evictions performed.
@@ -1230,20 +982,11 @@ pub struct HostingRow {
     pub fault_ins: u64,
     /// Backend segment appends (group commit: ~shards × commits, not ~ops).
     pub segment_appends: u64,
-    /// Post-crash restart (shard scan + rediscovery), µs.
-    pub restart_micros: u64,
-    /// Post-crash working-set refill (`max_resident` fault-ins), µs.
-    pub refill_micros: u64,
 }
 
 /// Runs the hosting workload once per resident-set size over a fixed
-/// document population and session schedule.
-///
-/// Each sweep point runs over its own telemetry [`Registry`] (the latency
-/// percentiles in the report come from the node's `node.op_micros`
-/// histogram); the op count is read back from the registry snapshot and the
-/// registry is folded into [`global_registry`] for the `--telemetry-out`
-/// dump.
+/// document population and session schedule. The node's op latencies and
+/// restart/refill times are perfbench's `node.*` rows.
 pub fn hosting_sweep(documents: usize, sessions: usize, residents: &[usize]) -> Vec<HostingRow> {
     residents
         .iter()
@@ -1254,24 +997,17 @@ pub fn hosting_sweep(documents: usize, sessions: usize, residents: &[usize]) -> 
                 max_resident,
                 ..HostingScenario::default()
             };
-            let registry = Registry::new();
-            let report = run_hosting_with(&scenario, &registry.handle());
-            let snapshot = registry.snapshot();
-            global_registry().merge_from(&registry);
+            let report = run_hosting(&scenario);
             HostingRow {
                 case: format!("resident-{max_resident}"),
                 documents,
                 max_resident,
                 hosted_docs: report.hosted_docs,
-                ops: snapshot.counter("node.ops").unwrap_or(0),
-                op_p50_micros: report.op_p50_micros,
-                op_p99_micros: report.op_p99_micros,
+                ops: report.ops_applied,
                 resident_bytes: report.resident_bytes,
                 evictions: report.evictions,
                 fault_ins: report.fault_ins,
                 segment_appends: report.segment_appends,
-                restart_micros: report.restart_micros,
-                refill_micros: report.refill_micros,
             }
         })
         .collect()
@@ -1317,11 +1053,21 @@ mod tests {
     }
 
     #[test]
-    fn wal_append_throughput_is_positive() {
-        let row = wal_append_throughput(100, 64);
-        assert!(row.appends_per_sec > 0.0);
-        assert!(row.bytes_per_sec > 0.0);
-        assert_eq!(row.records, 100);
+    fn baseline_rows_serialize_identically_on_every_run() {
+        // The committed baselines are gated byte for byte, so a runner must
+        // not depend on clocks, iteration order of hashed containers, or any
+        // other per-process state.
+        fn json<T: Serialize>(rows: &T) -> String {
+            serde_json::to_string(rows).expect("serializable rows")
+        }
+        assert_eq!(
+            json(&recovery_cost_grid(&[0, 50])),
+            json(&recovery_cost_grid(&[0, 50]))
+        );
+        assert_eq!(
+            json(&hosting_sweep(120, 40, &[4, 16])),
+            json(&hosting_sweep(120, 40, &[4, 16]))
+        );
     }
 
     #[test]

@@ -218,7 +218,7 @@ impl<A: Atom, D: Disambiguator + HasSource> Treedoc<A, D> {
 
     /// Estimated heap footprint of the identifier index (run patterns, cell
     /// vectors, live bitmaps and tree nodes) — the measured memory-per-char
-    /// numerator tracked by the `core_speed` benchmark.
+    /// numerator tracked by the `core_memory` benchmark.
     pub fn index_bytes(&self) -> usize {
         self.store.index_bytes()
     }

@@ -263,10 +263,11 @@ pub trait FlattenDocument: ReplicatedDocument {
     /// revision.
     ///
     /// Note that revisions are **local bookkeeping** (operation delivery
-    /// never advances them, sync integration does), so in distributed runs
-    /// this guard mostly rejects missing subtrees — the concurrency veto is the
-    /// clock-equality test on [`Replica`]. The revision check matters when
-    /// the embedding application drives [`Treedoc::next_revision`] itself.
+    /// never advances them, sync integration does), so a participant asks
+    /// this with its *own* [`base_revision`](Self::base_revision) in place
+    /// of the proposer's: in distributed runs the guard rejects missing
+    /// subtrees, and the concurrency veto is the clock-equality test on
+    /// [`Replica`].
     fn flatten_vote(&self, proposal: &FlattenProposal) -> Vote;
     /// Applies a committed flatten (deterministic, so every committing
     /// replica produces the same structure).
@@ -1878,7 +1879,13 @@ impl<Doc: FlattenDocument> Replica<Doc> {
             // proposer saw that we have not): edits take precedence.
             Vote::No
         } else {
-            self.doc.flatten_vote(&propose.proposal)
+            // Revisions are local (sync integration advances them), so the
+            // region is judged against this replica's own revision, not the
+            // proposer's; clock equality above is the concurrency veto.
+            self.doc.flatten_vote(&FlattenProposal {
+                base_revision: self.doc.base_revision(),
+                ..propose.proposal.clone()
+            })
         };
         if vote == Vote::Yes {
             self.flatten.prepared = Some(PreparedFlatten {
@@ -2082,13 +2089,13 @@ where
             replaying: true,
             chain: WalChain::new(),
         });
-        // Decoded through the journal's own chain, which ends at the log's
-        // last op entry: the records journaled next continue it.
+        // Replay journals nothing, so the chain is decoded locally and handed
+        // to the journal afterwards: it ends at the log's last op entry, and
+        // the records journaled next continue it.
+        let mut chain = WalChain::new();
         let mut replayed = 0usize;
         for entry in &recovered.wal {
-            let journal = replica.journal.as_mut().expect("attached above");
-            let record = journal
-                .chain
+            let record = chain
                 .decode(&entry.payload)
                 .map_err(|e| RecoverError::Parse(format!("WAL record: {e}")))?;
             replica.replay_record(record);
@@ -2096,6 +2103,7 @@ where
         }
         if let Some(journal) = replica.journal.as_mut() {
             journal.replaying = false;
+            journal.chain = chain;
         }
         let report = RecoveryReport {
             snapshot_hit: recovered.stats.snapshot_hit,

@@ -5,26 +5,22 @@
 //! of the traffic while a long tail sits cold. The scenario samples each
 //! session's document from a Zipf(s) distribution, so the node's LRU
 //! resident set keeps the hot head warm while the tail lives as snapshots,
-//! and measures the three figures the node exists to control:
+//! and counts what the node exists to control:
 //!
-//! * **operation latency** (p50/p99, µs) — the tail shows the fault-in cost
-//!   a cold document pays on first touch;
 //! * **resident memory vs hosted documents** — index bytes actually held in
 //!   memory against the document population;
-//! * **node-wide crash recovery time vs resident-set size** — after a crash
-//!   at the commit boundary, how long a restarted node takes to rediscover
-//!   every document and fault the working set back in.
+//! * **evictions, fault-ins and group-commit segment appends**;
+//! * **node-wide crash recovery** — after a crash at the commit boundary, a
+//!   restarted node rediscovers every document and faults each back in.
 //!
-//! Edits and document choices are seeded and deterministic; only the
-//! wall-clock measurements vary between runs.
-
-use std::time::Instant;
+//! Edits and document choices are seeded, so a report is a pure function of
+//! its scenario. The node's op latencies and restart/refill times are
+//! measured end to end by perfbench's `hosting` workload.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use treedoc_node::{DocId, HostingNode, NodeConfig};
-use treedoc_telemetry::{Registry, Telemetry};
 
 /// Parameters of a hosting run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -75,11 +71,6 @@ pub struct HostingReport {
     pub sessions: u64,
     /// Operations applied.
     pub ops_applied: u64,
-    /// Median per-operation service latency, µs.
-    pub op_p50_micros: u64,
-    /// 99th-percentile per-operation service latency, µs (dominated by
-    /// fault-ins of cold documents).
-    pub op_p99_micros: u64,
     /// In-memory index bytes held by resident documents at the end.
     pub resident_bytes: u64,
     /// Cold evictions performed.
@@ -90,12 +81,6 @@ pub struct HostingReport {
     pub segment_appends: u64,
     /// Node-wide commits.
     pub commits: u64,
-    /// Wall-clock of the post-crash restart: shard scan + rediscovery of
-    /// every document, µs.
-    pub restart_micros: u64,
-    /// Wall-clock to fault the configured working set (`max_resident`
-    /// documents, hottest first) back in after the restart, µs.
-    pub refill_micros: u64,
     /// Documents verified intact after recovery (digest readable).
     pub recovered_docs: u64,
 }
@@ -134,33 +119,13 @@ impl Zipf {
 }
 
 /// Runs the scenario and reports the figures (see the module docs).
-///
-/// Latency percentiles come from the node's `node.op_micros` telemetry
-/// histogram; when the caller has no registry, the run opens a private one so
-/// the report is identical either way.
 pub fn run_hosting(scenario: &HostingScenario) -> HostingReport {
-    run_hosting_with(scenario, &Telemetry::disabled())
-}
-
-/// [`run_hosting`] with an explicit telemetry handle, so bench bins can
-/// aggregate the node's instruments across runs.
-pub fn run_hosting_with(scenario: &HostingScenario, telemetry: &Telemetry) -> HostingReport {
-    // The report's p50/p99 are read back from the `node.op_micros`
-    // histogram, so the run always needs a live registry: fall back to a
-    // private one when the caller's handle is inert.
-    let fallback = Registry::new();
-    let telemetry = if telemetry.is_enabled() {
-        telemetry.clone()
-    } else {
-        fallback.handle()
-    };
     let config = NodeConfig {
         shards: scenario.shards.max(1),
         max_resident: scenario.max_resident.max(1),
         site: 1,
     };
     let mut node = HostingNode::new(config);
-    node.set_telemetry(&telemetry);
     let zipf = Zipf::new(scenario.documents.max(1), scenario.zipf_s);
     let mut rng = StdRng::seed_from_u64(scenario.seed);
 
@@ -193,35 +158,17 @@ pub fn run_hosting_with(scenario: &HostingScenario, telemetry: &Telemetry) -> Ho
     let resident_bytes = node.resident_bytes() as u64;
     let segment_appends = node.segment_appends();
 
-    // Crash at the durability boundary, then measure the restart.
+    // Crash at the durability boundary, restart, and fault every hosted
+    // document back in.
     let hosted: Vec<DocId> = node.hosted();
     let backends = node.backends();
     drop(node);
-    let restart_start = Instant::now();
     let mut node = HostingNode::restart(config, backends).expect("restart over intact shards");
-    let restart_micros = restart_start.elapsed().as_micros() as u64;
-    node.set_telemetry(&telemetry);
-
-    // Refill the working set: touch the hottest documents (low ids are the
-    // hot Zipf head) up to the resident capacity, then verify the rest is
-    // still reachable.
-    let refill_start = Instant::now();
     let mut recovered_docs = 0u64;
-    for &doc in hosted.iter().take(config.max_resident) {
+    for &doc in &hosted {
         node.digest(doc).expect("fault-in after crash");
         recovered_docs += 1;
     }
-    let refill_micros = refill_start.elapsed().as_micros() as u64;
-    for &doc in hosted.iter().skip(config.max_resident) {
-        node.digest(doc).expect("tail document recovers too");
-        recovered_docs += 1;
-    }
-
-    let snapshot = telemetry
-        .registry()
-        .expect("run always holds a registry")
-        .snapshot();
-    let op_micros = snapshot.histogram("node.op_micros");
 
     HostingReport {
         hosted_docs,
@@ -229,15 +176,11 @@ pub fn run_hosting_with(scenario: &HostingScenario, telemetry: &Telemetry) -> Ho
         max_resident: config.max_resident,
         sessions: scenario.sessions as u64,
         ops_applied: stats.ops_applied,
-        op_p50_micros: op_micros.map(|h| h.p50).unwrap_or(0),
-        op_p99_micros: op_micros.map(|h| h.p99).unwrap_or(0),
         resident_bytes,
         evictions: stats.evictions,
         fault_ins: stats.fault_ins,
         segment_appends,
         commits: stats.commits,
-        restart_micros,
-        refill_micros,
         recovered_docs,
     }
 }

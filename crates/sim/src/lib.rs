@@ -38,9 +38,9 @@
 //!
 //! The [`hosting`] module leaves the single-document world: it drives
 //! Zipf-popularity user sessions over thousands of documents on one
-//! [`HostingNode`](treedoc_node::HostingNode), measuring op latency
-//! percentiles, resident memory against the hosted population, and
-//! node-wide crash recovery time against the resident-set size.
+//! [`HostingNode`](treedoc_node::HostingNode), counting resident memory
+//! against the hosted population, evictions, fault-ins and group-commit
+//! appends, and checking node-wide crash recovery.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,7 +51,7 @@ pub mod recovery;
 pub mod scenario;
 
 pub use commitment::{partitioned_commit_demo, PartitionedCommitReport};
-pub use hosting::{run_hosting, run_hosting_with, HostingReport, HostingScenario, Zipf};
+pub use hosting::{run_hosting, HostingReport, HostingScenario, Zipf};
 pub use recovery::{crash_recovery_demo, CrashRecoveryReport};
 pub use scenario::{
     run, run_with, CrashSchedule, OfflineWindow, Scenario, ScenarioMatrix, SimReport,

@@ -8,11 +8,21 @@
 //! persistent CRDT stores (a key-value blob interface is the least a
 //! database, an object store or a plain directory can all offer).
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io::Write;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use treedoc_telemetry::{Histogram, Telemetry};
 
@@ -173,43 +183,44 @@ impl SharedBackend {
 
     /// How often (and how heavily) the inner backend was hit so far.
     pub fn stats(&self) -> SharedStats {
-        *self.stats.lock().expect("backend stats lock")
+        *lock(&self.stats)
     }
+}
+
+/// Poison-tolerant: a panic on another thread mid-call (a panicking backend,
+/// allocation failure) leaves the blob map and the counters usable, so it is
+/// no reason to take every store sharing the backend down with it.
+fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl StorageBackend for SharedBackend {
     fn read(&self, name: &str) -> Result<Option<Vec<u8>>, StorageError> {
-        self.inner.lock().expect("backend lock").read(name)
+        lock(&self.inner).read(name)
     }
 
     fn write(&mut self, name: &str, bytes: &[u8]) -> Result<(), StorageError> {
-        self.inner
-            .lock()
-            .expect("backend lock")
-            .write(name, bytes)?;
-        let mut stats = self.stats.lock().expect("backend stats lock");
+        lock(&self.inner).write(name, bytes)?;
+        let mut stats = lock(&self.stats);
         stats.writes += 1;
         stats.bytes += bytes.len() as u64;
         Ok(())
     }
 
     fn append(&mut self, name: &str, bytes: &[u8]) -> Result<(), StorageError> {
-        self.inner
-            .lock()
-            .expect("backend lock")
-            .append(name, bytes)?;
-        let mut stats = self.stats.lock().expect("backend stats lock");
+        lock(&self.inner).append(name, bytes)?;
+        let mut stats = lock(&self.stats);
         stats.appends += 1;
         stats.bytes += bytes.len() as u64;
         Ok(())
     }
 
     fn remove(&mut self, name: &str) -> Result<(), StorageError> {
-        self.inner.lock().expect("backend lock").remove(name)
+        lock(&self.inner).remove(name)
     }
 
     fn list(&self) -> Result<Vec<String>, StorageError> {
-        self.inner.lock().expect("backend lock").list()
+        lock(&self.inner).list()
     }
 }
 

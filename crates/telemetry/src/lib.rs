@@ -718,8 +718,7 @@ pub struct HistogramSnapshot {
 }
 
 /// A point-in-time copy of a whole [`Registry`], name-ordered and
-/// serialisable — what `--telemetry-out` writes and what reports read their
-/// numbers from.
+/// serialisable — what reports read their numbers from.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RegistrySnapshot {
     /// Every counter, ordered by name.

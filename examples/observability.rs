@@ -95,8 +95,8 @@ fn main() {
     }
     println!();
 
-    // The whole snapshot serialises to JSON — this is what bench bins write
-    // with `--telemetry-out` and what CI uploads as an artifact.
+    // The whole snapshot serialises to JSON, for reports that read their
+    // numbers from a finished run.
     println!(
         "snapshot JSON is {} bytes; first 120: {}…",
         snapshot.to_json().len(),

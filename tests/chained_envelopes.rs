@@ -368,13 +368,16 @@ impl Run {
     }
 
     /// A whole-document flatten, committed by all. The proposer is the site
-    /// whose document revision is highest: revisions are local bookkeeping
-    /// (sync integration advances them too), and a participant whose tree
-    /// is newer than the proposal's base revision votes No.
+    /// whose document revision is *lowest*: revisions are local bookkeeping
+    /// (sync integration advances them), so a settled participant with a
+    /// newer revision must still vote Yes.
     fn flatten(&mut self) {
         let proposer = (0..SITES)
-            .max_by_key(|&i| self.replicas[i].doc().inner.revision())
+            .min_by_key(|&i| self.replicas[i].doc().inner.revision())
             .unwrap();
+        let revisions: Vec<u64> = (0..SITES)
+            .map(|i| self.replicas[i].doc().inner.revision())
+            .collect();
         let propose = self.replicas[proposer]
             .propose_flatten(Vec::new(), CommitProtocol::TwoPhase)
             .expect("a settled coordinator votes Yes");
@@ -394,7 +397,11 @@ impl Run {
                 }
             }
         }
-        assert_eq!(coordinator.outcome(), Some(CommitOutcome::Committed));
+        assert_eq!(
+            coordinator.outcome(),
+            Some(CommitOutcome::Committed),
+            "proposer {proposer}, revisions {revisions:?}"
+        );
         self.replicas[proposer].finish_flatten(txn, true);
         assert!(self.replicas.iter().all(|r| r.flatten_epoch() == 1));
     }
