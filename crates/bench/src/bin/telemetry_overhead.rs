@@ -1,8 +1,9 @@
 //! The observability layer's own cost: the sequential-typing `Replica`
 //! stamp workload timed with telemetry absent, disabled (inert handle), and
-//! enabled (live registry). The acceptance bound this bin checks is that an
-//! enabled registry costs less than 5% on the hot path and a disabled
-//! handle is indistinguishable from no telemetry at all. The results are
+//! enabled (live registry), trials interleaved round by round. The
+//! acceptance bound this bin checks is that an enabled registry costs less
+//! than 5% on the hot path and a disabled handle is indistinguishable from
+//! no telemetry at all. The results are
 //! printed (and written to `--out`) first; a run over either bound then
 //! exits with status 1. Being a timing, it has no committed baseline; CI
 //! runs it in a non-blocking job of its own.
@@ -10,13 +11,13 @@
 //! Run with `cargo run -p bench --bin telemetry_overhead --release`
 //! (add `--json` for machine-readable output, `--out PATH` to keep it).
 
-use bench::{telemetry_overhead_cases, BenchArgs, OverheadRow, OVERHEAD_TRIALS};
+use bench::{telemetry_overhead_cases, BenchArgs, OverheadRow, OVERHEAD_SESSIONS, OVERHEAD_TRIALS};
 use serde::Serialize;
 
-/// Stamped operations per trial (override: `TELEMETRY_OVERHEAD_OPS`).
+/// Stamped operations per session (override: `TELEMETRY_OVERHEAD_OPS`).
 const OPS: usize = 4_000;
 
-/// Noise headroom on the disabled variant: best-of minimums still jitter a
+/// Noise headroom on the disabled variant: per-round medians still jitter a
 /// little on shared runners, so "indistinguishable" is asserted as <4%.
 const DISABLED_BOUND_PCT: f64 = 4.0;
 /// The acceptance bound on the enabled variant.
@@ -25,6 +26,7 @@ const ENABLED_BOUND_PCT: f64 = 5.0;
 #[derive(Serialize)]
 struct Output {
     ops: usize,
+    sessions: usize,
     trials: usize,
     overhead: Vec<OverheadRow>,
 }
@@ -50,6 +52,7 @@ fn main() {
     // numbers behind for whoever has to explain them.
     let out = Output {
         ops,
+        sessions: OVERHEAD_SESSIONS,
         trials: OVERHEAD_TRIALS,
         overhead,
     };
@@ -78,7 +81,11 @@ fn main() {
 }
 
 fn print_table(ops: usize, overhead: &[OverheadRow]) {
-    println!("Telemetry overhead ({ops} stamped ops, best of {OVERHEAD_TRIALS} trials):");
+    println!(
+        "Telemetry overhead ({OVERHEAD_SESSIONS} sessions of {ops} stamped ops per trial, \
+         {OVERHEAD_TRIALS} rounds; elapsed = best trial, overhead = median slowdown \
+         against the same round's baseline):"
+    );
     println!(
         "{:>10} {:>12} {:>14} {:>10}",
         "case", "elapsed µs", "ops/sec", "overhead"

@@ -19,6 +19,18 @@
 //! [`PosId::is_ancestor_of`]; see that method's documentation for why the
 //! paper's own running example requires it.
 //!
+//! Which pair a gap hands to [`new_pos_id`] is the caller's choice: any
+//! adjacent pair inside the gap between two live atoms gives an identifier
+//! between them. [`Treedoc`](crate::Treedoc) takes the gap's left end,
+//! `(live atom, next slot)`, except after a backspace. When the next slot
+//! is a dead cell (SDIS tombstone or UDIS ghost) on the live atom's spine,
+//! it tries `(dead cell, slot after it)` and keeps the result when it is
+//! the right child of the dead cell's major node: the dead cell's spine
+//! successor, so a typing run goes on past the tombstone instead of
+//! forking under it. That pair is still adjacent in the full tree, which is
+//! the precondition above and all that SDIS reuse (§3.3.2) needs: the new
+//! identifier is strictly between two stored slots, so it is none of them.
+//!
 //! The module also provides the §4.1 balancing strategies:
 //!
 //! * [`balanced_append`] — when repeatedly appending at the end of the

@@ -25,7 +25,7 @@ use crate::error::{Error, Result};
 use crate::flatten::FlattenOutcome;
 use crate::ops::Op;
 use crate::path::{PosId, Side};
-use crate::run::RunTree;
+use crate::run::{spine_step, RunTree};
 use crate::site::SiteId;
 use crate::stats::DocStats;
 
@@ -305,7 +305,7 @@ impl<A: Atom, D: Disambiguator + HasSource> Treedoc<A, D> {
         if index > len {
             return Err(Error::IndexOutOfBounds { index, len });
         }
-        let id = self.allocate_id(index, len)?;
+        let id = self.allocate_id(index)?;
         self.store.insert(&id, atom.clone(), self.revision)?;
         Ok(Op::Insert { id, atom })
     }
@@ -329,7 +329,8 @@ impl<A: Atom, D: Disambiguator + HasSource> Treedoc<A, D> {
             }
             return Ok(ops);
         }
-        let (before, after) = self.neighbours(index, len);
+        let (before, after) = self.neighbours(index);
+        let after = after.map(|(id, _)| id);
         let ids = batch_subtree_ids(
             Neighbours::new(before.as_ref(), after.as_ref()),
             atoms.len(),
@@ -376,10 +377,11 @@ impl<A: Atom, D: Disambiguator + HasSource> Treedoc<A, D> {
     /// An identifier decoded from bytes shares no chunk with the stored
     /// ones. When the identifier applied last has a long chain and the new
     /// one hangs off its path (a backspace, or a run of them) or is a child
-    /// of its major node (the next keystroke of a typing run, or the first
-    /// after a backspace), the new one is re-linked onto that chain first
-    /// ([`PosId::relink_onto`]), so the store's comparisons against it skip
-    /// the shared prefix.
+    /// of its major node (the next keystroke of a typing run; the first
+    /// after a backspace, which continues the run past the tombstone; or
+    /// the first after two, which forks under the first tombstone), the new
+    /// one is re-linked onto that chain first ([`PosId::relink_onto`]), so
+    /// the store's comparisons against it skip the shared prefix.
     pub fn apply(&mut self, op: &Op<A, D>) -> Result<()> {
         let id = op.id();
         let id = id
@@ -446,31 +448,65 @@ impl<A: Atom, D: Disambiguator + HasSource> Treedoc<A, D> {
     // Identifier allocation
     // ------------------------------------------------------------------
 
-    /// The full-tree neighbours of the insertion gap at `index`.
-    fn neighbours(&self, index: usize, _len: usize) -> (Option<PosId<D>>, Option<PosId<D>>) {
+    /// The full-tree neighbours of the insertion gap at `index` — the live
+    /// atom before it and the first stored slot after that atom — with
+    /// whether that slot holds a live atom, read in the same descent. The
+    /// first slot of the document is reported live: no allocation looks past
+    /// it.
+    fn neighbours(&self, index: usize) -> (Option<PosId<D>>, Option<Slot<D>>) {
         if index == 0 {
-            (None, self.store.first_slot())
+            (None, self.store.first_slot().map(|id| (id, true)))
         } else {
             let before = self
                 .store
                 .id_of_live_index(index - 1)
                 .expect("index validated by caller");
-            let after = self.store.successor_slot(&before);
+            let after = self.store.successor_cell(&before);
             (Some(before), after)
         }
     }
 
-    fn allocate_id(&mut self, index: usize, len: usize) -> Result<PosId<D>> {
-        let (before, after) = self.neighbours(index, len);
-        // Balanced append (§4.1): when appending past the last occupied slot,
-        // reuse a slot reserved by the last grown subtree, or grow a new one.
-        if self.config.balancing && after.is_none() {
-            if let Some(before) = before.as_ref() {
-                if let Some(id) = self.reserved_or_grown_append(before) {
+    /// Allocates the identifier of an atom inserted at `index`.
+    ///
+    /// Algorithm 1 needs only *some* adjacent pair `p < f` inside the gap.
+    /// The pair is the gap's left end, `(live atom, next slot)`, except
+    /// after a backspace: when the next slot is a dead cell (an SDIS
+    /// tombstone or a UDIS ghost) that is the live atom's spine successor,
+    /// the pair `(dead cell, slot after it)` is tried first. That pair is
+    /// adjacent in the full tree too, so its identifier lies strictly
+    /// between two stored slots and collides with none, which is all
+    /// §3.3.2's SDIS reuse argument asks of a pair; and the dead cell holds
+    /// no atom, so the new atom lands between the same two live atoms. It
+    /// is kept when it is the right child of the dead cell's major node —
+    /// for SDIS the dead cell's spine successor, so the typing run goes on
+    /// past the tombstone instead of forking under it. Otherwise the slot
+    /// after the dead cell lies below the dead cell's major node (its spine
+    /// successor, dead too after a second backspace; the cells a UDIS ghost
+    /// shelters; a concurrent insert there), that pair would nest the atom
+    /// deeper than the left end does, and the left end is used.
+    fn allocate_id(&mut self, index: usize) -> Result<PosId<D>> {
+        let (before, after) = match self.neighbours(index) {
+            // Balanced append (§4.1): when appending past the last occupied
+            // slot, reuse a slot reserved by the last grown subtree, or grow
+            // a new one.
+            (Some(before), None) if self.config.balancing => {
+                if let Some(id) = self.reserved_or_grown_append(&before) {
                     return Ok(id);
                 }
+                (Some(before), None)
             }
-        }
+            (Some(before), Some((dead, false))) if spine_step(&before, &dead).is_some() => {
+                let dis = self.source.next_dis();
+                let next = self.store.successor_slot(&dead);
+                let id = new_pos_id(Neighbours::new(Some(&dead), next.as_ref()), dis.clone());
+                return Ok(if id.parent() == Some(dead.major_path()) {
+                    id
+                } else {
+                    new_pos_id(Neighbours::new(Some(&before), Some(&dead)), dis)
+                });
+            }
+            (before, after) => (before, after.map(|(id, _)| id)),
+        };
         Ok(new_pos_id(
             Neighbours::new(before.as_ref(), after.as_ref()),
             self.source.next_dis(),
@@ -504,6 +540,9 @@ impl<A: Atom, D: Disambiguator + HasSource> Treedoc<A, D> {
     }
 }
 
+/// A stored slot and whether it holds a live atom.
+type Slot<D> = (PosId<D>, bool);
+
 /// Attaches a disambiguator to a plain position, producing the identifier of
 /// the mini-node that will hold the atom.
 fn attach_dis<D: Disambiguator>(plain: &PosId<D>, dis: D) -> PosId<D> {
@@ -535,6 +574,7 @@ where
 mod tests {
     use super::*;
     use crate::disambiguator::{Sdis, Udis};
+    use crate::run::spine_successor;
 
     type SDoc = Treedoc<char, Sdis>;
     type UDoc = Treedoc<char, Udis>;
@@ -825,6 +865,50 @@ mod tests {
         assert_eq!(doc.revision(), 2);
     }
 
+    #[test]
+    fn the_keystroke_after_a_backspace_continues_past_the_tombstone() {
+        let mut doc = SDoc::new(site(1));
+        type_text(&mut doc, "abc");
+        let c = doc.id_at(2).unwrap();
+        doc.local_delete(2).unwrap();
+        let d = doc.local_insert(2, 'd').unwrap();
+        assert_eq!(Some(d.id().clone()), spine_successor(&c, Side::Right));
+        assert_eq!(doc.store().run_count(), 1);
+        // A second backspace in a row: the slot after the tombstone is its
+        // spine successor, dead too, so the next key forks under it.
+        doc.local_delete(2).unwrap();
+        doc.local_delete(1).unwrap();
+        let b = doc.id_at(0).and_then(|a| doc.store().successor_slot(&a));
+        let e = doc.local_insert(1, 'e').unwrap();
+        assert_eq!(Some(e.id().parent().unwrap()), b.map(|b| b.major_path()));
+        assert_eq!(e.id().last_side(), Some(Side::Left));
+        assert_eq!(doc.to_string(), "ae");
+    }
+
+    #[test]
+    fn a_concurrent_insert_after_the_tombstone_keeps_the_left_end() {
+        // Bob appends after 'c' before Alice deletes it: the slot after the
+        // tombstone is in the tombstone's own subtree, where Algorithm 1
+        // would nest the new atom two levels down. The gap's left end gives
+        // the left child of the tombstone's major node, one level down.
+        let mut alice = SDoc::new(site(1));
+        let mut bob = SDoc::new(site(2));
+        for op in type_text(&mut alice, "abc") {
+            bob.apply(&op).unwrap();
+        }
+        let x = bob.local_insert(3, 'x').unwrap();
+        alice.apply(&x).unwrap();
+        let c = alice.id_at(2).unwrap();
+        let del = alice.local_delete(2).unwrap();
+        let y = alice.local_insert(2, 'y').unwrap();
+        assert_eq!(y.id().parent(), Some(c.major_path()));
+        assert_eq!(y.id().last_side(), Some(Side::Left));
+        bob.apply(&del).unwrap();
+        bob.apply(&y).unwrap();
+        assert_eq!(alice.to_string(), "abyx");
+        assert_eq!(alice.merkle_digest(), bob.merkle_digest());
+    }
+
     mod properties {
         use super::*;
         use proptest::prelude::*;
@@ -863,6 +947,57 @@ mod tests {
                 }
             }
             ops
+        }
+
+        /// Plays `keys` — `(site, action, position)` — at two replicas of
+        /// `D`, each with a cursor: actions 0–5 type, 6–7 backspace, 8
+        /// moves the cursor, 9 delivers the other site's pending ops.
+        fn check_allocations<D: Disambiguator + HasSource>(
+            keys: &[(u8, u8, usize)],
+        ) -> Result<(), TestCaseError> {
+            let mut docs = [1, 2].map(|s| Treedoc::<char, D>::new(site(s)));
+            let mut cursors = [0usize; 2];
+            let mut pending: [Vec<Op<char, D>>; 2] = [Vec::new(), Vec::new()];
+            for &(who, action, pos) in keys {
+                let s = usize::from(who % 2);
+                let len = docs[s].len();
+                let cursor = cursors[s].min(len);
+                match action {
+                    0..=5 => {
+                        let before = docs[s].clone();
+                        let op = docs[s].local_insert(cursor, 'k').unwrap();
+                        let id = op.id();
+                        prop_assert!(before.store().get(id).is_none(), "{:?} is stored", id);
+                        if let Some(left) = before.id_at(cursor.wrapping_sub(1)) {
+                            prop_assert!(left < *id, "{:?} !< {:?}", left, id);
+                        }
+                        if let Some(right) = before.id_at(cursor) {
+                            prop_assert!(*id < right, "{:?} !< {:?}", id, right);
+                        }
+                        cursors[s] = cursor + 1;
+                        pending[s].push(op);
+                    }
+                    6 | 7 if cursor > 0 => {
+                        pending[s].push(docs[s].local_delete(cursor - 1).unwrap());
+                        cursors[s] = cursor - 1;
+                    }
+                    8 => cursors[s] = pos % (len + 1),
+                    _ => {
+                        for op in std::mem::take(&mut pending[1 - s]) {
+                            docs[s].apply(&op).unwrap();
+                        }
+                    }
+                }
+            }
+            for s in 0..2 {
+                for op in std::mem::take(&mut pending[1 - s]) {
+                    docs[s].apply(&op).unwrap();
+                }
+            }
+            prop_assert_eq!(docs[0].merkle_digest(), docs[1].merkle_digest());
+            prop_assert_eq!(docs[0].to_vec(), docs[1].to_vec());
+            prop_assert!(docs[0].check_invariants().is_ok());
+            Ok(())
         }
 
         proptest! {
@@ -935,6 +1070,18 @@ mod tests {
                 }
                 prop_assert_eq!(doc.to_vec(), model);
                 prop_assert!(doc.check_invariants().is_ok());
+            }
+
+            /// Cursor typing with backspaces and moves at two sites that
+            /// exchange their ops now and then: every identifier a local
+            /// insert allocates lies strictly between its live neighbours
+            /// and collides with no stored slot.
+            #[test]
+            fn allocated_ids_lie_between_their_live_neighbours(
+                keys in proptest::collection::vec((0u8..3, 0u8..10, any::<usize>()), 0..120),
+            ) {
+                check_allocations::<Sdis>(&keys)?;
+                check_allocations::<Udis>(&keys)?;
             }
 
             /// Flatten at an arbitrary point of an edit history preserves the

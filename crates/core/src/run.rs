@@ -1094,12 +1094,17 @@ impl<A: Atom, D: Disambiguator> Node<A, D> {
         }
     }
 
+    /// The subtree's first run; `None` only for an empty leaf.
+    fn first_run(&self) -> Option<&Run<A, D>> {
+        match self {
+            Node::Leaf { runs, .. } => runs.first(),
+            Node::Internal { children, .. } => children.first().and_then(|c| c.first_run()),
+        }
+    }
+
     /// Smallest identifier in the subtree; `None` only for an empty leaf.
     fn first_id(&self) -> Option<PosId<D>> {
-        match self {
-            Node::Leaf { runs, .. } => runs.first().map(|r| r.first_id()),
-            Node::Internal { children, .. } => children.first().and_then(|c| c.first_id()),
-        }
+        self.first_run().map(Run::first_id)
     }
 
     /// Largest identifier in the subtree; `None` only for an empty leaf.
@@ -1553,7 +1558,13 @@ impl<A: Atom, D: Disambiguator> RunTree<A, D> {
 
     /// Identifier of the closest stored cell strictly after `id`.
     pub fn successor_slot(&self, id: &PosId<D>) -> Option<PosId<D>> {
-        succ_rec(&self.root, id)
+        succ_rec(&self.root, id).map(|(run, j)| run.cell_id(j))
+    }
+
+    /// [`successor_slot`](Self::successor_slot) and whether that cell holds
+    /// a live atom, read in the same descent.
+    pub fn successor_cell(&self, id: &PosId<D>) -> Option<(PosId<D>, bool)> {
+        succ_rec(&self.root, id).map(|(run, j)| (run.cell_id(j), run.cells[j].is_live()))
     }
 
     /// Identifier of the closest stored cell strictly before `id`.
@@ -2017,7 +2028,11 @@ impl<A: Atom, D: Disambiguator> RunTree<A, D> {
     }
 }
 
-fn succ_rec<A: Atom, D: Disambiguator>(node: &Node<A, D>, id: &PosId<D>) -> Option<PosId<D>> {
+/// The run and cell index of the closest stored cell strictly after `id`.
+fn succ_rec<'a, A: Atom, D: Disambiguator>(
+    node: &'a Node<A, D>,
+    id: &PosId<D>,
+) -> Option<(&'a Run<A, D>, usize)> {
     match node {
         Node::Leaf { runs, .. } => {
             // The last run starting at or before `id` holds its successor,
@@ -2031,10 +2046,10 @@ fn succ_rec<A: Atom, D: Disambiguator>(node: &Node<A, D>, id: &PosId<D>) -> Opti
                         Err(j) => j,
                     };
                     debug_assert!(j < run.len());
-                    return Some(run.cell_id(j));
+                    return Some((run, j));
                 }
             }
-            runs.get(gap).map(Run::first_id)
+            runs.get(gap).map(|run| (run, 0))
         }
         Node::Internal { children, .. } => {
             if children.is_empty() {
@@ -2044,7 +2059,10 @@ fn succ_rec<A: Atom, D: Disambiguator>(node: &Node<A, D>, id: &PosId<D>) -> Opti
             if let Some(s) = succ_rec(&children[i], id) {
                 return Some(s);
             }
-            children.get(i + 1).and_then(|c| c.first_id())
+            children
+                .get(i + 1)
+                .and_then(|c| c.first_run())
+                .map(|run| (run, 0))
         }
     }
 }
@@ -2492,6 +2510,125 @@ mod tests {
             "prepend burst fragmented into {} runs",
             m.run().run_count()
         );
+    }
+
+    /// Types `keys` at the end of `m`'s document: a letter appends, `<` is
+    /// a backspace. Returns how many backspaces directly followed another.
+    fn type_at_end<D: Disambiguator + crate::disambiguator::HasSource>(
+        m: &mut Mirror<D>,
+        keys: &str,
+    ) -> usize {
+        let mut doubles = 0;
+        let mut prev = ' ';
+        for key in keys.chars() {
+            if key == '<' {
+                doubles += usize::from(prev == '<');
+                m.delete(m.doc.len() - 1);
+            } else {
+                m.insert(m.doc.len(), key);
+            }
+            prev = key;
+        }
+        doubles
+    }
+
+    /// Typing with every sixth key a single backspace.
+    fn single_backspaces(n: usize) -> String {
+        ('a'..='z')
+            .cycle()
+            .take(n)
+            .enumerate()
+            .map(|(i, c)| if i % 6 == 5 { '<' } else { c })
+            .collect()
+    }
+
+    #[test]
+    fn single_backspaces_at_the_end_keep_one_sdis_run() {
+        // The keystroke after a backspace is the tombstone's spine
+        // successor: the run goes on and the tombstone is a cleared live
+        // bit, so the height is one level per cell, as without backspaces.
+        let mut m = Mirror::<Sdis>::new(1);
+        type_at_end(&mut m, &single_backspaces(601));
+        m.assert_parity();
+        assert_eq!(m.run().run_count(), 1, "a single backspace forked the run");
+        assert_eq!(m.run().stats().tombstones, 100);
+        assert_eq!(m.run().live_len(), 401);
+        assert_eq!(m.doc.height(), m.run().node_count() + 1);
+    }
+
+    #[test]
+    fn single_backspaces_at_the_end_add_no_udis_level() {
+        // UDIS discards a deleted tip outright, so no dead cell is left to
+        // continue past: the next keystroke takes the freed slot with a
+        // fresh counter, which no spine pattern can follow. That opens one
+        // more run per backspace, on the same level: the height stays one
+        // level per stored cell.
+        let mut m = Mirror::<Udis>::new(1);
+        type_at_end(&mut m, &single_backspaces(601));
+        m.assert_parity();
+        assert_eq!(m.run().node_count(), 401, "UDIS keeps no dead cell");
+        assert_eq!(m.run().run_count(), 1 + 100);
+        assert_eq!(m.doc.height(), m.run().node_count() + 1);
+    }
+
+    #[test]
+    fn each_double_backspace_adds_at_most_two_runs() {
+        // A second backspace leaves the first tombstone's spine successor
+        // dead too, so the next keystroke forks under it as before.
+        let keys: String = single_backspaces(300) + "ab<<cd<<<ef<<gh" + &single_backspaces(120);
+        let mut sdis = Mirror::<Sdis>::new(1);
+        let doubles = type_at_end(&mut sdis, &keys);
+        sdis.assert_parity();
+        assert_eq!(doubles, 4);
+        assert!(
+            sdis.run().run_count() <= 1 + 2 * doubles,
+            "{} runs for {doubles} double backspaces",
+            sdis.run().run_count()
+        );
+        let mut udis = Mirror::<Udis>::new(1);
+        type_at_end(&mut udis, &keys);
+        udis.assert_parity();
+        assert_eq!(udis.doc.to_vec(), sdis.doc.to_vec());
+    }
+
+    /// Types 100 atoms, then, with the cursor after the 50th: a backspace,
+    /// three keys, a backspace and one more key. Returns the run count.
+    fn backspace_then_type_in_the_middle<D: Disambiguator + crate::disambiguator::HasSource>(
+    ) -> usize {
+        let mut m = Mirror::<D>::new(1);
+        let mut expect: Vec<char> = ('a'..='z').cycle().take(100).collect();
+        for (i, &c) in expect.iter().enumerate() {
+            m.insert(i, c);
+        }
+        let mut cursor = 50;
+        for key in [None, Some('X'), Some('Y'), Some('Z'), None, Some('W')] {
+            match key {
+                None => {
+                    cursor -= 1;
+                    expect.remove(cursor);
+                    m.delete(cursor);
+                }
+                Some(c) => {
+                    expect.insert(cursor, c);
+                    m.insert(cursor, c);
+                    cursor += 1;
+                }
+            }
+        }
+        m.assert_parity();
+        assert_eq!(m.doc.to_vec(), expect);
+        m.run().run_count()
+    }
+
+    #[test]
+    fn backspace_then_type_in_the_middle_of_a_run() {
+        // The run splits around the fork, and under SDIS the fork's keys,
+        // across the last backspace too, form one run. UDIS discards the
+        // fork's deleted tip, so the key after it opens one more run.
+        let sdis = backspace_then_type_in_the_middle::<Sdis>();
+        assert!(sdis <= 3, "{sdis} SDIS runs");
+        let udis = backspace_then_type_in_the_middle::<Udis>();
+        assert!(udis <= 4, "{udis} UDIS runs");
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! document with records not yet folded into its snapshot reads, besides
 //! its snapshot, only the segment its commit appended those records to.
 //! Which segments a replay picks when records spread over several is the
-//! group WAL's own unit test. The counts are the same whether the node
-//! hosts 400 documents or 800 — the deterministic form of "flat when the
-//! hosted population doubles".
+//! group WAL's own unit test. A fault-in's one listing returns only its
+//! own namespace's names. The counts and the names listed are the same
+//! whether the node hosts 400 documents or 800 — the deterministic form of
+//! "flat when the hosted population doubles".
 
 use std::sync::{Arc, Mutex};
 
@@ -22,6 +23,8 @@ use treedoc_storage::{
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 struct Calls {
     lists: u64,
+    /// Names each `list` or `list_prefix` returned, in order.
+    listed: Vec<Vec<String>>,
     /// Names read, in order.
     reads: Vec<String>,
     /// Names appended to, in order.
@@ -38,7 +41,7 @@ impl Calls {
     }
 }
 
-/// A memory backend that logs every `list`, `read` and `append`.
+/// A memory backend that logs every listing, `read` and `append`.
 #[derive(Debug)]
 struct Counting {
     inner: MemoryBackend,
@@ -61,8 +64,22 @@ impl StorageBackend for Counting {
         self.inner.remove(name)
     }
     fn list(&self) -> Result<Vec<String>, StorageError> {
-        self.calls.lock().unwrap().lists += 1;
-        self.inner.list()
+        self.logged(self.inner.list())
+    }
+    fn list_prefix(&self, prefix: &str) -> Result<Vec<String>, StorageError> {
+        self.logged(self.inner.list_prefix(prefix))
+    }
+}
+
+impl Counting {
+    fn logged(
+        &self,
+        names: Result<Vec<String>, StorageError>,
+    ) -> Result<Vec<String>, StorageError> {
+        let mut calls = self.calls.lock().unwrap();
+        calls.lists += 1;
+        calls.listed.push(names.clone()?);
+        names
     }
 }
 
@@ -78,13 +95,50 @@ struct Costs {
     eviction_lists: u64,
     /// Per fault-in: `(lists, reads)`.
     fault_ins: Vec<(u64, usize)>,
+    /// Per fault-in: the names each listing returned, in [`shape`].
+    fault_in_listed: Vec<Vec<Vec<String>>>,
     /// `(lists, reads)` of the fault-in after the restart.
     restart_fault_in: (u64, usize),
+    /// The names the restart fault-in's listings returned, in [`shape`].
+    restart_listed: Vec<Vec<String>>,
 }
 
 fn is_snapshot_of(name: &str, doc: DocId) -> bool {
     name.strip_prefix(&format!("d{doc}{NAMESPACE_SEPARATOR}"))
         .is_some_and(|rest| rest.starts_with("snap-"))
+}
+
+/// A blob name with every run of digits masked: snapshot names carry the
+/// group-WAL cursor, which grows with the population.
+fn shape(name: &str) -> String {
+    let mut out = String::new();
+    for c in name.chars() {
+        if !c.is_ascii_digit() {
+            out.push(c);
+        } else if !out.ends_with('#') {
+            out.push('#');
+        }
+    }
+    out
+}
+
+/// The names each listing of `calls` returned, in [`shape`]; panics on a
+/// name from another namespace than `doc`'s.
+fn own_names(calls: &Calls, doc: DocId) -> Vec<Vec<String>> {
+    let prefix = format!("d{doc}{NAMESPACE_SEPARATOR}");
+    calls
+        .listed
+        .iter()
+        .map(|names| {
+            names
+                .iter()
+                .map(|n| match n.strip_prefix(&prefix) {
+                    Some(rest) => shape(rest),
+                    None => panic!("a fault-in of {doc} listed {n:?}: {calls:?}"),
+                })
+                .collect()
+        })
+        .collect()
 }
 
 /// Warms a node of `population` documents, then measures.
@@ -123,6 +177,7 @@ fn measure(population: u64) -> Costs {
     // too): at most one list, one read, and that read is the document's own
     // snapshot — no group segment.
     let mut fault_ins = Vec::new();
+    let mut fault_in_listed = Vec::new();
     for doc in [0, 1, population / 2, population / 2 + 1] {
         assert!(!node.is_resident(doc));
         take();
@@ -138,6 +193,7 @@ fn measure(population: u64) -> Costs {
             "fault-in of {doc} read more than its snapshot: {fault_in:?}"
         );
         fault_ins.push((fault_in.lists, fault_in.reads.len()));
+        fault_in_listed.push(own_names(&fault_in, doc));
     }
 
     // A document folded at eviction, faulted back in and edited again: its
@@ -183,7 +239,9 @@ fn measure(population: u64) -> Costs {
     Costs {
         eviction_lists: eviction.lists,
         fault_ins,
+        fault_in_listed,
         restart_fault_in: (restart_fault_in.lists, restart_fault_in.reads.len()),
+        restart_listed: own_names(&restart_fault_in, doc),
     }
 }
 

@@ -21,6 +21,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io::Write;
+use std::ops::Bound;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -72,6 +73,14 @@ pub trait StorageBackend: fmt::Debug + Send {
     fn remove(&mut self, name: &str) -> Result<(), StorageError>;
     /// Lists all blob names, sorted.
     fn list(&self) -> Result<Vec<String>, StorageError>;
+    /// Lists the blob names that start with `prefix`, sorted. The default
+    /// filters [`list`](Self::list); a backend that keeps its names ordered
+    /// answers without visiting the others.
+    fn list_prefix(&self, prefix: &str) -> Result<Vec<String>, StorageError> {
+        let mut names = self.list()?;
+        names.retain(|n| n.starts_with(prefix));
+        Ok(names)
+    }
 }
 
 /// An in-memory backend: a plain map. Used by the tests and by the
@@ -115,6 +124,16 @@ impl StorageBackend for MemoryBackend {
 
     fn list(&self) -> Result<Vec<String>, StorageError> {
         Ok(self.blobs.keys().cloned().collect())
+    }
+
+    fn list_prefix(&self, prefix: &str) -> Result<Vec<String>, StorageError> {
+        Ok(self
+            .blobs
+            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
+            .map(|(name, _)| name)
+            .take_while(|name| name.starts_with(prefix))
+            .cloned()
+            .collect())
     }
 }
 
@@ -222,6 +241,10 @@ impl StorageBackend for SharedBackend {
     fn list(&self) -> Result<Vec<String>, StorageError> {
         lock(&self.inner).list()
     }
+
+    fn list_prefix(&self, prefix: &str) -> Result<Vec<String>, StorageError> {
+        lock(&self.inner).list_prefix(prefix)
+    }
 }
 
 /// Separator between a namespace prefix and the blob name proper. Blob names
@@ -231,7 +254,10 @@ impl StorageBackend for SharedBackend {
 pub const NAMESPACE_SEPARATOR: &str = "--";
 
 /// A per-document view of a [`SharedBackend`]: every blob name is prefixed
-/// with `<namespace>--`, and `list` shows only (and strips) this namespace.
+/// with `<namespace>--`, and `list` shows only (and strips) this namespace,
+/// fetched with the shared backend's
+/// [`list_prefix`](StorageBackend::list_prefix) so an ordered backend never
+/// visits another document's names.
 /// This is what lets one shard directory hold the stores of many documents
 /// without any document being able to read — or clobber — another's blobs.
 #[derive(Debug, Clone)]
@@ -317,7 +343,7 @@ impl StorageBackend for NamespacedBackend {
         let prefix = format!("{}{}", self.namespace, NAMESPACE_SEPARATOR);
         Ok(self
             .inner
-            .list()?
+            .list_prefix(&prefix)?
             .into_iter()
             .filter_map(|n| n.strip_prefix(&prefix).map(str::to_string))
             .collect())
@@ -638,6 +664,51 @@ mod tests {
         assert_eq!(list_namespaces(&shared).unwrap(), vec!["d2"]);
         assert_eq!(shared.stats().writes, 2);
         assert_eq!(shared.stats().appends, 1);
+    }
+
+    #[test]
+    fn memory_prefix_listing_matches_the_filtered_listing() {
+        let mut backend = MemoryBackend::new();
+        for name in [
+            "d1",
+            "d1-",
+            "d1--",
+            "d1--snap-0.img",
+            "d1--wal-0.log",
+            "d10--snap-0.img",
+            "d1.--x",
+            "d2--wal-0.log",
+            "gwal-0.log",
+        ] {
+            backend.write(name, b"x").unwrap();
+        }
+        let all = backend.list().unwrap();
+        for prefix in [
+            "",
+            "d",
+            "d1",
+            "d1--",
+            "d1--w",
+            "d10--",
+            "d3--",
+            "gwal-",
+            "z",
+            "\u{10ffff}",
+        ] {
+            let filtered: Vec<String> = all
+                .iter()
+                .filter(|n| n.starts_with(prefix))
+                .cloned()
+                .collect();
+            assert_eq!(backend.list_prefix(prefix).unwrap(), filtered, "{prefix:?}");
+        }
+        assert_eq!(
+            backend.list_prefix("d1--").unwrap(),
+            ["d1--", "d1--snap-0.img", "d1--wal-0.log"]
+        );
+        // A shared handle forwards the ordered listing.
+        let shared = SharedBackend::new(backend);
+        assert_eq!(shared.list_prefix("d2--").unwrap(), ["d2--wal-0.log"]);
     }
 
     #[test]

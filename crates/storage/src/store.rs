@@ -33,9 +33,11 @@
 //! the set of its snapshot blobs (and private segments) current itself:
 //! `append`, `checkpoint`, `recover`, `wal_entries`, `wal_len` and
 //! `snapshot_epochs` never list. On a shard shared by many documents a
-//! `list` walks every document's names, so this is what keeps faulting one
-//! document in independent of how many others the shard holds. A group-mode
-//! store has no private `wal-*` segments and never looks for any.
+//! store's backend is a [`NamespacedBackend`](crate::NamespacedBackend),
+//! whose one listing asks the shard for its own prefix only
+//! ([`StorageBackend::list_prefix`]), so faulting one document in stays
+//! independent of how many others the shard holds. A group-mode store has
+//! no private `wal-*` segments and never looks for any.
 
 #![cfg_attr(
     not(test),

@@ -230,9 +230,10 @@ fn type_keys(doc: &mut Treedoc<char, Sdis>, keys: &[bool]) -> Vec<treedoc_core::
 
 #[test]
 fn typing_with_backspaces_allocations_are_constant_per_op() {
-    // Every backspace adds a direction change, so the tip identifier gains a
-    // chunk; local edits and the remote decode → apply must still cost the
-    // same allocations per op at 4× the document size.
+    // Every double backspace forks the spine, a direction change, so the
+    // tip identifier gains a chunk; local edits and the remote decode →
+    // apply must still cost the same allocations per op at 4× the document
+    // size.
     let keys = typing_keys(10_240);
     let window = 1_024;
     let (shallow_at, deep_at) = (2_048, 8_192);
@@ -250,6 +251,18 @@ fn typing_with_backspaces_allocations_are_constant_per_op() {
     ops.extend(type_keys(&mut writer, &keys[deep_at..deep_at + window]));
     let local_deep = (allocs() - start) as f64 / window as f64;
     ops.extend(type_keys(&mut writer, &keys[deep_at + window..]));
+    // The key after a backspace continues the run past the tombstone. A
+    // backspace within two keys of the previous one (a double backspace, or
+    // one that deletes the key typed past a tombstone) leaves two dead
+    // cells in a row, and the next key forks under the first: two runs.
+    let close = (1..keys.len())
+        .filter(|&i| keys[i] && (keys[i - 1] || (i >= 2 && keys[i - 2])))
+        .count();
+    let runs = writer.store().run_count();
+    assert!(
+        runs <= 1 + 2 * close,
+        "{runs} runs for {close} backspaces within two keys of the previous one"
+    );
     assert!(
         local_deep <= local_shallow * 1.5 + 1.0,
         "local typing allocations grew with the document: {local_shallow:.2} at 2k ops \

@@ -1,8 +1,8 @@
 //! Cross-crate integration tests: CRDT convergence under causal delivery,
 //! concurrent editing, partitions, and mixed local/remote activity.
 
-use treedoc_repro::core::{Op, Sdis, SiteId, Treedoc, Udis};
-use treedoc_repro::replication::Replica;
+use treedoc_repro::core::{HasSource, Op, Sdis, SiteId, Treedoc, Udis, WireDis};
+use treedoc_repro::replication::{CausalMessage, Replica, ReplicatedDocument};
 use treedoc_repro::sim::{run, Scenario};
 
 type SDoc = Treedoc<String, Sdis>;
@@ -170,4 +170,100 @@ fn balanced_and_unbalanced_replicas_interoperate() {
         balanced.apply(op).unwrap();
     }
     assert_eq!(plain.to_vec(), balanced.to_vec());
+}
+
+/// Each round one site types a burst and every site hears it; then all
+/// three sites backspace over the burst's last atom (every fourth writer
+/// twice) and type into the gap before hearing of each other, so every
+/// keystroke lands over the same dead cell. Each site receives the others'
+/// messages in a scrambled order, held back by causal delivery.
+fn concurrent_backspaces_converge<D>(seed: u64)
+where
+    D: WireDis + HasSource,
+    Treedoc<String, D>: ReplicatedDocument<Op = Op<String, D>>,
+{
+    let mut replicas: Vec<Replica<Treedoc<String, D>>> = (1..=3)
+        .map(|n| Replica::new(site(n), Treedoc::new(site(n))))
+        .collect();
+    let mut rng = seed;
+    let mut next = |bound: usize| {
+        rng = rng
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (rng >> 33) as usize % bound
+    };
+    let mut atoms = 0;
+    let mut inbox: Vec<Vec<CausalMessage<Op<String, D>>>> = vec![Vec::new(); 3];
+    for round in 0..40 {
+        let typist = next(3);
+        let start = next(replicas[typist].doc().len() + 1);
+        let burst = 2 + next(5);
+        for k in 0..burst {
+            atoms += 1;
+            let doc = replicas[typist].doc_mut();
+            let op = doc.local_insert(start + k, format!("{typist}.{atoms}"));
+            send(&mut inbox, &mut replicas[typist], typist, op.unwrap());
+        }
+        deliver_scrambled(&mut replicas, &mut inbox, &mut next);
+        let cursor = start + burst;
+        for (w, replica) in replicas.iter_mut().enumerate() {
+            let back = 1 + usize::from((round + w) % 4 == 0);
+            for b in 1..=back {
+                let op = replica.doc_mut().local_delete(cursor - b).unwrap();
+                send(&mut inbox, replica, w, op);
+            }
+            for k in 0..1 + next(3) {
+                atoms += 1;
+                let doc = replica.doc_mut();
+                let op = doc.local_insert(cursor - back + k, format!("{w}.{atoms}"));
+                send(&mut inbox, replica, w, op.unwrap());
+            }
+        }
+        deliver_scrambled(&mut replicas, &mut inbox, &mut next);
+        let digest = replicas[0].digest();
+        for replica in &replicas {
+            assert_eq!(replica.pending(), 0, "seed {seed}, round {round}");
+            assert_eq!(replica.digest(), digest, "seed {seed}, round {round}");
+            assert_eq!(replica.doc().to_vec(), replicas[0].doc().to_vec());
+            assert_eq!(replica.replays_skipped(), 0);
+            replica.doc().check_invariants().unwrap();
+        }
+    }
+}
+
+/// Stamps `op` at `from` and queues it for every other site.
+fn send<Doc: ReplicatedDocument>(
+    inbox: &mut [Vec<CausalMessage<Doc::Op>>],
+    replica: &mut Replica<Doc>,
+    from: usize,
+    op: Doc::Op,
+) {
+    let msg = replica.stamp(op);
+    for (to, queue) in inbox.iter_mut().enumerate() {
+        if to != from {
+            queue.push(msg.clone());
+        }
+    }
+}
+
+/// Hands every queued message to its recipient, each queue shuffled.
+fn deliver_scrambled<Doc: ReplicatedDocument>(
+    replicas: &mut [Replica<Doc>],
+    inbox: &mut [Vec<CausalMessage<Doc::Op>>],
+    next: &mut impl FnMut(usize) -> usize,
+) {
+    for (to, queue) in inbox.iter_mut().enumerate() {
+        while !queue.is_empty() {
+            let msg = queue.swap_remove(next(queue.len()));
+            replicas[to].receive(msg);
+        }
+    }
+}
+
+#[test]
+fn concurrent_backspaces_over_one_dead_cell_converge() {
+    for seed in [1, 2, 3] {
+        concurrent_backspaces_converge::<Sdis>(seed);
+        concurrent_backspaces_converge::<Udis>(seed);
+    }
 }

@@ -13,8 +13,8 @@
 use proptest::prelude::*;
 use treedoc_reference::{flatten_subtree, measure, RefPosId, Tree};
 use treedoc_repro::core::{
-    cell_hash, Content, Disambiguator, FlattenOutcome, HasSource, Op, PosId, RunTree, Sdis, SiteId,
-    Treedoc, Udis, DIGEST_BASE,
+    cell_hash, spine_step, Content, Disambiguator, FlattenOutcome, HasSource, Op, PosId, RunTree,
+    Sdis, SiteId, Treedoc, Udis, DIGEST_BASE,
 };
 use treedoc_repro::replication::sync::encode_cells;
 use treedoc_repro::replication::testkit::faulty_schedule;
@@ -308,6 +308,103 @@ fn concurrent_same_gap_inserts_match_per_atom_reference() {
     assert!(ghosts > 0, "the schedule never made a UDIS ghost");
     for seed in 0..3 {
         concurrent_same_gap::<Sdis>(seed, 300);
+    }
+}
+
+/// Each round one site types a burst at a random cursor and every site
+/// hears it; then two or three sites, from the same converged document,
+/// backspace over the burst's last atom (sometimes twice) and type into the
+/// gap before hearing of each other — the same dead cell under every
+/// keystroke. Site 0 is the mirror. Returns how many keystrokes continued a
+/// spine past a deleted cell.
+fn concurrent_backspaces<D: Disambiguator + HasSource>(seed: u64, rounds: usize) -> usize {
+    let mut m = Mirror::<D>::new(1);
+    let mut peers: Vec<Treedoc<char, D>> = (2..=3).map(|s| Treedoc::new(site(s))).collect();
+    let mut rng = 0xbac5_0000 + seed;
+    let mut continued = 0;
+    let key = |rng: &mut u64| char::from(b'a' + (lcg(rng) % 26) as u8);
+    for round in 0..rounds {
+        let mut sent: Vec<Vec<Op<char, D>>> = vec![Vec::new(); 3];
+        // The burst.
+        let typist = (lcg(&mut rng) % 3) as usize;
+        let start = (lcg(&mut rng) as usize) % (m.doc.len() + 1);
+        let burst = 2 + (lcg(&mut rng) % 6) as usize;
+        for k in 0..burst {
+            let c = key(&mut rng);
+            sent[typist].push(match typist {
+                0 => m.insert(start + k, c),
+                p => peers[p - 1].local_insert(start + k, c).unwrap(),
+            });
+        }
+        exchange(&mut m, &mut peers, &mut sent);
+        // The concurrent backspaces at the burst's end.
+        let cursor = start + burst;
+        let writers = 2 + (lcg(&mut rng) % 2) as usize;
+        let first = (lcg(&mut rng) % 3) as usize;
+        for w in (0..writers).map(|w| (first + w) % 3) {
+            let back = 1 + usize::from(lcg(&mut rng) % 4 == 0);
+            let keys = 1 + (lcg(&mut rng) % 3) as usize;
+            for b in 1..=back {
+                sent[w].push(match w {
+                    0 => m.delete(cursor - b),
+                    p => peers[p - 1].local_delete(cursor - b).unwrap(),
+                });
+            }
+            let deleted = sent[w].last().unwrap().id().clone();
+            for k in 0..keys {
+                let c = key(&mut rng);
+                let op = match w {
+                    0 => m.insert(cursor - back + k, c),
+                    p => peers[p - 1].local_insert(cursor - back + k, c).unwrap(),
+                };
+                if k == 0 && spine_step(&deleted, op.id()).is_some() {
+                    continued += 1;
+                }
+                sent[w].push(op);
+            }
+        }
+        exchange(&mut m, &mut peers, &mut sent);
+        for peer in &peers {
+            assert_eq!(peer.merkle_digest(), m.doc.merkle_digest(), "round {round}");
+        }
+        if round % 17 == 0 {
+            m.assert_parity();
+        }
+    }
+    m.assert_parity();
+    continued
+}
+
+/// Delivers every op in `sent` (per sender) to every other site, sender by
+/// sender, and empties it.
+fn exchange<D: Disambiguator + HasSource>(
+    m: &mut Mirror<D>,
+    peers: &mut [Treedoc<char, D>],
+    sent: &mut [Vec<Op<char, D>>],
+) {
+    for (sender, ops) in sent.iter_mut().enumerate() {
+        for op in ops.drain(..) {
+            if sender != 0 {
+                m.doc.apply(&op).unwrap();
+                m.apply(&op);
+            }
+            for (p, peer) in peers.iter_mut().enumerate() {
+                if p + 1 != sender {
+                    peer.apply(&op).unwrap();
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn concurrent_backspaces_over_one_dead_cell_match_per_atom_reference() {
+    let continued: usize = (0..3)
+        .map(|seed| concurrent_backspaces::<Sdis>(seed, 150))
+        .sum();
+    assert!(continued > 0, "no keystroke continued past a tombstone");
+    for seed in 0..3 {
+        concurrent_backspaces::<Udis>(seed, 150);
     }
 }
 

@@ -6,8 +6,10 @@
 //! A schedule mixes typing at a cursor, bursts at random cursors, three
 //! sites inserting concurrently into the same gap (mini-nodes), deletes
 //! (SDIS tombstones, UDIS discards), local revision bumps, a flatten of the
-//! cold regions mid-stream and crashes recovered from the sites' stores.
-//! At every check, for every site:
+//! cold regions mid-stream and crashes recovered from the sites' stores. A
+//! second schedule has two or three sites backspace over the same atom and
+//! type into its gap concurrently, round after round. At every check, for
+//! every site:
 //!
 //! * the cell-stream snapshot round trip gives the same cells, run count
 //!   and merkle digest as the §5.2 disk-image round trip it replaces, and
@@ -136,6 +138,41 @@ where
             let keys = rng.gen_range(1..3);
             self.type_at_cursor(rng, site, keys);
         }
+    }
+
+    /// One site types a burst at a random cursor and every site hears it;
+    /// then two or three sites backspace over the burst's last atom
+    /// (sometimes twice) and type into the gap before hearing of each
+    /// other: the same dead cell under every keystroke.
+    fn concurrent_backspaces(&mut self, rng: &mut StdRng) {
+        self.settle();
+        let typist = rng.gen_range(0..SITES);
+        let start = rng.gen_range(0..=self.doc(typist).len());
+        let burst = rng.gen_range(2..8);
+        for k in 0..burst {
+            self.insert(typist, start + k);
+        }
+        self.settle();
+        let cursor = start + burst;
+        let first = rng.gen_range(0..SITES);
+        for site in (0..rng.gen_range(2..=SITES)).map(|w| (first + w) % SITES) {
+            let back = if rng.gen_bool(0.25) { 2 } else { 1 };
+            for b in 1..=back {
+                let op = self.replicas[site].doc_mut().local_delete(cursor - b);
+                self.broadcast(site, op.unwrap());
+            }
+            for k in 0..rng.gen_range(1..4) {
+                self.insert(site, cursor - back + k);
+            }
+        }
+    }
+
+    /// `site` inserts a fresh atom at `index`.
+    fn insert(&mut self, site: usize, index: usize) {
+        self.atoms += 1;
+        let atom = format!("{site}.{}", self.atoms);
+        let op = self.replicas[site].doc_mut().local_insert(index, atom);
+        self.broadcast(site, op.unwrap());
     }
 
     /// Site 0 types a few keys in a fresh revision, then every site
@@ -335,6 +372,44 @@ where
         sites.crash(site);
         check_snapshot(sites.doc(site));
     }
+}
+
+/// Rounds of concurrent backspaces over one dead cell, delivered in
+/// random order, with crashes; every site's snapshot is checked against
+/// the oracle, and the sites end digest-equal.
+fn backspace_schedule<D>(seed: u64)
+where
+    D: WireDis + HasSource,
+    Doc<D>: PersistentDocument + FlattenDocument + ReplicatedDocument<Op = Op<String, D>>,
+{
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut sites = Sites::<D>::new();
+    for round in 0..60 {
+        sites.concurrent_backspaces(&mut rng);
+        let n = rng.gen_range(1..12);
+        sites.deliver(&mut rng, n);
+        if round % 7 == 6 {
+            sites.crash(rng.gen_range(0..SITES));
+        }
+        if round % 10 == 9 {
+            for site in 0..SITES {
+                check_snapshot(sites.doc(site));
+            }
+        }
+    }
+    sites.settle();
+    for site in 0..SITES {
+        sites.crash(site);
+        check_snapshot(sites.doc(site));
+    }
+}
+
+#[test]
+fn concurrent_backspaces_over_one_dead_cell_snapshot_like_the_tree_oracle() {
+    for seed in [11, 12] {
+        backspace_schedule::<Sdis>(seed);
+    }
+    backspace_schedule::<Udis>(13);
 }
 
 #[test]
