@@ -715,35 +715,22 @@ pub struct SyncCostRow {
 /// Runs the loss × offline-gap × mechanism sweep
 /// ([`ScenarioMatrix::sync_vs_retransmission`]) and returns one row per
 /// cell — the experiment behind the "anti-entropy vs retransmission"
-/// EXPERIMENTS section.
-///
-/// Each cell runs over its own telemetry [`Registry`]; the sync and
-/// recovery byte/message figures are read back from the registry snapshot
-/// (the `sim.*` instruments mirrored at the wire boundary) rather than the
-/// report's private counters.
+/// EXPERIMENTS section. Every figure comes from the cell's [`SimReport`](treedoc_sim::SimReport),
+/// whose counts are the run's registry counters.
 pub fn sync_cost_grid(sites: usize, edits_per_site: usize) -> Vec<SyncCostRow> {
     let matrix = ScenarioMatrix::sync_vs_retransmission(Scenario {
         sites,
         edits_per_site,
         ..Scenario::default()
     });
-    let mut registries: Vec<Registry> = Vec::new();
-    let cells = matrix.run_with(|_| {
-        let registry = Registry::new();
-        let handle = registry.handle();
-        registries.push(registry);
-        handle
-    });
-    cells
+    matrix
+        .run()
         .into_iter()
-        .zip(registries)
-        .map(|((scenario, report), registry)| {
-            let snapshot = registry.snapshot();
-            let counter = |name: &str| snapshot.counter(name).unwrap_or(0);
+        .map(|(scenario, report)| {
             let recovery_bytes = if scenario.anti_entropy {
-                counter("sim.sync_bytes") as usize
+                report.sync_bytes
             } else {
-                (counter("sim.retransmission_bytes") + counter("sim.ack_bytes")) as usize
+                report.retransmission_bytes + report.ack_bytes
             };
             SyncCostRow {
                 drop_prob: scenario.drop_prob,
@@ -753,9 +740,9 @@ pub fn sync_cost_grid(sites: usize, edits_per_site: usize) -> Vec<SyncCostRow> {
                 network_bytes: report.network_bytes,
                 recovery_bytes,
                 recovery_bytes_per_op: recovery_bytes as f64 / report.ops_generated.max(1) as f64,
-                sync_digest_msgs: counter("sim.sync_digest_msgs"),
-                sync_run_msgs: counter("sim.sync_run_msgs"),
-                sync_cells: counter("sim.sync_cells"),
+                sync_digest_msgs: report.sync_digest_msgs,
+                sync_run_msgs: report.sync_run_msgs,
+                sync_cells: report.sync_cells,
                 retransmissions: report.retransmissions,
                 converged: report.converged,
             }
@@ -920,7 +907,7 @@ fn overhead_typing_run(ops: usize, telemetry: Option<&Telemetry>) -> u64 {
 /// stamp path: the same `ops`-operation sequential-typing session with no
 /// telemetry call at all (`baseline`), an inert handle (`disabled` — one
 /// `None` branch per instrument hit), and a live registry (`enabled` —
-/// atomic counters plus a histogram record per op). The `enabled` row's
+/// one histogram record per op). The `enabled` row's
 /// `overhead_pct` is the figure the acceptance bound (<5%) pins.
 ///
 /// Trials are interleaved round by round across the three variants so
@@ -956,8 +943,8 @@ pub fn telemetry_overhead_cases(ops: usize) -> Vec<OverheadRow> {
     // measured nothing.
     let stamped = registry
         .snapshot()
-        .counter("replica.ops_stamped")
-        .unwrap_or(0);
+        .histogram("replica.stamp_micros")
+        .map_or(0, |h| h.count);
     assert!(
         stamped >= ops as u64,
         "enabled trials recorded {stamped} stamps, expected at least {ops}"

@@ -163,8 +163,8 @@ pub enum Envelope<Op> {
 }
 
 /// The per-replica participant role of the flatten commitment protocol (see
-/// [`crate::flatten`]): voting, the prepared lock, epoch tracking and the
-/// counters the simulator reports.
+/// [`crate::flatten`]): voting, the prepared lock and epoch tracking. Its
+/// tallies are `flatten.*` counters in [`ReplicaMetrics`].
 #[derive(Debug, Default)]
 struct FlattenRole {
     /// Number of flattens committed at this replica so far; every operation
@@ -182,12 +182,6 @@ struct FlattenRole {
     decided: BTreeMap<u64, bool>,
     /// Local transaction counter for proposals initiated here.
     next_txn: u64,
-    commits: u64,
-    aborts: u64,
-    votes_cast: u64,
-    unilateral_commits: u64,
-    blocked_ticks: u64,
-    late_epoch_ops: u64,
 }
 
 /// State of a proposal this replica has voted Yes on: the replica is locked
@@ -210,12 +204,6 @@ struct FlattenImage {
     voted: Vec<(u64, Vote)>,
     decided: Vec<(u64, bool)>,
     next_txn: u64,
-    commits: u64,
-    aborts: u64,
-    votes_cast: u64,
-    unilateral_commits: u64,
-    blocked_ticks: u64,
-    late_epoch_ops: u64,
     prepared: Option<PreparedFlatten>,
 }
 
@@ -226,12 +214,6 @@ impl FlattenRole {
             voted: self.voted.iter().map(|(&t, &v)| (t, v)).collect(),
             decided: self.decided.iter().map(|(&t, &d)| (t, d)).collect(),
             next_txn: self.next_txn,
-            commits: self.commits,
-            aborts: self.aborts,
-            votes_cast: self.votes_cast,
-            unilateral_commits: self.unilateral_commits,
-            blocked_ticks: self.blocked_ticks,
-            late_epoch_ops: self.late_epoch_ops,
             prepared: self.prepared.clone(),
         }
     }
@@ -243,12 +225,6 @@ impl FlattenRole {
             voted: image.voted.into_iter().collect(),
             decided: image.decided.into_iter().collect(),
             next_txn: image.next_txn,
-            commits: image.commits,
-            aborts: image.aborts,
-            votes_cast: image.votes_cast,
-            unilateral_commits: image.unilateral_commits,
-            blocked_ticks: image.blocked_ticks,
-            late_epoch_ops: image.late_epoch_ops,
         }
     }
 }
@@ -332,7 +308,6 @@ struct Batcher<Op> {
     pending_bytes: usize,
     /// Encoded size of one batch entry given its predecessor.
     entry_bytes: fn(&BatchEntry<Op>, Option<&BatchEntry<Op>>) -> usize,
-    batches_flushed: u64,
 }
 
 impl<Op> std::fmt::Debug for Batcher<Op> {
@@ -341,7 +316,6 @@ impl<Op> std::fmt::Debug for Batcher<Op> {
             .field("policy", &self.policy)
             .field("pending", &self.pending.len())
             .field("pending_bytes", &self.pending_bytes)
-            .field("batches_flushed", &self.batches_flushed)
             .finish()
     }
 }
@@ -356,11 +330,6 @@ struct AtLeastOnce<Op> {
     /// Highest sequence number of ours each peer has cumulatively
     /// acknowledged.
     peer_acked: BTreeMap<SiteId, u64>,
-    /// Messages handed out again via [`Replica::unacked_for`].
-    retransmissions: u64,
-    /// Cap on messages per [`Replica::unacked_batch_for`] call (`None` =
-    /// whole window). See [`Replica::set_retransmit_window`].
-    window: Option<usize>,
 }
 
 impl<Op> AtLeastOnce<Op> {
@@ -373,8 +342,6 @@ impl<Op> AtLeastOnce<Op> {
                 .filter(|&p| p != site)
                 .map(|p| (p, 0))
                 .collect(),
-            retransmissions: 0,
-            window: None,
         }
     }
 
@@ -405,8 +372,6 @@ impl<Op> AtLeastOnce<Op> {
                 .map(|(&seq, (epoch, msg))| (seq, *epoch, msg.clone()))
                 .collect(),
             peer_acked: self.peer_acked.iter().map(|(&p, &a)| (p, a)).collect(),
-            retransmissions: self.retransmissions,
-            window: self.window,
         }
     }
 
@@ -418,8 +383,6 @@ impl<Op> AtLeastOnce<Op> {
                 .map(|(seq, epoch, msg)| (seq, (epoch, msg)))
                 .collect(),
             peer_acked: image.peer_acked.into_iter().collect(),
-            retransmissions: image.retransmissions,
-            window: image.window,
         }
     }
 }
@@ -430,10 +393,6 @@ struct AtLeastOnceImage<Op> {
     /// `(own sequence number, stamped epoch, message)` triples.
     send_log: Vec<(u64, u64, CausalMessage<Op>)>,
     peer_acked: Vec<(SiteId, u64)>,
-    retransmissions: u64,
-    /// Absent in images written before the window cap existed.
-    #[serde(default)]
-    window: Option<usize>,
 }
 
 /// The durable form of a whole [`Replica`] minus the document (which has its
@@ -442,8 +401,6 @@ struct AtLeastOnceImage<Op> {
 pub struct ReplicaImage<Op> {
     site: SiteId,
     buffer: CausalBufferImage<Op>,
-    ops_sent: u64,
-    ops_applied: u64,
     epoch_held: Vec<(u64, CausalMessage<Op>)>,
     at_least_once: Option<AtLeastOnceImage<Op>>,
     flatten: FlattenImage,
@@ -486,19 +443,30 @@ impl<Doc: ReplicatedDocument> std::fmt::Debug for Journal<Doc> {
 }
 
 /// Telemetry instruments of one replica: stamp/receive volume and latency,
-/// batching, the causal/epoch hold-back depth, and sync-session traffic.
-/// Inert by default; bound by [`Replica::set_telemetry`].
+/// batching, the causal/epoch hold-back depth, sync-session traffic, and
+/// every tally the replica keeps — they live here and nowhere else, so they
+/// count live events only (WAL replay runs before a recovered replica is
+/// bound) and a registry that outlives a crashed replica keeps counting
+/// across the crash. Inert by default; bound by [`Replica::set_telemetry`].
 #[derive(Debug, Clone, Default)]
 struct ReplicaMetrics {
     /// The bound handle, kept so a store attached later inherits it.
     telemetry: Telemetry,
-    ops_stamped: Counter,
     stamp_micros: Histogram,
     ops_received: Counter,
     receive_micros: Histogram,
+    ops_applied: Counter,
+    replays_skipped: Counter,
+    retransmissions: Counter,
     batches_flushed: Counter,
     batch_ops: Counter,
     holdback_depth: Gauge,
+    flatten_commits: Counter,
+    flatten_aborts: Counter,
+    flatten_votes_cast: Counter,
+    flatten_unilateral_commits: Counter,
+    flatten_blocked_ticks: Counter,
+    flatten_late_epoch_ops: Counter,
     sync_digests_rx: Counter,
     sync_runs_rx: Counter,
     sync_echo_bytes: Counter,
@@ -509,13 +477,21 @@ impl ReplicaMetrics {
     fn resolve(telemetry: &Telemetry) -> Self {
         ReplicaMetrics {
             telemetry: telemetry.clone(),
-            ops_stamped: telemetry.counter("replica.ops_stamped"),
             stamp_micros: telemetry.histogram("replica.stamp_micros"),
             ops_received: telemetry.counter("replica.ops_received"),
             receive_micros: telemetry.histogram("replica.receive_micros"),
+            ops_applied: telemetry.counter("replica.ops_applied"),
+            replays_skipped: telemetry.counter("replica.replays_skipped"),
+            retransmissions: telemetry.counter("replica.retransmissions"),
             batches_flushed: telemetry.counter("replica.batches_flushed"),
             batch_ops: telemetry.counter("replica.batch_ops"),
             holdback_depth: telemetry.gauge("replica.holdback_depth"),
+            flatten_commits: telemetry.counter("flatten.commits"),
+            flatten_aborts: telemetry.counter("flatten.aborts"),
+            flatten_votes_cast: telemetry.counter("flatten.votes_cast"),
+            flatten_unilateral_commits: telemetry.counter("flatten.unilateral_commits"),
+            flatten_blocked_ticks: telemetry.counter("flatten.blocked_ticks"),
+            flatten_late_epoch_ops: telemetry.counter("flatten.late_epoch_ops"),
             sync_digests_rx: telemetry.counter("sync.digests_rx"),
             sync_runs_rx: telemetry.counter("sync.runs_rx"),
             sync_echo_bytes: telemetry.counter("sync.echo_bytes"),
@@ -525,16 +501,35 @@ impl ReplicaMetrics {
 }
 
 /// A document plus the machinery to exchange its operations causally.
+///
+/// The replica keeps protocol state only. What it counts goes to the
+/// registry bound with [`set_telemetry`](Self::set_telemetry), one counter
+/// per tally, summed over every replica bound to the same registry:
+///
+/// | counter | counts |
+/// | --- | --- |
+/// | `replica.ops_received` | operations arriving in envelopes or [`receive`](Self::receive) |
+/// | `replica.ops_applied` | operations delivered to the document |
+/// | `replica.replays_skipped` | delivered operations the document already held (sync only) |
+/// | `replica.retransmissions` | send-log entries handed out again for a peer |
+/// | `replica.batches_flushed` / `replica.batch_ops` | batches emitted and the operations in them |
+/// | `flatten.votes_cast` | flatten votes (local proposals included) |
+/// | `flatten.commits` / `flatten.aborts` | flattens committed here / proposals seen aborted |
+/// | `flatten.unilateral_commits` | 3PC commits taken after the pre-commit timeout |
+/// | `flatten.blocked_ticks` | ticks spent locked in the prepared state |
+/// | `flatten.late_epoch_ops` | operations tagged with an older flatten epoch |
+///
+/// Stamps are the count of the `replica.stamp_micros` histogram. A
+/// recovered replica counts nothing while it replays its WAL: bind it after
+/// [`recover`](Self::recover) returns. The counts the causal buffer and
+/// the chain resolver own ([`duplicates_discarded`](Self::duplicates_discarded),
+/// [`high_water_mark`](Self::high_water_mark),
+/// [`chained_ops_dropped`](Self::chained_ops_dropped)) stay on the replica.
 #[derive(Debug)]
 pub struct Replica<Doc: ReplicatedDocument> {
     site: SiteId,
     doc: Doc,
     buffer: CausalBuffer<Doc::Op>,
-    ops_sent: u64,
-    ops_applied: u64,
-    /// Delivered ops whose effect the document already held (see
-    /// [`ReplicatedDocument::replay`]); not persisted.
-    replays_skipped: u64,
     at_least_once: Option<AtLeastOnce<Doc::Op>>,
     flatten: FlattenRole,
     /// Operations stamped in a flatten epoch this replica has not reached
@@ -577,9 +572,6 @@ impl<Doc: ReplicatedDocument> Replica<Doc> {
             site,
             doc,
             buffer: CausalBuffer::new(),
-            ops_sent: 0,
-            ops_applied: 0,
-            replays_skipped: 0,
             at_least_once: None,
             flatten: FlattenRole::default(),
             epoch_held: Vec::new(),
@@ -664,30 +656,22 @@ impl<Doc: ReplicatedDocument> Replica<Doc> {
         self.buffer.delivered_clock()
     }
 
-    /// Number of operations this replica initiated.
+    /// Number of operations this replica initiated: its own entry of its
+    /// causal clock, which every stamp advances by one (and which a
+    /// recovered replica gets back with its clock).
     pub fn ops_sent(&self) -> u64 {
-        self.ops_sent
+        self.buffer.delivered_clock().get(self.site)
     }
 
-    /// Number of remote operations applied.
-    pub fn ops_applied(&self) -> u64 {
-        self.ops_applied
-    }
-
-    /// Delivered operations the document skipped because it already held
-    /// their effect — only a sync session can put it there (see
-    /// [`ReplicatedDocument::replay`]), so without anti-entropy this stays
-    /// 0. Counted since the replica was created or recovered.
-    pub fn replays_skipped(&self) -> u64 {
-        self.replays_skipped
-    }
-
-    /// Hands a delivered operation to the document.
+    /// Hands a delivered operation to the document, counting it in
+    /// `replica.ops_applied` — and in `replica.replays_skipped` when the
+    /// document already held its effect, which only a sync session can
+    /// cause (see [`ReplicatedDocument::replay`]).
     fn deliver(&mut self, op: &Doc::Op) {
         if !self.doc.replay(op) {
-            self.replays_skipped += 1;
+            self.metrics.replays_skipped.inc();
         }
-        self.ops_applied += 1;
+        self.metrics.ops_applied.inc();
     }
 
     /// Stale or duplicate messages discarded: by the causal buffer, or as
@@ -727,13 +711,6 @@ impl<Doc: ReplicatedDocument> Replica<Doc> {
         self.at_least_once.is_some()
     }
 
-    /// Messages handed out for retransmission so far.
-    pub fn retransmissions(&self) -> u64 {
-        self.at_least_once
-            .as_ref()
-            .map_or(0, |alo| alo.retransmissions)
-    }
-
     /// `true` while some stamped message has not been acknowledged by every
     /// peer (always `false` outside at-least-once mode).
     pub fn has_unacked(&self) -> bool {
@@ -770,7 +747,7 @@ impl<Doc: ReplicatedDocument> Replica<Doc> {
     }
 
     /// Clones every logged message `peer` has not acknowledged yet, counting
-    /// them as retransmissions. Returns an empty vector outside
+    /// them in `replica.retransmissions`. Returns an empty vector outside
     /// at-least-once mode.
     ///
     /// # Panics
@@ -811,31 +788,16 @@ impl<Doc: ReplicatedDocument> Replica<Doc> {
                 msg: m.clone(),
             })
             .collect();
-        alo.retransmissions += missing.len() as u64;
+        self.metrics.retransmissions.add(missing.len() as u64);
         missing
-    }
-
-    /// Caps how many messages one [`unacked_batch_for`](Self::unacked_batch_for)
-    /// call re-ships (`None` restores the unbounded default). Without a cap,
-    /// every retransmission round re-sends a lagging peer its **entire**
-    /// unacked window — on a lossy link the same prefix crosses the wire
-    /// round after round, quadratically. With a cap, each round re-ships at
-    /// most `window` messages from the front of the window; cumulative
-    /// acknowledgements advance it, so a live peer still catches up while
-    /// the per-round cost stays bounded.
-    pub fn set_retransmit_window(&mut self, window: Option<usize>) {
-        if let Some(alo) = self.at_least_once.as_mut() {
-            alo.window = window;
-        }
     }
 
     /// Like [`unacked_envelopes_for`](Self::unacked_envelopes_for), but
     /// coalesces the peer's unacked window into a **single**
     /// [`Envelope::OpBatch`] (entries keep their stamped epochs), so a
     /// retransmission round costs one envelope instead of one per message.
-    /// A configured [`set_retransmit_window`](Self::set_retransmit_window)
-    /// caps the batch to the front of the window. Every entry still counts
-    /// as a retransmission. `None` when the peer is fully acknowledged.
+    /// Every entry still counts as a retransmission. `None` when the peer is
+    /// fully acknowledged.
     ///
     /// # Panics
     ///
@@ -851,13 +813,12 @@ impl<Doc: ReplicatedDocument> Replica<Doc> {
         let entries: Vec<(u64, CausalMessage<Doc::Op>)> = alo
             .send_log
             .range(acked + 1..)
-            .take(alo.window.unwrap_or(usize::MAX))
             .map(|(_, (epoch, m))| (*epoch, m.clone()))
             .collect();
         if entries.is_empty() {
             return None;
         }
-        alo.retransmissions += entries.len() as u64;
+        self.metrics.retransmissions.add(entries.len() as u64);
         Some(Envelope::OpBatch(OpBatch { entries }))
     }
 
@@ -866,9 +827,7 @@ impl<Doc: ReplicatedDocument> Replica<Doc> {
     /// is also retained for retransmission until every peer acknowledges it.
     pub fn stamp(&mut self, op: Doc::Op) -> CausalMessage<Doc::Op> {
         let span = self.metrics.stamp_micros.start();
-        self.metrics.ops_stamped.inc();
         let clock = self.buffer.record_local(self.site);
-        self.ops_sent += 1;
         let message = CausalMessage {
             sender: self.site,
             clock,
@@ -934,7 +893,6 @@ impl<Doc: ReplicatedDocument> Replica<Doc> {
             pending: Vec::new(),
             pending_bytes: 0,
             entry_bytes: crate::wire::batch_entry_bytes::<Doc::Op>,
-            batches_flushed: 0,
         });
     }
 
@@ -975,7 +933,6 @@ impl<Doc: ReplicatedDocument> Replica<Doc> {
             return None;
         }
         batcher.pending_bytes = 0;
-        batcher.batches_flushed += 1;
         let entries = std::mem::take(&mut batcher.pending);
         self.metrics.batches_flushed.inc();
         self.metrics.batch_ops.add(entries.len() as u64);
@@ -985,11 +942,6 @@ impl<Doc: ReplicatedDocument> Replica<Doc> {
     /// Operations buffered in the current (unflushed) batch.
     pub fn pending_batch_len(&self) -> usize {
         self.batcher.as_ref().map_or(0, |b| b.pending.len())
-    }
-
-    /// Batches emitted so far (flush-policy triggers and explicit flushes).
-    pub fn batches_flushed(&self) -> u64 {
-        self.batcher.as_ref().map_or(0, |b| b.batches_flushed)
     }
 
     /// Receives a message from the network; buffered messages that become
@@ -1245,7 +1197,7 @@ impl<Doc: ReplicatedDocument> Replica<Doc> {
             return 0;
         }
         if epoch < self.flatten.epoch {
-            self.flatten.late_epoch_ops += 1;
+            self.metrics.flatten_late_epoch_ops.inc();
         }
         self.receive_unjournaled(msg)
     }
@@ -1263,7 +1215,7 @@ impl<Doc: ReplicatedDocument> Replica<Doc> {
     }
 
     // ------------------------------------------------------------------
-    // Flatten commitment: epoch and counters (any document)
+    // Flatten commitment: epoch and lock (any document)
     // ------------------------------------------------------------------
 
     /// Number of flattens committed at this replica (the epoch every
@@ -1276,38 +1228,6 @@ impl<Doc: ReplicatedDocument> Replica<Doc> {
     /// has not arrived: the subtree is locked against local edits.
     pub fn is_flatten_prepared(&self) -> bool {
         self.flatten.prepared.is_some()
-    }
-
-    /// Flattens applied through the commitment protocol.
-    pub fn flatten_commits(&self) -> u64 {
-        self.flatten.commits
-    }
-
-    /// Proposals this replica saw aborted.
-    pub fn flatten_aborts(&self) -> u64 {
-        self.flatten.aborts
-    }
-
-    /// Votes this replica has cast (local proposals included).
-    pub fn flatten_votes_cast(&self) -> u64 {
-        self.flatten.votes_cast
-    }
-
-    /// Commits applied unilaterally by the 3PC termination rule (pre-commit
-    /// acknowledged, then the coordinator went silent past the timeout).
-    pub fn flatten_unilateral_commits(&self) -> u64 {
-        self.flatten.unilateral_commits
-    }
-
-    /// Ticks this replica spent locked in the prepared state.
-    pub fn flatten_blocked_ticks(&self) -> u64 {
-        self.flatten.blocked_ticks
-    }
-
-    /// Operations that arrived tagged with an epoch older than this
-    /// replica's (late pre-flatten traffic, discarded as duplicates).
-    pub fn late_epoch_ops(&self) -> u64 {
-        self.flatten.late_epoch_ops
     }
 
     /// Concludes the coordinator's **own** prepared state once its
@@ -1330,7 +1250,7 @@ impl<Doc: ReplicatedDocument> Replica<Doc> {
             self.commit_prepared()
         } else {
             self.flatten.prepared = None;
-            self.flatten.aborts += 1;
+            self.metrics.flatten_aborts.inc();
             self.flatten.decided.insert(txn, false);
             0
         }
@@ -1349,7 +1269,7 @@ impl<Doc: ReplicatedDocument> Replica<Doc> {
             .expect("commit_prepared requires a prepared proposal");
         self.doc.apply_flatten(&prepared.proposal);
         self.flatten.epoch += 1;
-        self.flatten.commits += 1;
+        self.metrics.flatten_commits.inc();
         self.flatten.decided.insert(prepared.txn, true);
         let applied = self.drain_epoch_held();
         // The committed epoch is the natural log-compaction point (§4.2.1):
@@ -1797,9 +1717,9 @@ impl<Doc: FlattenDocument> Replica<Doc> {
             base_revision: self.doc.base_revision(),
             txn,
         };
-        self.flatten.votes_cast += 1;
+        self.metrics.flatten_votes_cast.inc();
         if self.doc.flatten_vote(&proposal) != Vote::Yes {
-            self.flatten.aborts += 1;
+            self.metrics.flatten_aborts.inc();
             self.flatten.decided.insert(txn, false);
             return None;
         }
@@ -1828,7 +1748,7 @@ impl<Doc: FlattenDocument> Replica<Doc> {
         let Some(prepared) = self.flatten.prepared.as_mut() else {
             return 0;
         };
-        self.flatten.blocked_ticks += 1;
+        self.metrics.flatten_blocked_ticks.inc();
         prepared.ticks_waiting += 1;
         if prepared.pre_committed && prepared.ticks_waiting >= pre_commit_timeout {
             let txn = prepared.txn;
@@ -1840,7 +1760,7 @@ impl<Doc: FlattenDocument> Replica<Doc> {
                 committed: true,
                 unilateral: true,
             });
-            self.flatten.unilateral_commits += 1;
+            self.metrics.flatten_unilateral_commits.inc();
             return self.commit_prepared();
         }
         0
@@ -1896,7 +1816,7 @@ impl<Doc: FlattenDocument> Replica<Doc> {
             });
         }
         self.flatten.voted.insert(txn, vote);
-        self.flatten.votes_cast += 1;
+        self.metrics.flatten_votes_cast.inc();
         self.vote_reply(txn, vote, VoteStage::Vote)
     }
 
@@ -1946,7 +1866,7 @@ impl<Doc: FlattenDocument> Replica<Doc> {
                 if prepared_for_txn {
                     self.flatten.prepared = None;
                 }
-                self.flatten.aborts += 1;
+                self.metrics.flatten_aborts.inc();
                 self.flatten.decided.insert(txn, false);
                 (0, self.vote_reply(txn, Vote::Yes, VoteStage::AckDecision))
             }
@@ -1961,8 +1881,6 @@ impl<Doc: ReplicatedDocument> Replica<Doc> {
         ReplicaImage {
             site: self.site,
             buffer: self.buffer.export_image(),
-            ops_sent: self.ops_sent,
-            ops_applied: self.ops_applied,
             epoch_held: self.epoch_held.clone(),
             at_least_once: self.at_least_once.as_ref().map(|a| a.export_image()),
             flatten: self.flatten.export_image(),
@@ -1977,9 +1895,6 @@ impl<Doc: ReplicatedDocument> Replica<Doc> {
             site: image.site,
             doc,
             buffer: CausalBuffer::from_image(image.buffer),
-            ops_sent: image.ops_sent,
-            ops_applied: image.ops_applied,
-            replays_skipped: 0,
             at_least_once: image.at_least_once.map(AtLeastOnce::from_image),
             flatten: FlattenRole::from_image(image.flatten),
             epoch_held: image.epoch_held,
@@ -2126,7 +2041,6 @@ where
                     clock, msg.clock,
                     "WAL replay must reproduce the stamped clock"
                 );
-                self.ops_sent += 1;
                 self.doc.replay_logged_local(&msg.payload);
                 if let Some(alo) = self.at_least_once.as_mut() {
                     alo.send_log.insert(msg.seq(), (epoch, msg));
@@ -2141,14 +2055,9 @@ where
             WalRecord::Proposed { subtree, protocol } => {
                 let _ = self.propose_flatten(subtree, protocol);
             }
-            WalRecord::Finished {
-                txn,
-                committed,
-                unilateral,
-            } => {
-                if unilateral {
-                    self.flatten.unilateral_commits += 1;
-                }
+            // `unilateral` tells a live reader how the commit was reached;
+            // replay counts nothing, so it redoes both kinds alike.
+            WalRecord::Finished { txn, committed, .. } => {
                 let _ = self.finish_flatten(txn, committed);
             }
         }
@@ -2159,6 +2068,7 @@ where
 mod tests {
     use super::*;
     use treedoc_core::Sdis;
+    use treedoc_telemetry::Registry;
 
     type Doc = Treedoc<char, Sdis>;
 
@@ -2168,6 +2078,18 @@ mod tests {
 
     fn replica(n: u64) -> Replica<Doc> {
         Replica::new(site(n), Doc::new(site(n)))
+    }
+
+    /// Binds `replica` to a fresh registry, for the tests that read a tally.
+    fn metered(replica: &mut Replica<Doc>) -> Registry {
+        let registry = Registry::new();
+        replica.set_telemetry(&registry.handle());
+        registry
+    }
+
+    /// The counter `name` of `registry` (0 when never touched).
+    fn count(registry: &Registry, name: &str) -> u64 {
+        registry.snapshot().counter(name).unwrap_or(0)
     }
 
     fn typed(text: &str) -> Doc {
@@ -2227,12 +2149,14 @@ mod tests {
     fn stamp_and_receive_round_trip() {
         let mut a = replica(1);
         let mut b = replica(2);
+        let metrics = metered(&mut b);
         let op = a.doc_mut().local_insert(0, 'x').unwrap();
         let msg = a.stamp(op);
         assert_eq!(a.ops_sent(), 1);
+        assert_eq!(b.ops_sent(), 0);
         assert_eq!(b.receive(msg), 1);
         assert_eq!(b.doc().to_string(), "x");
-        assert_eq!(b.ops_applied(), 1);
+        assert_eq!(count(&metrics, "replica.ops_applied"), 1);
         assert_eq!(a.digest(), b.digest());
     }
 
@@ -2388,36 +2312,6 @@ mod tests {
     }
 
     #[test]
-    fn retransmit_window_caps_each_batch_and_still_converges() {
-        let mut a = replica(1);
-        let mut b = replica(2);
-        a.enable_at_least_once(&[site(2)]);
-        a.set_retransmit_window(Some(8));
-        let mut messages = Vec::new();
-        for i in 0..30 {
-            let op = a.doc_mut().local_insert(i, 'x').unwrap();
-            messages.push(a.stamp(op));
-        }
-        // Every original transmission was lost; retransmission rounds are
-        // capped at 8 messages each, advanced by cumulative acks.
-        let mut rounds = 0;
-        while a.has_unacked() {
-            rounds += 1;
-            assert!(rounds <= 10, "window must advance via acks");
-            if let Some(Envelope::OpBatch(batch)) = a.unacked_batch_for(site(2)) {
-                assert!(batch.len() <= 8, "cap respected, got {}", batch.len());
-                b.receive_envelope(Envelope::OpBatch(batch));
-            }
-            if let Envelope::Ack { from, clock } = b.ack_envelope() {
-                a.record_ack(from, &clock);
-            }
-        }
-        assert_eq!(rounds, 4, "30 messages in capped rounds of 8");
-        assert_eq!(a.digest(), b.digest());
-        assert_eq!(a.retransmissions(), 30, "every op re-shipped exactly once");
-    }
-
-    #[test]
     fn causally_dependent_messages_wait_for_their_predecessors() {
         let mut a = replica(1);
         let mut b = replica(2);
@@ -2469,12 +2363,13 @@ mod tests {
     fn redelivered_messages_are_applied_once() {
         let mut a = replica(1);
         let mut b = replica(2);
+        let metrics = metered(&mut b);
         let op = a.doc_mut().local_insert(0, 'x').unwrap();
         let msg = a.stamp(op);
         assert_eq!(b.receive(msg.clone()), 1);
         assert_eq!(b.receive(msg.clone()), 0, "duplicate must not re-apply");
         assert_eq!(b.receive(msg), 0);
-        assert_eq!(b.ops_applied(), 1);
+        assert_eq!(count(&metrics, "replica.ops_applied"), 1);
         assert_eq!(b.duplicates_discarded(), 2);
         assert_eq!(b.pending(), 0, "duplicates must not linger in pending");
         assert_eq!(b.doc().to_string(), "x");
@@ -2484,6 +2379,7 @@ mod tests {
     fn stamp_batched_flushes_on_the_op_count_policy() {
         let mut a = replica(1);
         let mut b = replica(2);
+        let metrics = metered(&mut a);
         a.enable_batching(BatchPolicy {
             max_ops: 3,
             max_bytes: usize::MAX,
@@ -2501,7 +2397,8 @@ mod tests {
         assert_eq!(flushed.len(), 2, "two full batches of three");
         assert_eq!(a.pending_batch_len(), 1, "one op still buffering");
         flushed.extend(a.flush_batch());
-        assert_eq!(a.batches_flushed(), 3);
+        assert_eq!(count(&metrics, "replica.batches_flushed"), 3);
+        assert_eq!(count(&metrics, "replica.batch_ops"), 7);
         assert!(a.flush_batch().is_none(), "nothing left to flush");
 
         for env in flushed {
@@ -2518,25 +2415,34 @@ mod tests {
     #[test]
     fn stamp_batched_flushes_on_the_byte_policy() {
         let mut a = replica(1);
+        let mut b = replica(2);
         a.enable_batching(BatchPolicy {
             max_ops: usize::MAX,
             max_bytes: 40,
         });
-        let mut flushes = 0;
+        let mut flushed = Vec::new();
         for k in 0..20 {
             let op = a.doc_mut().local_insert(k, 'x').unwrap();
-            if a.stamp_batched(op).is_some() {
-                flushes += 1;
-            }
+            flushed.extend(a.stamp_batched(op));
         }
         assert!(
-            flushes >= 2,
+            flushed.len() >= 2,
             "40-byte batches must flush well before 20 ops"
         );
         assert!(
             a.pending_batch_len() < 20,
             "the byte policy kept batches small"
         );
+        // The byte-split stream still delivers every op, in order.
+        flushed.extend(a.flush_batch());
+        let applied: usize = flushed
+            .into_iter()
+            .map(|env| {
+                b.receive_envelope(wire::decode_envelope(&wire::encode_envelope(&env)).unwrap())
+            })
+            .sum();
+        assert_eq!(applied, 20);
+        assert_eq!(a.digest(), b.digest());
     }
 
     #[test]
@@ -2583,6 +2489,7 @@ mod tests {
         let sites = [site(1), site(2)];
         let mut a = replica(1);
         let mut b = replica(2);
+        let metrics = metered(&mut a);
         a.enable_at_least_once(&sites);
         for k in 0..5 {
             let op = a
@@ -2592,7 +2499,7 @@ mod tests {
             let _ = a.stamp(op); // every first transmission is "lost"
         }
         let env = a.unacked_batch_for(site(2)).expect("five unacked");
-        assert_eq!(a.retransmissions(), 5);
+        assert_eq!(count(&metrics, "replica.retransmissions"), 5);
         assert_eq!(b.receive_envelope(env), 5);
         assert_eq!(b.doc().to_string(), "abcde");
 
@@ -2606,6 +2513,7 @@ mod tests {
         let sites = [site(1), site(2)];
         let mut a = replica(1);
         let mut b = replica(2);
+        let metrics = metered(&mut a);
         a.enable_at_least_once(&sites);
 
         let op = a.doc_mut().local_insert(0, 'x').unwrap();
@@ -2616,7 +2524,7 @@ mod tests {
         // retransmission round recovers it.
         let again = a.unacked_for(site(2));
         assert_eq!(again.len(), 1);
-        assert_eq!(a.retransmissions(), 1);
+        assert_eq!(count(&metrics, "replica.retransmissions"), 1);
         for m in again {
             b.receive(m);
         }
@@ -2627,7 +2535,7 @@ mod tests {
         assert_eq!(a.receive_envelope(ack), 0);
         assert!(!a.has_unacked());
         assert!(a.unacked_for(site(2)).is_empty());
-        assert_eq!(a.retransmissions(), 1);
+        assert_eq!(count(&metrics, "replica.retransmissions"), 1);
     }
 
     #[test]
@@ -2769,6 +2677,7 @@ mod tests {
         let sites = [site(1), site(2)];
         let mut a = replica(1);
         let mut b = replica(2);
+        let metrics = metered(&mut b);
         a.enable_at_least_once(&sites);
 
         // a's op reaches b (so clocks agree) but b's ack never reaches a:
@@ -2797,7 +2706,7 @@ mod tests {
         for env in retransmitted {
             assert_eq!(b.receive_envelope(env), 0);
         }
-        assert_eq!(b.late_epoch_ops(), 1);
+        assert_eq!(count(&metrics, "flatten.late_epoch_ops"), 1);
         assert_eq!(b.pending(), 0);
         assert_eq!(a.digest(), b.digest());
     }
@@ -2905,23 +2814,28 @@ mod tests {
         let digest = a.digest();
         let clock = a.clock().clone();
         let unacked = a.unacked_for(site(2)).len();
-        let retrans = a.retransmissions();
 
         // Crash: the replica object dies, the store survives.
         let store = a.detach_store().unwrap();
         drop(a);
         let (mut a2, report) = Replica::<Doc>::recover(store).unwrap();
+        let metrics = metered(&mut a2);
         assert!(report.snapshot_hit);
         assert!(report.wal_records_replayed >= 5, "{report:?}");
         assert_eq!(a2.digest(), digest, "document recovered");
         assert_eq!(a2.clock(), &clock, "vector clock recovered");
+        assert_eq!(a2.ops_sent(), 3, "stamps recovered with the clock");
         assert_eq!(a2.site(), site(1));
         assert_eq!(
             a2.unacked_for(site(2)).len(),
             unacked,
             "unacked send log recovered"
         );
-        assert_eq!(a2.retransmissions(), retrans + unacked as u64);
+        assert_eq!(
+            count(&metrics, "replica.retransmissions"),
+            unacked as u64,
+            "the registry bound after recovery counts live hand-outs only"
+        );
 
         // The recovered replica keeps working: edit, exchange, converge.
         let op = a2.doc_mut().local_insert(0, 'n').unwrap();
@@ -2982,6 +2896,82 @@ mod tests {
     }
 
     #[test]
+    fn wal_replay_counts_nothing_in_a_registry_bound_after_recovery() {
+        use crate::flatten::CommitProtocol;
+
+        let mut a = replica(1);
+        let mut b = replica(2);
+        let live = metered(&mut a);
+        a.attach_store(DocStore::in_memory()).unwrap();
+        for i in 0..3 {
+            let op = b.doc_mut().local_insert(i, 'r').unwrap();
+            assert_eq!(a.receive_envelope(b.stamp_envelope(op)), 1);
+        }
+        let propose = a
+            .propose_flatten(Vec::new(), CommitProtocol::TwoPhase)
+            .expect("quiescent proposer votes Yes");
+        // An abort journals a `Finished` record and writes no checkpoint, so
+        // the WAL tail keeps the received ops and the whole flatten.
+        a.finish_flatten(propose.proposal.txn, false);
+        assert_eq!(count(&live, "replica.ops_applied"), 3);
+        assert_eq!(count(&live, "flatten.votes_cast"), 1);
+        assert_eq!(count(&live, "flatten.aborts"), 1);
+
+        let store = a.detach_store().unwrap();
+        let (mut a2, report) = Replica::<Doc>::recover(store).unwrap();
+        assert_eq!(report.wal_records_replayed, 5, "3 ops, proposal, finish");
+        assert_eq!(a2.digest(), b.digest());
+        let metrics = metered(&mut a2);
+        let counters = metrics.snapshot();
+        for name in [
+            "replica.ops_applied",
+            "replica.ops_received",
+            "flatten.votes_cast",
+            "flatten.aborts",
+            "flatten.commits",
+            "flatten.unilateral_commits",
+            "flatten.blocked_ticks",
+            "flatten.late_epoch_ops",
+        ] {
+            assert_eq!(counters.counter(name), Some(0), "{name} after replay");
+        }
+
+        let op = b.doc_mut().local_insert(0, 'n').unwrap();
+        assert_eq!(a2.receive_envelope(b.stamp_envelope(op)), 1);
+        assert_eq!(count(&metrics, "replica.ops_applied"), 1);
+        assert_eq!(count(&live, "replica.ops_applied"), 3, "old binding gone");
+    }
+
+    #[test]
+    fn a_replica_image_carrying_the_old_tally_fields_still_loads() {
+        // Snapshots written before the tallies moved to the registry carry
+        // them in the replica section; fields the image lacks are ignored.
+        let mut a = replica(1);
+        a.enable_at_least_once(&[site(2)]);
+        let op = a.doc_mut().local_insert(0, 'x').unwrap();
+        let _ = a.stamp(op);
+        let json = String::from_utf8(persist::to_json_bytes(&a.export_image())).unwrap();
+        let tallies = r#""commits":0,"aborts":1,"votes_cast":1,"unilateral_commits":0,"blocked_ticks":0,"late_epoch_ops":0,"next_txn""#;
+        let old = json
+            .replacen('{', r#"{"ops_sent":1,"ops_applied":0,"#, 1)
+            .replacen(r#""next_txn""#, tallies, 1)
+            .replacen(
+                r#""peer_acked""#,
+                r#""retransmissions":2,"window":null,"peer_acked""#,
+                1,
+            );
+        assert_eq!(
+            old.matches("late_epoch_ops").count() + old.matches("window").count(),
+            2
+        );
+        let image = persist::from_json_bytes("replica section", old.as_bytes()).unwrap();
+        let loaded = Replica::from_image(Doc::new(site(1)), image);
+        assert_eq!(loaded.clock(), a.clock());
+        assert_eq!(loaded.ops_sent(), 1);
+        assert!(loaded.has_unacked());
+    }
+
+    #[test]
     fn recovering_an_unused_store_is_a_typed_error() {
         match Replica::<Doc>::recover(DocStore::in_memory()) {
             Err(RecoverError::NoSnapshot) => {}
@@ -2995,6 +2985,7 @@ mod tests {
 
         let mut a = replica(1);
         let mut b = replica(2);
+        let metrics = [metered(&mut a), metered(&mut b)];
         a.attach_store(DocStore::in_memory()).unwrap();
         b.attach_store(DocStore::in_memory()).unwrap();
         for (i, ch) in ['x', 'y'].into_iter().enumerate() {
@@ -3019,15 +3010,16 @@ mod tests {
             kind: DecisionKind::Commit,
         }));
 
-        for r in [&a, &b] {
+        for (r, metrics) in [&a, &b].into_iter().zip(&metrics) {
             assert_eq!(r.flatten_epoch(), 1);
+            assert_eq!(count(metrics, "flatten.commits"), 1);
             let store = r.store().unwrap();
             assert!(
-                store.stats().snapshots_written >= 2,
+                count(metrics, "store.snapshots_written") >= 2,
                 "attach baseline + flatten-commit checkpoint"
             );
             assert!(
-                store.stats().wal_truncations >= 1,
+                count(metrics, "store.wal_truncations") >= 1,
                 "the flatten commit retired the pre-epoch records"
             );
             let replayed = store.wal_entries().unwrap();

@@ -21,12 +21,16 @@ use treedoc_replication::{
     Replica, SimNetwork,
 };
 
-use crate::scenario::PRE_COMMIT_TIMEOUT_TICKS;
+use crate::scenario::{RunCounters, SimMetrics, PRE_COMMIT_TIMEOUT_TICKS};
+use treedoc_telemetry::Telemetry;
 
 type Doc = Treedoc<String, Sdis>;
 type Env = Envelope<Op<String, Sdis>>;
 
-/// What the scripted coordinator-partition run measured.
+/// What the scripted coordinator-partition run measured. The counts are
+/// the run's registry counters: `flatten.unilateral_commits`,
+/// `flatten.blocked_ticks`, `sim.protocol_messages`, `sim.protocol_bytes`
+/// and `sim.commit_rounds`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PartitionedCommitReport {
     /// Protocol under test.
@@ -60,8 +64,7 @@ fn pump_network(
     replicas: &mut [Replica<Doc>],
     site_ids: &[SiteId],
     coordinator: &mut FlattenCoordinator,
-    protocol_messages: &mut u64,
-    protocol_bytes: &mut usize,
+    metrics: &SimMetrics,
 ) {
     while let Some(event) = net.step() {
         if let Envelope::FlattenVote(vote) = &event.payload {
@@ -76,11 +79,18 @@ fn pump_network(
             .expect("known site");
         let (_, reply) = replicas[idx].receive_any(event.payload);
         if let Some(reply) = reply {
-            *protocol_messages += 1;
-            *protocol_bytes += encode_envelope(&reply).len();
+            count_protocol_message(metrics, &reply);
             net.send(event.to, event.from, reply);
         }
     }
+}
+
+/// Counts one commitment message and its encoded bytes.
+fn count_protocol_message(metrics: &SimMetrics, env: &Env) {
+    metrics.protocol_messages.inc();
+    metrics
+        .protocol_bytes
+        .add(encode_envelope(env).len() as u64);
 }
 
 /// One coordinator tick: send this round's messages and account for them.
@@ -88,12 +98,10 @@ fn tick_coordinator(
     net: &mut SimNetwork<Env>,
     coordinator: &mut FlattenCoordinator,
     coordinator_site: SiteId,
-    protocol_messages: &mut u64,
-    protocol_bytes: &mut usize,
+    metrics: &SimMetrics,
 ) {
     for (to, env) in coordinator.tick::<Op<String, Sdis>>() {
-        *protocol_messages += 1;
-        *protocol_bytes += encode_envelope(&env).len();
+        count_protocol_message(metrics, &env);
         net.send(coordinator_site, to, env);
     }
 }
@@ -109,14 +117,18 @@ pub fn partitioned_commit_demo(
     assert!(sites >= 2, "a commitment needs at least two replicas");
     let site_ids: Vec<SiteId> = (1..=sites as u64).map(SiteId::from_u64).collect();
     let mut net: SimNetwork<Env> = SimNetwork::new(LinkConfig::fixed(5), seed);
-    let mut protocol_messages = 0u64;
-    let mut protocol_bytes = 0usize;
+    let counters = RunCounters::begin(&Telemetry::disabled());
+    let metrics = SimMetrics::resolve(counters.telemetry());
 
     // 1. Build convergent, quiescent replicas: everyone edits, everything is
     //    delivered (fault-free fixed-latency links), so all clocks are equal.
     let mut replicas: Vec<Replica<Doc>> = site_ids
         .iter()
-        .map(|&s| Replica::new(s, Doc::new(s)))
+        .map(|&s| {
+            let mut replica = Replica::new(s, Doc::new(s));
+            replica.set_telemetry(counters.telemetry());
+            replica
+        })
         .collect();
     for i in 0..replicas.len() {
         for k in 0..6 {
@@ -148,20 +160,13 @@ pub fn partitioned_commit_demo(
     //    or all pre-commit acks in (3PC), commit messages not yet sent.
     let mut guard = 0;
     while !coordinator.ready_to_commit() {
-        tick_coordinator(
-            &mut net,
-            &mut coordinator,
-            site_ids[0],
-            &mut protocol_messages,
-            &mut protocol_bytes,
-        );
+        tick_coordinator(&mut net, &mut coordinator, site_ids[0], &metrics);
         pump_network(
             &mut net,
             &mut replicas,
             &site_ids,
             &mut coordinator,
-            &mut protocol_messages,
-            &mut protocol_bytes,
+            &metrics,
         );
         guard += 1;
         assert!(guard < 100, "protocol never reached the decision point");
@@ -172,13 +177,7 @@ pub fn partitioned_commit_demo(
     for &other in &site_ids[1..] {
         net.partition_both(site_ids[0], other);
     }
-    tick_coordinator(
-        &mut net,
-        &mut coordinator,
-        site_ids[0],
-        &mut protocol_messages,
-        &mut protocol_bytes,
-    );
+    tick_coordinator(&mut net, &mut coordinator, site_ids[0], &metrics);
     assert_eq!(
         coordinator.outcome(),
         Some(CommitOutcome::Committed),
@@ -204,25 +203,19 @@ pub fn partitioned_commit_demo(
     }
     let mut guard = 0;
     while !coordinator.is_done() {
-        tick_coordinator(
-            &mut net,
-            &mut coordinator,
-            site_ids[0],
-            &mut protocol_messages,
-            &mut protocol_bytes,
-        );
+        tick_coordinator(&mut net, &mut coordinator, site_ids[0], &metrics);
         pump_network(
             &mut net,
             &mut replicas,
             &site_ids,
             &mut coordinator,
-            &mut protocol_messages,
-            &mut protocol_bytes,
+            &metrics,
         );
         guard += 1;
         assert!(guard < 1000, "decision never fully acknowledged");
     }
     replicas[0].finish_flatten(txn, true);
+    metrics.commit_rounds.add(coordinator.stats().rounds);
 
     let reference = replicas[0].doc().to_vec();
     let converged = replicas.iter().all(|r| r.doc().to_vec() == reference)
@@ -230,18 +223,16 @@ pub fn partitioned_commit_demo(
         && replicas.iter().all(|r| !r.is_flatten_prepared())
         && replicas.iter().all(|r| r.pending() == 0);
 
+    let count = counters.deltas();
     PartitionedCommitReport {
         protocol,
         sites,
         committed_during_partition,
-        unilateral_commits: replicas
-            .iter()
-            .map(|r| r.flatten_unilateral_commits())
-            .sum(),
-        blocked_ticks: replicas.iter().map(|r| r.flatten_blocked_ticks()).sum(),
-        protocol_messages,
-        protocol_bytes,
-        commit_rounds: coordinator.stats().rounds,
+        unilateral_commits: count("flatten.unilateral_commits"),
+        blocked_ticks: count("flatten.blocked_ticks"),
+        protocol_messages: count("sim.protocol_messages"),
+        protocol_bytes: count("sim.protocol_bytes") as usize,
+        commit_rounds: count("sim.commit_rounds"),
         converged,
     }
 }

@@ -34,11 +34,17 @@ use serde::{Deserialize, Serialize};
 use treedoc_core::{Op, Sdis, SiteId, Treedoc};
 use treedoc_replication::{Envelope, LinkConfig, Replica, SimNetwork};
 use treedoc_storage::DocStore;
+use treedoc_telemetry::Telemetry;
+
+use crate::scenario::{recover_replica, RunCounters, SimMetrics};
 
 type Doc = Treedoc<String, Sdis>;
 type Env = Envelope<Op<String, Sdis>>;
 
-/// What the scripted crash/recovery run measured.
+/// What the scripted crash/recovery run measured. The recovery and
+/// retransmission counts are the run's registry counters
+/// (`sim.wal_records_replayed`, `sim.recovered_bytes`, `sim.snapshot_hits`,
+/// `replica.retransmissions`), which span the crash.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CrashRecoveryReport {
     /// Whether the crash leg of the script actually ran.
@@ -162,9 +168,16 @@ fn settle(
 pub fn crash_recovery_demo(seed: u64, crash: bool) -> CrashRecoveryReport {
     let site_ids: Vec<SiteId> = (1..=3u64).map(SiteId::from_u64).collect();
     let seed_doc: Vec<String> = (0..6).map(|i| format!("seed {i}")).collect();
+    let counters = RunCounters::begin(&Telemetry::disabled());
+    let telemetry = counters.telemetry();
+    let metrics = SimMetrics::resolve(telemetry);
     let mut replicas: Vec<Replica<Doc>> = site_ids
         .iter()
-        .map(|&s| Replica::new(s, Doc::from_atoms(s, &seed_doc)))
+        .map(|&s| {
+            let mut replica = Replica::new(s, Doc::from_atoms(s, &seed_doc));
+            replica.set_telemetry(telemetry);
+            replica
+        })
         .collect();
     let mut net: SimNetwork<Env> = SimNetwork::new(LinkConfig::fixed(5), seed);
     for r in replicas.iter_mut() {
@@ -218,17 +231,6 @@ pub fn crash_recovery_demo(seed: u64, crash: bool) -> CrashRecoveryReport {
     }
 
     // The crash: the replica object dies, its store survives.
-    let mut report = CrashRecoveryReport {
-        crashed: crash,
-        converged: false,
-        final_digest: 0,
-        final_len: 0,
-        wal_records_replayed: 0,
-        recovered_bytes: 0,
-        snapshot_hit: false,
-        lost_edit_recovered: false,
-        retransmissions: 0,
-    };
     let mut dead: Option<(usize, DocStore)> = None;
     if crash {
         let store = replicas[VICTIM].detach_store().expect("victim has a store");
@@ -252,12 +254,7 @@ pub fn crash_recovery_demo(seed: u64, crash: bool) -> CrashRecoveryReport {
 
     // Restart from the store; retransmission flows both ways.
     if let Some((idx, store)) = dead.take() {
-        let (recovered, recovery) =
-            Replica::<Doc>::recover(store).expect("crash recovery must succeed");
-        report.wal_records_replayed = recovery.wal_records_replayed;
-        report.recovered_bytes = recovery.bytes_recovered;
-        report.snapshot_hit = recovery.snapshot_hit;
-        replicas[idx] = recovered;
+        replicas[idx] = recover_replica(store, telemetry, &metrics);
     }
     settle(&mut net, &mut replicas, &site_ids, None);
 
@@ -275,14 +272,20 @@ pub fn crash_recovery_demo(seed: u64, crash: bool) -> CrashRecoveryReport {
     settle(&mut net, &mut replicas, &site_ids, None);
 
     let reference = replicas[0].doc().to_vec();
-    report.converged = replicas.iter().all(|r| r.doc().to_vec() == reference)
-        && replicas.iter().all(|r| r.pending() == 0)
-        && replicas.iter().all(|r| !r.has_unacked());
-    report.final_digest = replicas[0].digest();
-    report.final_len = reference.len();
-    report.lost_edit_recovered = reference.iter().any(|line| line == LOST_EDIT);
-    report.retransmissions = replicas.iter().map(|r| r.retransmissions()).sum();
-    report
+    let count = counters.deltas();
+    CrashRecoveryReport {
+        crashed: crash,
+        converged: replicas.iter().all(|r| r.doc().to_vec() == reference)
+            && replicas.iter().all(|r| r.pending() == 0)
+            && replicas.iter().all(|r| !r.has_unacked()),
+        final_digest: replicas[0].digest(),
+        final_len: reference.len(),
+        wal_records_replayed: count("sim.wal_records_replayed") as usize,
+        recovered_bytes: count("sim.recovered_bytes") as usize,
+        snapshot_hit: count("sim.snapshot_hits") > 0,
+        lost_edit_recovered: reference.iter().any(|line| line == LOST_EDIT),
+        retransmissions: count("replica.retransmissions"),
+    }
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@ use treedoc_replication::{
     FlattenCoordinator, LinkConfig, NetworkEvent, Replica, SimNetwork, SyncConfig,
 };
 use treedoc_storage::DocStore;
-use treedoc_telemetry::{Counter, Telemetry};
+use treedoc_telemetry::{Counter, Registry, RegistrySnapshot, Telemetry};
 
 /// A crash/restart fault: kill one site at an edit round, losing its entire
 /// in-memory state, then restart it from its durable store
@@ -68,15 +68,12 @@ pub struct Scenario {
     /// (1 = every edit is broadcast immediately).
     pub burst: usize,
     /// Sender-side operation batching: operations are buffered and shipped
-    /// as one [`Envelope::OpBatch`] once this many accumulate (or
-    /// [`batch_max_bytes`](Self::batch_max_bytes) is hit). `1` disables
-    /// batching — every operation ships in its own envelope, the pre-batching
-    /// behaviour.
+    /// as one [`Envelope::OpBatch`] once this many accumulate (or the
+    /// batch's encoding reaches [`BatchPolicy::default`]'s byte cap). `1`
+    /// disables batching — every operation ships in its own envelope, the
+    /// pre-batching behaviour. With batching on, retransmission rounds
+    /// coalesce each peer's unacked window into one batch as well.
     pub batch_max_ops: usize,
-    /// Byte half of the flush policy: a batch also flushes once its binary
-    /// encoding reaches this size. Ignored while
-    /// [`batch_max_ops`](Self::batch_max_ops) is 1.
-    pub batch_max_bytes: usize,
     /// Whether the §4.1 balancing strategies are enabled.
     pub balancing: bool,
     /// Simulate a temporary partition of the first site for the middle third
@@ -120,12 +117,6 @@ pub struct Scenario {
     /// synchronous), but every message still crosses the binary wire codec
     /// and is byte-counted in [`SimReport::sync_bytes`].
     pub anti_entropy: bool,
-    /// Cap on how many unacknowledged messages a coalesced retransmission
-    /// batch re-ships per recovery round ([`Replica::set_retransmit_window`]).
-    /// `None` re-ships the whole window at once. When set, the simulator
-    /// retransmits through batch envelopes even if sender-side batching is
-    /// otherwise off, so the cap is observable.
-    pub retransmit_window: Option<usize>,
     /// A brand-new site (the last index) joins at this edit round: it starts
     /// with an **empty** document (not the seed), takes no part in the
     /// session until the round arrives, then bootstraps from the first site's
@@ -149,7 +140,6 @@ impl Default for Scenario {
             delete_ratio: 0.3,
             burst: 5,
             batch_max_ops: 1,
-            batch_max_bytes: 16 * 1024,
             balancing: false,
             partition_first_site: false,
             drop_prob: 0.0,
@@ -162,7 +152,6 @@ impl Default for Scenario {
             snapshot_cadence: None,
             crash: None,
             anti_entropy: false,
-            retransmit_window: None,
             late_join: None,
             offline: None,
             seed: 42,
@@ -264,6 +253,14 @@ impl Scenario {
 }
 
 /// What a scenario run measured.
+///
+/// Every count is the delta over the run of a registry counter (see
+/// [`run_with`]): field `f` reads `sim.f` unless its doc names another
+/// instrument. Not tallies of the run: the outcome (`converged`,
+/// `final_len`), what the simulated network counts itself (`messages_*`,
+/// `sim_time_ms`), what the replicas' causal buffers and chain resolvers
+/// own (`duplicates_discarded`), the high-water mark `max_pending`, and the
+/// schedule's `partition_rounds`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimReport {
     /// Whether every replica ended with identical content, a drained
@@ -282,9 +279,10 @@ pub struct SimReport {
     /// Stale or duplicate messages the replicas' hold-back queues discarded.
     pub duplicates_discarded: u64,
     /// Delivered ops the documents skipped as already synced
-    /// ([`Replica::replays_skipped`]); 0 in every run without sync.
+    /// (`replica.replays_skipped`); 0 in every run without sync.
     pub replays_skipped: u64,
-    /// Messages re-sent by the at-least-once recovery protocol.
+    /// Messages re-sent by the at-least-once recovery protocol
+    /// (`replica.retransmissions`).
     pub retransmissions: u64,
     /// Encoded bytes of those re-sends, one count per link crossed (already
     /// included in [`network_bytes`](Self::network_bytes)).
@@ -294,11 +292,10 @@ pub struct SimReport {
     /// Total **encoded** operation-envelope bytes handed to the network
     /// (initial broadcasts plus retransmissions, one count per link
     /// crossed) — what actually went over the wire, measured by running the
-    /// binary codec on every envelope, not the §5.2 estimate the simulator
-    /// used to report. Copies injected by network-level duplication are not
-    /// visible to the application and are excluded. Flatten-commitment and
-    /// acknowledgement traffic are reported separately in
-    /// [`protocol_bytes`](Self::protocol_bytes) and
+    /// binary codec on every envelope. Copies injected by network-level
+    /// duplication are not visible to the application and are excluded.
+    /// Flatten-commitment and acknowledgement traffic are reported
+    /// separately in [`protocol_bytes`](Self::protocol_bytes) and
     /// [`ack_bytes`](Self::ack_bytes).
     pub network_bytes: usize,
     /// Encoded bytes of the cumulative-acknowledgement traffic of the
@@ -321,7 +318,8 @@ pub struct SimReport {
     /// Proposals that aborted (a concurrent edit, a missing vote, or the
     /// coordinator's own No vote).
     pub flatten_aborts: usize,
-    /// Votes cast across all replicas (coordinator's local votes included).
+    /// Votes cast across all replicas, coordinator's local votes included
+    /// (`flatten.votes_cast`).
     pub flatten_votes: u64,
     /// Coordinator protocol rounds summed over all proposals — the
     /// distributed-flatten latency cost the paper leaves unevaluated.
@@ -333,13 +331,14 @@ pub struct SimReport {
     /// wire codec, like every byte counter in this report).
     pub protocol_bytes: usize,
     /// Ticks replicas spent locked in the prepared state — the blocking
-    /// cost; compare 2PC against 3PC under a coordinator partition.
+    /// cost; compare 2PC against 3PC under a coordinator partition
+    /// (`flatten.blocked_ticks`).
     pub flatten_blocked_rounds: u64,
     /// Commits applied unilaterally by the 3PC termination rule while the
-    /// coordinator was unreachable.
+    /// coordinator was unreachable (`flatten.unilateral_commits`).
     pub unilateral_commits: u64,
     /// Operations that arrived tagged with a pre-flatten epoch and were
-    /// discarded as duplicates.
+    /// discarded as duplicates (`flatten.late_epoch_ops`).
     pub late_epoch_ops: u64,
     /// Crash/restart cycles performed.
     pub crashes: usize,
@@ -350,12 +349,15 @@ pub struct SimReport {
     /// Recoveries that found a valid snapshot (always equals
     /// [`crashes`](Self::crashes) in a healthy run).
     pub snapshot_hits: u64,
-    /// WAL records appended across all durable replicas.
+    /// WAL records appended across all durable replicas
+    /// (`store.wal_appends`).
     pub wal_appends: u64,
     /// Snapshots written across all durable replicas (attach baselines,
-    /// cadence checkpoints and flatten-commit checkpoints).
+    /// cadence checkpoints and flatten-commit checkpoints;
+    /// `store.snapshots_written`).
     pub snapshots_written: u64,
-    /// WAL truncations performed by those checkpoints.
+    /// WAL truncations performed by those checkpoints
+    /// (`store.wal_truncations`).
     pub wal_truncations: u64,
     /// Messages the network delivered to a site while it was dead (discarded;
     /// recovered later by retransmission).
@@ -367,12 +369,13 @@ pub struct SimReport {
     /// least one; a second confirms convergence after repair).
     pub sync_rounds: u64,
     /// [`Envelope::SyncDigests`] messages exchanged — the subtree-walk cost,
-    /// `O(log n)` per diverging range.
+    /// `O(log n)` per diverging range (`sync.digests_rx`).
     pub sync_digest_msgs: u64,
     /// [`Envelope::SyncRuns`] messages exchanged — leaf ranges whose cells
-    /// crossed the wire.
+    /// crossed the wire (`sync.runs_rx`).
     pub sync_run_msgs: u64,
-    /// Cells integrated from sync traffic across all replicas.
+    /// Cells integrated from sync traffic across all replicas
+    /// (`sync.cells_integrated`).
     pub sync_cells: u64,
     /// Encoded bytes of all anti-entropy traffic (probes, digests, runs; the
     /// sessions run out-of-band, so these bytes are **not** part of
@@ -398,47 +401,114 @@ type Env = Envelope<Op<String, Sdis>>;
 /// test.
 type Wire = Vec<u8>;
 
-/// The simulator's telemetry mirror: wire traffic measured **at the send
-/// boundary** (inside [`send_env`]/[`broadcast_env`], so no call site can
-/// forget it), plus the per-purpose counters the registry-driven reports
-/// read. The wire counters are deliberately independent of the report's
-/// own accumulators — the differential test asserts the two decompositions
-/// agree byte for byte.
+/// The registry one run counts into, with its counters as the run began.
+/// Every count a report carries is read back as a counter's delta over the
+/// run, so a caller's registry may hold other runs' counts too — as long
+/// as no two runs count into it at the same time.
+pub(crate) struct RunCounters {
+    registry: Registry,
+    telemetry: Telemetry,
+    before: RegistrySnapshot,
+}
+
+impl RunCounters {
+    /// Counts into `telemetry`'s registry, or into a private one when the
+    /// handle is disabled: a report needs its counts either way.
+    pub(crate) fn begin(telemetry: &Telemetry) -> Self {
+        let registry = telemetry
+            .registry()
+            .cloned()
+            .unwrap_or_else(|| Registry::with_trace_capacity(1));
+        RunCounters {
+            before: registry.snapshot(),
+            telemetry: registry.handle(),
+            registry,
+        }
+    }
+
+    /// The handle every replica, store and counter of the run is bound to.
+    pub(crate) fn telemetry(&self) -> &Telemetry {
+        &self.telemetry
+    }
+
+    /// The run's counts so far: counter `name`'s delta since
+    /// [`begin`](Self::begin).
+    pub(crate) fn deltas(&self) -> impl Fn(&str) -> u64 + '_ {
+        let after = self.registry.snapshot();
+        move |name| after.counter(name).unwrap_or(0) - self.before.counter(name).unwrap_or(0)
+    }
+}
+
+/// The simulator's own counters, one per count of a report that no replica
+/// or store keeps. Wire traffic is counted twice on purpose, in two
+/// independent decompositions: `sim.wire_bytes`/`sim.wire_msgs` at the send
+/// boundary (inside [`send_env`]/[`broadcast_env`], so no call site can
+/// forget it), and the per-purpose `sim.network_bytes`, `sim.ack_bytes` and
+/// `sim.protocol_bytes` at each call site — the `telemetry_diff` test
+/// checks that the two agree byte for byte.
 #[derive(Debug, Clone, Default)]
-struct SimMetrics {
+pub(crate) struct SimMetrics {
     wire_bytes: Counter,
     wire_msgs: Counter,
-    ack_bytes: Counter,
+    ops_generated: Counter,
+    network_bytes: Counter,
     retransmission_bytes: Counter,
+    ack_bytes: Counter,
+    op_batches_sent: Counter,
+    flatten_proposals: Counter,
+    flatten_commits: Counter,
+    flatten_aborts: Counter,
+    pub(crate) commit_rounds: Counter,
+    pub(crate) protocol_messages: Counter,
+    pub(crate) protocol_bytes: Counter,
+    crashes: Counter,
+    wal_records_replayed: Counter,
+    recovered_bytes: Counter,
+    snapshot_hits: Counter,
+    messages_lost_to_crash: Counter,
+    messages_before_join: Counter,
+    offline_losses: Counter,
     sync_sessions: Counter,
     sync_rounds: Counter,
-    sync_digest_msgs: Counter,
-    sync_run_msgs: Counter,
-    sync_cells: Counter,
     sync_bytes: Counter,
+    snapshot_bootstraps: Counter,
     snapshot_bytes: Counter,
 }
 
 impl SimMetrics {
-    fn resolve(telemetry: &Telemetry) -> Self {
+    pub(crate) fn resolve(telemetry: &Telemetry) -> Self {
         SimMetrics {
             wire_bytes: telemetry.counter("sim.wire_bytes"),
             wire_msgs: telemetry.counter("sim.wire_msgs"),
-            ack_bytes: telemetry.counter("sim.ack_bytes"),
+            ops_generated: telemetry.counter("sim.ops_generated"),
+            network_bytes: telemetry.counter("sim.network_bytes"),
             retransmission_bytes: telemetry.counter("sim.retransmission_bytes"),
+            ack_bytes: telemetry.counter("sim.ack_bytes"),
+            op_batches_sent: telemetry.counter("sim.op_batches_sent"),
+            flatten_proposals: telemetry.counter("sim.flatten_proposals"),
+            flatten_commits: telemetry.counter("sim.flatten_commits"),
+            flatten_aborts: telemetry.counter("sim.flatten_aborts"),
+            commit_rounds: telemetry.counter("sim.commit_rounds"),
+            protocol_messages: telemetry.counter("sim.protocol_messages"),
+            protocol_bytes: telemetry.counter("sim.protocol_bytes"),
+            crashes: telemetry.counter("sim.crashes"),
+            wal_records_replayed: telemetry.counter("sim.wal_records_replayed"),
+            recovered_bytes: telemetry.counter("sim.recovered_bytes"),
+            snapshot_hits: telemetry.counter("sim.snapshot_hits"),
+            messages_lost_to_crash: telemetry.counter("sim.messages_lost_to_crash"),
+            messages_before_join: telemetry.counter("sim.messages_before_join"),
+            offline_losses: telemetry.counter("sim.offline_losses"),
             sync_sessions: telemetry.counter("sim.sync_sessions"),
             sync_rounds: telemetry.counter("sim.sync_rounds"),
-            sync_digest_msgs: telemetry.counter("sim.sync_digest_msgs"),
-            sync_run_msgs: telemetry.counter("sim.sync_run_msgs"),
-            sync_cells: telemetry.counter("sim.sync_cells"),
             sync_bytes: telemetry.counter("sim.sync_bytes"),
+            snapshot_bootstraps: telemetry.counter("sim.snapshot_bootstraps"),
             snapshot_bytes: telemetry.counter("sim.snapshot_bytes"),
         }
     }
 }
 
 /// Encodes an envelope and sends it, returning the encoded size. The bytes
-/// are mirrored into `sim.wire_bytes` here, at the one point every unicast
+/// are counted into `sim.wire_bytes` here, at the one point every unicast
 /// passes through.
 fn send_env(
     net: &mut SimNetwork<Wire>,
@@ -446,33 +516,32 @@ fn send_env(
     from: SiteId,
     to: SiteId,
     env: &Env,
-) -> usize {
+) -> u64 {
     let bytes = encode_envelope(env);
-    let len = bytes.len();
-    metrics.wire_bytes.add(len as u64);
+    let len = bytes.len() as u64;
+    metrics.wire_bytes.add(len);
     metrics.wire_msgs.inc();
     net.send(from, to, bytes);
     len
 }
 
-/// Encodes an envelope once and broadcasts it, returning the encoded size
-/// (per copy; the caller multiplies by the recipient count for per-link
-/// accounting). The mirrored `sim.wire_bytes` count covers every link
-/// crossed — the recipient list minus the sender itself.
+/// Encodes an envelope once and broadcasts it, returning the encoded bytes
+/// summed over every link crossed — the recipient list minus the sender
+/// itself — which is also what `sim.wire_bytes` counts.
 fn broadcast_env(
     net: &mut SimNetwork<Wire>,
     metrics: &SimMetrics,
     from: SiteId,
     recipients: &[SiteId],
     env: &Env,
-) -> usize {
+) -> u64 {
     let bytes = encode_envelope(env);
-    let len = bytes.len();
-    let links = recipients.iter().filter(|&&r| r != from).count();
-    metrics.wire_bytes.add((len * links) as u64);
-    metrics.wire_msgs.add(links as u64);
+    let links = recipients.iter().filter(|&&r| r != from).count() as u64;
+    let total = bytes.len() as u64 * links;
+    metrics.wire_bytes.add(total);
+    metrics.wire_msgs.add(links);
     net.broadcast(from, recipients, bytes);
-    len
+    total
 }
 
 /// Maximum recovery rounds (ack exchange + retransmission) the drain phase
@@ -485,19 +554,13 @@ const MAX_RECOVERY_ROUNDS: usize = 1000;
 /// terminating with a unilateral commit (the non-blocking property).
 pub(crate) const PRE_COMMIT_TIMEOUT_TICKS: u64 = 30;
 
-/// The coordinator side of an in-flight flatten proposal plus the protocol
-/// cost accumulators reported by [`SimReport`].
+/// The coordinator side of an in-flight flatten proposal. Its costs go to
+/// the `sim.flatten_*`, `sim.commit_rounds` and `sim.protocol_*` counters.
 #[derive(Default)]
 struct FlattenDriver {
     active: Option<FlattenCoordinator>,
     /// Whether the coordinator's own replica has applied the outcome.
     self_finished: bool,
-    proposals: usize,
-    commits: usize,
-    aborts: usize,
-    commit_rounds: u64,
-    protocol_messages: u64,
-    protocol_bytes: usize,
 }
 
 impl FlattenDriver {
@@ -508,15 +571,16 @@ impl FlattenDriver {
         replicas: &mut [Replica<Doc>],
         site_ids: &[SiteId],
         protocol: CommitProtocol,
+        metrics: &SimMetrics,
     ) {
         debug_assert!(self.active.is_none(), "one proposal at a time");
-        self.proposals += 1;
+        metrics.flatten_proposals.inc();
         match replicas[0].propose_flatten(Vec::new(), protocol) {
             Some(propose) => {
                 self.active = Some(FlattenCoordinator::new(propose, site_ids[1..].to_vec()));
                 self.self_finished = false;
             }
-            None => self.aborts += 1,
+            None => metrics.flatten_aborts.inc(),
         }
     }
 
@@ -535,8 +599,9 @@ impl FlattenDriver {
             return;
         };
         for (to, env) in coordinator.tick::<Op<String, Sdis>>() {
-            self.protocol_messages += 1;
-            self.protocol_bytes += send_env(net, metrics, site_ids[0], to, &env);
+            metrics.protocol_messages.inc();
+            let sent = send_env(net, metrics, site_ids[0], to, &env);
+            metrics.protocol_bytes.add(sent);
         }
         if let Some(outcome) = coordinator.outcome() {
             if !self.self_finished {
@@ -544,14 +609,14 @@ impl FlattenDriver {
                 let committed = outcome == CommitOutcome::Committed;
                 replicas[0].finish_flatten(coordinator.txn(), committed);
                 if committed {
-                    self.commits += 1;
+                    metrics.flatten_commits.inc();
                 } else {
-                    self.aborts += 1;
+                    metrics.flatten_aborts.inc();
                 }
             }
         }
         if coordinator.is_done() {
-            self.commit_rounds += coordinator.stats().rounds;
+            metrics.commit_rounds.add(coordinator.stats().rounds);
             self.active = None;
         }
     }
@@ -573,10 +638,9 @@ fn deliver(
     event: NetworkEvent<Wire>,
     max_pending: &mut usize,
     dead: Option<SiteId>,
-    lost_to_crash: &mut u64,
 ) {
     if dead == Some(event.to) {
-        *lost_to_crash += 1;
+        metrics.messages_lost_to_crash.inc();
         return;
     }
     // Every delivery decodes the bytes that actually crossed the wire; an
@@ -597,55 +661,49 @@ fn deliver(
         .expect("known site");
     let (_, reply) = replicas[idx].receive_any(envelope);
     if let Some(reply) = reply {
-        driver.protocol_messages += 1;
-        driver.protocol_bytes += send_env(net, metrics, event.to, event.from, &reply);
+        metrics.protocol_messages.inc();
+        let sent = send_env(net, metrics, event.to, event.from, &reply);
+        metrics.protocol_bytes.add(sent);
     }
     *max_pending = (*max_pending).max(replicas[idx].pending());
 }
 
-/// Crash-recovery accounting accumulated across restarts.
-#[derive(Default)]
-struct RecoveryTotals {
-    records: u64,
-    bytes: u64,
-    snapshot_hits: u64,
+/// Restarts a crashed site from its durable store, counting the recovery in
+/// `sim.wal_records_replayed`, `sim.recovered_bytes` and
+/// `sim.snapshot_hits`. The replica is bound to `telemetry` only after
+/// [`Replica::recover`] returns, so its WAL replay counts nothing.
+pub(crate) fn recover_replica(
+    store: DocStore,
+    telemetry: &Telemetry,
+    metrics: &SimMetrics,
+) -> Replica<Doc> {
+    let (mut replica, report) = Replica::recover(store).expect("crash recovery must succeed");
+    metrics
+        .wal_records_replayed
+        .add(report.wal_records_replayed as u64);
+    metrics.recovered_bytes.add(report.bytes_recovered as u64);
+    metrics.snapshot_hits.add(u64::from(report.snapshot_hit));
+    replica.set_telemetry(telemetry);
+    replica
 }
 
-/// Restarts a crashed site from its durable store, folding the recovery
-/// report into the totals. The batcher is transport policy, not durable
-/// state, so it is re-enabled rather than recovered; whatever the dead
-/// process had buffered unflushed is re-sent from the recovered send log by
-/// the at-least-once protocol.
+/// Restarts a crashed site in the scenario (see [`recover_replica`]). The
+/// batcher is transport policy, not durable state, so it is re-enabled
+/// rather than recovered; whatever the dead process had buffered unflushed
+/// is re-sent from the recovered send log by the at-least-once protocol.
 fn restart_replica(
     replicas: &mut [Replica<Doc>],
     idx: usize,
     store: DocStore,
-    totals: &mut RecoveryTotals,
     batch_policy: Option<BatchPolicy>,
     telemetry: &Telemetry,
+    metrics: &SimMetrics,
 ) {
-    let (mut replica, report) = Replica::recover(store).expect("crash recovery must succeed");
-    totals.records += report.wal_records_replayed as u64;
-    totals.bytes += report.bytes_recovered as u64;
-    totals.snapshot_hits += u64::from(report.snapshot_hit);
+    let mut replica = recover_replica(store, telemetry, metrics);
     if let Some(policy) = batch_policy {
         replica.enable_batching(policy);
     }
-    replica.set_telemetry(telemetry);
     replicas[idx] = replica;
-}
-
-/// Anti-entropy accounting accumulated across sessions.
-#[derive(Default)]
-struct SyncTotals {
-    sessions: u64,
-    rounds: u64,
-    digest_msgs: u64,
-    run_msgs: u64,
-    cells: u64,
-    bytes: usize,
-    snapshot_bootstraps: u64,
-    snapshot_bytes: usize,
 }
 
 /// Probe rounds a single anti-entropy session may take before the run is
@@ -659,42 +717,26 @@ const MAX_SYNC_ROUNDS: usize = 64;
 /// and synchronous, unlike the lossy operation traffic — but every message
 /// still round-trips through the binary wire codec and its encoded size is
 /// counted, so [`SimReport`] compares sync cost against retransmission cost
-/// on measured bytes.
+/// on measured bytes. The replicas count the digest and run messages they
+/// receive and the cells they integrate themselves (`sync.*`).
 fn sync_pair(
     replicas: &mut [Replica<Doc>],
     a: usize,
     b: usize,
     config: &SyncConfig,
-    totals: &mut SyncTotals,
     metrics: &SimMetrics,
 ) {
-    totals.sessions += 1;
     metrics.sync_sessions.inc();
     for _ in 0..MAX_SYNC_ROUNDS {
-        totals.rounds += 1;
         metrics.sync_rounds.inc();
         let mut queue: Vec<(usize, Env)> = vec![(b, replicas[a].sync_probe())];
         let mut converged = false;
         while let Some((to, env)) = queue.pop() {
             let bytes = encode_envelope(&env);
-            totals.bytes += bytes.len();
             metrics.sync_bytes.add(bytes.len() as u64);
-            match &env {
-                Envelope::SyncDigests(_) => {
-                    totals.digest_msgs += 1;
-                    metrics.sync_digest_msgs.inc();
-                }
-                Envelope::SyncRuns(_) => {
-                    totals.run_msgs += 1;
-                    metrics.sync_run_msgs.inc();
-                }
-                _ => {}
-            }
             let env: Env = decode_envelope(&bytes)
                 .unwrap_or_else(|e| panic!("undecodable sync envelope: {e}"));
             let effect = replicas[to].receive_sync(env, config);
-            totals.cells += effect.cells_integrated as u64;
-            metrics.sync_cells.add(effect.cells_integrated as u64);
             converged |= effect.converged;
             let reply_to = if to == a { b } else { a };
             queue.extend(effect.replies.into_iter().map(|e| (reply_to, e)));
@@ -714,21 +756,19 @@ fn bootstrap_joiner(
     donor: usize,
     joiner: usize,
     config: &SyncConfig,
-    totals: &mut SyncTotals,
     metrics: &SimMetrics,
 ) {
     let mut bootstrapped = false;
     for env in replicas[donor].snapshot_envelopes(config) {
         let bytes = encode_envelope(&env);
-        totals.snapshot_bytes += bytes.len();
         metrics.snapshot_bytes.add(bytes.len() as u64);
         let env: Env = decode_envelope(&bytes)
             .unwrap_or_else(|e| panic!("undecodable snapshot envelope: {e}"));
         bootstrapped |= replicas[joiner].receive_sync(env, config).bootstrapped;
     }
     assert!(bootstrapped, "snapshot bootstrap must complete");
-    totals.snapshot_bootstraps += 1;
-    sync_pair(replicas, donor, joiner, config, totals, metrics);
+    metrics.snapshot_bootstraps.inc();
+    sync_pair(replicas, donor, joiner, config, metrics);
 }
 
 /// Runs a scenario to completion (all messages delivered, all losses
@@ -737,12 +777,15 @@ pub fn run(scenario: &Scenario) -> SimReport {
     run_with(scenario, &Telemetry::disabled())
 }
 
-/// Like [`run`], but with every replica, store and wire boundary bound to
-/// `telemetry`: the registry afterwards holds the run's wire/sync/latency
-/// instruments (the `sim.*`, `replica.*` and `store.*` families). The report
-/// itself is byte-identical to a plain [`run`] — telemetry observes, it
-/// never steers.
+/// Like [`run`], but counting into `telemetry`'s registry: afterwards it
+/// holds the run's `sim.*`, `replica.*`, `flatten.*`, `sync.*` and
+/// `store.*` instruments, latency histograms included. The report's counts
+/// are those counters' deltas over the run (a disabled handle runs over a
+/// private registry), so the report is identical either way — telemetry
+/// observes, it never steers. Runs sharing one registry must not overlap.
 pub fn run_with(scenario: &Scenario, telemetry: &Telemetry) -> SimReport {
+    let counters = RunCounters::begin(telemetry);
+    let telemetry = counters.telemetry();
     let metrics = SimMetrics::resolve(telemetry);
     assert!(
         scenario.sites >= 2,
@@ -794,7 +837,6 @@ pub fn run_with(scenario: &Scenario, telemetry: &Telemetry) -> SimReport {
     if scenario.retransmit {
         for r in replicas.iter_mut() {
             r.enable_at_least_once(&site_ids);
-            r.set_retransmit_window(scenario.retransmit_window);
         }
     }
     if scenario.durable {
@@ -803,9 +845,9 @@ pub fn run_with(scenario: &Scenario, telemetry: &Telemetry) -> SimReport {
                 .expect("in-memory store attach cannot fail");
         }
     }
-    let batch_policy = (scenario.batch_max_ops > 1).then_some(BatchPolicy {
+    let batch_policy = (scenario.batch_max_ops > 1).then(|| BatchPolicy {
         max_ops: scenario.batch_max_ops,
-        max_bytes: scenario.batch_max_bytes,
+        ..BatchPolicy::default()
     });
     if let Some(policy) = batch_policy {
         for r in replicas.iter_mut() {
@@ -818,11 +860,6 @@ pub fn run_with(scenario: &Scenario, telemetry: &Telemetry) -> SimReport {
         .with_duplicate_prob(scenario.duplicate_prob)
         .with_reorder_burst(scenario.reorder_burst_prob, 250);
     let mut net: SimNetwork<Wire> = SimNetwork::new(link, scenario.seed);
-    let mut ops_generated = 0usize;
-    let mut network_bytes = 0usize;
-    let mut retransmission_bytes = 0usize;
-    let mut ack_bytes = 0usize;
-    let mut op_batches_sent = 0u64;
     let mut max_pending = 0usize;
 
     let mut driver = FlattenDriver::default();
@@ -888,13 +925,8 @@ pub fn run_with(scenario: &Scenario, telemetry: &Telemetry) -> SimReport {
     }
     // The dead site's index and its surviving store, while crashed.
     let mut dead: Option<(usize, DocStore)> = None;
-    let mut crashes = 0usize;
-    let mut lost_to_crash = 0u64;
-    let mut recovery = RecoveryTotals::default();
+    let mut crashed = false;
     let sync_config = SyncConfig::default();
-    let mut sync_totals = SyncTotals::default();
-    let mut messages_before_join = 0u64;
-    let mut offline_losses = 0u64;
     // Partition window of the middle third, clamped so the heal lands at
     // least one round after the cut: short runs used to compute the same
     // round for both (`total_rounds / 3 == 2 * total_rounds / 3`), silently
@@ -914,17 +946,10 @@ pub fn run_with(scenario: &Scenario, telemetry: &Telemetry) -> SimReport {
         if let Some(cs) = scenario.crash {
             if round == cs.restart_round {
                 if let Some((idx, store)) = dead.take() {
-                    restart_replica(
-                        &mut replicas,
-                        idx,
-                        store,
-                        &mut recovery,
-                        batch_policy,
-                        telemetry,
-                    );
+                    restart_replica(&mut replicas, idx, store, batch_policy, telemetry, &metrics);
                 }
             }
-            if round == cs.crash_round && crashes == 0 {
+            if round == cs.crash_round && !crashed {
                 // Death of the process: the replica object (clock, hold-back,
                 // send log, document) is gone; only its store survives.
                 let store = replicas[cs.site]
@@ -932,7 +957,8 @@ pub fn run_with(scenario: &Scenario, telemetry: &Telemetry) -> SimReport {
                     .expect("durable replica has a store");
                 replicas[cs.site] = Replica::new(site_ids[cs.site], Doc::new(site_ids[cs.site]));
                 dead = Some((cs.site, store));
-                crashes += 1;
+                crashed = true;
+                metrics.crashes.inc();
             }
         }
         let dead_site = dead.as_ref().map(|&(idx, _)| site_ids[idx]);
@@ -961,7 +987,6 @@ pub fn run_with(scenario: &Scenario, telemetry: &Telemetry) -> SimReport {
                 0,
                 joiner.expect("late_join implies a joiner"),
                 &sync_config,
-                &mut sync_totals,
                 &metrics,
             );
         }
@@ -998,16 +1023,17 @@ pub fn run_with(scenario: &Scenario, telemetry: &Telemetry) -> SimReport {
                         doc.local_insert(idx, text).expect("index in range")
                     }
                 };
-                ops_generated += 1;
+                metrics.ops_generated.inc();
                 // `stamp_batched` degenerates to one envelope per op while
                 // batching is off, so a single call site serves both modes.
                 // Byte accounting happens per envelope actually emitted, with
                 // the real encoded size, one count per link crossed.
                 if let Some(env) = replicas[i].stamp_batched(op) {
-                    op_batches_sent += u64::from(matches!(env, Envelope::OpBatch(_)));
-                    network_bytes +=
-                        broadcast_env(&mut net, &metrics, site_ids[i], &site_ids, &env)
-                            * (scenario.sites - 1);
+                    if matches!(env, Envelope::OpBatch(_)) {
+                        metrics.op_batches_sent.inc();
+                    }
+                    let sent = broadcast_env(&mut net, &metrics, site_ids[i], &site_ids, &env);
+                    metrics.network_bytes.add(sent);
                 }
             }
         }
@@ -1017,7 +1043,12 @@ pub fn run_with(scenario: &Scenario, telemetry: &Telemetry) -> SimReport {
         if let Some(cadence) = scenario.flatten_cadence {
             let cadence = cadence.max(1);
             if driver.active.is_none() && round % cadence == cadence - 1 {
-                driver.start_proposal(&mut replicas, &site_ids, scenario.flatten_protocol);
+                driver.start_proposal(
+                    &mut replicas,
+                    &site_ids,
+                    scenario.flatten_protocol,
+                    &metrics,
+                );
             }
         }
 
@@ -1035,11 +1066,11 @@ pub fn run_with(scenario: &Scenario, telemetry: &Telemetry) -> SimReport {
             // An absent joiner or an offline process drops whatever arrives;
             // the catch-up mechanism repairs the gap later.
             if absent_site == Some(event.to) {
-                messages_before_join += 1;
+                metrics.messages_before_join.inc();
                 continue;
             }
             if offline_site == Some(event.to) {
-                offline_losses += 1;
+                metrics.offline_losses.inc();
                 continue;
             }
             deliver(
@@ -1051,7 +1082,6 @@ pub fn run_with(scenario: &Scenario, telemetry: &Telemetry) -> SimReport {
                 event,
                 &mut max_pending,
                 dead_site,
-                &mut lost_to_crash,
             );
         }
 
@@ -1079,23 +1109,16 @@ pub fn run_with(scenario: &Scenario, telemetry: &Telemetry) -> SimReport {
     // A site still dead when the edits end restarts at the head of the drain
     // phase (the drain cannot terminate while a registered peer never acks).
     if let Some((idx, store)) = dead.take() {
-        restart_replica(
-            &mut replicas,
-            idx,
-            store,
-            &mut recovery,
-            batch_policy,
-            telemetry,
-        );
+        restart_replica(&mut replicas, idx, store, batch_policy, telemetry, &metrics);
     }
     // Flush whatever the batchers still hold: without retransmission a
     // buffered-but-never-shipped batch would be lost for good, and the final
     // quiescent flatten needs every clock settled.
     for i in 0..replicas.len() {
         if let Some(env) = replicas[i].flush_batch() {
-            op_batches_sent += 1;
-            network_bytes += broadcast_env(&mut net, &metrics, site_ids[i], &site_ids, &env)
-                * (scenario.sites - 1);
+            metrics.op_batches_sent.inc();
+            let sent = broadcast_env(&mut net, &metrics, site_ids[i], &site_ids, &env);
+            metrics.network_bytes.add(sent);
         }
     }
     // Anti-entropy drain: fully deliver what is still in flight, then repair
@@ -1118,7 +1141,6 @@ pub fn run_with(scenario: &Scenario, telemetry: &Telemetry) -> SimReport {
                     event,
                     &mut max_pending,
                     None,
-                    &mut lost_to_crash,
                 );
             }
             let reference = replicas[0].digest();
@@ -1133,14 +1155,7 @@ pub fn run_with(scenario: &Scenario, telemetry: &Telemetry) -> SimReport {
                 "anti-entropy failed to converge"
             );
             for peer in 1..replicas.len() {
-                sync_pair(
-                    &mut replicas,
-                    0,
-                    peer,
-                    &sync_config,
-                    &mut sync_totals,
-                    &metrics,
-                );
+                sync_pair(&mut replicas, 0, peer, &sync_config, &metrics);
             }
         }
     }
@@ -1166,7 +1181,6 @@ pub fn run_with(scenario: &Scenario, telemetry: &Telemetry) -> SimReport {
                 event,
                 &mut max_pending,
                 None,
-                &mut lost_to_crash,
             );
         }
 
@@ -1197,7 +1211,12 @@ pub fn run_with(scenario: &Scenario, telemetry: &Telemetry) -> SimReport {
             if !locked {
                 if final_flatten_pending && logs_ok && queues_clear {
                     final_flatten_pending = false;
-                    driver.start_proposal(&mut replicas, &site_ids, scenario.flatten_protocol);
+                    driver.start_proposal(
+                        &mut replicas,
+                        &site_ids,
+                        scenario.flatten_protocol,
+                        &metrics,
+                    );
                     continue;
                 }
                 if !final_flatten_pending && logs_ok && (queues_clear || !scenario.retransmit) {
@@ -1224,10 +1243,8 @@ pub fn run_with(scenario: &Scenario, telemetry: &Telemetry) -> SimReport {
             // next round simply repeats them).
             for i in 0..replicas.len() {
                 let ack = replicas[i].ack_envelope();
-                let per_copy = broadcast_env(&mut net, &metrics, site_ids[i], &site_ids, &ack)
-                    * (scenario.sites - 1);
-                ack_bytes += per_copy;
-                metrics.ack_bytes.add(per_copy as u64);
+                let sent = broadcast_env(&mut net, &metrics, site_ids[i], &site_ids, &ack);
+                metrics.ack_bytes.add(sent);
             }
             while let Some(event) = net.step() {
                 deliver(
@@ -1239,7 +1256,6 @@ pub fn run_with(scenario: &Scenario, telemetry: &Telemetry) -> SimReport {
                     event,
                     &mut max_pending,
                     None,
-                    &mut lost_to_crash,
                 );
             }
             // Retransmit everything still unacknowledged, per peer, keeping
@@ -1254,32 +1270,25 @@ pub fn run_with(scenario: &Scenario, telemetry: &Telemetry) -> SimReport {
                     if peer == from {
                         continue;
                     }
-                    if batch_policy.is_some() || scenario.retransmit_window.is_some() {
-                        // A retransmission window always re-ships through
-                        // batch envelopes, so the cap bounds each round's
-                        // payload even when sender-side batching is off.
-                        if let Some(env) = replicas[i].unacked_batch_for(peer) {
-                            op_batches_sent += 1;
-                            let sent = send_env(&mut net, &metrics, from, peer, &env);
-                            retransmission_bytes += sent;
-                            metrics.retransmission_bytes.add(sent as u64);
+                    let resent = if batch_policy.is_some() {
+                        let batch = replicas[i].unacked_batch_for(peer);
+                        if batch.is_some() {
+                            metrics.op_batches_sent.inc();
                         }
+                        batch.into_iter().collect()
                     } else {
-                        for env in replicas[i].unacked_envelopes_for(peer) {
-                            let sent = send_env(&mut net, &metrics, from, peer, &env);
-                            retransmission_bytes += sent;
-                            metrics.retransmission_bytes.add(sent as u64);
-                        }
+                        replicas[i].unacked_envelopes_for(peer)
+                    };
+                    for env in resent {
+                        let sent = send_env(&mut net, &metrics, from, peer, &env);
+                        metrics.retransmission_bytes.add(sent);
+                        metrics.network_bytes.add(sent);
                     }
                 }
             }
         }
     }
 
-    let store_stats: Vec<treedoc_storage::StoreStats> = replicas
-        .iter()
-        .filter_map(|r| r.store().map(|s| s.stats()))
-        .collect();
     let reference = replicas[0].doc().to_vec();
     let epoch = replicas[0].flatten_epoch();
     let converged = replicas.iter().all(|r| r.doc().to_vec() == reference)
@@ -1289,54 +1298,55 @@ pub fn run_with(scenario: &Scenario, telemetry: &Telemetry) -> SimReport {
         && replicas.iter().all(|r| r.flatten_epoch() == epoch)
         && replicas.iter().all(|r| !r.is_flatten_prepared());
 
+    // The report: every count is its counter's delta over the run, except
+    // the few the network, the replicas' causal buffers and the run's own
+    // bookkeeping own (see the field docs).
+    let count = counters.deltas();
     SimReport {
         converged,
         final_len: reference.len(),
-        ops_generated,
+        ops_generated: count("sim.ops_generated") as usize,
         messages_delivered: net.delivered_count(),
         messages_dropped: net.dropped_count(),
         messages_duplicated: net.duplicated_count(),
         duplicates_discarded: replicas.iter().map(|r| r.duplicates_discarded()).sum(),
-        replays_skipped: replicas.iter().map(|r| r.replays_skipped()).sum(),
-        retransmissions: replicas.iter().map(|r| r.retransmissions()).sum(),
-        retransmission_bytes,
+        replays_skipped: count("replica.replays_skipped"),
+        retransmissions: count("replica.retransmissions"),
+        retransmission_bytes: count("sim.retransmission_bytes") as usize,
         max_pending,
-        network_bytes: network_bytes + retransmission_bytes,
-        ack_bytes,
-        op_batches_sent,
+        network_bytes: count("sim.network_bytes") as usize,
+        ack_bytes: count("sim.ack_bytes") as usize,
+        op_batches_sent: count("sim.op_batches_sent"),
         sim_time_ms: net.now_ms(),
         partition_rounds,
-        flatten_proposals: driver.proposals,
-        flatten_commits: driver.commits,
-        flatten_aborts: driver.aborts,
-        flatten_votes: replicas.iter().map(|r| r.flatten_votes_cast()).sum(),
-        commit_rounds: driver.commit_rounds,
-        protocol_messages: driver.protocol_messages,
-        protocol_bytes: driver.protocol_bytes,
-        flatten_blocked_rounds: replicas.iter().map(|r| r.flatten_blocked_ticks()).sum(),
-        unilateral_commits: replicas
-            .iter()
-            .map(|r| r.flatten_unilateral_commits())
-            .sum(),
-        late_epoch_ops: replicas.iter().map(|r| r.late_epoch_ops()).sum(),
-        crashes,
-        wal_records_replayed: recovery.records,
-        recovered_bytes: recovery.bytes,
-        snapshot_hits: recovery.snapshot_hits,
-        wal_appends: store_stats.iter().map(|s| s.wal_appends).sum(),
-        snapshots_written: store_stats.iter().map(|s| s.snapshots_written).sum(),
-        wal_truncations: store_stats.iter().map(|s| s.wal_truncations).sum(),
-        messages_lost_to_crash: lost_to_crash,
-        sync_sessions: sync_totals.sessions,
-        sync_rounds: sync_totals.rounds,
-        sync_digest_msgs: sync_totals.digest_msgs,
-        sync_run_msgs: sync_totals.run_msgs,
-        sync_cells: sync_totals.cells,
-        sync_bytes: sync_totals.bytes,
-        snapshot_bootstraps: sync_totals.snapshot_bootstraps,
-        snapshot_bytes: sync_totals.snapshot_bytes,
-        messages_before_join,
-        offline_losses,
+        flatten_proposals: count("sim.flatten_proposals") as usize,
+        flatten_commits: count("sim.flatten_commits") as usize,
+        flatten_aborts: count("sim.flatten_aborts") as usize,
+        flatten_votes: count("flatten.votes_cast"),
+        commit_rounds: count("sim.commit_rounds"),
+        protocol_messages: count("sim.protocol_messages"),
+        protocol_bytes: count("sim.protocol_bytes") as usize,
+        flatten_blocked_rounds: count("flatten.blocked_ticks"),
+        unilateral_commits: count("flatten.unilateral_commits"),
+        late_epoch_ops: count("flatten.late_epoch_ops"),
+        crashes: count("sim.crashes") as usize,
+        wal_records_replayed: count("sim.wal_records_replayed"),
+        recovered_bytes: count("sim.recovered_bytes"),
+        snapshot_hits: count("sim.snapshot_hits"),
+        wal_appends: count("store.wal_appends"),
+        snapshots_written: count("store.snapshots_written"),
+        wal_truncations: count("store.wal_truncations"),
+        messages_lost_to_crash: count("sim.messages_lost_to_crash"),
+        sync_sessions: count("sim.sync_sessions"),
+        sync_rounds: count("sim.sync_rounds"),
+        sync_digest_msgs: count("sync.digests_rx"),
+        sync_run_msgs: count("sync.runs_rx"),
+        sync_cells: count("sync.cells_integrated"),
+        sync_bytes: count("sim.sync_bytes") as usize,
+        snapshot_bootstraps: count("sim.snapshot_bootstraps"),
+        snapshot_bytes: count("sim.snapshot_bytes") as usize,
+        messages_before_join: count("sim.messages_before_join"),
+        offline_losses: count("sim.offline_losses"),
     }
 }
 
@@ -1592,48 +1602,20 @@ impl ScenarioMatrix {
         out
     }
 
-    /// Runs every cell, returning each scenario with its report.
-    pub fn run(&self) -> Vec<(Scenario, SimReport)> {
-        self.run_with(|_| Telemetry::disabled())
-    }
-
-    /// Runs every cell through [`run_with`], asking `telemetry_for` for each
-    /// cell's handle — pass a closure returning a fresh enabled registry's
-    /// handle per cell to collect per-cell instrument snapshots (the
-    /// `sync_cost` bench bin's data path), or a shared handle to aggregate.
+    /// Runs every cell, returning each scenario with its report in
+    /// [`Self::scenarios`] order.
     ///
     /// Cells are independent (each builds its own deterministic network and
-    /// replicas from the scenario seed), so they execute on a fixed pool of
-    /// [`std::thread::available_parallelism`] threads. `telemetry_for` is
-    /// still called serially, in scenario order, before any cell runs, and
-    /// the returned vector matches [`Self::scenarios`] order exactly — the
-    /// output is byte-for-byte the same as the sequential run.
-    pub fn run_with(
-        &self,
-        mut telemetry_for: impl FnMut(&Scenario) -> Telemetry,
-    ) -> Vec<(Scenario, SimReport)> {
-        let cells: Vec<(Scenario, Telemetry)> = self
-            .scenarios()
-            .into_iter()
-            .map(|scenario| {
-                let telemetry = telemetry_for(&scenario);
-                (scenario, telemetry)
-            })
-            .collect();
-
+    /// replicas from the scenario seed, and counts into its own private
+    /// registry), so they execute on a fixed pool of
+    /// [`std::thread::available_parallelism`] threads; the output is
+    /// byte-for-byte the same as a sequential run.
+    pub fn run(&self) -> Vec<(Scenario, SimReport)> {
+        let cells = self.scenarios();
         let workers = std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1)
             .min(cells.len().max(1));
-        if workers <= 1 {
-            return cells
-                .into_iter()
-                .map(|(scenario, telemetry)| {
-                    let report = run_with(&scenario, &telemetry);
-                    (scenario, report)
-                })
-                .collect();
-        }
 
         // Work-stealing over a shared index: each worker claims the next
         // unclaimed cell and writes the report into that cell's slot, so the
@@ -1644,10 +1626,10 @@ impl ScenarioMatrix {
             for _ in 0..workers {
                 scope.spawn(|| loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some((scenario, telemetry)) = cells.get(i) else {
+                    let Some(scenario) = cells.get(i) else {
                         break;
                     };
-                    let report = run_with(scenario, telemetry);
+                    let report = run(scenario);
                     *slots[i].lock().expect("worker panicked holding a slot") = Some(report);
                 });
             }
@@ -1655,7 +1637,7 @@ impl ScenarioMatrix {
         cells
             .into_iter()
             .zip(slots)
-            .map(|((scenario, _), slot)| {
+            .map(|(scenario, slot)| {
                 let report = slot
                     .into_inner()
                     .expect("worker panicked holding a slot")
@@ -1884,6 +1866,34 @@ mod tests {
     }
 
     #[test]
+    fn crash_run_counts_every_stores_checkpoints_once() {
+        // Site 1 dies at the start of round 4 of 20 and restarts from its
+        // store at the start of round 8; every other round each live site
+        // checkpoints, retiring that round's records. Per store: the attach
+        // baseline plus one checkpoint per odd round its site was alive —
+        // 10, 8 and 10. The run's registry spans the crash and recovery
+        // writes nothing, so the report is exactly the sum over the stores.
+        let scenario = Scenario {
+            snapshot_cadence: Some(2),
+            ..Scenario::crash_faulty(1, 4, 8)
+        };
+        let odd_rounds = |site: usize| {
+            (1..20)
+                .step_by(2)
+                .filter(|round| site != 1 || !(4..8).contains(round))
+                .count() as u64
+        };
+        let checkpoints: Vec<u64> = (0..scenario.sites).map(odd_rounds).collect();
+        assert_eq!(checkpoints, [10, 8, 10]);
+        let report = run(&scenario);
+        assert!(report.converged && report.crashes == 1, "{report:?}");
+        let baselines = scenario.sites as u64;
+        let truncations: u64 = checkpoints.iter().sum();
+        assert_eq!(report.snapshots_written, baselines + truncations);
+        assert_eq!(report.wal_truncations, truncations);
+    }
+
+    #[test]
     fn flatten_commit_compacts_every_durable_wal() {
         // The §4.2.1 acceptance cell: a committed distributed flatten must
         // checkpoint every replica and truncate its pre-epoch WAL.
@@ -2033,21 +2043,6 @@ mod tests {
                  {protocol:?}: {report:?}"
             );
         }
-    }
-
-    #[test]
-    fn byte_flush_policy_bounds_batch_sizes() {
-        // A tiny byte budget forces flushes long before the op cap.
-        let report = run(&Scenario {
-            batch_max_ops: 1000,
-            batch_max_bytes: 256,
-            ..Scenario::default()
-        });
-        assert!(report.converged, "{report:?}");
-        assert!(
-            report.op_batches_sent as usize > report.ops_generated / 1000,
-            "the byte cap must have split the stream: {report:?}"
-        );
     }
 
     #[test]
@@ -2347,23 +2342,6 @@ mod tests {
             ..Scenario::late_joiner(3)
         };
         assert_eq!(run(&joiner), run(&joiner));
-    }
-
-    #[test]
-    fn retransmit_window_bounds_resends_and_still_converges() {
-        // Satellite check at the scenario level: a capped window re-ships at
-        // most 4 messages per recovery round (as batch envelopes) and the
-        // run still converges under the full fault mix.
-        let report = run(&Scenario {
-            retransmit_window: Some(4),
-            ..Scenario::faulty()
-        });
-        assert!(report.converged, "{report:?}");
-        assert!(report.retransmissions > 0, "{report:?}");
-        assert!(
-            report.op_batches_sent > 0,
-            "a window re-ships through batch envelopes: {report:?}"
-        );
     }
 
     #[test]

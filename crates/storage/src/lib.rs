@@ -56,5 +56,5 @@ pub use backend::{
 pub use checksum::{combine_hashes, content_hash64, crc32};
 pub use group::{GroupReplay, GroupWal, GroupWalStats};
 pub use snapshot::{Snapshot, SnapshotError};
-pub use store::{DocStore, Recovered, RecoveryStats, StoreStats};
+pub use store::{DocStore, Recovered, RecoveryStats};
 pub use wal::{TailFault, WalEntry, WalReplay};

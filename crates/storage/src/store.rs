@@ -58,24 +58,6 @@ use treedoc_telemetry::{Counter, Histogram, Telemetry, TraceEvent, Tracer};
 /// Snapshots kept after a checkpoint: the new one plus this many fallbacks.
 const SNAPSHOT_FALLBACKS: usize = 1;
 
-/// Counters of one `DocStore` *object*: they live with the store value, so
-/// they survive the simulator's crash fault (where the store is detached
-/// from the dying replica and handed to the recovered one) but reset when a
-/// backend is reopened through [`DocStore::new`] after a real process
-/// restart — the blobs persist, the bookkeeping does not.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StoreStats {
-    /// WAL records appended.
-    pub wal_appends: u64,
-    /// WAL bytes appended (framing included).
-    pub wal_bytes: u64,
-    /// Snapshots written.
-    pub snapshots_written: u64,
-    /// Checkpoints that actually retired log records (a checkpoint over an
-    /// already-empty log does not count).
-    pub wal_truncations: u64,
-}
-
 /// What a [`DocStore::recover`] pass found and salvaged.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
@@ -123,7 +105,11 @@ enum WalSink {
 
 /// Telemetry instruments of one store, resolved once at
 /// [`DocStore::set_telemetry`] so the hot paths never touch the registry.
-/// Defaults to the inert disabled handles.
+/// Defaults to the inert disabled handles. The counters are the store's
+/// only tallies: `store.wal_appends` (records appended), `store.wal_bytes`
+/// (their framed bytes), `store.snapshots_written` and
+/// `store.wal_truncations` (checkpoints that actually retired log records —
+/// one over an already-empty log does not count).
 #[derive(Debug, Clone, Default)]
 struct StoreMetrics {
     append_micros: Histogram,
@@ -132,6 +118,7 @@ struct StoreMetrics {
     wal_appends: Counter,
     wal_bytes: Counter,
     snapshots_written: Counter,
+    wal_truncations: Counter,
     tracer: Tracer,
 }
 
@@ -144,6 +131,7 @@ impl StoreMetrics {
             wal_appends: telemetry.counter("store.wal_appends"),
             wal_bytes: telemetry.counter("store.wal_bytes"),
             snapshots_written: telemetry.counter("store.snapshots_written"),
+            wal_truncations: telemetry.counter("store.wal_truncations"),
             tracer: telemetry.tracer(),
         }
     }
@@ -177,7 +165,6 @@ pub struct DocStore {
     /// group mode this counts bytes logged since the last checkpoint.
     active_segment_bytes: u64,
     next_snapshot_seq: u64,
-    stats: StoreStats,
     metrics: StoreMetrics,
 }
 
@@ -216,7 +203,6 @@ impl DocStore {
             active_segment,
             active_segment_bytes,
             next_snapshot_seq,
-            stats: StoreStats::default(),
             metrics: StoreMetrics::default(),
         })
     }
@@ -252,7 +238,6 @@ impl DocStore {
             active_segment: 0,
             active_segment_bytes: 0,
             next_snapshot_seq,
-            stats: StoreStats::default(),
             metrics: StoreMetrics::default(),
         })
     }
@@ -271,11 +256,6 @@ impl DocStore {
     #[allow(clippy::expect_used)]
     pub fn in_memory() -> Self {
         DocStore::new(MemoryBackend::new()).expect("memory backend cannot fail")
-    }
-
-    /// Lifetime counters.
-    pub fn stats(&self) -> StoreStats {
-        self.stats
     }
 
     /// Epochs of the snapshots currently kept, oldest first.
@@ -355,8 +335,6 @@ impl DocStore {
             }
         };
         self.active_segment_bytes += frame_len;
-        self.stats.wal_appends += 1;
-        self.stats.wal_bytes += frame_len;
         self.metrics.wal_appends.inc();
         self.metrics.wal_bytes.add(frame_len);
         span.stop();
@@ -439,10 +417,6 @@ impl DocStore {
             // `seq` is above every recorded segment: the order holds.
             self.segments.push(seq);
         }
-        self.stats.snapshots_written += 1;
-        if retired {
-            self.stats.wal_truncations += 1;
-        }
         self.snapshots.push((seq, epoch, cursor));
         let pruned = self.snapshots.len().saturating_sub(1 + SNAPSHOT_FALLBACKS);
         if pruned > 0 {
@@ -474,6 +448,9 @@ impl DocStore {
         }
         let micros = span.stop();
         self.metrics.snapshots_written.inc();
+        if retired {
+            self.metrics.wal_truncations.inc();
+        }
         self.metrics.tracer.record_with(|| TraceEvent {
             epoch,
             bytes: blob_len,
@@ -657,7 +634,9 @@ mod tests {
 
     #[test]
     fn append_then_recover_replays_everything() {
+        let registry = treedoc_telemetry::Registry::new();
         let mut store = DocStore::in_memory();
+        store.set_telemetry(&registry.handle());
         for i in 0..5u64 {
             store.append(0, format!("op {i}").as_bytes()).unwrap();
         }
@@ -667,14 +646,18 @@ mod tests {
         assert_eq!(recovered.stats.wal_records, 5);
         assert!(!recovered.stats.snapshot_hit);
         assert_eq!(recovered.stats.torn_tail_bytes, 0);
-        assert_eq!(store.stats().wal_appends, 5);
+        assert_eq!(registry.snapshot().counter("store.wal_appends"), Some(5));
     }
 
     #[test]
     fn checkpoint_truncates_the_wal() {
+        let registry = treedoc_telemetry::Registry::new();
         let mut store = DocStore::in_memory();
+        store.set_telemetry(&registry.handle());
         store.append(0, b"pre-epoch").unwrap();
         store.append(0, b"also pre").unwrap();
+        store.checkpoint(1, &snapshot_with("epoch-1")).unwrap();
+        // A back-to-back checkpoint over the now-empty log retires nothing.
         store.checkpoint(1, &snapshot_with("epoch-1")).unwrap();
         assert_eq!(store.wal_len().unwrap(), 0);
         store.append(1, b"post-epoch").unwrap();
@@ -685,7 +668,9 @@ mod tests {
         assert_eq!(snapshot.section("replica").unwrap(), b"epoch-1");
         assert_eq!(recovered.wal.len(), 1);
         assert!(recovered.wal.iter().all(|e| e.epoch >= 1));
-        assert_eq!(store.stats().wal_truncations, 1);
+        let counters = registry.snapshot();
+        assert_eq!(counters.counter("store.snapshots_written"), Some(2));
+        assert_eq!(counters.counter("store.wal_truncations"), Some(1));
     }
 
     #[test]

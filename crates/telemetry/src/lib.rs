@@ -481,6 +481,22 @@ struct RegistryInner {
     tracer: Arc<TracerCore>,
 }
 
+/// Resolves `name` in one instrument map, creating the cell with `make` on
+/// first use. A name already present is found by `&str` and costs no
+/// allocation — the hosting node re-resolves a replica's instruments on
+/// every fault-in; only the first resolution of a name allocates its key.
+fn cell<T>(
+    map: &Mutex<BTreeMap<String, Arc<T>>>,
+    name: &str,
+    make: impl FnOnce() -> Arc<T>,
+) -> Arc<T> {
+    let mut map = map.lock().expect("registry lock");
+    if let Some(cell) = map.get(name) {
+        return cell.clone();
+    }
+    map.entry(name.to_string()).or_insert_with(make).clone()
+}
+
 /// The home of every instrument: resolves names to shared [`Counter`] /
 /// [`Gauge`] / [`Histogram`] cells, owns the [`Tracer`] ring, and snapshots
 /// the whole collection as serialisable data. Cloning shares the registry.
@@ -555,33 +571,17 @@ impl Registry {
     }
 
     fn counter_cell(&self, name: &str) -> Arc<AtomicU64> {
-        self.inner
-            .counters
-            .lock()
-            .expect("registry lock")
-            .entry(name.to_string())
-            .or_default()
-            .clone()
+        cell(&self.inner.counters, name, Arc::default)
     }
 
     fn gauge_cell(&self, name: &str) -> Arc<GaugeCore> {
-        self.inner
-            .gauges
-            .lock()
-            .expect("registry lock")
-            .entry(name.to_string())
-            .or_default()
-            .clone()
+        cell(&self.inner.gauges, name, Arc::default)
     }
 
     fn histogram_cell(&self, name: &str) -> Arc<HistogramCore> {
-        self.inner
-            .histograms
-            .lock()
-            .expect("registry lock")
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(HistogramCore::new()))
-            .clone()
+        cell(&self.inner.histograms, name, || {
+            Arc::new(HistogramCore::new())
+        })
     }
 
     /// A point-in-time copy of every instrument, ordered by name — the one

@@ -18,9 +18,10 @@ fn main() {
 
     // -- Act 1: a lossy, crash-prone replicated session ---------------------
     // Site 2 crashes at round 4 and recovers from its store at round 8,
-    // while the network drops and duplicates messages. The instrumented run
-    // produces the exact same report as an uninstrumented one — telemetry
-    // observes, it never steers.
+    // while the network drops and duplicates messages. The report's counts
+    // are this registry's counters (an uninstrumented run counts into a
+    // private registry and reports the same) — telemetry observes, it never
+    // steers.
     let scenario = Scenario::crash_faulty(1, 4, 8);
     let report = run_with(&scenario, &telemetry);
     println!(
@@ -68,9 +69,16 @@ fn main() {
     // -- Reading the run back: the metrics snapshot -------------------------
     let snapshot = registry.snapshot();
     println!("metrics snapshot ({} counters):", snapshot.counters.len());
+    // A stamp is one `replica.stamp_micros` record: the histogram's count is
+    // the stamp count.
+    let stamps = snapshot
+        .histogram("replica.stamp_micros")
+        .map_or(0, |h| h.count);
+    println!("  {:<26} {stamps}", "stamps (stamp_micros)");
     for name in [
-        "replica.ops_stamped",
         "replica.ops_received",
+        "replica.ops_applied",
+        "replica.retransmissions",
         "sim.wire_bytes",
         "sim.retransmission_bytes",
         "node.ops",

@@ -584,6 +584,24 @@ proptest! {
 }
 
 #[test]
+fn rebinding_telemetry_to_a_registry_that_holds_every_name_allocates_nothing() {
+    // The hosting node re-resolves a replica's instruments (and its store's)
+    // on every fault-in. Once the registry holds every name, resolving them
+    // again is a lookup per name, never a fresh key.
+    let registry = treedoc_telemetry::Registry::new();
+    let telemetry = registry.handle();
+    let site = SiteId::from_u64(1);
+    let mut replica = Replica::new(site, Treedoc::<char, Sdis>::new(site));
+    replica.attach_store(DocStore::in_memory()).unwrap();
+    replica.set_telemetry(&telemetry);
+    let names = registry.snapshot().counters.len();
+    assert!(names >= 10, "the first binding created the names: {names}");
+    let before = allocs();
+    replica.set_telemetry(&telemetry);
+    assert_eq!(allocs() - before, 0, "a second binding allocated");
+}
+
+#[test]
 fn group_enqueue_frames_in_place_without_allocating_per_record() {
     // A record for a document the group WAL already knows is framed
     // straight into the shared queue and indexed at flush into a vector

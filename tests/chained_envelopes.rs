@@ -142,8 +142,9 @@ struct Run {
     /// either side, as an application reacting to its own side's effect
     /// does; `false`: once both sides fast-forwarded in the same round.
     first_converged: bool,
-    /// Replays skipped by replicas since replaced by a crash.
-    skipped_before_crash: u64,
+    /// The run's counters, spanning every crash: replicas are bound to it
+    /// at creation and again after each recovery.
+    registry: Registry,
 }
 
 fn faulty_link() -> LinkConfig {
@@ -157,11 +158,13 @@ impl Run {
     fn new(seed: u64, at_least_once: bool, first_converged: bool) -> Self {
         let ids: Vec<SiteId> = (1..=SITES as u64).map(SiteId::from_u64).collect();
         let stores: Vec<SharedBackend> = ids.iter().map(|_| SharedBackend::in_memory()).collect();
+        let registry = Registry::new();
         let replicas = ids
             .iter()
             .zip(&stores)
             .map(|(&site, disk)| {
                 let mut replica = Replica::new(site, Recording::new(site));
+                replica.set_telemetry(&registry.handle());
                 replica
                     .attach_store(DocStore::new(disk.clone()).unwrap())
                     .unwrap();
@@ -182,7 +185,7 @@ impl Run {
             chained_sent: 0,
             at_least_once,
             first_converged,
-            skipped_before_crash: 0,
+            registry,
         }
     }
 
@@ -296,10 +299,10 @@ impl Run {
     /// The site crashes (its store survives) and recovers from it.
     fn crash(&mut self, site: usize) {
         self.check_deliveries(site);
-        self.skipped_before_crash += self.replicas[site].replays_skipped();
         drop(self.replicas[site].detach_store());
         let store = DocStore::new(self.stores[site].clone()).unwrap();
-        let (recovered, _) = Replica::<Recording>::recover(store).unwrap();
+        let (mut recovered, _) = Replica::<Recording>::recover(store).unwrap();
+        recovered.set_telemetry(&self.registry.handle());
         self.replicas[site] = recovered;
     }
 
@@ -478,12 +481,10 @@ fn run(seed: u64, at_least_once: bool, first_converged: bool) -> u64 {
         );
         run.check_deliveries(site);
     }
-    run.skipped_before_crash
-        + run
-            .replicas
-            .iter()
-            .map(|r| r.replays_skipped())
-            .sum::<u64>()
+    run.registry
+        .snapshot()
+        .counter("replica.replays_skipped")
+        .unwrap_or(0)
 }
 
 #[test]

@@ -4,6 +4,7 @@
 use treedoc_repro::core::{HasSource, Op, Sdis, SiteId, Treedoc, Udis, WireDis};
 use treedoc_repro::replication::{CausalMessage, Replica, ReplicatedDocument};
 use treedoc_repro::sim::{run, Scenario};
+use treedoc_repro::telemetry::Registry;
 
 type SDoc = Treedoc<String, Sdis>;
 type UDoc = Treedoc<String, Udis>;
@@ -85,8 +86,13 @@ fn udis_and_sdis_replicas_agree_on_content_order() {
 
 #[test]
 fn causal_delivery_handles_out_of_order_messages_across_three_sites() {
+    let registry = Registry::new();
     let mut replicas: Vec<Replica<SDoc>> = (1..=3)
-        .map(|n| Replica::new(site(n), SDoc::new(site(n))))
+        .map(|n| {
+            let mut replica = Replica::new(site(n), SDoc::new(site(n)));
+            replica.set_telemetry(&registry.handle());
+            replica
+        })
         .collect();
 
     // Site 1 creates content, site 2 reacts to it, site 3 receives
@@ -121,7 +127,9 @@ fn causal_delivery_handles_out_of_order_messages_across_three_sites() {
     assert_eq!(replicas[0].doc().to_vec(), reference);
     assert_eq!(replicas[2].doc().to_vec(), reference);
     assert_eq!(reference, vec!["reply".to_string()]);
-    assert!(replicas.iter().all(|r| r.replays_skipped() == 0));
+    let counters = registry.snapshot();
+    assert_eq!(counters.counter("replica.ops_applied"), Some(6));
+    assert_eq!(counters.counter("replica.replays_skipped"), Some(0));
 }
 
 #[test]
@@ -182,8 +190,13 @@ where
     D: WireDis + HasSource,
     Treedoc<String, D>: ReplicatedDocument<Op = Op<String, D>>,
 {
+    let registry = Registry::new();
     let mut replicas: Vec<Replica<Treedoc<String, D>>> = (1..=3)
-        .map(|n| Replica::new(site(n), Treedoc::new(site(n))))
+        .map(|n| {
+            let mut replica = Replica::new(site(n), Treedoc::new(site(n)));
+            replica.set_telemetry(&registry.handle());
+            replica
+        })
         .collect();
     let mut rng = seed;
     let mut next = |bound: usize| {
@@ -220,12 +233,13 @@ where
             }
         }
         deliver_scrambled(&mut replicas, &mut inbox, &mut next);
+        let skipped = registry.snapshot().counter("replica.replays_skipped");
+        assert_eq!(skipped, Some(0), "seed {seed}, round {round}");
         let digest = replicas[0].digest();
         for replica in &replicas {
             assert_eq!(replica.pending(), 0, "seed {seed}, round {round}");
             assert_eq!(replica.digest(), digest, "seed {seed}, round {round}");
             assert_eq!(replica.doc().to_vec(), replicas[0].doc().to_vec());
-            assert_eq!(replica.replays_skipped(), 0);
             replica.doc().check_invariants().unwrap();
         }
     }

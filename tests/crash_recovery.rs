@@ -267,11 +267,14 @@ fn typing_script(len: usize) -> Vec<TypingStep> {
         .collect()
 }
 
-/// A writer and a remote reader, each journaling to its own disk.
+/// A writer and a remote reader, each journaling to its own disk and
+/// counting into its own registry (bound after a recovery, so a recovered
+/// pair counts only what it writes afterwards).
 struct TypingPair {
     writer: Replica<TypingDoc>,
     reader: Replica<TypingDoc>,
     disks: [SharedBackend; 2],
+    registries: [Registry; 2],
 }
 
 impl TypingPair {
@@ -285,11 +288,14 @@ impl TypingPair {
             writer,
             reader,
             disks,
+            registries: [Registry::new(), Registry::new()],
         };
-        for (replica, disk) in [&mut pair.writer, &mut pair.reader]
+        for ((replica, disk), registry) in [&mut pair.writer, &mut pair.reader]
             .into_iter()
             .zip(&pair.disks)
+            .zip(&pair.registries)
         {
+            replica.set_telemetry(&registry.handle());
             replica
                 .attach_store(DocStore::new(disk.clone()).unwrap())
                 .unwrap();
@@ -324,12 +330,19 @@ impl TypingPair {
         [self.writer.digest(), self.reader.digest()]
     }
 
+    fn counters(&self, name: &str) -> [u64; 2] {
+        [0, 1].map(|side| {
+            let counters = self.registries[side].snapshot();
+            counters.counter(name).unwrap_or(0)
+        })
+    }
+
     fn wal_appends(&self) -> [u64; 2] {
-        [&self.writer, &self.reader].map(|r| r.store().unwrap().stats().wal_appends)
+        self.counters("store.wal_appends")
     }
 
     fn wal_bytes(&self) -> [u64; 2] {
-        [&self.writer, &self.reader].map(|r| r.store().unwrap().stats().wal_bytes)
+        self.counters("store.wal_bytes")
     }
 
     /// What the disks hold if both replicas crash now; with `torn`, the
@@ -356,15 +369,18 @@ impl TypingPair {
     /// Recovers both replicas from crash images, each onto a disk of its own.
     fn recover(images: [MemoryBackend; 2]) -> Self {
         let disks = images.map(SharedBackend::new);
-        let [writer, reader] = [&disks[0], &disks[1]].map(|disk| {
-            Replica::<TypingDoc>::recover(DocStore::new(disk.clone()).unwrap())
-                .unwrap()
-                .0
+        let registries = [Registry::new(), Registry::new()];
+        let [writer, reader] = [0, 1].map(|side| {
+            let store = DocStore::new(disks[side].clone()).unwrap();
+            let (mut replica, _) = Replica::<TypingDoc>::recover(store).unwrap();
+            replica.set_telemetry(&registries[side].handle());
+            replica
         });
         TypingPair {
             writer,
             reader,
             disks,
+            registries,
         }
     }
 }

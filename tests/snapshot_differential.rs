@@ -42,6 +42,8 @@ struct Sites<D: WireDis + HasSource> {
     inbox: Vec<VecDeque<CausalMessage<Op<String, D>>>>,
     cursors: Vec<usize>,
     atoms: usize,
+    /// Counts every replica, recovered ones included.
+    registry: Registry,
 }
 
 impl<D> Sites<D>
@@ -51,12 +53,14 @@ where
 {
     fn new() -> Self {
         let stores: Vec<SharedBackend> = (0..SITES).map(|_| SharedBackend::in_memory()).collect();
+        let registry = Registry::new();
         let replicas = stores
             .iter()
             .enumerate()
             .map(|(i, disk)| {
                 let site = SiteId::from_u64(i as u64 + 1);
                 let mut replica = Replica::new(site, Doc::<D>::new(site));
+                replica.set_telemetry(&registry.handle());
                 replica
                     .attach_store(DocStore::new(disk.clone()).unwrap())
                     .unwrap();
@@ -69,6 +73,7 @@ where
             inbox: vec![VecDeque::new(); SITES],
             cursors: vec![0; SITES],
             atoms: 0,
+            registry,
         }
     }
 
@@ -124,8 +129,9 @@ where
         for replica in &self.replicas {
             assert_eq!(replica.pending(), 0);
             assert_eq!(replica.digest(), digest);
-            assert_eq!(replica.replays_skipped(), 0);
         }
+        let skipped = self.registry.snapshot().counter("replica.replays_skipped");
+        assert_eq!(skipped, Some(0));
     }
 
     /// All three sites insert into the same gap before hearing of each
@@ -203,7 +209,8 @@ where
         let digest = self.replicas[site].digest();
         drop(self.replicas[site].detach_store());
         let store = DocStore::new(self.stores[site].clone()).unwrap();
-        let (recovered, _) = Replica::<Doc<D>>::recover(store).unwrap();
+        let (mut recovered, _) = Replica::<Doc<D>>::recover(store).unwrap();
+        recovered.set_telemetry(&self.registry.handle());
         assert_eq!(
             recovered.digest(),
             digest,
