@@ -13,8 +13,8 @@
 //! transports provide reliable delivery through retransmission, which means
 //! the same message can arrive more than once. A message whose clock is
 //! already covered by `delivered` (or that is already buffered) is discarded
-//! on receipt and counted in [`BufferStats::duplicates_discarded`] instead of
-//! sitting in the hold-back queue forever.
+//! on receipt, reported as a [`Receipt::Duplicate`], instead of sitting in
+//! the hold-back queue forever.
 //!
 //! Internally messages are held in **per-sender FIFO queues keyed by the
 //! sender's own sequence number**. Delivery only ever inspects each sender's
@@ -91,28 +91,15 @@ impl<T> IntoIterator for Deliveries<T> {
     }
 }
 
-/// Running counters of a [`CausalBuffer`]'s activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BufferStats {
-    /// Total messages delivered (released in causal order).
-    pub delivered: u64,
-    /// Stale or duplicate messages discarded on receipt.
-    pub duplicates_discarded: u64,
-}
-
 /// The durable form of a [`CausalBuffer`]: everything a crashed replica
 /// needs to resume causal delivery exactly where it stopped — the delivered
-/// clock, the held-back messages and the counters.
+/// clock and the held-back messages.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CausalBufferImage<T> {
     /// The delivered clock at snapshot time.
     pub delivered: VectorClock,
     /// Messages that were waiting for causal predecessors.
     pub pending: Vec<CausalMessage<T>>,
-    /// Largest hold-back size observed.
-    pub high_water_mark: u64,
-    /// Delivery / discard counters.
-    pub stats: BufferStats,
 }
 
 /// A hold-back queue that releases messages in causal order.
@@ -124,10 +111,6 @@ pub struct CausalBuffer<T> {
     pending: BTreeMap<SiteId, BTreeMap<u64, CausalMessage<T>>>,
     /// Total messages across all per-sender queues.
     pending_total: usize,
-    /// Highest number of simultaneously buffered messages (for diagnostics).
-    high_water_mark: usize,
-    /// Delivery / discard counters.
-    stats: BufferStats,
 }
 
 impl<T> CausalBuffer<T> {
@@ -137,8 +120,6 @@ impl<T> CausalBuffer<T> {
             delivered: VectorClock::new(),
             pending: BTreeMap::new(),
             pending_total: 0,
-            high_water_mark: 0,
-            stats: BufferStats::default(),
         }
     }
 
@@ -150,16 +131,6 @@ impl<T> CausalBuffer<T> {
     /// Number of messages currently held back.
     pub fn pending_len(&self) -> usize {
         self.pending_total
-    }
-
-    /// Largest number of messages ever held back at once.
-    pub fn high_water_mark(&self) -> usize {
-        self.high_water_mark
-    }
-
-    /// Delivery and duplicate-discard counters.
-    pub fn stats(&self) -> BufferStats {
-        self.stats
     }
 
     /// Read-only duplicate test: `true` when a message with this sender and
@@ -194,8 +165,6 @@ impl<T> CausalBuffer<T> {
                 .values()
                 .flat_map(|queue| queue.values().cloned())
                 .collect(),
-            high_water_mark: self.high_water_mark as u64,
-            stats: self.stats,
         }
     }
 
@@ -214,8 +183,6 @@ impl<T> CausalBuffer<T> {
             delivered: image.delivered,
             pending,
             pending_total: total,
-            high_water_mark: (image.high_water_mark as usize).max(total),
-            stats: image.stats,
         }
     }
 
@@ -223,7 +190,8 @@ impl<T> CausalBuffer<T> {
     /// previously buffered ones) that becomes deliverable, in causal order.
     ///
     /// Stale messages (already delivered) and duplicates of buffered messages
-    /// are discarded and counted, so retransmissions never wedge the queue.
+    /// are discarded with a [`Receipt::Duplicate`], so retransmissions never
+    /// wedge the queue.
     pub fn receive(&mut self, message: CausalMessage<T>) -> Deliveries<T> {
         let sender = message.sender;
         let seq = message.seq();
@@ -231,7 +199,6 @@ impl<T> CausalBuffer<T> {
         // (seq 0 would be a clock that does not even include the sender's own
         // event — treat it as stale rather than buffering it unreleasably).
         if seq <= self.delivered.get(sender) {
-            self.stats.duplicates_discarded += 1;
             return Deliveries {
                 messages: Vec::new(),
                 receipt: Receipt::Duplicate,
@@ -240,7 +207,6 @@ impl<T> CausalBuffer<T> {
         let queue = self.pending.entry(sender).or_default();
         // Duplicate of a message already waiting in the hold-back queue.
         if queue.contains_key(&seq) {
-            self.stats.duplicates_discarded += 1;
             return Deliveries {
                 messages: Vec::new(),
                 receipt: Receipt::Duplicate,
@@ -252,7 +218,6 @@ impl<T> CausalBuffer<T> {
         let deliverable_now = self.delivered.is_next_deliverable(sender, &message.clock);
         queue.insert(seq, message);
         self.pending_total += 1;
-        self.high_water_mark = self.high_water_mark.max(self.pending_total);
         Deliveries {
             messages: if deliverable_now {
                 self.drain_deliverable()
@@ -271,7 +236,8 @@ impl<T> CausalBuffer<T> {
     ///
     /// Held-back messages whose sequence number falls under the new clock
     /// are discarded as duplicates (their effects arrived through the state
-    /// transfer); messages that the merge newly unblocks are released and
+    /// transfer; [`pending_len`](Self::pending_len) drops by their number
+    /// and the released messages'); messages that the merge newly unblocks are released and
     /// returned in causal order for the caller to replay.
     pub fn fast_forward(&mut self, remote: &VectorClock) -> Vec<CausalMessage<T>> {
         self.delivered.merge(remote);
@@ -281,10 +247,8 @@ impl<T> CausalBuffer<T> {
             let covered = self.delivered.get(sender);
             if let Some(queue) = self.pending.get_mut(&sender) {
                 let keep = queue.split_off(&(covered + 1));
-                let dropped = queue.len();
+                self.pending_total -= queue.len();
                 *queue = keep;
-                self.pending_total -= dropped;
-                self.stats.duplicates_discarded += dropped as u64;
                 if queue.is_empty() {
                     self.pending.remove(&sender);
                 }
@@ -306,7 +270,6 @@ impl<T> CausalBuffer<T> {
             for sender in senders {
                 while let Some(message) = self.take_next_from(sender) {
                     self.delivered.merge(&message.clock);
-                    self.stats.delivered += 1;
                     released.push(message);
                     progressed = true;
                 }
@@ -368,8 +331,7 @@ mod tests {
             assert_eq!(delivered.receipt, Receipt::Fresh);
         }
         assert_eq!(buf.pending_len(), 0);
-        assert_eq!(buf.stats().delivered, 5);
-        assert_eq!(buf.stats().duplicates_discarded, 0);
+        assert_eq!(buf.delivered_clock().get(site(1)), 5);
     }
 
     #[test]
@@ -394,7 +356,6 @@ mod tests {
             "releasing the missing prefix flushes the whole chain in order"
         );
         assert_eq!(buf.pending_len(), 0);
-        assert!(buf.high_water_mark() >= 2);
     }
 
     #[test]
@@ -461,8 +422,6 @@ mod tests {
         assert!(dup.is_empty());
         assert_eq!(dup.receipt, Receipt::Duplicate);
         assert_eq!(buf.pending_len(), 0, "duplicate must not be buffered");
-        assert_eq!(buf.stats().duplicates_discarded, 1);
-        assert_eq!(buf.high_water_mark(), 1);
     }
 
     #[test]
@@ -477,7 +436,6 @@ mod tests {
         let dup = buf.receive(m2);
         assert_eq!(dup.receipt, Receipt::Duplicate);
         assert_eq!(buf.pending_len(), 1, "still exactly one copy buffered");
-        assert_eq!(buf.stats().duplicates_discarded, 1);
     }
 
     #[test]
@@ -516,8 +474,7 @@ mod tests {
             vec![4],
             "the uncovered held-back suffix is released"
         );
-        assert_eq!(buf.pending_len(), 0);
-        assert_eq!(buf.stats().duplicates_discarded, 1, "m2 was covered");
+        assert_eq!(buf.pending_len(), 0, "m2 was covered and discarded");
         assert_eq!(buf.delivered_clock().get(site(1)), 4);
 
         // Late copies of covered messages are recognised as stale.
@@ -542,7 +499,6 @@ mod tests {
         let rebuilt = CausalBuffer::from_image(buf.export_image());
         assert_eq!(rebuilt.pending_len(), buf.pending_len());
         assert_eq!(rebuilt.delivered_clock(), buf.delivered_clock());
-        assert_eq!(rebuilt.stats(), buf.stats());
         let mut rebuilt = rebuilt;
         let released = rebuilt.receive(m2);
         assert_eq!(
@@ -571,14 +527,15 @@ mod tests {
             }
         }
         let mut buf = CausalBuffer::new();
-        let mut delivered = 0usize;
+        let (mut delivered, mut duplicates) = (0usize, 0usize);
         for m in emitted.iter().rev() {
             delivered += buf.receive(m.clone()).len();
-            delivered += buf.receive(m.clone()).len(); // immediate duplicate
+            let again = buf.receive(m.clone()); // immediate duplicate
+            delivered += again.len();
+            duplicates += usize::from(again.receipt == Receipt::Duplicate);
         }
         assert_eq!(delivered, emitted.len());
         assert_eq!(buf.pending_len(), 0);
-        assert_eq!(buf.stats().duplicates_discarded, emitted.len() as u64);
-        assert_eq!(buf.stats().delivered, emitted.len() as u64);
+        assert_eq!(duplicates, emitted.len());
     }
 }

@@ -49,6 +49,7 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 use treedoc_core::{SiteId, WirePayload};
+use treedoc_telemetry::{Counter, Telemetry};
 
 use crate::causal::CausalMessage;
 use crate::clock::VectorClock;
@@ -127,10 +128,9 @@ pub(crate) struct OpChains<Op> {
     heads: BTreeMap<SiteId, Vec<(u64, CausalMessage<Op>)>>,
     /// Chained ops waiting for their predecessor.
     parked: BTreeMap<(SiteId, u64), ChainedOp>,
-    /// Chained ops dropped as unresolvable against the head they name.
-    dropped: u64,
-    /// Chained ops discarded as duplicates: already delivered or parked.
-    duplicates: u64,
+    /// `replica.chained_ops_dropped`: chained ops dropped as unresolvable
+    /// against the head they name.
+    dropped: Counter,
 }
 
 impl<Op> Default for OpChains<Op> {
@@ -138,8 +138,7 @@ impl<Op> Default for OpChains<Op> {
         OpChains {
             heads: BTreeMap::new(),
             parked: BTreeMap::new(),
-            dropped: 0,
-            duplicates: 0,
+            dropped: Counter::default(),
         }
     }
 }
@@ -149,11 +148,15 @@ impl<Op> Default for OpChains<Op> {
 pub(crate) struct OpChainsImage<Op> {
     heads: Vec<(u64, CausalMessage<Op>)>,
     parked: Vec<ChainedOp>,
-    dropped: u64,
-    duplicates: u64,
 }
 
 impl<Op: WirePayload + Clone> OpChains<Op> {
+    /// Counts dropped chained ops in `telemetry`'s
+    /// `replica.chained_ops_dropped`.
+    pub(crate) fn bind(&mut self, telemetry: &Telemetry) {
+        self.dropped = telemetry.counter("replica.chained_ops_dropped");
+    }
+
     /// Resolves `op` against its sender's heads.
     pub(crate) fn resolve(&mut self, op: &ChainedOp) -> Resolution<Op> {
         let head = self.heads.get(&op.sender).and_then(|heads| {
@@ -169,7 +172,7 @@ impl<Op: WirePayload + Clone> OpChains<Op> {
         match resolved {
             Some(msg) => Resolution::Resolved(msg),
             None => {
-                self.dropped += 1;
+                self.dropped.inc();
                 Resolution::Invalid
             }
         }
@@ -191,16 +194,6 @@ impl<Op: WirePayload + Clone> OpChains<Op> {
         self.parked.contains_key(&(sender, seq))
     }
 
-    /// Counts a chained op discarded as a duplicate.
-    pub(crate) fn note_duplicate(&mut self) {
-        self.duplicates += 1;
-    }
-
-    /// Chained ops discarded as duplicates.
-    pub(crate) fn duplicates(&self) -> u64 {
-        self.duplicates
-    }
-
     /// Parks `op` until its predecessor resolves.
     pub(crate) fn park(&mut self, op: ChainedOp) {
         self.parked.insert((op.sender, op.seq), op);
@@ -213,16 +206,28 @@ impl<Op: WirePayload + Clone> OpChains<Op> {
             .is_some_and(|heads| heads.iter().any(|(_, msg)| msg.seq() == seq))
     }
 
-    /// The newest head of every sender stamped in `epoch`: what a sync root
-    /// offers the peer that fast-forwards to its clock.
-    pub(crate) fn newest_heads(
+    /// The chain heads of `epoch` (the newest resolved op per sender, and
+    /// `own` last stamped) that `delivered` covers and `peer` does not,
+    /// encoded for a sync root.
+    pub(crate) fn heads_beyond(
         &self,
         epoch: u64,
-    ) -> impl Iterator<Item = &(u64, CausalMessage<Op>)> + '_ {
-        self.heads
+        own: Option<&(u64, CausalMessage<Op>)>,
+        delivered: &VectorClock,
+        peer: &VectorClock,
+    ) -> Vec<u8> {
+        let heads: Vec<(u64, CausalMessage<Op>)> = self
+            .heads
             .values()
             .filter_map(|heads| heads.last())
-            .filter(move |(e, _)| *e == epoch)
+            .chain(own)
+            .filter(|(e, msg)| {
+                let (sender, seq) = (msg.sender, msg.seq());
+                *e == epoch && peer.get(sender) < seq && seq <= delivered.get(sender)
+            })
+            .cloned()
+            .collect();
+        wire::encode_chain_heads(&heads)
     }
 
     /// Makes `msg`, just resolved in `epoch`, its sender's newest head and
@@ -252,7 +257,7 @@ impl<Op: WirePayload + Clone> OpChains<Op> {
             None
         };
         if resolved.is_none() {
-            self.dropped += 1;
+            self.dropped.inc();
         }
         resolved.map(|msg| (epoch, msg))
     }
@@ -269,26 +274,15 @@ impl<Op: WirePayload + Clone> OpChains<Op> {
         self.parked.len()
     }
 
-    /// Chained ops dropped as unresolvable.
-    pub(crate) fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
     /// The durable form; `None` for a resolver that never saw an op (a
     /// replica that only stamps), so its snapshots carry no table.
     pub(crate) fn export_image(&self) -> Option<OpChainsImage<Op>> {
-        if self.heads.is_empty()
-            && self.parked.is_empty()
-            && self.dropped == 0
-            && self.duplicates == 0
-        {
+        if self.heads.is_empty() && self.parked.is_empty() {
             return None;
         }
         Some(OpChainsImage {
             heads: self.heads.values().flatten().cloned().collect(),
             parked: self.parked.values().cloned().collect(),
-            dropped: self.dropped,
-            duplicates: self.duplicates,
         })
     }
 
@@ -307,8 +301,7 @@ impl<Op: WirePayload + Clone> OpChains<Op> {
                 .into_iter()
                 .map(|op| ((op.sender, op.seq), op))
                 .collect(),
-            dropped: image.dropped,
-            duplicates: image.duplicates,
+            dropped: Counter::default(),
         }
     }
 }
@@ -402,7 +395,9 @@ mod tests {
     #[test]
     fn mismatched_epochs_and_garbage_are_dropped_not_resolved() {
         let msgs = typing(2);
+        let registry = treedoc_telemetry::Registry::new();
         let mut chains: OpChains<TestOp> = OpChains::default();
+        chains.bind(&registry.handle());
         chains.advance(1, &msgs[0]);
         assert!(matches!(
             chains.resolve(&chained(&msgs, 1)),
@@ -412,7 +407,10 @@ mod tests {
         garbage.epoch = 1;
         garbage.entry = vec![1, 0xff, 0xff];
         assert!(matches!(chains.resolve(&garbage), Resolution::Invalid));
-        assert_eq!(chains.dropped(), 2);
+        assert_eq!(
+            registry.snapshot().counter("replica.chained_ops_dropped"),
+            Some(2)
+        );
     }
 
     #[test]

@@ -23,10 +23,12 @@
 //!   retransmissions alike) and [`on_vote`](FlattenCoordinator::on_vote)
 //!   feeds replies back in, so any driver — the `treedoc-sim` scenario loop,
 //!   a test, a benchmark — can pump it over a faulty network;
-//! * the participant half lives on [`Replica`](crate::Replica), which votes,
-//!   locks while prepared, applies the flatten on commit and tags an epoch on
-//!   every operation envelope so pre-flatten traffic arriving late is
-//!   detected.
+//! * the participant half, one per replica: it votes, locks while
+//!   prepared, applies the flatten to a [`FlattenDocument`] on commit and
+//!   counts the epoch every operation envelope is tagged with, so
+//!   pre-flatten traffic arriving late is detected.
+//!   [`Replica`](crate::Replica) drives it: it journals each step and
+//!   releases the operations held back for the committed epoch.
 //!
 //! ## Votes under concurrency
 //!
@@ -49,13 +51,26 @@
 //! ([`Replica::flatten_tick`](crate::Replica::flatten_tick)) — the classic
 //! non-blocking trade: more message rounds, less blocked time.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 use std::collections::{BTreeMap, BTreeSet};
 
 use serde::{Deserialize, Serialize};
-use treedoc_core::{Side, SiteId};
+use treedoc_core::{HasSource, Side, SiteId, Treedoc, WireAtom, WireDis};
+use treedoc_telemetry::{Counter, Telemetry};
 
+use crate::causal::CausalMessage;
 use crate::clock::VectorClock;
-use crate::replica::Envelope;
+use crate::replica::ReplicatedDocument;
+use crate::wire::Envelope;
 
 /// A vote on a flatten proposal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -441,6 +456,336 @@ impl FlattenCoordinator {
                 no_votes: self.no_votes(),
             }
         });
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The participant
+// ---------------------------------------------------------------------------
+
+/// A document that can take part in distributed flatten commitment: it can
+/// vote on a proposal and apply a committed one. Implemented for
+/// [`Treedoc`]; the clock-equality half of the vote is the participant's.
+pub trait FlattenDocument: ReplicatedDocument {
+    /// Votes on the proposal from the document's point of view: No when the
+    /// subtree is missing or has activity after the proposal's base
+    /// revision.
+    ///
+    /// Note that revisions are **local bookkeeping** (operation delivery
+    /// never advances them, sync integration does), so a participant asks
+    /// this with its *own* [`base_revision`](Self::base_revision) in place
+    /// of the proposer's: in distributed runs the guard rejects missing
+    /// subtrees, and the concurrency veto is the clock-equality test.
+    fn flatten_vote(&self, proposal: &FlattenProposal) -> Vote;
+    /// Applies a committed flatten (deterministic, so every committing
+    /// replica produces the same structure).
+    fn apply_flatten(&mut self, proposal: &FlattenProposal);
+    /// The revision a proposal initiated at this replica is based on.
+    fn base_revision(&self) -> u64;
+}
+
+impl<A, D> FlattenDocument for Treedoc<A, D>
+where
+    A: WireAtom + std::hash::Hash,
+    D: WireDis + HasSource,
+{
+    fn flatten_vote(&self, proposal: &FlattenProposal) -> Vote {
+        match self.store().region_hot_rev(&proposal.subtree) {
+            Some(hot_rev) if hot_rev <= proposal.base_revision => Vote::Yes,
+            _ => Vote::No,
+        }
+    }
+
+    fn apply_flatten(&mut self, proposal: &FlattenProposal) {
+        let _ = self.flatten(&proposal.subtree);
+    }
+
+    fn base_revision(&self) -> u64 {
+        self.revision()
+    }
+}
+
+/// The participant's `flatten.*` counters.
+#[derive(Debug, Clone, Default)]
+struct FlattenMetrics {
+    commits: Counter,
+    aborts: Counter,
+    votes_cast: Counter,
+    unilateral_commits: Counter,
+    blocked_ticks: Counter,
+    late_epoch_ops: Counter,
+}
+
+/// A proposal this replica has voted Yes on: the replica is locked (no
+/// edits in the subtree) until the decision arrives.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct PreparedFlatten {
+    txn: u64,
+    proposal: FlattenProposal,
+    /// 3PC only: the pre-commit round was acknowledged, so the decision is
+    /// known to be commit and the replica may terminate unilaterally.
+    pre_committed: bool,
+    /// Ticks spent waiting since preparing (reset by the pre-commit).
+    ticks_waiting: u64,
+}
+
+/// The participant half of the protocol, one per replica: the flatten
+/// epoch, the votes and decisions that make its answers idempotent, and the
+/// prepared lock. It is its own snapshot image; it counts into `flatten.*`.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+pub(crate) struct FlattenRole {
+    /// Number of flattens committed at this replica so far; every operation
+    /// envelope is tagged with the epoch it was stamped in.
+    epoch: u64,
+    /// Votes already cast, per transaction (re-answered idempotently when a
+    /// proposal is retransmitted). Retained for the replica's lifetime: one
+    /// small entry per proposal ever observed, bounded by the run length
+    /// (a long-lived deployment would prune entries from settled epochs).
+    voted: BTreeMap<u64, Vote>,
+    /// Concluded transactions (`true` = committed), for idempotent decision
+    /// handling under network duplication. Same retention as `voted`.
+    decided: BTreeMap<u64, bool>,
+    /// Local transaction counter for proposals initiated here.
+    next_txn: u64,
+    /// The proposal this replica has voted Yes on and not yet seen decided.
+    prepared: Option<PreparedFlatten>,
+    #[serde(skip)]
+    metrics: FlattenMetrics,
+}
+
+impl FlattenRole {
+    /// Counts into `telemetry`'s `flatten.*` counters.
+    pub(crate) fn bind(&mut self, telemetry: &Telemetry) {
+        self.metrics = FlattenMetrics {
+            commits: telemetry.counter("flatten.commits"),
+            aborts: telemetry.counter("flatten.aborts"),
+            votes_cast: telemetry.counter("flatten.votes_cast"),
+            unilateral_commits: telemetry.counter("flatten.unilateral_commits"),
+            blocked_ticks: telemetry.counter("flatten.blocked_ticks"),
+            late_epoch_ops: telemetry.counter("flatten.late_epoch_ops"),
+        };
+    }
+
+    /// Number of flattens committed here.
+    pub(crate) fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// `true` while a proposal holds the prepared lock.
+    pub(crate) fn is_prepared(&self) -> bool {
+        self.prepared.is_some()
+    }
+
+    /// `true` while `txn` holds the prepared lock.
+    pub(crate) fn is_prepared_for(&self, txn: u64) -> bool {
+        self.prepared.as_ref().is_some_and(|p| p.txn == txn)
+    }
+
+    /// Counts an operation stamped in `epoch` as late pre-flatten traffic
+    /// when that epoch is older than this replica's.
+    pub(crate) fn note_op_epoch(&self, epoch: u64) {
+        if epoch < self.epoch {
+            self.metrics.late_epoch_ops.inc();
+        }
+    }
+
+    /// The coordinator side: votes locally on flattening `subtree` of
+    /// `doc`, locks prepared and returns the proposal to distribute with
+    /// `site`'s delivered clock. `None` — counting a local abort — when the
+    /// local vote is No or another proposal holds the lock.
+    pub(crate) fn propose<Doc: FlattenDocument>(
+        &mut self,
+        site: SiteId,
+        doc: &Doc,
+        subtree: Vec<Side>,
+        protocol: CommitProtocol,
+        delivered: &VectorClock,
+    ) -> Option<FlattenPropose> {
+        if self.prepared.is_some() {
+            return None;
+        }
+        self.next_txn += 1;
+        // Globally unique as long as site ids and per-site proposal counts
+        // fit 32 bits each — far beyond what a run can produce; asserted so
+        // a violation cannot silently corrupt the vote/decision dedup maps.
+        debug_assert!(
+            site.as_u64() < (1 << 32) && self.next_txn < (1 << 32),
+            "transaction id packing overflow"
+        );
+        let txn = (site.as_u64() << 32) | self.next_txn;
+        let proposal = FlattenProposal {
+            proposer: site,
+            subtree,
+            base_revision: doc.base_revision(),
+            txn,
+        };
+        self.metrics.votes_cast.inc();
+        if doc.flatten_vote(&proposal) != Vote::Yes {
+            self.metrics.aborts.inc();
+            self.decided.insert(txn, false);
+            return None;
+        }
+        self.voted.insert(txn, Vote::Yes);
+        self.prepare(txn, &proposal);
+        Some(FlattenPropose {
+            proposal,
+            protocol,
+            base_clock: delivered.clone(),
+            epoch: self.epoch,
+        })
+    }
+
+    fn prepare(&mut self, txn: u64, proposal: &FlattenProposal) {
+        self.prepared = Some(PreparedFlatten {
+            txn,
+            proposal: proposal.clone(),
+            pre_committed: false,
+            ticks_waiting: 0,
+        });
+    }
+
+    /// The vote round: `site`'s answer to `propose`, given its document and
+    /// delivered clock (see the module docs for the soundness argument
+    /// behind the clock-equality test).
+    pub(crate) fn vote<Doc: FlattenDocument>(
+        &mut self,
+        site: SiteId,
+        doc: &Doc,
+        propose: FlattenPropose,
+        delivered: &VectorClock,
+    ) -> FlattenVote {
+        let txn = propose.proposal.txn;
+        let reply = |vote, stage| FlattenVote {
+            txn,
+            from: site,
+            vote,
+            stage,
+        };
+        if self.decided.contains_key(&txn) {
+            // Late duplicate of a concluded transaction: re-acknowledge so a
+            // coordinator that missed our ack can finish.
+            return reply(Vote::Yes, VoteStage::AckDecision);
+        }
+        if let Some(&vote) = self.voted.get(&txn) {
+            // Retransmitted proposal: repeat the recorded vote.
+            return reply(vote, VoteStage::Vote);
+        }
+        let vote = if propose.epoch != self.epoch || self.prepared.is_some() {
+            // Another epoch, or already locked by a concurrent proposal.
+            Vote::No
+        } else if delivered != &propose.base_clock {
+            // Concurrent activity the proposer has not seen (or activity the
+            // proposer saw that we have not): edits take precedence.
+            Vote::No
+        } else {
+            // Revisions are local (sync integration advances them), so the
+            // region is judged against this replica's own revision, not the
+            // proposer's; clock equality above is the concurrency veto.
+            doc.flatten_vote(&FlattenProposal {
+                base_revision: doc.base_revision(),
+                ..propose.proposal.clone()
+            })
+        };
+        if vote == Vote::Yes {
+            self.prepare(txn, &propose.proposal);
+        }
+        self.voted.insert(txn, vote);
+        self.metrics.votes_cast.inc();
+        reply(vote, VoteStage::Vote)
+    }
+
+    /// The pre-commit and decision rounds, idempotent under duplication and
+    /// retransmission: whether the prepared flatten commits now (the caller
+    /// then runs [`commit`](Self::commit)) and the acknowledgement to send.
+    pub(crate) fn on_decision(
+        &mut self,
+        site: SiteId,
+        decision: FlattenDecision,
+    ) -> (bool, Option<FlattenVote>) {
+        let txn = decision.txn;
+        let ack = |stage| {
+            Some(FlattenVote {
+                txn,
+                from: site,
+                vote: Vote::Yes,
+                stage,
+            })
+        };
+        if self.decided.contains_key(&txn) {
+            // Duplicate (or a decision overtaken by a unilateral commit):
+            // just re-acknowledge.
+            return (false, ack(VoteStage::AckDecision));
+        }
+        let prepared = self.prepared.as_mut().filter(|p| p.txn == txn);
+        match (decision.kind, prepared) {
+            (DecisionKind::PreCommit, Some(prepared)) => {
+                prepared.pre_committed = true;
+                prepared.ticks_waiting = 0;
+                (false, ack(VoteStage::AckPreCommit))
+            }
+            (DecisionKind::Commit, Some(_)) => (true, ack(VoteStage::AckDecision)),
+            (DecisionKind::Abort, _) => {
+                self.abort(txn);
+                (false, ack(VoteStage::AckDecision))
+            }
+            // A pre-commit for a proposal we voted No on (or never saw): the
+            // coordinator cannot have committed it with our No vote, so this
+            // is stray traffic — ignore it.
+            (DecisionKind::PreCommit, None) => (false, None),
+            (DecisionKind::Commit, None) => {
+                debug_assert!(
+                    false,
+                    "commit for a transaction this replica never prepared"
+                );
+                (false, None)
+            }
+        }
+    }
+
+    /// One round while prepared, counting blocked time. Returns the
+    /// transaction to commit unilaterally once a pre-committed 3PC
+    /// participant has waited `pre_commit_timeout` ticks (see the module
+    /// docs).
+    pub(crate) fn tick(&mut self, pre_commit_timeout: u64) -> Option<u64> {
+        let prepared = self.prepared.as_mut()?;
+        self.metrics.blocked_ticks.inc();
+        prepared.ticks_waiting += 1;
+        if !(prepared.pre_committed && prepared.ticks_waiting >= pre_commit_timeout) {
+            return None;
+        }
+        self.metrics.unilateral_commits.inc();
+        Some(prepared.txn)
+    }
+
+    /// Concludes `txn` as aborted, releasing the lock if it holds it.
+    pub(crate) fn abort(&mut self, txn: u64) {
+        if self.is_prepared_for(txn) {
+            self.prepared = None;
+        }
+        self.metrics.aborts.inc();
+        self.decided.insert(txn, false);
+    }
+
+    /// Commit and drain: applies the prepared flatten to `doc`, enters the
+    /// next epoch and takes the operations `held` back for it out of the
+    /// hold-back, in arrival order, for the caller to deliver. `None` when
+    /// nothing is prepared.
+    pub(crate) fn commit<Doc: FlattenDocument>(
+        &mut self,
+        doc: &mut Doc,
+        held: &mut Vec<(u64, CausalMessage<Doc::Op>)>,
+    ) -> Option<Vec<CausalMessage<Doc::Op>>> {
+        let prepared = self.prepared.take()?;
+        doc.apply_flatten(&prepared.proposal);
+        self.epoch += 1;
+        self.metrics.commits.inc();
+        self.decided.insert(prepared.txn, true);
+        let epoch = self.epoch;
+        let (ready, still_held) = std::mem::take(held)
+            .into_iter()
+            .partition(|(e, _)| *e <= epoch);
+        *held = still_held;
+        Some(ready.into_iter().map(|(_, msg)| msg).collect())
     }
 }
 

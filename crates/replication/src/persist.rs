@@ -1,5 +1,5 @@
-//! Durable replicas: the glue between [`Replica`](crate::Replica) and the
-//! [`DocStore`](treedoc_storage::DocStore) of `treedoc-storage`.
+//! Durable replicas: the glue between [`Replica`] and the
+//! [`DocStore`] of `treedoc-storage`.
 //!
 //! The persistence model is **write-ahead redo logging over the existing
 //! message handlers**:
@@ -13,7 +13,7 @@
 //!   with a typed [`RecoverError::Parse`];
 //! * records that carry operations form a **chain**: each is delta-encoded
 //!   against the last operation entry journaled before it
-//!   ([`WalChain`](crate::wire::WalChain)), so a typed keystroke costs a
+//!   ([`WalChain`]), so a typed keystroke costs a
 //!   few bytes and O(1) to replay, not its whole identifier. Every
 //!   checkpoint attempt resets the chain — successful or not — so the first
 //!   such record after it is written absolute, and every point a recovery
@@ -83,12 +83,13 @@ use std::fmt;
 
 use serde::{de::DeserializeOwned, Deserialize, Serialize};
 use treedoc_core::{HasSource, Op, Side, SiteId, Treedoc, TreedocConfig, WireAtom, WireDis};
-use treedoc_storage::{content_hash64, Snapshot, SnapshotError, StorageError};
+use treedoc_storage::{content_hash64, DocStore, Snapshot, SnapshotError, StorageError};
 
 use crate::causal::CausalMessage;
 use crate::flatten::CommitProtocol;
-use crate::replica::{Envelope, ReplicatedDocument};
+use crate::replica::{Replica, ReplicatedDocument};
 use crate::sync::{decode_cells, encode_cells};
+use crate::wire::{Envelope, WalChain};
 
 /// Snapshot section holding the document-level state (revision counter,
 /// configuration, disambiguator source, content hash of the cells).
@@ -220,7 +221,104 @@ pub(crate) fn from_json_bytes<T: DeserializeOwned>(
     serde_json::from_str(text).map_err(|e| RecoverError::Parse(format!("{what}: {e}")))
 }
 
-/// A document a [`Replica`](crate::Replica) can persist and recover: it can
+/// A replica's write-ahead journal: the attached store, the chain the next
+/// record is delta-encoded against, and the checkpoint hook — captured
+/// where the snapshot's bounds hold, so the journaling call sites need none.
+#[derive(Debug)]
+pub(crate) struct Journal<Doc: ReplicatedDocument> {
+    pub(crate) store: DocStore,
+    snapshot: fn(&Replica<Doc>) -> Snapshot,
+    chain: WalChain<Doc::Op>,
+}
+
+impl<Doc: ReplicatedDocument> Journal<Doc> {
+    /// Attaches `store` to `replica` at flatten `epoch`, with a baseline
+    /// snapshot to recover from.
+    pub(crate) fn attach(
+        store: DocStore,
+        snapshot: fn(&Replica<Doc>) -> Snapshot,
+        replica: &Replica<Doc>,
+        epoch: u64,
+    ) -> Result<Self, StorageError> {
+        let mut journal = Journal {
+            store,
+            snapshot,
+            chain: WalChain::new(),
+        };
+        journal.checkpoint(replica, epoch)?;
+        Ok(journal)
+    }
+
+    /// Appends `record`, delta-encoded against the chain, in flatten
+    /// `epoch`.
+    ///
+    /// # Panics
+    ///
+    /// When the backend fails: a lost record is fatal, not forgotten.
+    #[allow(
+        clippy::expect_used,
+        reason = "durability: the stamp and receive paths return no `Result`"
+    )]
+    pub(crate) fn append(&mut self, epoch: u64, record: WalRecord<Doc::Op>) {
+        let bytes = self.chain.encode(&record);
+        self.store
+            .append(epoch, &bytes)
+            .expect("WAL append failed; durability cannot be guaranteed");
+        self.chain.advance(record);
+    }
+
+    /// Checkpoints `replica` at `epoch`, truncating the WAL, and resets the
+    /// chain even on failure: the next record is written absolute, so it
+    /// decodes from whichever snapshot a recovery starts at.
+    pub(crate) fn checkpoint(
+        &mut self,
+        replica: &Replica<Doc>,
+        epoch: u64,
+    ) -> Result<(), StorageError> {
+        let snapshot = (self.snapshot)(replica);
+        self.chain.reset();
+        self.store.checkpoint(epoch, &snapshot)
+    }
+
+    /// Recovery: rebuilds the replica from the newest verified snapshot of
+    /// `store` with `restore` and hands the valid WAL tail to `replay`,
+    /// returning it with the journal to re-attach. The replica replays with
+    /// no journal attached, so replay writes nothing; the tail's chain ends
+    /// at the log's last op entry, and the next records continue it.
+    pub(crate) fn recover(
+        mut store: DocStore,
+        snapshot: fn(&Replica<Doc>) -> Snapshot,
+        restore: fn(&Snapshot) -> Result<Replica<Doc>, RecoverError>,
+        replay: fn(&mut Replica<Doc>, WalRecord<Doc::Op>),
+    ) -> Result<(Replica<Doc>, Self, RecoveryReport), RecoverError> {
+        let recovered = store.recover()?;
+        let (_, image) = recovered.snapshot.ok_or(RecoverError::NoSnapshot)?;
+        let mut replica = restore(&image)?;
+        let mut chain = WalChain::new();
+        for entry in &recovered.wal {
+            let record = chain
+                .decode(&entry.payload)
+                .map_err(|e| RecoverError::Parse(format!("WAL record: {e}")))?;
+            replay(&mut replica, record);
+        }
+        let report = RecoveryReport {
+            snapshot_hit: recovered.stats.snapshot_hit,
+            snapshot_epoch: recovered.stats.snapshot_epoch,
+            corrupt_snapshots_skipped: recovered.stats.corrupt_snapshots_skipped,
+            wal_records_replayed: recovered.wal.len(),
+            bytes_recovered: recovered.stats.bytes_recovered,
+            torn_tail_bytes: recovered.stats.torn_tail_bytes,
+        };
+        let journal = Journal {
+            store,
+            snapshot,
+            chain,
+        };
+        Ok((replica, journal, report))
+    }
+}
+
+/// A document a [`Replica`] can persist and recover: it can
 /// write itself into snapshot sections, rebuild itself from them, and replay
 /// its *own* logged operations (which, unlike remote replay, must also keep
 /// the disambiguator source ahead of every identifier it issued).

@@ -22,12 +22,12 @@
 //!    too. The echo carries the chain heads the probe's clock does not
 //!    cover, adopted with the clock (see [`crate::chain`]); when the merge
 //!    moved the echoing replica's clock, the echo asks for the prober's
-//!    heads, which follow in one more root. A receiver whose root differs answers with [`SyncDigests`]: its
-//!    digest over each of up to [`SyncConfig::fanout`] sub-ranges tiling the
-//!    identifier space.
+//!    heads, which follow in one more root. A receiver whose root differs
+//!    answers with [`SyncDigests`]: its digest over each of up to
+//!    [`FANOUT`] sub-ranges tiling the identifier space.
 //! 3. [`SyncDigests`] ranges that match locally are dropped; a mismatched
 //!    range is split again (ping-ponging the walk between the peers) until
-//!    either side's range population falls under [`SyncConfig::leaf_cells`],
+//!    either side's range population falls under [`LEAF_CELLS`],
 //!    at which point the cells themselves cross as [`SyncRuns`]: the
 //!    initiating side sends its cells, the receiver integrates and echoes
 //!    back only the **difference** (cells absent from, or outranking, the
@@ -36,8 +36,12 @@
 //! 4. The driver re-probes; equal roots end the session with the clock
 //!    fast-forward of step 2.
 //!
+//! Every message, probe and echo alike, goes through
+//! [`Replica::receive_any`], which answers with the replies to send back.
+//!
 //! A brand-new site skips the walk entirely: any peer can send a
-//! [`SnapshotOffer`] followed by [`SnapshotChunk`]s — the document's
+//! [`SnapshotOffer`] followed by [`SnapshotChunk`]s
+//! ([`Replica::snapshot_envelopes`], [`CHUNK_BYTES`] each) — the document's
 //! durable snapshot sections, reused verbatim from the storage layer — and
 //! the joiner adopts the decoded state under its **own** site identity
 //! ([`SyncDocument::adopt_bootstrap`]), then runs one digest round to pick
@@ -57,6 +61,20 @@
 //! [`Envelope::Op`]: crate::replica::Envelope::Op
 //! [`Envelope::OpBatch`]: crate::replica::Envelope::OpBatch
 //! [`Replica::sync_probe`]: crate::replica::Replica::sync_probe
+//! [`Replica::receive_any`]: crate::replica::Replica::receive_any
+//! [`Replica::snapshot_envelopes`]: crate::replica::Replica::snapshot_envelopes
+
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
+use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 use treedoc_core::codec::{put_pos_id, put_u8, put_varint, WireAtom, WireDis};
@@ -64,38 +82,29 @@ use treedoc_core::{
     codec::get_pos_id, Atom, Content, Disambiguator, HasSource, PosId, SiteId, Treedoc,
 };
 use treedoc_storage::Snapshot;
+use treedoc_telemetry::{Counter, Telemetry};
 
 use crate::clock::VectorClock;
 use crate::persist::PersistentDocument;
 use crate::replica::ReplicatedDocument;
+use crate::wire::{Effect, Envelope};
 
-/// Tuning knobs of the digest walk and the snapshot bootstrap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SyncConfig {
-    /// Sub-ranges a mismatched range is split into per round. Higher fanout
-    /// means fewer rounds but larger digest messages.
-    pub fanout: usize,
-    /// A range whose population (on either side) is at or under this
-    /// threshold ships its cells instead of splitting further. Leaf
-    /// exchanges ship the range's cells in **both** directions (each side
-    /// repairs the other), so a large leaf wastes bytes re-shipping cells
-    /// both sides already share: a digest entry costs ~30 B against ~30 B
-    /// per cell, which makes a small leaf the cheaper trade until a range
-    /// is mostly missing.
-    pub leaf_cells: usize,
-    /// Payload bytes per [`SnapshotChunk`] of the bootstrap path.
-    pub chunk_bytes: usize,
-}
+/// Sub-ranges a mismatched range is split into per round. Higher fanout
+/// means fewer rounds but larger digest messages.
+pub const FANOUT: usize = 8;
 
-impl Default for SyncConfig {
-    fn default() -> Self {
-        SyncConfig {
-            fanout: 8,
-            leaf_cells: 16,
-            chunk_bytes: 16 * 1024,
-        }
-    }
-}
+/// A range whose population (on either side) is at or under this threshold
+/// ships its cells instead of splitting further. Leaf exchanges ship the
+/// range's cells in **both** directions (each side repairs the other), so a
+/// large leaf wastes bytes re-shipping cells both sides already share: a
+/// digest entry costs ~30 B against ~30 B per cell, which makes a small leaf
+/// the cheaper trade until a range is mostly missing.
+pub const LEAF_CELLS: usize = 16;
+
+/// Payload bytes per [`SnapshotChunk`] of the bootstrap path: large enough
+/// that a chunk's envelope overhead is noise, small enough that one lost
+/// chunk costs little to resend.
+pub const CHUNK_BYTES: usize = 16 * 1024;
 
 /// The opening digest probe (and its echo): root digest, stored-cell count
 /// and the sender's causal clock.
@@ -440,6 +449,222 @@ where
         self.adopt_state(donor);
         Some(())
     }
+}
+
+// ---------------------------------------------------------------------------
+// The replica side of the protocol
+// ---------------------------------------------------------------------------
+
+/// The `sync.*` counters of a replica.
+#[derive(Debug, Clone, Default)]
+struct SyncMetrics {
+    digests_rx: Counter,
+    runs_rx: Counter,
+    echo_bytes: Counter,
+    cells_integrated: Counter,
+}
+
+/// Collects the chunks of one snapshot transfer until all have arrived.
+#[derive(Debug)]
+struct BootstrapAssembly {
+    from: SiteId,
+    digest: u64,
+    total_bytes: u64,
+    chunks: u64,
+    received: BTreeMap<u64, Vec<u8>>,
+}
+
+/// A replica's side of the digest walk and the bootstrap. Only a bootstrap
+/// keeps state, the chunks in flight, and that is transient (a crash
+/// restarts the transfer). Counts into `sync.*`.
+#[derive(Debug, Default)]
+pub(crate) struct SyncSession {
+    bootstrap: Option<BootstrapAssembly>,
+    metrics: SyncMetrics,
+}
+
+impl SyncSession {
+    /// Counts into `telemetry`'s `sync.*` counters.
+    pub(crate) fn bind(&mut self, telemetry: &Telemetry) {
+        self.metrics = SyncMetrics {
+            digests_rx: telemetry.counter("sync.digests_rx"),
+            runs_rx: telemetry.counter("sync.runs_rx"),
+            echo_bytes: telemetry.counter("sync.echo_bytes"),
+            cells_integrated: telemetry.counter("sync.cells_integrated"),
+        };
+    }
+
+    /// Handles a sync or bootstrap envelope addressed to `site`, whose
+    /// document is `doc`. A root of the same state is the replica's to
+    /// handle: adopting the peer's clock and chain heads touches its causal
+    /// buffer and chain resolver.
+    pub(crate) fn receive<Doc: SyncDocument>(
+        &mut self,
+        doc: &mut Doc,
+        site: SiteId,
+        envelope: Envelope<Doc::Op>,
+    ) -> Effect<Doc::Op> {
+        let mut effect = Effect::default();
+        match envelope {
+            // A mismatched echo means the repair phase is (still) running:
+            // the next probe re-compares.
+            Envelope::SyncRoot(root) if root.reply => {
+                let whole = RangeDigest {
+                    lo: Vec::new(),
+                    hi: Vec::new(),
+                    digest: root.digest,
+                    cells: root.cells,
+                };
+                effect.replies = walk(doc, site, vec![whole]);
+            }
+            Envelope::SyncDigests(digests) => {
+                self.metrics.digests_rx.inc();
+                effect.replies = walk(doc, site, digests.ranges);
+            }
+            // A leaf: integrate the peer's cells and, when asked, echo only
+            // those it provably lacks, computed *before* integrating, so a
+            // leaf costs bytes proportional to the divergence.
+            Envelope::SyncRuns(runs) => {
+                self.metrics.runs_rx.inc();
+                let mine = runs
+                    .reply
+                    .then(|| doc.sync_cells_absent_from(&runs.lo, &runs.hi, &runs.cells))
+                    .flatten();
+                effect.cells_integrated = doc.sync_integrate(&runs.cells).unwrap_or(0);
+                self.metrics
+                    .cells_integrated
+                    .add(effect.cells_integrated as u64);
+                if let Some((cells, count)) = mine.filter(|(_, count)| *count > 0) {
+                    self.metrics.echo_bytes.add(cells.len() as u64);
+                    effect.replies.push(Envelope::SyncRuns(SyncRuns {
+                        from: site,
+                        lo: runs.lo,
+                        hi: runs.hi,
+                        count,
+                        cells,
+                        reply: false,
+                    }));
+                }
+            }
+            Envelope::SnapshotOffer(offer) => {
+                self.bootstrap = Some(BootstrapAssembly {
+                    from: offer.from,
+                    digest: offer.digest,
+                    total_bytes: offer.total_bytes,
+                    chunks: offer.chunks,
+                    received: BTreeMap::new(),
+                });
+            }
+            Envelope::SnapshotChunk(chunk) => {
+                if let Some(cells) = self.on_chunk(doc, chunk) {
+                    effect.cells_integrated = cells;
+                    effect.bootstrapped = true;
+                }
+            }
+            _ => {}
+        }
+        effect
+    }
+
+    /// Collects one chunk; the last makes `doc` adopt the assembled state,
+    /// returning its stored cells when the state verifies.
+    fn on_chunk<Doc: SyncDocument>(
+        &mut self,
+        doc: &mut Doc,
+        chunk: SnapshotChunk,
+    ) -> Option<usize> {
+        let assembly = self.bootstrap.as_mut()?;
+        if chunk.from != assembly.from || chunk.total != assembly.chunks {
+            return None; // from a different transfer
+        }
+        assembly.received.insert(chunk.index, chunk.data);
+        if (assembly.received.len() as u64) < assembly.chunks {
+            return None;
+        }
+        let assembly = self.bootstrap.take()?;
+        let bytes: Vec<u8> = assembly.received.into_values().flatten().collect();
+        if bytes.len() as u64 != assembly.total_bytes {
+            return None; // chunk indices lied about coverage
+        }
+        doc.adopt_bootstrap(&bytes)?;
+        (doc.digest() == assembly.digest).then(|| doc.sync_root().1 as usize)
+    }
+}
+
+/// The replies to a round of the walk: ranges that agree are dropped; a
+/// mismatched range small enough on either side ([`LEAF_CELLS`]) ships its
+/// cells, asking for the peer's difference back; the rest split into
+/// [`FANOUT`] sub-ranges each, sent as one [`SyncDigests`]. Ranges with
+/// malformed bounds are dropped.
+fn walk<Doc: SyncDocument>(
+    doc: &Doc,
+    site: SiteId,
+    ranges: Vec<RangeDigest>,
+) -> Vec<Envelope<Doc::Op>> {
+    let mut replies = Vec::new();
+    let mut narrowed = Vec::new();
+    for range in ranges {
+        let Some((my_digest, my_cells)) = doc.sync_range(&range.lo, &range.hi) else {
+            continue;
+        };
+        if my_digest == range.digest && my_cells == range.cells {
+            continue;
+        }
+        if my_cells as usize <= LEAF_CELLS || range.cells as usize <= LEAF_CELLS {
+            if let Some((cells, count)) = doc.sync_cells(&range.lo, &range.hi) {
+                replies.push(Envelope::SyncRuns(SyncRuns {
+                    from: site,
+                    lo: range.lo,
+                    hi: range.hi,
+                    count,
+                    cells,
+                    reply: true,
+                }));
+            }
+        } else if let Some(split) = doc.sync_split(&range.lo, &range.hi, FANOUT) {
+            narrowed.extend(split);
+        }
+    }
+    if !narrowed.is_empty() {
+        replies.push(Envelope::SyncDigests(SyncDigests {
+            from: site,
+            ranges: narrowed,
+        }));
+    }
+    replies
+}
+
+/// The donor side of the bootstrap path: `doc` encoded as a
+/// [`SnapshotOffer`] from `site` followed by its [`SnapshotChunk`]s of
+/// [`CHUNK_BYTES`], for a joining site to adopt (the joiner then runs a
+/// normal sync session to pick up its causal clock).
+pub(crate) fn snapshot_envelopes<Doc: SyncDocument>(
+    doc: &Doc,
+    site: SiteId,
+) -> Vec<Envelope<Doc::Op>> {
+    let bytes = doc.encode_bootstrap();
+    let pieces: Vec<&[u8]> = if bytes.is_empty() {
+        vec![&[]]
+    } else {
+        bytes.chunks(CHUNK_BYTES).collect()
+    };
+    let total = pieces.len() as u64;
+    let mut out = Vec::with_capacity(pieces.len() + 1);
+    out.push(Envelope::SnapshotOffer(SnapshotOffer {
+        from: site,
+        digest: doc.digest(),
+        total_bytes: bytes.len() as u64,
+        chunks: total,
+    }));
+    for (index, piece) in pieces.into_iter().enumerate() {
+        out.push(Envelope::SnapshotChunk(SnapshotChunk {
+            from: site,
+            index: index as u64,
+            total,
+            data: piece.to_vec(),
+        }));
+    }
+    out
 }
 
 #[cfg(test)]

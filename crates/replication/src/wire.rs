@@ -109,11 +109,12 @@
 
 use std::fmt;
 
+use serde::{Deserialize, Serialize};
 use treedoc_core::codec::{
     get_bytes, get_sides, get_site, get_u8, get_varint, put_bytes, put_sides, put_site, put_u8,
     put_varint, WirePayload,
 };
-use treedoc_core::WIRE_VERSION;
+use treedoc_core::{SiteId, WIRE_VERSION};
 
 use crate::causal::CausalMessage;
 use crate::chain::ChainedOp;
@@ -123,8 +124,117 @@ use crate::flatten::{
     Vote, VoteStage,
 };
 use crate::persist::WalRecord;
-use crate::replica::{Envelope, OpBatch};
 use crate::sync::{RangeDigest, SnapshotChunk, SnapshotOffer, SyncDigests, SyncRoot, SyncRuns};
+
+/// A run of causally consecutive stamped operations from one sender, shipped
+/// as a single envelope. Produced by the sender-side flush policy
+/// ([`Replica::stamp_batched`](crate::Replica::stamp_batched)) and by
+/// retransmission coalescing
+/// ([`Replica::unacked_batch_for`](crate::Replica::unacked_batch_for)); the binary wire codec delta-encodes the
+/// entries against each other (shared-prefix position identifiers, clock
+/// diffs), so a batch costs far fewer bytes than its operations shipped one
+/// envelope each.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct OpBatch<Op> {
+    /// `(stamped flatten epoch, message)` pairs in stamp order.
+    pub entries: Vec<(u64, CausalMessage<Op>)>,
+}
+
+impl<Op> OpBatch<Op> {
+    /// Number of operations in the batch.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// `true` when the batch holds no operations.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+}
+
+/// Wire format between replicas: causally stamped operations (tagged with
+/// the sender's flatten epoch), operation batches, cumulative
+/// acknowledgements for at-least-once delivery, the three
+/// flatten-commitment messages of §4.2.1 (see [`crate::flatten`]) and the
+/// anti-entropy messages (see [`crate::sync`]).
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Envelope<Op> {
+    /// A (possibly retransmitted) causally stamped operation.
+    Op {
+        /// The sender's flatten epoch when the operation was stamped. A
+        /// receiver in an older epoch holds the message back until its own
+        /// flatten commits; a receiver in a newer epoch counts it as late
+        /// pre-flatten traffic (always a duplicate — see the module docs of
+        /// [`crate::flatten`]) and lets the causal buffer discard it.
+        epoch: u64,
+        /// The stamped operation.
+        msg: CausalMessage<Op>,
+    },
+    /// A batch of stamped operations, each tagged with its own epoch.
+    /// Receiving a batch is exactly receiving its entries in order.
+    OpBatch(OpBatch<Op>),
+    /// A stamped operation delta-encoded against its sender's previous one
+    /// (see [`crate::chain`]); the receiver resolves it against the
+    /// predecessor it holds, and receiving it is then exactly receiving
+    /// the absolute [`Envelope::Op`].
+    OpChained(ChainedOp),
+    /// Cumulative acknowledgement: `from` has delivered everything described
+    /// by `clock` (in particular, `clock.get(receiver)` messages of the
+    /// receiving replica).
+    Ack {
+        /// The acknowledging site.
+        from: SiteId,
+        /// Its delivered clock at acknowledgement time.
+        clock: VectorClock,
+    },
+    /// Coordinator → participant: vote request for a flatten proposal.
+    FlattenPropose(FlattenPropose),
+    /// Participant → coordinator: a vote or phase acknowledgement.
+    FlattenVote(FlattenVote),
+    /// Coordinator → participant: pre-commit, commit or abort.
+    FlattenDecision(FlattenDecision),
+    /// Anti-entropy: root digest probe / echo (see [`crate::sync`]).
+    SyncRoot(SyncRoot),
+    /// Anti-entropy: sub-range digests of the merkle walk.
+    SyncDigests(SyncDigests),
+    /// Anti-entropy: the cells of a diverging leaf range.
+    SyncRuns(SyncRuns),
+    /// Bootstrap: announces a snapshot transfer to a joining site.
+    SnapshotOffer(SnapshotOffer),
+    /// Bootstrap: one piece of the offered snapshot.
+    SnapshotChunk(SnapshotChunk),
+}
+
+/// What handling one envelope with [`Replica::receive_any`](crate::Replica::receive_any) produced.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Effect<Op> {
+    /// Operations applied to the document: delivered ones, and held-back
+    /// ones a flatten commit or a sync fast-forward released.
+    pub applied: usize,
+    /// Envelopes to send back to the handled envelope's sender: a flatten
+    /// vote or acknowledgement, or the next messages of a sync session.
+    pub replies: Vec<Envelope<Op>>,
+    /// Cells that changed this replica's store (sync and bootstrap).
+    pub cells_integrated: usize,
+    /// `true` when a root comparison found the two states equal (the clock
+    /// was fast-forwarded; the sync session is over).
+    pub converged: bool,
+    /// `true` when a snapshot bootstrap completed and this replica adopted
+    /// the transferred state.
+    pub bootstrapped: bool,
+}
+
+impl<Op> Default for Effect<Op> {
+    fn default() -> Self {
+        Effect {
+            applied: 0,
+            replies: Vec::new(),
+            cells_integrated: 0,
+            converged: false,
+            bootstrapped: false,
+        }
+    }
+}
 
 /// First byte of every binary WAL record; a record opening with anything
 /// else is refused as [`WireError::UnsupportedVersion`].

@@ -71,9 +71,10 @@ fn run_commitment(replicas: &mut [Replica<Doc>], protocol: CommitProtocol) -> Co
         let out: Vec<(SiteId, Env)> = coordinator.tick();
         for (to, env) in out {
             let idx = site_ids.iter().position(|&s| s == to).expect("known site");
-            let (_, reply) = replicas[idx].receive_any(env);
-            if let Some(Envelope::FlattenVote(vote)) = reply {
-                coordinator.on_vote(vote);
+            for reply in replicas[idx].receive_any(env).replies {
+                if let Envelope::FlattenVote(vote) = reply {
+                    coordinator.on_vote(vote);
+                }
             }
         }
         if coordinator.is_done() {

@@ -560,6 +560,9 @@ fn unresolvable_chained_envelopes_park_or_are_counted_never_panic() {
     let (writer_site, reader_site) = (site(1), site(2));
     let mut writer = Replica::new(writer_site, Doc::new(writer_site));
     let mut reader = Replica::new(reader_site, Doc::new(reader_site));
+    let registry = treedoc_telemetry::Registry::new();
+    reader.set_telemetry(&registry.handle());
+    let dropped = || registry.snapshot().counter("replica.chained_ops_dropped");
     let mut envelopes = Vec::new();
     for k in 0..4 {
         let op = writer
@@ -576,7 +579,7 @@ fn unresolvable_chained_envelopes_park_or_are_counted_never_panic() {
     // Its predecessor never arrived: the op parks.
     assert_eq!(reader.receive_envelope(envelopes[2].clone()), 0);
     assert_eq!(reader.pending(), 1);
-    assert_eq!(reader.chained_ops_dropped(), 0);
+    assert_eq!(dropped(), Some(0));
 
     // The reader holds op 1 as the head of site 1's chain, but a chained
     // op 2 naming another epoch, or garbage, does not resolve against it.
@@ -587,7 +590,7 @@ fn unresolvable_chained_envelopes_park_or_are_counted_never_panic() {
     let mut garbage = chained(&envelopes[1]);
     garbage.entry = vec![0, 0xff, 0xff, 0xff];
     assert_eq!(reader.receive_envelope(Envelope::OpChained(garbage)), 0);
-    assert_eq!(reader.chained_ops_dropped(), 2);
+    assert_eq!(dropped(), Some(2));
 
     // The real op 2 resolves, and the parked op 3 in cascade.
     assert_eq!(reader.receive_envelope(envelopes[1].clone()), 2);

@@ -77,8 +77,7 @@ fn pump_network(
             .iter()
             .position(|&s| s == event.to)
             .expect("known site");
-        let (_, reply) = replicas[idx].receive_any(event.payload);
-        if let Some(reply) = reply {
+        for reply in replicas[idx].receive_any(event.payload).replies {
             count_protocol_message(metrics, &reply);
             net.send(event.to, event.from, reply);
         }

@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 use treedoc_core::{Op, Sdis, SiteId, Treedoc, TreedocConfig};
 use treedoc_replication::{
     decode_envelope, encode_envelope, BatchPolicy, CommitOutcome, CommitProtocol, Envelope,
-    FlattenCoordinator, LinkConfig, NetworkEvent, Replica, SimNetwork, SyncConfig,
+    FlattenCoordinator, LinkConfig, NetworkEvent, Replica, SimNetwork,
 };
 use treedoc_storage::DocStore;
 use treedoc_telemetry::{Counter, Registry, RegistrySnapshot, Telemetry};
@@ -69,7 +69,7 @@ pub struct Scenario {
     pub burst: usize,
     /// Sender-side operation batching: operations are buffered and shipped
     /// as one [`Envelope::OpBatch`] once this many accumulate (or the
-    /// batch's encoding reaches [`BatchPolicy::default`]'s byte cap). `1`
+    /// batch's encoding reaches [`MAX_BATCH_BYTES`](treedoc_replication::MAX_BATCH_BYTES)). `1`
     /// disables batching — every operation ships in its own envelope, the
     /// pre-batching behaviour. With batching on, retransmission rounds
     /// coalesce each peer's unacked window into one batch as well.
@@ -258,9 +258,8 @@ impl Scenario {
 /// [`run_with`]): field `f` reads `sim.f` unless its doc names another
 /// instrument. Not tallies of the run: the outcome (`converged`,
 /// `final_len`), what the simulated network counts itself (`messages_*`,
-/// `sim_time_ms`), what the replicas' causal buffers and chain resolvers
-/// own (`duplicates_discarded`), the high-water mark `max_pending`, and the
-/// schedule's `partition_rounds`.
+/// `sim_time_ms`), the high-water mark `max_pending`, and the schedule's
+/// `partition_rounds`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimReport {
     /// Whether every replica ended with identical content, a drained
@@ -276,7 +275,8 @@ pub struct SimReport {
     pub messages_dropped: u64,
     /// Extra copies injected by network duplication.
     pub messages_duplicated: u64,
-    /// Stale or duplicate messages the replicas' hold-back queues discarded.
+    /// Stale or duplicate operations the replicas discarded
+    /// (`replica.duplicates_discarded`), crashed replicas' included.
     pub duplicates_discarded: u64,
     /// Delivered ops the documents skipped as already synced
     /// (`replica.replays_skipped`); 0 in every run without sync.
@@ -659,8 +659,7 @@ fn deliver(
         .iter()
         .position(|&s| s == event.to)
         .expect("known site");
-    let (_, reply) = replicas[idx].receive_any(envelope);
-    if let Some(reply) = reply {
+    for reply in replicas[idx].receive_any(envelope).replies {
         metrics.protocol_messages.inc();
         let sent = send_env(net, metrics, event.to, event.from, &reply);
         metrics.protocol_bytes.add(sent);
@@ -719,13 +718,7 @@ const MAX_SYNC_ROUNDS: usize = 64;
 /// counted, so [`SimReport`] compares sync cost against retransmission cost
 /// on measured bytes. The replicas count the digest and run messages they
 /// receive and the cells they integrate themselves (`sync.*`).
-fn sync_pair(
-    replicas: &mut [Replica<Doc>],
-    a: usize,
-    b: usize,
-    config: &SyncConfig,
-    metrics: &SimMetrics,
-) {
+fn sync_pair(replicas: &mut [Replica<Doc>], a: usize, b: usize, metrics: &SimMetrics) {
     metrics.sync_sessions.inc();
     for _ in 0..MAX_SYNC_ROUNDS {
         metrics.sync_rounds.inc();
@@ -736,7 +729,7 @@ fn sync_pair(
             metrics.sync_bytes.add(bytes.len() as u64);
             let env: Env = decode_envelope(&bytes)
                 .unwrap_or_else(|e| panic!("undecodable sync envelope: {e}"));
-            let effect = replicas[to].receive_sync(env, config);
+            let effect = replicas[to].receive_any(env);
             converged |= effect.converged;
             let reply_to = if to == a { b } else { a };
             queue.extend(effect.replies.into_iter().map(|e| (reply_to, e)));
@@ -755,20 +748,19 @@ fn bootstrap_joiner(
     replicas: &mut [Replica<Doc>],
     donor: usize,
     joiner: usize,
-    config: &SyncConfig,
     metrics: &SimMetrics,
 ) {
     let mut bootstrapped = false;
-    for env in replicas[donor].snapshot_envelopes(config) {
+    for env in replicas[donor].snapshot_envelopes() {
         let bytes = encode_envelope(&env);
         metrics.snapshot_bytes.add(bytes.len() as u64);
         let env: Env = decode_envelope(&bytes)
             .unwrap_or_else(|e| panic!("undecodable snapshot envelope: {e}"));
-        bootstrapped |= replicas[joiner].receive_sync(env, config).bootstrapped;
+        bootstrapped |= replicas[joiner].receive_any(env).bootstrapped;
     }
     assert!(bootstrapped, "snapshot bootstrap must complete");
     metrics.snapshot_bootstraps.inc();
-    sync_pair(replicas, donor, joiner, config, metrics);
+    sync_pair(replicas, donor, joiner, metrics);
 }
 
 /// Runs a scenario to completion (all messages delivered, all losses
@@ -845,9 +837,8 @@ pub fn run_with(scenario: &Scenario, telemetry: &Telemetry) -> SimReport {
                 .expect("in-memory store attach cannot fail");
         }
     }
-    let batch_policy = (scenario.batch_max_ops > 1).then(|| BatchPolicy {
+    let batch_policy = (scenario.batch_max_ops > 1).then_some(BatchPolicy {
         max_ops: scenario.batch_max_ops,
-        ..BatchPolicy::default()
     });
     if let Some(policy) = batch_policy {
         for r in replicas.iter_mut() {
@@ -926,7 +917,6 @@ pub fn run_with(scenario: &Scenario, telemetry: &Telemetry) -> SimReport {
     // The dead site's index and its surviving store, while crashed.
     let mut dead: Option<(usize, DocStore)> = None;
     let mut crashed = false;
-    let sync_config = SyncConfig::default();
     // Partition window of the middle third, clamped so the heal lands at
     // least one round after the cut: short runs used to compute the same
     // round for both (`total_rounds / 3 == 2 * total_rounds / 3`), silently
@@ -986,7 +976,6 @@ pub fn run_with(scenario: &Scenario, telemetry: &Telemetry) -> SimReport {
                 &mut replicas,
                 0,
                 joiner.expect("late_join implies a joiner"),
-                &sync_config,
                 &metrics,
             );
         }
@@ -1092,7 +1081,7 @@ pub fn run_with(scenario: &Scenario, telemetry: &Telemetry) -> SimReport {
             let k = k.max(1);
             if round % k == k - 1 {
                 for (i, r) in replicas.iter_mut().enumerate() {
-                    if Some(site_ids[i]) != dead_site && r.has_store() {
+                    if Some(site_ids[i]) != dead_site && r.store().is_some() {
                         r.persist_checkpoint().expect("checkpoint cannot fail");
                     }
                 }
@@ -1155,7 +1144,7 @@ pub fn run_with(scenario: &Scenario, telemetry: &Telemetry) -> SimReport {
                 "anti-entropy failed to converge"
             );
             for peer in 1..replicas.len() {
-                sync_pair(&mut replicas, 0, peer, &sync_config, &metrics);
+                sync_pair(&mut replicas, 0, peer, &metrics);
             }
         }
     }
@@ -1299,8 +1288,8 @@ pub fn run_with(scenario: &Scenario, telemetry: &Telemetry) -> SimReport {
         && replicas.iter().all(|r| !r.is_flatten_prepared());
 
     // The report: every count is its counter's delta over the run, except
-    // the few the network, the replicas' causal buffers and the run's own
-    // bookkeeping own (see the field docs).
+    // the few the network and the run's own bookkeeping own (see the field
+    // docs).
     let count = counters.deltas();
     SimReport {
         converged,
@@ -1309,7 +1298,7 @@ pub fn run_with(scenario: &Scenario, telemetry: &Telemetry) -> SimReport {
         messages_delivered: net.delivered_count(),
         messages_dropped: net.dropped_count(),
         messages_duplicated: net.duplicated_count(),
-        duplicates_discarded: replicas.iter().map(|r| r.duplicates_discarded()).sum(),
+        duplicates_discarded: count("replica.duplicates_discarded"),
         replays_skipped: count("replica.replays_skipped"),
         retransmissions: count("replica.retransmissions"),
         retransmission_bytes: count("sim.retransmission_bytes") as usize,

@@ -85,8 +85,8 @@ fn main() {
     // holds; what bob missed, alice retransmits.
     b.receive(while_down);
     a.receive_envelope(b.ack_envelope());
-    for m in b.unacked_for(alice) {
-        a.receive(m);
+    for envelope in b.unacked_envelopes_for(alice) {
+        a.receive_envelope(envelope);
     }
     b.receive_envelope(a.ack_envelope());
 

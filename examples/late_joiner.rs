@@ -5,8 +5,11 @@
 //! donor's causal clock — after which it edits as a first-class peer and any
 //! late copies of already-absorbed operations are discardable duplicates.
 //!
-//! The first half drives the replica API by hand; the second half runs the
-//! same shape as a full simulated scenario and prints its wire accounting.
+//! The first half drives the replica API by hand — every envelope, whether
+//! an operation, a snapshot chunk or a sync round, goes through the one
+//! handler `Replica::receive_any`, which returns the replies to send back;
+//! the second half runs the same shape as a full simulated scenario and
+//! prints its wire accounting.
 //!
 //! Run with `cargo run --example late_joiner`.
 
@@ -17,7 +20,7 @@ type Env = Envelope<<Doc as treedoc_repro::replication::ReplicatedDocument>::Op>
 
 /// Ping-pongs one anti-entropy session between `a` and `b` until a round
 /// ends with equal root digests, returning the encoded bytes it cost.
-fn sync_session(replicas: &mut [Replica<Doc>], a: usize, b: usize, config: &SyncConfig) -> usize {
+fn sync_session(replicas: &mut [Replica<Doc>], a: usize, b: usize) -> usize {
     let mut bytes = 0;
     loop {
         let mut queue: Vec<(usize, Env)> = vec![(b, replicas[a].sync_probe())];
@@ -26,7 +29,7 @@ fn sync_session(replicas: &mut [Replica<Doc>], a: usize, b: usize, config: &Sync
             let wire = encode_envelope(&env);
             bytes += wire.len();
             let env: Env = decode_envelope(&wire).expect("sync envelope round-trips");
-            let effect = replicas[to].receive_sync(env, config);
+            let effect = replicas[to].receive_any(env);
             converged |= effect.converged;
             let reply_to = if to == a { b } else { a };
             queue.extend(effect.replies.into_iter().map(|e| (reply_to, e)));
@@ -44,13 +47,12 @@ fn broadcast(replicas: &mut [Replica<Doc>], from: usize, env: Env) {
     for (to, replica) in replicas.iter_mut().enumerate() {
         if to != from {
             let env: Env = decode_envelope(&wire).expect("op envelope round-trips");
-            replica.receive_envelope(env);
+            replica.receive_any(env);
         }
     }
 }
 
 fn main() {
-    let config = SyncConfig::default();
     let seed: Vec<String> = (1..=12).map(|i| format!("paragraph {i}")).collect();
 
     // Two veterans share the seeded document; the newcomer starts empty and
@@ -79,7 +81,7 @@ fn main() {
         let wire = encode_envelope(&env);
         let other = 1 - editor;
         let env: Env = decode_envelope(&wire).expect("op envelope round-trips");
-        replicas[other].receive_envelope(env);
+        replicas[other].receive_any(env);
     }
     assert_eq!(replicas[0].doc().to_vec(), replicas[1].doc().to_vec());
     println!(
@@ -89,15 +91,15 @@ fn main() {
     );
 
     // Join, step 1 — snapshot bootstrap: the donor chunks its document state
-    // and the newcomer assembles it, checksummed end to end.
-    let chunks = replicas[0].snapshot_envelopes(&config);
+    // (16 KiB a chunk) and the newcomer assembles it, checksummed end to end.
+    let chunks = replicas[0].snapshot_envelopes();
     let mut snapshot_bytes = 0;
     let mut bootstrapped = false;
     for env in chunks {
         let wire = encode_envelope(&env);
         snapshot_bytes += wire.len();
         let env: Env = decode_envelope(&wire).expect("snapshot envelope round-trips");
-        bootstrapped |= replicas[2].receive_sync(env, &config).bootstrapped;
+        bootstrapped |= replicas[2].receive_any(env).bootstrapped;
     }
     assert!(bootstrapped, "snapshot bootstrap must complete");
     println!(
@@ -107,7 +109,7 @@ fn main() {
 
     // Join, step 2 — one sync session transfers the donor's causal clock, so
     // stragglers re-delivering pre-join operations become cheap duplicates.
-    let sync_bytes = sync_session(&mut replicas, 0, 2, &config);
+    let sync_bytes = sync_session(&mut replicas, 0, 2);
     assert_eq!(replicas[0].doc().to_vec(), replicas[2].doc().to_vec());
     println!("clock transfer + digest check cost {sync_bytes} bytes");
 

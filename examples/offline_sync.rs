@@ -102,7 +102,7 @@ fn agree_on_flatten(
                 continue;
             }
             let idx = sites.iter().position(|&s| s == event.to).unwrap();
-            if let (_, Some(reply)) = replicas[idx].receive_any(event.payload) {
+            for reply in replicas[idx].receive_any(event.payload).replies {
                 net.send(event.to, event.from, reply);
             }
         }

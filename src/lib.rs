@@ -46,9 +46,9 @@ pub mod prelude {
     pub use treedoc_node::{DocId, HostingNode, NodeConfig, NodeError, SessionId};
     pub use treedoc_replication::{
         decode_envelope, encode_envelope, BatchPolicy, CausalBuffer, CausalMessage, CommitOutcome,
-        CommitProtocol, Envelope, FlattenCoordinator, FlattenProposal, LinkConfig, OpBatch,
-        PersistentDocument, RecoverError, RecoveryReport, Replica, SimNetwork, SyncConfig,
-        SyncDocument, SyncEffect, VectorClock, Vote, WireError,
+        CommitProtocol, Effect, Envelope, FlattenCoordinator, FlattenProposal, LinkConfig, OpBatch,
+        PersistentDocument, RecoverError, RecoveryReport, Replica, SimNetwork, SyncDocument,
+        VectorClock, Vote, WireError,
     };
     pub use treedoc_sim::{
         crash_recovery_demo, partitioned_commit_demo, CrashRecoveryReport, CrashSchedule,

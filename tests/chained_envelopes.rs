@@ -312,12 +312,11 @@ impl Run {
     /// probed side converged, ops its fast-forward released make its echo
     /// mismatch, and the prober keeps cells its clock does not cover.)
     fn sync(&mut self, a: usize, b: usize) {
-        let config = SyncConfig::default();
         for _ in 0..64 {
             let mut queue = vec![(b, self.replicas[a].sync_probe())];
             let mut converged = [false; SITES];
             while let Some((to, envelope)) = queue.pop() {
-                let effect = self.replicas[to].receive_sync(envelope, &config);
+                let effect = self.replicas[to].receive_any(envelope);
                 converged[to] |= effect.converged;
                 let back = if to == a { b } else { a };
                 queue.extend(effect.replies.into_iter().map(|e| (back, e)));
@@ -393,10 +392,10 @@ impl Run {
         while !coordinator.is_done() {
             for (to, envelope) in coordinator.tick::<TestOp>() {
                 let at = self.ids.iter().position(|&s| s == to).unwrap();
-                if let (_, Some(Envelope::FlattenVote(vote))) =
-                    self.replicas[at].receive_any(envelope)
-                {
-                    coordinator.on_vote(vote);
+                for reply in self.replicas[at].receive_any(envelope).replies {
+                    if let Envelope::FlattenVote(vote) = reply {
+                        coordinator.on_vote(vote);
+                    }
                 }
             }
         }
@@ -522,14 +521,13 @@ type Plain = Treedoc<String, Sdis>;
 /// Ping-pongs sync rounds between `a` and `b` until both sides
 /// fast-forwarded in the same round.
 fn sync_plain(replicas: &mut [Replica<Plain>], a: usize, b: usize) {
-    let config = SyncConfig::default();
     for _ in 0..64 {
         let mut queue = vec![(b, replicas[a].sync_probe())];
         let mut converged = [false, false];
         while let Some((to, envelope)) = queue.pop() {
             let wire = encode_envelope(&envelope);
             let envelope = decode_envelope(&wire).unwrap();
-            let effect = replicas[to].receive_sync(envelope, &config);
+            let effect = replicas[to].receive_any(envelope);
             converged[usize::from(to == b)] |= effect.converged;
             let back = if to == a { b } else { a };
             queue.extend(effect.replies.into_iter().map(|e| (back, e)));
@@ -567,16 +565,19 @@ fn a_peer_that_joins_by_snapshot_and_sync_resolves_the_next_chained_envelopes() 
         .iter()
         .map(|&site| Replica::new(site, Plain::new(site)))
         .collect();
+    let registry = Registry::new();
+    for replica in &mut replicas {
+        replica.set_telemetry(&registry.handle());
+    }
     // The veterans type to each other; the newcomer hears nothing.
     for round in 0..4 {
         let envelopes = type_keys(&mut replicas[round % 2], "abcde");
         deliver(&mut replicas[1 - round % 2], &envelopes);
     }
     // Join: a snapshot bootstrap from site 1, then one sync session.
-    let config = SyncConfig::default();
     let mut bootstrapped = false;
-    for envelope in replicas[0].snapshot_envelopes(&config) {
-        bootstrapped |= replicas[2].receive_sync(envelope, &config).bootstrapped;
+    for envelope in replicas[0].snapshot_envelopes() {
+        bootstrapped |= replicas[2].receive_any(envelope).bootstrapped;
     }
     assert!(bootstrapped);
     sync_plain(&mut replicas, 2, 0);
@@ -599,9 +600,10 @@ fn a_peer_that_joins_by_snapshot_and_sync_resolves_the_next_chained_envelopes() 
     }
     for replica in &replicas {
         assert_eq!(replica.pending(), 0, "site {}", replica.site());
-        assert_eq!(replica.chained_ops_dropped(), 0);
         assert_eq!(replica.digest(), replicas[0].digest());
     }
+    let dropped = registry.snapshot().counter("replica.chained_ops_dropped");
+    assert_eq!(dropped, Some(0));
     assert_eq!(replicas[2].doc().len(), 20 + 18);
 }
 

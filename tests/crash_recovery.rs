@@ -90,8 +90,8 @@ fn flatten_commit_truncates_the_wal_to_post_epoch_records() {
         .propose_flatten(Vec::new(), CommitProtocol::TwoPhase)
         .expect("quiescent proposer votes Yes");
     let txn = propose.proposal.txn;
-    let (_, reply) = b.receive_any(Envelope::FlattenPropose(propose));
-    assert!(reply.is_some());
+    let effect = b.receive_any(Envelope::FlattenPropose(propose));
+    assert_eq!(effect.replies.len(), 1, "a vote");
     a.finish_flatten(txn, true);
     let _ = b.receive_any(Envelope::FlattenDecision(
         treedoc_repro::replication::FlattenDecision {

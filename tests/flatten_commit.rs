@@ -36,8 +36,7 @@ fn deliver_all(
             }
         }
         let idx = site_ids.iter().position(|&s| s == event.to).unwrap();
-        let (_, reply) = replicas[idx].receive_any(event.payload);
-        if let Some(reply) = reply {
+        for reply in replicas[idx].receive_any(event.payload).replies {
             net.send(event.to, event.from, reply);
         }
     }
