@@ -87,11 +87,6 @@ impl LinkConfig {
         self.reorder_burst_ms = extra_ms;
         self
     }
-
-    /// `true` when the link can drop, duplicate or burst-reorder messages.
-    pub fn is_faulty(&self) -> bool {
-        self.drop_prob > 0.0 || self.duplicate_prob > 0.0 || self.reorder_burst_prob > 0.0
-    }
 }
 
 /// A message in flight.
@@ -195,12 +190,6 @@ impl<T: Eq> SimNetwork<T> {
     /// Overrides the link model for the directed link `from → to`.
     pub fn set_link(&mut self, from: SiteId, to: SiteId, config: LinkConfig) {
         self.links.insert((from, to), config);
-    }
-
-    /// Overrides the link model in both directions between two sites.
-    pub fn set_link_both(&mut self, a: SiteId, b: SiteId, config: LinkConfig) {
-        self.set_link(a, b, config);
-        self.set_link(b, a, config);
     }
 
     /// The effective link model for `from → to`.

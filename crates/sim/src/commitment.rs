@@ -7,25 +7,20 @@
 //! their locks until the partition heals; under 3PC the acknowledged
 //! pre-commit round lets them terminate unilaterally and keep editing.
 //!
-//! [`partitioned_commit_demo`] scripts exactly that schedule over a
-//! [`SimNetwork`], deterministically: quiesce, propose, pump the protocol to
-//! the brink of the decision, cut the coordinator off, count who makes
-//! progress, heal, and verify that both protocols end convergent and
-//! committed.
+//! [`partitioned_commit_demo`] scripts exactly that schedule,
+//! deterministically: quiesce, propose, pump the protocol to the brink of
+//! the decision, cut the coordinator off, count who makes progress, heal,
+//! and verify that both protocols end convergent and committed. It runs over
+//! the same wire-level session as [`run`](crate::run), so every proposal,
+//! vote and decision crosses the binary codec, and `protocol_bytes` are the
+//! encoded sizes of what was sent.
 
 use serde::{Deserialize, Serialize};
 
-use treedoc_core::{Op, Sdis, SiteId, Treedoc};
-use treedoc_replication::{
-    encode_envelope, CommitOutcome, CommitProtocol, Envelope, FlattenCoordinator, LinkConfig,
-    Replica, SimNetwork,
-};
-
-use crate::scenario::{RunCounters, SimMetrics, PRE_COMMIT_TIMEOUT_TICKS};
+use treedoc_replication::{CommitOutcome, CommitProtocol, FlattenCoordinator, LinkConfig};
 use treedoc_telemetry::Telemetry;
 
-type Doc = Treedoc<String, Sdis>;
-type Env = Envelope<Op<String, Sdis>>;
+use crate::session::{Doc, Session, PRE_COMMIT_TIMEOUT_TICKS};
 
 /// What the scripted coordinator-partition run measured. The counts are
 /// the run's registry counters: `flatten.unilateral_commits`,
@@ -57,54 +52,6 @@ pub struct PartitionedCommitReport {
     pub converged: bool,
 }
 
-/// Delivers every currently deliverable event, feeding votes to the
-/// coordinator and sending participant replies back.
-fn pump_network(
-    net: &mut SimNetwork<Env>,
-    replicas: &mut [Replica<Doc>],
-    site_ids: &[SiteId],
-    coordinator: &mut FlattenCoordinator,
-    metrics: &SimMetrics,
-) {
-    while let Some(event) = net.step() {
-        if let Envelope::FlattenVote(vote) = &event.payload {
-            if event.to == site_ids[0] {
-                coordinator.on_vote(*vote);
-                continue;
-            }
-        }
-        let idx = site_ids
-            .iter()
-            .position(|&s| s == event.to)
-            .expect("known site");
-        for reply in replicas[idx].receive_any(event.payload).replies {
-            count_protocol_message(metrics, &reply);
-            net.send(event.to, event.from, reply);
-        }
-    }
-}
-
-/// Counts one commitment message and its encoded bytes.
-fn count_protocol_message(metrics: &SimMetrics, env: &Env) {
-    metrics.protocol_messages.inc();
-    metrics
-        .protocol_bytes
-        .add(encode_envelope(env).len() as u64);
-}
-
-/// One coordinator tick: send this round's messages and account for them.
-fn tick_coordinator(
-    net: &mut SimNetwork<Env>,
-    coordinator: &mut FlattenCoordinator,
-    coordinator_site: SiteId,
-    metrics: &SimMetrics,
-) {
-    for (to, env) in coordinator.tick::<Op<String, Sdis>>() {
-        count_protocol_message(metrics, &env);
-        net.send(coordinator_site, to, env);
-    }
-}
-
 /// Runs the scripted coordinator-partition schedule (see the module docs)
 /// with `sites` replicas and returns what happened. Panics if the protocol
 /// wedges — the run is deterministic, so a panic is a bug, not bad luck.
@@ -114,71 +61,50 @@ pub fn partitioned_commit_demo(
     seed: u64,
 ) -> PartitionedCommitReport {
     assert!(sites >= 2, "a commitment needs at least two replicas");
-    let site_ids: Vec<SiteId> = (1..=sites as u64).map(SiteId::from_u64).collect();
-    let mut net: SimNetwork<Env> = SimNetwork::new(LinkConfig::fixed(5), seed);
-    let counters = RunCounters::begin(&Telemetry::disabled());
-    let metrics = SimMetrics::resolve(counters.telemetry());
+    let link = LinkConfig::fixed(5);
+    let mut session = Session::new(&Telemetry::disabled(), sites, link, seed, |_, s| {
+        Doc::new(s)
+    });
 
     // 1. Build convergent, quiescent replicas: everyone edits, everything is
     //    delivered (fault-free fixed-latency links), so all clocks are equal.
-    let mut replicas: Vec<Replica<Doc>> = site_ids
-        .iter()
-        .map(|&s| {
-            let mut replica = Replica::new(s, Doc::new(s));
-            replica.set_telemetry(counters.telemetry());
-            replica
-        })
-        .collect();
-    for i in 0..replicas.len() {
+    for i in 0..sites {
         for k in 0..6 {
-            let len = replicas[i].doc().len();
-            let op = replicas[i]
-                .doc_mut()
-                .local_insert(len.min(k), format!("site{} line{}", i + 1, k))
-                .expect("index in range");
-            let env = replicas[i].stamp_envelope(op);
-            net.broadcast(site_ids[i], &site_ids, env);
+            let doc = session.replicas[i].doc_mut();
+            let text = format!("site{} line{}", i + 1, k);
+            let op = doc.local_insert(doc.len().min(k), text);
+            session.stamp(i, op.expect("index in range"));
         }
     }
-    while let Some(event) = net.step() {
-        let idx = site_ids
-            .iter()
-            .position(|&s| s == event.to)
-            .expect("known site");
-        let _ = replicas[idx].receive_any(event.payload);
-    }
+    session.drain();
 
     // 2. The first site proposes a whole-document flatten.
-    let propose = replicas[0]
-        .propose_flatten(Vec::new(), protocol)
-        .expect("a quiescent coordinator votes Yes on its own proposal");
-    let txn = propose.proposal.txn;
-    let mut coordinator = FlattenCoordinator::new(propose, site_ids[1..].to_vec());
+    session.propose_flatten(protocol);
+    assert!(
+        session.coordinator().is_some(),
+        "a quiescent coordinator votes Yes on its own proposal"
+    );
 
     // 3. Pump the protocol to the brink of the decision: all votes in (2PC)
     //    or all pre-commit acks in (3PC), commit messages not yet sent.
     let mut guard = 0;
-    while !coordinator.ready_to_commit() {
-        tick_coordinator(&mut net, &mut coordinator, site_ids[0], &metrics);
-        pump_network(
-            &mut net,
-            &mut replicas,
-            &site_ids,
-            &mut coordinator,
-            &metrics,
-        );
+    while !session
+        .coordinator()
+        .is_some_and(FlattenCoordinator::ready_to_commit)
+    {
+        session.pump_coordinator();
+        session.drain();
         guard += 1;
         assert!(guard < 100, "protocol never reached the decision point");
     }
 
     // 4. Partition the coordinator from everyone, then let it take the
-    //    decision: the commit messages are cut off by the partition.
-    for &other in &site_ids[1..] {
-        net.partition_both(site_ids[0], other);
-    }
-    tick_coordinator(&mut net, &mut coordinator, site_ids[0], &metrics);
+    //    decision: the commit messages are cut off by the partition. The
+    //    coordinator's own replica applies the decision at once.
+    session.partition_first_site(true);
+    session.pump_coordinator();
     assert_eq!(
-        coordinator.outcome(),
+        session.coordinator().and_then(FlattenCoordinator::outcome),
         Some(CommitOutcome::Committed),
         "every vote was Yes"
     );
@@ -186,43 +112,27 @@ pub fn partitioned_commit_demo(
     // 5. Life under the partition: participants tick. 2PC participants stay
     //    locked; 3PC participants hit the pre-commit timeout and terminate.
     for _ in 0..PRE_COMMIT_TIMEOUT_TICKS + 5 {
-        for r in replicas[1..].iter_mut() {
+        for r in &mut session.replicas[1..] {
             let _ = r.flatten_tick(PRE_COMMIT_TIMEOUT_TICKS);
         }
     }
-    let committed_during_partition = replicas[1..]
+    let committed_during_partition = session.replicas[1..]
         .iter()
         .filter(|r| r.flatten_epoch() > 0)
         .count();
 
     // 6. Heal and finish: the held decision arrives, stragglers commit,
     //    acknowledgements flow back until the coordinator retires.
-    for &other in &site_ids[1..] {
-        net.heal_both(site_ids[0], other);
-    }
+    session.partition_first_site(false);
     let mut guard = 0;
-    while !coordinator.is_done() {
-        tick_coordinator(&mut net, &mut coordinator, site_ids[0], &metrics);
-        pump_network(
-            &mut net,
-            &mut replicas,
-            &site_ids,
-            &mut coordinator,
-            &metrics,
-        );
+    while session.coordinator().is_some() {
+        session.pump_coordinator();
+        session.drain();
         guard += 1;
         assert!(guard < 1000, "decision never fully acknowledged");
     }
-    replicas[0].finish_flatten(txn, true);
-    metrics.commit_rounds.add(coordinator.stats().rounds);
 
-    let reference = replicas[0].doc().to_vec();
-    let converged = replicas.iter().all(|r| r.doc().to_vec() == reference)
-        && replicas.iter().all(|r| r.flatten_epoch() == 1)
-        && replicas.iter().all(|r| !r.is_flatten_prepared())
-        && replicas.iter().all(|r| r.pending() == 0);
-
-    let count = counters.deltas();
+    let count = session.counts();
     PartitionedCommitReport {
         protocol,
         sites,
@@ -232,7 +142,7 @@ pub fn partitioned_commit_demo(
         protocol_messages: count("sim.protocol_messages"),
         protocol_bytes: count("sim.protocol_bytes") as usize,
         commit_rounds: count("sim.commit_rounds"),
-        converged,
+        converged: session.converged(),
     }
 }
 

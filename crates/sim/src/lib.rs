@@ -22,11 +22,21 @@
 //!   every send log is acknowledged (or every root digest agrees, in
 //!   anti-entropy mode), and asserts convergence.
 //!
+//! Every driver here — the randomised [`run`] and the scripted
+//! [`crash_recovery_demo`] and [`partitioned_commit_demo`] — runs over one
+//! wire-level session: each envelope is encoded once at the send boundary,
+//! crosses the network as bytes and is decoded on delivery, so every run
+//! doubles as an end-to-end codec round trip and every byte count is
+//! measured, not estimated.
+//!
 //! [`Scenario`] describes a run; [`run`] executes it and returns the
 //! [`SimReport`] used by the integration tests, the examples and the
-//! benchmark ablations. [`ScenarioMatrix`] expands a cross-product of fault
-//! axes (loss × duplication × partition × burst × balancing × snapshot
-//! cadence × crash timing) into scenarios and runs them all.
+//! benchmark ablations. [`ScenarioMatrix`] sweeps scenario axes — loss,
+//! duplication, edit burst, partition, flatten cadence, commit protocol,
+//! snapshot cadence, crash timing, batch size, recovery mechanism
+//! (retransmission or anti-entropy) and offline window — over a base
+//! scenario and runs every cell; each of its constructors varies only the
+//! axes its experiment sweeps.
 //!
 //! With [`Scenario::durable`] every replica journals through a checksummed
 //! WAL into a [`DocStore`](treedoc_storage::DocStore) and checkpoints on
@@ -49,6 +59,7 @@ pub mod commitment;
 pub mod hosting;
 pub mod recovery;
 pub mod scenario;
+mod session;
 
 pub use commitment::{partitioned_commit_demo, PartitionedCommitReport};
 pub use hosting::{run_hosting, HostingReport, HostingScenario, Zipf};

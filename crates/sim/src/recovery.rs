@@ -19,7 +19,8 @@
 //!    log and its WAL;
 //! 3. the victim crashes (with the crash flag) — the in-memory copy dies;
 //! 4. the survivors keep editing (phase B) while the victim is down;
-//! 5. the victim restarts from its store ([`Replica::recover`]), rejoins,
+//! 5. the victim restarts from its store
+//!    ([`Replica::recover`](treedoc_replication::Replica::recover)), rejoins,
 //!    and the at-least-once protocol retransmits in both directions: the
 //!    survivors' phase-B edits reach the victim, and the victim's
 //!    **recovered send log** re-broadcasts the lost edit — the durability
@@ -28,18 +29,15 @@
 //!
 //! [`crash_recovery_demo`] runs that script with or without the crash and
 //! reports the final digest; the test suite asserts the two digests are
-//! equal.
+//! equal. It runs over the same wire-level session as [`run`](crate::run):
+//! every envelope, acknowledgement and retransmission crosses the binary
+//! codec, and traffic to the dead victim is discarded and counted.
 
 use serde::{Deserialize, Serialize};
-use treedoc_core::{Op, Sdis, SiteId, Treedoc};
-use treedoc_replication::{Envelope, LinkConfig, Replica, SimNetwork};
-use treedoc_storage::DocStore;
+use treedoc_replication::LinkConfig;
 use treedoc_telemetry::Telemetry;
 
-use crate::scenario::{recover_replica, RunCounters, SimMetrics};
-
-type Doc = Treedoc<String, Sdis>;
-type Env = Envelope<Op<String, Sdis>>;
+use crate::session::{Doc, Session};
 
 /// What the scripted crash/recovery run measured. The recovery and
 /// retransmission counts are the run's registry counters
@@ -75,89 +73,38 @@ const LOST_EDIT: &str = "victim parting-edit (all copies dropped)";
 /// The victim site (index into the three replicas).
 const VICTIM: usize = 1;
 
-/// Delivers everything currently deliverable; events addressed to a dead
-/// site are discarded, as a dead process would.
-fn drain(
-    net: &mut SimNetwork<Env>,
-    replicas: &mut [Replica<Doc>],
-    site_ids: &[SiteId],
-    dead: Option<usize>,
-) {
-    while let Some(event) = net.step() {
-        let idx = site_ids
-            .iter()
-            .position(|&s| s == event.to)
-            .expect("known site");
-        if dead == Some(idx) {
-            continue;
-        }
-        let _ = replicas[idx].receive_envelope(event.payload);
-    }
+/// Site `i` appends `text` and broadcasts it.
+fn append(session: &mut Session, i: usize, text: String) {
+    let doc = session.replicas[i].doc_mut();
+    let op = doc.local_insert(doc.len(), text).expect("append in range");
+    session.stamp(i, op);
 }
 
 /// One quiescent edit turn: every listed site appends one line, everything
 /// is delivered, then cumulative acks settle the send logs.
-fn edit_turn(
-    net: &mut SimNetwork<Env>,
-    replicas: &mut [Replica<Doc>],
-    site_ids: &[SiteId],
-    editors: &[usize],
-    tag: &str,
-    dead: Option<usize>,
-) {
+fn edit_turn(session: &mut Session, editors: &[usize], tag: &str) {
     for &i in editors {
-        let len = replicas[i].doc().len();
-        let op = replicas[i]
-            .doc_mut()
-            .local_insert(len, format!("s{i} {tag}"))
-            .expect("append in range");
-        let env = replicas[i].stamp_envelope(op);
-        net.broadcast(site_ids[i], site_ids, env);
+        append(session, i, format!("s{i} {tag}"));
     }
-    drain(net, replicas, site_ids, dead);
-    settle(net, replicas, site_ids, dead);
+    session.drain();
+    settle(session);
 }
 
 /// Ack exchange + retransmission until every live replica's log is clear and
 /// every queue is drained. Deterministic; the guard bound is generous.
-fn settle(
-    net: &mut SimNetwork<Env>,
-    replicas: &mut [Replica<Doc>],
-    site_ids: &[SiteId],
-    dead: Option<usize>,
-) {
+fn settle(session: &mut Session) {
     for _ in 0..50 {
-        let live = |i: usize| dead != Some(i);
         // While a site is dead its peers can never fully clear their logs
         // (the dead site cannot ack), so only queue emptiness is demanded of
         // the survivors; with everyone alive the logs must clear too.
-        let done = replicas
-            .iter()
-            .enumerate()
-            .all(|(i, r)| !live(i) || (r.pending() == 0 && (!r.has_unacked() || dead.is_some())));
-        for i in 0..replicas.len() {
-            if !live(i) {
-                continue;
-            }
-            let ack = replicas[i].ack_envelope();
-            net.broadcast(site_ids[i], site_ids, ack);
-        }
-        drain(net, replicas, site_ids, dead);
-        for i in 0..replicas.len() {
-            if !live(i) {
-                continue;
-            }
-            for (j, &peer) in site_ids.iter().enumerate() {
-                if j == i || !live(j) {
-                    continue;
-                }
-                for env in replicas[i].unacked_envelopes_for(peer) {
-                    net.send(site_ids[i], peer, env);
-                }
-            }
-        }
-        drain(net, replicas, site_ids, dead);
-        if done && net.in_flight() == 0 {
+        let all_live = (0..session.replicas.len()).all(|i| session.is_live(i));
+        let done = session.replicas.iter().enumerate().all(|(i, r)| {
+            !session.is_live(i) || (r.pending() == 0 && (!r.has_unacked() || !all_live))
+        });
+        session.ack_round();
+        session.retransmit_round();
+        session.drain();
+        if done && session.net.in_flight() == 0 {
             break;
         }
     }
@@ -166,119 +113,67 @@ fn settle(
 /// Runs the scripted session (see the module docs); `crash` selects whether
 /// the victim actually dies or just lives through the identical schedule.
 pub fn crash_recovery_demo(seed: u64, crash: bool) -> CrashRecoveryReport {
-    let site_ids: Vec<SiteId> = (1..=3u64).map(SiteId::from_u64).collect();
     let seed_doc: Vec<String> = (0..6).map(|i| format!("seed {i}")).collect();
-    let counters = RunCounters::begin(&Telemetry::disabled());
-    let telemetry = counters.telemetry();
-    let metrics = SimMetrics::resolve(telemetry);
-    let mut replicas: Vec<Replica<Doc>> = site_ids
-        .iter()
-        .map(|&s| {
-            let mut replica = Replica::new(s, Doc::from_atoms(s, &seed_doc));
-            replica.set_telemetry(telemetry);
-            replica
-        })
-        .collect();
-    let mut net: SimNetwork<Env> = SimNetwork::new(LinkConfig::fixed(5), seed);
-    for r in replicas.iter_mut() {
-        r.enable_at_least_once(&site_ids);
-        r.attach_store(DocStore::in_memory())
-            .expect("in-memory attach");
-    }
+    let link = LinkConfig::fixed(5);
+    let mut session = Session::new(&Telemetry::disabled(), 3, link, seed, |_, s| {
+        Doc::from_atoms(s, &seed_doc)
+    });
+    session.enable_at_least_once();
+    session.attach_stores();
 
     // Phase A: three quiescent turns with everyone editing, then a victim
     // checkpoint so recovery exercises snapshot + WAL-tail replay.
     for k in 0..3 {
-        edit_turn(
-            &mut net,
-            &mut replicas,
-            &site_ids,
-            &[0, 1, 2],
-            &format!("a{k}"),
-            None,
-        );
+        edit_turn(&mut session, &[0, 1, 2], &format!("a{k}"));
     }
-    replicas[VICTIM]
+    session.replicas[VICTIM]
         .persist_checkpoint()
         .expect("checkpoint cannot fail");
-    edit_turn(&mut net, &mut replicas, &site_ids, &[0, 1, 2], "a3", None);
+    edit_turn(&mut session, &[0, 1, 2], "a3");
 
     // The parting edit: every outgoing copy is dropped, so the only replicas
     // of this operation are the victim's in-memory send log and its WAL.
-    for (j, &peer) in site_ids.iter().enumerate() {
-        if j != VICTIM {
-            net.set_link(
-                site_ids[VICTIM],
-                peer,
-                LinkConfig::fixed(5).with_drop_prob(1.0),
-            );
-        }
+    let victim = session.site_ids[VICTIM];
+    let peers: Vec<_> = session
+        .site_ids
+        .iter()
+        .copied()
+        .filter(|&s| s != victim)
+        .collect();
+    for &peer in &peers {
+        session.net.set_link(victim, peer, link.with_drop_prob(1.0));
     }
-    {
-        let len = replicas[VICTIM].doc().len();
-        let op = replicas[VICTIM]
-            .doc_mut()
-            .local_insert(len, LOST_EDIT.to_string())
-            .expect("append in range");
-        let env = replicas[VICTIM].stamp_envelope(op);
-        net.broadcast(site_ids[VICTIM], &site_ids, env);
-    }
-    drain(&mut net, &mut replicas, &site_ids, None);
-    for (j, &peer) in site_ids.iter().enumerate() {
-        if j != VICTIM {
-            net.set_link(site_ids[VICTIM], peer, LinkConfig::fixed(5));
-        }
+    append(&mut session, VICTIM, LOST_EDIT.to_string());
+    session.drain();
+    for &peer in &peers {
+        session.net.set_link(victim, peer, link);
     }
 
     // The crash: the replica object dies, its store survives.
-    let mut dead: Option<(usize, DocStore)> = None;
     if crash {
-        let store = replicas[VICTIM].detach_store().expect("victim has a store");
-        replicas[VICTIM] = Replica::new(site_ids[VICTIM], Doc::new(site_ids[VICTIM]));
-        dead = Some((VICTIM, store));
+        session.crash(VICTIM);
     }
-
     // Phase B: the survivors keep editing. The victim's schedule has a gap
     // here in *both* runs, so the edit scripts are identical.
-    let dead_idx = dead.as_ref().map(|&(i, _)| i);
     for k in 0..3 {
-        edit_turn(
-            &mut net,
-            &mut replicas,
-            &site_ids,
-            &[0, 2],
-            &format!("b{k}"),
-            dead_idx,
-        );
+        edit_turn(&mut session, &[0, 2], &format!("b{k}"));
     }
-
     // Restart from the store; retransmission flows both ways.
-    if let Some((idx, store)) = dead.take() {
-        replicas[idx] = recover_replica(store, telemetry, &metrics);
-    }
-    settle(&mut net, &mut replicas, &site_ids, None);
+    session.restart_dead();
+    settle(&mut session);
 
     // Phase C: everyone (the recovered victim included) edits again.
     for k in 0..2 {
-        edit_turn(
-            &mut net,
-            &mut replicas,
-            &site_ids,
-            &[0, 1, 2],
-            &format!("c{k}"),
-            None,
-        );
+        edit_turn(&mut session, &[0, 1, 2], &format!("c{k}"));
     }
-    settle(&mut net, &mut replicas, &site_ids, None);
+    settle(&mut session);
 
-    let reference = replicas[0].doc().to_vec();
-    let count = counters.deltas();
+    let reference = session.replicas[0].doc().to_vec();
+    let count = session.counts();
     CrashRecoveryReport {
         crashed: crash,
-        converged: replicas.iter().all(|r| r.doc().to_vec() == reference)
-            && replicas.iter().all(|r| r.pending() == 0)
-            && replicas.iter().all(|r| !r.has_unacked()),
-        final_digest: replicas[0].digest(),
+        converged: session.converged(),
+        final_digest: session.replicas[0].digest(),
         final_len: reference.len(),
         wal_records_replayed: count("sim.wal_records_replayed") as usize,
         recovered_bytes: count("sim.recovered_bytes") as usize,

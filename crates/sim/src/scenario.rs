@@ -8,18 +8,17 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use treedoc_core::{Op, Sdis, SiteId, Treedoc, TreedocConfig};
-use treedoc_replication::{
-    decode_envelope, encode_envelope, BatchPolicy, CommitOutcome, CommitProtocol, Envelope,
-    FlattenCoordinator, LinkConfig, NetworkEvent, Replica, SimNetwork,
-};
-use treedoc_storage::DocStore;
-use treedoc_telemetry::{Counter, Registry, RegistrySnapshot, Telemetry};
+use treedoc_core::TreedocConfig;
+use treedoc_replication::{BatchPolicy, CommitProtocol, LinkConfig};
+use treedoc_telemetry::Telemetry;
+
+use crate::session::{Doc, Session, PRE_COMMIT_TIMEOUT_TICKS};
 
 /// A crash/restart fault: kill one site at an edit round, losing its entire
 /// in-memory state, then restart it from its durable store
-/// ([`Replica::recover`]) at a later round. Requires
-/// [`durable`](Scenario::durable) and [`retransmit`](Scenario::retransmit)
+/// ([`Replica::recover`](treedoc_replication::Replica::recover)) at a later
+/// round. Requires [`durable`](Scenario::durable) and
+/// [`retransmit`](Scenario::retransmit)
 /// (the restarted replica catches up on what it missed through the
 /// at-least-once protocol, exactly as if the messages had been lost in
 /// flight).
@@ -67,12 +66,13 @@ pub struct Scenario {
     /// How many edits a site performs before its batch is broadcast
     /// (1 = every edit is broadcast immediately).
     pub burst: usize,
-    /// Sender-side operation batching: operations are buffered and shipped
-    /// as one [`Envelope::OpBatch`] once this many accumulate (or the
-    /// batch's encoding reaches [`MAX_BATCH_BYTES`](treedoc_replication::MAX_BATCH_BYTES)). `1`
-    /// disables batching — every operation ships in its own envelope, the
-    /// pre-batching behaviour. With batching on, retransmission rounds
-    /// coalesce each peer's unacked window into one batch as well.
+    /// Sender-side operation batching: operations are buffered and shipped as one
+    /// [`Envelope::OpBatch`](treedoc_replication::Envelope::OpBatch) once this many
+    /// accumulate (or the batch's encoding reaches
+    /// [`MAX_BATCH_BYTES`](treedoc_replication::MAX_BATCH_BYTES)). `1` disables
+    /// batching — every operation ships in its own envelope, the pre-batching
+    /// behaviour. With batching on, retransmission rounds coalesce each peer's
+    /// unacked window into one batch as well.
     pub batch_max_ops: usize,
     /// Whether the §4.1 balancing strategies are enabled.
     pub balancing: bool,
@@ -99,9 +99,9 @@ pub struct Scenario {
     pub flatten_cadence: Option<usize>,
     /// Which commitment protocol flatten proposals run under (2PC or 3PC).
     pub flatten_protocol: CommitProtocol,
-    /// Attach a durable [`DocStore`] (in-memory backend) to every replica:
-    /// each stamps/receives through a checksummed WAL and checkpoints on
-    /// committed flattens. Required by [`crash`](Self::crash).
+    /// Attach a durable [`DocStore`](treedoc_storage::DocStore) (in-memory backend)
+    /// to every replica: each stamps/receives through a checksummed WAL and
+    /// checkpoints on committed flattens. Required by [`crash`](Self::crash).
     pub durable: bool,
     /// Every `k` edit rounds each durable replica writes a checkpoint
     /// (snapshot + WAL truncation), independent of flatten commits. `None`
@@ -301,8 +301,9 @@ pub struct SimReport {
     /// Encoded bytes of the cumulative-acknowledgement traffic of the
     /// at-least-once recovery rounds (per link crossed).
     pub ack_bytes: usize,
-    /// [`Envelope::OpBatch`]es handed to the network (flush-policy emissions
-    /// and coalesced retransmission windows; 0 when batching is off).
+    /// [`OpBatch`](treedoc_replication::Envelope::OpBatch) envelopes handed to the
+    /// network (flush-policy emissions and coalesced retransmission windows; 0 when
+    /// batching is off).
     pub op_batches_sent: u64,
     /// Final simulated time in milliseconds.
     pub sim_time_ms: u64,
@@ -368,11 +369,12 @@ pub struct SimReport {
     /// Root-digest probe rounds across all sessions (each session needs at
     /// least one; a second confirms convergence after repair).
     pub sync_rounds: u64,
-    /// [`Envelope::SyncDigests`] messages exchanged — the subtree-walk cost,
-    /// `O(log n)` per diverging range (`sync.digests_rx`).
+    /// [`SyncDigests`](treedoc_replication::Envelope::SyncDigests) messages
+    /// exchanged — the subtree-walk cost, `O(log n)` per diverging range
+    /// (`sync.digests_rx`).
     pub sync_digest_msgs: u64,
-    /// [`Envelope::SyncRuns`] messages exchanged — leaf ranges whose cells
-    /// crossed the wire (`sync.runs_rx`).
+    /// [`SyncRuns`](treedoc_replication::Envelope::SyncRuns) messages exchanged —
+    /// leaf ranges whose cells crossed the wire (`sync.runs_rx`).
     pub sync_run_msgs: u64,
     /// Cells integrated from sync traffic across all replicas
     /// (`sync.cells_integrated`).
@@ -390,378 +392,11 @@ pub struct SimReport {
     /// Messages discarded while a site was inside its offline window.
     pub offline_losses: u64,
 }
-
-type Doc = Treedoc<String, Sdis>;
-type Env = Envelope<Op<String, Sdis>>;
-
-/// What the simulated network carries: the **encoded bytes** of an envelope.
-/// Every message crossing the wire goes through the binary codec and is
-/// decoded on delivery, so the byte counters in [`SimReport`] are measured
-/// sizes and every simulator run doubles as an end-to-end codec round-trip
-/// test.
-type Wire = Vec<u8>;
-
-/// The registry one run counts into, with its counters as the run began.
-/// Every count a report carries is read back as a counter's delta over the
-/// run, so a caller's registry may hold other runs' counts too — as long
-/// as no two runs count into it at the same time.
-pub(crate) struct RunCounters {
-    registry: Registry,
-    telemetry: Telemetry,
-    before: RegistrySnapshot,
-}
-
-impl RunCounters {
-    /// Counts into `telemetry`'s registry, or into a private one when the
-    /// handle is disabled: a report needs its counts either way.
-    pub(crate) fn begin(telemetry: &Telemetry) -> Self {
-        let registry = telemetry
-            .registry()
-            .cloned()
-            .unwrap_or_else(|| Registry::with_trace_capacity(1));
-        RunCounters {
-            before: registry.snapshot(),
-            telemetry: registry.handle(),
-            registry,
-        }
-    }
-
-    /// The handle every replica, store and counter of the run is bound to.
-    pub(crate) fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
-    }
-
-    /// The run's counts so far: counter `name`'s delta since
-    /// [`begin`](Self::begin).
-    pub(crate) fn deltas(&self) -> impl Fn(&str) -> u64 + '_ {
-        let after = self.registry.snapshot();
-        move |name| after.counter(name).unwrap_or(0) - self.before.counter(name).unwrap_or(0)
-    }
-}
-
-/// The simulator's own counters, one per count of a report that no replica
-/// or store keeps. Wire traffic is counted twice on purpose, in two
-/// independent decompositions: `sim.wire_bytes`/`sim.wire_msgs` at the send
-/// boundary (inside [`send_env`]/[`broadcast_env`], so no call site can
-/// forget it), and the per-purpose `sim.network_bytes`, `sim.ack_bytes` and
-/// `sim.protocol_bytes` at each call site — the `telemetry_diff` test
-/// checks that the two agree byte for byte.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct SimMetrics {
-    wire_bytes: Counter,
-    wire_msgs: Counter,
-    ops_generated: Counter,
-    network_bytes: Counter,
-    retransmission_bytes: Counter,
-    ack_bytes: Counter,
-    op_batches_sent: Counter,
-    flatten_proposals: Counter,
-    flatten_commits: Counter,
-    flatten_aborts: Counter,
-    pub(crate) commit_rounds: Counter,
-    pub(crate) protocol_messages: Counter,
-    pub(crate) protocol_bytes: Counter,
-    crashes: Counter,
-    wal_records_replayed: Counter,
-    recovered_bytes: Counter,
-    snapshot_hits: Counter,
-    messages_lost_to_crash: Counter,
-    messages_before_join: Counter,
-    offline_losses: Counter,
-    sync_sessions: Counter,
-    sync_rounds: Counter,
-    sync_bytes: Counter,
-    snapshot_bootstraps: Counter,
-    snapshot_bytes: Counter,
-}
-
-impl SimMetrics {
-    pub(crate) fn resolve(telemetry: &Telemetry) -> Self {
-        SimMetrics {
-            wire_bytes: telemetry.counter("sim.wire_bytes"),
-            wire_msgs: telemetry.counter("sim.wire_msgs"),
-            ops_generated: telemetry.counter("sim.ops_generated"),
-            network_bytes: telemetry.counter("sim.network_bytes"),
-            retransmission_bytes: telemetry.counter("sim.retransmission_bytes"),
-            ack_bytes: telemetry.counter("sim.ack_bytes"),
-            op_batches_sent: telemetry.counter("sim.op_batches_sent"),
-            flatten_proposals: telemetry.counter("sim.flatten_proposals"),
-            flatten_commits: telemetry.counter("sim.flatten_commits"),
-            flatten_aborts: telemetry.counter("sim.flatten_aborts"),
-            commit_rounds: telemetry.counter("sim.commit_rounds"),
-            protocol_messages: telemetry.counter("sim.protocol_messages"),
-            protocol_bytes: telemetry.counter("sim.protocol_bytes"),
-            crashes: telemetry.counter("sim.crashes"),
-            wal_records_replayed: telemetry.counter("sim.wal_records_replayed"),
-            recovered_bytes: telemetry.counter("sim.recovered_bytes"),
-            snapshot_hits: telemetry.counter("sim.snapshot_hits"),
-            messages_lost_to_crash: telemetry.counter("sim.messages_lost_to_crash"),
-            messages_before_join: telemetry.counter("sim.messages_before_join"),
-            offline_losses: telemetry.counter("sim.offline_losses"),
-            sync_sessions: telemetry.counter("sim.sync_sessions"),
-            sync_rounds: telemetry.counter("sim.sync_rounds"),
-            sync_bytes: telemetry.counter("sim.sync_bytes"),
-            snapshot_bootstraps: telemetry.counter("sim.snapshot_bootstraps"),
-            snapshot_bytes: telemetry.counter("sim.snapshot_bytes"),
-        }
-    }
-}
-
-/// Encodes an envelope and sends it, returning the encoded size. The bytes
-/// are counted into `sim.wire_bytes` here, at the one point every unicast
-/// passes through.
-fn send_env(
-    net: &mut SimNetwork<Wire>,
-    metrics: &SimMetrics,
-    from: SiteId,
-    to: SiteId,
-    env: &Env,
-) -> u64 {
-    let bytes = encode_envelope(env);
-    let len = bytes.len() as u64;
-    metrics.wire_bytes.add(len);
-    metrics.wire_msgs.inc();
-    net.send(from, to, bytes);
-    len
-}
-
-/// Encodes an envelope once and broadcasts it, returning the encoded bytes
-/// summed over every link crossed — the recipient list minus the sender
-/// itself — which is also what `sim.wire_bytes` counts.
-fn broadcast_env(
-    net: &mut SimNetwork<Wire>,
-    metrics: &SimMetrics,
-    from: SiteId,
-    recipients: &[SiteId],
-    env: &Env,
-) -> u64 {
-    let bytes = encode_envelope(env);
-    let links = recipients.iter().filter(|&&r| r != from).count() as u64;
-    let total = bytes.len() as u64 * links;
-    metrics.wire_bytes.add(total);
-    metrics.wire_msgs.add(links);
-    net.broadcast(from, recipients, bytes);
-    total
-}
-
 /// Maximum recovery rounds (ack exchange + retransmission) the drain phase
 /// attempts before declaring the run wedged. With independent per-message
 /// drop probability < 1 the expected number of rounds is tiny; hitting the
 /// cap means the protocol, not the dice, is broken.
 const MAX_RECOVERY_ROUNDS: usize = 1000;
-
-/// Ticks a participant may wait in the 3PC pre-committed state before
-/// terminating with a unilateral commit (the non-blocking property).
-pub(crate) const PRE_COMMIT_TIMEOUT_TICKS: u64 = 30;
-
-/// The coordinator side of an in-flight flatten proposal. Its costs go to
-/// the `sim.flatten_*`, `sim.commit_rounds` and `sim.protocol_*` counters.
-#[derive(Default)]
-struct FlattenDriver {
-    active: Option<FlattenCoordinator>,
-    /// Whether the coordinator's own replica has applied the outcome.
-    self_finished: bool,
-}
-
-impl FlattenDriver {
-    /// Starts a proposal at the coordinator (the first site). A local No
-    /// vote aborts on the spot with zero network traffic.
-    fn start_proposal(
-        &mut self,
-        replicas: &mut [Replica<Doc>],
-        site_ids: &[SiteId],
-        protocol: CommitProtocol,
-        metrics: &SimMetrics,
-    ) {
-        debug_assert!(self.active.is_none(), "one proposal at a time");
-        metrics.flatten_proposals.inc();
-        match replicas[0].propose_flatten(Vec::new(), protocol) {
-            Some(propose) => {
-                self.active = Some(FlattenCoordinator::new(propose, site_ids[1..].to_vec()));
-                self.self_finished = false;
-            }
-            None => metrics.flatten_aborts.inc(),
-        }
-    }
-
-    /// Advances the coordinator one protocol round: sends this round's
-    /// (re)transmissions, applies the outcome to the coordinator's own
-    /// replica as soon as it is decided, and retires the coordinator once
-    /// every participant acknowledged.
-    fn pump(
-        &mut self,
-        replicas: &mut [Replica<Doc>],
-        site_ids: &[SiteId],
-        net: &mut SimNetwork<Wire>,
-        metrics: &SimMetrics,
-    ) {
-        let Some(coordinator) = self.active.as_mut() else {
-            return;
-        };
-        for (to, env) in coordinator.tick::<Op<String, Sdis>>() {
-            metrics.protocol_messages.inc();
-            let sent = send_env(net, metrics, site_ids[0], to, &env);
-            metrics.protocol_bytes.add(sent);
-        }
-        if let Some(outcome) = coordinator.outcome() {
-            if !self.self_finished {
-                self.self_finished = true;
-                let committed = outcome == CommitOutcome::Committed;
-                replicas[0].finish_flatten(coordinator.txn(), committed);
-                if committed {
-                    metrics.flatten_commits.inc();
-                } else {
-                    metrics.flatten_aborts.inc();
-                }
-            }
-        }
-        if coordinator.is_done() {
-            metrics.commit_rounds.add(coordinator.stats().rounds);
-            self.active = None;
-        }
-    }
-}
-
-/// Delivers one network event to its addressee and tracks the hold-back
-/// high-water mark across replicas. Votes addressed to the coordinator site
-/// feed the active coordinator; flatten requests answered by participants
-/// send their reply straight back through the network. Events addressed to a
-/// dead (crashed, not yet restarted) site are discarded and counted — the
-/// at-least-once protocol recovers them after the restart.
-#[allow(clippy::too_many_arguments)]
-fn deliver(
-    replicas: &mut [Replica<Doc>],
-    site_ids: &[SiteId],
-    driver: &mut FlattenDriver,
-    net: &mut SimNetwork<Wire>,
-    metrics: &SimMetrics,
-    event: NetworkEvent<Wire>,
-    max_pending: &mut usize,
-    dead: Option<SiteId>,
-) {
-    if dead == Some(event.to) {
-        metrics.messages_lost_to_crash.inc();
-        return;
-    }
-    // Every delivery decodes the bytes that actually crossed the wire; an
-    // undecodable message means the codec (not the scenario) is broken.
-    let envelope: Env = decode_envelope(&event.payload)
-        .unwrap_or_else(|e| panic!("undecodable envelope on the wire: {e}"));
-    if let Envelope::FlattenVote(vote) = &envelope {
-        if event.to == site_ids[0] {
-            if let Some(coordinator) = driver.active.as_mut() {
-                coordinator.on_vote(*vote);
-            }
-            return;
-        }
-    }
-    let idx = site_ids
-        .iter()
-        .position(|&s| s == event.to)
-        .expect("known site");
-    for reply in replicas[idx].receive_any(envelope).replies {
-        metrics.protocol_messages.inc();
-        let sent = send_env(net, metrics, event.to, event.from, &reply);
-        metrics.protocol_bytes.add(sent);
-    }
-    *max_pending = (*max_pending).max(replicas[idx].pending());
-}
-
-/// Restarts a crashed site from its durable store, counting the recovery in
-/// `sim.wal_records_replayed`, `sim.recovered_bytes` and
-/// `sim.snapshot_hits`. The replica is bound to `telemetry` only after
-/// [`Replica::recover`] returns, so its WAL replay counts nothing.
-pub(crate) fn recover_replica(
-    store: DocStore,
-    telemetry: &Telemetry,
-    metrics: &SimMetrics,
-) -> Replica<Doc> {
-    let (mut replica, report) = Replica::recover(store).expect("crash recovery must succeed");
-    metrics
-        .wal_records_replayed
-        .add(report.wal_records_replayed as u64);
-    metrics.recovered_bytes.add(report.bytes_recovered as u64);
-    metrics.snapshot_hits.add(u64::from(report.snapshot_hit));
-    replica.set_telemetry(telemetry);
-    replica
-}
-
-/// Restarts a crashed site in the scenario (see [`recover_replica`]). The
-/// batcher is transport policy, not durable state, so it is re-enabled
-/// rather than recovered; whatever the dead process had buffered unflushed
-/// is re-sent from the recovered send log by the at-least-once protocol.
-fn restart_replica(
-    replicas: &mut [Replica<Doc>],
-    idx: usize,
-    store: DocStore,
-    batch_policy: Option<BatchPolicy>,
-    telemetry: &Telemetry,
-    metrics: &SimMetrics,
-) {
-    let mut replica = recover_replica(store, telemetry, metrics);
-    if let Some(policy) = batch_policy {
-        replica.enable_batching(policy);
-    }
-    replicas[idx] = replica;
-}
-
-/// Probe rounds a single anti-entropy session may take before the run is
-/// declared wedged. Each round either proves convergence or ships cells both
-/// ways, so a handful suffices; hitting the cap means the protocol is broken.
-const MAX_SYNC_ROUNDS: usize = 64;
-
-/// Runs one complete anti-entropy session between replicas `a` and `b`:
-/// `a` probes, replies ping-pong between the two until a round ends with
-/// equal root digests on both sides. The session is out-of-band — reliable
-/// and synchronous, unlike the lossy operation traffic — but every message
-/// still round-trips through the binary wire codec and its encoded size is
-/// counted, so [`SimReport`] compares sync cost against retransmission cost
-/// on measured bytes. The replicas count the digest and run messages they
-/// receive and the cells they integrate themselves (`sync.*`).
-fn sync_pair(replicas: &mut [Replica<Doc>], a: usize, b: usize, metrics: &SimMetrics) {
-    metrics.sync_sessions.inc();
-    for _ in 0..MAX_SYNC_ROUNDS {
-        metrics.sync_rounds.inc();
-        let mut queue: Vec<(usize, Env)> = vec![(b, replicas[a].sync_probe())];
-        let mut converged = false;
-        while let Some((to, env)) = queue.pop() {
-            let bytes = encode_envelope(&env);
-            metrics.sync_bytes.add(bytes.len() as u64);
-            let env: Env = decode_envelope(&bytes)
-                .unwrap_or_else(|e| panic!("undecodable sync envelope: {e}"));
-            let effect = replicas[to].receive_any(env);
-            converged |= effect.converged;
-            let reply_to = if to == a { b } else { a };
-            queue.extend(effect.replies.into_iter().map(|e| (reply_to, e)));
-        }
-        if converged {
-            return;
-        }
-    }
-    panic!("anti-entropy session failed to converge");
-}
-
-/// Bootstraps the late joiner from the donor's snapshot chunks, then runs a
-/// sync session so the joiner also adopts the donor's causal clock (making
-/// late copies of already-absorbed operations discardable duplicates).
-fn bootstrap_joiner(
-    replicas: &mut [Replica<Doc>],
-    donor: usize,
-    joiner: usize,
-    metrics: &SimMetrics,
-) {
-    let mut bootstrapped = false;
-    for env in replicas[donor].snapshot_envelopes() {
-        let bytes = encode_envelope(&env);
-        metrics.snapshot_bytes.add(bytes.len() as u64);
-        let env: Env = decode_envelope(&bytes)
-            .unwrap_or_else(|e| panic!("undecodable snapshot envelope: {e}"));
-        bootstrapped |= replicas[joiner].receive_any(env).bootstrapped;
-    }
-    assert!(bootstrapped, "snapshot bootstrap must complete");
-    metrics.snapshot_bootstraps.inc();
-    sync_pair(replicas, donor, joiner, metrics);
-}
 
 /// Runs a scenario to completion (all messages delivered, all losses
 /// recovered when retransmission is on) and checks convergence.
@@ -769,16 +404,8 @@ pub fn run(scenario: &Scenario) -> SimReport {
     run_with(scenario, &Telemetry::disabled())
 }
 
-/// Like [`run`], but counting into `telemetry`'s registry: afterwards it
-/// holds the run's `sim.*`, `replica.*`, `flatten.*`, `sync.*` and
-/// `store.*` instruments, latency histograms included. The report's counts
-/// are those counters' deltas over the run (a disabled handle runs over a
-/// private registry), so the report is identical either way — telemetry
-/// observes, it never steers. Runs sharing one registry must not overlap.
-pub fn run_with(scenario: &Scenario, telemetry: &Telemetry) -> SimReport {
-    let counters = RunCounters::begin(telemetry);
-    let telemetry = counters.telemetry();
-    let metrics = SimMetrics::resolve(telemetry);
+/// Rejects schedules the simulator cannot run to convergence.
+fn validate(scenario: &Scenario, total_rounds: usize) {
     assert!(
         scenario.sites >= 2,
         "a cooperative session needs at least two sites"
@@ -795,68 +422,6 @@ pub fn run_with(scenario: &Scenario, telemetry: &Telemetry) -> SimReport {
         !(scenario.anti_entropy && scenario.crash.is_some()),
         "crash recovery catches up via retransmission, not anti-entropy"
     );
-    let mut rng = StdRng::seed_from_u64(scenario.seed);
-    let site_ids: Vec<SiteId> = (1..=scenario.sites as u64).map(SiteId::from_u64).collect();
-    let config = if scenario.balancing {
-        TreedocConfig::balanced()
-    } else {
-        TreedocConfig::default()
-    };
-
-    // The late joiner is always the last site index; until its join round it
-    // is absent — no seed document, no edits, and traffic addressed to it is
-    // discarded.
-    let joiner: Option<usize> = scenario.late_join.map(|_| scenario.sites - 1);
-    let mut joined = scenario.late_join.is_none();
-
-    // Everyone starts from the same exploded seed document — except the late
-    // joiner, which begins with an empty document of its own.
-    let seed_doc: Vec<String> = (0..10).map(|i| format!("seed line {i}")).collect();
-    let mut replicas: Vec<Replica<Doc>> = site_ids
-        .iter()
-        .enumerate()
-        .map(|(i, &s)| {
-            let doc = if joiner == Some(i) {
-                Doc::with_config(s, config)
-            } else {
-                Doc::from_atoms_with_config(s, &seed_doc, config)
-            };
-            let mut replica = Replica::new(s, doc);
-            replica.set_telemetry(telemetry);
-            replica
-        })
-        .collect();
-    if scenario.retransmit {
-        for r in replicas.iter_mut() {
-            r.enable_at_least_once(&site_ids);
-        }
-    }
-    if scenario.durable {
-        for r in replicas.iter_mut() {
-            r.attach_store(DocStore::in_memory())
-                .expect("in-memory store attach cannot fail");
-        }
-    }
-    let batch_policy = (scenario.batch_max_ops > 1).then_some(BatchPolicy {
-        max_ops: scenario.batch_max_ops,
-    });
-    if let Some(policy) = batch_policy {
-        for r in replicas.iter_mut() {
-            r.enable_batching(policy);
-        }
-    }
-
-    let link = LinkConfig::default()
-        .with_drop_prob(scenario.drop_prob)
-        .with_duplicate_prob(scenario.duplicate_prob)
-        .with_reorder_burst(scenario.reorder_burst_prob, 250);
-    let mut net: SimNetwork<Wire> = SimNetwork::new(link, scenario.seed);
-    let mut max_pending = 0usize;
-
-    let mut driver = FlattenDriver::default();
-
-    let total_rounds = scenario.edits_per_site.div_ceil(scenario.burst.max(1));
-
     assert!(
         scenario.snapshot_cadence.is_none() || scenario.durable,
         "a snapshot cadence requires durable stores"
@@ -914,202 +479,147 @@ pub fn run_with(scenario: &Scenario, telemetry: &Telemetry) -> SimReport {
         );
         assert!(scenario.crash.is_none(), "one membership fault per run");
     }
-    // The dead site's index and its surviving store, while crashed.
-    let mut dead: Option<(usize, DocStore)> = None;
-    let mut crashed = false;
+}
+
+/// Like [`run`], but counting into `telemetry`'s registry: afterwards it
+/// holds the run's `sim.*`, `replica.*`, `flatten.*`, `sync.*` and
+/// `store.*` instruments, latency histograms included. The report's counts
+/// are those counters' deltas over the run (a disabled handle runs over a
+/// private registry), so the report is identical either way — telemetry
+/// observes, it never steers. Runs sharing one registry must not overlap.
+pub fn run_with(scenario: &Scenario, telemetry: &Telemetry) -> SimReport {
+    let total_rounds = scenario.edits_per_site.div_ceil(scenario.burst.max(1));
+    validate(scenario, total_rounds);
+    let mut rng = StdRng::seed_from_u64(scenario.seed);
+    let config = if scenario.balancing {
+        TreedocConfig::balanced()
+    } else {
+        TreedocConfig::default()
+    };
+    // Everyone starts from the same exploded seed document — except the late
+    // joiner (always the last site), which begins with an empty document of
+    // its own and takes no part until its join round.
+    let joiner = scenario.late_join.map(|_| scenario.sites - 1);
+    let seed_doc: Vec<String> = (0..10).map(|i| format!("seed line {i}")).collect();
+    let link = LinkConfig::default()
+        .with_drop_prob(scenario.drop_prob)
+        .with_duplicate_prob(scenario.duplicate_prob)
+        .with_reorder_burst(scenario.reorder_burst_prob, 250);
+    let mut session = Session::new(telemetry, scenario.sites, link, scenario.seed, |i, s| {
+        if joiner == Some(i) {
+            Doc::with_config(s, config)
+        } else {
+            Doc::from_atoms_with_config(s, &seed_doc, config)
+        }
+    });
+    if scenario.retransmit {
+        session.enable_at_least_once();
+    }
+    if scenario.durable {
+        session.attach_stores();
+    }
+    if scenario.batch_max_ops > 1 {
+        session.enable_batching(BatchPolicy {
+            max_ops: scenario.batch_max_ops,
+        });
+    }
+    if let Some(joiner) = joiner {
+        session.await_joiner(joiner);
+    }
+
     // Partition window of the middle third, clamped so the heal lands at
     // least one round after the cut: short runs used to compute the same
     // round for both (`total_rounds / 3 == 2 * total_rounds / 3`), silently
     // partitioning and healing within one round — i.e. not at all — while
     // the report still suggested a partition had been exercised.
-    let partition_window =
-        if scenario.partition_first_site && scenario.sites >= 2 && total_rounds > 0 {
-            let start = total_rounds / 3;
-            let end = ((2 * total_rounds) / 3).max(start + 1);
-            Some((start, end))
-        } else {
-            None
-        };
+    let partition_window = (scenario.partition_first_site && total_rounds > 0).then(|| {
+        let start = total_rounds / 3;
+        (start, ((2 * total_rounds) / 3).max(start + 1))
+    });
     let partition_rounds = partition_window.map_or(0, |(start, end)| end.min(total_rounds) - start);
 
     for round in 0..total_rounds {
         if let Some(cs) = scenario.crash {
             if round == cs.restart_round {
-                if let Some((idx, store)) = dead.take() {
-                    restart_replica(&mut replicas, idx, store, batch_policy, telemetry, &metrics);
-                }
+                session.restart_dead();
             }
-            if round == cs.crash_round && !crashed {
-                // Death of the process: the replica object (clock, hold-back,
-                // send log, document) is gone; only its store survives.
-                let store = replicas[cs.site]
-                    .detach_store()
-                    .expect("durable replica has a store");
-                replicas[cs.site] = Replica::new(site_ids[cs.site], Doc::new(site_ids[cs.site]));
-                dead = Some((cs.site, store));
-                crashed = true;
-                metrics.crashes.inc();
+            if round == cs.crash_round {
+                session.crash(cs.site);
             }
         }
-        let dead_site = dead.as_ref().map(|&(idx, _)| site_ids[idx]);
-
         if let Some((start, end)) = partition_window {
-            if round == start {
-                for &other in &site_ids[1..] {
-                    net.partition_both(site_ids[0], other);
-                }
-            }
-            if round == end {
-                for &other in &site_ids[1..] {
-                    net.heal_both(site_ids[0], other);
-                }
+            if round == start || round == end {
+                session.partition_first_site(round == start);
             }
         }
-
-        // The late joiner arrives: the first site donates a snapshot (offer +
-        // chunks over the wire codec), the joiner adopts it — keeping its own
-        // identity — and one sync session transfers the donor's causal clock.
-        // From here on the joiner edits and receives like everyone else.
-        if scenario.late_join == Some(round) && !joined {
-            joined = true;
-            bootstrap_joiner(
-                &mut replicas,
-                0,
-                joiner.expect("late_join implies a joiner"),
-                &metrics,
-            );
+        if scenario.late_join == Some(round) {
+            session.bootstrap_joiner(0, joiner.expect("late_join implies a joiner"));
         }
-        // The site currently inside its offline window, if any.
-        let offline_site: Option<SiteId> = scenario
-            .offline
-            .filter(|ow| round >= ow.from_round && round < ow.to_round)
-            .map(|ow| site_ids[ow.site]);
-        let absent_site: Option<SiteId> = (!joined).then(|| site_ids[joiner.expect("unjoined")]);
+        if let Some(ow) = scenario.offline {
+            let offline = (ow.from_round..ow.to_round).contains(&round);
+            session.set_offline(ow.site, offline);
+        }
 
-        // Each site performs a burst of local edits and broadcasts them —
-        // unless it is dead, offline, not yet joined, or locked prepared by
-        // an in-flight flatten proposal (edits in the subtree must wait for
-        // the decision).
-        for i in 0..replicas.len() {
-            if Some(site_ids[i]) == dead_site
-                || Some(site_ids[i]) == offline_site
-                || Some(site_ids[i]) == absent_site
-                || replicas[i].is_flatten_prepared()
-            {
+        // Each live site performs a burst of local edits and broadcasts them
+        // — unless it is locked prepared by an in-flight flatten proposal
+        // (edits in the subtree must wait for the decision).
+        for i in 0..scenario.sites {
+            if !session.is_live(i) || session.replicas[i].is_flatten_prepared() {
                 continue;
             }
             for _ in 0..scenario.burst.max(1) {
-                let op = {
-                    let replica = &mut replicas[i];
-                    let doc = replica.doc_mut();
-                    let len = doc.len();
-                    if len > 1 && rng.gen_bool(scenario.delete_ratio) {
-                        let idx = rng.gen_range(0..len);
-                        doc.local_delete(idx).expect("index in range")
-                    } else {
-                        let idx = rng.gen_range(0..=len);
-                        let text = format!("site{} round{} {}", i + 1, round, rng.gen::<u32>());
-                        doc.local_insert(idx, text).expect("index in range")
-                    }
+                let doc = session.replicas[i].doc_mut();
+                let len = doc.len();
+                let op = if len > 1 && rng.gen_bool(scenario.delete_ratio) {
+                    doc.local_delete(rng.gen_range(0..len))
+                } else {
+                    let idx = rng.gen_range(0..=len);
+                    let text = format!("site{} round{} {}", i + 1, round, rng.gen::<u32>());
+                    doc.local_insert(idx, text)
                 };
-                metrics.ops_generated.inc();
-                // `stamp_batched` degenerates to one envelope per op while
-                // batching is off, so a single call site serves both modes.
-                // Byte accounting happens per envelope actually emitted, with
-                // the real encoded size, one count per link crossed.
-                if let Some(env) = replicas[i].stamp_batched(op) {
-                    if matches!(env, Envelope::OpBatch(_)) {
-                        metrics.op_batches_sent.inc();
-                    }
-                    let sent = broadcast_env(&mut net, &metrics, site_ids[i], &site_ids, &env);
-                    metrics.network_bytes.add(sent);
-                }
+                session.stamp(i, op.expect("index in range"));
             }
         }
 
         // Flatten cadence: the first site proposes a whole-document flatten,
         // contending with whatever the network and the other sites are doing.
-        if let Some(cadence) = scenario.flatten_cadence {
-            let cadence = cadence.max(1);
-            if driver.active.is_none() && round % cadence == cadence - 1 {
-                driver.start_proposal(
-                    &mut replicas,
-                    &site_ids,
-                    scenario.flatten_protocol,
-                    &metrics,
-                );
+        if let Some(cadence) = scenario.flatten_cadence.map(|k| k.max(1)) {
+            if session.coordinator().is_none() && round % cadence == cadence - 1 {
+                session.propose_flatten(scenario.flatten_protocol);
             }
         }
-
-        // Advance the commitment protocol one round on both sides.
-        for r in replicas.iter_mut() {
-            let _ = r.flatten_tick(PRE_COMMIT_TIMEOUT_TICKS);
-        }
-        driver.pump(&mut replicas, &site_ids, &mut net, &metrics);
+        session.flatten_round();
 
         // Let some of the traffic flow between rounds (not all of it, so
         // concurrency actually happens).
-        let deliver_now = net.in_flight() / 2;
-        for _ in 0..deliver_now {
-            let Some(event) = net.step() else { break };
-            // An absent joiner or an offline process drops whatever arrives;
-            // the catch-up mechanism repairs the gap later.
-            if absent_site == Some(event.to) {
-                metrics.messages_before_join.inc();
-                continue;
-            }
-            if offline_site == Some(event.to) {
-                metrics.offline_losses.inc();
-                continue;
-            }
-            deliver(
-                &mut replicas,
-                &site_ids,
-                &mut driver,
-                &mut net,
-                &metrics,
-                event,
-                &mut max_pending,
-                dead_site,
-            );
-        }
+        let deliver_now = session.net.in_flight() / 2;
+        session.deliver(deliver_now);
 
-        // Snapshot cadence: every k rounds each live durable replica writes a
-        // checkpoint, bounding how much WAL a crash at the worst instant
-        // would have to replay.
-        if let Some(k) = scenario.snapshot_cadence {
-            let k = k.max(1);
+        // Snapshot cadence: every k rounds each durable replica (a crashed
+        // one has none) writes a checkpoint, bounding how much WAL a crash
+        // at the worst instant would have to replay.
+        if let Some(k) = scenario.snapshot_cadence.map(|k| k.max(1)) {
             if round % k == k - 1 {
-                for (i, r) in replicas.iter_mut().enumerate() {
-                    if Some(site_ids[i]) != dead_site && r.store().is_some() {
-                        r.persist_checkpoint().expect("checkpoint cannot fail");
-                    }
+                for r in session.replicas.iter_mut().filter(|r| r.store().is_some()) {
+                    r.persist_checkpoint().expect("checkpoint cannot fail");
                 }
             }
         }
     }
 
-    // Heal any remaining partition and drain the network.
+    // The drain phase: heal any partition, bring back a site still dead
+    // (the drain cannot terminate while a registered peer never acks) or
+    // offline, and flush what the batchers hold — without retransmission a
+    // buffered batch would be lost for good, and the final quiescent
+    // flatten needs every clock settled.
     if scenario.partition_first_site {
-        for &other in &site_ids[1..] {
-            net.heal_both(site_ids[0], other);
-        }
+        session.partition_first_site(false);
     }
-    // A site still dead when the edits end restarts at the head of the drain
-    // phase (the drain cannot terminate while a registered peer never acks).
-    if let Some((idx, store)) = dead.take() {
-        restart_replica(&mut replicas, idx, store, batch_policy, telemetry, &metrics);
+    session.restart_dead();
+    if let Some(ow) = scenario.offline {
+        session.set_offline(ow.site, false);
     }
-    // Flush whatever the batchers still hold: without retransmission a
-    // buffered-but-never-shipped batch would be lost for good, and the final
-    // quiescent flatten needs every clock settled.
-    for i in 0..replicas.len() {
-        if let Some(env) = replicas[i].flush_batch() {
-            metrics.op_batches_sent.inc();
-            let sent = broadcast_env(&mut net, &metrics, site_ids[i], &site_ids, &env);
-            metrics.network_bytes.add(sent);
-        }
-    }
+    session.flush_batches();
     // Anti-entropy drain: fully deliver what is still in flight, then repair
     // whatever the losses left diverged through hub sync sessions (site 0
     // against each other site) until every replica reports the same root
@@ -1118,33 +628,22 @@ pub fn run_with(scenario: &Scenario, telemetry: &Telemetry) -> SimReport {
     // the network is drained before each check, no stale operation copy can
     // arrive after a session has already integrated its cells.
     if scenario.anti_entropy {
-        let mut sync_recovery_rounds = 0usize;
-        loop {
-            while let Some(event) = net.step() {
-                deliver(
-                    &mut replicas,
-                    &site_ids,
-                    &mut driver,
-                    &mut net,
-                    &metrics,
-                    event,
-                    &mut max_pending,
-                    None,
-                );
-            }
-            let reference = replicas[0].digest();
-            let repaired = replicas.iter().all(|r| r.digest() == reference)
-                && replicas.iter().all(|r| r.pending() == 0);
-            if net.in_flight() == 0 && repaired {
+        for attempt in 0.. {
+            session.drain();
+            let reference = session.replicas[0].digest();
+            let repaired = session
+                .replicas
+                .iter()
+                .all(|r| r.digest() == reference && r.pending() == 0);
+            if session.net.in_flight() == 0 && repaired {
                 break;
             }
-            sync_recovery_rounds += 1;
             assert!(
-                sync_recovery_rounds <= MAX_RECOVERY_ROUNDS,
+                attempt < MAX_RECOVERY_ROUNDS,
                 "anti-entropy failed to converge"
             );
-            for peer in 1..replicas.len() {
-                sync_pair(&mut replicas, 0, peer, &metrics);
+            for peer in 1..scenario.sites {
+                session.sync_pair(0, peer);
             }
         }
     }
@@ -1152,41 +651,25 @@ pub fn run_with(scenario: &Scenario, telemetry: &Telemetry) -> SimReport {
     // With the protocol enabled, one extra proposal runs at quiescence:
     // every clock is equal by then, so it demonstrates the committed path.
     let mut final_flatten_pending = scenario.flatten_cadence.is_some();
-    let mut recovery_rounds = 0usize;
     // Rounds spent idle with a replica still locked and no coordinator left
     // to unlock it (every decision copy lost inside the coordinator's
     // retransmission window). Once past the unilateral-commit timeout no
     // mechanism remains, so the run ends and reports non-convergence
     // honestly instead of spinning to the recovery cap.
     let mut orphaned_lock_rounds = 0u64;
+    let mut recovery_rounds = 0usize;
     loop {
-        while let Some(event) = net.step() {
-            deliver(
-                &mut replicas,
-                &site_ids,
-                &mut driver,
-                &mut net,
-                &metrics,
-                event,
-                &mut max_pending,
-                None,
-            );
-        }
-
+        session.drain();
         // Advance any in-flight commitment (vote retransmissions, decision
         // distribution, 3PC unilateral termination).
-        for r in replicas.iter_mut() {
-            let _ = r.flatten_tick(PRE_COMMIT_TIMEOUT_TICKS);
-        }
-        driver.pump(&mut replicas, &site_ids, &mut net, &metrics);
+        session.flatten_round();
 
-        let net_idle = net.in_flight() == 0;
+        let replicas = &session.replicas;
         let logs_clear = replicas.iter().all(|r| !r.has_unacked());
         let queues_clear = replicas.iter().all(|r| r.pending() == 0);
         let locked = replicas.iter().any(|r| r.is_flatten_prepared());
-
-        if net_idle && driver.active.is_none() {
-            let logs_ok = !scenario.retransmit || logs_clear;
+        let logs_ok = !scenario.retransmit || logs_clear;
+        if session.net.in_flight() == 0 && session.coordinator().is_none() {
             if locked && logs_ok && queues_clear {
                 // No coordinator, no traffic, yet a replica is still
                 // prepared: its decision was lost for good. Give the 3PC
@@ -1200,12 +683,7 @@ pub fn run_with(scenario: &Scenario, telemetry: &Telemetry) -> SimReport {
             if !locked {
                 if final_flatten_pending && logs_ok && queues_clear {
                     final_flatten_pending = false;
-                    driver.start_proposal(
-                        &mut replicas,
-                        &site_ids,
-                        scenario.flatten_protocol,
-                        &metrics,
-                    );
+                    session.propose_flatten(scenario.flatten_protocol);
                     continue;
                 }
                 if !final_flatten_pending && logs_ok && (queues_clear || !scenario.retransmit) {
@@ -1221,92 +699,37 @@ pub fn run_with(scenario: &Scenario, telemetry: &Telemetry) -> SimReport {
                 }
             }
         }
-
         recovery_rounds += 1;
         assert!(
             recovery_rounds <= MAX_RECOVERY_ROUNDS,
             "recovery or flatten commitment failed to converge"
         );
         if scenario.retransmit && (!logs_clear || !queues_clear) {
-            // Cumulative ack exchange (acks can themselves be dropped; the
-            // next round simply repeats them).
-            for i in 0..replicas.len() {
-                let ack = replicas[i].ack_envelope();
-                let sent = broadcast_env(&mut net, &metrics, site_ids[i], &site_ids, &ack);
-                metrics.ack_bytes.add(sent);
-            }
-            while let Some(event) = net.step() {
-                deliver(
-                    &mut replicas,
-                    &site_ids,
-                    &mut driver,
-                    &mut net,
-                    &metrics,
-                    event,
-                    &mut max_pending,
-                    None,
-                );
-            }
-            // Retransmit everything still unacknowledged, per peer, keeping
-            // the flatten epoch each message was stamped in. With batching
-            // on, the peer's whole unacked window coalesces into a single
-            // batch envelope; either way each re-send crosses the network
-            // with its full encoded payload and is counted like the initial
-            // broadcast.
-            for i in 0..replicas.len() {
-                let from = site_ids[i];
-                for &peer in &site_ids {
-                    if peer == from {
-                        continue;
-                    }
-                    let resent = if batch_policy.is_some() {
-                        let batch = replicas[i].unacked_batch_for(peer);
-                        if batch.is_some() {
-                            metrics.op_batches_sent.inc();
-                        }
-                        batch.into_iter().collect()
-                    } else {
-                        replicas[i].unacked_envelopes_for(peer)
-                    };
-                    for env in resent {
-                        let sent = send_env(&mut net, &metrics, from, peer, &env);
-                        metrics.retransmission_bytes.add(sent);
-                        metrics.network_bytes.add(sent);
-                    }
-                }
-            }
+            session.ack_round();
+            session.retransmit_round();
         }
     }
-
-    let reference = replicas[0].doc().to_vec();
-    let epoch = replicas[0].flatten_epoch();
-    let converged = replicas.iter().all(|r| r.doc().to_vec() == reference)
-        && replicas.iter().all(|r| r.pending() == 0)
-        && replicas.iter().all(|r| !r.has_unacked())
-        && replicas.iter().all(|r| r.pending_batch_len() == 0)
-        && replicas.iter().all(|r| r.flatten_epoch() == epoch)
-        && replicas.iter().all(|r| !r.is_flatten_prepared());
 
     // The report: every count is its counter's delta over the run, except
     // the few the network and the run's own bookkeeping own (see the field
     // docs).
-    let count = counters.deltas();
+    let count = session.counts();
     SimReport {
-        converged,
-        final_len: reference.len(),
+        converged: session.converged(),
+        final_len: session.replicas[0].doc().len(),
         ops_generated: count("sim.ops_generated") as usize,
-        messages_delivered: net.delivered_count(),
-        messages_dropped: net.dropped_count(),
-        messages_duplicated: net.duplicated_count(),
+        messages_delivered: session.net.delivered_count(),
+        messages_dropped: session.net.dropped_count(),
+        messages_duplicated: session.net.duplicated_count(),
         duplicates_discarded: count("replica.duplicates_discarded"),
         replays_skipped: count("replica.replays_skipped"),
         retransmissions: count("replica.retransmissions"),
         retransmission_bytes: count("sim.retransmission_bytes") as usize,
-        max_pending,
+        max_pending: session.max_pending,
         network_bytes: count("sim.network_bytes") as usize,
         ack_bytes: count("sim.ack_bytes") as usize,
         op_batches_sent: count("sim.op_batches_sent"),
-        sim_time_ms: net.now_ms(),
+        sim_time_ms: session.net.now_ms(),
         partition_rounds,
         flatten_proposals: count("sim.flatten_proposals") as usize,
         flatten_commits: count("sim.flatten_commits") as usize,
@@ -1339,72 +762,50 @@ pub fn run_with(scenario: &Scenario, telemetry: &Telemetry) -> SimReport {
     }
 }
 
-/// A cross-product of scenario axes: loss × duplication × partition × edit
-/// burst × balancing, every combination sharing the remaining parameters of
-/// [`base`](Self::base).
+/// A sweep over scenario axes, every cell sharing the fields of the `base`
+/// it was built from.
 ///
-/// The swept axes **shadow** the corresponding fields of `base`: a
-/// `drop_prob`, `duplicate_prob`, `burst`, `partition_first_site` or
-/// `balancing` set on `base` never runs — only the values listed in the
-/// axis vectors do. Put sweep values in the axes, and everything else
-/// (sites, edits, seed, `reorder_burst_prob`, …) in `base`.
+/// Each constructor fixes on `base` only the fields its experiment needs
+/// (say, [`crash_recovery`](Self::crash_recovery)'s 10% duplication) and
+/// varies only the axes it sweeps; every other field of `base` — sites,
+/// edits, seed, `balancing`, `reorder_burst_prob`, `batch_max_ops` unless
+/// the batch axis is swept, … — reaches every cell unchanged. Cells come in
+/// the axes' nesting order drop → duplication → burst → partition →
+/// balancing → flatten cadence → protocol → snapshot cadence → crash →
+/// batch size → anti-entropy → offline window, the last varying fastest.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioMatrix {
-    /// Parameters shared by every cell (sites, edits, seed, …). Fields
-    /// covered by an axis vector are ignored — see the type-level note.
-    pub base: Scenario,
-    /// Drop probabilities to sweep; cells with loss enable retransmission.
-    pub drop_probs: Vec<f64>,
-    /// Duplication probabilities to sweep.
-    pub duplicate_probs: Vec<f64>,
-    /// Edit burst sizes to sweep.
-    pub bursts: Vec<usize>,
-    /// Whether to run with and/or without the mid-run partition.
-    pub partition: Vec<bool>,
-    /// Whether to run with and/or without §4.1 balancing.
-    pub balancing: Vec<bool>,
-    /// Flatten proposal cadences to sweep (`None` = protocol disabled).
-    pub flatten_cadences: Vec<Option<usize>>,
-    /// Commitment protocols to sweep for cells with a flatten cadence.
-    pub protocols: Vec<CommitProtocol>,
-    /// Snapshot cadences to sweep (`None` = compaction on flatten commits
-    /// only). Any `Some` cell runs durable.
-    pub snapshot_cadences: Vec<Option<usize>>,
-    /// Crash schedules to sweep (`None` = no crash). Any `Some` cell runs
-    /// durable with retransmission.
-    pub crashes: Vec<Option<CrashSchedule>>,
-    /// Operation-batch sizes to sweep (`1` = per-op envelopes). See
-    /// [`Scenario::batch_max_ops`].
-    pub batch_sizes: Vec<usize>,
-    /// Recovery mechanisms to sweep: `false` = at-least-once retransmission
-    /// (cells with loss or an offline window get `retransmit = true`),
-    /// `true` = state-based anti-entropy ([`Scenario::anti_entropy`]).
-    pub anti_entropy: Vec<bool>,
-    /// Offline windows to sweep (`None` = nobody goes offline). See
-    /// [`OfflineWindow`].
-    pub offline_windows: Vec<Option<OfflineWindow>>,
+    cells: Vec<Scenario>,
 }
 
 impl ScenarioMatrix {
-    /// The default convergence matrix: fault-free and 10%-faulty cells along
-    /// every axis (flatten commitment disabled — see
-    /// [`flatten_commitment`](Self::flatten_commitment)).
-    pub fn faulty(base: Scenario) -> Self {
+    /// A matrix of the one cell `base`, to sweep axes over.
+    fn over(base: Scenario) -> Self {
+        ScenarioMatrix { cells: vec![base] }
+    }
+
+    /// Replaces every cell by one copy per value, `set` writing the value.
+    fn sweep<T: Copy>(self, values: &[T], set: fn(&mut Scenario, T)) -> Self {
+        let cells = self.cells.into_iter().flat_map(|cell| {
+            values.iter().map(move |&value| {
+                let mut cell = cell;
+                set(&mut cell, value);
+                cell
+            })
+        });
         ScenarioMatrix {
-            base,
-            drop_probs: vec![0.0, 0.1],
-            duplicate_probs: vec![0.0, 0.1],
-            bursts: vec![1, 5],
-            partition: vec![false, true],
-            balancing: vec![false],
-            flatten_cadences: vec![None],
-            protocols: vec![CommitProtocol::TwoPhase],
-            snapshot_cadences: vec![None],
-            crashes: vec![None],
-            batch_sizes: vec![1],
-            anti_entropy: vec![false],
-            offline_windows: vec![None],
+            cells: cells.collect(),
         }
+    }
+
+    /// The default convergence matrix: fault-free and 10%-faulty cells along
+    /// the loss, duplication, burst and partition axes.
+    pub fn faulty(base: Scenario) -> Self {
+        Self::over(base)
+            .sweep(&[0.0, 0.1], |s, p| s.drop_prob = p)
+            .sweep(&[0.0, 0.1], |s, p| s.duplicate_prob = p)
+            .sweep(&[1, 5], |s, burst| s.burst = burst)
+            .sweep(&[false, true], |s, cut| s.partition_first_site = cut)
     }
 
     /// The wire-cost matrix behind the §5.2 overhead evaluation: batch size
@@ -1412,92 +813,66 @@ impl ScenarioMatrix {
     /// Compare [`SimReport::network_bytes`] per operation across the batch
     /// axis — this is the sweep the `wire_bytes` bench binary prints.
     pub fn batching(base: Scenario) -> Self {
-        ScenarioMatrix {
-            base,
-            drop_probs: vec![0.0, 0.1],
-            duplicate_probs: vec![0.0],
-            bursts: vec![5],
-            partition: vec![false],
-            balancing: vec![false],
-            flatten_cadences: vec![None],
-            protocols: vec![CommitProtocol::TwoPhase],
-            snapshot_cadences: vec![None],
-            crashes: vec![None],
-            batch_sizes: vec![1, 4, 16, 64],
-            anti_entropy: vec![false],
-            offline_windows: vec![None],
-        }
+        Self::over(base)
+            .sweep(&[0.0, 0.1], |s, p| s.drop_prob = p)
+            .sweep(&[1, 4, 16, 64], |s, ops| s.batch_max_ops = ops)
     }
 
-    /// The distributed-flatten cost matrix: loss × partition × cadence ×
-    /// protocol, the grid behind the experiment the paper could not run
-    /// ("We cannot yet evaluate the cost of a distributed flatten"). Every
-    /// cell carries a flatten cadence, so commits, aborts, message and byte
-    /// counts are comparable per protocol.
+    /// The distributed-flatten cost matrix: loss × partition × protocol at
+    /// 10% duplication, the grid behind the experiment the paper could not
+    /// run ("We cannot yet evaluate the cost of a distributed flatten").
+    /// Every cell proposes a flatten every 4 edit rounds, so commits,
+    /// aborts, message and byte counts are comparable per protocol.
     pub fn flatten_commitment(base: Scenario) -> Self {
-        ScenarioMatrix {
-            base,
-            drop_probs: vec![0.0, 0.1],
-            duplicate_probs: vec![0.1],
-            bursts: vec![5],
-            partition: vec![false, true],
-            balancing: vec![false],
-            flatten_cadences: vec![Some(4)],
-            protocols: vec![CommitProtocol::TwoPhase, CommitProtocol::ThreePhase],
-            snapshot_cadences: vec![None],
-            crashes: vec![None],
-            batch_sizes: vec![1],
-            anti_entropy: vec![false],
-            offline_windows: vec![None],
-        }
+        let base = Scenario {
+            duplicate_prob: 0.1,
+            flatten_cadence: Some(4),
+            ..base
+        };
+        Self::over(base)
+            .sweep(&[0.0, 0.1], |s, p| s.drop_prob = p)
+            .sweep(&[false, true], |s, cut| s.partition_first_site = cut)
+            .sweep(
+                &[CommitProtocol::TwoPhase, CommitProtocol::ThreePhase],
+                |s, protocol| s.flatten_protocol = protocol,
+            )
     }
 
-    /// The crash-recovery matrix: loss × snapshot cadence × crash timing.
-    /// Every cell is durable; cells with a crash kill site 1 at the given
-    /// round and restart it from its store, and must still converge. The
-    /// cadence axis is the recovery-cost trade: frequent checkpoints mean a
-    /// short WAL to replay, rare ones mean cheap steady-state writes.
+    /// The crash-recovery matrix: loss × snapshot cadence × crash timing at
+    /// 10% duplication. Every cell is durable and retransmits; cells with a
+    /// crash kill site 1 at the given round and restart it from its store,
+    /// and must still converge. The cadence axis is the recovery-cost trade:
+    /// frequent checkpoints mean a short WAL to replay, rare ones mean cheap
+    /// steady-state writes.
     ///
     /// Crash rounds are expressed against `base`'s edit-round count; `base`
     /// should give at least 8 edit rounds (e.g. 40 edits at burst 5).
     pub fn crash_recovery(base: Scenario) -> Self {
-        ScenarioMatrix {
-            base: Scenario {
-                durable: true,
-                retransmit: true,
-                ..base
-            },
-            drop_probs: vec![0.0, 0.1],
-            duplicate_probs: vec![0.1],
-            bursts: vec![5],
-            partition: vec![false],
-            balancing: vec![false],
-            flatten_cadences: vec![None],
-            protocols: vec![CommitProtocol::TwoPhase],
-            snapshot_cadences: vec![None, Some(2)],
-            crashes: vec![
-                None,
-                // An early crash with a mid-run restart…
-                Some(CrashSchedule {
-                    site: 1,
-                    crash_round: 1,
-                    restart_round: 4,
-                }),
-                // …and a late crash that restarts at the drain phase.
-                Some(CrashSchedule {
-                    site: 1,
-                    crash_round: 5,
-                    restart_round: usize::MAX,
-                }),
-            ],
-            batch_sizes: vec![1],
-            anti_entropy: vec![false],
-            offline_windows: vec![None],
-        }
+        let base = Scenario {
+            duplicate_prob: 0.1,
+            durable: true,
+            retransmit: true,
+            ..base
+        };
+        let crash = |crash_round, restart_round| {
+            Some(CrashSchedule {
+                site: 1,
+                crash_round,
+                restart_round,
+            })
+        };
+        Self::over(base)
+            .sweep(&[0.0, 0.1], |s, p| s.drop_prob = p)
+            .sweep(&[None, Some(2)], |s, k| s.snapshot_cadence = k)
+            // No crash, an early crash with a mid-run restart, and a late
+            // crash that restarts at the drain phase.
+            .sweep(&[None, crash(1, 4), crash(5, usize::MAX)], |s, c| {
+                s.crash = c
+            })
     }
 
     /// The anti-entropy vs retransmission wire-cost matrix: loss rate ×
-    /// offline gap × recovery mechanism. Retransmission cells pay
+    /// recovery mechanism × offline gap. Retransmission cells pay
     /// [`SimReport::retransmission_bytes`] + [`SimReport::ack_bytes`];
     /// anti-entropy cells pay [`SimReport::sync_bytes`]. This is the sweep
     /// the `sync_cost` bench binary prints and the EXPERIMENTS table reports:
@@ -1508,87 +883,31 @@ impl ScenarioMatrix {
     /// `batch_max_ops` on `base` to compare against coalesced
     /// retransmission instead.
     pub fn sync_vs_retransmission(base: Scenario) -> Self {
-        ScenarioMatrix {
-            base,
-            drop_probs: vec![0.0, 0.05, 0.1, 0.2],
-            duplicate_probs: vec![0.0],
-            bursts: vec![5],
-            partition: vec![false],
-            balancing: vec![false],
-            flatten_cadences: vec![None],
-            protocols: vec![CommitProtocol::TwoPhase],
-            snapshot_cadences: vec![None],
-            crashes: vec![None],
-            batch_sizes: vec![1],
-            anti_entropy: vec![false, true],
-            offline_windows: vec![
-                None,
-                // A long gap: site 1 offline from round 2 to the drain phase.
-                Some(OfflineWindow {
-                    site: 1,
-                    from_round: 2,
-                    to_round: usize::MAX,
-                }),
-            ],
-        }
+        // A long gap: site 1 offline from round 2 to the drain phase.
+        let gap = OfflineWindow {
+            site: 1,
+            from_round: 2,
+            to_round: usize::MAX,
+        };
+        Self::over(base)
+            .sweep(&[0.0, 0.05, 0.1, 0.2], |s, p| s.drop_prob = p)
+            .sweep(&[false, true], |s, sync| s.anti_entropy |= sync)
+            .sweep(&[None, Some(gap)], |s, window| s.offline = window)
     }
 
-    /// Expands the axes into concrete scenarios. Cells with `drop_prob > 0`,
-    /// an offline window or a crash get `retransmit = true` — unless the
-    /// cell recovers by anti-entropy instead (crashes always retransmit) —
-    /// and cells with a snapshot cadence or a crash run durable.
+    /// The concrete scenarios, in nesting order. Cells with `drop_prob > 0`
+    /// or an offline window get `retransmit = true` unless they recover by
+    /// anti-entropy instead; cells with a crash always retransmit; cells
+    /// with a snapshot cadence or a crash run durable.
     pub fn scenarios(&self) -> Vec<Scenario> {
-        let mut out = Vec::new();
-        for &drop_prob in &self.drop_probs {
-            for &duplicate_prob in &self.duplicate_probs {
-                for &burst in &self.bursts {
-                    for &partition_first_site in &self.partition {
-                        for &balancing in &self.balancing {
-                            for &flatten_cadence in &self.flatten_cadences {
-                                for &flatten_protocol in &self.protocols {
-                                    for &snapshot_cadence in &self.snapshot_cadences {
-                                        for &crash in &self.crashes {
-                                            for &batch_max_ops in &self.batch_sizes {
-                                                for &anti_entropy in &self.anti_entropy {
-                                                    for &offline in &self.offline_windows {
-                                                        let anti_entropy =
-                                                            self.base.anti_entropy || anti_entropy;
-                                                        out.push(Scenario {
-                                                            drop_prob,
-                                                            duplicate_prob,
-                                                            burst,
-                                                            partition_first_site,
-                                                            balancing,
-                                                            flatten_cadence,
-                                                            flatten_protocol,
-                                                            snapshot_cadence,
-                                                            crash,
-                                                            batch_max_ops,
-                                                            anti_entropy,
-                                                            offline,
-                                                            durable: self.base.durable
-                                                                || snapshot_cadence.is_some()
-                                                                || crash.is_some(),
-                                                            retransmit: self.base.retransmit
-                                                                || crash.is_some()
-                                                                || ((drop_prob > 0.0
-                                                                    || offline.is_some())
-                                                                    && !anti_entropy),
-                                                            ..self.base
-                                                        });
-                                                    }
-                                                }
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        out
+        let derive = |&s: &Scenario| Scenario {
+            durable: s.durable || s.snapshot_cadence.is_some() || s.crash.is_some(),
+            retransmit: s.retransmit
+                || s.crash.is_some()
+                || ((s.drop_prob > 0.0 || s.offline.is_some()) && !s.anti_entropy),
+            ..s
+        };
+        self.cells.iter().map(derive).collect()
     }
 
     /// Runs every cell, returning each scenario with its report in
@@ -2066,13 +1385,117 @@ mod tests {
 
     #[test]
     fn matrix_covers_the_cross_product() {
-        let matrix = ScenarioMatrix::faulty(Scenario::default());
-        let cells = matrix.scenarios();
-        assert_eq!(cells.len(), 2 * 2 * 2 * 2);
-        assert!(cells.iter().any(|s| s.drop_prob > 0.0 && s.retransmit));
-        assert!(cells
-            .iter()
-            .any(|s| s.drop_prob == 0.0 && s.duplicate_prob == 0.0));
+        // Every constructor's exact cell sequence over a default base: the
+        // swept values in nesting order (the last axis varies fastest), the
+        // fields the experiment fixes, and the derived `durable`,
+        // `retransmit` and `anti_entropy`.
+        let base = Scenario::default();
+        let check = |name: &str, matrix: ScenarioMatrix, want: &dyn Fn(usize) -> Scenario| {
+            let cells = matrix.scenarios();
+            let want: Vec<Scenario> = (0..cells.len()).map(want).collect();
+            assert_eq!(cells, want, "{name}");
+            cells.len()
+        };
+        let faulty = check("faulty", ScenarioMatrix::faulty(base), &|k| Scenario {
+            drop_prob: [0.0, 0.1][k / 8],
+            duplicate_prob: [0.0, 0.1][k / 4 % 2],
+            burst: [1, 5][k / 2 % 2],
+            partition_first_site: k % 2 == 1,
+            retransmit: k >= 8,
+            ..base
+        });
+        assert_eq!(faulty, 16);
+        let batching = check("batching", ScenarioMatrix::batching(base), &|k| Scenario {
+            drop_prob: [0.0, 0.1][k / 4],
+            batch_max_ops: [1, 4, 16, 64][k % 4],
+            retransmit: k >= 4,
+            ..base
+        });
+        assert_eq!(batching, 8);
+        let flatten = check(
+            "flatten_commitment",
+            ScenarioMatrix::flatten_commitment(base),
+            &|k| Scenario {
+                drop_prob: [0.0, 0.1][k / 4],
+                duplicate_prob: 0.1,
+                partition_first_site: k / 2 % 2 == 1,
+                flatten_cadence: Some(4),
+                flatten_protocol: [CommitProtocol::TwoPhase, CommitProtocol::ThreePhase][k % 2],
+                retransmit: k >= 4,
+                ..base
+            },
+        );
+        assert_eq!(flatten, 8);
+        let crash = |crash_round, restart_round| CrashSchedule {
+            site: 1,
+            crash_round,
+            restart_round,
+        };
+        let crashes = [None, Some(crash(1, 4)), Some(crash(5, usize::MAX))];
+        let crash = check(
+            "crash_recovery",
+            ScenarioMatrix::crash_recovery(base),
+            &|k| Scenario {
+                drop_prob: [0.0, 0.1][k / 6],
+                duplicate_prob: 0.1,
+                snapshot_cadence: [None, Some(2)][k / 3 % 2],
+                crash: crashes[k % 3],
+                durable: true,
+                retransmit: true,
+                ..base
+            },
+        );
+        assert_eq!(crash, 12);
+        let gap = OfflineWindow {
+            site: 1,
+            from_round: 2,
+            to_round: usize::MAX,
+        };
+        let sync = check(
+            "sync_vs_retransmission",
+            ScenarioMatrix::sync_vs_retransmission(base),
+            &|k| {
+                let (drop_prob, anti_entropy) = ([0.0, 0.05, 0.1, 0.2][k / 4], k / 2 % 2 == 1);
+                let offline = [None, Some(gap)][k % 2];
+                Scenario {
+                    drop_prob,
+                    anti_entropy,
+                    offline,
+                    retransmit: (drop_prob > 0.0 || offline.is_some()) && !anti_entropy,
+                    ..base
+                }
+            },
+        );
+        assert_eq!(sync, 16);
+    }
+
+    #[test]
+    fn a_matrix_keeps_every_base_field_it_does_not_sweep() {
+        // Only the batch-size sweep varies `batch_max_ops`, and no matrix
+        // sweeps or fixes `balancing` or `reorder_burst_prob`: every other
+        // cell carries `base`'s values.
+        let base = Scenario {
+            batch_max_ops: 8,
+            balancing: true,
+            reorder_burst_prob: 0.05,
+            ..Scenario::default()
+        };
+        let matrices = [
+            ("faulty", ScenarioMatrix::faulty(base), true),
+            ("batching", ScenarioMatrix::batching(base), false),
+            ("flatten", ScenarioMatrix::flatten_commitment(base), true),
+            ("crash", ScenarioMatrix::crash_recovery(base), true),
+            ("sync", ScenarioMatrix::sync_vs_retransmission(base), true),
+        ];
+        for (name, matrix, keeps_batch) in matrices {
+            for cell in matrix.scenarios() {
+                assert!(cell.balancing, "{name}: {cell:?}");
+                assert!(cell.reorder_burst_prob == 0.05, "{name}: {cell:?}");
+                if keeps_batch {
+                    assert_eq!(cell.batch_max_ops, 8, "{name}: {cell:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //! telemetry never steers a run:
 //!
 //! - bytes: `sim.wire_bytes` is counted at the send boundary (inside the
-//!   simulator's `send_env`/`broadcast_env` helpers, where no call site can
-//!   forget it), while the report's `network_bytes`, `ack_bytes` and
-//!   `protocol_bytes` are counted per purpose at each call site — a
-//!   double-counted or missed path shows up as a byte-for-byte mismatch;
+//!   simulator session's one `send`/`broadcast`, which every driver sends
+//!   through, so no call site can forget it), while the report's
+//!   `network_bytes`, `ack_bytes` and `protocol_bytes` are counted per
+//!   purpose where each purpose sends — a double-counted or missed path
+//!   shows up as a byte-for-byte mismatch;
 //! - messages: `sim.wire_msgs`, counted at the same boundary, against the
 //!   network's own delivery counts;
 //! - steering: a run over a caller's live registry — fresh, or already
