@@ -437,6 +437,123 @@ pub fn recovery_cost_grid(points: &[usize]) -> Vec<RecoveryCostRow> {
 }
 
 // ---------------------------------------------------------------------------
+// Snapshot size (one record per run)
+// ---------------------------------------------------------------------------
+
+type SnapshotDoc = treedoc_core::Treedoc<char, treedoc_core::Sdis>;
+
+/// One row of the snapshot-size table: a replica's checkpoint, split into
+/// the parts a fault-in reads back.
+#[derive(Debug, Clone, Serialize)]
+pub struct SnapshotBytesRow {
+    /// Document name.
+    pub document: &'static str,
+    /// Runs in the document's store.
+    pub runs: usize,
+    /// Stored cells (live, tombstones and ghosts).
+    pub cells: usize,
+    /// The snapshot manifest: section names, lengths and hashes.
+    pub manifest_bytes: usize,
+    /// The `doc.runs` header: revision, configuration, disambiguator
+    /// source.
+    pub header_bytes: usize,
+    /// The `doc.runs` run records.
+    pub runs_bytes: usize,
+    /// The JSON `replica` section.
+    pub replica_bytes: usize,
+    /// The whole encoded snapshot.
+    pub total_bytes: usize,
+}
+
+/// A letter per keystroke, so every atom costs one byte.
+fn key(k: usize) -> char {
+    char::from(b'a' + (k % 26) as u8)
+}
+
+/// Checkpoints `doc`'s replica at site 1 after `edit` has typed into it,
+/// and splits the snapshot it wrote into its parts.
+fn snapshot_row(
+    document: &'static str,
+    doc: SnapshotDoc,
+    edit: impl FnOnce(&mut treedoc_replication::Replica<SnapshotDoc>),
+) -> SnapshotBytesRow {
+    use treedoc_replication::persist::{SECTION_REPLICA, SECTION_RUNS};
+    let site = treedoc_core::SiteId::from_u64(1);
+    let mut replica = treedoc_replication::Replica::new(site, doc);
+    replica
+        .attach_store(treedoc_storage::DocStore::in_memory())
+        .expect("in-memory attach cannot fail");
+    edit(&mut replica);
+    replica.persist_checkpoint().expect("in-memory checkpoint");
+    let mut store = replica.detach_store().expect("store attached");
+    let (_, snapshot) = store
+        .recover()
+        .expect("in-memory store recovers")
+        .snapshot
+        .expect("a checkpoint was written");
+    let store_runs = {
+        let mut out = Vec::new();
+        replica.doc().store().encode_runs(&mut out);
+        out.len()
+    };
+    let section = |name| snapshot.section(name).map_or(0, <[u8]>::len);
+    let total_bytes = snapshot.encode().len();
+    SnapshotBytesRow {
+        document,
+        runs: replica.doc().store().run_count(),
+        cells: replica.doc().node_count(),
+        manifest_bytes: total_bytes - snapshot.body_bytes(),
+        header_bytes: section(SECTION_RUNS) - store_runs,
+        runs_bytes: store_runs,
+        replica_bytes: section(SECTION_REPLICA),
+        total_bytes,
+    }
+}
+
+/// Types `keys` at `cursor` (a backspace for every `'\u{8}'`) and stamps
+/// each edit.
+fn type_at(replica: &mut treedoc_replication::Replica<SnapshotDoc>, mut cursor: usize, keys: &str) {
+    for c in keys.chars() {
+        let op = if c == '\u{8}' {
+            cursor -= 1;
+            replica.doc_mut().local_delete(cursor)
+        } else {
+            cursor += 1;
+            replica.doc_mut().local_insert(cursor - 1, c)
+        };
+        let _ = replica.stamp(op.expect("cursor in range"));
+    }
+}
+
+/// The snapshot-size table: what one checkpoint costs for the three
+/// document shapes the end-to-end workloads snapshot — a 5,000-keystroke
+/// typing spine (`typing`), a 4,000-atom exploded seed (`mixed`) and a
+/// short document typed at its end and then edited at three cursors, the
+/// last with a backspace (`hosting`).
+pub fn snapshot_bytes_table() -> Vec<SnapshotBytesRow> {
+    let site = treedoc_core::SiteId::from_u64(1);
+    let spine: String = (0..5_000).map(key).collect();
+    let seed: Vec<char> = (0..4_000).map(key).collect();
+    let text: String = (0..24).map(key).collect();
+    vec![
+        snapshot_row("spine_5k", SnapshotDoc::new(site), |r| {
+            type_at(r, 0, &spine)
+        }),
+        snapshot_row(
+            "exploded_seed_4k",
+            SnapshotDoc::from_atoms(site, &seed),
+            |_| {},
+        ),
+        snapshot_row("hosting_doc", SnapshotDoc::new(site), |r| {
+            type_at(r, 0, &text);
+            type_at(r, 7, "visit");
+            type_at(r, 20, "second");
+            type_at(r, 3, "thirdd\u{8}d");
+        }),
+    ]
+}
+
+// ---------------------------------------------------------------------------
 // Wire and storage overhead (binary codec + batched delta replication)
 // ---------------------------------------------------------------------------
 

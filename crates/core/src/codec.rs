@@ -29,7 +29,7 @@
 //! behind an untrusted transport.
 
 use crate::atom::Atom;
-use crate::disambiguator::{Disambiguator, Sdis, Udis};
+use crate::disambiguator::{DisSource, Disambiguator, Sdis, SdisSource, Udis, UdisSource};
 use crate::ops::Op;
 use crate::path::{PosId, Side};
 use crate::run::{spine_step, spine_successor};
@@ -98,7 +98,7 @@ pub fn get_u8(input: &mut &[u8]) -> Option<u8> {
 }
 
 /// Takes exactly `n` bytes off the cursor.
-fn get_exact<'a>(input: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
+pub(crate) fn get_exact<'a>(input: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
     if input.len() < n {
         return None;
     }
@@ -240,6 +240,39 @@ impl WireDis for Udis {
         let counter = u32::from_le_bytes(raw.try_into().expect("4 bytes"));
         let site = get_site(input)?;
         Some(Udis::new(counter, site))
+    }
+}
+
+/// Binary encoding of a disambiguator source: what a snapshot keeps so a
+/// recovered replica never reissues an identifier (the site, and for UDIS
+/// the counter).
+pub trait WireSource: Sized {
+    /// Appends the source's binary form.
+    fn encode_source(&self, out: &mut Vec<u8>);
+    /// Reads the source back.
+    fn decode_source(input: &mut &[u8]) -> Option<Self>;
+}
+
+impl WireSource for SdisSource {
+    fn encode_source(&self, out: &mut Vec<u8>) {
+        put_site(out, self.site());
+    }
+
+    fn decode_source(input: &mut &[u8]) -> Option<Self> {
+        get_site(input).map(SdisSource::new)
+    }
+}
+
+impl WireSource for UdisSource {
+    fn encode_source(&self, out: &mut Vec<u8>) {
+        put_site(out, self.site());
+        put_varint(out, u64::from(self.counter()));
+    }
+
+    fn decode_source(input: &mut &[u8]) -> Option<Self> {
+        let site = get_site(input)?;
+        let counter = u32::try_from(get_varint(input)?).ok()?;
+        Some(UdisSource::resume(site, counter))
     }
 }
 

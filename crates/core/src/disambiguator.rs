@@ -21,6 +21,7 @@ use std::hash::Hash;
 
 use serde::{de::DeserializeOwned, Deserialize, Serialize};
 
+use crate::codec::WireSource;
 use crate::hash::{ContentHash, Hasher64};
 use crate::site::{SiteId, SITE_ID_BYTES};
 
@@ -204,6 +205,12 @@ impl UdisSource {
         UdisSource { site, counter: 0 }
     }
 
+    /// A source whose next UDIS uses `counter`: one restored from a
+    /// snapshot.
+    pub(crate) const fn resume(site: SiteId, counter: u32) -> Self {
+        UdisSource { site, counter }
+    }
+
     /// Current value of the counter (the next UDIS issued will use it).
     pub const fn counter(&self) -> u32 {
         self.counter
@@ -260,7 +267,7 @@ impl DisSource for SdisSource {
 /// construct the right source from just a [`SiteId`].
 pub trait HasSource: Disambiguator {
     /// The source type that allocates this kind of disambiguator.
-    type Source: DisSource<Dis = Self> + Clone + Debug + Send + Sync + 'static;
+    type Source: DisSource<Dis = Self> + WireSource + Clone + Debug + Send + Sync + 'static;
 
     /// Builds a fresh source for the given site.
     fn source(site: SiteId) -> Self::Source;

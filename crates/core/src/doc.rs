@@ -101,23 +101,21 @@ impl<A: Atom, D: Disambiguator + HasSource> Treedoc<A, D> {
         doc
     }
 
-    /// Reassembles a replica from durably stored parts: its cells in
-    /// strictly increasing identifier order (as
-    /// [`RunTree::collect_cells`] lists them), the disambiguator source and
-    /// the revision counter as they were when the snapshot was taken. Every
-    /// cell is stamped with revision 0.
+    /// Reassembles a replica from durably stored parts: its run store (as
+    /// [`RunTree::decode_runs`] reads it back), the disambiguator source and
+    /// the revision counter as they were when the snapshot was taken.
     ///
     /// The §4.1 append-reservation cache is *not* part of the durable state:
     /// a recovered replica simply re-grows its next append subtree, which
     /// affects identifier length, never correctness.
-    pub fn from_cells(
-        cells: impl IntoIterator<Item = (PosId<D>, Content<A>)>,
+    pub fn from_store(
+        store: RunTree<A, D>,
         source: D::Source,
         config: TreedocConfig,
         revision: u64,
     ) -> Self {
         Treedoc {
-            store: RunTree::from_cells(cells.into_iter().map(|(id, c)| (id, c, 0)).collect()),
+            store,
             source,
             config,
             revision,

@@ -83,7 +83,7 @@ pub mod site;
 pub mod stats;
 
 pub use atom::{Atom, Content, Granularity};
-pub use codec::{WireAtom, WireDis, WirePayload, WIRE_VERSION};
+pub use codec::{WireAtom, WireDis, WirePayload, WireSource, WIRE_VERSION};
 pub use disambiguator::{DisSource, Disambiguator, HasSource, Sdis, SdisSource, Udis, UdisSource};
 pub use doc::{Treedoc, TreedocConfig};
 pub use error::{Error, Result};

@@ -794,6 +794,39 @@ impl<D> PosId<D> {
         out
     }
 
+    /// Up to `max` (at most 64) elements from index `start` on, packed
+    /// LSB-first: the right-side bits, the has-disambiguator bits and how
+    /// many elements were taken. Walks only the chunks past `start` and
+    /// allocates nothing.
+    pub(crate) fn packed_elems_from(&self, start: usize, max: usize) -> (u64, u64, usize) {
+        let len = self.depth().saturating_sub(start).min(max).min(64);
+        let (mut right, mut minis) = (0u64, 0u64);
+        let mut cur = self.node.as_deref();
+        while let Some(n) = cur {
+            let end = n.depth as usize;
+            if end <= start {
+                break;
+            }
+            let lo = (end - n.seg_len() as usize).max(start) - start;
+            let hi = (end - start).min(len);
+            if lo < hi {
+                let mask = (u64::MAX >> (64 - (hi - lo))) << lo;
+                let side = match &n.seg {
+                    Seg::Mini(side, _) => {
+                        minis |= mask;
+                        side
+                    }
+                    Seg::Plains(side, _) => side,
+                };
+                if *side == Side::Right {
+                    right |= mask;
+                }
+            }
+            cur = n.parent.as_deref();
+        }
+        (right, minis, len)
+    }
+
     /// The element at index `idx`, as `(side, disambiguator)`.
     pub(crate) fn elem_at(&self, idx: usize) -> Option<(Side, Option<&D>)> {
         let mut cur = self.node.as_deref()?;

@@ -23,15 +23,19 @@
 //! heuristic searches for cold ones — are contiguous in document order, so
 //! they are answered from the runs that intersect them
 //! ([`RunTree::region_hot_rev`], [`RunTree::cold_regions`],
-//! [`RunTree::flatten_region`]). A store round-trips through its cells in
-//! document order ([`RunTree::collect_cells`] / [`RunTree::from_cells`]),
-//! which is also the snapshot and anti-entropy format.
+//! [`RunTree::flatten_region`]). A snapshot persists the runs themselves,
+//! one record each ([`RunTree::encode_runs`] / [`RunTree::decode_runs`]);
+//! anti-entropy ships cells in document order ([`RunTree::collect_cells`]
+//! / [`RunTree::from_cells`]).
 
 use std::cmp::Ordering;
 use std::mem;
 
 use crate::atom::Atom;
 use crate::atom::Content;
+use crate::codec::{
+    get_exact, get_pos_id, get_u8, get_varint, put_pos_id, put_u8, put_varint, WireAtom, WireDis,
+};
 use crate::disambiguator::Disambiguator;
 use crate::error::{Error, Result};
 use crate::flatten::{explode_depth, FlattenOutcome};
@@ -122,24 +126,169 @@ fn infix_path(depth: usize, k: usize) -> Vec<Side> {
     }
 }
 
-/// Length of [`infix_path`] without allocating it.
-fn infix_len(depth: usize, k: usize) -> usize {
-    let mut len = 0;
-    let mut depth = depth;
-    let mut k = k;
-    loop {
-        debug_assert!(depth > 0, "infix index out of range");
-        let left_cap = (1usize << (depth - 1)) - 1;
-        match k.cmp(&left_cap) {
-            Ordering::Less => len += 1,
-            Ordering::Equal => return len,
-            Ordering::Greater => {
-                len += 1;
-                k -= left_cap + 1;
+/// Identifier of the `k`-th infix slot of a complete plain subtree of the
+/// given `depth` rooted just below `base`: one chunk per same-side stretch
+/// of its path.
+fn infix_id<D: Disambiguator>(base: &PosId<D>, depth: usize, k: usize) -> PosId<D> {
+    infix_path(depth, k)
+        .chunk_by(|a, b| a == b)
+        .fold(base.clone(), |id, stretch| {
+            id.extend_plains(stretch[0], stretch.len())
+        })
+}
+
+/// An identifier placed against the slots of a complete plain subtree below
+/// `base`, so that ordering it against any slot needs no slot identifier:
+/// computed once per search, then [`SlotProbe::cmp_slot`] per probe.
+enum SlotProbe {
+    /// The identifier leaves the base's path above the subtree: every slot
+    /// orders against it as the base does.
+    Outside(Ordering),
+    /// The identifier is a mini-node of the base's own node: the base's
+    /// plain slot and its left subtree order before it, its right subtree
+    /// after it.
+    BaseMini,
+    /// The identifier extends the base: its first elements below it (as
+    /// many as a slot path can meet), packed LSB-first as right-side and
+    /// has-disambiguator bits.
+    Below { right: u64, minis: u64, len: usize },
+}
+
+impl SlotProbe {
+    /// Places `id` against the slots of a subtree of `depth` levels below
+    /// `base`.
+    fn new<D: Disambiguator>(base: &PosId<D>, depth: usize, id: &PosId<D>) -> Self {
+        let shared = id.common_prefix_len(base);
+        if shared == base.depth() {
+            // A slot path is at most `depth - 1` sides long, so no ordering
+            // reads past the identifier's `depth`-th element below the base.
+            let (right, minis, len) = id.packed_elems_from(shared, depth);
+            return SlotProbe::Below { right, minis, len };
+        }
+        // Both name the base's node, the base plainly, the identifier
+        // through a mini-node.
+        if shared + 1 == base.depth() && base.last_dis().is_none() {
+            if let Some((side, Some(_))) = id.elem_at(shared) {
+                if base.last_side() == Some(side) {
+                    return SlotProbe::BaseMini;
+                }
             }
         }
-        depth -= 1;
+        SlotProbe::Outside(base.cmp(id))
     }
+
+    /// Orders slot `k` of the subtree of `depth` levels against the probed
+    /// identifier, as `infix_id(base, depth, k).cmp(id)` would.
+    fn cmp_slot(&self, depth: usize, k: usize) -> Ordering {
+        // The slot's branch sides, root first; `None` once it is reached.
+        let (mut depth, mut k) = (depth, k);
+        let mut next_side = move || {
+            let left_cap = (1usize << (depth - 1)) - 1;
+            let side = match k.cmp(&left_cap) {
+                Ordering::Less => Side::Left,
+                Ordering::Equal => return None,
+                Ordering::Greater => {
+                    k -= left_cap + 1;
+                    Side::Right
+                }
+            };
+            depth -= 1;
+            Some(side)
+        };
+        // Around a node: left subtree < plain slot < minis < right subtree.
+        let subtree = |side| match side {
+            Side::Left => Ordering::Less,
+            Side::Right => Ordering::Greater,
+        };
+        let (right, minis, len) = match *self {
+            SlotProbe::Outside(order) => return order,
+            SlotProbe::BaseMini => return next_side().map_or(Ordering::Less, subtree),
+            SlotProbe::Below { right, minis, len } => (right, minis, len),
+        };
+        for i in 0..len {
+            let side = Side::from_bit(((right >> i) & 1) as u8);
+            let mini = (minis >> i) & 1 == 1;
+            let Some(slot_side) = next_side() else {
+                // The slot is an ancestor of the identifier.
+                return subtree(side).reverse();
+            };
+            if slot_side != side {
+                return slot_side.cmp(&side);
+            }
+            if mini {
+                // The identifier is a mini-node of the slot's path here.
+                return next_side().map_or(Ordering::Less, subtree);
+            }
+        }
+        // The identifier is the slot or an ancestor of it.
+        next_side().map_or(Ordering::Equal, subtree)
+    }
+}
+
+/// A walk over consecutive infix slots of a complete plain subtree: the
+/// current slot's branch sides and, per prefix of them, the streaming hash
+/// state after the subtree's base and that prefix. Stepping to the next
+/// slot touches only the suffix that changes, `O(1)` amortised.
+struct InfixCursor {
+    depth: usize,
+    path: Vec<Side>,
+    /// `states[i]`: the base and the first `i` sides hashed.
+    states: Vec<Hasher64>,
+}
+
+impl InfixCursor {
+    /// Starts at slot `k` of a subtree of `depth` levels whose base hashes
+    /// to `base`.
+    fn new(base: Hasher64, depth: usize, k: usize) -> Self {
+        let mut cursor = InfixCursor {
+            depth,
+            path: Vec::with_capacity(depth),
+            states: Vec::with_capacity(depth + 1),
+        };
+        cursor.states.push(base);
+        for side in infix_path(depth, k) {
+            cursor.push(side);
+        }
+        cursor
+    }
+
+    fn push(&mut self, side: Side) {
+        let mut state = self.state();
+        state.write_u8(side.bit());
+        state.write_u8(0);
+        self.path.push(side);
+        self.states.push(state);
+    }
+
+    fn pop(&mut self) -> Option<Side> {
+        self.states.pop();
+        self.path.pop()
+    }
+
+    /// The hash state of the current slot's identifier.
+    fn state(&self) -> Hasher64 {
+        *self.states.last().expect("the base state")
+    }
+
+    /// Moves to the next slot: down the right subtree to its leftmost
+    /// slot, or, from a leaf, up past every right branch and one left one.
+    fn advance(&mut self) {
+        if self.path.len() + 1 < self.depth {
+            self.push(Side::Right);
+            while self.path.len() + 1 < self.depth {
+                self.push(Side::Left);
+            }
+        } else {
+            while self.pop() == Some(Side::Right) {}
+        }
+    }
+}
+
+/// Length of [`infix_path`] without building it: in a complete tree's
+/// infix order, slot `k` sits `k.trailing_ones()` levels above the leaves.
+fn infix_len(depth: usize, k: usize) -> usize {
+    debug_assert!(k < (1usize << depth) - 1, "infix index out of range");
+    depth - 1 - k.trailing_ones() as usize
 }
 
 /// Summed / maxed measurements cached per run and per tree node, sufficient
@@ -329,13 +478,7 @@ impl<A: Atom, D: Disambiguator> Run<A, D> {
                 };
                 spine_cell_id(anchor, *side, g)
             }
-            Pattern::Exploded { base, depth, start } => {
-                let mut id = base.clone();
-                for side in infix_path(*depth, start + j) {
-                    id = id.extend_plains(side, 1);
-                }
-                id
-            }
+            Pattern::Exploded { base, depth, start } => infix_id(base, *depth, start + j),
             Pattern::Packed { ids } => ids[j].clone(),
         }
     }
@@ -366,17 +509,46 @@ impl<A: Atom, D: Disambiguator> Run<A, D> {
         self.cell_id(self.len() - 1)
     }
 
+    /// Orders the `j`-th cell against `id`; an `Exploded` run builds no
+    /// identifier for it.
+    fn cmp_cell(&self, j: usize, id: &PosId<D>) -> Ordering {
+        match &self.pattern {
+            Pattern::Exploded { base, depth, start } => {
+                SlotProbe::new(base, *depth, id).cmp_slot(*depth, start + j)
+            }
+            _ => self.cell_id(j).cmp(id),
+        }
+    }
+
+    /// Whether the run starts at or before `id`.
+    fn starts_by(&self, id: &PosId<D>) -> bool {
+        self.cmp_cell(0, id) != Ordering::Greater
+    }
+
+    /// Whether the run ends at or after `id`.
+    fn ends_by_or_after(&self, id: &PosId<D>) -> bool {
+        self.cmp_cell(self.len() - 1, id) != Ordering::Less
+    }
+
     /// Binary-searches for `id` among the run's cells. `Ok(j)` is the cell
     /// index, `Err(j)` the insertion point.
     fn find(&self, id: &PosId<D>) -> std::result::Result<usize, usize> {
-        if let Pattern::Packed { ids } = &self.pattern {
-            return ids.binary_search(id);
-        }
+        let exploded = match &self.pattern {
+            Pattern::Packed { ids } => return ids.binary_search(id),
+            Pattern::Exploded { base, depth, start } => {
+                Some((SlotProbe::new(base, *depth, id), *depth, *start))
+            }
+            Pattern::Spine { .. } => None,
+        };
         let mut lo = 0;
         let mut hi = self.len();
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            match self.cell_id(mid).cmp(id) {
+            let order = match &exploded {
+                Some((probe, depth, start)) => probe.cmp_slot(*depth, start + mid),
+                None => self.cell_id(mid).cmp(id),
+            };
+            match order {
                 Ordering::Less => lo = mid + 1,
                 Ordering::Greater => hi = mid,
                 Ordering::Equal => return Ok(mid),
@@ -550,13 +722,13 @@ impl<A: Atom, D: Disambiguator> Run<A, D> {
             Pattern::Exploded { base, depth, start } => {
                 let mut prefix = Hasher64::new();
                 base.visit_elems_from(0, |s, d| feed_parts(&mut prefix, s, d));
-                for j in jlo..jhi {
-                    let mut st = prefix;
-                    for side in infix_path(*depth, start + j) {
-                        st.write_u8(side.bit());
-                        st.write_u8(0);
+                if jlo < jhi {
+                    let mut cursor = InfixCursor::new(prefix, *depth, start + jlo);
+                    f(jlo, cursor.state());
+                    for j in jlo + 1..jhi {
+                        cursor.advance();
+                        f(j, cursor.state());
                     }
-                    f(j, st);
                 }
                 prefix.state()
             }
@@ -819,13 +991,7 @@ impl<A: Atom, D: Disambiguator> Run<A, D> {
     /// Identifier at infix index `k` below an `Exploded` pattern's base.
     fn continuation_id(&self, k: usize) -> PosId<D> {
         match &self.pattern {
-            Pattern::Exploded { base, depth, .. } => {
-                let mut id = base.clone();
-                for side in infix_path(*depth, k) {
-                    id = id.extend_plains(side, 1);
-                }
-                id
-            }
+            Pattern::Exploded { base, depth, .. } => infix_id(base, *depth, k),
             _ => unreachable!("continuation_id is exploded-only"),
         }
     }
@@ -1130,10 +1296,10 @@ fn child_index_for<A: Atom, D: Disambiguator>(
 ) -> usize {
     let mut i = 0;
     while i + 1 < children.len() {
-        let next_first = children[i + 1]
-            .first_id()
+        let next = children[i + 1]
+            .first_run()
             .expect("internal children are non-empty");
-        if next_first <= *id {
+        if next.starts_by(id) {
             i += 1;
         } else {
             break;
@@ -1150,9 +1316,9 @@ fn locate_run<A: Atom, D: Disambiguator>(
     runs: &[Run<A, D>],
     id: &PosId<D>,
 ) -> std::result::Result<usize, usize> {
-    let gap = runs.partition_point(|run| run.first_id() <= *id);
+    let gap = runs.partition_point(|run| run.starts_by(id));
     match gap.checked_sub(1) {
-        Some(i) if *id <= runs[i].last_id() => Ok(i),
+        Some(i) if runs[i].ends_by_or_after(id) => Ok(i),
         _ => Err(gap),
     }
 }
@@ -1839,6 +2005,224 @@ impl<A: Atom, D: Disambiguator> RunTree<A, D> {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Persistence: one record per run
+// ---------------------------------------------------------------------------
+
+/// Pattern tags of an encoded run.
+const RUN_SPINE_RIGHT: u8 = 0;
+const RUN_SPINE_LEFT: u8 = 1;
+const RUN_EXPLODED: u8 = 2;
+const RUN_PACKED: u8 = 3;
+
+/// Two-bit content states, four cells to a byte.
+const STATE_LIVE: u8 = 0;
+const STATE_TOMBSTONE: u8 = 1;
+const STATE_GHOST: u8 = 2;
+
+/// Deepest `Exploded` subtree a decoder accepts: its slot count must fit a
+/// `u64` (a flattened region of `n` atoms is `⌈log2(n + 1)⌉` deep).
+const EXPLODED_MAX_DEPTH: u64 = 63;
+
+/// Fewest bytes an encoded run takes: tag, length, an identifier of two
+/// varints and one byte of content states.
+const MIN_RUN_BYTES: usize = 5;
+
+impl<A: WireAtom, D: WireDis> Run<A, D> {
+    /// Appends the run: its pattern tag and length, the pattern's
+    /// identifiers delta-encoded against `prev` (a `Packed` run chains each
+    /// id to the one before it), its content states and its live atoms.
+    fn encode(&self, out: &mut Vec<u8>, prev: &PosId<D>) {
+        let tag = match &self.pattern {
+            Pattern::Spine {
+                side: Side::Right, ..
+            } => RUN_SPINE_RIGHT,
+            Pattern::Spine {
+                side: Side::Left, ..
+            } => RUN_SPINE_LEFT,
+            Pattern::Exploded { .. } => RUN_EXPLODED,
+            Pattern::Packed { .. } => RUN_PACKED,
+        };
+        put_u8(out, tag);
+        put_varint(out, self.len() as u64);
+        match &self.pattern {
+            Pattern::Spine { anchor, .. } => put_pos_id(out, anchor, prev),
+            Pattern::Exploded { base, depth, start } => {
+                put_pos_id(out, base, prev);
+                put_varint(out, *depth as u64);
+                put_varint(out, *start as u64);
+            }
+            Pattern::Packed { ids } => {
+                let mut prev = prev;
+                for id in ids {
+                    put_pos_id(out, id, prev);
+                    prev = id;
+                }
+            }
+        }
+        for quad in self.cells.chunks(4) {
+            let mut byte = 0;
+            for (k, cell) in quad.iter().enumerate() {
+                let state = match cell {
+                    Content::Live(_) => STATE_LIVE,
+                    Content::Tombstone => STATE_TOMBSTONE,
+                    Content::Ghost => STATE_GHOST,
+                    Content::Absent => unreachable!("run cells are always occupied"),
+                };
+                byte |= state << (2 * k);
+            }
+            put_u8(out, byte);
+        }
+        for cell in &self.cells {
+            if let Content::Live(atom) = cell {
+                atom.encode_atom(out);
+            }
+        }
+    }
+
+    /// Reads a run written by [`Run::encode`], checking that its pattern is
+    /// well formed and that no count claims more than the input can hold.
+    /// The run is stamped with revision 0.
+    fn decode(input: &mut &[u8], prev: &PosId<D>) -> std::result::Result<Self, &'static str> {
+        const TRUNCATED: &str = "truncated";
+        let tag = get_u8(input).ok_or(TRUNCATED)?;
+        let len = get_varint(input).ok_or(TRUNCATED)?;
+        if len == 0 {
+            return Err("empty run");
+        }
+        // Every cell costs two state bits.
+        if len > 4 * input.len() as u64 {
+            return Err("more cells than the input holds");
+        }
+        let len = len as usize;
+        let pattern = match tag {
+            RUN_SPINE_RIGHT | RUN_SPINE_LEFT => {
+                let anchor = get_pos_id(input, prev).ok_or(TRUNCATED)?;
+                let dis = anchor.last_dis().ok_or("spine anchor is no mini-node")?;
+                if dis.sequential_nth(len - 1).is_none() {
+                    return Err("spine outgrows its disambiguator");
+                }
+                let side = if tag == RUN_SPINE_RIGHT {
+                    Side::Right
+                } else {
+                    Side::Left
+                };
+                Pattern::Spine { anchor, side }
+            }
+            RUN_EXPLODED => {
+                let base = get_pos_id(input, prev).ok_or(TRUNCATED)?;
+                let depth = get_varint(input).ok_or(TRUNCATED)?;
+                let start = get_varint(input).ok_or(TRUNCATED)?;
+                if depth == 0 || depth > EXPLODED_MAX_DEPTH {
+                    return Err("exploded depth out of range");
+                }
+                let slots = (1u64 << depth) - 1;
+                if start.checked_add(len as u64).is_none_or(|end| end > slots) {
+                    return Err("exploded cells run past the subtree");
+                }
+                Pattern::Exploded {
+                    base,
+                    depth: depth as usize,
+                    start: usize::try_from(start).map_err(|_| "exploded start out of range")?,
+                }
+            }
+            RUN_PACKED => {
+                // Every identifier costs at least its two varints.
+                if len > input.len() / 2 {
+                    return Err("more identifiers than the input holds");
+                }
+                let mut ids: Vec<PosId<D>> = Vec::with_capacity(len);
+                for _ in 0..len {
+                    let id = get_pos_id(input, ids.last().unwrap_or(prev)).ok_or(TRUNCATED)?;
+                    if ids.last().is_some_and(|last| *last >= id) {
+                        return Err("packed identifiers are not increasing");
+                    }
+                    ids.push(id);
+                }
+                Pattern::Packed { ids }
+            }
+            _ => return Err("unknown pattern tag"),
+        };
+        let states = get_exact(input, len.div_ceil(4)).ok_or(TRUNCATED)?;
+        if len % 4 != 0 && states[len / 4] >> (2 * (len % 4)) != 0 {
+            return Err("content state padding is not zero");
+        }
+        let mut cells = Vec::with_capacity(len);
+        for j in 0..len {
+            cells.push(match (states[j / 4] >> (2 * (j % 4))) & 3 {
+                STATE_LIVE => Content::Live(A::decode_atom(input).ok_or(TRUNCATED)?),
+                STATE_TOMBSTONE => Content::Tombstone,
+                STATE_GHOST => Content::Ghost,
+                _ => return Err("unknown content state"),
+            });
+        }
+        let mut run = Run {
+            pattern,
+            cells,
+            live_bits: Vec::new(),
+            agg: Agg::default(),
+            hot_rev: 0,
+            aux_state: 0,
+        };
+        run.recompute();
+        Ok(run)
+    }
+}
+
+impl<A: WireAtom, D: WireDis> RunTree<A, D> {
+    /// Appends the store as one record per run, in document order: a run
+    /// count, then per run a pattern tag (`Spine` right or left, `Exploded`
+    /// or `Packed`), the cell count, the pattern's identifiers
+    /// delta-encoded ([`put_pos_id`]) against the previous run's last
+    /// identifier (the root for the first run), an `Exploded` run's depth
+    /// and start, a packed 2-bit content state per cell (live, tombstone,
+    /// ghost) and the live atoms. A typing burst costs its anchor, a bit
+    /// pair and its text, not an identifier per cell.
+    pub fn encode_runs(&self, out: &mut Vec<u8>) {
+        put_varint(out, self.run_count() as u64);
+        let mut prev = PosId::root();
+        self.for_each_run(&mut |run| {
+            run.encode(out, &prev);
+            prev = run.last_id();
+        });
+    }
+
+    /// Reads a store written by [`encode_runs`](Self::encode_runs) straight
+    /// into its runs: no per-cell identifier is built and nothing is
+    /// re-coalesced, so the store has the runs it was written with, each
+    /// stamped with revision 0. Total: truncated or malformed input — a
+    /// malformed pattern, a run that does not follow its predecessor, a
+    /// count the remaining input cannot back, trailing bytes — is an
+    /// [`Error::Corrupt`], never a panic or an oversized allocation.
+    pub fn decode_runs(input: &mut &[u8]) -> Result<Self> {
+        let count = get_varint(input).ok_or_else(|| corrupt("truncated run count"))?;
+        if count > (input.len() / MIN_RUN_BYTES) as u64 {
+            return Err(corrupt("more runs than the input holds"));
+        }
+        let mut runs = Vec::new();
+        let mut prev = PosId::root();
+        for k in 0..count {
+            let run = Run::decode(input, &prev)
+                .map_err(|why| Error::Corrupt(format!("run {k}: {why}")))?;
+            if k > 0 && run.first_id() <= prev {
+                return Err(Error::Corrupt(format!(
+                    "run {k} does not follow its predecessor"
+                )));
+            }
+            prev = run.last_id();
+            runs.push(run);
+        }
+        if !input.is_empty() {
+            return Err(corrupt("trailing bytes after the last run"));
+        }
+        Ok(Self::from_runs(runs))
+    }
+}
+
+fn corrupt(why: &str) -> Error {
+    Error::Corrupt(why.to_string())
+}
+
 /// Whether `id` falls in the half-open identifier range `[lo, hi)` (`None`
 /// bounds are unbounded).
 fn id_in_range<D: Disambiguator>(
@@ -2038,9 +2422,9 @@ fn succ_rec<'a, A: Atom, D: Disambiguator>(
             // The last run starting at or before `id` holds its successor,
             // unless `id` is at or past that run's end: then the next run
             // opens with it.
-            let gap = runs.partition_point(|run| run.first_id() <= *id);
+            let gap = runs.partition_point(|run| run.starts_by(id));
             if let Some(run) = gap.checked_sub(1).map(|i| &runs[i]) {
-                if run.last_id() > *id {
+                if run.cmp_cell(run.len() - 1, id) == Ordering::Greater {
                     let j = match run.find(id) {
                         Ok(j) => j + 1,
                         Err(j) => j,
@@ -2073,7 +2457,7 @@ fn pred_rec<A: Atom, D: Disambiguator>(node: &Node<A, D>, id: &PosId<D>) -> Opti
             // The last run starting strictly before `id` holds its
             // predecessor.
             let run = &runs[runs
-                .partition_point(|run| run.first_id() < *id)
+                .partition_point(|run| run.cmp_cell(0, id) == Ordering::Less)
                 .checked_sub(1)?];
             let j = match run.find(id) {
                 Ok(j) => j,
@@ -2990,5 +3374,136 @@ mod tests {
         for (k, path) in paths.iter().enumerate() {
             assert_eq!(infix_len(3, k), path.len());
         }
+    }
+
+    #[test]
+    fn infix_cursor_and_len_follow_the_infix_paths() {
+        for depth in 1..7 {
+            let slots = (1usize << depth) - 1;
+            for start in 0..slots {
+                let mut cursor = InfixCursor::new(Hasher64::new(), depth, start);
+                for k in start..slots {
+                    if k > start {
+                        cursor.advance();
+                    }
+                    let path = infix_path(depth, k);
+                    assert_eq!(cursor.path, path, "depth {depth}, slot {k}");
+                    assert_eq!(infix_len(depth, k), path.len());
+                    let mut direct = Hasher64::new();
+                    for side in &path {
+                        feed_parts::<Sdis>(&mut direct, *side, None);
+                    }
+                    assert_eq!(cursor.state(), direct);
+                }
+            }
+        }
+    }
+
+    mod slot_probes {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn elems() -> impl Strategy<Value = Vec<(u8, Option<u64>)>> {
+            proptest::collection::vec((0u8..2, proptest::option::of(1u64..3)), 0..5)
+        }
+
+        fn id(elems: &[(u8, Option<u64>)]) -> PosId<Sdis> {
+            PosId::from_elems(
+                elems
+                    .iter()
+                    .map(|&(bit, dis)| PathElem {
+                        side: Side::from_bit(bit),
+                        dis: dis.map(|d| Sdis::new(SiteId::from_u64(d))),
+                    })
+                    .collect(),
+            )
+        }
+
+        proptest! {
+            /// Ordering an identifier against every slot of a complete
+            /// subtree through a probe agrees with building each slot's
+            /// identifier, for identifiers that share any prefix of the
+            /// base and then branch anywhere (mini-nodes included).
+            #[test]
+            fn probes_order_like_built_slot_identifiers(
+                base in elems(),
+                cut in 0usize..6,
+                tail in elems(),
+                mid in proptest::collection::vec((0u8..2, proptest::option::of(1u64..3)), 0..4),
+                depth in 1usize..5,
+            ) {
+                let base_id = id(&base);
+                let keep = cut.min(base.len());
+                let probed = id(&[&base[..keep], &mid, &tail].concat());
+                let probe = SlotProbe::new(&base_id, depth, &probed);
+                for k in 0..(1usize << depth) - 1 {
+                    prop_assert_eq!(
+                        probe.cmp_slot(depth, k),
+                        infix_id(&base_id, depth, k).cmp(&probed),
+                        "slot {} of depth {}", k, depth
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn runs_round_trip_and_every_truncation_is_corrupt() {
+        fn check<D: Disambiguator + crate::disambiguator::HasSource + WireDis>(
+            doc: &Treedoc<char, D>,
+        ) {
+            let store = doc.store();
+            let mut bytes = Vec::new();
+            store.encode_runs(&mut bytes);
+            let mut input = bytes.as_slice();
+            let back = RunTree::<char, D>::decode_runs(&mut input).expect("round trip");
+            assert!(input.is_empty());
+            back.check_invariants().unwrap();
+            assert_eq!(back.run_count(), store.run_count());
+            assert_eq!(back.digest(), store.digest());
+            let strip = |cells: Vec<(PosId<D>, Content<char>, u64)>| {
+                cells
+                    .into_iter()
+                    .map(|(id, c, _)| (id, c))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(strip(back.collect_cells()), strip(store.collect_cells()));
+            for cut in 0..bytes.len() {
+                let mut input = &bytes[..cut];
+                assert!(
+                    matches!(
+                        RunTree::<char, D>::decode_runs(&mut input),
+                        Err(Error::Corrupt(_))
+                    ),
+                    "a cut at {cut} of {} decoded",
+                    bytes.len()
+                );
+            }
+        }
+        // An exploded seed split by typing in its middle, a left spine
+        // (typing backwards), tombstones, and another site's shrapnel.
+        fn shapes<D: Disambiguator + crate::disambiguator::HasSource + WireDis>() {
+            let seed: Vec<char> = "exploded seed text".chars().collect();
+            let mut doc = Treedoc::<char, D>::from_atoms(SiteId::from_u64(1), &seed);
+            for (k, c) in "typed".chars().enumerate() {
+                doc.local_insert(5 + k, c).unwrap();
+            }
+            for c in "backwards".chars() {
+                doc.local_insert(0, c).unwrap();
+            }
+            doc.local_delete(3).unwrap();
+            doc.local_delete(12).unwrap();
+            let mut other = Treedoc::<char, D>::new(SiteId::from_u64(2));
+            other.adopt_state(doc.clone());
+            for at in [2, 9, 9, 20] {
+                let op = other.local_insert(at, 'x').unwrap();
+                doc.apply(&op).unwrap();
+            }
+            assert!(doc.store().run_count() >= 5);
+            check(&doc);
+            check(&Treedoc::<char, D>::new(SiteId::from_u64(3)));
+        }
+        shapes::<Sdis>();
+        shapes::<Udis>();
     }
 }

@@ -53,21 +53,24 @@
 //!
 //! ## Snapshot sections
 //!
-//! A [`Treedoc`] writes two sections:
+//! A [`Treedoc`] writes one binary section, [`SECTION_RUNS`] (`doc.runs`):
 //!
-//! | section | content |
+//! | part | content |
 //! | --- | --- |
-//! | [`SECTION_DOC`] (`doc.state`) | JSON: revision counter, configuration, disambiguator source, content hash of `doc.cells` |
-//! | [`SECTION_CELLS`] (`doc.cells`) | every stored cell (live, tombstone, ghost) in document order, as [`encode_cells`] writes it for anti-entropy |
+//! | header | varint revision counter · configuration byte (bit 0: balancing) · disambiguator source ([`WireSource`]: the site, and for UDIS the counter) |
+//! | runs | the run store, one record per run ([`RunTree::encode_runs`]): a pattern tag, the cell count, the pattern's identifiers delta-encoded against the previous run, a 2-bit content state per cell and the live atoms |
 //!
-//! Loading checks the hash ([`SnapshotError::SectionHash`]), decodes the
-//! cells, rejects a stream whose identifiers are not strictly increasing
-//! ([`RecoverError::Parse`]) and rebuilds the run store from it at revision 0
-//! (`RunTree::from_cells`). Every failure is a typed [`RecoverError`]: the
-//! load path never panics and allocates no more than its input's size. A
-//! snapshot in the older §5.2 heap-image layout (`tree.structure` +
-//! `tree.atoms`) has no `doc.cells` and fails with
-//! [`SnapshotError::MissingSection`].
+//! The snapshot manifest hashes every section, so a section carries no hash
+//! of its own. Loading decodes the runs straight into the store
+//! ([`RunTree::decode_runs`]): no per-cell identifier is built and nothing
+//! is re-coalesced, so a recovered store has the runs it was written with.
+//! A malformed pattern, a run that does not follow its predecessor, a count
+//! the remaining bytes cannot back or trailing bytes fail with
+//! [`RecoverError::Parse`]. Every failure is a typed [`RecoverError`]: the
+//! load path never panics and allocates no more than its input's size.
+//! A snapshot of an older layout — the `doc.state` + `doc.cells` cell
+//! stream, or the §5.2 heap image (`tree.structure` + `tree.atoms`) — has
+//! no `doc.runs` and fails with [`SnapshotError::MissingSection`].
 
 #![cfg_attr(
     not(test),
@@ -82,21 +85,21 @@
 use std::fmt;
 
 use serde::{de::DeserializeOwned, Deserialize, Serialize};
-use treedoc_core::{HasSource, Op, Side, SiteId, Treedoc, TreedocConfig, WireAtom, WireDis};
-use treedoc_storage::{content_hash64, DocStore, Snapshot, SnapshotError, StorageError};
+use treedoc_core::codec::{get_u8, get_varint, put_u8, put_varint};
+use treedoc_core::{
+    HasSource, Op, RunTree, Side, SiteId, Treedoc, TreedocConfig, WireAtom, WireDis, WireSource,
+};
+use treedoc_storage::{DocStore, Snapshot, SnapshotError, StorageError};
 
 use crate::causal::CausalMessage;
 use crate::flatten::CommitProtocol;
 use crate::replica::{Replica, ReplicatedDocument};
-use crate::sync::{decode_cells, encode_cells};
 use crate::wire::{Envelope, WalChain};
 
-/// Snapshot section holding the document-level state (revision counter,
-/// configuration, disambiguator source, content hash of the cells).
-pub const SECTION_DOC: &str = "doc.state";
-/// Snapshot section holding every stored cell in document order, in the
-/// anti-entropy cell-list encoding.
-pub const SECTION_CELLS: &str = "doc.cells";
+/// Snapshot section holding a [`Treedoc`]: a binary header (revision
+/// counter, configuration, disambiguator source) and its run store, one
+/// record per run (see the module docs).
+pub const SECTION_RUNS: &str = "doc.runs";
 /// Snapshot section holding the replication-level state (clock, send log,
 /// acknowledgement table, flatten role, envelope chain heads).
 pub const SECTION_REPLICA: &str = "replica";
@@ -149,7 +152,7 @@ pub enum RecoverError {
     /// A snapshot section was missing or failed verification.
     Snapshot(SnapshotError),
     /// A serialised section or WAL record failed to parse (including a
-    /// `doc.cells` stream whose identifiers are not strictly increasing).
+    /// `doc.runs` section whose runs are malformed or out of order).
     Parse(String),
     /// The store holds no snapshot at all (a store is always seeded with a
     /// baseline snapshot by `attach_store`, so this means the store never
@@ -324,8 +327,7 @@ impl<Doc: ReplicatedDocument> Journal<Doc> {
 /// the disambiguator source ahead of every identifier it issued).
 pub trait PersistentDocument: ReplicatedDocument + Sized {
     /// Writes the document into `snapshot` (sections of the implementor's
-    /// choosing; [`Treedoc`] writes [`SECTION_DOC`] and [`SECTION_CELLS`],
-    /// see the module docs).
+    /// choosing; [`Treedoc`] writes [`SECTION_RUNS`], see the module docs).
     fn encode_sections(&self, snapshot: &mut Snapshot);
 
     /// Rebuilds the document from its sections: a typed error for any
@@ -336,63 +338,46 @@ pub trait PersistentDocument: ReplicatedDocument + Sized {
     fn replay_logged_local(&mut self, op: &Self::Op);
 }
 
-/// Document-level snapshot state stored next to the cells.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct DocMeta<S> {
-    revision: u64,
-    config: TreedocConfig,
-    source: S,
-    /// Content hash of the `doc.cells` section, verified end-to-end before
-    /// the cells are decoded (belt to the snapshot manifest's braces).
-    cells_hash: u64,
+/// Configuration byte of the `doc.runs` header: bit 0 is `balancing`.
+const CONFIG_BALANCING: u8 = 1;
+
+/// Reads the `doc.runs` header written by `encode_sections`.
+fn get_header<S: WireSource>(input: &mut &[u8]) -> Option<(u64, TreedocConfig, S)> {
+    let revision = get_varint(input)?;
+    let config = match get_u8(input)? {
+        0 => TreedocConfig::default(),
+        CONFIG_BALANCING => TreedocConfig::balanced(),
+        _ => return None,
+    };
+    Some((revision, config, S::decode_source(input)?))
 }
 
 impl<A, D> PersistentDocument for Treedoc<A, D>
 where
     A: WireAtom + std::hash::Hash,
     D: WireDis + HasSource,
-    D::Source: Serialize + DeserializeOwned,
 {
     fn encode_sections(&self, snapshot: &mut Snapshot) {
-        let cells: Vec<_> = self
-            .store()
-            .collect_cells()
-            .into_iter()
-            .map(|(id, content, _)| (id, content))
-            .collect();
-        let cells = encode_cells(&cells);
-        let meta = DocMeta {
-            revision: self.revision(),
-            config: self.config(),
-            source: self.dis_source().clone(),
-            cells_hash: content_hash64(&cells),
+        let mut out = Vec::new();
+        put_varint(&mut out, self.revision());
+        let config = if self.config().balancing {
+            CONFIG_BALANCING
+        } else {
+            0
         };
-        snapshot.push_section(SECTION_DOC, to_json_bytes(&meta));
-        snapshot.push_section(SECTION_CELLS, cells);
+        put_u8(&mut out, config);
+        self.dis_source().encode_source(&mut out);
+        self.store().encode_runs(&mut out);
+        snapshot.push_section(SECTION_RUNS, out);
     }
 
     fn decode_sections(snapshot: &Snapshot) -> Result<Self, RecoverError> {
-        let bytes = snapshot.require(SECTION_CELLS)?;
-        let meta: DocMeta<D::Source> =
-            from_json_bytes("doc.state section", snapshot.require(SECTION_DOC)?)?;
-        if content_hash64(bytes) != meta.cells_hash {
-            // The same failure as a section failing the manifest's hash.
-            return Err(SnapshotError::SectionHash(SECTION_CELLS.to_string()).into());
-        }
-        let cells = decode_cells::<A, D>(bytes)
-            .ok_or_else(|| RecoverError::Parse("doc.cells section is malformed".into()))?;
-        if let Some(index) = cells.windows(2).position(|pair| pair[0].0 >= pair[1].0) {
-            let index = index + 1;
-            return Err(RecoverError::Parse(format!(
-                "doc.cells: cell {index} does not follow its predecessor"
-            )));
-        }
-        Ok(Treedoc::from_cells(
-            cells,
-            meta.source,
-            meta.config,
-            meta.revision,
-        ))
+        let mut input = snapshot.require(SECTION_RUNS)?;
+        let (revision, config, source) = get_header(&mut input)
+            .ok_or_else(|| RecoverError::Parse("doc.runs header is malformed".into()))?;
+        let store = RunTree::decode_runs(&mut input)
+            .map_err(|e| RecoverError::Parse(format!("doc.runs: {e}")))?;
+        Ok(Treedoc::from_store(store, source, config, revision))
     }
 
     fn replay_logged_local(&mut self, op: &Op<A, D>) {
@@ -448,11 +433,15 @@ mod tests {
         doc.local_insert(0, "x".to_string()).unwrap();
         let mut snapshot = Snapshot::new();
         doc.encode_sections(&mut snapshot);
-        let mut cells = snapshot.section(SECTION_CELLS).unwrap().to_vec();
-        *cells.last_mut().unwrap() ^= 1; // "x" becomes "y"
-        snapshot.push_section(SECTION_CELLS, cells);
+        // The section bodies follow the manifest, so the blob's last byte
+        // is the atom's: the manifest's section hash catches the edit.
+        let mut blob = snapshot.encode();
+        *blob.last_mut().unwrap() ^= 1; // "x" becomes "y"
+        let loaded = Snapshot::decode(&blob)
+            .map_err(RecoverError::from)
+            .and_then(|snapshot| <Treedoc<String, Sdis>>::decode_sections(&snapshot));
         assert!(matches!(
-            <Treedoc<String, Sdis>>::decode_sections(&snapshot),
+            loaded,
             Err(RecoverError::Snapshot(SnapshotError::SectionHash(_)))
         ));
     }

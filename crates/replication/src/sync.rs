@@ -342,7 +342,6 @@ impl<A, D> SyncDocument for Treedoc<A, D>
 where
     A: Atom + WireAtom + std::hash::Hash,
     D: Disambiguator + WireDis + HasSource,
-    D::Source: Serialize + serde::de::DeserializeOwned,
 {
     fn sync_root(&self) -> (u64, u64) {
         let (digest, cells) = self.store().range_digest(None, None);

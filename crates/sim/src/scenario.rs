@@ -891,7 +891,7 @@ impl ScenarioMatrix {
         };
         Self::over(base)
             .sweep(&[0.0, 0.05, 0.1, 0.2], |s, p| s.drop_prob = p)
-            .sweep(&[false, true], |s, sync| s.anti_entropy |= sync)
+            .sweep(&[false, true], |s, sync| s.anti_entropy = sync)
             .sweep(&[None, Some(gap)], |s, window| s.offline = window)
     }
 
@@ -1496,6 +1496,26 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn the_sync_axis_sets_anti_entropy_over_a_syncing_base() {
+        // The anti-entropy axis sets the field instead of OR-ing into it, so
+        // a base that already syncs still yields 16 distinct cells, half of
+        // them without anti-entropy.
+        let base = Scenario {
+            anti_entropy: true,
+            ..Scenario::default()
+        };
+        let cells = ScenarioMatrix::sync_vs_retransmission(base).scenarios();
+        assert_eq!(cells.len(), 16);
+        for (i, cell) in cells.iter().enumerate() {
+            assert!(
+                cells[i + 1..].iter().all(|other| other != cell),
+                "cell {i} repeats: {cell:?}"
+            );
+        }
+        assert_eq!(cells.iter().filter(|cell| cell.anti_entropy).count(), 8);
     }
 
     #[test]

@@ -21,14 +21,13 @@ use std::cell::Cell;
 
 use proptest::prelude::*;
 use treedoc_core::{codec, PosId, Sdis, Side, SiteId, Treedoc, Udis};
-use treedoc_replication::persist::{SECTION_CELLS, SECTION_DOC};
-use treedoc_replication::sync::{decode_cells, encode_cells};
+use treedoc_replication::persist::SECTION_RUNS;
 use treedoc_replication::wire::WalChain;
 use treedoc_replication::{
-    decode_envelope, encode_envelope, CausalMessage, ChainedOp, Envelope, OpBatch, RecoverError,
-    Replica, SyncDocument, WalRecord,
+    decode_envelope, encode_envelope, CausalMessage, ChainedOp, Envelope, OpBatch,
+    PersistentDocument, RecoverError, Replica, SyncDocument, WalRecord,
 };
-use treedoc_storage::{content_hash64, DocStore, GroupWal, Snapshot};
+use treedoc_storage::{DocStore, GroupWal, Snapshot};
 
 struct CountingAlloc;
 
@@ -490,13 +489,15 @@ fn corrupted_wal_records_never_over_allocate() {
     }
 }
 
-/// A checkpoint of a typing replica that also received another site's
-/// run into its middle (tombstones, spine runs, packed shrapnel).
+/// A checkpoint of a replica that typed after a 30-atom exploded seed and
+/// received another site's edits into the seed and into its typing (an
+/// exploded run split in two, tombstones, spine runs, packed shrapnel).
 fn checkpoint() -> &'static Snapshot {
     static SNAPSHOT: std::sync::OnceLock<Snapshot> = std::sync::OnceLock::new();
     SNAPSHOT.get_or_init(|| {
         let site = SiteId::from_u64(1);
-        let mut replica = Replica::new(site, Treedoc::<char, Sdis>::new(site));
+        let seed = ['s'; 30];
+        let mut replica = Replica::new(site, Treedoc::<char, Sdis>::from_atoms(site, &seed));
         replica.attach_store(DocStore::in_memory()).unwrap();
         for op in type_keys(replica.doc_mut(), &typing_keys(160)) {
             let _ = replica.stamp(op);
@@ -504,8 +505,8 @@ fn checkpoint() -> &'static Snapshot {
         let other = SiteId::from_u64(2);
         let mut peer = Replica::new(other, Treedoc::new(other));
         peer.doc_mut().adopt_state(replica.doc().clone());
-        for k in 0..12 {
-            let op = peer.doc_mut().local_insert(40 + k, 'x').unwrap();
+        for at in [5, 6].into_iter().chain(70..82) {
+            let op = peer.doc_mut().local_insert(at, 'x').unwrap();
             replica.receive(peer.stamp(op));
         }
         replica.persist_checkpoint().unwrap();
@@ -514,47 +515,166 @@ fn checkpoint() -> &'static Snapshot {
     })
 }
 
-/// `snapshot` with its `doc.cells` replaced by `cells`, and the hash in
-/// `doc.state` updated to match, so the cells themselves get decoded.
-fn with_cells(snapshot: &Snapshot, cells: Vec<u8>) -> Snapshot {
-    let meta = std::str::from_utf8(snapshot.section(SECTION_DOC).unwrap()).unwrap();
-    let at = meta.find("\"cells_hash\":").unwrap() + "\"cells_hash\":".len();
-    let end = at + meta[at..].find(|c: char| !c.is_ascii_digit()).unwrap();
-    let meta = format!("{}{}{}", &meta[..at], content_hash64(&cells), &meta[end..]);
+const RUN_EXPLODED: u8 = 2;
+const RUN_PACKED: u8 = 3;
+
+/// One record of a `doc.runs` section, parsed back by hand.
+#[derive(Clone)]
+struct RunRecord {
+    tag: u8,
+    len: u64,
+    /// The anchor or base, or a packed run's every identifier.
+    ids: Vec<PosId<Sdis>>,
+    /// An exploded run's depth and start.
+    params: Vec<u64>,
+    /// Content states and atoms.
+    body: Vec<u8>,
+    /// The run's last identifier: the next record's delta base.
+    last: PosId<Sdis>,
+}
+
+/// Splits `checkpoint()`'s `doc.runs` section into its header and its run
+/// records. A record's identifiers are delta-encoded against the previous
+/// run's last identifier, which the store's cell list supplies.
+fn run_records() -> (Vec<u8>, Vec<RunRecord>) {
+    let base = checkpoint();
+    let doc = Treedoc::<char, Sdis>::decode_sections(base).unwrap();
+    let cells = doc.store().collect_cells();
+    let mut runs = Vec::new();
+    doc.store().encode_runs(&mut runs);
+    let section = base.section(SECTION_RUNS).unwrap();
+    let header = section[..section.len() - runs.len()].to_vec();
+    let mut input = runs.as_slice();
+    let count = codec::get_varint(&mut input).unwrap();
+    let mut prev = PosId::root();
+    let mut cell = 0;
+    let records: Vec<RunRecord> = (0..count)
+        .map(|_| {
+            let tag = codec::get_u8(&mut input).unwrap();
+            let len = codec::get_varint(&mut input).unwrap();
+            let mut ids: Vec<PosId<Sdis>> = Vec::new();
+            for _ in 0..if tag == RUN_PACKED { len } else { 1 } {
+                let id = codec::get_pos_id(&mut input, ids.last().unwrap_or(&prev)).unwrap();
+                ids.push(id);
+            }
+            let params = match tag {
+                RUN_EXPLODED => (0..2)
+                    .map(|_| codec::get_varint(&mut input).unwrap())
+                    .collect(),
+                _ => Vec::new(),
+            };
+            let body = input;
+            let states = len.div_ceil(4) as usize;
+            let live = (0..len as usize)
+                .filter(|j| (input[j / 4] >> (2 * (j % 4))) & 3 == 0)
+                .count();
+            input = &input[states..];
+            for _ in 0..live {
+                codec::get_varint(&mut input).unwrap();
+            }
+            cell += len as usize;
+            prev = cells[cell - 1].0.clone();
+            RunRecord {
+                tag,
+                len,
+                ids,
+                params,
+                body: body[..body.len() - input.len()].to_vec(),
+                last: prev.clone(),
+            }
+        })
+        .collect();
+    assert!(input.is_empty() && cell == cells.len());
+    assert_eq!(encode_records(&records), runs, "the parse is exact");
+    (header, records)
+}
+
+/// Writes run records back, each delta-encoded against the record before
+/// it in the given order.
+fn encode_records(records: &[RunRecord]) -> Vec<u8> {
+    let mut out = Vec::new();
+    codec::put_varint(&mut out, records.len() as u64);
+    let mut prev = PosId::root();
+    for record in records {
+        codec::put_u8(&mut out, record.tag);
+        codec::put_varint(&mut out, record.len);
+        for id in &record.ids {
+            codec::put_pos_id(&mut out, id, &prev);
+            prev = id.clone();
+        }
+        for &param in &record.params {
+            codec::put_varint(&mut out, param);
+        }
+        out.extend_from_slice(&record.body);
+        prev = record.last.clone();
+    }
+    out
+}
+
+/// `snapshot` with its `doc.runs` section replaced by `runs`. Encoding the
+/// snapshot recomputes the manifest's hashes, so the run decoder itself
+/// meets the damage.
+fn with_runs(snapshot: &Snapshot, runs: Vec<u8>) -> Snapshot {
     let mut forged = snapshot.clone();
-    forged.push_section(SECTION_DOC, meta.into_bytes());
-    forged.push_section(SECTION_CELLS, cells);
+    forged.push_section(SECTION_RUNS, runs);
     forged
 }
 
 proptest! {
-    /// Truncated, bit-flipped and reordered `doc.cells` sections, through
+    /// Truncated, bit-flipped and reordered `doc.runs` sections, and run
+    /// records with an inflated length, exploded depth or start, through
     /// both load paths (recovery from a store and a late joiner's
     /// bootstrap), end in a typed error or a digest-valid document, and
     /// never make the loader reserve more than a small multiple of the
-    /// snapshot at once.
+    /// snapshot at once. Reordered runs and out-of-range depths are always
+    /// rejected.
     #[test]
-    fn corrupted_cell_sections_load_totally_without_over_allocating(
-        kind in 0u8..3,
+    fn corrupted_run_sections_load_totally_without_over_allocating(
+        kind in 0u8..6,
         at in any::<usize>(),
     ) {
         let base = checkpoint();
-        let cells = base.section(SECTION_CELLS).unwrap();
+        let section = base.section(SECTION_RUNS).unwrap();
+        let (header, mut records) = run_records();
+        let exploded: Vec<usize> = (0..records.len())
+            .filter(|&i| records[i].tag == RUN_EXPLODED)
+            .collect();
+        prop_assert_eq!(exploded.len(), 2, "the seed is split in two");
+        let mut must_fail = false;
         let mutated = match kind {
-            0 => cells[..at % cells.len()].to_vec(),
+            0 => section[..at % section.len()].to_vec(),
             1 => {
-                let mut flipped = cells.to_vec();
-                flipped[at / 8 % cells.len()] ^= 1 << (at % 8);
+                let mut flipped = section.to_vec();
+                flipped[at / 8 % section.len()] ^= 1 << (at % 8);
                 flipped
             }
+            2 => {
+                let i = at % (records.len() - 1);
+                records.swap(i, i + 1);
+                must_fail = true;
+                [header, encode_records(&records)].concat()
+            }
+            3 => {
+                let i = at % records.len();
+                records[i].len += 1 + (at / 64 % 64) as u64;
+                [header, encode_records(&records)].concat()
+            }
+            4 => {
+                let depth = &mut records[exploded[at % 2]].params[0];
+                if at / 2 % 2 == 0 {
+                    *depth += 1 + (at / 4 % 8) as u64;
+                } else {
+                    *depth = 64 + (at / 4 % 1_000) as u64;
+                    must_fail = true;
+                }
+                [header, encode_records(&records)].concat()
+            }
             _ => {
-                let mut decoded = decode_cells::<char, Sdis>(cells).unwrap();
-                let i = at % (decoded.len() - 1);
-                decoded.swap(i, i + 1);
-                encode_cells(&decoded)
+                records[exploded[at % 2]].params[1] += 1 + (at / 2 % 4_096) as u64;
+                [header, encode_records(&records)].concat()
             }
         };
-        let forged = with_cells(base, mutated);
+        let forged = with_runs(base, mutated);
         let bytes = forged.encode();
         let bound = 32 * bytes.len() + 1_024;
 
@@ -564,6 +684,7 @@ proptest! {
         // A loaded store passes its invariants, which recompute every
         // run's aggregates — its merkle digest included — from its cells.
         if adopted.is_some() {
+            prop_assert!(!must_fail, "bootstrap accepted a mutation of kind {}", kind);
             joiner.check_invariants().unwrap();
         }
 
@@ -574,11 +695,11 @@ proptest! {
         prop_assert!(largest <= bound, "recovery reserved {} B at once", largest);
         match recovered {
             Ok((replica, _)) => {
-                prop_assert!(kind != 2, "reordered cells were accepted");
+                prop_assert!(!must_fail, "recovery accepted a mutation of kind {}", kind);
                 replica.doc().check_invariants().unwrap();
             }
-            Err(RecoverError::Parse(_)) if kind == 2 => {}
-            Err(e) => prop_assert!(kind != 2, "reordered cells: {}", e),
+            Err(RecoverError::Parse(_)) => {}
+            Err(e) => prop_assert!(false, "kind {}: an untyped failure: {}", kind, e),
         }
     }
 }

@@ -5,7 +5,7 @@
 //! round-trips of flattened and unflattened replicas.
 
 use treedoc_repro::core::{Op, Sdis, SiteId, Treedoc};
-use treedoc_repro::replication::persist::SECTION_CELLS;
+use treedoc_repro::replication::persist::SECTION_RUNS;
 use treedoc_repro::replication::{
     CommitOutcome, CommitProtocol, CoordinatorStats, Envelope, FlattenCoordinator, LinkConfig,
     PersistentDocument, RecoverError, Replica, SimNetwork,
@@ -189,22 +189,22 @@ fn flattened_and_unflattened_replicas_persist_and_reload() {
         assert_eq!(reloaded.node_count(), doc.node_count());
         assert_eq!(reloaded.merkle_digest(), doc.merkle_digest());
         // A truncated copy fails with a diagnosis instead of a bare `None`.
-        let cells = snapshot.section(SECTION_CELLS).unwrap().to_vec();
-        snapshot.push_section(SECTION_CELLS, cells[..cells.len() / 2].to_vec());
+        let runs = snapshot.section(SECTION_RUNS).unwrap().to_vec();
+        snapshot.push_section(SECTION_RUNS, runs[..runs.len() / 2].to_vec());
         let torn = Doc::decode_sections(&snapshot);
-        assert!(matches!(torn, Err(RecoverError::Snapshot(_))), "{torn:?}");
+        assert!(matches!(torn, Err(RecoverError::Parse(_))), "{torn:?}");
     }
-    // Flattening shrinks the snapshot's cell section.
+    // Flattening shrinks the snapshot's run section.
     let (_, _, mut replicas) = tombstoned_replicas(1);
     let doc = replicas[0].doc_mut();
-    let cells_bytes = |doc: &Doc| {
+    let runs_bytes = |doc: &Doc| {
         let mut snapshot = Snapshot::new();
         doc.encode_sections(&mut snapshot);
-        snapshot.section(SECTION_CELLS).unwrap().len()
+        snapshot.section(SECTION_RUNS).unwrap().len()
     };
-    let before = cells_bytes(doc);
+    let before = runs_bytes(doc);
     doc.flatten_all().unwrap();
-    let after = cells_bytes(doc);
+    let after = runs_bytes(doc);
     assert!(
         after < before,
         "flatten must shrink the snapshot ({after} vs {before})"

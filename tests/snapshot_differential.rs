@@ -11,14 +11,17 @@
 //! type into its gap concurrently, round after round. At every check, for
 //! every site:
 //!
-//! * the cell-stream snapshot round trip gives the same cells, run count
-//!   and merkle digest as the §5.2 disk-image round trip it replaces, and
-//!   its `doc.cells` section is no larger than the old `tree.structure` +
-//!   `tree.atoms` sections;
+//! * the `doc.runs` snapshot round trip keeps the live store's runs, and
+//!   gives the same cells and merkle digest as the anti-entropy cell stream
+//!   (`encode_cells` re-coalesced by `RunTree::from_cells`) and as the
+//!   §5.2 disk-image round trip; its `doc.runs` section is no larger than
+//!   the old `tree.structure` + `tree.atoms` sections;
 //! * `flatten_vote` answers every probed region and base revision as the
 //!   oracle's subtree lookup and `hot_rev` rule do (revisions are local);
 //! * the cold regions and `flatten_cold` outcomes equal the oracle's, and
 //!   the flattened cells equal the oracle's flattened tree.
+//!
+//! A 5,000-keystroke typing spine's whole snapshot stays within 8 KB.
 
 use std::collections::VecDeque;
 
@@ -27,7 +30,8 @@ use rand::{Rng, SeedableRng};
 use treedoc_reference::{flatten_subtree, measure, DiskImage, Tree};
 use treedoc_repro::core::{Content, HasSource, PosId, RunTree, Side};
 use treedoc_repro::prelude::*;
-use treedoc_repro::replication::persist::SECTION_CELLS;
+use treedoc_repro::replication::persist::SECTION_RUNS;
+use treedoc_repro::replication::sync::{decode_cells, encode_cells};
 use treedoc_repro::replication::{FlattenDocument, ReplicatedDocument};
 use treedoc_repro::storage::Snapshot;
 
@@ -220,7 +224,8 @@ where
     }
 }
 
-/// The new snapshot round trip against the old disk-image one.
+/// The run-record snapshot round trip against the cell stream and the
+/// disk image.
 fn check_snapshot<D>(doc: &Doc<D>)
 where
     D: WireDis + HasSource,
@@ -229,19 +234,32 @@ where
     let mut snapshot = Snapshot::new();
     doc.encode_sections(&mut snapshot);
     let new = Doc::<D>::decode_sections(&snapshot).unwrap();
+    assert_eq!(new.store().run_count(), doc.store().run_count());
+    assert_eq!(new.merkle_digest(), doc.merkle_digest());
+    new.check_invariants().unwrap();
+
+    let cells = encode_cells(&doc.store().cells_in_range(None, None));
+    let streamed = RunTree::from_cells(
+        decode_cells::<String, D>(&cells)
+            .unwrap()
+            .into_iter()
+            .map(|(id, content)| (id, content, 0))
+            .collect(),
+    );
+    assert_eq!(new.store().collect_cells(), streamed.collect_cells());
+    assert_eq!(new.merkle_digest(), streamed.digest());
+
     let tree = Tree::of_doc(doc);
     assert_eq!(measure(&tree), doc.stats());
     let image = DiskImage::encode(&tree);
     let old = RunTree::from_cells(image.decode::<D>().unwrap().collect_cells());
     assert_eq!(new.store().collect_cells(), old.collect_cells());
-    assert_eq!(new.store().run_count(), old.run_count());
     assert_eq!(new.merkle_digest(), old.digest());
-    assert_eq!(new.merkle_digest(), doc.merkle_digest());
     let atoms = serde_json::to_string(&image.atoms).unwrap().len();
-    let cells = snapshot.section(SECTION_CELLS).unwrap().len();
+    let runs = snapshot.section(SECTION_RUNS).unwrap().len();
     assert!(
-        cells <= image.structure.len() + atoms,
-        "doc.cells {cells} B > structure {} B + atoms {atoms} B",
+        runs <= image.structure.len() + atoms,
+        "doc.runs {runs} B > structure {} B + atoms {atoms} B",
         image.structure.len()
     );
 }
@@ -431,4 +449,26 @@ fn udis_snapshots_votes_and_cold_regions_match_the_tree_oracle() {
     for seed in [5, 6, 7] {
         schedule::<Udis>(seed);
     }
+}
+
+#[test]
+fn a_typing_spine_of_5k_keystrokes_snapshots_within_8_kb() {
+    let site = SiteId::from_u64(1);
+    let mut replica = Replica::new(site, Treedoc::<char, Sdis>::new(site));
+    replica.attach_store(DocStore::in_memory()).unwrap();
+    for k in 0..5_000 {
+        let key = char::from(b'a' + (k % 26) as u8);
+        let op = replica.doc_mut().local_insert(k, key).unwrap();
+        let _ = replica.stamp(op);
+    }
+    assert_eq!(replica.doc().store().run_count(), 1);
+    replica.persist_checkpoint().unwrap();
+    let digest = replica.digest();
+    let mut store = replica.detach_store().unwrap();
+    let (_, snapshot) = store.recover().unwrap().snapshot.unwrap();
+    let bytes = snapshot.encode().len();
+    assert!(bytes <= 8 * 1024, "the 5k spine's snapshot is {bytes} B");
+    let (recovered, _) = Replica::<Treedoc<char, Sdis>>::recover(store).unwrap();
+    assert_eq!(recovered.digest(), digest);
+    assert_eq!(recovered.doc().store().run_count(), 1);
 }
