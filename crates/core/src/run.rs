@@ -106,24 +106,23 @@ fn spine_cell_id<D: Disambiguator>(anchor: &PosId<D>, side: Side, g: usize) -> P
 }
 
 /// Branch sides from the root of a complete tree of the given `depth` to its
-/// `k`-th node in infix order (`k` counts from 0).
-fn infix_path(depth: usize, k: usize) -> Vec<Side> {
-    let mut path = Vec::new();
-    let mut depth = depth;
-    let mut k = k;
-    loop {
+/// `k`-th node in infix order (`k` counts from 0), root first.
+fn infix_path(depth: usize, k: usize) -> impl Iterator<Item = Side> {
+    let (mut depth, mut k) = (depth, k);
+    std::iter::from_fn(move || {
         debug_assert!(depth > 0, "infix index out of range");
         let left_cap = (1usize << (depth - 1)) - 1;
-        match k.cmp(&left_cap) {
-            Ordering::Less => path.push(Side::Left),
-            Ordering::Equal => return path,
+        let side = match k.cmp(&left_cap) {
+            Ordering::Less => Side::Left,
+            Ordering::Equal => return None,
             Ordering::Greater => {
-                path.push(Side::Right);
                 k -= left_cap + 1;
+                Side::Right
             }
-        }
+        };
         depth -= 1;
-    }
+        Some(side)
+    })
 }
 
 /// Identifier of the `k`-th infix slot of a complete plain subtree of the
@@ -131,6 +130,7 @@ fn infix_path(depth: usize, k: usize) -> Vec<Side> {
 /// of its path.
 fn infix_id<D: Disambiguator>(base: &PosId<D>, depth: usize, k: usize) -> PosId<D> {
     infix_path(depth, k)
+        .collect::<Vec<_>>()
         .chunk_by(|a, b| a == b)
         .fold(base.clone(), |id, stretch| {
             id.extend_plains(stretch[0], stretch.len())
@@ -181,20 +181,7 @@ impl SlotProbe {
     /// identifier, as `infix_id(base, depth, k).cmp(id)` would.
     fn cmp_slot(&self, depth: usize, k: usize) -> Ordering {
         // The slot's branch sides, root first; `None` once it is reached.
-        let (mut depth, mut k) = (depth, k);
-        let mut next_side = move || {
-            let left_cap = (1usize << (depth - 1)) - 1;
-            let side = match k.cmp(&left_cap) {
-                Ordering::Less => Side::Left,
-                Ordering::Equal => return None,
-                Ordering::Greater => {
-                    k -= left_cap + 1;
-                    Side::Right
-                }
-            };
-            depth -= 1;
-            Some(side)
-        };
+        let mut sides = infix_path(depth, k);
         // Around a node: left subtree < plain slot < minis < right subtree.
         let subtree = |side| match side {
             Side::Left => Ordering::Less,
@@ -202,13 +189,13 @@ impl SlotProbe {
         };
         let (right, minis, len) = match *self {
             SlotProbe::Outside(order) => return order,
-            SlotProbe::BaseMini => return next_side().map_or(Ordering::Less, subtree),
+            SlotProbe::BaseMini => return sides.next().map_or(Ordering::Less, subtree),
             SlotProbe::Below { right, minis, len } => (right, minis, len),
         };
         for i in 0..len {
             let side = Side::from_bit(((right >> i) & 1) as u8);
             let mini = (minis >> i) & 1 == 1;
-            let Some(slot_side) = next_side() else {
+            let Some(slot_side) = sides.next() else {
                 // The slot is an ancestor of the identifier.
                 return subtree(side).reverse();
             };
@@ -217,11 +204,11 @@ impl SlotProbe {
             }
             if mini {
                 // The identifier is a mini-node of the slot's path here.
-                return next_side().map_or(Ordering::Less, subtree);
+                return sides.next().map_or(Ordering::Less, subtree);
             }
         }
         // The identifier is the slot or an ancestor of it.
-        next_side().map_or(Ordering::Equal, subtree)
+        sides.next().map_or(Ordering::Equal, subtree)
     }
 }
 
@@ -3357,7 +3344,7 @@ mod tests {
     #[test]
     fn infix_path_matches_explode_layout() {
         // Depth-3 complete tree infix order: LL, L, LR, root, RL, R, RR.
-        let paths: Vec<Vec<Side>> = (0..7).map(|k| infix_path(3, k)).collect();
+        let paths: Vec<Vec<Side>> = (0..7).map(|k| infix_path(3, k).collect()).collect();
         use Side::{Left as L, Right as R};
         assert_eq!(
             paths,
@@ -3386,7 +3373,7 @@ mod tests {
                     if k > start {
                         cursor.advance();
                     }
-                    let path = infix_path(depth, k);
+                    let path: Vec<Side> = infix_path(depth, k).collect();
                     assert_eq!(cursor.path, path, "depth {depth}, slot {k}");
                     assert_eq!(infix_len(depth, k), path.len());
                     let mut direct = Hasher64::new();

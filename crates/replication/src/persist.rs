@@ -58,7 +58,7 @@
 //! | part | content |
 //! | --- | --- |
 //! | header | varint revision counter · configuration byte (bit 0: balancing) · disambiguator source ([`WireSource`]: the site, and for UDIS the counter) |
-//! | runs | the run store, one record per run ([`RunTree::encode_runs`]): a pattern tag, the cell count, the pattern's identifiers delta-encoded against the previous run, a 2-bit content state per cell and the live atoms |
+//! | runs | the run store, one record per run ([`RunTree::encode_runs`]): a pattern tag, the cell count, the pattern's identifiers delta-encoded against the previous run's last identifier, a 2-bit content state per cell and the live atoms |
 //!
 //! The snapshot manifest hashes every section, so a section carries no hash
 //! of its own. Loading decodes the runs straight into the store
