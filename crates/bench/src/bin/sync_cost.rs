@@ -1,5 +1,6 @@
 //! The anti-entropy vs retransmission experiment: recovery cost in encoded
-//! wire bytes across loss rate × offline gap × mechanism. The baseline
+//! wire bytes across loss rate × offline gap × mechanism, plus the bytes a
+//! snapshot bootstrap ships to a late joiner. The baseline
 //! re-ships unacked windows and broadcasts cumulative acks until every log
 //! clears; anti-entropy walks merkle digests and ships only the missing
 //! runs of cells, so it wins once losses (or an offline gap) make the
@@ -26,6 +27,11 @@ fn main() {
     // than a red job.
     for row in &sync_vs_retransmission {
         assert!(row.converged, "sync-cost cell diverged: {row:?}");
+        assert_eq!(
+            row.late_join,
+            row.snapshot_bytes > 0,
+            "only the late joiner bootstraps: {row:?}"
+        );
     }
     // The headline claim: at every lossy or gapped cell, anti-entropy's
     // digest walk costs fewer recovery bytes than the retransmission
@@ -60,14 +66,17 @@ fn main() {
 
     println!("Anti-entropy vs retransmission (3 sites, 60 edits/site, per-op envelopes):");
     println!(
-        "{:>6} {:>8} {:>13} {:>6} {:>12} {:>12} {:>8} {:>8}",
-        "loss", "offline", "mechanism", "ops", "rec bytes", "rec B/op", "digests", "runs"
+        "  loss  members     mechanism    ops    rec bytes     rec B/op  digests     runs  snapshot"
     );
     for row in &sync_vs_retransmission {
         println!(
-            "{:>5.0}% {:>8} {:>13} {:>6} {:>12} {:>12.1} {:>8} {:>8}",
+            "{:>5.0}% {:>8} {:>13} {:>6} {:>12} {:>12.1} {:>8} {:>8} {:>9}",
             row.drop_prob * 100.0,
-            if row.offline_gap { "gap" } else { "-" },
+            match (row.offline_gap, row.late_join) {
+                (true, _) => "gap",
+                (_, true) => "join",
+                _ => "-",
+            },
             if row.anti_entropy {
                 "anti-entropy"
             } else {
@@ -78,12 +87,14 @@ fn main() {
             row.recovery_bytes_per_op,
             row.sync_digest_msgs,
             row.sync_run_msgs,
+            row.snapshot_bytes,
         );
     }
     println!();
     println!(
         "recovery bytes = retransmission + ack traffic (baseline) or digest\n\
          walk + cell runs (anti-entropy); lower is better. Initial op\n\
-         broadcasts cost the same in both modes and are excluded."
+         broadcasts cost the same in both modes and are excluded. The join\n\
+         row's snapshot bytes bootstrap its last site halfway through."
     );
 }

@@ -100,7 +100,7 @@ fn print_table(ops: usize, overhead: &[OverheadRow]) {
     println!(
         "baseline = no telemetry call at all; disabled = inert handle (one\n\
          None branch per instrument); enabled = live registry (atomic\n\
-         counter + histogram record per op). Bounds checked after printing:\n\
+         counter increments per op). Bounds checked after printing:\n\
          disabled <{DISABLED_BOUND_PCT}%, enabled <{ENABLED_BOUND_PCT}%."
     );
 }

@@ -588,7 +588,7 @@ pub fn typing_session_entries(ops: usize) -> Vec<WireEntry> {
 /// Encoded cost of one transport choice over the typing workload.
 #[derive(Debug, Clone, Serialize)]
 pub struct WireEncodingRow {
-    /// Transport label (`json-per-op`, `binary-per-op`, `binary-batch-N`).
+    /// Transport label (`binary-per-op`, `binary-batch-N`).
     pub transport: String,
     /// Operations shipped.
     pub ops: usize,
@@ -599,8 +599,7 @@ pub struct WireEncodingRow {
 }
 
 /// Encodes the same `ops`-operation typing session through every transport
-/// choice: JSON text (one envelope per op, the size a serde wire would
-/// ship), the binary codec per op, and the binary codec with batching at
+/// choice: the binary codec per op, and the binary codec with batching at
 /// each of `batch_sizes`.
 pub fn wire_encoding_comparison(ops: usize, batch_sizes: &[usize]) -> Vec<WireEncodingRow> {
     let entries = typing_session_entries(ops);
@@ -611,20 +610,6 @@ pub fn wire_encoding_comparison(ops: usize, batch_sizes: &[usize]) -> Vec<WireEn
         bytes_per_op: total_bytes as f64 / ops.max(1) as f64,
     };
     let mut rows = Vec::new();
-
-    let json: usize = entries
-        .iter()
-        .map(|(epoch, msg)| {
-            let env: Envelope<WireOp> = Envelope::Op {
-                epoch: *epoch,
-                msg: msg.clone(),
-            };
-            serde_json::to_string(&env)
-                .expect("envelopes serialise")
-                .len()
-        })
-        .sum();
-    rows.push(row("json-per-op".into(), json));
 
     let binary: usize = entries
         .iter()
@@ -797,13 +782,16 @@ pub fn wire_cost_grid(sites: usize, edits_per_site: usize) -> Vec<WireCostRow> {
 
 /// One cell of the anti-entropy vs retransmission sweep: loss rate ×
 /// offline gap × recovery mechanism, recovery cost measured in encoded
-/// bytes by the wire codec (see [`ScenarioMatrix::sync_vs_retransmission`]).
+/// bytes by the wire codec (see [`ScenarioMatrix::sync_vs_retransmission`]),
+/// or the late-joiner cell beside it.
 #[derive(Debug, Clone, Serialize)]
 pub struct SyncCostRow {
     /// Loss probability of the cell.
     pub drop_prob: f64,
     /// Whether site 1 spent the run from round 2 onward offline.
     pub offline_gap: bool,
+    /// Whether the last site joined mid-run by snapshot bootstrap.
+    pub late_join: bool,
     /// `true` = state-based anti-entropy, `false` = at-least-once
     /// retransmission.
     pub anti_entropy: bool,
@@ -823,6 +811,9 @@ pub struct SyncCostRow {
     pub sync_run_msgs: u64,
     /// Cells integrated by sync sessions.
     pub sync_cells: u64,
+    /// Encoded bytes of the snapshot offer and chunks that bootstrapped the
+    /// late joiner.
+    pub snapshot_bytes: usize,
     /// Messages re-sent by the baseline.
     pub retransmissions: u64,
     /// Whether the cell converged.
@@ -830,19 +821,27 @@ pub struct SyncCostRow {
 }
 
 /// Runs the loss × offline-gap × mechanism sweep
-/// ([`ScenarioMatrix::sync_vs_retransmission`]) and returns one row per
-/// cell — the experiment behind the "anti-entropy vs retransmission"
-/// EXPERIMENTS section. Every figure comes from the cell's [`SimReport`](treedoc_sim::SimReport),
-/// whose counts are the run's registry counters.
+/// ([`ScenarioMatrix::sync_vs_retransmission`]) plus one clean-network cell
+/// whose last site joins halfway through by snapshot bootstrap, and returns
+/// one row per cell — the experiment behind the "anti-entropy vs
+/// retransmission" EXPERIMENTS section. Every figure comes from the cell's
+/// [`SimReport`](treedoc_sim::SimReport), whose counts are the run's
+/// registry counters.
 pub fn sync_cost_grid(sites: usize, edits_per_site: usize) -> Vec<SyncCostRow> {
-    let matrix = ScenarioMatrix::sync_vs_retransmission(Scenario {
+    let base = Scenario {
         sites,
         edits_per_site,
         ..Scenario::default()
-    });
-    matrix
+    };
+    let late_joiner = Scenario {
+        anti_entropy: true,
+        late_join: Some(edits_per_site.div_ceil(base.burst.max(1)) / 2),
+        ..base
+    };
+    ScenarioMatrix::sync_vs_retransmission(base)
         .run()
         .into_iter()
+        .chain([(late_joiner, treedoc_sim::run(&late_joiner))])
         .map(|(scenario, report)| {
             let recovery_bytes = if scenario.anti_entropy {
                 report.sync_bytes
@@ -852,6 +851,7 @@ pub fn sync_cost_grid(sites: usize, edits_per_site: usize) -> Vec<SyncCostRow> {
             SyncCostRow {
                 drop_prob: scenario.drop_prob,
                 offline_gap: scenario.offline.is_some(),
+                late_join: scenario.late_join.is_some(),
                 anti_entropy: scenario.anti_entropy,
                 ops: report.ops_generated,
                 network_bytes: report.network_bytes,
@@ -860,6 +860,7 @@ pub fn sync_cost_grid(sites: usize, edits_per_site: usize) -> Vec<SyncCostRow> {
                 sync_digest_msgs: report.sync_digest_msgs,
                 sync_run_msgs: report.sync_run_msgs,
                 sync_cells: report.sync_cells,
+                snapshot_bytes: report.snapshot_bytes,
                 retransmissions: report.retransmissions,
                 converged: report.converged,
             }
@@ -1024,7 +1025,7 @@ fn overhead_typing_run(ops: usize, telemetry: Option<&Telemetry>) -> u64 {
 /// stamp path: the same `ops`-operation sequential-typing session with no
 /// telemetry call at all (`baseline`), an inert handle (`disabled` — one
 /// `None` branch per instrument hit), and a live registry (`enabled` —
-/// one histogram record per op). The `enabled` row's
+/// a few counter increments per op). The `enabled` row's
 /// `overhead_pct` is the figure the acceptance bound (<5%) pins.
 ///
 /// Trials are interleaved round by round across the three variants so
@@ -1060,8 +1061,8 @@ pub fn telemetry_overhead_cases(ops: usize) -> Vec<OverheadRow> {
     // measured nothing.
     let stamped = registry
         .snapshot()
-        .histogram("replica.stamp_micros")
-        .map_or(0, |h| h.count);
+        .counter("replica.ops_stamped")
+        .unwrap_or(0);
     assert!(
         stamped >= ops as u64,
         "enabled trials recorded {stamped} stamps, expected at least {ops}"
@@ -1208,10 +1209,9 @@ mod tests {
     }
 
     #[test]
-    fn batched_binary_beats_the_per_op_json_baseline() {
+    fn batched_binary_beats_the_per_op_binary_wire() {
         // The acceptance check: the batched binary path measurably cuts
-        // bytes-per-op against the per-op JSON wire this workspace used to
-        // ship (and the un-batched binary codec sits in between).
+        // bytes-per-op against the per-op binary codec.
         let rows = wire_encoding_comparison(256, &[32]);
         let by_label = |label: &str| {
             rows.iter()
@@ -1219,13 +1219,8 @@ mod tests {
                 .unwrap_or_else(|| panic!("row {label} missing"))
                 .bytes_per_op
         };
-        let json = by_label("json-per-op");
         let binary = by_label("binary-per-op");
         let batched = by_label("binary-batch-32");
-        assert!(
-            binary * 2.0 < json,
-            "binary per-op must at least halve the JSON wire: {binary} vs {json}"
-        );
         assert!(
             batched * 2.0 < binary,
             "delta-encoded batches must at least halve the per-op binary \

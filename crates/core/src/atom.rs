@@ -8,8 +8,6 @@
 
 use std::fmt::Debug;
 
-use serde::{de::DeserializeOwned, Deserialize, Serialize};
-
 use crate::hash::ContentHash;
 
 /// An element of the shared sequence.
@@ -18,9 +16,7 @@ use crate::hash::ContentHash;
 /// user types qualify by meeting the bounds (including
 /// [`ContentHash`], which the run store's incremental merkle digest hashes
 /// cells with).
-pub trait Atom:
-    Clone + Eq + Debug + Send + Sync + Serialize + DeserializeOwned + ContentHash + 'static
-{
+pub trait Atom: Clone + Eq + Debug + Send + Sync + ContentHash + 'static {
     /// Size of the atom's *content* in bytes, used when relating metadata
     /// overhead to document size (Table 1 reports overhead relative to the
     /// document size in bytes).
@@ -68,7 +64,7 @@ impl Atom for u64 {
 /// The paper's evaluation uses [`Granularity::Line`] for LaTeX and source
 /// code and [`Granularity::Paragraph`] for Wikipedia pages (§5); characters
 /// are supported for interactive-editor style workloads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Granularity {
     /// One atom per Unicode scalar value.
     Character,
@@ -112,7 +108,7 @@ impl Granularity {
 }
 
 /// The content of an atom slot.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Content<A> {
     /// No slot exists at this position (nothing was ever inserted here, or a
     /// UDIS node was discarded).

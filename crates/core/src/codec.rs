@@ -28,6 +28,16 @@
 //! never a panic or an oversized allocation, so the codec can sit directly
 //! behind an untrusted transport.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 use crate::atom::Atom;
 use crate::disambiguator::{DisSource, Disambiguator, Sdis, SdisSource, Udis, UdisSource};
 use crate::ops::Op;
@@ -150,8 +160,8 @@ impl<'a> PackedBits<'a> {
         // Top up the partly filled last byte.
         if self.used < 8 && count > 0 {
             let take = count.min((8 - self.used) as usize) as u32;
-            if bit {
-                let last = self.out.last_mut().expect("a partly filled byte");
+            // `used < 8` means the last byte is the partly filled one.
+            if let (true, Some(last)) = (bit, self.out.last_mut()) {
                 *last |= (((1u16 << take) - 1) << self.used) as u8;
             }
             self.used += take;
@@ -236,8 +246,9 @@ impl WireDis for Udis {
     }
 
     fn decode_dis(input: &mut &[u8]) -> Option<Self> {
-        let raw = get_exact(input, 4)?;
-        let counter = u32::from_le_bytes(raw.try_into().expect("4 bytes"));
+        let (raw, rest) = input.split_first_chunk::<4>()?;
+        *input = rest;
+        let counter = u32::from_le_bytes(*raw);
         let site = get_site(input)?;
         Some(Udis::new(counter, site))
     }

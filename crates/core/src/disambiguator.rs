@@ -19,8 +19,6 @@
 use std::fmt::{self, Debug};
 use std::hash::Hash;
 
-use serde::{de::DeserializeOwned, Deserialize, Serialize};
-
 use crate::codec::WireSource;
 use crate::hash::{ContentHash, Hasher64};
 use crate::site::{SiteId, SITE_ID_BYTES};
@@ -35,7 +33,7 @@ pub const UDIS_COUNTER_BYTES: usize = 4;
 /// Implementations must provide a total order; the order is arbitrary but
 /// must be the same at every site (it is derived from plain data, so it is).
 pub trait Disambiguator:
-    Clone + Eq + Ord + Hash + Debug + Send + Sync + Serialize + DeserializeOwned + ContentHash + 'static
+    Clone + Eq + Ord + Hash + Debug + Send + Sync + ContentHash + 'static
 {
     /// Whether a deleted node may be discarded immediately (`true`, UDIS) or
     /// must be kept as a tombstone (`false`, SDIS). See §3.3 of the paper.
@@ -69,7 +67,7 @@ pub trait Disambiguator:
 ///
 /// Ordered by `(counter, site)` exactly as in the paper:
 /// `(c1, s1) < (c2, s2)  iff  c1 < c2 ∨ (c1 = c2 ∧ s1 < s2)`.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Udis {
     counter: u32,
     site: SiteId,
@@ -125,7 +123,7 @@ impl fmt::Display for Udis {
 ///
 /// Two different atoms inserted by the same site could collide on the same
 /// identifier if nodes were discarded, so deletes leave tombstones behind.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Sdis {
     site: SiteId,
 }
@@ -193,7 +191,7 @@ pub trait DisSource {
 }
 
 /// Disambiguator source for [`Udis`]: a per-site persistent counter.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct UdisSource {
     site: SiteId,
     counter: u32,
@@ -239,7 +237,7 @@ impl DisSource for UdisSource {
 }
 
 /// Disambiguator source for [`Sdis`]: always the site identifier.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SdisSource {
     site: SiteId,
 }

@@ -16,8 +16,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::alloc::{balanced_append, batch_subtree_ids, new_pos_id, Neighbours};
 use crate::atom::{Atom, Content};
 use crate::disambiguator::{DisSource, Disambiguator, HasSource};
@@ -30,7 +28,7 @@ use crate::site::SiteId;
 use crate::stats::DocStats;
 
 /// Tuning knobs for a replica.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TreedocConfig {
     /// Enable the §4.1 balancing strategies: grown append subtrees and
     /// minimal subtrees for batch inserts. Without it, identifiers are

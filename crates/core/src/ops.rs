@@ -14,14 +14,12 @@
 //! distributed commitment protocol instead (§4.2.1, see
 //! `treedoc_replication::flatten`).
 
-use serde::{Deserialize, Serialize};
-
 use crate::disambiguator::Disambiguator;
 use crate::path::PosId;
 use crate::site::SiteId;
 
 /// The kind of an operation, without its payload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// An insertion.
     Insert,
@@ -30,7 +28,7 @@ pub enum OpKind {
 }
 
 /// An edit operation on the shared buffer.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Op<A, D> {
     /// Insert `atom` at the (fresh, unique) identifier `id`.
     Insert {
@@ -145,16 +143,5 @@ mod tests {
         // id: 1 bit + 48-bit SDIS → 7 bytes; insert adds the 5 content bytes.
         assert_eq!(del.network_bytes(), 7);
         assert_eq!(ins.network_bytes(), 12);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let ins: Op<String, Sdis> = Op::Insert {
-            id: id(3),
-            atom: "line".into(),
-        };
-        let json = serde_json::to_string(&ins).unwrap();
-        let back: Op<String, Sdis> = serde_json::from_str(&json).unwrap();
-        assert_eq!(ins, back);
     }
 }

@@ -73,13 +73,11 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use serde::{Deserialize, Error as SerdeError, Serialize, Value};
-
 use crate::disambiguator::Disambiguator;
 use crate::hash::DIGEST_BASE;
 
 /// One bit of a tree path: descend to the left or to the right child.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Side {
     /// The `0` branch: everything below it precedes the current node.
     Left = 0,
@@ -116,7 +114,7 @@ impl Side {
 
 /// One element of a position identifier: a branch bit plus an optional
 /// disambiguator.
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct PathElem<D> {
     /// Which child of the current node the path descends to.
     pub side: Side,
@@ -1250,43 +1248,6 @@ impl<D: fmt::Debug> fmt::Debug for PosId<D> {
 impl<D: fmt::Debug> fmt::Display for PosId<D> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{self:?}")
-    }
-}
-
-// The wire image of a `PosId` is its element sequence, exactly as the old
-// `struct PosId { elems: Vec<PathElem<D>> }` derive produced it, so storage
-// snapshots and JSON WALs written before the chunked representation decode
-// unchanged (and vice versa).
-impl<D: Serialize> Serialize for PosId<D> {
-    fn to_value(&self) -> Value {
-        let mut arr = Vec::with_capacity(self.depth());
-        self.visit_elems_from(0, |side, dis| arr.push(elem_value(side, dis)));
-        Value::Map(vec![(String::from("elems"), Value::Array(arr))])
-    }
-}
-
-/// The value tree the `PathElem` derive produces, built from borrowed parts.
-fn elem_value<D: Serialize>(side: Side, dis: Option<&D>) -> Value {
-    Value::Map(vec![
-        (String::from("side"), side.to_value()),
-        (
-            String::from("dis"),
-            match dis {
-                None => Value::Null,
-                Some(d) => d.to_value(),
-            },
-        ),
-    ])
-}
-
-impl<D: Deserialize> Deserialize for PosId<D> {
-    fn from_value(value: &Value) -> Result<Self, SerdeError> {
-        let map = value
-            .as_map()
-            .ok_or_else(|| SerdeError::custom("expected map for `PosId`"))?;
-        let elems: Vec<PathElem<D>> =
-            Deserialize::from_value(serde::value::get_field(map, "elems"))?;
-        Ok(PosId::from_elems(elems))
     }
 }
 

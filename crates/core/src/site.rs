@@ -9,8 +9,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Number of bytes of a site identifier, as accounted in the paper's
 /// evaluation ("We use 6 bytes for site identifiers in both UDIS and SDIS").
 pub const SITE_ID_BYTES: usize = 6;
@@ -20,7 +18,7 @@ pub const SITE_ID_BYTES: usize = 6;
 /// Ordered lexicographically; the ordering is only used to break ties between
 /// concurrent inserts (via the disambiguator order) and carries no semantic
 /// meaning.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SiteId([u8; SITE_ID_BYTES]);
 
 impl SiteId {

@@ -24,7 +24,7 @@ use serde::{Deserialize, Serialize};
 use crate::disambiguator::Disambiguator;
 
 /// Per-node memory cost model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemoryModel {
     /// The paper's model (§5.2): 26 bytes per tree node.
     PaperTreeNode,

@@ -47,15 +47,14 @@ struct Session {
     doc: DocId,
 }
 
-/// Telemetry instruments of one hosting node: session-op volume and
-/// latency, eviction / fault-in / commit activity, plus trace events for
+/// Telemetry instruments of one hosting node: session-op volume,
+/// eviction / fault-in / commit activity, plus trace events for
 /// the low-frequency lifecycle points. Inert by default; bound with
 /// [`HostingNode::set_telemetry`].
 #[derive(Debug, Clone, Default)]
 struct NodeMetrics {
     /// The bound handle, re-applied to replicas faulted in later.
     telemetry: Telemetry,
-    op_micros: Histogram,
     ops: Counter,
     sessions: Counter,
     evictions: Counter,
@@ -69,7 +68,6 @@ impl NodeMetrics {
     fn resolve(telemetry: &Telemetry) -> Self {
         NodeMetrics {
             telemetry: telemetry.clone(),
-            op_micros: telemetry.histogram("node.op_micros"),
             ops: telemetry.counter("node.ops"),
             sessions: telemetry.counter("node.sessions"),
             evictions: telemetry.counter("node.evictions"),
@@ -311,7 +309,6 @@ impl HostingNode {
         atom: char,
     ) -> Result<(), NodeError> {
         let doc = self.session_doc(session)?;
-        let span = self.metrics.op_micros.start();
         let replica = self.ensure_resident(doc)?;
         let len = replica.doc().len();
         if index > len {
@@ -322,7 +319,6 @@ impl HostingNode {
             .local_insert(index, atom)
             .expect("insert index checked in range");
         let _stamped = replica.stamp(op);
-        span.stop();
         self.stats.ops_applied += 1;
         self.metrics.ops.inc();
         Ok(())
@@ -331,7 +327,6 @@ impl HostingNode {
     /// Deletes the atom at `index` in the session's document.
     pub fn remove(&mut self, session: SessionId, index: usize) -> Result<(), NodeError> {
         let doc = self.session_doc(session)?;
-        let span = self.metrics.op_micros.start();
         let replica = self.ensure_resident(doc)?;
         let len = replica.doc().len();
         if index >= len {
@@ -342,7 +337,6 @@ impl HostingNode {
             .local_delete(index)
             .expect("delete index checked in range");
         let _stamped = replica.stamp(op);
-        span.stop();
         self.stats.ops_applied += 1;
         self.metrics.ops.inc();
         Ok(())

@@ -14,7 +14,7 @@
 
 use std::fmt;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use treedoc_core::codec::{get_u8, put_u8};
 use treedoc_core::{Atom, Content, Disambiguator, PathElem, PosId, Side, WireDis};
 
 use crate::node::MajorNode;
@@ -49,23 +49,16 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-/// Appends a disambiguator in its fixed-size wire form
-/// ([`Disambiguator::ACCOUNTED_BYTES`] bytes: 6 for SDIS, 10 for UDIS, the
-/// byte budgets of the paper's evaluation).
-fn put_dis<D: WireDis>(out: &mut BytesMut, dis: &D) {
-    let mut raw = Vec::with_capacity(D::ACCOUNTED_BYTES);
-    dis.encode_dis(&mut raw);
-    out.put_slice(&raw);
-}
+// Disambiguators are written in their fixed-size wire form
+// ([`Disambiguator::ACCOUNTED_BYTES`] bytes: 6 for SDIS, 10 for UDIS, the
+// byte budgets of the paper's evaluation); lengths, depths and atom
+// references are big-endian.
 
-/// Reads a disambiguator written by [`put_dis`].
-fn get_dis<D: WireDis>(input: &mut Bytes) -> Option<D> {
-    let mut rest = input.chunk();
-    let before = rest.len();
-    let dis = D::decode_dis(&mut rest)?;
-    let used = before - rest.len();
-    input.advance(used);
-    Some(dis)
+/// Takes the next `N` bytes off the cursor.
+fn take<const N: usize>(input: &mut &[u8]) -> Option<[u8; N]> {
+    let (head, rest) = input.split_first_chunk::<N>()?;
+    *input = rest;
+    Some(*head)
 }
 
 /// Content states stored per slot.
@@ -122,8 +115,8 @@ impl<A: Atom> DiskImage<A> {
     pub fn encode<D: WireDis>(tree: &Tree<A, D>) -> Self {
         let mut atoms = Vec::with_capacity(tree.live_len());
         let mut stats = EncodeStats::default();
-        let mut heap = BytesMut::new();
-        let mut overflow = BytesMut::new();
+        let mut heap = Vec::new();
+        let mut overflow = Vec::new();
 
         // The root record, followed level by level by the two child places of
         // every node emitted at the previous level.
@@ -153,15 +146,15 @@ impl<A: Atom> DiskImage<A> {
                             );
                             children.push((child, child_pos));
                         }
-                        None => heap.put_u8(MARKER),
+                        None => put_u8(&mut heap, MARKER),
                     }
                 }
             }
             parents = children;
         }
 
-        let mut stream = BytesMut::new();
-        stream.put_u32(overflow.len() as u32);
+        let mut stream = Vec::with_capacity(4 + heap.len() + overflow.len());
+        stream.extend_from_slice(&(overflow.len() as u32).to_be_bytes());
         stream.extend_from_slice(&heap);
         stream.extend_from_slice(&overflow);
         let structure = rle_compress(&stream);
@@ -177,17 +170,14 @@ impl<A: Atom> DiskImage<A> {
     /// references) so recovery paths can diagnose what they found on disk.
     pub fn decode<D: WireDis>(&self) -> Result<Tree<A, D>, DecodeError> {
         let raw = rle_decompress(&self.structure).ok_or(DecodeError::BadRleRun)?;
-        let mut input = Bytes::from(raw);
-        if input.remaining() < 4 {
-            return Err(DecodeError::TruncatedStructure);
-        }
-        let overflow_len = input.get_u32() as usize;
-        if overflow_len > input.remaining() {
-            return Err(DecodeError::TruncatedStructure);
-        }
-        let heap_len = input.remaining() - overflow_len;
-        let mut heap = input.slice(..heap_len);
-        let mut overflow = input.slice(heap_len..);
+        let mut input = raw.as_slice();
+        let overflow_len =
+            u32::from_be_bytes(take(&mut input).ok_or(DecodeError::TruncatedStructure)?) as usize;
+        let heap_len = input
+            .len()
+            .checked_sub(overflow_len)
+            .ok_or(DecodeError::TruncatedStructure)?;
+        let (mut heap, mut overflow) = input.split_at(heap_len);
 
         let mut tree: Tree<A, D> = Tree::new();
 
@@ -196,16 +186,17 @@ impl<A: Atom> DiskImage<A> {
         let mut parents: Vec<PosId<D>> = vec![PosId::root()];
         // Level by level: two places per parent emitted at the previous
         // level.
-        while !parents.is_empty() && heap.has_remaining() {
+        while !parents.is_empty() && !heap.is_empty() {
             let mut children: Vec<PosId<D>> = Vec::new();
             for parent in &parents {
                 for side in [Side::Left, Side::Right] {
-                    if !heap.has_remaining() {
-                        return Err(DecodeError::TruncatedStructure);
-                    }
-                    if heap.chunk()[0] == MARKER {
-                        heap.advance(1);
-                        continue;
+                    match heap.split_first() {
+                        None => return Err(DecodeError::TruncatedStructure),
+                        Some((&MARKER, rest)) => {
+                            heap = rest;
+                            continue;
+                        }
+                        Some(_) => {}
                     }
                     let pos = parent.child(PathElem::plain(side));
                     decode_major(&mut heap, &self.atoms, &mut tree, &pos)?;
@@ -216,7 +207,7 @@ impl<A: Atom> DiskImage<A> {
         }
 
         // Overflow section: explicit (identifier, content) records.
-        while overflow.has_remaining() {
+        while !overflow.is_empty() {
             let (id, content) = decode_overflow_record::<A, D>(&mut overflow, &self.atoms)?;
             tree.restore_slot(&id, content, 0);
         }
@@ -231,17 +222,17 @@ impl<A: Atom> DiskImage<A> {
 fn encode_major<A: Atom, D: WireDis>(
     node: &MajorNode<A, D>,
     pos: &PosId<D>,
-    heap: &mut BytesMut,
-    overflow: &mut BytesMut,
+    heap: &mut Vec<u8>,
+    overflow: &mut Vec<u8>,
     atoms: &mut Vec<A>,
     stats: &mut EncodeStats,
 ) {
-    heap.put_u8(NODE_TAG);
+    put_u8(heap, NODE_TAG);
     encode_content(node.plain(), heap, atoms);
     let minis = node.minis();
-    heap.put_u8(minis.len().min(u8::MAX as usize) as u8);
+    put_u8(heap, minis.len().min(u8::MAX as usize) as u8);
     for mini in minis {
-        put_dis(heap, mini.dis());
+        mini.dis().encode_dis(heap);
         encode_content(mini.content(), heap, atoms);
         // Mini-namespace children cannot be expressed positionally: store
         // their whole subtree as explicit records.
@@ -261,7 +252,7 @@ fn encode_major<A: Atom, D: WireDis>(
 fn collect_overflow<A: Atom, D: WireDis>(
     node: &MajorNode<A, D>,
     pos: &PosId<D>,
-    overflow: &mut BytesMut,
+    overflow: &mut Vec<u8>,
     atoms: &mut Vec<A>,
     stats: &mut EncodeStats,
 ) {
@@ -302,32 +293,26 @@ fn collect_overflow<A: Atom, D: WireDis>(
     }
 }
 
-fn encode_content<A: Atom>(content: &Content<A>, out: &mut BytesMut, atoms: &mut Vec<A>) {
+fn encode_content<A: Atom>(content: &Content<A>, out: &mut Vec<u8>, atoms: &mut Vec<A>) {
     match content {
-        Content::Absent => out.put_u8(STATE_ABSENT),
+        Content::Absent => put_u8(out, STATE_ABSENT),
         Content::Live(a) => {
-            out.put_u8(STATE_LIVE);
-            out.put_u32(atoms.len() as u32);
+            put_u8(out, STATE_LIVE);
+            out.extend_from_slice(&(atoms.len() as u32).to_be_bytes());
             atoms.push(a.clone());
         }
-        Content::Tombstone => out.put_u8(STATE_TOMBSTONE),
-        Content::Ghost => out.put_u8(STATE_GHOST),
+        Content::Tombstone => put_u8(out, STATE_TOMBSTONE),
+        Content::Ghost => put_u8(out, STATE_GHOST),
     }
 }
 
-fn decode_content<A: Atom>(input: &mut Bytes, atoms: &[A]) -> Result<Content<A>, DecodeError> {
-    if !input.has_remaining() {
-        return Err(DecodeError::TruncatedStructure);
-    }
-    match input.get_u8() {
+fn decode_content<A: Atom>(input: &mut &[u8], atoms: &[A]) -> Result<Content<A>, DecodeError> {
+    match get_u8(input).ok_or(DecodeError::TruncatedStructure)? {
         STATE_ABSENT => Ok(Content::Absent),
         STATE_LIVE => {
-            if input.remaining() < 4 {
-                return Err(DecodeError::TruncatedStructure);
-            }
-            let idx = input.get_u32() as usize;
+            let idx = take(input).ok_or(DecodeError::TruncatedStructure)?;
             atoms
-                .get(idx)
+                .get(u32::from_be_bytes(idx) as usize)
                 .cloned()
                 .map(Content::Live)
                 .ok_or(DecodeError::DanglingAtomRef)
@@ -340,27 +325,21 @@ fn decode_content<A: Atom>(input: &mut Bytes, atoms: &[A]) -> Result<Content<A>,
 
 /// Reads one major-node record and installs its slots at `pos`.
 fn decode_major<A: Atom, D: WireDis>(
-    input: &mut Bytes,
+    input: &mut &[u8],
     atoms: &[A],
     tree: &mut Tree<A, D>,
     pos: &PosId<D>,
 ) -> Result<(), DecodeError> {
-    if !input.has_remaining() {
-        return Err(DecodeError::TruncatedStructure);
-    }
-    if input.get_u8() != NODE_TAG {
+    if get_u8(input).ok_or(DecodeError::TruncatedStructure)? != NODE_TAG {
         return Err(DecodeError::BadTag);
     }
     let plain = decode_content(input, atoms)?;
     if !matches!(plain, Content::Absent) {
         tree.restore_slot(pos, plain, 0);
     }
-    if !input.has_remaining() {
-        return Err(DecodeError::TruncatedStructure);
-    }
-    let mini_count = input.get_u8();
+    let mini_count = get_u8(input).ok_or(DecodeError::TruncatedStructure)?;
     for _ in 0..mini_count {
-        let dis = get_dis::<D>(input).ok_or(DecodeError::TruncatedStructure)?;
+        let dis = D::decode_dis(input).ok_or(DecodeError::TruncatedStructure)?;
         let content = decode_content(input, atoms)?;
         let mini_id = mini_pos(pos, &dis).ok_or(DecodeError::BadTag)?;
         tree.restore_slot(&mini_id, content, 0);
@@ -378,10 +357,10 @@ fn mini_pos<D: Disambiguator>(pos: &PosId<D>, dis: &D) -> Option<PosId<D>> {
 fn encode_overflow_record<A: Atom, D: WireDis>(
     id: &PosId<D>,
     content: &Content<A>,
-    overflow: &mut BytesMut,
+    overflow: &mut Vec<u8>,
     atoms: &mut Vec<A>,
 ) {
-    overflow.put_u16(id.depth() as u16);
+    overflow.extend_from_slice(&(id.depth() as u16).to_be_bytes());
     id.visit_elems_from(0, |side, dis| {
         let mut flags = 0u8;
         if side == Side::Right {
@@ -390,35 +369,29 @@ fn encode_overflow_record<A: Atom, D: WireDis>(
         if dis.is_some() {
             flags |= 0x02;
         }
-        overflow.put_u8(flags);
+        put_u8(overflow, flags);
         if let Some(d) = dis {
-            put_dis(overflow, d);
+            d.encode_dis(overflow);
         }
     });
     encode_content(content, overflow, atoms);
 }
 
 fn decode_overflow_record<A: Atom, D: WireDis>(
-    input: &mut Bytes,
+    input: &mut &[u8],
     atoms: &[A],
 ) -> Result<(PosId<D>, Content<A>), DecodeError> {
-    if input.remaining() < 2 {
-        return Err(DecodeError::TruncatedStructure);
-    }
-    let len = input.get_u16() as usize;
+    let len = u16::from_be_bytes(take(input).ok_or(DecodeError::TruncatedStructure)?) as usize;
     let mut elems = Vec::with_capacity(len);
     for _ in 0..len {
-        if !input.has_remaining() {
-            return Err(DecodeError::TruncatedStructure);
-        }
-        let flags = input.get_u8();
+        let flags = get_u8(input).ok_or(DecodeError::TruncatedStructure)?;
         let side = if flags & 0x01 == 0 {
             Side::Left
         } else {
             Side::Right
         };
         let dis = if flags & 0x02 != 0 {
-            Some(get_dis::<D>(input).ok_or(DecodeError::TruncatedStructure)?)
+            Some(D::decode_dis(input).ok_or(DecodeError::TruncatedStructure)?)
         } else {
             None
         };

@@ -18,11 +18,10 @@
 //! subtree, which makes index-based lookups and the statistics of §5
 //! logarithmic rather than linear.
 
-use serde::{Deserialize, Serialize};
 use treedoc_core::{Content, Disambiguator, Side};
 
 /// A mini-node: one concurrent insert at a given tree position (§3.1).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MiniNode<A, D> {
     /// The disambiguator that orders this mini-node among its mini-siblings.
     pub(crate) dis: D,
@@ -119,7 +118,7 @@ impl<A, D: Disambiguator> MiniNode<A, D> {
 }
 
 /// A major node: everything stored at one position of the binary tree.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MajorNode<A, D> {
     /// The disambiguator-free atom slot (single-user documents, flattened
     /// regions).

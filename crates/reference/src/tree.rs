@@ -19,7 +19,6 @@
 //! removed, non-leaves kept as ghosts until their subtree empties); with
 //! [`Sdis`](treedoc_core::Sdis) deleted nodes become tombstones.
 
-use serde::{Deserialize, Serialize};
 use treedoc_core::{
     Atom, Content, Disambiguator, Error, HasSource, PathElem, PosId, Result, Side, Treedoc,
 };
@@ -49,7 +48,7 @@ impl<A, D: Disambiguator> SlotView<'_, A, D> {
 }
 
 /// The extended binary tree.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Tree<A, D> {
     root: MajorNode<A, D>,
 }

@@ -24,14 +24,14 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-use treedoc_core::SiteId;
+use treedoc_core::{SiteId, WirePayload};
 
 use crate::clock::VectorClock;
+use crate::wire;
 
 /// A payload stamped with its sender and the sender's vector clock at send
 /// time (after incrementing its own entry).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CausalMessage<T> {
     /// The sending site.
     pub sender: SiteId,
@@ -91,17 +91,6 @@ impl<T> IntoIterator for Deliveries<T> {
     }
 }
 
-/// The durable form of a [`CausalBuffer`]: everything a crashed replica
-/// needs to resume causal delivery exactly where it stopped — the delivered
-/// clock and the held-back messages.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CausalBufferImage<T> {
-    /// The delivered clock at snapshot time.
-    pub delivered: VectorClock,
-    /// Messages that were waiting for causal predecessors.
-    pub pending: Vec<CausalMessage<T>>,
-}
-
 /// A hold-back queue that releases messages in causal order.
 #[derive(Debug, Clone, Default)]
 pub struct CausalBuffer<T> {
@@ -151,39 +140,6 @@ impl<T> CausalBuffer<T> {
     pub fn record_local(&mut self, site: SiteId) -> VectorClock {
         self.delivered.increment(site);
         self.delivered.clone()
-    }
-
-    /// Exports the buffer for a durable snapshot.
-    pub fn export_image(&self) -> CausalBufferImage<T>
-    where
-        T: Clone,
-    {
-        CausalBufferImage {
-            delivered: self.delivered.clone(),
-            pending: self
-                .pending
-                .values()
-                .flat_map(|queue| queue.values().cloned())
-                .collect(),
-        }
-    }
-
-    /// Rebuilds a buffer from a snapshot image.
-    pub fn from_image(image: CausalBufferImage<T>) -> Self {
-        let mut pending: BTreeMap<SiteId, BTreeMap<u64, CausalMessage<T>>> = BTreeMap::new();
-        let mut total = 0usize;
-        for message in image.pending {
-            pending
-                .entry(message.sender)
-                .or_default()
-                .insert(message.seq(), message);
-            total += 1;
-        }
-        CausalBuffer {
-            delivered: image.delivered,
-            pending,
-            pending_total: total,
-        }
     }
 
     /// Offers a received message; returns every message (the new one and any
@@ -302,9 +258,37 @@ impl<T> CausalBuffer<T> {
     }
 }
 
+impl<T: WirePayload + Clone> CausalBuffer<T> {
+    /// Appends the buffer's part of a replica's snapshot section: the
+    /// delivered clock, then the held-back messages as entries (epoch 0: the
+    /// buffer keeps no epoch).
+    pub(crate) fn encode_image(&self, out: &mut Vec<u8>) {
+        wire::put_clock(out, &self.delivered, None);
+        let held = self.pending.values().flat_map(BTreeMap::values);
+        let held: Vec<_> = held.map(|msg| (0, msg.clone())).collect();
+        wire::put_entries(out, &held);
+    }
+
+    /// Reads what [`encode_image`](Self::encode_image) wrote.
+    pub(crate) fn decode_image(input: &mut &[u8]) -> Option<Self> {
+        let mut buffer = CausalBuffer {
+            delivered: wire::get_clock(input, None)?,
+            ..CausalBuffer::new()
+        };
+        for (_, message) in wire::get_entries(input)? {
+            let queue = buffer.pending.entry(message.sender).or_default();
+            if queue.insert(message.seq(), message).is_none() {
+                buffer.pending_total += 1;
+            }
+        }
+        Some(buffer)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use treedoc_core::{Op, PosId, Sdis};
 
     fn site(n: u64) -> SiteId {
         SiteId::from_u64(n)
@@ -487,27 +471,36 @@ mod tests {
         // Fill a buffer with delivered and held-back traffic, snapshot it,
         // rebuild, and verify the rebuilt buffer releases exactly what the
         // original would have.
+        // The image holds wire payloads: each number travels as an atom.
         let mut s1 = VectorClock::new();
-        let m1 = msg(site(1), &mut s1, 1);
-        let m2 = msg(site(1), &mut s1, 2);
-        let m3 = msg(site(1), &mut s1, 3);
+        let mut op_msg = |n: u32| {
+            let m = msg(site(1), &mut s1, n);
+            CausalMessage {
+                sender: m.sender,
+                clock: m.clock,
+                payload: Op::<u32, Sdis>::Insert {
+                    id: PosId::root(),
+                    atom: n,
+                },
+            }
+        };
+        let (m1, m2, m3) = (op_msg(1), op_msg(2), op_msg(3));
         let mut buf = CausalBuffer::new();
         assert_eq!(buf.receive(m1.clone()).len(), 1);
         assert!(buf.receive(m3.clone()).is_empty(), "m3 waits for m2");
         assert_eq!(buf.receive(m1).receipt, Receipt::Duplicate);
 
-        let rebuilt = CausalBuffer::from_image(buf.export_image());
+        let mut image = Vec::new();
+        buf.encode_image(&mut image);
+        let mut input = image.as_slice();
+        let mut rebuilt = CausalBuffer::decode_image(&mut input).unwrap();
+        assert!(input.is_empty());
         assert_eq!(rebuilt.pending_len(), buf.pending_len());
         assert_eq!(rebuilt.delivered_clock(), buf.delivered_clock());
-        let mut rebuilt = rebuilt;
-        let released = rebuilt.receive(m2);
+        let expected = vec![m2.clone(), m3];
         assert_eq!(
-            released
-                .messages
-                .iter()
-                .map(|m| m.payload)
-                .collect::<Vec<_>>(),
-            vec![2, 3],
+            rebuilt.receive(m2).messages,
+            expected,
             "the held-back m3 survived the snapshot"
         );
         assert_eq!(rebuilt.pending_len(), 0);

@@ -47,7 +47,7 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
+use treedoc_core::codec::{get_varint, put_varint};
 use treedoc_core::{SiteId, WirePayload};
 use treedoc_telemetry::{Counter, Telemetry};
 
@@ -61,7 +61,7 @@ const HEADS_PER_SENDER: usize = 4;
 
 /// An operation envelope delta-encoded against its sender's previous stamped
 /// operation (sequence number `seq − 1`, same flatten epoch).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChainedOp {
     /// The flatten epoch the operation (and its predecessor) was stamped in.
     pub epoch: u64,
@@ -141,13 +141,6 @@ impl<Op> Default for OpChains<Op> {
             dropped: Counter::default(),
         }
     }
-}
-
-/// The durable form of [`OpChains`] (part of the replica's snapshot image).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub(crate) struct OpChainsImage<Op> {
-    heads: Vec<(u64, CausalMessage<Op>)>,
-    parked: Vec<ChainedOp>,
 }
 
 impl<Op: WirePayload + Clone> OpChains<Op> {
@@ -274,35 +267,32 @@ impl<Op: WirePayload + Clone> OpChains<Op> {
         self.parked.len()
     }
 
-    /// The durable form; `None` for a resolver that never saw an op (a
-    /// replica that only stamps), so its snapshots carry no table.
-    pub(crate) fn export_image(&self) -> Option<OpChainsImage<Op>> {
-        if self.heads.is_empty() && self.parked.is_empty() {
-            return None;
+    /// Appends the resolver's part of a replica's snapshot section: the
+    /// chain heads as entries, then a count and the parked ops, each laid
+    /// out as an [`Envelope::OpChained`](crate::Envelope::OpChained) body.
+    pub(crate) fn encode_image(&self, out: &mut Vec<u8>) {
+        wire::put_entries(out, self.heads.values().flatten());
+        put_varint(out, self.parked.len() as u64);
+        for op in self.parked.values() {
+            wire::put_chained_op(out, op);
         }
-        Some(OpChainsImage {
-            heads: self.heads.values().flatten().cloned().collect(),
-            parked: self.parked.values().cloned().collect(),
-        })
     }
 
-    pub(crate) fn from_image(image: Option<OpChainsImage<Op>>) -> Self {
-        let Some(image) = image else {
-            return OpChains::default();
-        };
-        let mut heads: BTreeMap<SiteId, Vec<(u64, CausalMessage<Op>)>> = BTreeMap::new();
-        for (epoch, msg) in image.heads {
-            heads.entry(msg.sender).or_default().push((epoch, msg));
+    /// Reads what [`encode_image`](Self::encode_image) wrote.
+    pub(crate) fn decode_image(input: &mut &[u8]) -> Option<Self> {
+        let mut chains = OpChains::default();
+        for (epoch, msg) in wire::get_entries(input)? {
+            chains
+                .heads
+                .entry(msg.sender)
+                .or_default()
+                .push((epoch, msg));
         }
-        OpChains {
-            heads,
-            parked: image
-                .parked
-                .into_iter()
-                .map(|op| ((op.sender, op.seq), op))
-                .collect(),
-            dropped: Counter::default(),
+        for _ in 0..get_varint(input)? {
+            let op = wire::get_chained_op(input)?;
+            chains.parked.insert((op.sender, op.seq), op);
         }
+        Some(chains)
     }
 }
 

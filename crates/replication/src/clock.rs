@@ -4,7 +4,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use treedoc_core::SiteId;
 
 /// The relation between two vector clocks.
@@ -24,7 +23,7 @@ pub enum ClockOrdering {
 ///
 /// Only non-zero counters are stored, so two clocks describing the same
 /// events are equal whether or not a site was ever mentioned at zero.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct VectorClock {
     entries: BTreeMap<SiteId, u64>,
 }

@@ -64,16 +64,17 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use serde::{Deserialize, Serialize};
+use treedoc_core::codec::{get_u8, get_varint, put_u8, put_varint};
 use treedoc_core::{HasSource, Side, SiteId, Treedoc, WireAtom, WireDis};
 use treedoc_telemetry::{Counter, Telemetry};
 
 use crate::causal::CausalMessage;
 use crate::clock::VectorClock;
 use crate::replica::ReplicatedDocument;
-use crate::wire::Envelope;
+use crate::wire::{self, Envelope};
 
 /// A vote on a flatten proposal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Vote {
     /// No conflicting activity observed: the flatten may proceed.
     Yes,
@@ -106,7 +107,7 @@ impl CommitProtocol {
 
 /// A proposed structural clean-up: flatten the subtree rooted at `subtree`
 /// provided no replica has observed an edit in it after `base_revision`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlattenProposal {
     /// Identifier of the proposing site.
     pub proposer: SiteId,
@@ -121,7 +122,7 @@ pub struct FlattenProposal {
 }
 
 /// Result of a commitment round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommitOutcome {
     /// Every participant voted "Yes": the flatten was applied everywhere.
     Committed,
@@ -135,7 +136,7 @@ pub enum CommitOutcome {
 }
 
 /// Coordinator → participant: a vote request for a flatten proposal.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlattenPropose {
     /// What is being agreed on (subtree, base revision, transaction id).
     pub proposal: FlattenProposal,
@@ -152,7 +153,7 @@ pub struct FlattenPropose {
 /// Which coordinator request a [`FlattenVote`] answers. Votes are
 /// deduplicated per `(txn, from, stage)`, so retransmitted requests are
 /// answered idempotently.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VoteStage {
     /// Answer to the propose/vote round.
     Vote,
@@ -163,7 +164,7 @@ pub enum VoteStage {
 }
 
 /// Participant → coordinator: a vote or a phase acknowledgement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlattenVote {
     /// Transaction this vote belongs to.
     pub txn: u64,
@@ -176,7 +177,7 @@ pub struct FlattenVote {
 }
 
 /// The decision (or 3PC pre-decision) a coordinator distributes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecisionKind {
     /// 3PC only: every vote was Yes; participants acknowledge and may
     /// terminate with a commit if the coordinator goes silent afterwards.
@@ -188,7 +189,7 @@ pub enum DecisionKind {
 }
 
 /// Coordinator → participant: a (pre-)decision for a transaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlattenDecision {
     /// Transaction this decision concludes.
     pub txn: u64,
@@ -197,7 +198,7 @@ pub struct FlattenDecision {
 }
 
 /// Message accounting of one coordinator run, measured in actual sends.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoordinatorStats {
     /// Protocol messages the coordinator handed to the transport
     /// (retransmissions included). Byte costs are the driver's to measure:
@@ -518,9 +519,8 @@ struct FlattenMetrics {
 
 /// A proposal this replica has voted Yes on: the replica is locked (no
 /// edits in the subtree) until the decision arrives.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct PreparedFlatten {
-    txn: u64,
     proposal: FlattenProposal,
     /// 3PC only: the pre-commit round was acknowledged, so the decision is
     /// known to be commit and the replica may terminate unilaterally.
@@ -531,8 +531,8 @@ struct PreparedFlatten {
 
 /// The participant half of the protocol, one per replica: the flatten
 /// epoch, the votes and decisions that make its answers idempotent, and the
-/// prepared lock. It is its own snapshot image; it counts into `flatten.*`.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// prepared lock. It counts into `flatten.*`.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct FlattenRole {
     /// Number of flattens committed at this replica so far; every operation
     /// envelope is tagged with the epoch it was stamped in.
@@ -549,7 +549,6 @@ pub(crate) struct FlattenRole {
     next_txn: u64,
     /// The proposal this replica has voted Yes on and not yet seen decided.
     prepared: Option<PreparedFlatten>,
-    #[serde(skip)]
     metrics: FlattenMetrics,
 }
 
@@ -578,7 +577,9 @@ impl FlattenRole {
 
     /// `true` while `txn` holds the prepared lock.
     pub(crate) fn is_prepared_for(&self, txn: u64) -> bool {
-        self.prepared.as_ref().is_some_and(|p| p.txn == txn)
+        self.prepared
+            .as_ref()
+            .is_some_and(|p| p.proposal.txn == txn)
     }
 
     /// Counts an operation stamped in `epoch` as late pre-flatten traffic
@@ -626,7 +627,7 @@ impl FlattenRole {
             return None;
         }
         self.voted.insert(txn, Vote::Yes);
-        self.prepare(txn, &proposal);
+        self.prepare(&proposal);
         Some(FlattenPropose {
             proposal,
             protocol,
@@ -635,9 +636,8 @@ impl FlattenRole {
         })
     }
 
-    fn prepare(&mut self, txn: u64, proposal: &FlattenProposal) {
+    fn prepare(&mut self, proposal: &FlattenProposal) {
         self.prepared = Some(PreparedFlatten {
-            txn,
             proposal: proposal.clone(),
             pre_committed: false,
             ticks_waiting: 0,
@@ -687,7 +687,7 @@ impl FlattenRole {
             })
         };
         if vote == Vote::Yes {
-            self.prepare(txn, &propose.proposal);
+            self.prepare(&propose.proposal);
         }
         self.voted.insert(txn, vote);
         self.metrics.votes_cast.inc();
@@ -716,7 +716,7 @@ impl FlattenRole {
             // just re-acknowledge.
             return (false, ack(VoteStage::AckDecision));
         }
-        let prepared = self.prepared.as_mut().filter(|p| p.txn == txn);
+        let prepared = self.prepared.as_mut().filter(|p| p.proposal.txn == txn);
         match (decision.kind, prepared) {
             (DecisionKind::PreCommit, Some(prepared)) => {
                 prepared.pre_committed = true;
@@ -754,7 +754,7 @@ impl FlattenRole {
             return None;
         }
         self.metrics.unilateral_commits.inc();
-        Some(prepared.txn)
+        Some(prepared.proposal.txn)
     }
 
     /// Concludes `txn` as aborted, releasing the lock if it holds it.
@@ -779,7 +779,7 @@ impl FlattenRole {
         doc.apply_flatten(&prepared.proposal);
         self.epoch += 1;
         self.metrics.commits.inc();
-        self.decided.insert(prepared.txn, true);
+        self.decided.insert(prepared.proposal.txn, true);
         let epoch = self.epoch;
         let (ready, still_held) = std::mem::take(held)
             .into_iter()
@@ -787,6 +787,63 @@ impl FlattenRole {
         *held = still_held;
         Some(ready.into_iter().map(|(_, msg)| msg).collect())
     }
+
+    /// Appends the participant's part of a replica's snapshot section: the
+    /// epoch, the votes cast and the concluded transactions (each a count of
+    /// `(txn, byte)` pairs), the transaction counter and the prepared lock:
+    /// 0 for none, else 1 or (pre-committed) 2, the proposal as an
+    /// [`Envelope::FlattenPropose`] body opens, and the ticks waited.
+    pub(crate) fn encode_image(&self, out: &mut Vec<u8>) {
+        put_varint(out, self.epoch);
+        put_txn_bytes(out, &self.voted, |&vote| wire::vote_byte(vote));
+        put_txn_bytes(out, &self.decided, |&committed| u8::from(committed));
+        put_varint(out, self.next_txn);
+        let Some(prepared) = &self.prepared else {
+            put_u8(out, 0);
+            return;
+        };
+        put_u8(out, 1 + u8::from(prepared.pre_committed));
+        wire::put_proposal(out, &prepared.proposal);
+        put_varint(out, prepared.ticks_waiting);
+    }
+
+    /// Reads what [`encode_image`](Self::encode_image) wrote.
+    pub(crate) fn decode_image(input: &mut &[u8]) -> Option<Self> {
+        Some(FlattenRole {
+            epoch: get_varint(input)?,
+            voted: get_txn_bytes(input, wire::vote_from)?,
+            decided: get_txn_bytes(input, |byte| (byte <= 1).then_some(byte == 1))?,
+            next_txn: get_varint(input)?,
+            prepared: match get_u8(input)? {
+                0 => None,
+                flag @ 1..=2 => Some(PreparedFlatten {
+                    proposal: wire::get_proposal(input)?,
+                    pre_committed: flag == 2,
+                    ticks_waiting: get_varint(input)?,
+                }),
+                _ => return None,
+            },
+            metrics: FlattenMetrics::default(),
+        })
+    }
+}
+
+/// Appends a count and `map`'s `(txn, byte(value))` pairs.
+fn put_txn_bytes<T>(out: &mut Vec<u8>, map: &BTreeMap<u64, T>, byte: impl Fn(&T) -> u8) {
+    put_varint(out, map.len() as u64);
+    for (&txn, value) in map {
+        put_varint(out, txn);
+        put_u8(out, byte(value));
+    }
+}
+
+/// Reads what [`put_txn_bytes`] wrote, `value` mapping each byte back.
+fn get_txn_bytes<T>(input: &mut &[u8], value: fn(u8) -> Option<T>) -> Option<BTreeMap<u64, T>> {
+    let mut map = BTreeMap::new();
+    for _ in 0..get_varint(input)? {
+        map.insert(get_varint(input)?, value(get_u8(input)?)?);
+    }
+    Some(map)
 }
 
 #[cfg(test)]

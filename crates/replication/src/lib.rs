@@ -51,6 +51,7 @@
 //!
 //! | counter | counts |
 //! | --- | --- |
+//! | `replica.ops_stamped` | operations stamped here |
 //! | `replica.ops_received` | operations arriving in envelopes or [`Replica::receive`] |
 //! | `replica.ops_applied` | operations delivered to the document |
 //! | `replica.replays_skipped` | delivered operations the document already held (sync only) |
@@ -66,8 +67,8 @@
 //! | `sync.digests_rx` / `sync.runs_rx` | digest and leaf messages of the walk received |
 //! | `sync.cells_integrated` / `sync.echo_bytes` | cells a leaf changed, bytes of the echoes sent |
 //!
-//! Stamps are the count of the `replica.stamp_micros` histogram
-//! (`replica.receive_micros` times receipts); the `replica.holdback_depth`
+//! The replica counts and never reads a clock: what a stamp or a receipt
+//! costs is timed from outside (`perfbench`). The `replica.holdback_depth`
 //! gauge keeps the largest hold-back seen. An attached store adds the
 //! `store.*` instruments.
 
@@ -86,7 +87,7 @@ pub mod sync;
 pub mod testkit;
 pub mod wire;
 
-pub use causal::{CausalBuffer, CausalBufferImage, CausalMessage, Deliveries, Receipt};
+pub use causal::{CausalBuffer, CausalMessage, Deliveries, Receipt};
 pub use chain::ChainedOp;
 pub use clock::{ClockOrdering, VectorClock};
 pub use flatten::{

@@ -53,12 +53,14 @@
 //!
 //! ## Snapshot sections
 //!
-//! A [`Treedoc`] writes one binary section, [`SECTION_RUNS`] (`doc.runs`):
+//! A [`Treedoc`] writes one binary section, [`SECTION_RUNS`] (`doc.runs`),
+//! and the replica writes [`SECTION_REPLICA`] (`replica`):
 //!
-//! | part | content |
-//! | --- | --- |
-//! | header | varint revision counter · configuration byte (bit 0: balancing) · disambiguator source ([`WireSource`]: the site, and for UDIS the counter) |
-//! | runs | the run store, one record per run ([`RunTree::encode_runs`]): a pattern tag, the cell count, the pattern's identifiers delta-encoded against the previous run's last identifier, a 2-bit content state per cell and the live atoms |
+//! | section | part | content |
+//! | --- | --- | --- |
+//! | `doc.runs` | header | varint revision counter · configuration byte (bit 0: balancing) · disambiguator source ([`WireSource`]: the site, and for UDIS the counter) |
+//! | `doc.runs` | runs | the run store, one record per run ([`RunTree::encode_runs`]): a pattern tag, the cell count, the pattern's identifiers delta-encoded against the previous run's last identifier, a 2-bit content state per cell and the live atoms |
+//! | `replica` | parts | site · delivered clock and held-back messages · epoch hold-back · send log · flatten participant · chain heads and parked ops, in the wire codec's entry, clock and envelope-body layouts (see [`crate::wire`], "Replica snapshot section") |
 //!
 //! The snapshot manifest hashes every section, so a section carries no hash
 //! of its own. Loading decodes the runs straight into the store
@@ -66,7 +68,8 @@
 //! is re-coalesced, so a recovered store has the runs it was written with.
 //! A malformed pattern, a run that does not follow its predecessor, a count
 //! the remaining bytes cannot back or trailing bytes fail with
-//! [`RecoverError::Parse`]. Every failure is a typed [`RecoverError`]: the
+//! [`RecoverError::Parse`], in either section; so does a `replica` section
+//! written as JSON by an older generation. Every failure is a typed [`RecoverError`]: the
 //! load path never panics and allocates no more than its input's size.
 //! A snapshot of an older layout — the `doc.state` + `doc.cells` cell
 //! stream, or the §5.2 heap image (`tree.structure` + `tree.atoms`) — has
@@ -84,7 +87,6 @@
 
 use std::fmt;
 
-use serde::{de::DeserializeOwned, Deserialize, Serialize};
 use treedoc_core::codec::{get_u8, get_varint, put_u8, put_varint};
 use treedoc_core::{
     HasSource, Op, RunTree, Side, SiteId, Treedoc, TreedocConfig, WireAtom, WireDis, WireSource,
@@ -105,7 +107,7 @@ pub const SECTION_RUNS: &str = "doc.runs";
 pub const SECTION_REPLICA: &str = "replica";
 
 /// One redo-log record: an event the replica persisted before acting on it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord<Op> {
     /// A locally initiated operation, as stamped (implies the local edit:
     /// replay re-applies the payload and re-enters it into the send log).
@@ -201,27 +203,6 @@ pub struct RecoveryReport {
     pub bytes_recovered: usize,
     /// WAL tail bytes dropped as torn or corrupt.
     pub torn_tail_bytes: usize,
-}
-
-/// Serialises a snapshot section. This is the write path, not the load
-/// path: a section that fails to serialise (only a failing `Serialize` impl
-/// of an atom or disambiguator source can) must stop the checkpoint loudly,
-/// before it is written and truncates the WAL, rather than store an empty
-/// section nothing can recover from.
-#[allow(clippy::expect_used)]
-pub(crate) fn to_json_bytes<T: Serialize>(value: &T) -> Vec<u8> {
-    serde_json::to_string(value)
-        .expect("snapshot sections serialise")
-        .into_bytes()
-}
-
-pub(crate) fn from_json_bytes<T: DeserializeOwned>(
-    what: &str,
-    bytes: &[u8],
-) -> Result<T, RecoverError> {
-    let text = std::str::from_utf8(bytes)
-        .map_err(|_| RecoverError::Parse(format!("{what} is not UTF-8")))?;
-    serde_json::from_str(text).map_err(|e| RecoverError::Parse(format!("{what}: {e}")))
 }
 
 /// A replica's write-ahead journal: the attached store, the chain the next

@@ -34,19 +34,19 @@
     )
 )]
 
-use serde::{de::DeserializeOwned, Deserialize, Serialize};
+use treedoc_core::codec::{get_site, put_site};
 use treedoc_core::{Error, HasSource, Op, Side, SiteId, Treedoc, WireAtom, WireDis, WirePayload};
 use treedoc_storage::{DocStore, Snapshot, StorageError};
-use treedoc_telemetry::{Counter, Gauge, Histogram, Telemetry};
+use treedoc_telemetry::{Counter, Gauge, Telemetry};
 
-use crate::causal::{CausalBuffer, CausalBufferImage, CausalMessage, Receipt};
-use crate::chain::{ChainedOp, OpChains, OpChainsImage, Resolution};
+use crate::causal::{CausalBuffer, CausalMessage, Receipt};
+use crate::chain::{ChainedOp, OpChains, Resolution};
 use crate::clock::VectorClock;
 use crate::flatten::{CommitProtocol, FlattenDocument, FlattenPropose, FlattenRole};
 use crate::persist::{
-    self, Journal, PersistentDocument, RecoverError, RecoveryReport, WalRecord, SECTION_REPLICA,
+    Journal, PersistentDocument, RecoverError, RecoveryReport, WalRecord, SECTION_REPLICA,
 };
-use crate::send::{AtLeastOnce, BatchPolicy, Sender};
+use crate::send::{BatchPolicy, Sender};
 use crate::sync::{self, SyncDocument, SyncRoot, SyncSession};
 use crate::wire;
 pub use crate::wire::{Effect, Envelope, OpBatch};
@@ -105,30 +105,14 @@ where
     }
 }
 
-/// The durable form of a whole [`Replica`] minus the document (which has its
-/// own snapshot sections — see [`PersistentDocument`]). The flatten
-/// participant and the send log are written as their live structs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ReplicaImage<Op> {
-    site: SiteId,
-    buffer: CausalBufferImage<Op>,
-    epoch_held: Vec<(u64, CausalMessage<Op>)>,
-    at_least_once: Option<AtLeastOnce<Op>>,
-    flatten: FlattenRole,
-    /// Chain heads and parked chained ops of the envelope resolver (absent
-    /// while the replica has received no op).
-    chains: Option<OpChainsImage<Op>>,
-}
-
 /// The replica's own instruments; each part binds its own (see
 /// [`Replica`]). Inert until [`Replica::set_telemetry`].
 #[derive(Debug, Clone, Default)]
 struct ReplicaMetrics {
     /// The bound handle, kept so a store attached later inherits it.
     telemetry: Telemetry,
-    stamp_micros: Histogram,
+    ops_stamped: Counter,
     ops_received: Counter,
-    receive_micros: Histogram,
     ops_applied: Counter,
     replays_skipped: Counter,
     duplicates_discarded: Counter,
@@ -139,9 +123,8 @@ impl ReplicaMetrics {
     fn resolve(telemetry: &Telemetry) -> Self {
         ReplicaMetrics {
             telemetry: telemetry.clone(),
-            stamp_micros: telemetry.histogram("replica.stamp_micros"),
+            ops_stamped: telemetry.counter("replica.ops_stamped"),
             ops_received: telemetry.counter("replica.ops_received"),
-            receive_micros: telemetry.histogram("replica.receive_micros"),
             ops_applied: telemetry.counter("replica.ops_applied"),
             replays_skipped: telemetry.counter("replica.replays_skipped"),
             duplicates_discarded: telemetry.counter("replica.duplicates_discarded"),
@@ -186,7 +169,7 @@ impl<Doc: ReplicatedDocument> Replica<Doc> {
             buffer: CausalBuffer::new(),
             epoch_held: Vec::new(),
             chains: OpChains::default(),
-            sender: Sender::new(None),
+            sender: Sender::new(),
             flatten: FlattenRole::default(),
             sync: SyncSession::default(),
             journal: None,
@@ -263,7 +246,7 @@ impl<Doc: ReplicatedDocument> Replica<Doc> {
     /// producing the message to broadcast. In at-least-once mode the message
     /// is also retained for retransmission until every peer acknowledges it.
     pub fn stamp(&mut self, op: Doc::Op) -> CausalMessage<Doc::Op> {
-        let span = self.metrics.stamp_micros.start();
+        self.metrics.ops_stamped.inc();
         let clock = self.buffer.record_local(self.site);
         let message = CausalMessage {
             sender: self.site,
@@ -278,7 +261,6 @@ impl<Doc: ReplicatedDocument> Replica<Doc> {
             epoch,
             msg: message.clone(),
         });
-        span.stop();
         message
     }
 
@@ -439,7 +421,6 @@ impl<Doc: ReplicatedDocument> Replica<Doc> {
     /// Receives an operation envelope: chained ops resolved, then journaled,
     /// then each op through epoch filtering and causal delivery.
     fn receive_ops(&mut self, envelope: Envelope<Doc::Op>, opens_chain: bool) -> usize {
-        let span = self.metrics.receive_micros.start();
         let ops = match &envelope {
             Envelope::OpBatch(batch) => batch.len(),
             _ => 1,
@@ -467,7 +448,6 @@ impl<Doc: ReplicatedDocument> Replica<Doc> {
                 _ => 0,
             };
         }
-        span.stop();
         if self.metrics.holdback_depth.is_enabled() {
             self.metrics.holdback_depth.set(self.pending() as u64);
         }
@@ -858,38 +838,42 @@ impl<Doc: FlattenDocument + SyncDocument> Replica<Doc> {
 impl<Doc> Replica<Doc>
 where
     Doc: PersistentDocument + FlattenDocument,
-    Doc::Op: Serialize + DeserializeOwned,
 {
     /// The journal's checkpoint hook: the document's sections plus the
-    /// replication image.
+    /// binary `replica` section, each part in turn (see the table in
+    /// [`crate::wire`]).
     fn build_snapshot(replica: &Replica<Doc>) -> Snapshot {
-        let image = ReplicaImage {
-            site: replica.site,
-            buffer: replica.buffer.export_image(),
-            epoch_held: replica.epoch_held.clone(),
-            at_least_once: replica.sender.at_least_once().cloned(),
-            flatten: replica.flatten.clone(),
-            chains: replica.chains.export_image(),
-        };
         let mut snapshot = Snapshot::new();
         replica.doc.encode_sections(&mut snapshot);
-        snapshot.push_section(SECTION_REPLICA, persist::to_json_bytes(&image));
+        let mut out = Vec::with_capacity(32);
+        put_site(&mut out, replica.site);
+        replica.buffer.encode_image(&mut out);
+        wire::put_entries(&mut out, &replica.epoch_held);
+        replica.sender.encode_image(&mut out);
+        replica.flatten.encode_image(&mut out);
+        replica.chains.encode_image(&mut out);
+        snapshot.push_section(SECTION_REPLICA, out);
         snapshot
     }
 
     /// Rebuilds a replica, without a store, from a snapshot's sections.
     fn from_snapshot(snapshot: &Snapshot) -> Result<Self, RecoverError> {
         let doc = Doc::decode_sections(snapshot)?;
-        let image: ReplicaImage<Doc::Op> =
-            persist::from_json_bytes("replica section", snapshot.require(SECTION_REPLICA)?)?;
-        Ok(Replica {
-            buffer: CausalBuffer::from_image(image.buffer),
-            epoch_held: image.epoch_held,
-            chains: OpChains::from_image(image.chains),
-            sender: Sender::new(image.at_least_once),
-            flatten: image.flatten,
-            ..Replica::new(image.site, doc)
-        })
+        // The parts in the order `build_snapshot` writes them, then nothing.
+        let parse = |mut input: &[u8]| {
+            let site = get_site(&mut input)?;
+            let replica = Replica {
+                buffer: CausalBuffer::decode_image(&mut input)?,
+                epoch_held: wire::get_entries(&mut input)?,
+                sender: Sender::decode_image(&mut input)?,
+                flatten: FlattenRole::decode_image(&mut input)?,
+                chains: OpChains::decode_image(&mut input)?,
+                ..Replica::new(site, doc)
+            };
+            input.is_empty().then_some(replica)
+        };
+        parse(snapshot.require(SECTION_REPLICA)?)
+            .ok_or_else(|| RecoverError::Parse("replica section is malformed".into()))
     }
 
     /// Attaches a durable store: writes a baseline snapshot and journals
@@ -1817,38 +1801,23 @@ mod tests {
     }
 
     #[test]
-    fn a_replica_image_carrying_the_old_tally_fields_still_loads() {
-        // Snapshots written before the tallies moved to the registry carry
-        // them in the replica section; fields the image lacks are ignored.
+    fn a_json_era_replica_section_fails_with_a_parse_error() {
+        // The section as the JSON image wrote it for this replica.
         let mut a = replica(1);
-        a.enable_at_least_once(&[site(2)]);
         let op = a.doc_mut().local_insert(0, 'x').unwrap();
         let _ = a.stamp(op);
         let mut snapshot = Replica::build_snapshot(&a);
-        let json = String::from_utf8(snapshot.section(SECTION_REPLICA).unwrap().to_vec()).unwrap();
-        let tallies = r#""commits":0,"aborts":1,"votes_cast":1,"unilateral_commits":0,"blocked_ticks":0,"late_epoch_ops":0,"next_txn""#;
-        let old = json
-            .replacen('{', r#"{"ops_sent":1,"ops_applied":0,"#, 1)
-            .replacen(r#""next_txn""#, tallies, 1)
-            .replacen(
-                r#""peer_acked""#,
-                r#""retransmissions":2,"window":null,"peer_acked""#,
-                1,
-            )
-            .replacen(
-                r#""pending""#,
-                r#""high_water_mark":3,"stats":{"delivered":0,"duplicates_discarded":1},"pending""#,
-                1,
-            );
-        assert_eq!(
-            ["late_epoch_ops", "window", "high_water_mark"].map(|f| old.matches(f).count()),
-            [1, 1, 1]
+        assert!(Replica::<Doc>::from_snapshot(&snapshot).is_ok());
+        let json = concat!(
+            r#"{"site":[0,0,0,0,0,1],"buffer":{"delivered":{"entries":[[[0,0,0,0,0,1],1]]},"#,
+            r#""pending":[]},"epoch_held":[],"at_least_once":null,"flatten":{"epoch":0,"#,
+            r#""voted":[],"decided":[],"next_txn":0,"prepared":null},"chains":null}"#
         );
-        snapshot.push_section(SECTION_REPLICA, old.into_bytes());
-        let loaded = Replica::<Doc>::from_snapshot(&snapshot).unwrap();
-        assert_eq!(loaded.clock(), a.clock());
-        assert_eq!(loaded.ops_sent(), 1);
-        assert!(loaded.has_unacked());
+        snapshot.push_section(SECTION_REPLICA, json.as_bytes().to_vec());
+        assert!(matches!(
+            Replica::<Doc>::from_snapshot(&snapshot),
+            Err(RecoverError::Parse(_))
+        ));
     }
 
     /// The replica section of `replica`'s snapshot.

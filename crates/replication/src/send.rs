@@ -28,6 +28,7 @@
 use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
+use treedoc_core::codec::{get_site, get_u8, get_varint, put_site, put_u8, put_varint};
 use treedoc_core::{SiteId, WirePayload};
 use treedoc_telemetry::{Counter, Telemetry};
 
@@ -68,10 +69,9 @@ struct Batcher<Op> {
     pending_bytes: usize,
 }
 
-/// The at-least-once send log and the acknowledgements pruning it, written
-/// as is into the replica's snapshot.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub(crate) struct AtLeastOnce<Op> {
+/// The at-least-once send log and the acknowledgements pruning it.
+#[derive(Debug)]
+struct AtLeastOnce<Op> {
     /// Every stamped-but-not-fully-acknowledged message, keyed by this
     /// replica's own sequence number, with the flatten epoch it was stamped
     /// in (so retransmissions keep their original epoch tag).
@@ -100,14 +100,53 @@ pub(crate) struct Sender<Op> {
 }
 
 impl<Op: WirePayload + Clone> Sender<Op> {
-    /// A sender that does not batch, keeping `at_least_once`'s send log.
-    pub(crate) fn new(at_least_once: Option<AtLeastOnce<Op>>) -> Self {
+    /// A sender that does not batch and keeps no send log.
+    pub(crate) fn new() -> Self {
         Sender {
             last: None,
             batcher: None,
-            at_least_once,
+            at_least_once: None,
             metrics: SenderMetrics::default(),
         }
+    }
+
+    /// Appends the sender's part of a replica's snapshot section, its send
+    /// log: 0 while at-least-once is off, else 1, a count and the peers with
+    /// their acknowledged sequence numbers, and the logged entries.
+    pub(crate) fn encode_image(&self, out: &mut Vec<u8>) {
+        let Some(alo) = &self.at_least_once else {
+            put_u8(out, 0);
+            return;
+        };
+        put_u8(out, 1);
+        put_varint(out, alo.peer_acked.len() as u64);
+        for (&peer, &acked) in &alo.peer_acked {
+            put_site(out, peer);
+            put_varint(out, acked);
+        }
+        wire::put_entries(out, alo.send_log.values());
+    }
+
+    /// Reads what [`encode_image`](Self::encode_image) wrote: a sender that
+    /// does not batch.
+    pub(crate) fn decode_image(input: &mut &[u8]) -> Option<Self> {
+        let mut sender = Sender::new();
+        match get_u8(input)? {
+            0 => {}
+            1 => {
+                let mut peer_acked = BTreeMap::new();
+                for _ in 0..get_varint(input)? {
+                    peer_acked.insert(get_site(input)?, get_varint(input)?);
+                }
+                let logged = wire::get_entries(input)?.into_iter();
+                sender.at_least_once = Some(AtLeastOnce {
+                    send_log: logged.map(|entry| (entry.1.seq(), entry)).collect(),
+                    peer_acked,
+                });
+            }
+            _ => return None,
+        }
+        Some(sender)
     }
 
     /// Counts into `telemetry`'s `replica.retransmissions`,
@@ -118,11 +157,6 @@ impl<Op: WirePayload + Clone> Sender<Op> {
             batches_flushed: telemetry.counter("replica.batches_flushed"),
             batch_ops: telemetry.counter("replica.batch_ops"),
         };
-    }
-
-    /// The send log, for the snapshot image.
-    pub(crate) fn at_least_once(&self) -> Option<&AtLeastOnce<Op>> {
-        self.at_least_once.as_ref()
     }
 
     /// Keeps a send log for `peers` other than `site`. Idempotent and

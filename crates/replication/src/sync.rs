@@ -76,7 +76,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
 use treedoc_core::codec::{put_pos_id, put_u8, put_varint, WireAtom, WireDis};
 use treedoc_core::{
     codec::get_pos_id, Atom, Content, Disambiguator, HasSource, PosId, SiteId, Treedoc,
@@ -108,7 +107,7 @@ pub const CHUNK_BYTES: usize = 16 * 1024;
 
 /// The opening digest probe (and its echo): root digest, stored-cell count
 /// and the sender's causal clock.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SyncRoot {
     /// The probing site.
     pub from: SiteId,
@@ -137,7 +136,7 @@ pub struct SyncRoot {
 
 /// One sub-range of the digest walk: half-open identifier bounds (encoded —
 /// empty bytes mean unbounded) with the sender's digest over it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RangeDigest {
     /// Encoded inclusive lower bound ([`encode_bound`]); empty = from the
     /// start.
@@ -152,7 +151,7 @@ pub struct RangeDigest {
 
 /// A round of the walk: the sender's digests over sub-ranges tiling the part
 /// of the identifier space still under suspicion.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SyncDigests {
     /// The sender.
     pub from: SiteId,
@@ -162,7 +161,7 @@ pub struct SyncDigests {
 
 /// A leaf of the walk: every cell the sender stores in the range, encoded
 /// with shared-prefix identifier compression ([`encode_cells`]).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SyncRuns {
     /// The sender.
     pub from: SiteId,
@@ -182,7 +181,7 @@ pub struct SyncRuns {
 
 /// Announces a snapshot transfer to a bootstrapping site: how many
 /// [`SnapshotChunk`]s follow and what the assembled state digests to.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapshotOffer {
     /// The donor site.
     pub from: SiteId,
@@ -195,7 +194,7 @@ pub struct SnapshotOffer {
 }
 
 /// One piece of an offered snapshot.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapshotChunk {
     /// The donor site.
     pub from: SiteId,

@@ -1,4 +1,5 @@
-//! Binary wire codec for envelopes and WAL records.
+//! Binary wire codec for envelopes, WAL records and the replica's snapshot
+//! section.
 //!
 //! Builds the replication-layer encodings on the primitives of
 //! [`treedoc_core::codec`]: every [`Envelope`] (operations, batches, acks and
@@ -94,6 +95,27 @@
 //! from the sync root it fast-forwarded to, whose chain heads are a count
 //! and entries laid out like a batch's.
 //!
+//! ## Replica snapshot section
+//!
+//! A checkpoint's `replica` section
+//! ([`SECTION_REPLICA`](crate::persist::SECTION_REPLICA)) is written with
+//! the same pieces, part after part, each part by the module that owns its
+//! state. *Entries* are a count and `(epoch, message)` entries chained like
+//! a batch's; an empty list costs one byte.
+//!
+//! | part | layout |
+//! |------|--------|
+//! | site | 6 bytes |
+//! | causal buffer | delivered clock; held-back messages as entries (epoch 0) |
+//! | epoch hold-back | entries |
+//! | send log | 0 when off; else 1, a count of (peer, acked seq) pairs, the logged entries |
+//! | flatten participant | epoch, count of (txn, vote byte), count of (txn, committed byte), next txn, prepared: 0 none, 1 prepared or 2 pre-committed, then site, subtree, base revision and txn as a tag-4 body opens, then the ticks waited |
+//! | chain resolver | heads as entries; a count of parked ops, each a tag-12 body |
+//!
+//! Loading reads the parts in order and requires the section to be
+//! consumed exactly; anything else, a JSON image of an older generation
+//! included, is a [`RecoverError::Parse`](crate::persist::RecoverError::Parse).
+//!
 //! Like the core codec, every decoder is total: malformed input yields a
 //! typed [`WireError`], never a panic or an unbounded allocation.
 
@@ -109,7 +131,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use treedoc_core::codec::{
     get_bytes, get_sides, get_site, get_u8, get_varint, put_bytes, put_sides, put_site, put_u8,
     put_varint, WirePayload,
@@ -134,7 +155,7 @@ use crate::sync::{RangeDigest, SnapshotChunk, SnapshotOffer, SyncDigests, SyncRo
 /// entries against each other (shared-prefix position identifiers, clock
 /// diffs), so a batch costs far fewer bytes than its operations shipped one
 /// envelope each.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpBatch<Op> {
     /// `(stamped flatten epoch, message)` pairs in stamp order.
     pub entries: Vec<(u64, CausalMessage<Op>)>,
@@ -157,7 +178,7 @@ impl<Op> OpBatch<Op> {
 /// acknowledgements for at-least-once delivery, the three
 /// flatten-commitment messages of §4.2.1 (see [`crate::flatten`]) and the
 /// anti-entropy messages (see [`crate::sync`]).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Envelope<Op> {
     /// A (possibly retransmitted) causally stamped operation.
     Op {
@@ -280,7 +301,7 @@ impl std::error::Error for WireError {}
 /// The delta is total — `clock` need not dominate `prev` — so consecutive
 /// WAL records of a replica can chain its own stamps and the clocks of
 /// messages from other senders alike.
-fn put_clock(out: &mut Vec<u8>, clock: &VectorClock, prev: Option<&VectorClock>) {
+pub(crate) fn put_clock(out: &mut Vec<u8>, clock: &VectorClock, prev: Option<&VectorClock>) {
     match prev {
         None => {
             put_varint(out, clock.sites() as u64);
@@ -312,7 +333,7 @@ fn put_clock(out: &mut Vec<u8>, clock: &VectorClock, prev: Option<&VectorClock>)
 /// Reads a clock, resolving a delta against `prev` when given. A decoded 0
 /// removes the site ([`VectorClock`] holds no zero entries), so no stream
 /// can smuggle in an explicit zero that compares unequal to its absence.
-fn get_clock(input: &mut &[u8], prev: Option<&VectorClock>) -> Option<VectorClock> {
+pub(crate) fn get_clock(input: &mut &[u8], prev: Option<&VectorClock>) -> Option<VectorClock> {
     let n = get_varint(input)? as usize;
     // Each entry costs at least 7 bytes; an oversized claim is truncation.
     if n > input.len() / 7 + 1 {
@@ -353,20 +374,6 @@ fn put_entry_full<Op: WirePayload>(out: &mut Vec<u8>, epoch: u64, msg: &CausalMe
     put_site(out, msg.sender);
     put_clock(out, &msg.clock, None);
     msg.payload.encode_payload(None, out);
-}
-
-/// Appends one `(epoch, message)` batch entry, delta-encoded against the
-/// previous entry (or in full when `prev = None`).
-fn put_batch_entry<Op: WirePayload>(
-    out: &mut Vec<u8>,
-    entry: &(u64, CausalMessage<Op>),
-    prev: Option<&(u64, CausalMessage<Op>)>,
-) {
-    let (epoch, msg) = entry;
-    match prev {
-        None => put_entry_full(out, *epoch, msg),
-        Some((_, prev_msg)) => put_entry_after(out, *epoch, msg, prev_msg),
-    }
 }
 
 /// Appends an `(epoch, message)` entry delta-encoded against `prev_msg`, the
@@ -475,19 +482,30 @@ pub(crate) fn get_entry_after<Op: WirePayload>(
 }
 
 /// Appends a count and `entries`, each after the first delta-encoded
-/// against its predecessor — the body of an [`OpBatch`] and of a
-/// [`SyncRoot`]'s chain heads.
-fn put_entries<Op: WirePayload>(out: &mut Vec<u8>, entries: &[(u64, CausalMessage<Op>)]) {
-    put_varint(out, entries.len() as u64);
-    let mut prev: Option<&(u64, CausalMessage<Op>)> = None;
-    for entry in entries {
-        put_batch_entry(out, entry, prev);
-        prev = Some(entry);
+/// against its predecessor — the body of an [`OpBatch`], of a
+/// [`SyncRoot`]'s chain heads and of each message list in a replica's
+/// snapshot section.
+pub(crate) fn put_entries<'a, Op: WirePayload + 'a, I>(out: &mut Vec<u8>, entries: I)
+where
+    I: IntoIterator<Item = &'a (u64, CausalMessage<Op>)>,
+    I::IntoIter: Clone,
+{
+    let entries = entries.into_iter();
+    put_varint(out, entries.clone().count() as u64);
+    let mut prev: Option<&CausalMessage<Op>> = None;
+    for (epoch, msg) in entries {
+        match prev {
+            None => put_entry_full(out, *epoch, msg),
+            Some(prev_msg) => put_entry_after(out, *epoch, msg, prev_msg),
+        }
+        prev = Some(msg);
     }
 }
 
 /// Reads what [`put_entries`] wrote.
-fn get_entries<Op: WirePayload>(input: &mut &[u8]) -> Option<Vec<(u64, CausalMessage<Op>)>> {
+pub(crate) fn get_entries<Op: WirePayload>(
+    input: &mut &[u8],
+) -> Option<Vec<(u64, CausalMessage<Op>)>> {
     let n = get_varint(input)? as usize;
     // A delta-encoded entry costs at least 4 bytes (epoch, flags, op tag,
     // path header); bound the claimed count by that floor so a hostile
@@ -536,7 +554,11 @@ pub(crate) fn batch_entry_bytes<Op: WirePayload>(
     prev: Option<&(u64, CausalMessage<Op>)>,
 ) -> usize {
     let mut scratch = Vec::with_capacity(64);
-    put_batch_entry(&mut scratch, entry, prev);
+    let (epoch, msg) = entry;
+    match prev {
+        None => put_entry_full(&mut scratch, *epoch, msg),
+        Some((_, prev_msg)) => put_entry_after(&mut scratch, *epoch, msg, prev_msg),
+    }
     scratch.len()
 }
 
@@ -559,14 +581,14 @@ fn protocol_from(byte: u8) -> Option<CommitProtocol> {
     }
 }
 
-fn vote_byte(v: Vote) -> u8 {
+pub(crate) fn vote_byte(v: Vote) -> u8 {
     match v {
         Vote::No => 0,
         Vote::Yes => 1,
     }
 }
 
-fn vote_from(byte: u8) -> Option<Vote> {
+pub(crate) fn vote_from(byte: u8) -> Option<Vote> {
     match byte {
         0 => Some(Vote::No),
         1 => Some(Vote::Yes),
@@ -633,6 +655,47 @@ const ROOT_CHAIN_HEADS: u8 = 0b10;
 /// Sync-root flag bit: the receiver should answer with its chain heads.
 const ROOT_WANT_HEADS: u8 = 0b100;
 
+/// Appends the body of an [`Envelope::OpChained`]: epoch, sender, seq and
+/// the length-prefixed entry.
+pub(crate) fn put_chained_op(out: &mut Vec<u8>, op: &ChainedOp) {
+    put_varint(out, op.epoch);
+    put_site(out, op.sender);
+    put_varint(out, op.seq);
+    put_bytes(out, &op.entry);
+}
+
+/// Reads what [`put_chained_op`] wrote.
+pub(crate) fn get_chained_op(input: &mut &[u8]) -> Option<ChainedOp> {
+    let op = ChainedOp {
+        epoch: get_varint(input)?,
+        sender: get_site(input)?,
+        seq: get_varint(input)?,
+        entry: get_bytes(input)?.to_vec(),
+    };
+    // A chained op has a predecessor (sequence numbers start at 1), and its
+    // entry holds at least an epoch and a flags byte.
+    (op.seq >= 2 && op.entry.len() >= 2).then_some(op)
+}
+
+/// Appends a [`FlattenProposal`], the head of an
+/// [`Envelope::FlattenPropose`] body: proposer, subtree, base revision, txn.
+pub(crate) fn put_proposal(out: &mut Vec<u8>, proposal: &FlattenProposal) {
+    put_site(out, proposal.proposer);
+    put_sides(out, &proposal.subtree);
+    put_varint(out, proposal.base_revision);
+    put_varint(out, proposal.txn);
+}
+
+/// Reads what [`put_proposal`] wrote.
+pub(crate) fn get_proposal(input: &mut &[u8]) -> Option<FlattenProposal> {
+    Some(FlattenProposal {
+        proposer: get_site(input)?,
+        subtree: get_sides(input)?,
+        base_revision: get_varint(input)?,
+        txn: get_varint(input)?,
+    })
+}
+
 /// Digests are uniformly distributed 64-bit values: fixed-width
 /// little-endian beats a varint for them.
 fn put_u64(out: &mut Vec<u8>, value: u64) {
@@ -662,10 +725,7 @@ pub fn encode_envelope_into<Op: WirePayload>(envelope: &Envelope<Op>, out: &mut 
         }
         Envelope::OpChained(op) => {
             put_u8(out, ENV_OP_CHAINED);
-            put_varint(out, op.epoch);
-            put_site(out, op.sender);
-            put_varint(out, op.seq);
-            put_bytes(out, &op.entry);
+            put_chained_op(out, op);
         }
         Envelope::OpBatch(batch) => {
             put_u8(out, ENV_OP_BATCH);
@@ -678,10 +738,7 @@ pub fn encode_envelope_into<Op: WirePayload>(envelope: &Envelope<Op>, out: &mut 
         }
         Envelope::FlattenPropose(p) => {
             put_u8(out, ENV_FLATTEN_PROPOSE);
-            put_site(out, p.proposal.proposer);
-            put_sides(out, &p.proposal.subtree);
-            put_varint(out, p.proposal.base_revision);
-            put_varint(out, p.proposal.txn);
+            put_proposal(out, &p.proposal);
             put_u8(out, protocol_byte(p.protocol));
             put_clock(out, &p.base_clock, None);
             put_varint(out, p.epoch);
@@ -780,24 +837,7 @@ fn decode_envelope_cursor<Op: WirePayload>(input: &mut &[u8]) -> Result<Envelope
             let (epoch, msg) = get_entry_full(input).ok_or(WireError::Malformed)?;
             Envelope::Op { epoch, msg }
         }
-        ENV_OP_CHAINED => {
-            let epoch = get_varint(input).ok_or(WireError::Malformed)?;
-            let sender = get_site(input).ok_or(WireError::Malformed)?;
-            let seq = get_varint(input).ok_or(WireError::Malformed)?;
-            let entry = get_bytes(input).ok_or(WireError::Malformed)?;
-            // A chained op has a predecessor (sequence numbers start at 1),
-            // and its entry holds at least an epoch and a flags byte.
-            if seq < 2 || entry.len() < 2 {
-                return Err(WireError::Malformed);
-            }
-            let entry = entry.to_vec();
-            Envelope::OpChained(ChainedOp {
-                epoch,
-                sender,
-                seq,
-                entry,
-            })
-        }
+        ENV_OP_CHAINED => Envelope::OpChained(get_chained_op(input).ok_or(WireError::Malformed)?),
         ENV_OP_BATCH => {
             let entries = get_entries(input).ok_or(WireError::Malformed)?;
             Envelope::OpBatch(OpBatch { entries })
@@ -808,21 +848,13 @@ fn decode_envelope_cursor<Op: WirePayload>(input: &mut &[u8]) -> Result<Envelope
             Envelope::Ack { from, clock }
         }
         ENV_FLATTEN_PROPOSE => {
-            let proposer = get_site(input).ok_or(WireError::Malformed)?;
-            let subtree = get_sides(input).ok_or(WireError::Malformed)?;
-            let base_revision = get_varint(input).ok_or(WireError::Malformed)?;
-            let txn = get_varint(input).ok_or(WireError::Malformed)?;
+            let proposal = get_proposal(input).ok_or(WireError::Malformed)?;
             let protocol = protocol_from(get_u8(input).ok_or(WireError::Malformed)?)
                 .ok_or(WireError::Malformed)?;
             let base_clock = get_clock(input, None).ok_or(WireError::Malformed)?;
             let epoch = get_varint(input).ok_or(WireError::Malformed)?;
             Envelope::FlattenPropose(FlattenPropose {
-                proposal: FlattenProposal {
-                    proposer,
-                    subtree,
-                    base_revision,
-                    txn,
-                },
+                proposal,
                 protocol,
                 base_clock,
                 epoch,

@@ -69,13 +69,8 @@ fn main() {
     // -- Reading the run back: the metrics snapshot -------------------------
     let snapshot = registry.snapshot();
     println!("metrics snapshot ({} counters):", snapshot.counters.len());
-    // A stamp is one `replica.stamp_micros` record: the histogram's count is
-    // the stamp count.
-    let stamps = snapshot
-        .histogram("replica.stamp_micros")
-        .map_or(0, |h| h.count);
-    println!("  {:<26} {stamps}", "stamps (stamp_micros)");
     for name in [
+        "replica.ops_stamped",
         "replica.ops_received",
         "replica.ops_applied",
         "replica.retransmissions",
@@ -90,11 +85,7 @@ fn main() {
         println!("  {name:<26} {}", snapshot.counter(name).unwrap_or(0));
     }
     println!("latency histograms (µs):");
-    for name in [
-        "replica.stamp_micros",
-        "node.op_micros",
-        "node.fault_in_micros",
-    ] {
+    for name in ["node.fault_in_micros", "node.commit_micros"] {
         let h = snapshot.histogram(name).expect("recorded during the run");
         println!(
             "  {name:<26} count={:<6} p50={} p90={} p99={}",

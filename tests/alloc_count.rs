@@ -21,7 +21,7 @@ use std::cell::Cell;
 
 use proptest::prelude::*;
 use treedoc_core::{codec, PosId, Sdis, Side, SiteId, Treedoc, Udis};
-use treedoc_replication::persist::SECTION_RUNS;
+use treedoc_replication::persist::{SECTION_REPLICA, SECTION_RUNS};
 use treedoc_replication::wire::WalChain;
 use treedoc_replication::{
     decode_envelope, encode_envelope, CausalMessage, ChainedOp, Envelope, OpBatch,
@@ -492,23 +492,39 @@ fn corrupted_wal_records_never_over_allocate() {
 /// A checkpoint of a replica that typed after a 30-atom exploded seed and
 /// received another site's edits into the seed and into its typing (an
 /// exploded run split in two, tombstones, spine runs, packed shrapnel).
+/// Its `replica` section holds a send log, chain heads, a parked chained
+/// op and a held-back message.
 fn checkpoint() -> &'static Snapshot {
     static SNAPSHOT: std::sync::OnceLock<Snapshot> = std::sync::OnceLock::new();
     SNAPSHOT.get_or_init(|| {
         let site = SiteId::from_u64(1);
+        let other = SiteId::from_u64(2);
         let seed = ['s'; 30];
         let mut replica = Replica::new(site, Treedoc::<char, Sdis>::from_atoms(site, &seed));
         replica.attach_store(DocStore::in_memory()).unwrap();
-        for op in type_keys(replica.doc_mut(), &typing_keys(160)) {
+        for (k, op) in type_keys(replica.doc_mut(), &typing_keys(160))
+            .into_iter()
+            .enumerate()
+        {
+            if k == 152 {
+                replica.enable_at_least_once(&[other]);
+            }
             let _ = replica.stamp(op);
         }
-        let other = SiteId::from_u64(2);
         let mut peer = Replica::new(other, Treedoc::new(other));
         peer.doc_mut().adopt_state(replica.doc().clone());
         for at in [5, 6].into_iter().chain(70..82) {
             let op = peer.doc_mut().local_insert(at, 'x').unwrap();
-            replica.receive(peer.stamp(op));
+            replica.receive_envelope(peer.stamp_envelope(op));
         }
+        // Three more: the first lost, the second (chained to it) parked, the
+        // third held back behind both.
+        let mut more = || peer.doc_mut().local_insert(0, 'y').unwrap();
+        let (lost, parked, held) = (more(), more(), more());
+        let _ = peer.stamp_envelope(lost);
+        replica.receive_envelope(peer.stamp_envelope(parked));
+        replica.receive(peer.stamp(held));
+        assert_eq!(replica.pending(), 2, "one parked op, one held-back message");
         replica.persist_checkpoint().unwrap();
         let mut store = replica.detach_store().unwrap();
         store.recover().unwrap().snapshot.unwrap().1
@@ -611,30 +627,81 @@ fn encode_records(records: &[RunRecord]) -> Vec<u8> {
     out
 }
 
-/// `snapshot` with its `doc.runs` section replaced by `runs`. Encoding the
-/// snapshot recomputes the manifest's hashes, so the run decoder itself
-/// meets the damage.
-fn with_runs(snapshot: &Snapshot, runs: Vec<u8>) -> Snapshot {
-    let mut forged = snapshot.clone();
-    forged.push_section(SECTION_RUNS, runs);
-    forged
+/// Loads `base` with section `name` replaced by `mutated` through both
+/// load paths (a late joiner's bootstrap, for the document's sections, and
+/// recovery from a store): each ends in a typed error or a valid load,
+/// fails when `must_fail`, and never reserves more than a small multiple of
+/// the snapshot at once.
+fn load_forged(
+    base: &Snapshot,
+    name: &str,
+    mutated: Vec<u8>,
+    must_fail: bool,
+) -> Result<(), TestCaseError> {
+    // Encoding the snapshot recomputes the manifest's hashes, so the
+    // section decoders themselves meet the damage.
+    let mut forged = base.clone();
+    forged.push_section(name, mutated);
+    let bytes = forged.encode();
+    let bound = 32 * bytes.len() + 1_024;
+
+    if name == SECTION_RUNS {
+        let mut joiner = Treedoc::<char, Sdis>::new(SiteId::from_u64(9));
+        let (adopted, largest) = largest_allocation_in(|| joiner.adopt_bootstrap(&bytes));
+        prop_assert!(largest <= bound, "bootstrap reserved {} B at once", largest);
+        // A loaded store passes its invariants, which recompute every
+        // run's aggregates — its merkle digest included — from its cells.
+        if adopted.is_some() {
+            prop_assert!(!must_fail, "bootstrap accepted a mutation of {}", name);
+            joiner.check_invariants().unwrap();
+        }
+    }
+
+    let mut store = DocStore::in_memory();
+    store.checkpoint(0, &forged).unwrap();
+    let (recovered, largest) =
+        largest_allocation_in(|| Replica::<Treedoc<char, Sdis>>::recover(store));
+    prop_assert!(largest <= bound, "recovery reserved {} B at once", largest);
+    match recovered {
+        Ok((replica, _)) => {
+            prop_assert!(!must_fail, "recovery accepted a mutation of {}", name);
+            replica.doc().check_invariants().unwrap();
+        }
+        Err(RecoverError::Parse(_)) => {}
+        Err(e) => prop_assert!(false, "{}: an untyped failure: {}", name, e),
+    }
+    Ok(())
 }
 
 proptest! {
     /// Truncated, bit-flipped and reordered `doc.runs` sections, and run
-    /// records with an inflated length, exploded depth or start, through
-    /// both load paths (recovery from a store and a late joiner's
-    /// bootstrap), end in a typed error or a digest-valid document, and
-    /// never make the loader reserve more than a small multiple of the
-    /// snapshot at once. Reordered runs and out-of-range depths are always
-    /// rejected.
+    /// records with an inflated length, exploded depth or start, load
+    /// totally ([`load_forged`]); reordered runs and out-of-range depths
+    /// are always rejected. So do truncated and bit-flipped `replica`
+    /// sections, each case sweeping the whole section: every truncation
+    /// (always rejected), or one bit of every byte in turn.
     #[test]
     fn corrupted_run_sections_load_totally_without_over_allocating(
-        kind in 0u8..6,
+        kind in 0u8..8,
         at in any::<usize>(),
     ) {
         let base = checkpoint();
         let section = base.section(SECTION_RUNS).unwrap();
+        let image = base.section(SECTION_REPLICA).unwrap();
+        if kind == 6 {
+            for cut in 0..image.len() {
+                load_forged(base, SECTION_REPLICA, image[..cut].to_vec(), true)?;
+            }
+            return Ok(());
+        }
+        if kind == 7 {
+            for i in 0..image.len() {
+                let mut flipped = image.to_vec();
+                flipped[i] ^= 1 << (at % 8);
+                load_forged(base, SECTION_REPLICA, flipped, false)?;
+            }
+            return Ok(());
+        }
         let (header, mut records) = run_records();
         let exploded: Vec<usize> = (0..records.len())
             .filter(|&i| records[i].tag == RUN_EXPLODED)
@@ -674,33 +741,7 @@ proptest! {
                 [header, encode_records(&records)].concat()
             }
         };
-        let forged = with_runs(base, mutated);
-        let bytes = forged.encode();
-        let bound = 32 * bytes.len() + 1_024;
-
-        let mut joiner = Treedoc::<char, Sdis>::new(SiteId::from_u64(9));
-        let (adopted, largest) = largest_allocation_in(|| joiner.adopt_bootstrap(&bytes));
-        prop_assert!(largest <= bound, "bootstrap reserved {} B at once", largest);
-        // A loaded store passes its invariants, which recompute every
-        // run's aggregates — its merkle digest included — from its cells.
-        if adopted.is_some() {
-            prop_assert!(!must_fail, "bootstrap accepted a mutation of kind {}", kind);
-            joiner.check_invariants().unwrap();
-        }
-
-        let mut store = DocStore::in_memory();
-        store.checkpoint(0, &forged).unwrap();
-        let (recovered, largest) =
-            largest_allocation_in(|| Replica::<Treedoc<char, Sdis>>::recover(store));
-        prop_assert!(largest <= bound, "recovery reserved {} B at once", largest);
-        match recovered {
-            Ok((replica, _)) => {
-                prop_assert!(!must_fail, "recovery accepted a mutation of kind {}", kind);
-                replica.doc().check_invariants().unwrap();
-            }
-            Err(RecoverError::Parse(_)) => {}
-            Err(e) => prop_assert!(false, "kind {}: an untyped failure: {}", kind, e),
-        }
+        load_forged(base, SECTION_RUNS, mutated, must_fail)?;
     }
 }
 

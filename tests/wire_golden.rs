@@ -14,6 +14,9 @@
 //! envelopes are pinned both ways too: absolute (tag 1) and chained to the
 //! sender's previous stamp (tag 12).
 //!
+//! The `replica` section of a snapshot, built from the same entry, clock
+//! and envelope-body layouts, is pinned for a replica caught mid-protocol.
+//!
 //! Exactly one generation is decoded. The vectors pinned while the version
 //! was 2 and 3 stay here as refusals: their bytes must come back as a typed
 //! [`WireError::UnsupportedVersion`], never misparsed as the current layout.
@@ -22,6 +25,7 @@ use treedoc_repro::core::codec::{put_site, put_u8, put_varint};
 use treedoc_repro::core::Content;
 use treedoc_repro::core::{spine_successor, PathElem, PosId, Side};
 use treedoc_repro::prelude::*;
+use treedoc_repro::replication::persist::SECTION_REPLICA;
 use treedoc_repro::replication::sync::{encode_bound, encode_cells};
 use treedoc_repro::replication::{
     wire, ChainedOp, DecisionKind, FlattenDecision, FlattenPropose, FlattenVote, RangeDigest,
@@ -621,4 +625,65 @@ fn check_chained(
     let fixture = ChainedOp::after(epoch, msg, prev);
     check_envelope(golden_hex, Envelope::OpChained(fixture.clone()));
     assert_eq!(fixture.resolve(prev).as_ref(), Some(msg));
+}
+
+#[test]
+fn mid_protocol_replica_section_golden_vector() {
+    // Site 2 checkpoints holding a send log acked by one peer of two, a
+    // pre-committed 3PC flatten, an op held for the next epoch and a
+    // chained op parked for its predecessor. In order, the section holds
+    // the site, its delivered clock, the held-back messages (none: the
+    // parked op waits in the chain resolver), the epoch-held op, the send
+    // log, the flatten part, the chain heads and the parked op.
+    let golden = concat!(
+        "0000000000020100000000000202000101000000000001020000000000010100",
+        "0000000002020000020002000000000001016101020000000000010200000000",
+        "0003000200000000000002010000000000020100000100010000000000020162",
+        "0007010162000181808080100100000200000000000100008180808010000101",
+        "0000000000010200000000000101000000000002020000020002000000000001",
+        "0161010000000000000302050007010163",
+    );
+    let site = SiteId::from_u64;
+    let new = |n| Replica::new(site(n), Treedoc::<String, Sdis>::new(site(n)));
+    let (mut a, mut b, mut c) = (new(1), new(2), new(3));
+    b.enable_at_least_once(&[site(1), site(3)]);
+    b.attach_store(DocStore::in_memory()).unwrap();
+    for i in 0..2 {
+        let op = b.doc_mut().local_insert(i, "b".into()).unwrap();
+        a.receive(b.stamp(op));
+    }
+    b.receive_envelope(a.ack_envelope());
+    let mut type_c = |i| {
+        let op = c.doc_mut().local_insert(i, "c".into()).unwrap();
+        c.stamp_envelope(op)
+    };
+    let _lost = type_c(0);
+    b.receive_envelope(type_c(1));
+    let propose = a.propose_flatten(Vec::new(), CommitProtocol::ThreePhase);
+    let txn = propose.as_ref().unwrap().proposal.txn;
+    let _ = b.receive_any(Envelope::FlattenPropose(propose.unwrap()));
+    let kind = DecisionKind::PreCommit;
+    let _ = b.receive_any(Envelope::FlattenDecision(FlattenDecision { txn, kind }));
+    a.finish_flatten(txn, true);
+    let op = a.doc_mut().local_insert(0, "a".into()).unwrap();
+    b.receive_envelope(a.stamp_envelope(op));
+    assert_eq!(b.pending(), 2, "one epoch-held op, one parked op");
+    b.persist_checkpoint().unwrap();
+
+    // The checkpoint writes the golden bytes; recovered from them, the
+    // replica writes them again.
+    let section = |store: &mut DocStore| {
+        let snapshot = store.recover().unwrap().snapshot.unwrap().1;
+        hex(snapshot.section(SECTION_REPLICA).unwrap())
+    };
+    let mut store = b.detach_store().unwrap();
+    assert_eq!(
+        section(&mut store),
+        golden,
+        "replica section layout changed — see the module docs before \
+         regenerating this vector"
+    );
+    let (mut loaded, _) = Replica::<Treedoc<String, Sdis>>::recover(store).unwrap();
+    loaded.persist_checkpoint().unwrap();
+    assert_eq!(section(&mut loaded.detach_store().unwrap()), golden);
 }
